@@ -17,7 +17,6 @@ import (
 	"repro/internal/guest"
 	"repro/internal/model"
 	"repro/internal/netstack"
-	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/vmm"
 	"repro/internal/workload"
@@ -229,42 +228,8 @@ func BenchmarkAblationInterruptFlavour(b *testing.B) {
 
 // BenchmarkRawSimulationThroughput measures the simulator itself: events
 // per wall-clock second for a line-rate single-guest run (a regression
-// guard for the engine, not a paper figure).
-// BenchmarkAblationScheduler compares the two event-queue backends on a
-// pure engine storm shaped like the simulator's hot path: 64 concurrent
-// self-rescheduling timers at 1–16 µs cadences (inter-packet gaps, EITR
-// timers), with the duplicate cadences colliding into same-instant bursts.
-// ns/op is the per-event cost of schedule→pop→fire→recycle; the figure
-// benchmarks above measure the same choice end to end.
-func BenchmarkAblationScheduler(b *testing.B) {
-	for _, kind := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
-		b.Run(kind.String(), func(b *testing.B) {
-			arena := sim.NewArena()
-			arena.SetScheduler(kind)
-			e := sim.NewEngineArena(1, arena)
-			remaining := b.N
-			mk := func(gap units.Duration) func() {
-				var fn func()
-				fn = func() {
-					remaining--
-					if remaining <= 0 {
-						e.Stop()
-						return
-					}
-					e.After(gap, "storm", fn)
-				}
-				return fn
-			}
-			for s := 0; s < 64; s++ {
-				gap := units.Duration(1+s%16) * units.Microsecond
-				e.At(units.Time(s), "storm", mk(gap))
-			}
-			b.ResetTimer()
-			e.Run()
-		})
-	}
-}
-
+// guard for the engine, not a paper figure). The event queue alone is
+// measured by internal/sim's BenchmarkAblationScheduler.
 func BenchmarkRawSimulationThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb := core.NewTestbed(core.Config{Ports: 1, Opts: vmm.AllOptimizations})

@@ -4,13 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sim"
-
 	sriov "repro"
 )
 
 // TestFlagValueErrorsListChoices pins the CLI contract that a bad value for
-// an enumerated flag (-backend, -sched, -chaos) produces an error naming
+// an enumerated flag (-backend, -fastpath, -chaos) produces an error naming
 // every valid choice — a typo should teach, not just reject. Each case runs
 // the same resolver main() dispatches to.
 func TestFlagValueErrorsListChoices(t *testing.T) {
@@ -21,13 +19,13 @@ func TestFlagValueErrorsListChoices(t *testing.T) {
 		choices []string
 	}{
 		{
-			flag: "-sched",
+			flag: "-fastpath",
 			resolve: func(v string) error {
-				_, err := sim.ParseSchedulerKind(v)
+				_, err := sriov.ParseFastpathMode(v)
 				return err
 			},
-			value:   "fifo",
-			choices: []string{"wheel", "heap"},
+			value:   "turbo",
+			choices: []string{"auto", "on", "off"},
 		},
 		{
 			flag: "-chaos",

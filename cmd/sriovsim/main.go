@@ -17,14 +17,12 @@
 //	sriovsim -backend vhost,ovs      # ...restricted to the named backends
 //	sriovsim -list                   # list available experiments
 //	sriovsim -alloc-table BENCH.json # per-experiment alloc columns as markdown
-//	sriovsim -all -sched heap        # run on the binary-heap scheduler fallback
 //	sriovsim -serve :8080            # control-plane REST/JSON scenario API
 //	sriovsim -chaos all              # chaos + control-plane figure batch
 //
 // Output is byte-identical at any -parallel value: experiments shard into
 // independent series points, each simulated on its own deterministically
-// seeded engine. It is also byte-identical under either event scheduler
-// (-sched wheel, the default, or -sched heap).
+// seeded engine.
 //
 // Exit status is non-zero if any shape check fails.
 package main
@@ -41,7 +39,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 
@@ -69,19 +66,8 @@ func main() {
 	chaosFig := flag.String("chaos", "", "run the chaos figures: fig24, fig25, or all")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "base seed for -soak iterations")
 	soak := flag.Int("soak", 0, "run this many chaos-soak iterations (seeds chaos-seed..chaos-seed+N-1); exit nonzero on any invariant violation")
-	sched := flag.String("sched", "wheel", "event scheduler backend: wheel (timer wheel, default) or heap (binary heap)")
 	serve := flag.String("serve", "", "serve the control-plane REST/JSON scenario API on this address (e.g. :8080)")
 	flag.Parse()
-
-	kind, err := sim.ParseSchedulerKind(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	// The process-wide default covers engines built without an arena (chaos
-	// soak, trace export); the runner additionally pins it on every worker
-	// arena via Options.Scheduler.
-	sim.SetDefaultScheduler(kind)
 
 	switch {
 	case *serve != "":
@@ -169,7 +155,7 @@ func runSuite(ids []string, custom []sriov.Experiment, parallel int, csv, quiet 
 		return 2
 	}
 
-	opts := runner.Options{Parallel: parallel, Scheduler: sim.DefaultScheduler()}
+	opts := runner.Options{Parallel: parallel}
 	if !quiet {
 		opts.Progress = func(line string) { fmt.Fprintf(os.Stderr, "running %s\n", line) }
 	}

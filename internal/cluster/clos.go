@@ -150,21 +150,6 @@ type ClosConfig struct {
 	Eng *sim.Engine
 
 	Fastpath FastpathMode
-	// BatchFrames is the frames-per-batch emission granularity (default 4).
-	BatchFrames int
-	// PerLinkStats registers per-link counters in addition to the always-on
-	// per-tier rollups. Off by default: a 1024-host fabric has thousands of
-	// links and the rollups answer the capacity questions.
-	PerLinkStats bool
-
-	// Fast-path hysteresis. A fluid flow demotes to packet level when a
-	// traversed link's demand utilization reaches DemoteUtil or its queue
-	// crosses three quarters of capacity; a demoted flow promotes back after
-	// its path has stayed below PromoteUtil with drained queues for
-	// PromoteQuiet. Defaults: 0.95 / 0.85 / 10 ms.
-	DemoteUtil   float64
-	PromoteUtil  float64
-	PromoteQuiet units.Duration
 }
 
 func (cfg *ClosConfig) fill() {
@@ -172,19 +157,10 @@ func (cfg *ClosConfig) fill() {
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}
-	if cfg.BatchFrames == 0 {
-		cfg.BatchFrames = 4
-	}
-	if cfg.DemoteUtil == 0 {
-		cfg.DemoteUtil = 0.95
-	}
-	if cfg.PromoteUtil == 0 {
-		cfg.PromoteUtil = 0.85
-	}
-	if cfg.PromoteQuiet == 0 {
-		cfg.PromoteQuiet = 10 * units.Millisecond
-	}
 }
+
+// batchFrames is the frames-per-batch emission granularity of every flow.
+const batchFrames = 4
 
 // Clos tier indices for the per-tier metric rollups.
 const (
@@ -197,7 +173,9 @@ const (
 
 var tierNames = [tierCount]string{"edge_up", "trunk_up", "trunk_down", "edge_down"}
 
-// tierStats aggregates link metrics across one tier of the fabric.
+// tierStats aggregates link metrics across one tier of the fabric. Per-link
+// counters are deliberately absent: a 1024-host fabric has thousands of
+// links, and the tier rollups answer the capacity questions.
 type tierStats struct {
 	txPackets  *obs.Counter
 	txBytes    *obs.Counter
@@ -227,10 +205,6 @@ type closLink struct {
 	fluidFlows int
 	demandBps  float64 // total offered demand of active flows (for hysteresis)
 	nActive    int
-
-	// optional per-link instruments (nil unless PerLinkStats)
-	txPackets *obs.Counter
-	dropped   *obs.Counter
 }
 
 // effRate is the drain rate the packet path sees: capacity minus the fluid
@@ -363,11 +337,6 @@ func (c *Clos) newClosLink(name string, tier int, cfg LinkConfig) *closLink {
 		tier:   &c.tiers[tier],
 		cfg:    cfg,
 		up:     true,
-	}
-	if c.cfg.PerLinkStats {
-		prefix := "cluster.clos.link." + name
-		l.txPackets = c.Obs.Counter(prefix + ".tx_pkts")
-		l.dropped = c.Obs.Counter(prefix + ".dropped_pkts")
 	}
 	c.links = append(c.links, l)
 	return l
@@ -560,7 +529,6 @@ func (l *closLink) send(b *closBatch) {
 
 func (l *closLink) drop(b *closBatch) {
 	l.tier.dropped.Add(int64(b.count))
-	l.dropped.Add(int64(b.count)) // nil-safe when PerLinkStats is off
 	b.f.droppedPkts += int64(b.count)
 	b.f.droppedBytes += b.bytes
 	l.c.inFlight -= int64(b.count)
@@ -575,7 +543,6 @@ func (b *closBatch) arrive() {
 	l.qBytes -= b.bytes
 	l.tier.txPackets.Add(int64(b.count))
 	l.tier.txBytes.Add(int64(b.bytes))
-	l.txPackets.Add(int64(b.count)) // nil-safe when PerLinkStats is off
 	b.hop++
 	if b.hop < len(b.path) {
 		b.path[b.hop].send(b)
@@ -687,18 +654,18 @@ type ClosFlow struct {
 	doneFn   func()
 
 	// ledger — audited for exact packet conservation
-	seq          int64
-	resolvedSeq  int64 // all seqs <= this have delivered or dropped
-	parked       []parkedSeq
-	injectedPkts int64
-	deliveredPkts    int64
-	droppedPkts      int64
-	injectedBytes    units.Size
-	emittedBytes     units.Size
-	deliveredBytes   units.Size
-	droppedBytes     units.Size
-	lastArrival      units.Time
-	lastDeliveryAt   units.Time
+	seq            int64
+	resolvedSeq    int64 // all seqs <= this have delivered or dropped
+	parked         []parkedSeq
+	injectedPkts   int64
+	deliveredPkts  int64
+	droppedPkts    int64
+	injectedBytes  units.Size
+	emittedBytes   units.Size
+	deliveredBytes units.Size
+	droppedBytes   units.Size
+	lastArrival    units.Time
+	lastDeliveryAt units.Time
 
 	// fast-path hysteresis state
 	demotedAt units.Time
@@ -735,8 +702,8 @@ func (c *Clos) startFlow(srcHost, srcVM, dstHost, dstVM int, rate units.BitRate,
 		key:        c.flowKey(srcHost, srcVM, dstHost, dstVM),
 		demand:     rate,
 		totalBytes: total,
-		batchCount: c.cfg.BatchFrames,
-		batchBytes: units.Size(c.cfg.BatchFrames) * model.FrameSize,
+		batchCount: batchFrames,
+		batchBytes: batchFrames * model.FrameSize,
 		startAt:    c.Eng.Now(),
 	}
 	f.period = units.TransferTime(f.batchBytes, rate)
@@ -764,7 +731,7 @@ func (c *Clos) startFlow(srcHost, srcVM, dstHost, dstVM int, rate units.BitRate,
 func (c *Clos) StartRing(vmsPerHost int, rate units.BitRate) []*ClosFlow {
 	hosts := c.topo.Hosts()
 	flows := make([]*ClosFlow, hosts*vmsPerHost)
-	period := units.TransferTime(units.Size(c.cfg.BatchFrames)*model.FrameSize, rate)
+	period := units.TransferTime(batchFrames*model.FrameSize, rate)
 	now := c.Eng.Now()
 	for h := 0; h < hosts; h++ {
 		for v := 0; v < vmsPerHost; v++ {

@@ -16,8 +16,8 @@
 //
 // Mode transitions (FastpathAuto):
 //
-//	fluid --(path link demand ≥ DemoteUtil, or queue > 3/4 cap)--> packet
-//	packet --(path calm ≥ PromoteQuiet: demand ≤ PromoteUtil,
+//	fluid --(path link demand ≥ demoteUtil, or queue > 3/4 cap)--> packet
+//	packet --(path calm ≥ promoteQuiet: demand ≤ promoteUtil,
 //	          queues drained, path up)--> fluid
 //
 // Demotion settles first, so no bytes are lost or invented across the
@@ -35,6 +35,18 @@ import (
 	"repro/internal/units"
 )
 
+// Fast-path hysteresis. A fluid flow demotes to packet level when a
+// traversed link's demand utilization reaches demoteUtil or its queue
+// crosses three quarters of capacity; a demoted flow promotes back after its
+// path has stayed below promoteUtil with drained queues for promoteQuiet,
+// checked by a poll every pollEvery.
+const (
+	demoteUtil   = 0.95
+	promoteUtil  = 0.85
+	promoteQuiet = 10 * units.Millisecond
+	pollEvery    = promoteQuiet / 2
+)
+
 type fluidModel struct {
 	c    *Clos
 	mode FastpathMode
@@ -42,7 +54,6 @@ type fluidModel struct {
 	recomputeT *sim.Trigger
 	pollH      sim.Handle
 	pollFn     func()
-	pollEvery  units.Duration
 
 	demotions  *obs.Counter
 	promotions *obs.Counter
@@ -59,13 +70,9 @@ func newFluidModel(c *Clos, mode FastpathMode) *fluidModel {
 	m := &fluidModel{
 		c:          c,
 		mode:       mode,
-		pollEvery:  c.cfg.PromoteQuiet / 2,
 		demotions:  c.Obs.Counter("cluster.clos.fastpath.demotions"),
 		promotions: c.Obs.Counter("cluster.clos.fastpath.promotions"),
 		recomputes: c.Obs.Counter("cluster.clos.fastpath.recomputes"),
-	}
-	if m.pollEvery <= 0 {
-		m.pollEvery = units.Millisecond
 	}
 	m.recomputeT = sim.NewTrigger(c.Eng, "clos:recompute", m.recompute)
 	m.pollFn = m.poll
@@ -265,7 +272,7 @@ func (m *fluidModel) scheduleCompletion(f *ClosFlow, now units.Time) {
 // at or past the demotion threshold.
 func (m *fluidModel) congested(f *ClosFlow) bool {
 	for _, l := range f.path {
-		if l.demandBps >= m.c.cfg.DemoteUtil*float64(l.cfg.Rate) {
+		if l.demandBps >= demoteUtil*float64(l.cfg.Rate) {
 			return true
 		}
 	}
@@ -277,7 +284,7 @@ func (m *fluidModel) congested(f *ClosFlow) bool {
 func (m *fluidModel) calm(f *ClosFlow) bool {
 	for _, l := range f.path {
 		if !l.up || l.qBytes > l.cfg.QueueCap/8 ||
-			l.demandBps > m.c.cfg.PromoteUtil*float64(l.cfg.Rate) {
+			l.demandBps > promoteUtil*float64(l.cfg.Rate) {
 			return false
 		}
 	}
@@ -354,7 +361,7 @@ func (m *fluidModel) recompute() {
 }
 
 // poll is the promotion scan: demoted flows whose path has stayed calm for
-// PromoteQuiet go back to the fluid path.
+// promoteQuiet go back to the fluid path.
 func (m *fluidModel) poll() {
 	now := m.c.Eng.Now()
 	changed := false
@@ -367,7 +374,7 @@ func (m *fluidModel) poll() {
 				f.hasCalm = true
 				f.calmSince = now
 			}
-			if now.Sub(f.calmSince) >= m.c.cfg.PromoteQuiet {
+			if now.Sub(f.calmSince) >= promoteQuiet {
 				m.promote(f)
 				changed = true
 			}
@@ -389,7 +396,7 @@ func (m *fluidModel) armPoll(now units.Time) {
 	}
 	for _, f := range m.c.flows {
 		if !f.stopped && !f.done && !f.fluid {
-			m.pollH = m.c.Eng.At(now.Add(m.pollEvery), "clos:promote-poll", m.pollFn)
+			m.pollH = m.c.Eng.At(now.Add(pollEvery), "clos:promote-poll", m.pollFn)
 			return
 		}
 	}

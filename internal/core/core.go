@@ -278,6 +278,9 @@ func (tb *Testbed) AddSRIOVGuest(name string, typ vmm.DomainType, k vmm.KernelCo
 	if port < 0 || port >= len(tb.Ports) {
 		return nil, fmt.Errorf("core: no port %d", port)
 	}
+	if n := tb.Ports[port].NumVFs(); vf < 0 || vf >= n {
+		return nil, fmt.Errorf("core: no VF %d on port %d (%d VFs)", vf, port, n)
+	}
 	d, err := tb.newDomain(name, typ, k)
 	if err != nil {
 		return nil, err

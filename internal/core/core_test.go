@@ -113,6 +113,21 @@ func TestBadPortRejected(t *testing.T) {
 	}
 }
 
+// TestBadVFRejected checks an out-of-range VF index is an error, not a
+// panic, and is caught before a domain is created for the guest.
+func TestBadVFRejected(t *testing.T) {
+	tb := NewTestbed(Config{Ports: 1})
+	doms := len(tb.HV.Domains())
+	for _, vf := range []int{-1, tb.Ports[0].NumVFs()} {
+		if _, err := tb.AddSRIOVGuest("g", vmm.HVM, vmm.Kernel2628, 0, vf, nil); err == nil {
+			t.Fatalf("VF %d should fail", vf)
+		}
+	}
+	if got := len(tb.HV.Domains()); got != doms {
+		t.Fatalf("rejected guests left %d domains behind", got-doms)
+	}
+}
+
 func TestSixtyGuestsFitMemory(t *testing.T) {
 	tb := NewTestbed(Config{Ports: 10, Opts: vmm.AllOptimizations})
 	for i := 0; i < 60; i++ {

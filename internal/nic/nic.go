@@ -294,12 +294,7 @@ func (q *Queue) Stalled() bool { return q.stalled }
 // model the IOMMU context and interrupt routing, which a function reset
 // does not touch.
 func (q *Queue) ResetHW() {
-	// Packets in the ring die with the reset; account them so the ring
-	// conservation identity survives FLR and global resets.
-	q.Stats.ResetDropped += int64(q.occupied)
-	q.occupied = 0
-	q.occBytes = 0
-	q.arrivals.reset()
+	q.wipeRing()
 	q.intrEnabled = false
 	q.masked = false
 	q.itrInterval = 0
@@ -313,6 +308,17 @@ func (q *Queue) ResetHW() {
 			q.msix.entries[i] = msixEntry{}
 		}
 	}
+}
+
+// wipeRing empties the descriptor ring for a hardware reset (FLR, global
+// device reset, or CTRL.RST). Packets in the ring die with the reset; they
+// are counted in ResetDropped so the ring conservation identity survives
+// every reset path.
+func (q *Queue) wipeRing() {
+	q.Stats.ResetDropped += int64(q.occupied)
+	q.occupied = 0
+	q.occBytes = 0
+	q.arrivals.reset()
 }
 
 // SetMasked reflects the guest's MSI mask state into the queue. Unmasking

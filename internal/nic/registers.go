@@ -117,9 +117,7 @@ func (q *Queue) regWrite(off uint64, val uint64) {
 		if val&CtrlReset != 0 {
 			// Device reset: drop the ring, disable interrupts, clear
 			// throttle state. The driver re-initializes afterwards.
-			q.occupied = 0
-			q.occBytes = 0
-			q.arrivals.reset()
+			q.wipeRing()
 			q.intrEnabled = false
 			q.throttledUntil = 0
 			r.ctrl &^= CtrlReset // self-clearing

@@ -80,6 +80,29 @@ func TestRegistersResetQuiesces(t *testing.T) {
 	}
 }
 
+// TestRegistersResetAccountsRing checks CTRL.RST keeps the ring
+// conservation identity the invariant audit enforces: packets wiped from a
+// full ring are counted as ResetDropped, exactly as an FLR counts them.
+func TestRegistersResetAccountsRing(t *testing.T) {
+	_, _, q := newRegQueue(t)
+	fn := q.Function()
+	fn.MMIOWrite(0, RegRDLEN0, 8)
+	q.deliver(Batch{Dst: MAC(1), Count: 10, Bytes: 15140}) // 2 overflow
+	q.Drain(3)
+	if q.Occupied() != 5 {
+		t.Fatalf("precondition: occupied = %d, want 5", q.Occupied())
+	}
+	fn.MMIOWrite(0, RegCTRL, CtrlReset)
+	s := q.Stats
+	if s.ResetDropped != 5 {
+		t.Fatalf("ResetDropped = %d, want the 5 wiped packets", s.ResetDropped)
+	}
+	if out := s.Drained + int64(q.Occupied()) + s.ResetDropped; s.RxPackets != out {
+		t.Fatalf("RxPackets %d != Drained %d + Occupied %d + ResetDropped %d",
+			s.RxPackets, s.Drained, q.Occupied(), s.ResetDropped)
+	}
+}
+
 func TestRegistersStatusLink(t *testing.T) {
 	_, _, q := newRegQueue(t)
 	if q.Function().MMIORead(0, RegSTATUS)&StatusLinkUp == 0 {

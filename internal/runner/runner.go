@@ -33,11 +33,6 @@ type Options struct {
 	// Progress, if non-nil, receives one line per started task ("fig15
 	// [30]") and is called from worker goroutines under a lock.
 	Progress func(line string)
-	// Scheduler selects the event-queue backend every task's engines use
-	// (the -sched flag). SchedDefault defers to the process default. The
-	// choice must be invisible in the output: figures are byte-identical
-	// under wheel and heap at any parallelism.
-	Scheduler sim.SchedulerKind
 }
 
 // Result is one experiment's outcome.
@@ -143,10 +138,8 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 			defer wg.Done()
 			// One event arena per worker goroutine: consecutive points on
 			// this worker reuse each other's event storage. Arenas are never
-			// shared across goroutines. The arena also carries the scheduler
-			// choice down to every engine a task builds on it.
+			// shared across goroutines.
 			arena := sim.NewArena()
-			arena.SetScheduler(opts.Scheduler)
 			for t := range ch {
 				runTask(specs, t, pointRes, taskRegs, sum, &mu, opts.Progress, arena, trackAllocs)
 			}

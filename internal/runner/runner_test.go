@@ -83,32 +83,6 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestSchedulerDifferentialAcrossParallelism is the runner-level wheel≡heap
-// gate: the same experiment subset must render byte-identical figures under
-// the timer-wheel and binary-heap schedulers, at serial and sharded
-// parallelism. The scheduler is pure mechanism — any divergence means event
-// ordering leaked through it.
-func TestSchedulerDifferentialAcrossParallelism(t *testing.T) {
-	ids := []string{"fig07", "fig08", "fig09", "fig10", "fig20", "fig21"}
-	if testing.Short() || raceEnabled {
-		ids = []string{"fig07", "fig20"}
-	}
-	for _, parallel := range []int{1, 4} {
-		var md [2]string
-		for i, kind := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
-			s, err := RunIDs(ids, Options{Parallel: parallel, Scheduler: kind})
-			if err != nil {
-				t.Fatal(err)
-			}
-			md[i] = suiteMarkdown(t, s)
-		}
-		if md[0] != md[1] {
-			line := firstDiffLine(md[0], md[1])
-			t.Fatalf("wheel and heap figures differ at -parallel %d; first differing line:\n%s", parallel, line)
-		}
-	}
-}
-
 // TestClusterFiguresDeterministicAcrossParallelism pins the cluster
 // experiment family (multi-host fabric, inter-host migration) to the same
 // invariant at three parallelism levels, and additionally requires the

@@ -84,24 +84,10 @@ type Arena struct {
 	// pooled. Zero on every healthy run; the chaos invariant checker gates
 	// on it (pool-integrity invariant).
 	corruptions int64
-	// sched, when not SchedDefault, is the scheduler kind engines created
-	// on this arena use. The arena is the one object that already flows
-	// from the runner's worker loop into every engine a point builds, so it
-	// doubles as the per-worker scheduler selection channel — no globals,
-	// so two differential runs with different kinds can share a process.
-	sched SchedulerKind
 }
 
 // NewArena returns an empty event free list.
 func NewArena() *Arena { return &Arena{} }
-
-// SetScheduler sets the scheduler kind engines created on this arena use
-// (SchedDefault defers to the process-wide default). It only affects engines
-// created afterwards.
-func (a *Arena) SetScheduler(k SchedulerKind) { a.sched = k }
-
-// Scheduler reports the arena's scheduler kind.
-func (a *Arena) Scheduler() SchedulerKind { return a.sched }
 
 // Corruptions reports how many pool-integrity failures (double-recycles,
 // free-list entries not marked pooled) the arena has detected.
@@ -175,10 +161,9 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now Time
 	seq uint64
-	// sched is the event queue — the binary heap or the timer wheel,
-	// selected at construction; kind records which.
+	// sched is the event queue: the timer wheel (package tests substitute
+	// the reference binary heap).
 	sched   scheduler
-	kind    SchedulerKind
 	seed    uint64
 	rng     *RNG
 	streams map[string]*RNG
@@ -191,8 +176,9 @@ type Engine struct {
 	// limit bounds the number of executed events; 0 means unlimited.
 	limit uint64
 	// arena recycles event objects; pooling gates whether recycled events
-	// are actually reused (false keeps the pre-pool allocate-per-schedule
-	// behavior, for differential testing).
+	// are actually reused. It is always true outside package tests, which
+	// clear it to compare against the pre-pool allocate-per-schedule
+	// behavior.
 	arena   *Arena
 	pooling bool
 }
@@ -206,41 +192,22 @@ func NewEngine(seed uint64) *Engine {
 // NewEngineArena is NewEngine with a caller-supplied event arena, so
 // sequentially-run engines (one experiment point after another on a runner
 // worker) reuse each other's event storage. A nil arena gets a private one.
-// The scheduler kind resolves arena → process default.
 func NewEngineArena(seed uint64, arena *Arena) *Engine {
-	return NewEngineSched(seed, arena, SchedDefault)
+	return newEngine(seed, arena, newTimerWheel())
 }
 
-// NewEngineSched is NewEngineArena with an explicit scheduler kind.
-// SchedDefault defers to the arena's kind, then the process-wide default.
-func NewEngineSched(seed uint64, arena *Arena, kind SchedulerKind) *Engine {
+// newEngine builds an engine on the given event queue. Everything outside
+// package tests gets the timer wheel through NewEngineArena.
+func newEngine(seed uint64, arena *Arena, s scheduler) *Engine {
 	if arena == nil {
 		arena = NewArena()
 	}
-	if kind == SchedDefault {
-		kind = arena.sched
-	}
-	if kind == SchedDefault {
-		kind = DefaultScheduler()
-	}
-	return &Engine{
-		seed: seed, rng: NewRNG(seed), arena: arena, pooling: true,
-		sched: newScheduler(kind), kind: kind,
-	}
+	return &Engine{seed: seed, rng: NewRNG(seed), arena: arena, pooling: true, sched: s}
 }
-
-// Scheduler reports which event-queue implementation backs this engine.
-func (e *Engine) Scheduler() SchedulerKind { return e.kind }
 
 // Arena exposes the engine's event pool, so integrity checkers can read
 // its corruption counter at quiesce.
 func (e *Engine) Arena() *Arena { return e.arena }
-
-// SetPooling toggles event reuse. Scheduling and handle semantics are
-// identical either way (generations still advance); with pooling off every
-// schedule allocates a fresh event, which is the pre-pool behavior the fuzz
-// tests compare against.
-func (e *Engine) SetPooling(on bool) { e.pooling = on }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }

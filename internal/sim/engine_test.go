@@ -405,18 +405,3 @@ func TestRNGIntnPanics(t *testing.T) {
 	}()
 	NewRNG(1).Intn(0)
 }
-
-func TestRNGSplitIndependence(t *testing.T) {
-	r := NewRNG(5)
-	s := r.Split()
-	// Streams should differ.
-	same := 0
-	for i := 0; i < 64; i++ {
-		if r.Uint64() == s.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split streams coincide too often: %d/64", same)
-	}
-}

@@ -23,10 +23,10 @@ type fireRec struct {
 // callback schedules another, cancel a random outstanding handle, or run to
 // now+δ. It returns the full trace so the caller can compare pooled vs
 // pool-disabled engines for equivalence.
-func fuzzRun(t *testing.T, data []byte, pooling bool, kind SchedulerKind) (trace []fireRec, cancels []bool) {
+func fuzzRun(t *testing.T, data []byte, pooling bool, q scheduler) (trace []fireRec, cancels []bool) {
 	t.Helper()
-	e := NewEngineSched(99, nil, kind)
-	e.SetPooling(pooling)
+	e := newEngine(99, nil, q)
+	e.pooling = pooling
 	e.SetEventLimit(100000)
 
 	nextID := 0
@@ -130,17 +130,19 @@ func FuzzEngineSchedule(f *testing.F) {
 		type variant struct {
 			label   string
 			pooling bool
-			kind    SchedulerKind
+			queue   func() scheduler
 		}
+		wheelQ := func() scheduler { return newTimerWheel() }
+		heapQ := func() scheduler { return &heapSched{} }
 		variants := []variant{
-			{"wheel/pooled", true, SchedWheel},
-			{"wheel/plain", false, SchedWheel},
-			{"heap/pooled", true, SchedHeap},
-			{"heap/plain", false, SchedHeap},
+			{"wheel/pooled", true, wheelQ},
+			{"wheel/plain", false, wheelQ},
+			{"heap/pooled", true, heapQ},
+			{"heap/plain", false, heapQ},
 		}
-		refTrace, refCancels := fuzzRun(t, data, variants[0].pooling, variants[0].kind)
+		refTrace, refCancels := fuzzRun(t, data, variants[0].pooling, variants[0].queue())
 		for _, v := range variants[1:] {
-			trace, cancels := fuzzRun(t, data, v.pooling, v.kind)
+			trace, cancels := fuzzRun(t, data, v.pooling, v.queue())
 			if fmt.Sprint(trace) != fmt.Sprint(refTrace) {
 				t.Fatalf("traces diverge between %s and %s:\n%s: %v\n%s: %v",
 					variants[0].label, v.label, variants[0].label, refTrace, v.label, trace)

@@ -149,11 +149,11 @@ func TestArenaSharedAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestPoolingDisabledEquivalence checks SetPooling(false) keeps scheduling
-// and handle semantics identical — only reuse is turned off.
+// TestPoolingDisabledEquivalence checks the unpooled reference path keeps
+// scheduling and handle semantics identical — only reuse is turned off.
 func TestPoolingDisabledEquivalence(t *testing.T) {
 	e := NewEngine(1)
-	e.SetPooling(false)
+	e.pooling = false
 	fired := false
 	h1 := e.At(10, "a", func() { fired = true })
 	e.Run()

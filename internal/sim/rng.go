@@ -44,16 +44,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Split derives an independent generator by consuming one draw from r.
-//
-// Deprecated: the derived stream depends on how many values were drawn from
-// r before the call, so adding a Split (or any draw) in one component
-// perturbs every later Split in another. Use Stream, which derives from the
-// seed and a name instead of from the stream position.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() | 1)
-}
-
 // Stream derives the named sub-stream of this generator. The derivation
 // uses only the generator's seed and the name — never the stream position —
 // so the result is identical no matter how many values have been drawn from

@@ -38,15 +38,6 @@ func TestStreamIndependentOfDrawOrder(t *testing.T) {
 	}
 }
 
-// Split, by contrast, consumes a parent draw — the documented hazard.
-func TestSplitConsumesParentStream(t *testing.T) {
-	a, b := NewRNG(7), NewRNG(7)
-	a.Split()
-	if a.Uint64() == b.Uint64() {
-		t.Fatal("Split did not consume a draw; hazard documentation is stale")
-	}
-}
-
 // Different names must give different sequences; the same name the same.
 func TestStreamNaming(t *testing.T) {
 	r := NewRNG(42)

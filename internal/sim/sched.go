@@ -1,79 +1,20 @@
-// Scheduler backends for the event engine.
+// The engine's event queue.
 //
-// The engine's event queue is behind the small scheduler interface so two
-// interchangeable implementations can back it: the original binary heap
-// (O(log n) push/pop, kept as the differential reference and fallback) and a
-// hierarchical timer wheel (amortized O(1) schedule/pop for the dominant
-// short-horizon events — NIC inter-packet gaps, ITR timers, vhost poll
-// rounds — with same-tick batching). Both produce byte-identical schedules:
-// events fire in (when, seq) order, so any figure must render the same
-// bytes under either backend. The wheel≡heap differential tests
-// (FuzzEngineSchedule, the runner and experiment differential suites) gate
-// that equivalence.
+// The engine schedules through the small scheduler interface, backed in
+// production by a hierarchical timer wheel: amortized O(1) schedule/pop for
+// the dominant short-horizon events — NIC inter-packet gaps, ITR timers,
+// vhost poll rounds — with same-tick batching. The original binary heap
+// (O(log n) push/pop) survives only as the package tests' reference
+// implementation: events fire in (when, seq) order under either queue, and
+// FuzzEngineSchedule gates that wheel≡heap equivalence per interleaving.
 
 package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 )
-
-// SchedulerKind selects the engine's event-queue implementation.
-type SchedulerKind uint8
-
-const (
-	// SchedDefault resolves to the arena's kind if set, else the
-	// process-wide default (the wheel).
-	SchedDefault SchedulerKind = iota
-	// SchedWheel is the hierarchical timer wheel (calendar queue).
-	SchedWheel
-	// SchedHeap is the binary heap, the original O(log n) scheduler kept as
-	// the differential reference.
-	SchedHeap
-)
-
-// String names the kind the way the -sched flag spells it.
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedWheel:
-		return "wheel"
-	case SchedHeap:
-		return "heap"
-	}
-	return "default"
-}
-
-// ParseSchedulerKind decodes a -sched flag value.
-func ParseSchedulerKind(s string) (SchedulerKind, error) {
-	switch s {
-	case "wheel":
-		return SchedWheel, nil
-	case "heap":
-		return SchedHeap, nil
-	case "", "default":
-		return SchedDefault, nil
-	}
-	return SchedDefault, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", s)
-}
-
-// defaultSched is the process-wide scheduler default, read by engines
-// constructed without an explicit kind. Atomic so a CLI flag set at startup
-// and parallel test runs never race.
-var defaultSched atomic.Uint32
-
-// DefaultScheduler reports the process-wide default scheduler kind.
-func DefaultScheduler() SchedulerKind {
-	if k := SchedulerKind(defaultSched.Load()); k != SchedDefault {
-		return k
-	}
-	return SchedWheel
-}
-
-// SetDefaultScheduler sets the process-wide default (the -sched flag).
-func SetDefaultScheduler(k SchedulerKind) { defaultSched.Store(uint32(k)) }
 
 // scheduler is the engine's event queue. The contract mirrors how RunUntil
 // drives it: peek returns the earliest pending event in (when, seq) order
@@ -85,40 +26,7 @@ type scheduler interface {
 	schedule(ev *event)
 	peek() *event
 	pop() *event
-	len() int
 	forEach(fn func(*event))
-}
-
-// newScheduler builds the queue for a resolved (non-default) kind.
-func newScheduler(kind SchedulerKind) scheduler {
-	if kind == SchedHeap {
-		return &heapSched{}
-	}
-	return newTimerWheel()
-}
-
-// heapSched adapts the original binary heap to the scheduler interface.
-type heapSched struct {
-	h eventHeap
-}
-
-func (s *heapSched) schedule(ev *event) { heap.Push(&s.h, ev) }
-
-func (s *heapSched) peek() *event {
-	if len(s.h) == 0 {
-		return nil
-	}
-	return s.h[0]
-}
-
-func (s *heapSched) pop() *event { return heap.Pop(&s.h).(*event) }
-
-func (s *heapSched) len() int { return len(s.h) }
-
-func (s *heapSched) forEach(fn func(*event)) {
-	for _, ev := range s.h {
-		fn(ev)
-	}
 }
 
 // Timer-wheel geometry. Level i has 64 slots of width 64^i ticks (ticks are
@@ -157,8 +65,7 @@ type wheelBucket []*event
 //     it sorted. Draining a burst of same-instant completions is therefore
 //     one bucket activation plus index bumps instead of N heap pops.
 type timerWheel struct {
-	base  Time
-	count int
+	base Time
 	// filled is the base value of the last refill. When base moves into a
 	// new 64-tick window — by jump, or one tick at a time past a drained
 	// bucket — the higher-level slots containing the new base must cascade
@@ -189,7 +96,6 @@ type timerWheel struct {
 func newTimerWheel() *timerWheel { return &timerWheel{} }
 
 func (w *timerWheel) schedule(ev *event) {
-	w.count++
 	if ev.when < w.base {
 		heap.Push(&w.early, ev)
 		return
@@ -239,7 +145,6 @@ func (w *timerWheel) peek() *event {
 }
 
 func (w *timerWheel) pop() *event {
-	w.count--
 	if len(w.early) > 0 {
 		return heap.Pop(&w.early).(*event)
 	}
@@ -248,8 +153,6 @@ func (w *timerWheel) pop() *event {
 	w.curHead++
 	return ev
 }
-
-func (w *timerWheel) len() int { return w.count }
 
 func (w *timerWheel) forEach(fn func(*event)) {
 	for lvl := range w.levels {

@@ -25,7 +25,7 @@ func wheelOf(t *testing.T, e *Engine) *timerWheel {
 // as the cursor approaches, and still fires at its exact time in order with
 // near-term traffic.
 func TestWheelFarFutureOverflowCascade(t *testing.T) {
-	e := NewEngineSched(1, nil, SchedWheel)
+	e := NewEngine(1)
 	w := wheelOf(t, e)
 	var got []Time
 	record := func() { got = append(got, e.Now()) }
@@ -56,7 +56,7 @@ func TestWheelFarFutureOverflowCascade(t *testing.T) {
 // schedules at or before the deadline made between runs (legal: when ==
 // Now()) must still fire, in time order, before that future event.
 func TestWheelScheduleAtExactDeadline(t *testing.T) {
-	e := NewEngineSched(1, nil, SchedWheel)
+	e := NewEngine(1)
 	var got []Time
 	record := func() { got = append(got, e.Now()) }
 	e.At(100, "future", record)
@@ -83,7 +83,6 @@ func TestWheelScheduleAtExactDeadline(t *testing.T) {
 // slot) fires exactly once.
 func TestWheelCancelThenReuseAcrossCascade(t *testing.T) {
 	arena := NewArena()
-	arena.SetScheduler(SchedWheel)
 	e := NewEngineArena(1, arena)
 	// 20000 ticks from base lands above level 0 (64 ticks) and level 1
 	// (4096 ticks): the event must cascade at least twice to fire.
@@ -121,7 +120,6 @@ func TestWheelCancelThenReuseAcrossCascade(t *testing.T) {
 // the remainder in FIFO order.
 func TestWheelStopMidBucketDrainPoolConsistency(t *testing.T) {
 	arena := NewArena()
-	arena.SetScheduler(SchedWheel)
 	e := NewEngineArena(1, arena)
 	fired := make([]int, 0, 10)
 	handles := make([]Handle, 0, 10)
@@ -179,7 +177,7 @@ func TestWheelSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs AllocsPerRun")
 	}
-	e := NewEngineSched(1, nil, SchedWheel)
+	e := NewEngine(1)
 	n := 0
 	fn := func() { n++ }
 	const gap = Duration(12 * units.Microsecond)
