@@ -75,7 +75,8 @@ func CheckTestbed(tb *core.Testbed) []Violation {
 }
 
 // AuditCluster is AuditTestbed across a cluster sharing one engine, plus
-// migration-termination checks for any migrations the caller started.
+// the ToR fabric's queues and migration-termination checks for any
+// migrations the caller started.
 func AuditCluster(c *cluster.Cluster, migs []*cluster.Migration) []Violation {
 	settle(c.Eng)
 	for _, h := range c.Hosts() {
@@ -89,10 +90,22 @@ func AuditCluster(c *cluster.Cluster, migs []*cluster.Migration) []Violation {
 		}
 		return false
 	})
+	return CheckCluster(c, migs)
+}
+
+// CheckCluster audits a cluster's invariants at the current instant,
+// without advancing time: every host's layers, the ToR fabric's queues
+// (empty once the sources are stopped and the audit has drained), and
+// migration termination. Most callers want AuditCluster.
+func CheckCluster(c *cluster.Cluster, migs []*cluster.Migration) []Violation {
 	var vs []Violation
 	checkArena(&vs, c.Eng)
 	for _, h := range c.Hosts() {
 		checkBed(&vs, h.Bed, h.Name+":")
+	}
+	if q := c.QueuedBytes(); q != 0 {
+		vs = append(vs, Violation{"cluster-queue-drain", "fabric",
+			fmt.Sprintf("%v still queued after drain", q)})
 	}
 	vs = append(vs, CheckMigrations(migs)...)
 	return vs

@@ -9,10 +9,10 @@
 // oversubscription, scale) where thousands of full testbeds would drown
 // the event queue without adding information.
 //
-// Every link is a bounded tail-drop FIFO with store-and-forward
-// serialization, exactly like the ToR link model. A flow traverses at most
-// four links: host→leaf, leaf→spine, spine→leaf, leaf→host. Intra-leaf
-// flows skip the trunk tier; same-host flows never touch the fabric.
+// Every link is the same bounded tail-drop, store-and-forward FIFO the ToR
+// uses (link.go). A flow traverses at most four links: host→leaf,
+// leaf→spine, spine→leaf, leaf→host. Intra-leaf flows skip the trunk tier;
+// same-host flows never touch the fabric.
 //
 // ECMP uses rendezvous (highest-random-weight) hashing of the flow 5-tuple
 // over the live spines: flow placement is stable, independent of arrival
@@ -31,6 +31,7 @@ import (
 	"math"
 
 	"repro/internal/model"
+	"repro/internal/nic"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -67,8 +68,11 @@ func (t Topology) Validate() error {
 		return fmt.Errorf("clos: topology needs at least 1 leaf/spine/host, got %d/%d/%d",
 			t.Leafs, t.Spines, t.HostsPerLeaf)
 	}
-	if t.HostLink.Rate < 0 || t.TrunkLink.Rate < 0 {
-		return fmt.Errorf("clos: negative link rate")
+	if err := t.HostLink.validate(); err != nil {
+		return fmt.Errorf("clos: host link: %w", err)
+	}
+	if err := t.TrunkLink.validate(); err != nil {
+		return fmt.Errorf("clos: trunk link: %w", err)
 	}
 	return nil
 }
@@ -115,28 +119,19 @@ const (
 	FastpathOff
 )
 
-// ParseFastpathMode parses the -fastpath flag values.
+var fastpathNames = [...]string{FastpathAuto: "auto", FastpathOn: "on", FastpathOff: "off"}
+
+// ParseFastpathMode parses the -fastpath flag values ("" means auto).
 func ParseFastpathMode(s string) (FastpathMode, error) {
-	switch s {
-	case "auto", "":
-		return FastpathAuto, nil
-	case "on":
-		return FastpathOn, nil
-	case "off":
-		return FastpathOff, nil
+	for m, name := range fastpathNames {
+		if s == name || s == "" {
+			return FastpathMode(m), nil
+		}
 	}
 	return FastpathAuto, fmt.Errorf("unknown fastpath mode %q (want auto|on|off)", s)
 }
 
-func (m FastpathMode) String() string {
-	switch m {
-	case FastpathOn:
-		return "on"
-	case FastpathOff:
-		return "off"
-	}
-	return "auto"
-}
+func (m FastpathMode) String() string { return fastpathNames[m] }
 
 // ClosConfig configures a Clos fabric instance.
 type ClosConfig struct {
@@ -184,53 +179,6 @@ type tierStats struct {
 	peakQueue  *obs.Gauge // KiB high-water mark across the tier's queues
 }
 
-// closLink is one directed fabric link: a tail-drop FIFO serializing at the
-// link rate. Its effective packet drain rate shrinks by the bandwidth the
-// fluid model has allocated through it, so packet- and flow-level traffic
-// share capacity coherently.
-type closLink struct {
-	c      *Clos
-	index  int
-	name   string
-	evName string
-	tier   *tierStats
-	cfg    LinkConfig
-	up     bool
-
-	qBytes    units.Size
-	busyUntil units.Time
-
-	// fluid occupancy, maintained by the fluid model's recompute
-	fluidRate  float64 // bps allocated to fluid flows through this link
-	fluidFlows int
-	demandBps  float64 // total offered demand of active flows (for hysteresis)
-	nActive    int
-}
-
-// effRate is the drain rate the packet path sees: capacity minus the fluid
-// reservations, floored at 1/16th of line rate so a transiently
-// over-reserved link degrades instead of stalling.
-func (l *closLink) effRate() units.BitRate {
-	eff := float64(l.cfg.Rate) - l.fluidRate
-	if floor := float64(l.cfg.Rate) / 16; eff < floor {
-		eff = floor
-	}
-	return units.BitRate(eff)
-}
-
-// closBatch is a pooled in-flight frame batch: one event per hop, no
-// allocation per packet. The fire closure is created once per pool entry.
-type closBatch struct {
-	f      *ClosFlow
-	path   []*closLink
-	hop    int
-	count  int
-	bytes  units.Size
-	seq    int64
-	sentAt units.Time
-	fire   func()
-}
-
 // Clos is a leaf–spine fabric simulation: topology, flows, and the fluid
 // fast-path model. Like every simulation object it is single-goroutine,
 // owned by the engine that drives it.
@@ -241,11 +189,11 @@ type Clos struct {
 	cfg  ClosConfig
 	topo Topology
 
-	hostUp  []*closLink   // [host] host→leaf
-	hostDn  []*closLink   // [host] leaf→host
-	trunkUp [][]*closLink // [leaf][spine]
-	trunkDn [][]*closLink // [spine][leaf]
-	links   []*closLink   // registration order
+	hostUp  []*link   // [host] host→leaf
+	hostDn  []*link   // [host] leaf→host
+	trunkUp [][]*link // [leaf][spine]
+	trunkDn [][]*link // [spine][leaf]
+	links   []*link   // registration order
 
 	tiers [tierCount]tierStats
 
@@ -254,7 +202,7 @@ type Clos struct {
 
 	fm *fluidModel
 
-	pool     []*closBatch
+	pool     flightPool
 	inFlight int64
 
 	reorderParks  *obs.Counter // deliveries resequenced after a reroute transient
@@ -290,6 +238,7 @@ func NewClos(cfg ClosConfig) (*Clos, error) {
 		reroutes:      cfg.Obs.Counter("cluster.clos.reroutes"),
 		linkDownDrops: cfg.Obs.Counter("cluster.clos.linkdown_drops"),
 	}
+	c.pool.land = c.arrive
 	for t := 0; t < tierCount; t++ {
 		prefix := "cluster.clos.tier." + tierNames[t]
 		c.tiers[t] = tierStats{
@@ -303,41 +252,33 @@ func NewClos(cfg ClosConfig) (*Clos, error) {
 
 	topo := c.topo
 	hosts := topo.Hosts()
-	c.hostUp = make([]*closLink, hosts)
-	c.hostDn = make([]*closLink, hosts)
+	c.hostUp = make([]*link, hosts)
+	c.hostDn = make([]*link, hosts)
 	for h := 0; h < hosts; h++ {
-		c.hostUp[h] = c.newClosLink(fmt.Sprintf("eup.h%d", h), tierEdgeUp, topo.HostLink)
-		c.hostDn[h] = c.newClosLink(fmt.Sprintf("edn.h%d", h), tierEdgeDown, topo.HostLink)
+		c.hostUp[h] = c.newLink(fmt.Sprintf("eup.h%d", h), tierEdgeUp, topo.HostLink)
+		c.hostDn[h] = c.newLink(fmt.Sprintf("edn.h%d", h), tierEdgeDown, topo.HostLink)
 	}
-	c.trunkUp = make([][]*closLink, topo.Leafs)
+	c.trunkUp = make([][]*link, topo.Leafs)
 	for l := 0; l < topo.Leafs; l++ {
-		c.trunkUp[l] = make([]*closLink, topo.Spines)
+		c.trunkUp[l] = make([]*link, topo.Spines)
 		for s := 0; s < topo.Spines; s++ {
-			c.trunkUp[l][s] = c.newClosLink(fmt.Sprintf("tup.l%d.s%d", l, s), tierTrunkUp, topo.TrunkLink)
+			c.trunkUp[l][s] = c.newLink(fmt.Sprintf("tup.l%d.s%d", l, s), tierTrunkUp, topo.TrunkLink)
 		}
 	}
-	c.trunkDn = make([][]*closLink, topo.Spines)
+	c.trunkDn = make([][]*link, topo.Spines)
 	for s := 0; s < topo.Spines; s++ {
-		c.trunkDn[s] = make([]*closLink, topo.Leafs)
+		c.trunkDn[s] = make([]*link, topo.Leafs)
 		for l := 0; l < topo.Leafs; l++ {
-			c.trunkDn[s][l] = c.newClosLink(fmt.Sprintf("tdn.s%d.l%d", s, l), tierTrunkDown, topo.TrunkLink)
+			c.trunkDn[s][l] = c.newLink(fmt.Sprintf("tdn.s%d.l%d", s, l), tierTrunkDown, topo.TrunkLink)
 		}
 	}
 	c.fm = newFluidModel(c, cfg.Fastpath)
 	return c, nil
 }
 
-func (c *Clos) newClosLink(name string, tier int, cfg LinkConfig) *closLink {
-	cfg.fill()
-	l := &closLink{
-		c:      c,
-		index:  len(c.links),
-		name:   name,
-		evName: "clos:" + name,
-		tier:   &c.tiers[tier],
-		cfg:    cfg,
-		up:     true,
-	}
+func (c *Clos) newLink(name string, tier int, cfg LinkConfig) *link {
+	l := newLink(len(c.links), "clos:"+name, cfg)
+	l.tier = &c.tiers[tier]
 	c.links = append(c.links, l)
 	return l
 }
@@ -352,13 +293,7 @@ func (c *Clos) Flows() []*ClosFlow { return c.flows }
 func (c *Clos) InFlightPackets() int64 { return c.inFlight }
 
 // QueuedBytes sums the backlog across every fabric queue.
-func (c *Clos) QueuedBytes() units.Size {
-	var total units.Size
-	for _, l := range c.links {
-		total += l.qBytes
-	}
-	return total
-}
+func (c *Clos) QueuedBytes() units.Size { return queuedBytes(c.links) }
 
 // ReorderViolations counts batches currently held out of order by the
 // receiver-side resequencers. After a drain it must be zero: every parked
@@ -422,11 +357,11 @@ func (c *Clos) route(f *ClosFlow) {
 		f.path = nil
 		f.spine = -1
 	} else if sl, dl := c.leafOf(f.SrcHost), c.leafOf(f.DstHost); sl == dl {
-		f.path = []*closLink{c.hostUp[f.SrcHost], c.hostDn[f.DstHost]}
+		f.path = []*link{c.hostUp[f.SrcHost], c.hostDn[f.DstHost]}
 		f.spine = -1
 	} else {
 		sp := c.pickSpine(f.key, sl, dl)
-		f.path = []*closLink{c.hostUp[f.SrcHost], c.trunkUp[sl][sp], c.trunkDn[sp][dl], c.hostDn[f.DstHost]}
+		f.path = []*link{c.hostUp[f.SrcHost], c.trunkUp[sl][sp], c.trunkDn[sp][dl], c.hostDn[f.DstHost]}
 		f.spine = sp
 	}
 	f.pathIdx = f.pathIdx[:0]
@@ -469,90 +404,57 @@ func (c *Clos) SetTrunk(leaf, spine int, up bool) {
 	c.fm.dirty()
 }
 
-// TrunkUp reports whether a trunk pair is up.
-func (c *Clos) TrunkUp(leaf, spine int) bool {
-	return c.trunkUp[leaf][spine].up && c.trunkDn[spine][leaf].up
-}
-
-func (c *Clos) getBatch() *closBatch {
-	if n := len(c.pool); n > 0 {
-		b := c.pool[n-1]
-		c.pool = c.pool[:n-1]
-		return b
-	}
-	b := &closBatch{}
-	b.fire = func() { b.arrive() }
-	return b
-}
-
-func (c *Clos) putBatch(b *closBatch) {
-	b.f, b.path = nil, nil
-	c.pool = append(c.pool, b)
-}
-
-// send enqueues the batch on this link; tail-drop if the buffer is full,
-// black-hole drop if the link is down.
-func (l *closLink) send(b *closBatch) {
-	c := l.c
-	now := c.Eng.Now()
+// send enqueues the record on its current hop's link; tail-drop if the
+// buffer is full, black-hole drop if the link is down.
+func (c *Clos) send(r *flight) {
+	l := r.path[r.hop]
 	if !l.up {
-		c.linkDownDrops.Add(int64(b.count))
-		l.drop(b)
+		c.linkDownDrops.Add(int64(r.b.Count))
+		c.drop(r, l)
 		return
 	}
-	if l.qBytes+b.bytes > l.cfg.QueueCap {
-		l.drop(b)
+	if _, ok := l.enqueue(c.Eng.Now(), r.b.Bytes); !ok {
+		c.drop(r, l)
 		return
 	}
-	l.qBytes += b.bytes
 	l.tier.peakQueue.SetMax(float64(l.qBytes) / float64(units.KiB))
-	start := l.busyUntil
-	if start < now {
-		start = now
-	}
-	l.busyUntil = start.Add(units.TransferTime(b.bytes, l.effRate()))
-	at := l.busyUntil.Add(l.cfg.Latency)
-	if b.hop == len(b.path)-1 {
+	at := l.arrival()
+	if r.hop == len(r.path)-1 {
 		// Final hop: arrivals within a flow must be strictly monotonic even
 		// across a reroute whose new path is faster than the old one.
-		if at <= b.f.lastArrival {
-			at = b.f.lastArrival + 1
+		if at <= r.f.lastArrival {
+			at = r.f.lastArrival + 1
 			c.reorderClamps.Inc()
 		}
-		b.f.lastArrival = at
+		r.f.lastArrival = at
 	}
-	c.Eng.At(at, l.evName, b.fire)
+	c.Eng.At(at, l.evName, r.fire)
 	if c.fm.mode == FastpathAuto && l.fluidFlows > 0 && l.qBytes*4 > l.cfg.QueueCap*3 {
 		c.fm.queuePressure(l)
 	}
 }
 
-func (l *closLink) drop(b *closBatch) {
-	l.tier.dropped.Add(int64(b.count))
-	b.f.droppedPkts += int64(b.count)
-	b.f.droppedBytes += b.bytes
-	l.c.inFlight -= int64(b.count)
-	b.f.resolve(b.seq, 0, 0, false, l.c.Eng.Now())
-	l.c.putBatch(b)
+func (c *Clos) drop(r *flight, l *link) {
+	l.tier.dropped.Add(int64(r.b.Count))
+	r.f.droppedPkts += int64(r.b.Count)
+	c.inFlight -= int64(r.b.Count)
+	r.f.resolve(r.seq, 0, 0, false, c.Eng.Now())
+	c.pool.put(r)
 }
 
-// arrive fires when the batch finishes serializing (plus latency) on its
-// current hop: either forward to the next link or deliver.
-func (b *closBatch) arrive() {
-	l := b.path[b.hop]
-	l.qBytes -= b.bytes
-	l.tier.txPackets.Add(int64(b.count))
-	l.tier.txBytes.Add(int64(b.bytes))
-	b.hop++
-	if b.hop < len(b.path) {
-		b.path[b.hop].send(b)
+// arrive lands a record that finished serializing (plus latency) on link
+// l: either forward it to the next hop or deliver it.
+func (c *Clos) arrive(r *flight, l *link) {
+	l.tier.txPackets.Add(int64(r.b.Count))
+	l.tier.txBytes.Add(int64(r.b.Bytes))
+	r.hop++
+	if r.hop < len(r.path) {
+		c.send(r)
 		return
 	}
-	f := b.f
-	c := l.c
-	c.inFlight -= int64(b.count)
-	f.resolve(b.seq, b.count, b.bytes, true, c.Eng.Now())
-	c.putBatch(b)
+	c.inFlight -= int64(r.b.Count)
+	r.f.resolve(r.seq, r.b.Count, r.b.Bytes, true, c.Eng.Now())
+	c.pool.put(r)
 }
 
 // parkedSeq is one out-of-order terminal event (delivery or drop) held by a
@@ -638,7 +540,7 @@ type ClosFlow struct {
 	period     units.Duration // emission period at the demand rate
 	startAt    units.Time
 
-	path    []*closLink
+	path    []*link
 	pathIdx []int // link indices, for the max-min allocator
 	spine   int
 
@@ -660,15 +562,12 @@ type ClosFlow struct {
 	injectedPkts   int64
 	deliveredPkts  int64
 	droppedPkts    int64
-	injectedBytes  units.Size
 	emittedBytes   units.Size
 	deliveredBytes units.Size
-	droppedBytes   units.Size
 	lastArrival    units.Time
 	lastDeliveryAt units.Time
 
 	// fast-path hysteresis state
-	demotedAt units.Time
 	calmSince units.Time
 	hasCalm   bool
 }
@@ -713,7 +612,7 @@ func (c *Clos) startFlow(srcHost, srcVM, dstHost, dstVM int, rate units.BitRate,
 	// The source fills its first batch over one period before emitting.
 	f.nextEmit = f.startAt.Add(f.period)
 	f.emitFn = func() { f.emit() }
-	f.doneFn = func() { c.fm.fluidComplete(f) }
+	f.doneFn = func() { c.fm.settle(f, c.Eng.Now()) }
 	c.nextID++
 	c.route(f)
 	c.flows = append(c.flows, f)
@@ -785,7 +684,6 @@ func (f *ClosFlow) inject(count int, bytes units.Size) {
 	c := f.c
 	f.seq++
 	f.injectedPkts += int64(count)
-	f.injectedBytes += bytes
 	f.emittedBytes += bytes
 	now := c.Eng.Now()
 	if len(f.path) == 0 {
@@ -793,11 +691,11 @@ func (f *ClosFlow) inject(count int, bytes units.Size) {
 		f.resolve(f.seq, count, bytes, true, now)
 		return
 	}
-	b := c.getBatch()
-	b.f, b.path, b.hop = f, f.path, 0
-	b.count, b.bytes, b.seq, b.sentAt = count, bytes, f.seq, now
+	r := c.pool.get()
+	r.f, r.path, r.hop, r.seq = f, f.path, 0, f.seq
+	r.b = nic.Batch{Count: count, Bytes: bytes}
 	c.inFlight += int64(count)
-	b.path[0].send(b)
+	c.send(r)
 }
 
 func (f *ClosFlow) credit(count int, bytes units.Size, at units.Time) {
@@ -847,9 +745,6 @@ func (f *ClosFlow) InFlight() int64  { return f.injectedPkts - f.deliveredPkts -
 
 // DeliveredBytes reports goodput bytes received so far.
 func (f *ClosFlow) DeliveredBytes() units.Size { return f.deliveredBytes }
-
-// DroppedBytes reports bytes lost to tail or link-down drops.
-func (f *ClosFlow) DroppedBytes() units.Size { return f.droppedBytes }
 
 // Fluid reports whether the flow currently advances on the fast-path.
 func (f *ClosFlow) Fluid() bool { return f.fluid }

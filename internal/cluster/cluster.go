@@ -78,8 +78,7 @@ type Host struct {
 	Name string
 	Bed  *core.Testbed
 
-	cl  *Cluster
-	idx int
+	cl *Cluster
 	// swPort maps the host's NIC port index to its switch port.
 	swPort []int
 	// sinks routes destination MACs arriving from the fabric. Lookup
@@ -95,6 +94,9 @@ type Host struct {
 // through one registry.
 func New(cfg Config) *Cluster {
 	cfg.fill()
+	if err := cfg.Link.validate(); err != nil {
+		panic("cluster: " + err.Error())
+	}
 	eng := sim.NewEngineArena(cfg.Seed, cfg.Arena)
 	c := &Cluster{Eng: eng, Obs: cfg.Obs, Switch: newSwitch(eng, cfg.Obs)}
 	for i := 0; i < cfg.Hosts; i++ {
@@ -109,16 +111,12 @@ func New(cfg Config) *Cluster {
 			Name:    hcfg.Name,
 			Bed:     core.NewTestbed(hcfg),
 			cl:      c,
-			idx:     i,
 			sinks:   make(map[nic.MAC]func(nic.Batch)),
 			unknown: cfg.Obs.Counter("cluster." + hcfg.Name + ".unknown_mac_drops"),
 			fabric:  cfg.Obs.Histogram("cluster." + hcfg.Name + ".fabric_latency"),
 		}
 		for _, p := range h.Bed.Ports {
-			host, port := h, p
-			sp := c.Switch.addPort(newLink(eng, cfg.Obs,
-				p.Name(), cfg.Link,
-				func(b nic.Batch) { host.route(b) }))
+			sp := c.Switch.addPort(cfg.Obs, p.Name(), cfg.Link, h.route)
 			h.swPort = append(h.swPort, sp)
 			// The host's wire egress feeds the switch: the NIC's transmit
 			// serialization is the uplink's bandwidth model. Frames whose
@@ -126,13 +124,12 @@ func New(cfg Config) *Cluster {
 			// NIC's internal L2 switch instead — a ToR would never hairpin
 			// them back out the ingress port. This is what keeps a flow
 			// alive when a migration lands the receiver next to its sender.
-			idx := sp
-			port.Egress = func(b nic.Batch) {
-				if _, ok := host.sinks[b.Dst]; ok {
-					host.route(b)
+			p.Egress = func(b nic.Batch) {
+				if _, ok := h.sinks[b.Dst]; ok {
+					h.route(b)
 					return
 				}
-				c.Switch.ingress(idx, b)
+				c.Switch.ingress(sp, b)
 			}
 		}
 		c.hosts = append(c.hosts, h)
@@ -292,6 +289,9 @@ func (c *Cluster) StopAll() {
 		h.Bed.StopAll()
 	}
 }
+
+// QueuedBytes sums the backlog across every fabric queue.
+func (c *Cluster) QueuedBytes() units.Size { return queuedBytes(c.Switch.links) }
 
 // FabricDrops sums tail drops across every fabric link.
 func (c *Cluster) FabricDrops() int64 {

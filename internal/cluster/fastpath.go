@@ -23,7 +23,7 @@
 // Demotion settles first, so no bytes are lost or invented across the
 // transition — the chaos audit (AuditClos) checks exactly that. Capacity
 // stays coherent across the split world: every link's packet drain rate is
-// its line rate minus the fluid allocations through it (closLink.effRate).
+// its line rate minus the fluid allocations through it (link.effRate).
 package cluster
 
 import (
@@ -165,7 +165,6 @@ func (m *fluidModel) settle(f *ClosFlow, now units.Time) {
 	f.resolvedSeq = f.seq
 	f.flushParked(now)
 	f.injectedPkts += pkts
-	f.injectedBytes += bytes
 	f.emittedBytes += bytes
 	f.deliveredPkts += pkts
 	f.deliveredBytes += bytes
@@ -185,7 +184,6 @@ func (m *fluidModel) settle(f *ClosFlow, now units.Time) {
 // the current instant first.
 func (m *fluidModel) demote(f *ClosFlow, now units.Time) {
 	f.fluid = false
-	f.demotedAt = now
 	f.hasCalm = false
 	f.doneH.Cancel()
 	m.demotions.Inc()
@@ -210,7 +208,7 @@ func (m *fluidModel) promote(f *ClosFlow) {
 // queuePressure fires from the packet path when a queue with fluid
 // occupants crosses the congestion threshold: every fluid flow crossing the
 // link demotes, and the freed reservations recompute.
-func (m *fluidModel) queuePressure(l *closLink) {
+func (m *fluidModel) queuePressure(l *link) {
 	now := m.c.Eng.Now()
 	changed := false
 	for _, f := range m.c.flows {
@@ -229,12 +227,6 @@ func (m *fluidModel) queuePressure(l *closLink) {
 	if changed {
 		m.dirty()
 	}
-}
-
-// fluidComplete is the scheduled completion of a finite fluid flow: the
-// settle credits its remaining emissions and marks it done.
-func (m *fluidModel) fluidComplete(f *ClosFlow) {
-	m.settle(f, m.c.Eng.Now())
 }
 
 // scheduleCompletion (re)arms the analytic completion event for a finite
@@ -308,15 +300,13 @@ func (m *fluidModel) recompute() {
 			m.idx = append(m.idx, f)
 		}
 	}
-	for _, l := range c.links {
-		l.fluidRate, l.fluidFlows, l.demandBps, l.nActive = 0, 0, 0, 0
-	}
 	if cap(m.caps) < len(c.links) {
-		m.caps = make([]float64, len(c.links))
+		m.caps = make([]float64, 0, len(c.links))
 	}
-	m.caps = m.caps[:len(c.links)]
-	for i, l := range c.links {
-		m.caps[i] = float64(l.cfg.Rate)
+	m.caps = m.caps[:0]
+	for _, l := range c.links {
+		l.fluidRate, l.fluidFlows, l.demandBps = 0, 0, 0
+		m.caps = append(m.caps, float64(l.cfg.Rate))
 	}
 	m.demands = m.demands[:0]
 	m.paths = m.paths[:0]
@@ -325,7 +315,6 @@ func (m *fluidModel) recompute() {
 		m.paths = append(m.paths, f.pathIdx)
 		for _, l := range f.path {
 			l.demandBps += float64(f.demand)
-			l.nActive++
 		}
 	}
 	alloc := MaxMinAllocate(m.demands, m.paths, m.caps)

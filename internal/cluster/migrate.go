@@ -140,7 +140,6 @@ type FabricChannel struct {
 	srcCtl  nic.MAC // learned source endpoint (keeps the fdb hot)
 	dstCtl  nic.MAC // target endpoint the chunks are addressed to
 
-	sent      units.Size // cumulative goal of the current Send
 	remaining units.Size
 	cur       units.Size // current chunk size
 	rx        units.Size // cumulative bytes observed at the target
@@ -270,11 +269,7 @@ func (ch *FabricChannel) close() {
 	delete(ch.dst.sinks, ch.dstCtl)
 }
 
-// Attempts reports the current chunk's transmit count (observability for
-// tests).
-func (ch *FabricChannel) Attempts() int { return ch.attempts }
-
-// Retries reports total retransmissions on this cluster's migrations.
+// MigrationRetries reports total retransmissions on this cluster's migrations.
 func (c *Cluster) MigrationRetries() int64 {
 	return c.Obs.Counter("cluster.migration.retries").Value()
 }

@@ -1,35 +1,11 @@
 package cluster
 
 import (
-	"repro/internal/model"
 	"repro/internal/nic"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
-
-// LinkConfig shapes one fabric link: a switch egress (downlink) toward a
-// host NIC port. The matching uplink direction needs no separate queue —
-// the host NIC already serializes its transmit side at the port rate, so
-// the uplink's bandwidth is modeled there and only the one-hop
-// store-and-forward latency is charged here.
-type LinkConfig struct {
-	Rate     units.BitRate  // drain rate (default 1 GbE, the port class)
-	Latency  units.Duration // one-way propagation + switching (default 5 µs)
-	QueueCap units.Size     // egress buffer bound (default 256 KiB)
-}
-
-func (lc *LinkConfig) fill() {
-	if lc.Rate == 0 {
-		lc.Rate = model.ClusterLinkRate
-	}
-	if lc.Latency == 0 {
-		lc.Latency = model.ClusterLinkLatency
-	}
-	if lc.QueueCap == 0 {
-		lc.QueueCap = model.ClusterQueueCap
-	}
-}
 
 // queueDepthBounds are the histogram buckets for egress queue depth. The
 // obs histogram type is duration-valued, so depth is encoded as
@@ -46,17 +22,10 @@ func encodeKiB(s units.Size) units.Duration {
 	return units.Duration(s/units.KiB) * units.Microsecond
 }
 
-// link is one switch egress port: a bounded tail-drop FIFO draining at the
-// link rate, delivering each batch to the attached host after the
-// serialization time plus the hop latency.
-type link struct {
-	eng     *sim.Engine
-	name    string
-	cfg     LinkConfig
-	deliver func(nic.Batch)
-
-	qBytes    units.Size     // bytes queued or in flight on the line
-	busyUntil units.Time     // when the line finishes its current backlog
+// port is the ToR side of one switch egress: where its link delivers, and
+// the per-port instruments the Clos deliberately does without.
+type port struct {
+	deliver   func(nic.Batch)
 	busyAccum units.Duration // cumulative transmit time (utilization)
 
 	txPackets *obs.Counter
@@ -65,52 +34,6 @@ type link struct {
 	util      *obs.Gauge
 	depth     *obs.Hist
 	sojourn   *obs.Hist
-}
-
-func newLink(eng *sim.Engine, reg *obs.Registry, name string, cfg LinkConfig, deliver func(nic.Batch)) *link {
-	cfg.fill()
-	prefix := "cluster.link." + name
-	return &link{
-		eng: eng, name: name, cfg: cfg, deliver: deliver,
-		txPackets: reg.Counter(prefix + ".tx_packets"),
-		txBytes:   reg.Counter(prefix + ".tx_bytes"),
-		dropped:   reg.Counter(prefix + ".dropped_pkts"),
-		util:      reg.Gauge(prefix + ".util"),
-		depth:     reg.Histogram(prefix+".queue_kib", queueDepthBounds()...),
-		sojourn:   reg.Histogram(prefix + ".sojourn"),
-	}
-}
-
-// send enqueues a batch. Batches that do not fit the egress buffer are
-// tail-dropped whole (the ToR has no partial-frame accounting at batch
-// granularity).
-func (l *link) send(b nic.Batch) {
-	now := l.eng.Now()
-	if l.qBytes+b.Bytes > l.cfg.QueueCap {
-		l.dropped.Add(int64(b.Count))
-		return
-	}
-	l.qBytes += b.Bytes
-	l.depth.ObserveN(encodeKiB(l.qBytes), 1)
-	start := l.busyUntil
-	if start < now {
-		start = now
-	}
-	ttime := units.TransferTime(b.Bytes, l.cfg.Rate)
-	l.busyUntil = start.Add(ttime)
-	l.busyAccum += ttime
-	enq := now
-	l.eng.At(l.busyUntil.Add(l.cfg.Latency), "cluster:link:"+l.name, func() {
-		l.qBytes -= b.Bytes
-		l.txPackets.Add(int64(b.Count))
-		l.txBytes.Add(int64(b.Bytes))
-		dq := l.eng.Now()
-		l.sojourn.ObserveN(dq.Sub(enq), int64(b.Count))
-		if dq > 0 {
-			l.util.Set(float64(l.busyAccum) / float64(dq))
-		}
-		l.deliver(b)
-	})
 }
 
 // Switch is the shared ToR: a learning L2 switch whose forwarding database
@@ -125,7 +48,9 @@ func (l *link) send(b nic.Batch) {
 // that a single map-ordered walk would break byte-identical replay.
 type Switch struct {
 	eng      *sim.Engine
-	ports    []*link
+	links    []*link // egress links, by port index
+	ports    []port
+	pool     flightPool
 	fdb      map[nic.MAC]int
 	fdbOrder []nic.MAC // first-learned order; the only iteration order used
 
@@ -134,18 +59,62 @@ type Switch struct {
 }
 
 func newSwitch(eng *sim.Engine, reg *obs.Registry) *Switch {
-	return &Switch{
+	s := &Switch{
 		eng:    eng,
 		fdb:    make(map[nic.MAC]int),
 		learns: reg.Counter("cluster.switch.learns"),
 		floods: reg.Counter("cluster.switch.floods"),
 	}
+	s.pool.land = s.land
+	return s
 }
 
-// addPort registers an egress link and returns its port index.
-func (s *Switch) addPort(l *link) int {
-	s.ports = append(s.ports, l)
-	return len(s.ports) - 1
+// addPort registers an egress link named after the host NIC port it feeds
+// and returns its port index.
+func (s *Switch) addPort(reg *obs.Registry, name string, cfg LinkConfig, deliver func(nic.Batch)) int {
+	i := len(s.links)
+	s.links = append(s.links, newLink(i, "cluster:link:"+name, cfg))
+	prefix := "cluster.link." + name
+	s.ports = append(s.ports, port{
+		deliver:   deliver,
+		txPackets: reg.Counter(prefix + ".tx_packets"),
+		txBytes:   reg.Counter(prefix + ".tx_bytes"),
+		dropped:   reg.Counter(prefix + ".dropped_pkts"),
+		util:      reg.Gauge(prefix + ".util"),
+		depth:     reg.Histogram(prefix+".queue_kib", queueDepthBounds()...),
+		sojourn:   reg.Histogram(prefix + ".sojourn"),
+	})
+	return i
+}
+
+// send forwards a batch out of egress port i.
+func (s *Switch) send(i int, b nic.Batch) {
+	l, p := s.links[i], &s.ports[i]
+	now := s.eng.Now()
+	tx, ok := l.enqueue(now, b.Bytes)
+	if !ok {
+		p.dropped.Add(int64(b.Count))
+		return
+	}
+	p.depth.ObserveN(encodeKiB(l.qBytes), 1)
+	p.busyAccum += tx
+	r := s.pool.get()
+	r.b, r.enq, r.path, r.hop = b, now, s.links[i:i+1], 0
+	s.eng.At(l.arrival(), l.evName, r.fire)
+}
+
+// land completes a forward: the batch has crossed egress link l.
+func (s *Switch) land(r *flight, l *link) {
+	p, b := &s.ports[l.index], r.b
+	p.txPackets.Add(int64(b.Count))
+	p.txBytes.Add(int64(b.Bytes))
+	now := s.eng.Now()
+	p.sojourn.ObserveN(now.Sub(r.enq), int64(b.Count))
+	if now > 0 {
+		p.util.Set(float64(p.busyAccum) / float64(now))
+	}
+	s.pool.put(r)
+	p.deliver(b)
 }
 
 // ingress is a frame batch arriving from a host uplink. Learning is
@@ -166,15 +135,15 @@ func (s *Switch) ingress(from int, b nic.Batch) {
 	if b.Dst != nic.Broadcast {
 		if out, ok := s.fdb[b.Dst]; ok {
 			if out != from {
-				s.ports[out].send(b)
+				s.send(out, b)
 			}
 			return
 		}
 	}
 	s.floods.Inc()
-	for i, p := range s.ports {
+	for i := range s.links {
 		if i != from {
-			p.send(b)
+			s.send(i, b)
 		}
 	}
 }

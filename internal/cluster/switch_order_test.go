@@ -19,9 +19,9 @@ func orderTestSwitch(n int) (*sim.Engine, *Switch, *[]int) {
 	log := &[]int{}
 	for i := 0; i < n; i++ {
 		i := i
-		s.addPort(newLink(eng, reg, "p", LinkConfig{}, func(nic.Batch) {
+		s.addPort(reg, "p", LinkConfig{}, func(nic.Batch) {
 			*log = append(*log, i)
-		}))
+		})
 	}
 	return eng, s, log
 }

@@ -140,6 +140,7 @@ type bedResult struct {
 	goodput units.BitRate
 	perVM   map[string]float64
 	bed     *core.Testbed
+	audit   []chaos.Violation // also recorded into the testbed's registry
 }
 
 // runSRIOV builds n SR-IOV guests spread over the testbed's ports, offers
@@ -162,8 +163,9 @@ func runSRIOV(cfg core.Config, n int, typ vmm.DomainType, k vmm.KernelConfig, po
 	}
 	u, res := tb.Measure(warm, window)
 	tb.StopAll()
-	chaos.Record(tb.Obs, chaos.AuditTestbed(tb))
-	return bedResult{util: u, goodput: core.AggregateGoodput(res), perVM: u.PerGuest, bed: tb}
+	vs := chaos.AuditTestbed(tb)
+	chaos.Record(tb.Obs, vs)
+	return bedResult{util: u, goodput: core.AggregateGoodput(res), perVM: u.PerGuest, bed: tb, audit: vs}
 }
 
 // runPV is runSRIOV's counterpart through the PV split driver.
@@ -179,8 +181,9 @@ func runPV(cfg core.Config, n int, typ vmm.DomainType, k vmm.KernelConfig, perVM
 	}
 	u, res := tb.Measure(warmup, window)
 	tb.StopAll()
-	chaos.Record(tb.Obs, chaos.AuditTestbed(tb))
-	return bedResult{util: u, goodput: core.AggregateGoodput(res), perVM: u.PerGuest, bed: tb}
+	vs := chaos.AuditTestbed(tb)
+	chaos.Record(tb.Obs, vs)
+	return bedResult{util: u, goodput: core.AggregateGoodput(res), perVM: u.PerGuest, bed: tb, audit: vs}
 }
 
 // perPortRate splits the aggregate line rate across the guests sharing each

@@ -54,15 +54,17 @@ type sweepKey struct {
 // cross-reference each other's sweeps) and across concurrent workers: the
 // first claimant computes under the cell's once, everyone else waits and
 // reads the same value. Results are independent of who computes first
-// because every cell seeds its engines from sweepSeed, not from the caller.
+// because every cell seeds its engines from sweepSeed, not from the caller,
+// and every claimant records the cell's audit into its own registry.
 var (
 	sweepMu   sync.Mutex
 	sweepMemo = map[sweepKey]*sweepCell{}
 )
 
 type sweepCell struct {
-	once sync.Once
-	m    scaleMeasure
+	once  sync.Once
+	m     scaleMeasure
+	audit []chaos.Violation
 }
 
 // sweepSeed is the stable engine seed of one sweep cell. It deliberately
@@ -77,8 +79,9 @@ func (k sweepKey) seed() uint64 {
 	return sim.StableSeed("scale", path, k.typ.String(), fmt.Sprintf("%d", k.n))
 }
 
-// sweepPoint computes (or returns the memoized) sweep cell.
-func sweepPoint(k sweepKey, arena *sim.Arena) scaleMeasure {
+// sweepPoint computes (or returns the memoized) sweep cell and records the
+// cell's invariant audit into the claimant's registry.
+func sweepPoint(k sweepKey, reg *obs.Registry, arena *sim.Arena) scaleMeasure {
 	sweepMu.Lock()
 	c, ok := sweepMemo[k]
 	if !ok {
@@ -98,7 +101,9 @@ func sweepPoint(k sweepKey, arena *sim.Arena) scaleMeasure {
 		}
 		c.m = scaleMeasure{total: r.util.Total, dom0: r.util.Dom0, xen: r.util.Xen,
 			guests: r.util.Guests, tput: r.goodput.Gbps()}
+		c.audit = r.audit
 	})
+	chaos.Record(reg, c.audit)
 	return c.m
 }
 
@@ -111,10 +116,11 @@ func sweepPoints(pv bool, typ vmm.DomainType, prefix string) []Point {
 		k := sweepKey{pv: pv, typ: typ, n: n}
 		pts = append(pts, Point{
 			Label: fmt.Sprintf("%s%d", prefix, n),
-			// Memoized across figures: the cell ignores both the per-point
-			// seed (see sweepSeed) and the registry — a cell computed for
-			// Fig. 15 must not write metrics into Fig. 16's registry.
-			Run: func(_ uint64, _ *obs.Registry, arena *sim.Arena) any { return sweepPoint(k, arena) },
+			// Memoized across figures: the cell ignores the per-point seed
+			// (see sweepSeed) and measures into a private registry — a cell
+			// computed for Fig. 15 must not write metrics into Fig. 16's
+			// registry. Only its audit reaches every claimant's.
+			Run: func(_ uint64, reg *obs.Registry, arena *sim.Arena) any { return sweepPoint(k, reg, arena) },
 		})
 	}
 	return pts

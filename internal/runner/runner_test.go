@@ -2,6 +2,9 @@ package runner
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,6 +13,39 @@ import (
 	"repro/internal/report"
 	"repro/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden figure CSVs and metrics JSON")
+
+// checkGolden compares an artifact with testdata/golden/<name>, the
+// byte-for-byte output the figures are pinned to; -update rewrites it.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("%s drifted from its golden:\n%s", name, firstDiffLine(string(want), got))
+	}
+}
+
+// checkGoldenCSVs pins every listed figure's CSV to its golden.
+func checkGoldenCSVs(t *testing.T, s *Summary, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		for _, r := range s.Results {
+			if r.ID == id {
+				checkGolden(t, id+".csv", r.Figure.CSV())
+			}
+		}
+	}
+}
 
 // suiteMarkdown renders a run the way sriovsim -all does: every figure's
 // markdown, in order. Byte equality of this string is the determinism
@@ -61,6 +97,7 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	if s1.Tasks != s8.Tasks {
 		t.Fatalf("task counts differ: %d vs %d", s1.Tasks, s8.Tasks)
 	}
+	checkGoldenCSVs(t, s1, "fig25")
 
 	// The allocation claim underneath the pooled hot path, pinned where the
 	// arenas are owned: once a worker's arena has warmed up, a steady-state
@@ -87,7 +124,7 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 // experiment family (multi-host fabric, inter-host migration) to the same
 // invariant at three parallelism levels, and additionally requires the
 // merged metrics registries — the source of the BENCH fabric/migration
-// totals — to serialize identically.
+// totals — to serialize identically, and all of it to match the goldens.
 func TestClusterFiguresDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("cluster figures are slow; covered unabridged in the full run")
@@ -98,6 +135,9 @@ func TestClusterFiguresDeterministicAcrossParallelism(t *testing.T) {
 		s, err := RunIDs(ids, Options{Parallel: p})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if p == 1 {
+			checkGoldenCSVs(t, s, ids...)
 		}
 		md = append(md, suiteMarkdown(t, s))
 		var buf bytes.Buffer
@@ -116,6 +156,7 @@ func TestClusterFiguresDeterministicAcrossParallelism(t *testing.T) {
 				[]int{1, 4, 8}[i])
 		}
 	}
+	checkGolden(t, "fig22_fig23_metrics.json", reg[0])
 }
 
 // TestCtlFiguresDeterministicAcrossParallelism pins the control-plane
@@ -123,7 +164,7 @@ func TestClusterFiguresDeterministicAcrossParallelism(t *testing.T) {
 // at -parallel 1/4/8: byte-identical markdown, byte-identical CSV (the
 // artifact EXPERIMENTS.md publishes), and byte-identical merged metrics
 // registries — the source of the BENCH placement_churn /
-// ctl_p99_downtime_us totals.
+// ctl_p99_downtime_us totals — all pinned to the goldens.
 func TestCtlFiguresDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("control-plane figures are slow; covered unabridged in the full run")
@@ -135,6 +176,9 @@ func TestCtlFiguresDeterministicAcrossParallelism(t *testing.T) {
 		s, err := RunIDs(ids, Options{Parallel: p})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if p == 1 {
+			checkGoldenCSVs(t, s, ids...)
 		}
 		md = append(md, suiteMarkdown(t, s))
 		var c strings.Builder
@@ -162,6 +206,7 @@ func TestCtlFiguresDeterministicAcrossParallelism(t *testing.T) {
 				levels[i])
 		}
 	}
+	checkGolden(t, "fig28_fig29_metrics.json", reg[0])
 }
 
 func firstDiffLine(a, b string) string {
