@@ -177,13 +177,21 @@ type Job struct {
 // When the queue is full new jobs are rejected (the caller decides whether
 // that means a dropped packet or backpressure). All service time is charged
 // to the worker's account.
+//
+// The steady-state submit→serve→complete cycle allocates nothing: waiting
+// jobs live in a growable ring, the job in service in a field, and its
+// completion fires through a method value and an event name both built
+// once in NewWorker.
 type Worker struct {
 	eng      *sim.Engine
 	meter    *Meter
 	account  Account
 	queueCap int
-	queue    []Job
+	queue    jobRing
+	cur      Job // the job in service; valid while busy
 	busy     bool
+	evName   string
+	done     func()
 	// Overload tracks rejected jobs for diagnostics.
 	Rejected int64
 	Served   int64
@@ -192,23 +200,26 @@ type Worker struct {
 // NewWorker creates a worker charging the given account. queueCap bounds the
 // number of queued (not yet started) jobs; 0 means unbounded.
 func NewWorker(eng *sim.Engine, meter *Meter, account Account, queueCap int) *Worker {
-	return &Worker{eng: eng, meter: meter, account: account, queueCap: queueCap}
+	w := &Worker{eng: eng, meter: meter, account: account, queueCap: queueCap,
+		evName: "worker:" + account.String()}
+	w.done = w.complete
+	return w
 }
 
 // QueueLen reports the number of jobs waiting (not including the one being
 // served).
-func (w *Worker) QueueLen() int { return len(w.queue) }
+func (w *Worker) QueueLen() int { return w.queue.n }
 
 // Busy reports whether a job is currently in service.
 func (w *Worker) Busy() bool { return w.busy }
 
 // Submit enqueues a job, reporting false if the queue is full.
 func (w *Worker) Submit(j Job) bool {
-	if w.queueCap > 0 && len(w.queue) >= w.queueCap {
+	if w.queueCap > 0 && w.queue.n >= w.queueCap {
 		w.Rejected++
 		return false
 	}
-	w.queue = append(w.queue, j)
+	w.queue.push(j)
 	if !w.busy {
 		w.startNext()
 	}
@@ -216,22 +227,55 @@ func (w *Worker) Submit(j Job) bool {
 }
 
 func (w *Worker) startNext() {
-	if len(w.queue) == 0 {
+	if w.queue.n == 0 {
 		w.busy = false
 		return
 	}
-	j := w.queue[0]
-	w.queue = w.queue[1:]
+	w.cur = w.queue.pop()
 	w.busy = true
-	d := w.meter.sys.Freq.DurationOf(j.Cost)
-	w.eng.After(d, "worker:"+w.account.String(), func() {
-		w.meter.Charge(w.account, j.Cost)
-		w.Served++
-		if j.Run != nil {
-			j.Run()
+	w.eng.After(w.meter.sys.Freq.DurationOf(w.cur.Cost), w.evName, w.done)
+}
+
+// complete finishes the job in service and starts the next one. The slot
+// is cleared before Run so the worker never pins a finished job's func.
+func (w *Worker) complete() {
+	j := w.cur
+	w.cur = Job{}
+	w.meter.Charge(w.account, j.Cost)
+	w.Served++
+	if j.Run != nil {
+		j.Run()
+	}
+	w.startNext()
+}
+
+// jobRing is a FIFO of jobs backed by a growable circular buffer, so a
+// worker's steady-state queue reuses slots instead of re-growing a slice.
+type jobRing struct {
+	buf  []Job
+	head int
+	n    int
+}
+
+func (r *jobRing) push(j Job) {
+	if r.n == len(r.buf) {
+		grown := make([]Job, 2*len(r.buf)+16)
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)%len(r.buf)]
 		}
-		w.startNext()
-	})
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = j
+	r.n++
+}
+
+// pop removes and returns the oldest job, clearing its slot.
+func (r *jobRing) pop() Job {
+	j := r.buf[r.head]
+	r.buf[r.head] = Job{}
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return j
 }
 
 // Pool is a fixed set of workers with round-robin dispatch, modeling the

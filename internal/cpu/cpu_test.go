@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,5 +242,119 @@ func TestPoolQueuedJobs(t *testing.T) {
 	eng.Run()
 	if p.QueuedJobs() != 0 {
 		t.Fatal("pool should drain")
+	}
+}
+
+// TestWorkerRing drives a worker's job ring through wrap-around, growth
+// while wrapped, the queueCap rejection rule and unbounded growth, and
+// checks that served and popped jobs release their Run funcs.
+func TestWorkerRing(t *testing.T) {
+	const cost = 2800 // 1 µs at testSys
+	t.Run("fifo-across-wrap", func(t *testing.T) {
+		eng := sim.NewEngine(1)
+		w := NewWorker(eng, NewMeter(testSys), Account{"dom0", "w"}, 0)
+		var order []int
+		next := 0
+		submit := func(n int) {
+			for ; n > 0; n-- {
+				i := next
+				next++
+				w.Submit(Job{Cost: cost, Run: func() { order = append(order, i) }})
+			}
+		}
+		submit(12) // 1 in service, 11 queued in the first 16-slot buffer
+		eng.RunUntil(units.Time(9500 * units.Nanosecond))
+		submit(8) // wraps past the end of the buffer
+		if w.queue.head+w.queue.n <= len(w.queue.buf) {
+			t.Fatalf("ring did not wrap: head %d, n %d, cap %d", w.queue.head, w.queue.n, len(w.queue.buf))
+		}
+		submit(20) // grows while wrapped
+		eng.Run()
+		if len(order) != next {
+			t.Fatalf("served %d of %d jobs", len(order), next)
+		}
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("order[%d] = %d, want FIFO order %v", i, got, order)
+			}
+		}
+		if w.Served != int64(next) || w.Busy() || w.QueueLen() != 0 {
+			t.Fatalf("served %d, busy %v, queued %d after drain", w.Served, w.Busy(), w.QueueLen())
+		}
+		if w.cur.Run != nil {
+			t.Fatal("finished job still pinned in service slot")
+		}
+		for i, j := range w.queue.buf {
+			if j.Run != nil {
+				t.Fatalf("popped ring slot %d still pins its Run func", i)
+			}
+		}
+	})
+	t.Run("cap-rejects-after-wrap", func(t *testing.T) {
+		eng := sim.NewEngine(1)
+		w := NewWorker(eng, NewMeter(testSys), Account{"dom0", "w"}, 3)
+		for round := 0; round < 10; round++ {
+			accepted := 0
+			for i := 0; i < 6; i++ {
+				if w.Submit(Job{Cost: cost}) {
+					accepted++
+				}
+			}
+			// An idle worker takes one into service and queues three.
+			if accepted != 4 || w.QueueLen() != 3 {
+				t.Fatalf("round %d: accepted %d, queued %d; want 4, 3", round, accepted, w.QueueLen())
+			}
+			eng.Run()
+		}
+		if w.Rejected != 20 || w.Served != 40 {
+			t.Fatalf("rejected %d, served %d; want 20, 40", w.Rejected, w.Served)
+		}
+	})
+	t.Run("unbounded-at-cap-0", func(t *testing.T) {
+		eng := sim.NewEngine(1)
+		w := NewWorker(eng, NewMeter(testSys), Account{"dom0", "w"}, 0)
+		for i := 0; i < 1000; i++ {
+			if !w.Submit(Job{Cost: cost}) {
+				t.Fatalf("job %d rejected with queueCap 0", i)
+			}
+		}
+		if w.QueueLen() != 999 || w.Rejected != 0 {
+			t.Fatalf("queued %d, rejected %d; want 999, 0", w.QueueLen(), w.Rejected)
+		}
+		eng.Run()
+		if w.Served != 1000 {
+			t.Fatalf("served %d, want 1000", w.Served)
+		}
+	})
+}
+
+// TestPoolDispatchOrder pins least-loaded dispatch with round-robin tie
+// breaks: each job's distinct cost identifies, in the per-worker charges,
+// which worker served it.
+func TestPoolDispatchOrder(t *testing.T) {
+	eng := sim.NewEngine(1)
+	m := NewMeter(testSys)
+	p := NewPool(eng, m, Account{"dom0", "w"}, 3, 0)
+	us := func(n int64) units.Cycles { return units.Cycles(n * 2800) }
+	// A(3µs)→w0, B(1µs)→w1, C(2µs)→w2: all idle, round robin.
+	p.Submit(Job{Cost: us(3) + 1})
+	p.Submit(Job{Cost: us(1) + 2})
+	p.Submit(Job{Cost: us(2) + 4})
+	eng.RunUntil(units.Time(1500 * units.Nanosecond)) // only w1 is idle
+
+	p.Submit(Job{Cost: us(1) + 8})  // D: least loaded → w1
+	p.Submit(Job{Cost: us(1) + 16}) // E: all tied at 1, scan starts at w2
+	p.Submit(Job{Cost: us(1) + 32}) // F: w0 and w1 tied at 1, w0 first
+	p.Submit(Job{Cost: us(1) + 64}) // G: w1 (1) beats w0, w2 (2)
+	eng.Run()
+	want := []units.Cycles{
+		us(3) + 1 + us(1) + 32,
+		us(1) + 2 + us(1) + 8 + us(1) + 64,
+		us(2) + 4 + us(1) + 16,
+	}
+	for i, c := range want {
+		if got := m.Cycles(Account{"dom0", fmt.Sprintf("w.%d", i)}); got != c {
+			t.Errorf("worker %d charged %d cycles, want %d", i, got, c)
+		}
 	}
 }

@@ -114,6 +114,7 @@ type OVSSwitch struct {
 	cache *FlowCache
 
 	vifs map[nic.MAC]*ovsVif
+	jobs dom0Jobs[*ovsVif]
 
 	// Conservation counters (audited): Received == Delivered + Dropped +
 	// InFlight, InFlight being batches queued on a datapath thread or
@@ -133,13 +134,15 @@ type ovsVif struct {
 // NewOVSSwitch creates the switch with model.OVSThreads datapath threads
 // and an empty flow cache.
 func NewOVSSwitch(hv *vmm.Hypervisor) *OVSSwitch {
-	return &OVSSwitch{
+	sw := &OVSSwitch{
 		hv: hv,
 		pool: cpu.NewPool(hv.Engine(), hv.Meter(),
 			cpu.Account{Domain: "dom0", Category: "ovs"}, model.OVSThreads, netbackQueueCap),
 		cache: NewFlowCache(model.OVSFlowCacheCapacity, model.OVSFlowIdleTimeout),
 		vifs:  make(map[nic.MAC]*ovsVif),
 	}
+	sw.jobs.land = sw.switched
+	return sw
 }
 
 // Cache exposes the flow cache (tests and figures read hit/miss counts).
@@ -227,13 +230,15 @@ func (sw *OVSSwitch) fastPath(b nic.Batch) {
 		units.Cycles(b.Count)*costs.PerPacket +
 		units.Cycles(float64(b.Bytes)*costs.PerByte)
 	sw.inflight += int64(b.Count)
-	ok = sw.pool.Submit(cpu.Job{Cost: cost, Run: func() {
-		sw.Delivered += int64(b.Count)
-		sw.inflight -= int64(b.Count)
-		interruptDeliver(sw.hv, v.dom, v.recv, b.Count, b.Bytes)
-	}})
-	if !ok {
+	if !sw.jobs.submit(sw.pool, cost, v, b) {
 		sw.Dropped += int64(b.Count)
 		sw.inflight -= int64(b.Count)
 	}
+}
+
+// switched completes a batch a kernel datapath thread has forwarded.
+func (sw *OVSSwitch) switched(v *ovsVif, b nic.Batch) {
+	sw.Delivered += int64(b.Count)
+	sw.inflight -= int64(b.Count)
+	interruptDeliver(sw.hv, v.dom, v.recv, b.Count, b.Bytes)
 }

@@ -26,6 +26,8 @@ type Netback struct {
 	pool *cpu.Pool
 
 	vifs map[nic.MAC]*PVNic
+	// jobs recycles the copy-thread records serve and LocalTransfer submit.
+	jobs dom0Jobs[*PVNic]
 
 	// Received / Delivered / Dropped count packets through the backend.
 	// Conservation identity, audited by the invariant checker: Received ==
@@ -54,11 +56,13 @@ const dom0BridgePerPacketCycles units.Cycles = 900
 
 // NewNetback creates a backend with the given number of copy threads.
 func NewNetback(hv *vmm.Hypervisor, threads int) *Netback {
-	return &Netback{
+	nb := &Netback{
 		hv:   hv,
 		pool: cpu.NewPool(hv.Engine(), hv.Meter(), cpu.Account{Domain: "dom0", Category: "netback"}, threads, netbackQueueCap),
 		vifs: make(map[nic.MAC]*PVNic),
 	}
+	nb.jobs.land = nb.copied
+	return nb
 }
 
 // Threads reports the backend thread count.
@@ -183,17 +187,25 @@ func (nb *Netback) serve(b nic.Batch) {
 	cost := units.Cycles(contention * (float64(model.NetbackPerBatchCycles) +
 		float64(b.Count)*float64(model.NetbackPerPacketCycles) +
 		float64(b.Bytes)*model.NetbackCopyCyclesPerByte))
-	ok = nb.pool.Submit(cpu.Job{Cost: cost, Run: func() {
-		// Grant map/copy hypercalls for the batch.
-		nb.hv.GuestHypercall(v.dom, 1500)
-		nb.Delivered += int64(b.Count)
-		nb.inflight -= int64(b.Count)
-		v.deliver(b)
-	}})
-	if !ok {
+	nb.submit(cost, v, b)
+}
+
+// submit queues batch b for vif v on a backend thread, dropping it if the
+// thread's queue is full.
+func (nb *Netback) submit(cost units.Cycles, v *PVNic, b nic.Batch) {
+	if !nb.jobs.submit(nb.pool, cost, v, b) {
 		nb.Dropped += int64(b.Count)
 		nb.inflight -= int64(b.Count)
 	}
+}
+
+// copied completes a batch a backend thread has copied: grant map/copy
+// hypercalls for the batch, then the frontend kick.
+func (nb *Netback) copied(v *PVNic, b nic.Batch) {
+	nb.hv.GuestHypercall(v.dom, 1500)
+	nb.Delivered += int64(b.Count)
+	nb.inflight -= int64(b.Count)
+	v.deliver(b)
 }
 
 // deliver kicks the frontend with a completed batch.
@@ -261,16 +273,7 @@ func (nb *Netback) LocalTransfer(b nic.Batch) {
 	cost := units.Cycles(float64(model.PVLocalPerBatchCycles) +
 		float64(b.Count)*float64(model.PVLocalPerPacketCycles) +
 		float64(b.Bytes)*model.PVLocalCopyCyclesPerByte)
-	ok = nb.pool.Submit(cpu.Job{Cost: cost, Run: func() {
-		nb.hv.GuestHypercall(v.dom, 1500)
-		nb.Delivered += int64(b.Count)
-		nb.inflight -= int64(b.Count)
-		v.deliver(b)
-	}})
-	if !ok {
-		nb.Dropped += int64(b.Count)
-		nb.inflight -= int64(b.Count)
-	}
+	nb.submit(cost, v, b)
 }
 
 // Backlog reports how many batches are queued in the backend pool — the

@@ -97,7 +97,9 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	if s1.Tasks != s8.Tasks {
 		t.Fatalf("task counts differ: %d vs %d", s1.Tasks, s8.Tasks)
 	}
-	checkGoldenCSVs(t, s1, "fig25")
+	// fig17–fig19 pin the netback and VMDq scalability sweeps (the dom0
+	// copy-thread path) byte for byte; fig25 the chaos family.
+	checkGoldenCSVs(t, s1, "fig17", "fig18", "fig19", "fig25")
 
 	// The allocation claim underneath the pooled hot path, pinned where the
 	// arenas are owned: once a worker's arena has warmed up, a steady-state
