@@ -82,11 +82,7 @@ func main() {
 		}
 	case *list:
 		for _, s := range sriov.Experiments() {
-			kind := "whole"
-			if s.Parallelizable() {
-				kind = fmt.Sprintf("%d points", len(s.Points))
-			}
-			fmt.Printf("%-8s %-10s %s\n", s.ID, kind, s.Title)
+			fmt.Printf("%-8s %2d pts  %s\n", s.ID, len(s.Points), s.Title)
 		}
 	case *soak > 0:
 		os.Exit(runSoak(*chaosSeed, *soak, *quiet))

@@ -35,11 +35,11 @@ var (
 )
 
 const (
-	closIncastLeafHosts = 16                      // hosts per leaf; bounds the fan-in sweep
-	closIncastSize      = 4 * units.MiB           // per-sender transfer
-	closRingVMs         = 10                      // flows per host in the fig31 ring
-	closRingWindow      = 50 * units.Millisecond  // fig31 measurement window
-	closIncastBound     = 120 * units.Second      // incast completion bound
+	closIncastLeafHosts = 16                     // hosts per leaf; bounds the fan-in sweep
+	closIncastSize      = 4 * units.MiB          // per-sender transfer
+	closRingVMs         = 10                     // flows per host in the fig31 ring
+	closRingWindow      = 50 * units.Millisecond // fig31 measurement window
+	closIncastBound     = 120 * units.Second     // incast completion bound
 )
 
 // closIncastCell is one (oversubscription ratio, fan-in) incast measurement.
@@ -326,7 +326,7 @@ func ClosRingSpec(hosts, vms int, mode cluster.FastpathMode) Spec {
 			fmt.Sprintf("violations=%d", cell.violations))
 		return f
 	}
-	return pointsSpec(id, title, points, build)
+	return Spec{ID: id, Title: title, Points: points, Build: build}
 }
 
 // ClosSoakResult is one Clos-soak iteration's summary — the fabric leg of

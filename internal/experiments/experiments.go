@@ -22,36 +22,40 @@ import (
 	"repro/internal/vmm"
 )
 
-// Point is one independently runnable unit of a decomposed experiment — a
-// single series point such as one VM count or one coalescing policy. A
-// point builds its own testbeds (so its own engines) and shares no mutable
-// state with other points; a parallel runner may execute points of one
-// experiment on different goroutines in any order. seed is the stable
-// per-point seed (PointSeed) to use for every engine the point creates;
-// reg is the point's private metrics registry — the caller owns it and
-// (for a parallel runner) merges the per-point registries in point order
-// afterwards, so points never share instruments. arena is the caller's
-// event free list (one per worker goroutine): points pass it into their
-// engines so consecutive points reuse event storage instead of re-paying
-// the allocations. It never affects results, only allocation counts; nil
-// is valid and gives each engine a private arena.
+// Point is one independently runnable unit of an experiment — a single
+// series point such as one VM count or one coalescing policy, or, for an
+// experiment that does not decompose, the whole figure. A point builds its
+// own testbeds (so its own engines) and shares no mutable state with other
+// points; a parallel runner may execute points of one experiment on
+// different goroutines in any order. seed is the stable per-point seed
+// (PointSeed) to use for every engine the point creates; reg is the point's
+// private metrics registry — the caller owns it and (for a parallel runner)
+// merges the per-point registries in point order afterwards, so points
+// never share instruments. arena is the caller's event free list (one per
+// worker goroutine): points pass it into their engines so consecutive
+// points reuse event storage instead of re-paying the allocations. It never
+// affects results, only allocation counts; nil is valid and gives each
+// engine a private arena.
+//
+// Key, when set, names a measurement that several experiments share (one
+// cell of a scalability sweep that two figures plot). Points with equal
+// keys must compute equal results whatever seed, registry and arena they
+// are given, so a runner may execute the first of them once and hand its
+// result and registry to the rest.
 type Point struct {
 	Label string
+	Key   string
 	Run   func(seed uint64, reg *obs.Registry, arena *sim.Arena) any
 }
 
-// Spec describes one reproducible experiment.
-//
-// Every spec has a serial Run. Specs whose series points are independent
-// additionally carry Points and Build: Run is then derived — it executes
-// the points in order and assembles — so the serial path and a parallel
-// runner produce identical figures by construction.
+// Spec describes one reproducible experiment: independent Points, and Build
+// assembling the figure from their results. Every runner — the serial Run
+// below and the parallel worker pool — goes through these two, so they
+// produce identical figures by construction.
 type Spec struct {
 	ID    string
 	Title string
-	Run   func() *report.Figure
 
-	// Points decomposes the experiment; nil means it only runs whole.
 	Points []Point
 	// Build assembles the figure from the point results, in Points order.
 	Build func(results []any) *report.Figure
@@ -63,8 +67,16 @@ type Spec struct {
 	Observe func(tr *trace.Buffer, spans *obs.SpanBuffer)
 }
 
-// Parallelizable reports whether the experiment decomposes into points.
-func (s Spec) Parallelizable() bool { return len(s.Points) > 0 && s.Build != nil }
+// Run executes the experiment serially: every point in order, each with a
+// fresh registry and all sharing one arena, then Build.
+func (s Spec) Run() *report.Figure {
+	arena := sim.NewArena()
+	results := make([]any, len(s.Points))
+	for i, p := range s.Points {
+		results[i] = p.Run(PointSeed(s.ID, p.Label), obs.NewRegistry(), arena)
+	}
+	return s.Build(results)
+}
 
 // PointSeed derives the stable engine seed for one point of an experiment.
 // It depends only on the experiment id and point label, never on worker
@@ -75,29 +87,21 @@ func PointSeed(id, label string) uint64 { return sim.StableSeed(id, label) }
 // registry holds all experiments keyed by id.
 var registry = map[string]Spec{}
 
-func register(s Spec) { registry[s.ID] = s }
-
-// pointsSpec assembles a decomposed Spec, deriving the serial Run from the
-// points so there is exactly one code path producing figures. Used both for
-// registered experiments and for ad-hoc restricted specs (NFVSpecs).
-func pointsSpec(id, title string, points []Point, build func([]any) *report.Figure) Spec {
-	return Spec{
-		ID: id, Title: title, Points: points, Build: build,
-		Run: func() *report.Figure {
-			arena := sim.NewArena()
-			results := make([]any, len(points))
-			for i, p := range points {
-				results[i] = p.Run(PointSeed(id, p.Label), obs.NewRegistry(), arena)
-			}
-			return build(results)
-		},
-	}
-}
-
-// registerPoints registers a decomposed experiment.
+// registerPoints registers an experiment.
 func registerPoints(id, title string, points []Point, build func([]any) *report.Figure) {
-	register(pointsSpec(id, title, points, build))
+	registry[id] = Spec{ID: id, Title: title, Points: points, Build: build}
 }
+
+// wholePoint wraps an experiment that does not decompose as its single
+// point. The experiment seeds its own engines and keeps its own registries,
+// ignoring the point's; the point's result is the finished figure, which
+// unwrapFigure hands back as Build.
+func wholePoint(run func() *report.Figure) []Point {
+	return []Point{{Label: "all", Run: func(uint64, *obs.Registry, *sim.Arena) any { return run() }}}
+}
+
+// unwrapFigure is the Build of a wholePoint experiment.
+func unwrapFigure(results []any) *report.Figure { return results[0].(*report.Figure) }
 
 // setObserve attaches an Observe hook to an already-registered experiment.
 func setObserve(id string, fn func(tr *trace.Buffer, spans *obs.SpanBuffer)) {
@@ -109,7 +113,7 @@ func setObserve(id string, fn func(tr *trace.Buffer, spans *obs.SpanBuffer)) {
 	registry[id] = s
 }
 
-// ByID looks an experiment up ("fig06" ... "fig23").
+// ByID looks an experiment up by id ("fig06", "faults", ...).
 func ByID(id string) (Spec, bool) {
 	s, ok := registry[id]
 	return s, ok

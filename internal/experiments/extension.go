@@ -22,7 +22,7 @@ import (
 // riding a PCIe Gen2 x8 link.
 
 func init() {
-	register(Spec{ID: "ext10g", Title: "Extension: single 10 GbE SR-IOV port (82599-class)", Run: Ext10G})
+	registerPoints("ext10g", "Extension: single 10 GbE SR-IOV port (82599-class)", wholePoint(Ext10G), unwrapFigure)
 }
 
 // ext10gInternalRate is the 82599's internal loopback ceiling (PCIe Gen2 x8
@@ -91,7 +91,7 @@ func Ext10G() *report.Figure {
 }
 
 func init() {
-	register(Spec{ID: "extrr", Title: "Extension: request/response latency vs coalescing policy", Run: ExtRR})
+	registerPoints("extrr", "Extension: request/response latency vs coalescing policy", wholePoint(ExtRR), unwrapFigure)
 }
 
 // ExtRR is a TCP_RR-style extension: §5.3 argues lif exists "to limit the

@@ -24,11 +24,8 @@ import (
 // failover window, far below the planned hot-unplug handshake.
 
 func init() {
-	register(Spec{
-		ID:    "faults",
-		Title: "Fault injection: packet loss and time-to-recover by fault type",
-		Run:   Faults,
-	})
+	registerPoints("faults", "Fault injection: packet loss and time-to-recover by fault type",
+		wholePoint(Faults), unwrapFigure)
 }
 
 const (

@@ -20,8 +20,8 @@ import (
 // on a PV NIC) and Fig. 21 (an HVM guest on SR-IOV with DNIS).
 
 func init() {
-	register(Spec{ID: "fig20", Title: "Migrating an HVM running netperf with a PV network driver", Run: Fig20})
-	register(Spec{ID: "fig21", Title: "Migrating an HVM running netperf with SR-IOV and DNIS", Run: Fig21})
+	registerPoints("fig20", "Migrating an HVM running netperf with a PV network driver", wholePoint(Fig20), unwrapFigure)
+	registerPoints("fig21", "Migrating an HVM running netperf with SR-IOV and DNIS", wholePoint(Fig21), unwrapFigure)
 }
 
 // timelineBucket is the goodput sampling interval of the timelines.

@@ -50,8 +50,8 @@ func NFVSpecs(kinds []string) ([]Spec, error) {
 		}
 	}
 	return []Spec{
-		pointsSpec("fig26", "NFV packet-size sweep across datapath backends", fig26Points(kinds), buildFig26(kinds)),
-		pointsSpec("fig27", "NFV service-chain latency across datapath backends", fig27Points(kinds), buildFig27(kinds)),
+		{ID: "fig26", Title: "NFV packet-size sweep across datapath backends", Points: fig26Points(kinds), Build: buildFig26(kinds)},
+		{ID: "fig27", Title: "NFV service-chain latency across datapath backends", Points: fig27Points(kinds), Build: buildFig27(kinds)},
 	}, nil
 }
 

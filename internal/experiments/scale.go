@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -23,7 +22,8 @@ func init() {
 	registerPoints("fig15", "SR-IOV scalability in HVM",
 		sweepPoints(false, vmm.HVM, ""), buildFig15)
 	// Fig. 16 compares PVM against HVM, so its point list carries both
-	// sweeps; the HVM half is shared with Fig. 15 through the sweep memo.
+	// sweeps; the HVM half is keyed like Fig. 15's, so a run of both
+	// measures each cell once.
 	registerPoints("fig16", "SR-IOV scalability in PVM",
 		append(sweepPoints(false, vmm.PVM, ""), sweepPoints(false, vmm.HVM, "hvm-")...), buildFig16)
 	registerPoints("fig17", "PV NIC scalability in HVM",
@@ -43,84 +43,60 @@ type scaleMeasure struct {
 	tput                     float64 // Gbps
 }
 
-// sweepKey identifies one memoized sweep cell.
+// sweepKey identifies one sweep cell. Fig. 15/16 and 17/18 plot each
+// other's HVM sweeps, so a cell may belong to two figures' point lists.
 type sweepKey struct {
 	pv  bool // PV split driver path (vs SR-IOV VFs)
 	typ vmm.DomainType
 	n   int
 }
 
-// sweepMemo deduplicates sweep cells across figures (Fig. 15/16 and 17/18
-// cross-reference each other's sweeps) and across concurrent workers: the
-// first claimant computes under the cell's once, everyone else waits and
-// reads the same value. Results are independent of who computes first
-// because every cell seeds its engines from sweepSeed, not from the caller,
-// and every claimant records the cell's audit into its own registry.
-var (
-	sweepMu   sync.Mutex
-	sweepMemo = map[sweepKey]*sweepCell{}
-)
-
-type sweepCell struct {
-	once  sync.Once
-	m     scaleMeasure
-	audit []chaos.Violation
-}
-
-// sweepSeed is the stable engine seed of one sweep cell. It deliberately
-// ignores the per-point seed of whichever figure triggered the computation:
-// a memoized cell must not measure differently depending on whether Fig. 15
-// or Fig. 16 got to it first.
-func (k sweepKey) seed() uint64 {
-	path := "sriov"
+func (k sweepKey) path() string {
 	if k.pv {
-		path = "pv"
+		return "pv"
 	}
-	return sim.StableSeed("scale", path, k.typ.String(), fmt.Sprintf("%d", k.n))
+	return "sriov"
 }
 
-// sweepPoint computes (or returns the memoized) sweep cell and records the
-// cell's invariant audit into the claimant's registry.
+// seed is the stable engine seed of one sweep cell. It deliberately
+// ignores the per-point seed of whichever figure runs the cell: a cell must
+// measure the same for Fig. 15 as for Fig. 16, so that a runner can share
+// it between them (see Point.Key).
+func (k sweepKey) seed() uint64 {
+	return sim.StableSeed("scale", k.path(), k.typ.String(), fmt.Sprintf("%d", k.n))
+}
+
+// sweepPoint measures one sweep cell. The cell's testbed measures into a
+// private registry and only its invariant audit reaches reg: a runner
+// merges a shared cell's reg once per figure that plots the cell, and the
+// audit is what each of those figures must count.
 func sweepPoint(k sweepKey, reg *obs.Registry, arena *sim.Arena) scaleMeasure {
-	sweepMu.Lock()
-	c, ok := sweepMemo[k]
-	if !ok {
-		c = &sweepCell{}
-		sweepMemo[k] = c
+	var r bedResult
+	if k.pv {
+		r = runPV(core.Config{Seed: k.seed(), Ports: 10, Opts: vmm.AllOptimizations,
+			NetbackThreads: model.NetbackThreadsEnhanced, Arena: arena},
+			k.n, k.typ, vmm.Kernel2628, perPortRate(k.n, 10))
+	} else {
+		r = runSRIOV(core.Config{Seed: k.seed(), Ports: 10, Opts: vmm.AllOptimizations, Arena: arena},
+			k.n, k.typ, vmm.Kernel2628, aicPolicy, perPortRate(k.n, 10), aicWarm)
 	}
-	sweepMu.Unlock()
-	c.once.Do(func() {
-		var r bedResult
-		if k.pv {
-			r = runPV(core.Config{Seed: k.seed(), Ports: 10, Opts: vmm.AllOptimizations,
-				NetbackThreads: model.NetbackThreadsEnhanced, Arena: arena},
-				k.n, k.typ, vmm.Kernel2628, perPortRate(k.n, 10))
-		} else {
-			r = runSRIOV(core.Config{Seed: k.seed(), Ports: 10, Opts: vmm.AllOptimizations, Arena: arena},
-				k.n, k.typ, vmm.Kernel2628, aicPolicy, perPortRate(k.n, 10), aicWarm)
-		}
-		c.m = scaleMeasure{total: r.util.Total, dom0: r.util.Dom0, xen: r.util.Xen,
-			guests: r.util.Guests, tput: r.goodput.Gbps()}
-		c.audit = r.audit
-	})
-	chaos.Record(reg, c.audit)
-	return c.m
+	chaos.Record(reg, r.audit)
+	return scaleMeasure{total: r.util.Total, dom0: r.util.Dom0, xen: r.util.Xen,
+		guests: r.util.Guests, tput: r.goodput.Gbps()}
 }
 
 // sweepPoints builds one Point per VM count for the given path and domain
 // type, labelled prefix+count ("10" … "60", or "hvm-10" … for a figure's
-// comparison sweep).
+// comparison sweep) and keyed by cell, so figures sharing a cell share its
+// run.
 func sweepPoints(pv bool, typ vmm.DomainType, prefix string) []Point {
 	pts := make([]Point, 0, len(vmCounts))
 	for _, n := range vmCounts {
 		k := sweepKey{pv: pv, typ: typ, n: n}
 		pts = append(pts, Point{
 			Label: fmt.Sprintf("%s%d", prefix, n),
-			// Memoized across figures: the cell ignores the per-point seed
-			// (see sweepSeed) and measures into a private registry — a cell
-			// computed for Fig. 15 must not write metrics into Fig. 16's
-			// registry. Only its audit reaches every claimant's.
-			Run: func(_ uint64, reg *obs.Registry, arena *sim.Arena) any { return sweepPoint(k, reg, arena) },
+			Key:   fmt.Sprintf("scale/%s/%s/%d", k.path(), k.typ, k.n),
+			Run:   func(_ uint64, reg *obs.Registry, arena *sim.Arena) any { return sweepPoint(k, reg, arena) },
 		})
 	}
 	return pts

@@ -101,9 +101,9 @@ func DefaultLatencyBounds() []units.Duration {
 	}
 }
 
-// Hist is a fixed-bound duration histogram with batch observation. Unlike
-// stats.Histogram it supports weighted observes (a delivered batch of n
-// packets shares one delta) and merging.
+// Hist is a fixed-bound duration histogram with batch observation: a
+// delivered batch of n packets shares one weighted observe. Registries
+// merge them; NewHist makes a standalone one (a guest's ring-wait latency).
 type Hist struct {
 	bounds []units.Duration // upper bounds, ascending
 	counts []int64          // len(bounds)+1; last is overflow
@@ -112,7 +112,9 @@ type Hist struct {
 	max    units.Duration
 }
 
-func newHist(bounds []units.Duration) *Hist {
+// NewHist creates a histogram with the given strictly ascending upper
+// bounds; a last overflow bucket catches everything above them.
+func NewHist(bounds ...units.Duration) *Hist {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic("obs: histogram bounds must be strictly ascending")
@@ -263,7 +265,7 @@ func (r *Registry) Histogram(name string, bounds ...units.Duration) *Hist {
 		if len(bounds) == 0 {
 			bounds = DefaultLatencyBounds()
 		}
-		h = newHist(bounds)
+		h = NewHist(bounds...)
 		r.hists[name] = h
 	}
 	return h
@@ -313,7 +315,7 @@ func (r *Registry) Merge(o *Registry) {
 	for name, h := range o.hists {
 		mine := r.hists[name]
 		if mine == nil {
-			r.hists[name] = newHist(h.bounds)
+			r.hists[name] = NewHist(h.bounds...)
 			mine = r.hists[name]
 		}
 		mine.merge(h)

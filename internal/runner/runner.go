@@ -1,9 +1,10 @@
 // Package runner executes registered experiments on a worker pool.
 //
-// The unit of scheduling is a task: either a whole experiment, or — for
-// experiments that decompose (experiments.Spec.Points) — one independent
-// series point, such as a single VM count of a scalability sweep or one
-// coalescing policy of a sweep. Tasks are sharded across N goroutines;
+// The unit of scheduling is a task: one independent point of an experiment
+// (experiments.Spec.Points), such as a single VM count of a scalability
+// sweep or one coalescing policy of a sweep. Points that carry the same Key
+// are planned as one task, led by the first of them in input order; the
+// others reuse its result. Tasks are sharded across N goroutines;
 // every task builds its own testbeds, so every simulation engine lives on
 // exactly one goroutine, and every engine is seeded from a stable per-point
 // seed (experiments.PointSeed) that depends only on what the task is.
@@ -44,7 +45,8 @@ type Result struct {
 	// experiment's tasks (not first-start-to-last-end, which depends on
 	// what else shared the pool).
 	Wall time.Duration
-	// Tasks is how many tasks the experiment decomposed into (1 if whole).
+	// Tasks is how many tasks the experiment ran: its points, less those
+	// that reused another experiment's result for the same Key.
 	Tasks int
 	// Allocs and AllocBytes are the heap allocations the experiment's tasks
 	// performed (runtime.MemStats deltas summed over tasks). They are only
@@ -53,7 +55,8 @@ type Result struct {
 	// zero otherwise.
 	Allocs     uint64
 	AllocBytes uint64
-	// Err is set if any task or the assembly panicked; Figure is then nil.
+	// Err is set if any of the experiment's points (including one it shared
+	// with another experiment) or its assembly panicked; Figure is then nil.
 	Err error
 }
 
@@ -72,10 +75,10 @@ type Summary struct {
 	// (from the engine's process-wide counter; runs sharing a process with
 	// other simulation work will overcount).
 	Events uint64
-	// Obs is the run's merged metrics registry: every point task runs with
-	// its own private registry, and they are merged in task order after the
-	// pool drains, so the merged contents are byte-identical at any
-	// parallelism. Whole (non-decomposed) experiments do not contribute.
+	// Obs is the run's merged metrics registry: every task runs with its
+	// own private registry, and they are merged in point order after the
+	// pool drains — a shared task's registry once per point that claims it —
+	// so the merged contents are byte-identical at any parallelism.
 	Obs *obs.Registry
 }
 
@@ -90,11 +93,14 @@ func (s *Summary) Failed() []Result {
 	return out
 }
 
-// task is one unit of scheduling.
+// task is one unit of scheduling — an unkeyed point, or the point that
+// leads its Key — and its outcome. The outcome has exactly one writer, the
+// worker that ran the task; the WaitGroup orders the reads.
 type task struct {
-	idx   int // index into the task list (and taskRegs)
-	spec  int // index into specs
-	point int // index into Points, or -1 for a whole experiment
+	spec, point int // indices into specs and its Points
+	res         any
+	reg         *obs.Registry
+	err         error
 }
 
 // Run executes the given experiments on a pool of opts.Parallel workers and
@@ -105,31 +111,36 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
+	// Plan: every point maps to the task that computes it. A keyed point
+	// whose key an earlier point already claimed reuses that task.
 	sum := &Summary{Results: make([]Result, len(specs)), Parallel: workers}
-	pointRes := make([][]any, len(specs))
 	var tasks []task
+	slots := make([][]int, len(specs)) // slots[spec][point] = task index
+	leaders := map[string]int{}
 	for i, s := range specs {
 		sum.Results[i] = Result{ID: s.ID, Title: s.Title}
-		if s.Parallelizable() {
-			pointRes[i] = make([]any, len(s.Points))
-			for j := range s.Points {
-				tasks = append(tasks, task{idx: len(tasks), spec: i, point: j})
+		slots[i] = make([]int, len(s.Points))
+		for j, p := range s.Points {
+			t, ok := leaders[p.Key]
+			if !ok {
+				t = len(tasks)
+				tasks = append(tasks, task{spec: i, point: j})
+				if p.Key != "" {
+					leaders[p.Key] = t
+				}
 			}
-		} else {
-			tasks = append(tasks, task{idx: len(tasks), spec: i, point: -1})
+			slots[i][j] = t
 		}
 	}
 	sum.Tasks = len(tasks)
-	taskRegs := make([]*obs.Registry, len(tasks))
 
 	start := time.Now()
 	eventsBefore := sim.TotalProcessed()
 
-	// mu guards the per-experiment accumulators (Wall, Tasks, Err), the
-	// task-wall distribution, and Progress. Point results need no lock:
-	// each slot has exactly one writer, and the WaitGroup orders the reads.
+	// mu guards the per-experiment accumulators (Wall, Tasks, Allocs), the
+	// task-wall distribution, and Progress.
 	var mu sync.Mutex
-	ch := make(chan task)
+	ch := make(chan *task)
 	var wg sync.WaitGroup
 	trackAllocs := workers == 1
 	for w := 0; w < workers; w++ {
@@ -141,28 +152,33 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 			// shared across goroutines.
 			arena := sim.NewArena()
 			for t := range ch {
-				runTask(specs, t, pointRes, taskRegs, sum, &mu, opts.Progress, arena, trackAllocs)
+				t.res, t.reg, t.err = runTask(specs[t.spec], t.point, &sum.Results[t.spec], sum, &mu, opts.Progress, arena, trackAllocs)
 			}
 		}()
 	}
-	for _, t := range tasks {
-		ch <- t
+	for i := range tasks {
+		ch <- &tasks[i]
 	}
 	close(ch)
 	wg.Wait()
 
-	// Merge the per-task registries in task order — counters and histogram
-	// buckets are sums, but gauge overwrites and float arithmetic are
-	// order-sensitive, so a fixed order keeps metrics output deterministic.
+	// Hand every point its task's outcome and merge the registries in point
+	// order — counters and histogram buckets are sums, but gauge overwrites
+	// and float arithmetic are order-sensitive, so a fixed order keeps
+	// metrics output deterministic. Then assemble, on this goroutine.
 	sum.Obs = obs.NewRegistry()
-	for _, reg := range taskRegs {
-		sum.Obs.Merge(reg)
-	}
-
-	// Assemble decomposed figures in input order, on this goroutine.
 	for i, s := range specs {
 		r := &sum.Results[i]
-		if r.Err != nil || !s.Parallelizable() {
+		results := make([]any, len(s.Points))
+		for j, ti := range slots[i] {
+			t := &tasks[ti]
+			results[j] = t.res
+			sum.Obs.Merge(t.reg)
+			if t.err != nil && r.Err == nil {
+				r.Err = t.err
+			}
+		}
+		if r.Err != nil {
 			continue
 		}
 		func() {
@@ -172,7 +188,7 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 					r.Figure = nil
 				}
 			}()
-			r.Figure = s.Build(pointRes[i])
+			r.Figure = s.Build(results)
 		}()
 	}
 
@@ -204,15 +220,13 @@ func RunIDs(ids []string, opts Options) (*Summary, error) {
 	return Run(specs, opts), nil
 }
 
-// runTask executes one task with panic isolation: a panicking point marks
-// its experiment failed but never takes down the pool or the other
-// experiments.
-func runTask(specs []experiments.Spec, t task, pointRes [][]any, taskRegs []*obs.Registry, sum *Summary, mu *sync.Mutex, progress func(string), arena *sim.Arena, trackAllocs bool) {
-	s := specs[t.spec]
-	label := s.ID
-	if t.point >= 0 {
-		label = fmt.Sprintf("%s [%s]", s.ID, s.Points[t.point].Label)
-	}
+// runTask runs one point of s on a private registry, with panic isolation:
+// a panicking point fails the experiments that use it but never takes down
+// the pool or the others. Its wall time and allocations are charged to r,
+// the result of s.
+func runTask(s experiments.Spec, point int, r *Result, sum *Summary, mu *sync.Mutex, progress func(string), arena *sim.Arena, trackAllocs bool) (res any, reg *obs.Registry, err error) {
+	p := s.Points[point]
+	label := fmt.Sprintf("%s [%s]", s.ID, p.Label)
 	if progress != nil {
 		mu.Lock()
 		progress(label)
@@ -225,7 +239,9 @@ func runTask(specs []experiments.Spec, t task, pointRes [][]any, taskRegs []*obs
 	start := time.Now()
 	defer func() {
 		wall := time.Since(start)
-		p := recover()
+		if v := recover(); v != nil {
+			err = fmt.Errorf("%s: panic: %v", label, v)
+		}
 		var allocs, allocBytes uint64
 		if trackAllocs {
 			var m1 runtime.MemStats
@@ -233,28 +249,13 @@ func runTask(specs []experiments.Spec, t task, pointRes [][]any, taskRegs []*obs
 			allocs, allocBytes = m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
 		}
 		mu.Lock()
-		r := &sum.Results[t.spec]
 		r.Wall += wall
 		r.Tasks++
 		r.Allocs += allocs
 		r.AllocBytes += allocBytes
 		sum.TaskWall.Observe(wall.Seconds())
-		if p != nil && r.Err == nil {
-			r.Err = fmt.Errorf("%s: panic: %v", label, p)
-		}
 		mu.Unlock()
 	}()
-	if t.point < 0 {
-		fig := s.Run()
-		mu.Lock()
-		sum.Results[t.spec].Figure = fig
-		mu.Unlock()
-		return
-	}
-	p := s.Points[t.point]
-	// The point gets a private registry (slot has one writer; the
-	// WaitGroup orders the merge's reads).
-	reg := obs.NewRegistry()
-	taskRegs[t.idx] = reg
-	pointRes[t.spec][t.point] = p.Run(experiments.PointSeed(s.ID, p.Label), reg, arena)
+	reg = obs.NewRegistry()
+	return p.Run(experiments.PointSeed(s.ID, p.Label), reg, arena), reg, nil
 }

@@ -3,9 +3,11 @@ package runner
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiments"
@@ -77,8 +79,8 @@ func determinismIDs(t *testing.T) []string {
 
 // TestDeterminismAcrossParallelism asserts the tentpole invariant: the full
 // experiment suite renders byte-identical figures at -parallel 1 and
-// -parallel 8. (The scale sweeps memoize across runs, which only makes the
-// comparison stricter for everything not memoized.)
+// -parallel 8. The two legs share nothing: each Run plans its own tasks, so
+// the -parallel 8 leg recomputes every figure, fig15–fig18 included.
 func TestDeterminismAcrossParallelism(t *testing.T) {
 	ids := determinismIDs(t)
 	s1, err := RunIDs(ids, Options{Parallel: 1})
@@ -97,9 +99,11 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	if s1.Tasks != s8.Tasks {
 		t.Fatalf("task counts differ: %d vs %d", s1.Tasks, s8.Tasks)
 	}
-	// fig17–fig19 pin the netback and VMDq scalability sweeps (the dom0
-	// copy-thread path) byte for byte; fig25 the chaos family.
-	checkGoldenCSVs(t, s1, "fig17", "fig18", "fig19", "fig25")
+	// fig15/fig16 pin the SR-IOV scalability sweeps and fig17–fig19 the
+	// netback and VMDq ones (the dom0 copy-thread path) byte for byte,
+	// including the HVM cells fig16 and fig18 share with fig15 and fig17;
+	// fig25 pins the chaos family.
+	checkGoldenCSVs(t, s1, "fig15", "fig16", "fig17", "fig18", "fig19", "fig25")
 
 	// The allocation claim underneath the pooled hot path, pinned where the
 	// arenas are owned: once a worker's arena has warmed up, a steady-state
@@ -222,8 +226,8 @@ func firstDiffLine(a, b string) string {
 }
 
 // TestResultsInInputOrderAndCounted checks ordering, task accounting, and
-// the wall/events bookkeeping on a small mixed run (decomposed fig08 +
-// whole-experiment fig20).
+// the wall/events bookkeeping on a small mixed run (the six-point fig08 and
+// the single-point fig20).
 func TestResultsInInputOrderAndCounted(t *testing.T) {
 	s, err := RunIDs([]string{"fig20", "fig08"}, Options{Parallel: 4})
 	if err != nil {
@@ -233,7 +237,7 @@ func TestResultsInInputOrderAndCounted(t *testing.T) {
 		t.Fatalf("unexpected result order: %+v", s.Results)
 	}
 	fig08, ok := experiments.ByID("fig08")
-	if !ok || !fig08.Parallelizable() {
+	if !ok || len(fig08.Points) < 2 {
 		t.Fatal("fig08 should be decomposed")
 	}
 	if got := s.Results[0].Tasks; got != len(fig08.Points) {
@@ -269,7 +273,10 @@ func TestPanicIsolation(t *testing.T) {
 		},
 		{
 			ID: "fine", Title: "works",
-			Run: func() *report.Figure { return &report.Figure{ID: "fine", Title: "ok"} },
+			Points: []experiments.Point{
+				{Label: "all", Run: func(uint64, *obs.Registry, *sim.Arena) any { return &report.Figure{ID: "fine", Title: "ok"} }},
+			},
+			Build: func(r []any) *report.Figure { return r[0].(*report.Figure) },
 		},
 	}
 	s := Run(specs, Options{Parallel: 2})
@@ -284,6 +291,58 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if len(s.Failed()) != 1 {
 		t.Fatalf("Failed() = %d entries, want 1", len(s.Failed()))
+	}
+}
+
+// TestSharedPointRunsOnce: a keyed point that two experiments list runs
+// once per Run, led by its first claimant in input order. Every claimant
+// gets the leader's result, the merged metrics count the leader's registry
+// once per claimant, and a panic in the shared point fails every claimant.
+// The points are synthetic, so this runs under -short and -race.
+func TestSharedPointRunsOnce(t *testing.T) {
+	var runs atomic.Int32
+	shared := experiments.Point{Label: "cell", Key: "test/cell", Run: func(seed uint64, reg *obs.Registry, _ *sim.Arena) any {
+		runs.Add(1)
+		reg.Counter("test.cell_audits").Inc()
+		return seed
+	}}
+	own := experiments.Point{Label: "own", Run: func(uint64, *obs.Registry, *sim.Arena) any { return uint64(0) }}
+	got := make([][]any, 2)
+	spec := func(i int, points ...experiments.Point) experiments.Spec {
+		id := fmt.Sprintf("s%d", i)
+		return experiments.Spec{ID: id, Title: id, Points: points, Build: func(r []any) *report.Figure {
+			got[i] = r
+			return &report.Figure{ID: id}
+		}}
+	}
+	s := Run([]experiments.Spec{spec(0, shared), spec(1, own, shared)}, Options{Parallel: 2})
+	for _, r := range s.Results {
+		if r.Err != nil || r.Figure == nil {
+			t.Fatalf("%s failed: %v", r.ID, r.Err)
+		}
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("shared point ran %d times, want 1", n)
+	}
+	// The leader is s0's point, so both claimants see s0's seed.
+	want := experiments.PointSeed("s0", "cell")
+	if got[0][0] != want || got[1][1] != want {
+		t.Fatalf("shared results = %v / %v, want the leader's %v", got[0][0], got[1][1], want)
+	}
+	if s.Tasks != 2 || s.Results[0].Tasks != 1 || s.Results[1].Tasks != 1 || s.TaskWall.N() != 2 {
+		t.Fatalf("tasks = %d (%d + %d), task-wall samples %d; want 2 (1 + 1), 2",
+			s.Tasks, s.Results[0].Tasks, s.Results[1].Tasks, s.TaskWall.N())
+	}
+	if n := s.Obs.Counter("test.cell_audits").Value(); n != 2 {
+		t.Fatalf("merged test.cell_audits = %d, want one per claimant (2)", n)
+	}
+
+	boom := experiments.Point{Label: "cell", Key: "test/boom", Run: func(uint64, *obs.Registry, *sim.Arena) any { panic("kaboom") }}
+	s = Run([]experiments.Spec{spec(0, boom), spec(1, own, boom)}, Options{Parallel: 2})
+	for _, r := range s.Results {
+		if r.Err == nil || r.Figure != nil || !strings.Contains(r.Err.Error(), "kaboom") {
+			t.Fatalf("%s: shared panic not reported: err=%v figure=%v", r.ID, r.Err, r.Figure)
+		}
 	}
 }
 

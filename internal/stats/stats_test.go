@@ -97,51 +97,3 @@ func TestSeriesTotalProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10*units.Microsecond, 100*units.Microsecond, units.Millisecond)
-	h.Observe(5 * units.Microsecond)
-	h.Observe(50 * units.Microsecond)
-	h.Observe(500 * units.Microsecond)
-	h.Observe(5 * units.Millisecond) // overflow bucket
-	if h.Count() != 4 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 5*units.Millisecond {
-		t.Fatalf("max = %v", h.Max())
-	}
-	wantMean := (5*units.Microsecond + 50*units.Microsecond + 500*units.Microsecond + 5*units.Millisecond) / 4
-	if h.Mean() != wantMean {
-		t.Fatalf("mean = %v, want %v", h.Mean(), wantMean)
-	}
-	if q := h.Quantile(0); q != 10*units.Microsecond {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := h.Quantile(1); q != 5*units.Millisecond {
-		t.Fatalf("q1 = %v", q)
-	}
-	// The index-2 observation (500µs) lies in the (100µs, 1ms] bucket, so
-	// the reported bound is 1ms.
-	if q := h.Quantile(0.5); q != units.Millisecond {
-		t.Fatalf("q0.5 = %v", q)
-	}
-	if q := h.Quantile(0.25); q != 100*units.Microsecond {
-		t.Fatalf("q0.25 = %v", q)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(units.Millisecond)
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-ascending bounds should panic")
-		}
-	}()
-	NewHistogram(units.Millisecond, units.Microsecond)
-}
