@@ -39,7 +39,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/trace"
 	"repro/internal/workload"
 
 	sriov "repro"
@@ -280,7 +279,7 @@ func writeMetrics(path string, sum *runner.Summary) error {
 }
 
 // writeTrace re-runs the first selected experiment that carries an Observe
-// hook with trace and span sinks installed and exports the result as Chrome
+// hook with a trace installed and exports its events and spans as Chrome
 // trace-event JSON. The observational run is separate from the suite run —
 // its metrics are discarded — so suite output stays byte-identical whether
 // or not -trace-out is given.
@@ -297,15 +296,14 @@ func writeTrace(path string, ids []string) error {
 		if s.Observe == nil || !want(s.ID) {
 			continue
 		}
-		tr := trace.NewBuffer(65536)
-		spans := obs.NewSpanBuffer(32768)
-		s.Observe(tr, spans)
+		tr := obs.NewTrace(65536, 32768)
+		s.Observe(tr)
 		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		return obs.WriteChromeTrace(f, tr.Events(), spans.Spans())
+		return obs.WriteChromeTrace(f, tr)
 	}
 	return fmt.Errorf("trace-out: no selected experiment has an observe hook (try -fig 7)")
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vmm"
 	"repro/internal/workload"
@@ -447,20 +446,13 @@ func (tb *Testbed) AddBondedGuestOn(name string, typ vmm.DomainType, k vmm.Kerne
 	return g, nil
 }
 
-// SetTracer installs a trace buffer on the hypervisor and every port, so
-// control-plane, fault and recovery events land in one timeline.
-func (tb *Testbed) SetTracer(b *trace.Buffer) {
-	tb.HV.Tracer = b
+// SetTracer installs a trace on the hypervisor and every port, so
+// control-plane, fault and recovery events land in one timeline and drained
+// batches leave per-hop spans for the trace exporter.
+func (tb *Testbed) SetTracer(t *obs.Trace) {
+	tb.HV.Tracer = t
 	for _, p := range tb.Ports {
-		p.Tracer = b
-	}
-}
-
-// SetSpans installs a span buffer on every port, so drained batches leave
-// per-hop spans for the trace exporter.
-func (tb *Testbed) SetSpans(s *obs.SpanBuffer) {
-	for _, p := range tb.Ports {
-		p.Spans = s
+		p.Tracer = t
 	}
 }
 

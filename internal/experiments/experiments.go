@@ -17,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -61,10 +60,10 @@ type Spec struct {
 	Build func(results []any) *report.Figure
 
 	// Observe, when set, re-runs a representative workload with the given
-	// trace and span sinks installed — the backing for `sriovsim
-	// -trace-out`. It is observational only: the metrics it produces are
-	// discarded, never merged into suite output.
-	Observe func(tr *trace.Buffer, spans *obs.SpanBuffer)
+	// trace installed — the backing for `sriovsim -trace-out`. It is
+	// observational only: the metrics it produces are discarded, never
+	// merged into suite output.
+	Observe func(tr *obs.Trace)
 }
 
 // Run executes the experiment serially: every point in order, each with a
@@ -104,7 +103,7 @@ func wholePoint(run func() *report.Figure) []Point {
 func unwrapFigure(results []any) *report.Figure { return results[0].(*report.Figure) }
 
 // setObserve attaches an Observe hook to an already-registered experiment.
-func setObserve(id string, fn func(tr *trace.Buffer, spans *obs.SpanBuffer)) {
+func setObserve(id string, fn func(tr *obs.Trace)) {
 	s, ok := registry[id]
 	if !ok {
 		panic("experiments: setObserve on unknown id " + id)

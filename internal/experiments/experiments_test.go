@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -80,7 +79,7 @@ func TestRegistryAndHelpers(t *testing.T) {
 }
 
 func TestOutageWindowHelper(t *testing.T) {
-	s := stats.NewSeries(100 * units.Millisecond)
+	s := newSeries(100 * units.Millisecond)
 	// Full rate everywhere except two outages: [0.5,0.8) and [1.2,1.4).
 	full := 957e6 / 8 * 0.1 // bytes per full bucket
 	for i := 0; i < 20; i++ {
@@ -111,7 +110,7 @@ func TestOutageWindowHelper(t *testing.T) {
 }
 
 func TestSingleBucketDipIgnored(t *testing.T) {
-	s := stats.NewSeries(100 * units.Millisecond)
+	s := newSeries(100 * units.Millisecond)
 	full := 1e7
 	for i := 0; i < 10; i++ {
 		v := full

@@ -10,7 +10,6 @@ import (
 	"repro/internal/netstack"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -72,7 +71,7 @@ func runFaultCase(c faultCase) faultResult {
 	g.Bond.StartMonitor(0) // model default: miimon 100 ms
 	tb.StartUDP(g, model.LineRateUDP)
 
-	series := stats.NewSeries(faultBucket)
+	series := newSeries(faultBucket)
 	nBuckets := int(int64(faultEnd)/int64(faultBucket)) + 1
 	onPV := make([]bool, nBuckets)
 	var lastBytes units.Size

@@ -11,7 +11,6 @@ import (
 	"repro/internal/netstack"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -32,7 +31,7 @@ const timelineEnd = 16 * units.Second
 
 // migrationRun holds one timeline's artifacts.
 type migrationRun struct {
-	series     *stats.Series // goodput bytes per bucket
+	series     *series // goodput bytes per bucket
 	dom0Before float64
 	result     *migration.Result
 	bondBackVF bool
@@ -57,7 +56,7 @@ func runMigrationTimeline(dnis bool) migrationRun {
 	}
 	tb.StartUDP(g, model.LineRateUDP)
 
-	run := migrationRun{series: stats.NewSeries(timelineBucket)}
+	run := migrationRun{series: newSeries(timelineBucket)}
 	var lastBytes units.Size
 	tick := sim.NewTicker(tb.Eng, timelineBucket, "timeline:sample", func(now units.Time) {
 		cur := g.Recv.Stats.AppBytes
@@ -108,13 +107,13 @@ func runMigrationTimeline(dnis bool) migrationRun {
 
 // goodputMbpsAt reports the timeline's goodput in Mbps for the bucket
 // containing t.
-func goodputMbpsAt(s *stats.Series, t units.Duration) float64 {
+func goodputMbpsAt(s *series, t units.Duration) float64 {
 	idx := int(int64(t) / int64(s.Width()))
 	return s.Bucket(idx) * 8 / s.Width().Seconds() / 1e6
 }
 
 // fillTimeline renders a series at half-second resolution for the report.
-func fillTimeline(f *report.Figure, s *stats.Series) {
+func fillTimeline(f *report.Figure, s *series) {
 	out := f.AddSeries("goodput", "Mbps")
 	for t := units.Duration(0); t < timelineEnd; t += 500 * units.Millisecond {
 		out.Add(fmt.Sprintf("%.1fs", t.Seconds()), goodputMbpsAt(s, t))
@@ -123,7 +122,7 @@ func fillTimeline(f *report.Figure, s *stats.Series) {
 
 // outageWindow finds the first run of at least two near-zero buckets at or
 // after `from`, returning its start and end times.
-func outageWindow(s *stats.Series, from units.Duration) (units.Duration, units.Duration) {
+func outageWindow(s *series, from units.Duration) (units.Duration, units.Duration) {
 	width := s.Width()
 	curStart := units.Duration(-1)
 	for i := int(int64(from) / int64(width)); i < s.Len(); i++ {

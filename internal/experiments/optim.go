@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -236,12 +235,11 @@ func buildFig07(results []any) *report.Figure {
 func init() {
 	// Fig. 7's single-guest line-rate run doubles as the `-trace-out`
 	// workload: one VF, every control-plane event and packet hop visible.
-	setObserve("fig07", func(tr *trace.Buffer, spans *obs.SpanBuffer) {
+	setObserve("fig07", func(tr *obs.Trace) {
 		seed := PointSeed("fig07", "observe")
 		tb := core.NewTestbed(core.Config{Seed: seed, Ports: 1,
 			Opts: vmm.Optimizations{MaskAccel: true, EOIAccel: true}})
 		tb.SetTracer(tr)
-		tb.SetSpans(spans)
 		g, err := tb.AddSRIOVGuest("guest-1", vmm.HVM, vmm.KernelRHEL5, 0, 0, dynamicPolicy())
 		if err != nil {
 			panic(err)

@@ -13,9 +13,8 @@ import (
 
 	"repro/internal/drivers"
 	"repro/internal/nic"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -94,9 +93,7 @@ type Injector struct {
 	targets []*target
 
 	// Tracer receives "fault" events (nil-safe).
-	Tracer *trace.Buffer
-	// Counters accumulates per-kind injection and recovery counts.
-	Counters *stats.Counters
+	Tracer *obs.Trace
 	// Injected counts applied scenarios.
 	Injected int64
 
@@ -109,8 +106,8 @@ type Injector struct {
 }
 
 // NewInjector creates an injector on the engine. The tracer may be nil.
-func NewInjector(eng *sim.Engine, tracer *trace.Buffer) *Injector {
-	return &Injector{eng: eng, Tracer: tracer, Counters: stats.NewCounters()}
+func NewInjector(eng *sim.Engine, tracer *obs.Trace) *Injector {
+	return &Injector{eng: eng, Tracer: tracer}
 }
 
 // Watch registers a port (with its PF driver) as a fault target and hooks
@@ -121,11 +118,9 @@ func (in *Injector) Watch(port *nic.Port, pf *drivers.PFDriver) int {
 	port.Mailbox().OnSend = func(dir nic.Direction, msg nic.Message) nic.SendVerdict {
 		now := in.eng.Now()
 		if now < t.dropUntil {
-			in.Counters.Add("mailbox-dropped", 1)
 			return nic.SendVerdict{Drop: true}
 		}
 		if now < t.delayUntil {
-			in.Counters.Add("mailbox-delayed", 1)
 			return nic.SendVerdict{Delay: t.delay}
 		}
 		return nic.SendVerdict{}
@@ -176,7 +171,6 @@ func (in *Injector) apply(s Scenario) {
 	t := in.targets[s.Port]
 	now := in.eng.Now()
 	in.Injected++
-	in.Counters.Add("inject:"+s.Kind.String(), 1)
 	in.Tracer.Emitf(now, "fault", "inject", "%s port=%s vf=%d dur=%v",
 		s.Kind, t.port.Name(), s.VF, s.Duration)
 	if in.OnInject != nil {
@@ -228,7 +222,6 @@ func (in *Injector) apply(s Scenario) {
 
 // cleared marks the end of a fault's injection window.
 func (in *Injector) cleared(s Scenario, t *target) {
-	in.Counters.Add("cleared:"+s.Kind.String(), 1)
 	in.Tracer.Emitf(in.eng.Now(), "fault", "cleared", "%s port=%s vf=%d",
 		s.Kind, t.port.Name(), s.VF)
 	if in.OnCleared != nil {

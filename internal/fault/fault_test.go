@@ -9,7 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/netstack"
-	"repro/internal/trace"
+	"repro/internal/obs"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -102,7 +102,7 @@ func TestSurpriseRemovalWatchdogRecovery(t *testing.T) {
 // for the determinism check.
 func faultRun(t *testing.T) string {
 	tb, g, inj := bondRig(t)
-	tr := trace.NewBuffer(8192)
+	tr := obs.NewTrace(8192, 0)
 	tb.SetTracer(tr)
 	inj.Tracer = tr
 
@@ -121,7 +121,10 @@ func faultRun(t *testing.T) string {
 	tb.StopAll()
 
 	var sb strings.Builder
-	tr.Dump(&sb)
+	for _, e := range tr.Events() {
+		sb.WriteString(e.String())
+		sb.WriteByte('\n')
+	}
 	return sb.String()
 }
 

@@ -23,13 +23,13 @@ func (u *IOMMU) ProgramIRTE(vector uint8, rid uint16) {
 		u.irte = make(map[uint8]IRTE)
 	}
 	u.irte[vector] = IRTE{Vector: vector, RID: rid, Present: true}
-	u.Counters.Add("irte_programmed", 1)
+	u.irteProgrammed.Inc()
 }
 
 // ClearIRTE removes the entry for vector.
 func (u *IOMMU) ClearIRTE(vector uint8) {
 	delete(u.irte, vector)
-	u.Counters.Add("irte_cleared", 1)
+	u.irteCleared.Inc()
 }
 
 // IRTEFor reports the entry for a vector.
@@ -45,13 +45,13 @@ func (u *IOMMU) IRTEFor(vector uint8) (IRTE, bool) {
 func (u *IOMMU) ValidateMSI(rid uint16, vector uint8) error {
 	e, ok := u.irte[vector]
 	if !ok {
-		u.Counters.Add("msi_blocked", 1)
+		u.msiBlocked.Inc()
 		return fmt.Errorf("iommu: no interrupt-remap entry for vector %d", vector)
 	}
 	if e.RID != rid {
-		u.Counters.Add("msi_blocked", 1)
+		u.msiBlocked.Inc()
 		return fmt.Errorf("iommu: vector %d belongs to rid %#04x, signalled by %#04x", vector, e.RID, rid)
 	}
-	u.Counters.Add("msi_remapped", 1)
+	u.msiRemapped.Inc()
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
-	"repro/internal/stats"
+	"repro/internal/obs"
 )
 
 // levels and bits of the modeled page table (3-level, 9 bits per level,
@@ -274,18 +274,34 @@ type IOMMU struct {
 	tlb      *IOTLB
 	// irte is the interrupt-remapping table, vector → allowed requester
 	// (vectors are globally unique in this system, §4.1).
-	irte     map[uint8]IRTE
-	Counters *stats.Counters
+	irte map[uint8]IRTE
 	// Faults records rejected transactions for inspection.
 	Faults []Fault
+
+	// Counters is the unit's own registry: "dma", "ptwalk_accesses",
+	// "faults", "irte_programmed", "irte_cleared", "msi_blocked" and
+	// "msi_remapped". New resolves each one into the fields below, so the
+	// DMA and MSI paths increment a field instead of hashing a name.
+	Counters                    *obs.Registry
+	dma, walks, faults          *obs.Counter
+	irteProgrammed, irteCleared *obs.Counter
+	msiBlocked, msiRemapped     *obs.Counter
 }
 
 // New creates an IOMMU with the given IOTLB capacity.
 func New(iotlbCapacity int) *IOMMU {
+	r := obs.NewRegistry()
 	return &IOMMU{
-		contexts: make(map[uint16]*context),
-		tlb:      NewIOTLB(iotlbCapacity),
-		Counters: stats.NewCounters(),
+		contexts:       make(map[uint16]*context),
+		tlb:            NewIOTLB(iotlbCapacity),
+		Counters:       r,
+		dma:            r.Counter("dma"),
+		walks:          r.Counter("ptwalk_accesses"),
+		faults:         r.Counter("faults"),
+		irteProgrammed: r.Counter("irte_programmed"),
+		irteCleared:    r.Counter("irte_cleared"),
+		msiBlocked:     r.Counter("msi_blocked"),
+		msiRemapped:    r.Counter("msi_remapped"),
 	}
 }
 
@@ -368,7 +384,7 @@ func (u *IOMMU) Unmap(rid uint16, gfn uint64) error {
 // TranslateDMA validates and translates one transaction. It satisfies
 // pcie.Translator. Faults are recorded and returned as *Fault errors.
 func (u *IOMMU) TranslateDMA(rid uint16, addr uint64, write bool) (uint64, error) {
-	u.Counters.Add("dma", 1)
+	u.dma.Inc()
 	c, ok := u.contexts[rid]
 	if !ok {
 		return 0, u.fault(rid, addr, write, "no context for requester")
@@ -382,7 +398,7 @@ func (u *IOMMU) TranslateDMA(rid uint16, addr uint64, write bool) (uint64, error
 		return e.mfn<<mem.PageShift | off, nil
 	}
 	leaf, hops := c.pt.walk(gfn)
-	u.Counters.Add("ptwalk_accesses", int64(hops))
+	u.walks.Add(int64(hops))
 	if !leaf.present {
 		return 0, u.fault(rid, addr, write, "not mapped")
 	}
@@ -396,6 +412,6 @@ func (u *IOMMU) TranslateDMA(rid uint16, addr uint64, write bool) (uint64, error
 func (u *IOMMU) fault(rid uint16, addr uint64, write bool, reason string) error {
 	f := Fault{RID: rid, Addr: addr, Write: write, Reason: reason}
 	u.Faults = append(u.Faults, f)
-	u.Counters.Add("faults", 1)
+	u.faults.Inc()
 	return &f
 }

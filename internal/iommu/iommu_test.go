@@ -270,6 +270,50 @@ func TestCountersTrackWalks(t *testing.T) {
 	}
 }
 
+// TestTranslateDMAAllocationFree pins the per-DMA path: a hit, and a miss
+// that walks the page table and evicts from a full IOTLB, allocate nothing,
+// and both still reach the unit's "dma" and "ptwalk_accesses" counters.
+func TestTranslateDMAAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	u := New(4)
+	u.AttachDomain(1, 1)
+	for gfn := uint64(0); gfn < 8; gfn++ {
+		u.Map(1, gfn, 100+gfn, true)
+	}
+	const runs = 100
+	hit := testing.AllocsPerRun(runs, func() {
+		if _, err := u.TranslateDMA(1, 0, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	misses := u.TLB().Misses
+	var gfn uint64
+	miss := testing.AllocsPerRun(runs, func() {
+		// Cycling through twice the IOTLB's capacity makes every access
+		// an LRU miss that evicts.
+		gfn = (gfn + 1) % 8
+		if _, err := u.TranslateDMA(1, gfn<<mem.PageShift, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hit != 0 || miss != 0 {
+		t.Fatalf("allocs per TranslateDMA: hit %.0f, miss %.0f, want 0", hit, miss)
+	}
+	// AllocsPerRun makes one warm-up call before its runs.
+	if got := u.TLB().Misses - misses; got != runs+1 {
+		t.Fatalf("miss loop missed %d times, want %d", got, runs+1)
+	}
+	if got, want := u.Counters.Get("dma"), int64(2*(runs+1)); got != want {
+		t.Fatalf("dma = %d, want %d", got, want)
+	}
+	// Every miss is one 3-level walk; the first hit-loop call walked too.
+	if got, want := u.Counters.Get("ptwalk_accesses"), int64(3*(runs+2)); got != want {
+		t.Fatalf("ptwalk_accesses = %d, want %d", got, want)
+	}
+}
+
 func TestInterruptRemapping(t *testing.T) {
 	u := New(16)
 	u.ProgramIRTE(65, 0x0108)
@@ -289,10 +333,33 @@ func TestInterruptRemapping(t *testing.T) {
 		t.Fatal("unmapped vector should be rejected")
 	}
 	if u.Counters.Get("msi_blocked") != 2 || u.Counters.Get("msi_remapped") != 1 {
-		t.Fatalf("counters: %s", u.Counters)
+		t.Fatalf("msi_blocked = %d, msi_remapped = %d, want 2 and 1",
+			u.Counters.Get("msi_blocked"), u.Counters.Get("msi_remapped"))
 	}
 	u.ClearIRTE(65)
 	if err := u.ValidateMSI(0x0108, 65); err == nil {
 		t.Fatal("cleared IRTE should reject")
 	}
+}
+
+// BenchmarkTranslateDMA measures one DMA translation on an IOTLB hit and on
+// a miss that walks the page table and evicts.
+func BenchmarkTranslateDMA(b *testing.B) {
+	u := New(4)
+	u.AttachDomain(1, 1)
+	for gfn := uint64(0); gfn < 8; gfn++ {
+		u.Map(1, gfn, 100+gfn, true)
+	}
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			u.TranslateDMA(1, 0, true)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			u.TranslateDMA(1, uint64(i%8)<<mem.PageShift, true)
+		}
+	})
 }

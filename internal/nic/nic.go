@@ -17,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -423,12 +422,12 @@ func (q *Queue) Drain(max int) (int, units.Size) {
 			// for the trace exporter, one per hop, then release the slot
 			// back to the ring (guest-drain time is where pooled arrival
 			// state is returned).
-			if sp := q.port.Spans; sp != nil && rec.intrAt != 0 {
+			if tr := q.port.Tracer; tr != nil && rec.intrAt != 0 {
 				if rec.sentAt > 0 {
-					sp.Add(q.name, "doorbell→dma", rec.sentAt, rec.when.Sub(rec.sentAt))
+					tr.AddSpan(q.name, "doorbell→dma", rec.sentAt, rec.when.Sub(rec.sentAt))
 				}
-				sp.Add(q.name, "dma→intr", rec.when, rec.intrAt.Sub(rec.when))
-				sp.Add(q.name, "intr→drain", rec.intrAt, now.Sub(rec.intrAt))
+				tr.AddSpan(q.name, "dma→intr", rec.when, rec.intrAt.Sub(rec.when))
+				tr.AddSpan(q.name, "intr→drain", rec.intrAt, now.Sub(rec.intrAt))
 			}
 			q.arrivals.popFront()
 		}
@@ -497,7 +496,6 @@ func (q *Queue) fire(now units.Time) {
 			q.vmTrack.ObserveDoorbellToIntr(now.Sub(rec.sentAt), n)
 		}
 	}
-	q.port.Tracer.Emit(now, "nic", "intr", q.name)
 	q.throttledUntil = now.Add(q.itrInterval)
 	q.Sink(q)
 }
@@ -512,17 +510,15 @@ type Port struct {
 	// linkUp is the physical link state; faults flap it. Starts up.
 	linkUp bool
 
-	// Tracer, when set, receives link/stall/FLR/mailbox fault events.
-	// Nil-safe: trace.Buffer methods accept a nil receiver.
-	Tracer *trace.Buffer
+	// Tracer, when set, receives link/stall/FLR/mailbox fault events and
+	// per-batch hop spans for the trace exporter. Nil-safe: obs.Trace
+	// methods accept a nil receiver.
+	Tracer *obs.Trace
 
 	// Obs, when set, receives the port's metrics: per-queue interrupt
 	// counters, mailbox counters and per-hop latency histograms. Nil
 	// disables metric collection (nil instruments are no-ops).
 	Obs *obs.Registry
-
-	// Spans, when set, collects per-batch hop spans for the trace exporter.
-	Spans *obs.SpanBuffer
 
 	dev *pcie.Device
 	pf  *pcie.Function

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -37,11 +36,6 @@ func TestNilSafety(t *testing.T) {
 	pt.ObserveDMAToIntr(1, 1)
 	pt.ObserveDoorbellToIntr(1, 1)
 	pt.ObserveIntrToDrain(1, 1)
-	var sb *SpanBuffer
-	sb.Add("t", "n", 0, 1)
-	if sb.Spans() != nil || sb.Total() != 0 {
-		t.Fatal("nil span buffer must be inert")
-	}
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -216,19 +210,32 @@ func TestMergeIsDeterministicInFixedOrder(t *testing.T) {
 	}
 }
 
-func TestSpanBufferWraps(t *testing.T) {
-	s := NewSpanBuffer(3)
-	for i := 0; i < 5; i++ {
-		s.Add("q", "hop", units.Time(i), units.Duration(i))
+func TestRegistryGet(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a").Add(3)
+	r.Counter("a").Add(4)
+	r.Counter("b").Inc()
+	var before bytes.Buffer
+	if err := r.WriteJSON(&before); err != nil {
+		t.Fatal(err)
 	}
-	sp := s.Spans()
-	if s.Total() != 5 || len(sp) != 3 {
-		t.Fatalf("total=%d len=%d", s.Total(), len(sp))
+	if r.Get("a") != 7 || r.Get("b") != 1 {
+		t.Fatalf("Get: a=%d b=%d, want 7 and 1", r.Get("a"), r.Get("b"))
 	}
-	for i, want := range []units.Time{2, 3, 4} {
-		if sp[i].Start != want {
-			t.Fatalf("order: %v", sp)
-		}
+	// Reading an absent counter neither registers it nor shows in output.
+	if r.Get("missing") != 0 {
+		t.Fatal("absent counter should read 0")
+	}
+	var after bytes.Buffer
+	if err := r.WriteJSON(&after); err != nil {
+		t.Fatal(err)
+	}
+	if before.String() != after.String() {
+		t.Fatalf("Get changed the registry:\n%s\nvs\n%s", before.String(), after.String())
+	}
+	var nilReg *Registry
+	if nilReg.Get("a") != 0 {
+		t.Fatal("nil registry Get")
 	}
 }
 
@@ -262,15 +269,13 @@ func TestWriteJSONShape(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	tr := trace.NewBuffer(16)
+	tr := NewTrace(16, 16)
 	tr.Emit(units.Time(5*units.Microsecond), "nic", "intr", "eth0/vf0")
 	tr.Emitf(units.Time(9*units.Microsecond), "irq", "bind", "vector=%d", 34)
-	spans := []Span{
-		{Track: "eth0/vf0", Name: "dma_to_intr", Start: units.Time(2 * units.Microsecond), Dur: 3 * units.Microsecond},
-		{Track: "eth0/vf0", Name: "intr_to_drain", Start: units.Time(5 * units.Microsecond), Dur: 0},
-	}
+	tr.AddSpan("eth0/vf0", "dma_to_intr", units.Time(2*units.Microsecond), 3*units.Microsecond)
+	tr.AddSpan("eth0/vf0", "intr_to_drain", units.Time(5*units.Microsecond), 0)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr.Events(), spans); err != nil {
+	if err := WriteChromeTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -317,7 +322,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 	// Deterministic output for identical input.
 	var buf2 bytes.Buffer
-	if err := WriteChromeTrace(&buf2, tr.Events(), spans); err != nil {
+	if err := WriteChromeTrace(&buf2, tr); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != buf2.String() {

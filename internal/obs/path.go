@@ -73,67 +73,3 @@ func (t *PathTrack) ObserveIntrToDrain(d units.Duration, n int64) {
 	}
 	t.intrToDrain.ObserveN(d, n)
 }
-
-// Span is one timed segment of a packet batch's journey, attributed to a
-// display track (typically the queue name) for the trace exporter.
-type Span struct {
-	Track string
-	Name  string
-	Start units.Time
-	Dur   units.Duration
-}
-
-// SpanBuffer is a fixed-capacity ring of spans, nil-safe like trace.Buffer.
-// It retains the most recent capacity spans; Total counts all additions.
-type SpanBuffer struct {
-	ring  []Span
-	next  int
-	total int64
-}
-
-// NewSpanBuffer creates a buffer retaining the most recent capacity spans.
-func NewSpanBuffer(capacity int) *SpanBuffer {
-	if capacity <= 0 {
-		panic("obs: span capacity must be positive")
-	}
-	return &SpanBuffer{ring: make([]Span, 0, capacity)}
-}
-
-// Add records a span. Safe on nil.
-func (s *SpanBuffer) Add(track, name string, start units.Time, dur units.Duration) {
-	if s == nil {
-		return
-	}
-	sp := Span{Track: track, Name: name, Start: start, Dur: dur}
-	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, sp)
-	} else {
-		s.ring[s.next] = sp
-	}
-	s.next = (s.next + 1) % cap(s.ring)
-	s.total++
-}
-
-// Total reports how many spans were added (including overwritten ones).
-func (s *SpanBuffer) Total() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.total
-}
-
-// Spans returns the retained spans in insertion order.
-func (s *SpanBuffer) Spans() []Span {
-	if s == nil {
-		return nil
-	}
-	if len(s.ring) < cap(s.ring) {
-		out := make([]Span, len(s.ring))
-		copy(out, s.ring)
-		return out
-	}
-	out := make([]Span, 0, cap(s.ring))
-	out = append(out, s.ring[s.next:]...)
-	out = append(out, s.ring[:s.next]...)
-	return out
-}

@@ -6,11 +6,10 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
-// This file exports a run's trace.Buffer events and packet spans in the
+// This file exports a run's Trace, its events and packet spans, in the
 // Chrome trace-event JSON format, loadable by Perfetto (ui.perfetto.dev)
 // and chrome://tracing. Control-plane events become instants ("i") on one
 // thread-track per category; packet spans become complete events ("X") on
@@ -36,10 +35,11 @@ type chromeTrace struct {
 
 func toMicros(t units.Time) float64 { return float64(int64(t)) / 1e3 }
 
-// WriteChromeTrace renders events and spans as one Chrome trace-event JSON
-// document. Thread ids are assigned from the sorted track names so the
-// output is deterministic.
-func WriteChromeTrace(w io.Writer, events []trace.Event, spans []Span) error {
+// WriteChromeTrace renders the trace's events and spans as one Chrome
+// trace-event JSON document. Thread ids are assigned from the sorted track
+// names so the output is deterministic.
+func WriteChromeTrace(w io.Writer, t *Trace) error {
+	events, spans := t.Events(), t.Spans()
 	// Track name → tid, from the sorted union of event categories and span
 	// tracks. Span tracks get a "pkt:" prefix so a queue's packet lane never
 	// collides with an event category of the same name.

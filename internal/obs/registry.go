@@ -1,12 +1,15 @@
-// Package obs is the observability layer: a metrics registry of named
-// counters, gauges and fixed-bucket latency histograms cheap enough for
-// per-packet use, per-hop packet-path tracking (PathTrack, SpanBuffer), and
-// a Perfetto/Chrome trace-event exporter.
+// Package obs is the simulator's one instrument system: a metrics registry
+// of named counters, gauges and fixed-bucket latency histograms cheap
+// enough for per-packet use, per-hop packet-path tracking (PathTrack), a
+// trace sink of control-plane events and packet spans (Trace), and a
+// Perfetto/Chrome trace-event exporter. Components that keep their own
+// counts (the IOMMU, the hypervisor) own a Registry and resolve the
+// counters they increment once, at construction.
 //
-// Everything follows the trace.Buffer nil-safety contract: a nil *Registry
-// hands out nil instruments, and every instrument method is a no-op (and
-// allocation-free) on a nil receiver, so instrumented hot paths cost one
-// branch when observability is off.
+// Everything is nil-safe: a nil *Registry hands out nil instruments, a nil
+// *Trace discards what it is given, and every instrument method is a no-op
+// (and allocation-free) on a nil receiver, so instrumented hot paths cost
+// one branch when observability is off.
 //
 // Registries are single-goroutine, like the simulation engines they observe.
 // A parallel runner gives every task its own registry and merges them in a
@@ -269,6 +272,14 @@ func (r *Registry) Histogram(name string, bounds ...units.Duration) *Hist {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// Get reads the named counter without registering it (0 if absent).
+func (r *Registry) Get(name string) int64 {
+	if r == nil {
+		return 0
+	}
+	return r.counters[name].Value()
 }
 
 // FindHistogram reports the named histogram without registering one (nil if

@@ -24,7 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Options configures a run.
@@ -60,6 +59,32 @@ type Result struct {
 	Err error
 }
 
+// TaskWall is the count, mean and max of per-task wall times, in seconds.
+type TaskWall struct {
+	n        int64
+	sum, max float64
+}
+
+func (w *TaskWall) observe(sec float64) {
+	w.n++
+	w.sum += sec
+	w.max = max(w.max, sec)
+}
+
+// N reports the task count.
+func (w TaskWall) N() int64 { return w.n }
+
+// Mean reports the mean task wall time (0 if none ran).
+func (w TaskWall) Mean() float64 {
+	if w.n == 0 {
+		return 0
+	}
+	return w.sum / float64(w.n)
+}
+
+// Max reports the longest task wall time.
+func (w TaskWall) Max() float64 { return w.max }
+
 // Summary aggregates one run of a set of experiments.
 type Summary struct {
 	Results []Result
@@ -69,8 +94,8 @@ type Summary struct {
 	Wall time.Duration
 	// Tasks is the total task count.
 	Tasks int
-	// TaskWall is the distribution of per-task wall times, in seconds.
-	TaskWall stats.Welford
+	// TaskWall summarizes the per-task wall times.
+	TaskWall TaskWall
 	// Events is the number of simulation events executed during the run
 	// (from the engine's process-wide counter; runs sharing a process with
 	// other simulation work will overcount).
@@ -253,7 +278,7 @@ func runTask(s experiments.Spec, point int, r *Result, sum *Summary, mu *sync.Mu
 		r.Tasks++
 		r.Allocs += allocs
 		r.AllocBytes += allocBytes
-		sum.TaskWall.Observe(wall.Seconds())
+		sum.TaskWall.observe(wall.Seconds())
 		mu.Unlock()
 	}()
 	reg = obs.NewRegistry()

@@ -95,13 +95,13 @@ func (b *MSIBinding) PhysicalMSI() {
 		// Interrupt remapping: reject messages whose requester does not
 		// own the vector.
 		if err := h.mmu.ValidateMSI(b.rid, uint8(b.vector)); err != nil {
-			h.Counters.Add("msi_rejected", 1)
+			h.msiRejected.Inc()
 			return
 		}
 	}
 	if d.paused {
 		// Interrupt stays pending until unpause; model as retry on resume.
-		h.Counters.Add("msi_while_paused", 1)
+		h.msiWhilePaused.Inc()
 		return
 	}
 	switch d.Type {
@@ -199,7 +199,7 @@ func (h *Hypervisor) GuestMSIMaskWrite(d *Domain) {
 	if d.Type != HVM {
 		return
 	}
-	h.Counters.Add("msi_mask_writes", 1)
+	h.msiMaskWrites.Inc()
 	if h.opts.MaskAccel {
 		// Emulated entirely in the hypervisor.
 		h.ChargeXen(d, "msi-mask", model.MaskInHypervisorCycles)
@@ -237,7 +237,7 @@ func (h *Hypervisor) GuestEOI(d *Domain) {
 				// correctly emulate the additional state transition
 				// leading to guest failure". Contained within the guest.
 				d.corrupted = true
-				h.Counters.Add("eoi_misemulation", 1)
+				h.eoiMisemulations.Inc()
 			}
 		}
 		h.ChargeXen(d, "apic", cost)
@@ -320,7 +320,7 @@ func (h *Hypervisor) GuestConfigAccess(d *Domain, writes int) {
 	case PVM:
 		h.ChargeDom0("pciback", units.Cycles(writes)*perAccessPVM)
 	}
-	h.Counters.Add("config_accesses", int64(writes))
+	h.configAccesses.Add(int64(writes))
 }
 
 // ---- Virtual hot-plug (§4.4) ----

@@ -24,8 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -211,12 +209,19 @@ type Hypervisor struct {
 
 	// Exits is the per-reason VM-exit trace backing Fig. 7.
 	Exits map[ExitReason]*ExitRecord
-	// Counters holds miscellaneous event counts.
-	Counters *stats.Counters
+	// Counters is the hypervisor's own registry of miscellaneous event
+	// counts: "assign", "unassign", "msi_rejected", "msi_while_paused",
+	// "msi_mask_writes", "eoi_misemulation" and "config_accesses".
+	// NewFlavored resolves each one into the fields below.
+	Counters                        *obs.Registry
+	assigns, unassigns              *obs.Counter
+	msiRejected, msiWhilePaused     *obs.Counter
+	msiMaskWrites, eoiMisemulations *obs.Counter
+	configAccesses                  *obs.Counter
 	// Tracer, when set, records control-plane events (assignment,
 	// hot-plug, migration pauses, interrupt bindings) for debugging.
 	// A nil tracer costs nothing.
-	Tracer *trace.Buffer
+	Tracer *obs.Trace
 
 	// Obs, when set, mirrors per-reason exit counts into named counters
 	// ("vmm.exits.<reason>") so the metrics pipeline sees them without
@@ -235,17 +240,25 @@ func New(eng *sim.Engine, meter *cpu.Meter, fabric *pcie.Fabric, mmu *iommu.IOMM
 // is "dom0" on Xen and "host" on KVM; driver code is identical either way
 // (the §4 portability claim).
 func NewFlavored(eng *sim.Engine, meter *cpu.Meter, fabric *pcie.Fabric, mmu *iommu.IOMMU, opts Optimizations, flavor Flavor) *Hypervisor {
+	r := obs.NewRegistry()
 	h := &Hypervisor{
-		eng:      eng,
-		meter:    meter,
-		fabric:   fabric,
-		mmu:      mmu,
-		vectors:  interrupts.NewAllocator(),
-		opts:     opts,
-		flavor:   flavor,
-		domains:  make(map[int]*Domain),
-		Exits:    make(map[ExitReason]*ExitRecord),
-		Counters: stats.NewCounters(),
+		eng:              eng,
+		meter:            meter,
+		fabric:           fabric,
+		mmu:              mmu,
+		vectors:          interrupts.NewAllocator(),
+		opts:             opts,
+		flavor:           flavor,
+		domains:          make(map[int]*Domain),
+		Exits:            make(map[ExitReason]*ExitRecord),
+		Counters:         r,
+		assigns:          r.Counter("assign"),
+		unassigns:        r.Counter("unassign"),
+		msiRejected:      r.Counter("msi_rejected"),
+		msiWhilePaused:   r.Counter("msi_while_paused"),
+		msiMaskWrites:    r.Counter("msi_mask_writes"),
+		eoiMisemulations: r.Counter("eoi_misemulation"),
+		configAccesses:   r.Counter("config_accesses"),
 	}
 	service := "dom0"
 	if flavor == KVM {
@@ -361,7 +374,7 @@ func (h *Hypervisor) AssignDevice(d *Domain, fn *pcie.Function) error {
 		return err
 	}
 	d.assigned = append(d.assigned, fn)
-	h.Counters.Add("assign", 1)
+	h.assigns.Inc()
 	h.Tracer.Emitf(h.eng.Now(), "passthrough", "assign", "%s -> %s", fn, d.Name)
 	return nil
 }
@@ -376,7 +389,7 @@ func (h *Hypervisor) UnassignDevice(d *Domain, fn *pcie.Function) {
 			break
 		}
 	}
-	h.Counters.Add("unassign", 1)
+	h.unassigns.Inc()
 	h.Tracer.Emitf(h.eng.Now(), "passthrough", "unassign", "%s from %s", fn, d.Name)
 }
 

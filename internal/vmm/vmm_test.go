@@ -1,15 +1,16 @@
 package vmm
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/iommu"
 	"repro/internal/mem"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -425,7 +426,7 @@ func TestComplexEOIWriterRisk(t *testing.T) {
 
 func TestControlPlaneTracing(t *testing.T) {
 	b := newBed(AllOptimizations)
-	b.hv.Tracer = trace.NewBuffer(64)
+	b.hv.Tracer = obs.NewTrace(64, 0)
 	g := b.guest(t, "guest-1", HVM, Kernel2628)
 	fn := pcie.NewFunction("vf", pcie.MakeRID(1, 0, 0), 0x8086, 0x10ca)
 	if err := b.hv.AssignDevice(g, fn); err != nil {
@@ -439,10 +440,19 @@ func TestControlPlaneTracing(t *testing.T) {
 	if len(ev) < 4 {
 		t.Fatalf("traced events = %d: %v", len(ev), ev)
 	}
-	if len(b.hv.Tracer.Grep("assign")) < 2 {
+	count := func(substr string) int {
+		n := 0
+		for _, e := range ev {
+			if strings.Contains(e.String(), substr) {
+				n++
+			}
+		}
+		return n
+	}
+	if count("assign") < 2 {
 		t.Fatal("assign/unassign not traced")
 	}
-	if len(b.hv.Tracer.Grep("paused=true")) != 1 {
+	if count("paused=true") != 1 {
 		t.Fatal("pause not traced")
 	}
 }

@@ -34,8 +34,8 @@ import (
 	"repro/internal/migration"
 	"repro/internal/model"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vmm"
 	"repro/internal/workload"
@@ -254,8 +254,9 @@ type (
 	FaultScenario = fault.Scenario
 	// FaultKind enumerates the injectable fault types.
 	FaultKind = fault.Kind
-	// TraceBuffer records timestamped simulation events.
-	TraceBuffer = trace.Buffer
+	// TraceBuffer is a trace sink: a ring of timestamped control-plane
+	// events and a ring of packet spans.
+	TraceBuffer = obs.Trace
 )
 
 // Fault kinds.
@@ -270,7 +271,7 @@ const (
 
 // NewFaultInjector creates an injector watching every port of the testbed;
 // FaultScenario.Port indexes the testbed's ports. tracer may be nil — pass
-// the same buffer to Testbed.SetTracer to interleave injections with the
+// the same trace to Testbed.SetTracer to interleave injections with the
 // device- and driver-side recovery events.
 func NewFaultInjector(tb *Testbed, tracer *TraceBuffer) *FaultInjector {
 	in := fault.NewInjector(tb.Eng, tracer)
@@ -280,8 +281,9 @@ func NewFaultInjector(tb *Testbed, tracer *TraceBuffer) *FaultInjector {
 	return in
 }
 
-// NewTrace creates a trace buffer holding up to capacity events.
-func NewTrace(capacity int) *TraceBuffer { return trace.NewBuffer(capacity) }
+// NewTrace creates a trace holding the most recent capacity events. It
+// keeps no packet spans, so a filtered event log stays cheap.
+func NewTrace(capacity int) *TraceBuffer { return obs.NewTrace(capacity, 0) }
 
 // Chaos: seeded randomized fault campaigns and system-wide invariant audits.
 type (
