@@ -4,11 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/runner"
+
 	sriov "repro"
 )
 
 // TestFlagValueErrorsListChoices pins the CLI contract that a bad value for
-// an enumerated flag (-backend, -fastpath, -chaos) produces an error naming
+// an enumerated flag (-backend, -fastpath, -fig) produces an error naming
 // every valid choice — a typo should teach, not just reject. Each case runs
 // the same resolver main() dispatches to.
 func TestFlagValueErrorsListChoices(t *testing.T) {
@@ -28,13 +30,13 @@ func TestFlagValueErrorsListChoices(t *testing.T) {
 			choices: []string{"auto", "on", "off"},
 		},
 		{
-			flag: "-chaos",
+			flag: "-fig",
 			resolve: func(v string) error {
-				_, err := chaosIDs(v)
+				_, err := runner.RunIDs([]string{v}, runner.Options{})
 				return err
 			},
 			value:   "fig99",
-			choices: []string{"fig24", "fig25", "fig28", "fig29", "all"},
+			choices: experimentIDs(),
 		},
 		{
 			flag: "-backend",
@@ -65,31 +67,11 @@ func TestFlagValueErrorsListChoices(t *testing.T) {
 	}
 }
 
-// TestChaosIDsValid pins the valid selector → id mapping.
-func TestChaosIDsValid(t *testing.T) {
-	cases := []struct {
-		sel  string
-		want []string
-	}{
-		{"fig24", []string{"fig24"}},
-		{"24", []string{"fig24"}},
-		{"fig25", []string{"fig25"}},
-		{"28", []string{"fig28"}},
-		{"fig29", []string{"fig29"}},
-		{"all", []string{"fig24", "fig25", "fig28", "fig29"}},
+// experimentIDs lists every registered experiment id, the -fig choices.
+func experimentIDs() []string {
+	var ids []string
+	for _, e := range sriov.Experiments() {
+		ids = append(ids, e.ID)
 	}
-	for _, tc := range cases {
-		ids, err := chaosIDs(tc.sel)
-		if err != nil {
-			t.Fatalf("chaosIDs(%q): %v", tc.sel, err)
-		}
-		if len(ids) != len(tc.want) {
-			t.Fatalf("chaosIDs(%q) = %v, want %v", tc.sel, ids, tc.want)
-		}
-		for i := range ids {
-			if ids[i] != tc.want[i] {
-				t.Fatalf("chaosIDs(%q) = %v, want %v", tc.sel, ids, tc.want)
-			}
-		}
-	}
+	return ids
 }

@@ -3,6 +3,7 @@
 // Usage:
 //
 //	sriovsim -fig 12                 # reproduce one figure and print the report
+//	sriovsim -fig 24,25,28,29        # several: the chaos + control-plane batch
 //	sriovsim -all                    # reproduce everything (EXPERIMENTS.md content)
 //	sriovsim -all -parallel 8        # shard experiments across 8 workers
 //	sriovsim -all -bench-out BENCH.json  # also emit the benchmark record
@@ -18,7 +19,6 @@
 //	sriovsim -list                   # list available experiments
 //	sriovsim -alloc-table BENCH.json # per-experiment alloc columns as markdown
 //	sriovsim -serve :8080            # control-plane REST/JSON scenario API
-//	sriovsim -chaos all              # chaos + control-plane figure batch
 //
 // Output is byte-identical at any -parallel value: experiments shard into
 // independent series points, each simulated on its own deterministically
@@ -45,7 +45,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to reproduce (e.g. 12 or fig12)")
+	fig := flag.String("fig", "", "comma-separated figures to reproduce (e.g. 12, fig12 or 24,25,28,29)")
 	all := flag.Bool("all", false, "reproduce every figure")
 	list := flag.Bool("list", false, "list available experiments")
 	csv := flag.Bool("csv", false, "emit the measured series as CSV instead of the report")
@@ -62,7 +62,6 @@ func main() {
 	fastpath := flag.String("fastpath", "auto", "Clos flow fast-path mode for -clos: auto, on, or off")
 	links := flag.String("links", "", "fabric link shape for -hosts as `rateMbps:latencyUs:queueKiB` (0 or empty fields keep defaults)")
 	allocTable := flag.String("alloc-table", "", "print per-experiment allocation columns of this BENCH.json as markdown rows and exit")
-	chaosFig := flag.String("chaos", "", "run the chaos figures: fig24, fig25, or all")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "base seed for -soak iterations")
 	soak := flag.Int("soak", 0, "run this many chaos-soak iterations (seeds chaos-seed..chaos-seed+N-1); exit nonzero on any invariant violation")
 	serve := flag.String("serve", "", "serve the control-plane REST/JSON scenario API on this address (e.g. :8080)")
@@ -85,13 +84,6 @@ func main() {
 		}
 	case *soak > 0:
 		os.Exit(runSoak(*chaosSeed, *soak, *quiet))
-	case *chaosFig != "":
-		ids, err := chaosIDs(*chaosFig)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		os.Exit(runSuite(ids, nil, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
 	case *backend != "":
 		kinds := sriov.DatapathBackends()
 		if *backend != "all" {
@@ -127,11 +119,13 @@ func main() {
 	case *all:
 		os.Exit(runSuite(nil, nil, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
 	case *fig != "":
-		id := *fig
-		if _, err := strconv.Atoi(id); err == nil {
-			id = fmt.Sprintf("fig%02s", id)
+		ids := strings.Split(*fig, ",")
+		for i, id := range ids {
+			if _, err := strconv.Atoi(id); err == nil {
+				ids[i] = fmt.Sprintf("fig%02s", id)
+			}
 		}
-		os.Exit(runSuite([]string{id}, nil, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
+		os.Exit(runSuite(ids, nil, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
 	default:
 		flag.Usage()
 		os.Exit(2)

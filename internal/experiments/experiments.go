@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -112,10 +113,18 @@ func setObserve(id string, fn func(tr *obs.Trace)) {
 	registry[id] = s
 }
 
-// ByID looks an experiment up by id ("fig06", "faults", ...).
-func ByID(id string) (Spec, bool) {
+// ByID looks an experiment up by id ("fig06", "faults", ...). An unknown
+// id is an error that names every valid one.
+func ByID(id string) (Spec, error) {
 	s, ok := registry[id]
-	return s, ok
+	if !ok {
+		ids := make([]string, 0, len(registry))
+		for _, e := range All() {
+			ids = append(ids, e.ID)
+		}
+		return Spec{}, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(ids, ", "))
+	}
+	return s, nil
 }
 
 // All returns the experiments sorted by id.

@@ -7,17 +7,15 @@ import (
 	"repro/internal/units"
 )
 
-// fastFigures complete in well under a second each.
+// fastFigures complete in well under a second each. The whole suite runs
+// once, against its goldens, in internal/runner's TestSuiteMatchesGoldens.
 var fastFigures = []string{"extrr", "fig07", "fig08", "fig09", "fig10", "fig20", "fig21"}
-
-// slowFigures build many testbeds or tens of guests.
-var slowFigures = []string{"ext10g", "faults", "fig06", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig22", "fig23", "fig24", "fig25", "fig26", "fig27", "fig28", "fig29", "fig30", "fig31"}
 
 func runAndAssert(t *testing.T, id string) {
 	t.Helper()
-	s, ok := ByID(id)
-	if !ok {
-		t.Fatalf("experiment %s not registered", id)
+	s, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
 	}
 	f := s.Run()
 	if f.ID != id {
@@ -48,21 +46,8 @@ func TestFastFigures(t *testing.T) {
 	}
 }
 
-func TestSlowFigures(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow figures skipped in -short mode")
-	}
-	for _, id := range slowFigures {
-		id := id
-		t.Run(id, func(t *testing.T) { runAndAssert(t, id) })
-	}
-}
-
 func TestRegistryAndHelpers(t *testing.T) {
-	if len(All()) != len(fastFigures)+len(slowFigures) {
-		t.Fatalf("registry size = %d", len(All()))
-	}
-	if _, ok := ByID("fig99"); ok {
+	if _, err := ByID("fig99"); err == nil {
 		t.Fatal("unknown id should miss")
 	}
 	// perPortRate splits the aggregate evenly.

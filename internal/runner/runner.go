@@ -225,8 +225,8 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 // RunAll runs every registered experiment.
 func RunAll(opts Options) *Summary { return Run(experiments.All(), opts) }
 
-// RunIDs runs the named experiments (sorted, deduplicated). Unknown ids
-// return an error.
+// RunIDs runs the named experiments (sorted, deduplicated). An unknown id
+// returns an error that names every valid one.
 func RunIDs(ids []string, opts Options) (*Summary, error) {
 	seen := map[string]bool{}
 	var specs []experiments.Spec
@@ -235,9 +235,9 @@ func RunIDs(ids []string, opts Options) (*Summary, error) {
 			continue
 		}
 		seen[id] = true
-		s, ok := experiments.ByID(id)
-		if !ok {
-			return nil, fmt.Errorf("runner: unknown experiment %q", id)
+		s, err := experiments.ByID(id)
+		if err != nil {
+			return nil, fmt.Errorf("runner: %w", err)
 		}
 		specs = append(specs, s)
 	}

@@ -16,10 +16,11 @@ import (
 	"repro/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden figure CSVs and metrics JSON")
+var update = flag.Bool("update", false, "rewrite the goldens: every figure CSV, suite.md and suite_metrics.json")
 
 // checkGolden compares an artifact with testdata/golden/<name>, the
-// byte-for-byte output the figures are pinned to; -update rewrites it.
+// byte-for-byte output of a serial run that the suite is pinned to;
+// -update rewrites it.
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", "golden", name)
@@ -37,21 +38,8 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// checkGoldenCSVs pins every listed figure's CSV to its golden.
-func checkGoldenCSVs(t *testing.T, s *Summary, ids ...string) {
-	t.Helper()
-	for _, id := range ids {
-		for _, r := range s.Results {
-			if r.ID == id {
-				checkGolden(t, id+".csv", r.Figure.CSV())
-			}
-		}
-	}
-}
-
-// suiteMarkdown renders a run the way sriovsim -all does: every figure's
-// markdown, in order. Byte equality of this string is the determinism
-// invariant.
+// suiteMarkdown renders a run the way sriovsim -all prints it: every
+// figure's markdown and a blank line, in order.
 func suiteMarkdown(t *testing.T, s *Summary) string {
 	t.Helper()
 	var b strings.Builder
@@ -60,56 +48,114 @@ func suiteMarkdown(t *testing.T, s *Summary) string {
 			t.Fatalf("%s: %v", r.ID, r.Err)
 		}
 		b.WriteString(r.Figure.Markdown())
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// determinismIDs picks the suite for the parallel-vs-serial comparison: a
-// fast subset under -short or the race detector, everything otherwise.
-func determinismIDs(t *testing.T) []string {
-	if testing.Short() || raceEnabled {
-		return []string{"fig07", "fig08", "fig09", "fig10", "fig20", "fig21"}
+func firstDiffLine(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if wl[i] != gl[i] {
+			return fmt.Sprintf("line %d\nwant: %s\ngot:  %s", i+1, wl[i], gl[i])
+		}
 	}
-	var ids []string
-	for _, s := range experiments.All() {
-		ids = append(ids, s.ID)
-	}
-	return ids
+	return "(outputs are prefixes of each other)"
 }
 
-// TestDeterminismAcrossParallelism asserts the tentpole invariant: the full
-// experiment suite renders byte-identical figures at -parallel 1 and
-// -parallel 8. The two legs share nothing: each Run plans its own tasks, so
-// the -parallel 8 leg recomputes every figure, fig15–fig18 included.
+// TestSuiteMatchesGoldens is the one full-suite pass: every registered
+// experiment runs once, at -parallel 8. Under checks/<id> each must
+// produce at least one series and one shape check, pass every check, and
+// render a complete markdown report; under csv/<id> its CSV, and then the
+// suite markdown and the merged metrics registry, must match byte for byte
+// the goldens recorded at -parallel 1. The goldens being serial is what
+// makes this pass the full-suite serial ≡ parallel gate as well.
+func TestSuiteMatchesGoldens(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("the full suite is slow; -short and race runs keep the determinism subset")
+	}
+	s := RunAll(Options{Parallel: 8})
+	t.Run("checks", func(t *testing.T) {
+		for _, r := range s.Results {
+			t.Run(r.ID, func(t *testing.T) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				f := r.Figure
+				if len(f.Series) == 0 || len(f.Checks) == 0 {
+					t.Fatalf("%d series and %d shape checks, want at least one of each", len(f.Series), len(f.Checks))
+				}
+				for _, c := range f.FailedChecks() {
+					t.Errorf("shape check %s failed — %s", c.Name, c.Detail)
+				}
+				md := f.Markdown()
+				for _, want := range []string{"Paper reports:", "Measured:", "Shape checks:"} {
+					if !strings.Contains(md, want) {
+						t.Errorf("markdown missing %q", want)
+					}
+				}
+			})
+		}
+	})
+	t.Run("csv", func(t *testing.T) {
+		for _, r := range s.Results {
+			t.Run(r.ID, func(t *testing.T) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				checkGolden(t, r.ID+".csv", r.Figure.CSV())
+			})
+		}
+	})
+	t.Run("suite.md", func(t *testing.T) {
+		checkGolden(t, "suite.md", suiteMarkdown(t, s))
+	})
+	t.Run("suite_metrics.json", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := s.Obs.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "suite_metrics.json", buf.String())
+	})
+}
+
+// determinismIDs is a fast subset of the suite, small enough for -short
+// and the race detector.
+var determinismIDs = []string{"fig07", "fig08", "fig09", "fig10", "fig20", "fig21"}
+
+// TestDeterminismAcrossParallelism runs the determinism subset at
+// -parallel 1 and -parallel 8 in every mode: the two legs share nothing,
+// yet must render byte-identical markdown from the same task count, and
+// both legs' CSVs must match the serial goldens.
 func TestDeterminismAcrossParallelism(t *testing.T) {
-	ids := determinismIDs(t)
-	s1, err := RunIDs(ids, Options{Parallel: 1})
+	s1, err := RunIDs(determinismIDs, Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s8, err := RunIDs(ids, Options{Parallel: 8})
+	s8, err := RunIDs(determinismIDs, Options{Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	md1, md8 := suiteMarkdown(t, s1), suiteMarkdown(t, s8)
-	if md1 != md8 {
-		line := firstDiffLine(md1, md8)
-		t.Fatalf("suite output differs between -parallel 1 and -parallel 8; first differing line:\n%s", line)
+	if md1, md8 := suiteMarkdown(t, s1), suiteMarkdown(t, s8); md1 != md8 {
+		t.Fatalf("output differs between -parallel 1 (want) and -parallel 8 (got):\n%s", firstDiffLine(md1, md8))
 	}
 	if s1.Tasks != s8.Tasks {
 		t.Fatalf("task counts differ: %d vs %d", s1.Tasks, s8.Tasks)
 	}
-	// fig15/fig16 pin the SR-IOV scalability sweeps and fig17–fig19 the
-	// netback and VMDq ones (the dom0 copy-thread path) byte for byte,
-	// including the HVM cells fig16 and fig18 share with fig15 and fig17;
-	// fig25 pins the chaos family.
-	checkGoldenCSVs(t, s1, "fig15", "fig16", "fig17", "fig18", "fig19", "fig25")
+	for _, s := range []*Summary{s1, s8} {
+		for _, r := range s.Results {
+			checkGolden(t, r.ID+".csv", r.Figure.CSV())
+		}
+	}
+}
 
-	// The allocation claim underneath the pooled hot path, pinned where the
-	// arenas are owned: once a worker's arena has warmed up, a steady-state
-	// schedule→fire→recycle round trip heap-allocates nothing at all.
+// TestSteadyStateRoundTripAllocationFree pins the allocation claim
+// underneath the pooled hot path where the arenas are owned: once a
+// worker's arena has warmed up, a steady-state schedule→fire→recycle round
+// trip heap-allocates nothing at all.
+func TestSteadyStateRoundTripAllocationFree(t *testing.T) {
 	if raceEnabled {
-		return // AllocsPerRun is meaningless under the race detector's shadow allocations
+		t.Skip("AllocsPerRun is meaningless under the race detector's shadow allocations")
 	}
 	eng := sim.NewEngineArena(1, sim.NewArena())
 	fired := 0
@@ -126,105 +172,6 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestClusterFiguresDeterministicAcrossParallelism pins the cluster
-// experiment family (multi-host fabric, inter-host migration) to the same
-// invariant at three parallelism levels, and additionally requires the
-// merged metrics registries — the source of the BENCH fabric/migration
-// totals — to serialize identically, and all of it to match the goldens.
-func TestClusterFiguresDeterministicAcrossParallelism(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("cluster figures are slow; covered unabridged in the full run")
-	}
-	ids := []string{"fig22", "fig23"}
-	var md, reg []string
-	for _, p := range []int{1, 4, 8} {
-		s, err := RunIDs(ids, Options{Parallel: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p == 1 {
-			checkGoldenCSVs(t, s, ids...)
-		}
-		md = append(md, suiteMarkdown(t, s))
-		var buf bytes.Buffer
-		if err := s.Obs.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		reg = append(reg, buf.String())
-	}
-	for i := 1; i < len(md); i++ {
-		if md[i] != md[0] {
-			t.Fatalf("cluster figures differ between -parallel 1 and -parallel %d:\n%s",
-				[]int{1, 4, 8}[i], firstDiffLine(md[0], md[i]))
-		}
-		if reg[i] != reg[0] {
-			t.Fatalf("merged cluster metrics differ between -parallel 1 and -parallel %d",
-				[]int{1, 4, 8}[i])
-		}
-	}
-	checkGolden(t, "fig22_fig23_metrics.json", reg[0])
-}
-
-// TestCtlFiguresDeterministicAcrossParallelism pins the control-plane
-// experiment family (fig28 placement policies, fig29 reconcile-under-chaos)
-// at -parallel 1/4/8: byte-identical markdown, byte-identical CSV (the
-// artifact EXPERIMENTS.md publishes), and byte-identical merged metrics
-// registries — the source of the BENCH placement_churn /
-// ctl_p99_downtime_us totals — all pinned to the goldens.
-func TestCtlFiguresDeterministicAcrossParallelism(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("control-plane figures are slow; covered unabridged in the full run")
-	}
-	ids := []string{"fig28", "fig29"}
-	levels := []int{1, 4, 8}
-	var md, csv, reg []string
-	for _, p := range levels {
-		s, err := RunIDs(ids, Options{Parallel: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p == 1 {
-			checkGoldenCSVs(t, s, ids...)
-		}
-		md = append(md, suiteMarkdown(t, s))
-		var c strings.Builder
-		for _, r := range s.Results {
-			c.WriteString(r.Figure.CSV())
-		}
-		csv = append(csv, c.String())
-		var buf bytes.Buffer
-		if err := s.Obs.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		reg = append(reg, buf.String())
-	}
-	for i := 1; i < len(md); i++ {
-		if md[i] != md[0] {
-			t.Fatalf("control-plane figures differ between -parallel 1 and -parallel %d:\n%s",
-				levels[i], firstDiffLine(md[0], md[i]))
-		}
-		if csv[i] != csv[0] {
-			t.Fatalf("control-plane CSVs differ between -parallel 1 and -parallel %d:\n%s",
-				levels[i], firstDiffLine(csv[0], csv[i]))
-		}
-		if reg[i] != reg[0] {
-			t.Fatalf("merged control-plane metrics differ between -parallel 1 and -parallel %d",
-				levels[i])
-		}
-	}
-	checkGolden(t, "fig28_fig29_metrics.json", reg[0])
-}
-
-func firstDiffLine(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return "p1: " + al[i] + "\np8: " + bl[i]
-		}
-	}
-	return "(outputs are prefixes of each other)"
-}
-
 // TestResultsInInputOrderAndCounted checks ordering, task accounting, and
 // the wall/events bookkeeping on a small mixed run (the six-point fig08 and
 // the single-point fig20).
@@ -236,8 +183,8 @@ func TestResultsInInputOrderAndCounted(t *testing.T) {
 	if len(s.Results) != 2 || s.Results[0].ID != "fig08" || s.Results[1].ID != "fig20" {
 		t.Fatalf("unexpected result order: %+v", s.Results)
 	}
-	fig08, ok := experiments.ByID("fig08")
-	if !ok || len(fig08.Points) < 2 {
+	fig08, err := experiments.ByID("fig08")
+	if err != nil || len(fig08.Points) < 2 {
 		t.Fatal("fig08 should be decomposed")
 	}
 	if got := s.Results[0].Tasks; got != len(fig08.Points) {
@@ -346,10 +293,16 @@ func TestSharedPointRunsOnce(t *testing.T) {
 	}
 }
 
-// TestUnknownID rejects bad ids.
+// TestUnknownID rejects a bad id with an error that names every valid one.
 func TestUnknownID(t *testing.T) {
-	if _, err := RunIDs([]string{"fig99"}, Options{}); err == nil {
+	_, err := RunIDs([]string{"fig99"}, Options{})
+	if err == nil {
 		t.Fatal("expected error for unknown id")
+	}
+	for _, s := range experiments.All() {
+		if !strings.Contains(err.Error(), s.ID) {
+			t.Errorf("error %q does not list valid id %s", err, s.ID)
+		}
 	}
 }
 

@@ -375,11 +375,12 @@ type (
 // Experiments lists every reproduced figure, sorted by id.
 func Experiments() []Experiment { return experiments.All() }
 
-// RunExperiment reproduces one figure by id ("fig06" ... "fig31", "faults").
+// RunExperiment reproduces one figure by id ("fig06" ... "fig31", "faults",
+// "ext10g", "extrr"; see Experiments).
 func RunExperiment(id string) (*Figure, error) {
-	s, ok := experiments.ByID(id)
-	if !ok {
-		return nil, fmt.Errorf("sriov: unknown experiment %q (try fig06..fig31 or faults)", id)
+	s, err := experiments.ByID(id)
+	if err != nil {
+		return nil, fmt.Errorf("sriov: %w", err)
 	}
 	return s.Run(), nil
 }

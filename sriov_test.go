@@ -1,13 +1,14 @@
 package sriov
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/units"
 )
 
 // These tests exercise the public API surface end to end; the per-figure
-// shape assertions live in internal/experiments and bench_test.go.
+// shape assertions live in internal/runner's suite pass and bench_test.go.
 
 func TestQuickstartFlow(t *testing.T) {
 	tb := NewTestbed(Config{Ports: 1, Opts: AllOptimizations})
@@ -49,8 +50,14 @@ func TestExperimentRegistryComplete(t *testing.T) {
 }
 
 func TestRunExperimentUnknown(t *testing.T) {
-	if _, err := RunExperiment("fig99"); err == nil {
+	_, err := RunExperiment("fig99")
+	if err == nil {
 		t.Fatal("unknown experiment should error")
+	}
+	for _, e := range Experiments() {
+		if !strings.Contains(err.Error(), e.ID) {
+			t.Errorf("error %q does not list valid id %s", err, e.ID)
+		}
 	}
 }
 
