@@ -32,7 +32,7 @@ func TestFlagValueErrorsListChoices(t *testing.T) {
 		{
 			flag: "-fig",
 			resolve: func(v string) error {
-				_, err := runner.RunIDs([]string{v}, runner.Options{})
+				_, err := runner.Specs([]string{v})
 				return err
 			},
 			value:   "fig99",

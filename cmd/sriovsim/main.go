@@ -94,7 +94,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		os.Exit(runSuite(nil, specs, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
+		os.Exit(runSuite(specs, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
 	case *clos != "":
 		closHosts, vms, err := parseClos(*clos)
 		if err != nil {
@@ -107,7 +107,7 @@ func main() {
 			os.Exit(2)
 		}
 		spec := sriov.ClosRingExperiment(closHosts, vms, mode)
-		os.Exit(runSuite(nil, []sriov.Experiment{spec}, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
+		os.Exit(runSuite([]sriov.Experiment{spec}, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
 	case *hosts > 0:
 		link, err := parseLinks(*links)
 		if err != nil {
@@ -115,9 +115,9 @@ func main() {
 			os.Exit(2)
 		}
 		spec := sriov.ClusterScaleExperiment(*hosts, link)
-		os.Exit(runSuite(nil, []sriov.Experiment{spec}, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
+		os.Exit(runSuite([]sriov.Experiment{spec}, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
 	case *all:
-		os.Exit(runSuite(nil, nil, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
+		os.Exit(runSuite(sriov.Experiments(), *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
 	case *fig != "":
 		ids := strings.Split(*fig, ",")
 		for i, id := range ids {
@@ -125,19 +125,23 @@ func main() {
 				ids[i] = fmt.Sprintf("fig%02s", id)
 			}
 		}
-		os.Exit(runSuite(ids, nil, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
+		specs, err := runner.Specs(ids)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		os.Exit(runSuite(specs, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-// runSuite runs the named experiments (all registered ones when both ids
-// and custom are nil, or the ad-hoc custom specs such as a -hosts cluster
-// sweep) through the worker-pool runner, prints each figure, and optionally
-// emits profiles, a BENCH.json record, a Perfetto trace, and a metrics
-// dump. Returns the process exit code.
-func runSuite(ids []string, custom []sriov.Experiment, parallel int, csv, quiet bool, benchOut, goBenchPath, profilePrefix, traceOut, metricsOut string) int {
+// runSuite runs the given experiments (registered ones, or ad-hoc specs
+// such as a -hosts cluster sweep) through the worker-pool runner, prints
+// each figure, and optionally emits profiles, a BENCH.json record, a
+// Perfetto trace, and a metrics dump. Returns the process exit code.
+func runSuite(specs []sriov.Experiment, parallel int, csv, quiet bool, benchOut, goBenchPath, profilePrefix, traceOut, metricsOut string) int {
 	stopCPU, err := startCPUProfile(profilePrefix)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -154,19 +158,7 @@ func runSuite(ids []string, custom []sriov.Experiment, parallel int, csv, quiet 
 	runtime.ReadMemStats(&msBefore)
 	packetsBefore := workload.TotalPackets()
 
-	var sum *runner.Summary
-	switch {
-	case custom != nil:
-		sum = runner.Run(custom, opts)
-	case ids == nil:
-		sum = runner.RunAll(opts)
-	default:
-		sum, err = runner.RunIDs(ids, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
+	sum := runner.Run(specs, opts)
 
 	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
@@ -216,7 +208,7 @@ func runSuite(ids []string, custom []sriov.Experiment, parallel int, csv, quiet 
 	}
 
 	if traceOut != "" {
-		if err := writeTrace(traceOut, ids); err != nil {
+		if err := writeTrace(traceOut, specs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
@@ -272,22 +264,14 @@ func writeMetrics(path string, sum *runner.Summary) error {
 	return sum.Obs.WriteJSON(f)
 }
 
-// writeTrace re-runs the first selected experiment that carries an Observe
-// hook with a trace installed and exports its events and spans as Chrome
-// trace-event JSON. The observational run is separate from the suite run —
-// its metrics are discarded — so suite output stays byte-identical whether
-// or not -trace-out is given.
-func writeTrace(path string, ids []string) error {
-	want := func(string) bool { return true }
-	if ids != nil {
-		sel := make(map[string]bool, len(ids))
-		for _, id := range ids {
-			sel[id] = true
-		}
-		want = func(id string) bool { return sel[id] }
-	}
-	for _, s := range sriov.Experiments() {
-		if s.Observe == nil || !want(s.ID) {
+// writeTrace re-runs the first of the experiments that ran which carries
+// an Observe hook with a trace installed and exports its events and spans
+// as Chrome trace-event JSON. The observational run is separate from the
+// suite run — its metrics are discarded — so suite output stays
+// byte-identical whether or not -trace-out is given.
+func writeTrace(path string, specs []sriov.Experiment) error {
+	for _, s := range specs {
+		if s.Observe == nil {
 			continue
 		}
 		tr := obs.NewTrace(65536, 32768)

@@ -292,9 +292,6 @@ func (r *Run) Remaining() units.Duration {
 	return 0
 }
 
-// Controller exposes the in-process API surface of the run.
-func (r *Run) Controller() *Controller { return r.ctl }
-
 // Cluster exposes the fabric under the run.
 func (r *Run) Cluster() *cluster.Cluster { return r.cl }
 

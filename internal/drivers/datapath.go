@@ -8,25 +8,6 @@ import (
 	"repro/internal/vmm"
 )
 
-// DeliveryMode distinguishes how completed receive work reaches the guest.
-type DeliveryMode int
-
-const (
-	// DeliverInterrupt: completions raise a (virtual) interrupt — MSI into
-	// the guest for hardware paths, an event-channel kick for PV.
-	DeliverInterrupt DeliveryMode = iota
-	// DeliverPoll: no interrupts anywhere on the data path; a dedicated
-	// poll thread drains the rings and the guest polls its own ring tail.
-	DeliverPoll
-)
-
-func (m DeliveryMode) String() string {
-	if m == DeliverPoll {
-		return "poll"
-	}
-	return "interrupt"
-}
-
 // DatapathStats is the conservation-counter snapshot every backend exposes.
 // The identity audited by internal/chaos after every experiment:
 //
@@ -49,23 +30,16 @@ type DatapathStats struct {
 // flow-cache switch, software passthrough — implements it, so figures and
 // invariant audits pick a backend by name instead of hard-coding types.
 //
-// The contract abstracts four things: how RX work is enqueued toward the
+// The contract abstracts two things: how RX work is enqueued toward the
 // guest (AttachWire / Inject on software backends, NIC classification for
-// hardware ones), how completion is signalled (Delivery), whether dom0 CPU
-// is burned per packet (Dom0OnDataPath — the paper's central cost axis),
-// and the conservation counters (Stats) the chaos audit holds every backend
-// to. Per-backend cycle costs live in internal/model's datapath cost table,
+// hardware ones) and the conservation counters (Stats) the chaos audit
+// holds every backend to. Per-backend cycle costs live in internal/model's datapath cost table,
 // keyed by Kind.
 type Datapath interface {
 	// Kind is the stable backend name: "vf", "pv", "vmdq", "vhost", "ovs"
 	// or "swpass". Observability counters use it as dp.<kind>.* and the
 	// NFV figures as series labels.
 	Kind() string
-	// Delivery reports how completions reach the guest.
-	Delivery() DeliveryMode
-	// Dom0OnDataPath reports whether dom0 spends CPU per data packet (as
-	// opposed to control-path-only involvement).
-	Dom0OnDataPath() bool
 	// Stats snapshots the conservation counters.
 	Stats() DatapathStats
 }
@@ -122,13 +96,6 @@ var (
 // Kind reports the backend name of the SR-IOV hardware path.
 func (d *VFDriver) Kind() string { return "vf" }
 
-// Delivery: the VF raises MSI interrupts, moderated by its ITR policy.
-func (d *VFDriver) Delivery() DeliveryMode { return DeliverInterrupt }
-
-// Dom0OnDataPath: the defining SR-IOV property — dom0 touches nothing per
-// packet; only the control path (mailbox, FLR) goes through software.
-func (d *VFDriver) Dom0OnDataPath() bool { return false }
-
 // Stats maps the VF ring counters onto the backend conservation identity.
 func (d *VFDriver) Stats() DatapathStats {
 	s := d.queue.Stats
@@ -144,13 +111,6 @@ func (d *VFDriver) Stats() DatapathStats {
 
 // Kind reports the backend name of the PV split-driver path.
 func (nb *Netback) Kind() string { return "pv" }
-
-// Delivery: netback kicks netfront over an event channel per served batch.
-func (nb *Netback) Delivery() DeliveryMode { return DeliverInterrupt }
-
-// Dom0OnDataPath: the copy is the cost the paper's PV measurements are
-// dominated by.
-func (nb *Netback) Dom0OnDataPath() bool { return true }
 
 // Stats snapshots the backend conservation counters.
 func (nb *Netback) Stats() DatapathStats {
@@ -172,13 +132,6 @@ func (nb *Netback) Inject(b nic.Batch) { nb.LocalTransfer(b) }
 
 // Kind reports the backend name of the VMDq path.
 func (br *VMDqBridge) Kind() string { return "vmdq" }
-
-// Delivery: queue-owning guests still take an interrupt per served batch.
-func (br *VMDqBridge) Delivery() DeliveryMode { return DeliverInterrupt }
-
-// Dom0OnDataPath: no copy, but dom0 intervenes per packet for memory
-// protection and address translation (§1).
-func (br *VMDqBridge) Dom0OnDataPath() bool { return true }
 
 // Stats snapshots the bridge conservation counters. Packets handed to the
 // copying fallback count as delivered here; the fallback Netback keeps its

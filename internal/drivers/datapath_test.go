@@ -32,26 +32,18 @@ func TestDatapathContracts(t *testing.T) {
 	sw := NewOVSSwitch(r.hv)
 	sp := NewSoftPassthrough(r.hv)
 	cases := []struct {
-		dp       Datapath
-		kind     string
-		delivery DeliveryMode
-		dom0     bool
+		dp   Datapath
+		kind string
 	}{
-		{nb, "pv", DeliverInterrupt, true},
-		{br, "vmdq", DeliverInterrupt, true},
-		{vh, "vhost", DeliverPoll, true},
-		{sw, "ovs", DeliverInterrupt, true},
-		{sp, "swpass", DeliverInterrupt, false},
+		{nb, "pv"},
+		{br, "vmdq"},
+		{vh, "vhost"},
+		{sw, "ovs"},
+		{sp, "swpass"},
 	}
 	for _, c := range cases {
 		if c.dp.Kind() != c.kind {
 			t.Errorf("Kind() = %q, want %q", c.dp.Kind(), c.kind)
-		}
-		if c.dp.Delivery() != c.delivery {
-			t.Errorf("%s Delivery() = %v, want %v", c.kind, c.dp.Delivery(), c.delivery)
-		}
-		if c.dp.Dom0OnDataPath() != c.dom0 {
-			t.Errorf("%s Dom0OnDataPath() = %v, want %v", c.kind, c.dp.Dom0OnDataPath(), c.dom0)
 		}
 	}
 }

@@ -151,13 +151,6 @@ func (sw *OVSSwitch) Cache() *FlowCache { return sw.cache }
 // Kind reports the backend name of the flow-cache switch path.
 func (sw *OVSSwitch) Kind() string { return "ovs" }
 
-// Delivery: the datapath interrupts the guest per delivered batch.
-func (sw *OVSSwitch) Delivery() DeliveryMode { return DeliverInterrupt }
-
-// Dom0OnDataPath: every packet crosses a dom0 datapath thread; misses also
-// cross userspace.
-func (sw *OVSSwitch) Dom0OnDataPath() bool { return true }
-
 // Stats snapshots the conservation counters.
 func (sw *OVSSwitch) Stats() DatapathStats {
 	return DatapathStats{Received: sw.Received, Delivered: sw.Delivered,

@@ -63,14 +63,6 @@ func NewSoftPassthrough(hv *vmm.Hypervisor) *SoftPassthrough {
 // Kind reports the backend name of the software passthrough path.
 func (sp *SoftPassthrough) Kind() string { return "swpass" }
 
-// Delivery: a coalesced completion interrupt per timer firing.
-func (sp *SoftPassthrough) Delivery() DeliveryMode { return DeliverInterrupt }
-
-// Dom0OnDataPath: the defining property shared with SR-IOV — dom0 is
-// control-path only; the recurring data-path charge is Xen's descriptor
-// audit, not a dom0 thread.
-func (sp *SoftPassthrough) Dom0OnDataPath() bool { return false }
-
 // Stats snapshots the conservation counters.
 func (sp *SoftPassthrough) Stats() DatapathStats {
 	return DatapathStats{Received: sp.Received, Delivered: sp.Delivered,

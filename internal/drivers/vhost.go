@@ -17,7 +17,7 @@ import (
 // the cycle budget of one interval on one core. The core is pegged — dom0 is
 // charged the full interval every round whether or not packets arrived — and
 // in exchange the data path has no interrupt cost anywhere: the backend
-// polls its rings and the guest polls its own ring tail (DeliverPoll).
+// polls its rings and the guest polls its own ring tail.
 //
 // The capacity limit is the poll budget, not a queue depth: packets that
 // don't fit in a round stay on the ring (InFlight) for the next one, and a
@@ -65,12 +65,6 @@ func (vh *Vhost) Stop() { vh.ticker.Stop() }
 
 // Kind reports the backend name of the vhost poll-mode path.
 func (vh *Vhost) Kind() string { return "vhost" }
-
-// Delivery: pure poll mode — no interrupts on either side of the ring.
-func (vh *Vhost) Delivery() DeliveryMode { return DeliverPoll }
-
-// Dom0OnDataPath: the poll thread is dom0 CPU, pegged at one full core.
-func (vh *Vhost) Dom0OnDataPath() bool { return true }
 
 // Stats snapshots the conservation counters.
 func (vh *Vhost) Stats() DatapathStats {

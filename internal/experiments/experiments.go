@@ -23,25 +23,24 @@ import (
 )
 
 // Point is one independently runnable unit of an experiment — a single
-// series point such as one VM count or one coalescing policy, or, for an
-// experiment that does not decompose, the whole figure. A point builds its
-// own testbeds (so its own engines) and shares no mutable state with other
-// points; a parallel runner may execute points of one experiment on
-// different goroutines in any order. seed is the stable per-point seed
-// (PointSeed) to use for every engine the point creates; reg is the point's
-// private metrics registry — the caller owns it and (for a parallel runner)
-// merges the per-point registries in point order afterwards, so points
-// never share instruments. arena is the caller's event free list (one per
-// worker goroutine): points pass it into their engines so consecutive
-// points reuse event storage instead of re-paying the allocations. It never
-// affects results, only allocation counts; nil is valid and gives each
-// engine a private arena.
+// series point such as one VM count, one coalescing policy, one fault case
+// or one migration timeline. A point builds its own testbeds (so its own
+// engines) and shares no mutable state with other points; the runner may
+// execute points of one experiment on different goroutines in any order.
+// Every point simulates on what the runner hands it: seed is the stable
+// per-point seed (PointSeed) for every engine the point creates; reg is the
+// point's private metrics registry, which every testbed the point builds
+// measures into and which the runner merges in point order afterwards, so
+// points never share instruments; arena is the worker's event free list,
+// which consecutive points reuse instead of re-paying the allocations. The
+// arena never affects results, only allocation counts; nil is valid and
+// gives each engine a private arena.
 //
 // Key, when set, names a measurement that several experiments share (one
 // cell of a scalability sweep that two figures plot). Points with equal
 // keys must compute equal results whatever seed, registry and arena they
-// are given, so a runner may execute the first of them once and hand its
-// result and registry to the rest.
+// are given, so the runner executes the first of them once, hands its
+// result to the rest and merges its registry once.
 type Point struct {
 	Label string
 	Key   string
@@ -49,9 +48,9 @@ type Point struct {
 }
 
 // Spec describes one reproducible experiment: independent Points, and Build
-// assembling the figure from their results. Every runner — the serial Run
-// below and the parallel worker pool — goes through these two, so they
-// produce identical figures by construction.
+// assembling the figure from their results. The runner (internal/runner) is
+// the only way to execute one, at any parallelism, so every figure comes
+// from the same points whatever the worker count.
 type Spec struct {
 	ID    string
 	Title string
@@ -67,17 +66,6 @@ type Spec struct {
 	Observe func(tr *obs.Trace)
 }
 
-// Run executes the experiment serially: every point in order, each with a
-// fresh registry and all sharing one arena, then Build.
-func (s Spec) Run() *report.Figure {
-	arena := sim.NewArena()
-	results := make([]any, len(s.Points))
-	for i, p := range s.Points {
-		results[i] = p.Run(PointSeed(s.ID, p.Label), obs.NewRegistry(), arena)
-	}
-	return s.Build(results)
-}
-
 // PointSeed derives the stable engine seed for one point of an experiment.
 // It depends only on the experiment id and point label, never on worker
 // assignment or execution order, so results are bit-identical at any
@@ -91,17 +79,6 @@ var registry = map[string]Spec{}
 func registerPoints(id, title string, points []Point, build func([]any) *report.Figure) {
 	registry[id] = Spec{ID: id, Title: title, Points: points, Build: build}
 }
-
-// wholePoint wraps an experiment that does not decompose as its single
-// point. The experiment seeds its own engines and keeps its own registries,
-// ignoring the point's; the point's result is the finished figure, which
-// unwrapFigure hands back as Build.
-func wholePoint(run func() *report.Figure) []Point {
-	return []Point{{Label: "all", Run: func(uint64, *obs.Registry, *sim.Arena) any { return run() }}}
-}
-
-// unwrapFigure is the Build of a wholePoint experiment.
-func unwrapFigure(results []any) *report.Figure { return results[0].(*report.Figure) }
 
 // setObserve attaches an Observe hook to an already-registered experiment.
 func setObserve(id string, fn func(tr *obs.Trace)) {
@@ -145,14 +122,23 @@ const (
 	aicWarm = 1500 * units.Millisecond // adaptive policies need ≥1 pps sample
 )
 
-// measureUDP builds one SR-IOV guest per (port, vf) pair given, starts
-// UDP_STREAM at rate per guest, and measures.
+// bedResult is one UDP_STREAM testbed's measurement window.
 type bedResult struct {
 	util    core.Utilization
 	goodput units.BitRate
-	perVM   map[string]float64
 	bed     *core.Testbed
-	audit   []chaos.Violation // also recorded into the testbed's registry
+}
+
+// bedMeasure is a bedResult reduced to the numbers a figure plots: the
+// utilization split and the aggregate goodput.
+type bedMeasure struct {
+	total, dom0, xen, guests float64
+	tput                     float64 // Gbps
+}
+
+func (r bedResult) measure() bedMeasure {
+	return bedMeasure{total: r.util.Total, dom0: r.util.Dom0, xen: r.util.Xen,
+		guests: r.util.Guests, tput: r.goodput.Gbps()}
 }
 
 // runSRIOV builds n SR-IOV guests spread over the testbed's ports, offers
@@ -175,9 +161,8 @@ func runSRIOV(cfg core.Config, n int, typ vmm.DomainType, k vmm.KernelConfig, po
 	}
 	u, res := tb.Measure(warm, window)
 	tb.StopAll()
-	vs := chaos.AuditTestbed(tb)
-	chaos.Record(tb.Obs, vs)
-	return bedResult{util: u, goodput: core.AggregateGoodput(res), perVM: u.PerGuest, bed: tb, audit: vs}
+	chaos.Record(tb.Obs, chaos.AuditTestbed(tb))
+	return bedResult{util: u, goodput: core.AggregateGoodput(res), bed: tb}
 }
 
 // runPV is runSRIOV's counterpart through the PV split driver.
@@ -193,9 +178,8 @@ func runPV(cfg core.Config, n int, typ vmm.DomainType, k vmm.KernelConfig, perVM
 	}
 	u, res := tb.Measure(warmup, window)
 	tb.StopAll()
-	vs := chaos.AuditTestbed(tb)
-	chaos.Record(tb.Obs, vs)
-	return bedResult{util: u, goodput: core.AggregateGoodput(res), perVM: u.PerGuest, bed: tb, audit: vs}
+	chaos.Record(tb.Obs, chaos.AuditTestbed(tb))
+	return bedResult{util: u, goodput: core.AggregateGoodput(res), bed: tb}
 }
 
 // perPortRate splits the aggregate line rate across the guests sharing each

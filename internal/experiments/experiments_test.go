@@ -1,50 +1,10 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/units"
 )
-
-// fastFigures complete in well under a second each. The whole suite runs
-// once, against its goldens, in internal/runner's TestSuiteMatchesGoldens.
-var fastFigures = []string{"extrr", "fig07", "fig08", "fig09", "fig10", "fig20", "fig21"}
-
-func runAndAssert(t *testing.T, id string) {
-	t.Helper()
-	s, err := ByID(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := s.Run()
-	if f.ID != id {
-		t.Fatalf("figure id = %s", f.ID)
-	}
-	if len(f.Series) == 0 {
-		t.Fatal("no series")
-	}
-	if len(f.Checks) == 0 {
-		t.Fatal("no shape checks")
-	}
-	for _, c := range f.FailedChecks() {
-		t.Errorf("%s: %s — %s", id, c.Name, c.Detail)
-	}
-	// The markdown report must render the reference and the table.
-	md := f.Markdown()
-	for _, want := range []string{"Paper reports:", "Measured:", "Shape checks:"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q", want)
-		}
-	}
-}
-
-func TestFastFigures(t *testing.T) {
-	for _, id := range fastFigures {
-		id := id
-		t.Run(id, func(t *testing.T) { runAndAssert(t, id) })
-	}
-}
 
 func TestRegistryAndHelpers(t *testing.T) {
 	if _, err := ByID("fig99"); err == nil {

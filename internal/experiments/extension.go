@@ -3,12 +3,15 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/guest"
 	"repro/internal/model"
 	"repro/internal/netstack"
 	"repro/internal/nic"
+	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -22,7 +25,7 @@ import (
 // riding a PCIe Gen2 x8 link.
 
 func init() {
-	registerPoints("ext10g", "Extension: single 10 GbE SR-IOV port (82599-class)", wholePoint(Ext10G), unwrapFigure)
+	registerPoints("ext10g", "Extension: single 10 GbE SR-IOV port (82599-class)", ext10gPoints(), buildExt10G)
 }
 
 // ext10gInternalRate is the 82599's internal loopback ceiling (PCIe Gen2 x8
@@ -30,8 +33,34 @@ func init() {
 // roughly half usable for VM-to-VM switching).
 const ext10gInternalRate = 16 * units.Gbps
 
-// Ext10G runs 1–7 guests sharing one 10 GbE SR-IOV port.
-func Ext10G() *report.Figure {
+// ext10gVMs are the guest counts that share the 10 GbE port.
+var ext10gVMs = []int{1, 2, 4, 7}
+
+// ext10gPoints runs one point per guest count on the 10 GbE port, then the
+// reference point: the Fig. 12 all-optimized configuration (10 VMs on
+// 10×1 GbE).
+func ext10gPoints() []Point {
+	pts := make([]Point, 0, len(ext10gVMs)+1)
+	for _, n := range ext10gVMs {
+		pts = append(pts, Point{Label: fmt.Sprintf("%d-VM", n), Run: func(seed uint64, reg *obs.Registry, arena *sim.Arena) any {
+			// A 10 Gbps wire carries ~9.57 Gbps of MTU-framed goodput (same
+			// framing headroom as the 1 GbE ports carrying 957 Mbps).
+			const offered = 9570 * units.Mbps
+			cfg := core.Config{Seed: seed, Ports: 1, PortRate: 10 * units.Gbps,
+				Opts: vmm.AllOptimizations, Obs: reg, Arena: arena}
+			perVM := units.BitRate(float64(offered) / float64(n))
+			return runSRIOV(cfg, n, vmm.HVM, vmm.Kernel2628, aicPolicy, perVM, aicWarm).measure()
+		}})
+	}
+	return append(pts, Point{Label: "10x1G", Run: func(seed uint64, reg *obs.Registry, arena *sim.Arena) any {
+		cfg := core.Config{Seed: seed, Ports: 10, Opts: vmm.AllOptimizations, Obs: reg, Arena: arena}
+		return runSRIOV(cfg, 10, vmm.HVM, vmm.Kernel2628, aicPolicy, model.LineRateUDP, aicWarm).measure()
+	}})
+}
+
+// buildExt10G assembles 1–7 guests sharing one 10 GbE SR-IOV port against
+// the 10×1 GbE reference.
+func buildExt10G(results []any) *report.Figure {
 	f := &report.Figure{
 		ID:    "ext10g",
 		Title: "Extension: 1–7 VMs sharing a single 10 GbE SR-IOV port",
@@ -47,31 +76,15 @@ func Ext10G() *report.Figure {
 	totalS := f.AddSeries("total-cpu", "%")
 	dom0S := f.AddSeries("dom0", "%")
 	tputS := f.AddSeries("throughput", "Gbps")
-
-	// A 10 Gbps wire carries ~9.57 Gbps of MTU-framed goodput (same
-	// framing headroom as the 1 GbE ports carrying 957 Mbps).
-	cfg := core.Config{
-		Ports:    1,
-		PortRate: 10 * units.Gbps,
-		Opts:     vmm.AllOptimizations,
-	}
-	const offered = 9570 * units.Mbps
-	var sevenVMTotal float64
-	for _, n := range []int{1, 2, 4, 7} {
-		perVM := units.BitRate(float64(offered) / float64(n))
-		r := runSRIOV(cfg, n, vmm.HVM, vmm.Kernel2628, aicPolicy, perVM, aicWarm)
+	for i, n := range ext10gVMs {
+		m := results[i].(bedMeasure)
 		label := fmt.Sprintf("%d-VM", n)
-		totalS.Add(label, r.util.Total)
-		dom0S.Add(label, r.util.Dom0)
-		tputS.Add(label, r.goodput.Gbps())
-		if n == 7 {
-			sevenVMTotal = r.util.Total
-		}
+		totalS.Add(label, m.total)
+		dom0S.Add(label, m.dom0)
+		tputS.Add(label, m.tput)
 	}
-
-	// Reference: the Fig. 12 all-optimized configuration (10 VMs on 10×1G).
-	ref := runSRIOV(core.Config{Ports: 10, Opts: vmm.AllOptimizations}, 10,
-		vmm.HVM, vmm.Kernel2628, aicPolicy, model.LineRateUDP, aicWarm)
+	sevenVMTotal := results[len(ext10gVMs)-1].(bedMeasure).total
+	ref := results[len(ext10gVMs)].(bedMeasure)
 
 	for _, p := range tputS.Points {
 		f.CheckRange("line rate held ("+p.X+")", p.Y, 9.3, 9.7)
@@ -83,24 +96,91 @@ func Ext10G() *report.Figure {
 	// within ~25% of the 10-VM 10×1 GbE total (fewer VMs → fewer timers and
 	// per-VM interrupt floors, so somewhat lower is expected).
 	f.CheckRange("total CPU comparable to 10×1 GbE aggregate",
-		sevenVMTotal/ref.util.Total, 0.6, 1.1)
+		sevenVMTotal/ref.total, 0.6, 1.1)
 	f.CheckTrue("single big port no worse than port aggregation",
-		sevenVMTotal <= ref.util.Total*1.1,
-		fmt.Sprintf("10G=%.0f%% 10x1G=%.0f%%", sevenVMTotal, ref.util.Total))
+		sevenVMTotal <= ref.total*1.1,
+		fmt.Sprintf("10G=%.0f%% 10x1G=%.0f%%", sevenVMTotal, ref.total))
 	return f
 }
 
 func init() {
-	registerPoints("extrr", "Extension: request/response latency vs coalescing policy", wholePoint(ExtRR), unwrapFigure)
+	registerPoints("extrr", "Extension: request/response latency vs coalescing policy", extrrPoints(), buildExtRR)
 }
 
-// ExtRR is a TCP_RR-style extension: §5.3 argues lif exists "to limit the
-// worst latency", but the paper never measures a latency-bound workload.
-// Here a client bounces single-packet request/response transactions off the
-// guest; the transaction rate is dominated by the interrupt coalescing
-// delay on the receive path, so the policy ordering inverts relative to the
-// CPU figures — exactly the trade-off AIC's latency floor exists to bound.
-func ExtRR() *report.Figure {
+// extrrPolicies are the receive coalescing policies extrr compares, in
+// series order.
+var extrrPolicies = []struct {
+	name   string
+	policy func() netstack.ITRPolicy
+}{
+	{"20kHz", func() netstack.ITRPolicy { return netstack.FixedITR(20000) }},
+	{"2kHz", func() netstack.ITRPolicy { return netstack.FixedITR(2000) }},
+	{"AIC", aicPolicy},
+	{"1kHz", func() netstack.ITRPolicy { return netstack.FixedITR(1000) }},
+}
+
+// extrrPoints runs one point per coalescing policy; each returns the
+// transaction rate per second.
+func extrrPoints() []Point {
+	pts := make([]Point, 0, len(extrrPolicies))
+	for _, pc := range extrrPolicies {
+		pts = append(pts, Point{Label: pc.name, Run: func(seed uint64, reg *obs.Registry, arena *sim.Arena) any {
+			return runRR(core.Config{Seed: seed, Ports: 1, Opts: vmm.AllOptimizations, Obs: reg, Arena: arena}, pc.policy())
+		}})
+	}
+	return pts
+}
+
+// runRR bounces single-packet request/response transactions off one
+// SR-IOV guest for two simulated seconds and reports transactions per
+// second, then stops the client and audits the testbed.
+func runRR(cfg core.Config, policy netstack.ITRPolicy) float64 {
+	tb := core.NewTestbed(cfg)
+	g, err := tb.AddSRIOVGuest("server", vmm.HVM, vmm.Kernel2628, 0, 0, policy)
+	if err != nil {
+		panic(err)
+	}
+	sender := guest.NewNetSender(tb.HV, g.Dom)
+	const reqSize = 128 // 1-packet transactions
+	sendRequest := func() {
+		tb.Ports[0].ReceiveFromWire(nic.Batch{Dst: g.MAC, Count: 1, Bytes: reqSize})
+	}
+	// Server: reply to every delivered request.
+	g.Recv.OnDeliver = func(pkts int) {
+		for i := 0; i < pkts; i++ {
+			g.VF.TransmitExternal(sender, 0xff, reqSize, reqSize)
+		}
+	}
+	// Client: next request on each reply, after a small think time.
+	transactions := 0
+	stopped := false
+	tb.Ports[0].Egress = func(b nic.Batch) {
+		if stopped {
+			return
+		}
+		transactions += b.Count
+		tb.Eng.After(20*units.Microsecond, "rr:client", sendRequest)
+	}
+	// Let the driver's mailbox traffic settle before the first request,
+	// then run transactions for two simulated seconds.
+	tb.Eng.RunUntil(tb.Eng.Now().Add(10 * units.Millisecond))
+	sendRequest()
+	start := tb.Eng.Now()
+	end := tb.Eng.RunUntil(start.Add(2 * units.Second))
+	rate := float64(transactions) / end.Sub(start).Seconds()
+	stopped = true
+	chaos.Record(tb.Obs, chaos.AuditTestbed(tb))
+	return rate
+}
+
+// buildExtRR is a TCP_RR-style extension: §5.3 argues lif exists "to limit
+// the worst latency", but the paper never measures a latency-bound
+// workload. Here a client bounces single-packet request/response
+// transactions off the guest; the transaction rate is dominated by the
+// interrupt coalescing delay on the receive path, so the policy ordering
+// inverts relative to the CPU figures — exactly the trade-off AIC's
+// latency floor exists to bound.
+func buildExtRR(results []any) *report.Figure {
 	f := &report.Figure{
 		ID:    "extrr",
 		Title: "Extension: single-stream request/response rate per coalescing policy",
@@ -113,49 +193,9 @@ func ExtRR() *report.Figure {
 	}
 	rateS := f.AddSeries("transactions", "per-s")
 	latS := f.AddSeries("round-trip", "µs")
-
-	type pol struct {
-		name   string
-		policy netstack.ITRPolicy
-	}
-	pols := []pol{
-		{"20kHz", netstack.FixedITR(20000)},
-		{"2kHz", netstack.FixedITR(2000)},
-		{"AIC", netstack.DefaultAIC()},
-		{"1kHz", netstack.FixedITR(1000)},
-	}
-	var rates = map[string]float64{}
-	for _, pc := range pols {
-		tb := core.NewTestbed(core.Config{Ports: 1, Opts: vmm.AllOptimizations})
-		g, err := tb.AddSRIOVGuest("server", vmm.HVM, vmm.Kernel2628, 0, 0, pc.policy)
-		if err != nil {
-			panic(err)
-		}
-		sender := guest.NewNetSender(tb.HV, g.Dom)
-		const reqSize = 128 // 1-packet transactions
-		sendRequest := func() {
-			tb.Ports[0].ReceiveFromWire(nic.Batch{Dst: g.MAC, Count: 1, Bytes: reqSize})
-		}
-		// Server: reply to every delivered request.
-		g.Recv.OnDeliver = func(pkts int) {
-			for i := 0; i < pkts; i++ {
-				g.VF.TransmitExternal(sender, 0xff, reqSize, reqSize)
-			}
-		}
-		// Client: next request on each reply, after a small think time.
-		transactions := 0
-		tb.Ports[0].Egress = func(b nic.Batch) {
-			transactions += b.Count
-			tb.Eng.After(20*units.Microsecond, "rr:client", sendRequest)
-		}
-		// Let the driver's mailbox traffic settle before the first request,
-		// then run transactions for two simulated seconds.
-		tb.Eng.RunUntil(tb.Eng.Now().Add(10 * units.Millisecond))
-		sendRequest()
-		start := tb.Eng.Now()
-		end := tb.Eng.RunUntil(start.Add(2 * units.Second))
-		secs := end.Sub(start).Seconds()
-		rate := float64(transactions) / secs
+	rates := map[string]float64{}
+	for i, pc := range extrrPolicies {
+		rate := results[i].(float64)
 		rates[pc.name] = rate
 		rateS.Add(pc.name, rate)
 		if rate > 0 {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -24,7 +25,7 @@ import (
 
 func init() {
 	registerPoints("faults", "Fault injection: packet loss and time-to-recover by fault type",
-		wholePoint(Faults), unwrapFigure)
+		faultPoints(), buildFaults)
 }
 
 const (
@@ -38,6 +39,26 @@ type faultCase struct {
 	name string
 	kind fault.Kind
 	dur  units.Duration
+}
+
+// faultCases are the injected faults, one point each, in series order.
+var faultCases = []faultCase{
+	{name: "link-flap", kind: fault.LinkFlap, dur: units.Second},
+	{name: "mbox-drop", kind: fault.MailboxDrop, dur: 3 * units.Millisecond},
+	{name: "queue-stall", kind: fault.QueueStall, dur: units.Second},
+	{name: "device-reset", kind: fault.DeviceReset},
+	{name: "vf-remove", kind: fault.SurpriseRemoveVF, dur: 1500 * units.Millisecond},
+}
+
+func faultPoints() []Point {
+	pts := make([]Point, 0, len(faultCases))
+	for _, c := range faultCases {
+		pts = append(pts, Point{Label: c.name, Run: func(seed uint64, reg *obs.Registry, arena *sim.Arena) any {
+			return runFaultCase(c, core.Config{Seed: seed, Ports: 2, Opts: vmm.AllOptimizations,
+				NetbackThreads: 2, Obs: reg, Arena: arena})
+		}})
+	}
+	return pts
 }
 
 // faultResult is one run's measured recovery behaviour.
@@ -57,13 +78,12 @@ type faultResult struct {
 	violations  []chaos.Violation // system-wide invariant audit after recovery
 }
 
-// runFaultCase builds a fresh two-port testbed with one bonded guest (VF on
-// port 0, PV standby on port 1), starts line-rate UDP and the bond health
-// monitor, injects the fault at t = 2 s and measures recovery until t = 8 s.
-func runFaultCase(c faultCase) faultResult {
-	tb := core.NewTestbed(core.Config{
-		Ports: 2, Opts: vmm.AllOptimizations, NetbackThreads: 2,
-	})
+// runFaultCase builds a fresh two-port testbed from cfg with one bonded
+// guest (VF on port 0, PV standby on port 1), starts line-rate UDP and the
+// bond health monitor, injects the fault at t = 2 s and measures recovery
+// until t = 8 s.
+func runFaultCase(c faultCase, cfg core.Config) faultResult {
+	tb := core.NewTestbed(cfg)
 	g, err := tb.AddBondedGuestOn("guest-1", vmm.HVM, vmm.Kernel2628, 0, 0, 1, netstack.DefaultAIC())
 	if err != nil {
 		panic(err)
@@ -153,9 +173,8 @@ func runFaultCase(c faultCase) faultResult {
 	return r
 }
 
-// Faults runs every fault scenario and reports loss, retries and recovery
-// latency per type.
-func Faults() *report.Figure {
+// buildFaults reports loss, retries and recovery latency per fault type.
+func buildFaults(results []any) *report.Figure {
 	f := &report.Figure{
 		ID:    "faults",
 		Title: "Fault injection on a DNIS bond: loss and time-to-recover by fault type",
@@ -168,19 +187,11 @@ func Faults() *report.Figure {
 			"PF→VF mailbox carries reset/link events (§4.2); requests survive loss via retry",
 		},
 	}
-	cases := []faultCase{
-		{name: "link-flap", kind: fault.LinkFlap, dur: units.Second},
-		{name: "mbox-drop", kind: fault.MailboxDrop, dur: 3 * units.Millisecond},
-		{name: "queue-stall", kind: fault.QueueStall, dur: units.Second},
-		{name: "device-reset", kind: fault.DeviceReset},
-		{name: "vf-remove", kind: fault.SurpriseRemoveVF, dur: 1500 * units.Millisecond},
-	}
-
 	lost := f.AddSeries("packets lost", "pkts")
 	ttr := f.AddSeries("time to recover", "ms")
 	retries := f.AddSeries("mailbox retries", "")
-	for _, c := range cases {
-		r := runFaultCase(c)
+	for i, c := range faultCases {
+		r := results[i].(faultResult)
 		lost.Add(c.name, r.lostPkts)
 		ttr.Add(c.name, r.ttr.Seconds()*1e3)
 		retries.Add(c.name, float64(r.retries))

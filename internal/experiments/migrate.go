@@ -9,6 +9,7 @@ import (
 	"repro/internal/migration"
 	"repro/internal/model"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -19,8 +20,17 @@ import (
 // on a PV NIC) and Fig. 21 (an HVM guest on SR-IOV with DNIS).
 
 func init() {
-	registerPoints("fig20", "Migrating an HVM running netperf with a PV network driver", wholePoint(Fig20), unwrapFigure)
-	registerPoints("fig21", "Migrating an HVM running netperf with SR-IOV and DNIS", wholePoint(Fig21), unwrapFigure)
+	registerPoints("fig20", "Migrating an HVM running netperf with a PV network driver", timelinePoints(false), buildFig20)
+	registerPoints("fig21", "Migrating an HVM running netperf with SR-IOV and DNIS", timelinePoints(true), buildFig21)
+}
+
+// timelinePoints is a migration figure's single point: the whole timeline
+// is one simulation.
+func timelinePoints(dnis bool) []Point {
+	return []Point{{Label: "timeline", Run: func(seed uint64, reg *obs.Registry, arena *sim.Arena) any {
+		return runMigrationTimeline(dnis, core.Config{Seed: seed, Ports: 1, Opts: vmm.AllOptimizations,
+			NetbackThreads: 2, GuestMemory: model.GuestMemory, Obs: reg, Arena: arena})
+	}}}
 }
 
 // timelineBucket is the goodput sampling interval of the timelines.
@@ -37,13 +47,11 @@ type migrationRun struct {
 	bondBackVF bool
 }
 
-// runMigrationTimeline runs netperf against a guest on one 1 GbE port and
-// migrates it at t = 4.5 s, recording a 100 ms-bucket goodput timeline.
-func runMigrationTimeline(dnis bool) migrationRun {
-	tb := core.NewTestbed(core.Config{
-		Ports: 1, Opts: vmm.AllOptimizations,
-		NetbackThreads: 2, GuestMemory: model.GuestMemory,
-	})
+// runMigrationTimeline runs netperf against a guest on the testbed's one
+// 1 GbE port and migrates it at t = 4.5 s, recording a 100 ms-bucket
+// goodput timeline.
+func runMigrationTimeline(dnis bool, cfg core.Config) migrationRun {
+	tb := core.NewTestbed(cfg)
 	var g *core.Guest
 	var err error
 	if dnis {
@@ -144,8 +152,8 @@ func outageWindow(s *series, from units.Duration) (units.Duration, units.Duratio
 	return 0, 0
 }
 
-// Fig20 is the PV-NIC migration baseline.
-func Fig20() *report.Figure {
+// buildFig20 assembles the PV-NIC migration baseline.
+func buildFig20(results []any) *report.Figure {
 	f := &report.Figure{
 		ID:    "fig20",
 		Title: "Migration timeline: HVM guest with a PV network driver",
@@ -156,7 +164,7 @@ func Fig20() *report.Figure {
 			"service down from ≈10.4 s to ≈11.8 s (stop-and-copy)",
 		},
 	}
-	run := runMigrationTimeline(false)
+	run := results[0].(migrationRun)
 	fillTimeline(f, run.series)
 
 	f.CheckTrue("migration completed", run.result != nil, "")
@@ -174,8 +182,8 @@ func Fig20() *report.Figure {
 	return f
 }
 
-// Fig21 is the SR-IOV + DNIS migration.
-func Fig21() *report.Figure {
+// buildFig21 assembles the SR-IOV + DNIS migration.
+func buildFig21(results []any) *report.Figure {
 	f := &report.Figure{
 		ID:    "fig21",
 		Title: "Migration timeline: HVM guest with SR-IOV and DNIS",
@@ -189,7 +197,7 @@ func Fig21() *report.Figure {
 			"service down ≈10.3 s to ≈11.8 s, on par with the PV driver",
 		},
 	}
-	run := runMigrationTimeline(true)
+	run := results[0].(migrationRun)
 	fillTimeline(f, run.series)
 
 	f.CheckTrue("migration completed", run.result != nil, "")

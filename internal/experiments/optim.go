@@ -271,12 +271,6 @@ func fig12Rows() []fig12Row {
 	}
 }
 
-// fig12Measure is one ladder row's measurement.
-type fig12Measure struct {
-	total, dom0, xen, guests float64
-	tput                     float64 // Gbps
-}
-
 func fig12Points() []Point {
 	rows := fig12Rows()
 	pts := make([]Point, 0, len(rows))
@@ -286,8 +280,7 @@ func fig12Points() []Point {
 			row := fig12Rows()[i]
 			r := runSRIOV(core.Config{Seed: seed, Ports: 10, Opts: row.opts, Obs: reg, Arena: arena}, 10,
 				row.typ, row.kernel, row.policy, model.LineRateUDP, row.warm)
-			return fig12Measure{total: r.util.Total, dom0: r.util.Dom0, xen: r.util.Xen,
-				guests: r.util.Guests, tput: r.goodput.Gbps()}
+			return r.measure()
 		}})
 	}
 	return pts
@@ -316,9 +309,9 @@ func buildFig12(results []any) *report.Figure {
 	tput := f.AddSeries("throughput", "Gbps")
 
 	rows := fig12Rows()
-	vals := map[string]fig12Measure{}
+	vals := map[string]bedMeasure{}
 	for i, row := range rows {
-		m := results[i].(fig12Measure)
+		m := results[i].(bedMeasure)
 		vals[row.label] = m
 		total.Add(row.label, m.total)
 		dom0.Add(row.label, m.dom0)

@@ -36,13 +36,6 @@ func init() {
 // vmCounts is the x-axis of all scalability figures.
 var vmCounts = []int{10, 20, 30, 40, 50, 60}
 
-// scaleMeasure is one sweep cell: utilization split and goodput at one VM
-// count.
-type scaleMeasure struct {
-	total, dom0, xen, guests float64
-	tput                     float64 // Gbps
-}
-
 // sweepKey identifies one sweep cell. Fig. 15/16 and 17/18 plot each
 // other's HVM sweeps, so a cell may belong to two figures' point lists.
 type sweepKey struct {
@@ -66,23 +59,16 @@ func (k sweepKey) seed() uint64 {
 	return sim.StableSeed("scale", k.path(), k.typ.String(), fmt.Sprintf("%d", k.n))
 }
 
-// sweepPoint measures one sweep cell. The cell's testbed measures into a
-// private registry and only its invariant audit reaches reg: a runner
-// merges a shared cell's reg once per figure that plots the cell, and the
-// audit is what each of those figures must count.
-func sweepPoint(k sweepKey, reg *obs.Registry, arena *sim.Arena) scaleMeasure {
-	var r bedResult
+// sweepPoint measures one sweep cell into reg, on the cell's own seed. The
+// runner merges a shared cell's registry once, however many figures plot
+// the cell.
+func sweepPoint(k sweepKey, reg *obs.Registry, arena *sim.Arena) bedMeasure {
+	cfg := core.Config{Seed: k.seed(), Ports: 10, Opts: vmm.AllOptimizations, Obs: reg, Arena: arena}
 	if k.pv {
-		r = runPV(core.Config{Seed: k.seed(), Ports: 10, Opts: vmm.AllOptimizations,
-			NetbackThreads: model.NetbackThreadsEnhanced, Arena: arena},
-			k.n, k.typ, vmm.Kernel2628, perPortRate(k.n, 10))
-	} else {
-		r = runSRIOV(core.Config{Seed: k.seed(), Ports: 10, Opts: vmm.AllOptimizations, Arena: arena},
-			k.n, k.typ, vmm.Kernel2628, aicPolicy, perPortRate(k.n, 10), aicWarm)
+		cfg.NetbackThreads = model.NetbackThreadsEnhanced
+		return runPV(cfg, k.n, k.typ, vmm.Kernel2628, perPortRate(k.n, 10)).measure()
 	}
-	chaos.Record(reg, r.audit)
-	return scaleMeasure{total: r.util.Total, dom0: r.util.Dom0, xen: r.util.Xen,
-		guests: r.util.Guests, tput: r.goodput.Gbps()}
+	return runSRIOV(cfg, k.n, k.typ, vmm.Kernel2628, aicPolicy, perPortRate(k.n, 10), aicWarm).measure()
 }
 
 // sweepPoints builds one Point per VM count for the given path and domain
@@ -103,16 +89,16 @@ func sweepPoints(pv bool, typ vmm.DomainType, prefix string) []Point {
 }
 
 // sweepOf reindexes six point results (in vmCounts order) by VM count.
-func sweepOf(results []any) map[int]scaleMeasure {
-	out := make(map[int]scaleMeasure, len(vmCounts))
+func sweepOf(results []any) map[int]bedMeasure {
+	out := make(map[int]bedMeasure, len(vmCounts))
 	for i, n := range vmCounts {
-		out[n] = results[i].(scaleMeasure)
+		out[n] = results[i].(bedMeasure)
 	}
 	return out
 }
 
 // fillScale adds the standard five scalability series.
-func fillScale(f *report.Figure, sw map[int]scaleMeasure) {
+func fillScale(f *report.Figure, sw map[int]bedMeasure) {
 	totalS := f.AddSeries("total-cpu", "%")
 	dom0S := f.AddSeries("dom0", "%")
 	xenS := f.AddSeries("xen", "%")
@@ -130,7 +116,7 @@ func fillScale(f *report.Figure, sw map[int]scaleMeasure) {
 }
 
 // slope reports the per-VM CPU increment between 10 and 60 VMs.
-func slopeOf(sw map[int]scaleMeasure) float64 { return (sw[60].total - sw[10].total) / 50 }
+func slopeOf(sw map[int]bedMeasure) float64 { return (sw[60].total - sw[10].total) / 50 }
 
 // buildFig15 assembles SR-IOV HVM scalability.
 func buildFig15(results []any) *report.Figure {
@@ -256,8 +242,7 @@ func fig19Points() []Point {
 			u, res := tb.Measure(warmup, window)
 			tb.StopAll()
 			chaos.Record(reg, chaos.AuditTestbed(tb))
-			return scaleMeasure{total: u.Total, dom0: u.Dom0, xen: u.Xen,
-				guests: u.Guests, tput: core.AggregateGoodput(res).Gbps()}
+			return bedResult{util: u, goodput: core.AggregateGoodput(res)}.measure()
 		}})
 	}
 	return pts

@@ -217,12 +217,6 @@ func (f *Fabric) Attach(port *Port, dev *Device) {
 	}
 }
 
-// FunctionByRID looks up a registered function.
-func (f *Fabric) FunctionByRID(rid RID) (*Function, bool) {
-	fn, ok := f.functions[rid]
-	return fn, ok
-}
-
 // Functions reports all registered functions sorted by RID.
 func (f *Fabric) Functions() []*Function {
 	out := make([]*Function, 0, len(f.functions))

@@ -4,7 +4,8 @@
 // (experiments.Spec.Points), such as a single VM count of a scalability
 // sweep or one coalescing policy of a sweep. Points that carry the same Key
 // are planned as one task, led by the first of them in input order; the
-// others reuse its result. Tasks are sharded across N goroutines;
+// others reuse its result, and its registry is merged once. Tasks are
+// sharded across N goroutines;
 // every task builds its own testbeds, so every simulation engine lives on
 // exactly one goroutine, and every engine is seeded from a stable per-point
 // seed (experiments.PointSeed) that depends only on what the task is.
@@ -102,8 +103,9 @@ type Summary struct {
 	Events uint64
 	// Obs is the run's merged metrics registry: every task runs with its
 	// own private registry, and they are merged in point order after the
-	// pool drains — a shared task's registry once per point that claims it —
-	// so the merged contents are byte-identical at any parallelism.
+	// pool drains — a shared task's registry once, at its leader — so the
+	// merged contents are byte-identical at any parallelism and count every
+	// simulation exactly once.
 	Obs *obs.Registry
 }
 
@@ -187,10 +189,11 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 	close(ch)
 	wg.Wait()
 
-	// Hand every point its task's outcome and merge the registries in point
-	// order — counters and histogram buckets are sums, but gauge overwrites
-	// and float arithmetic are order-sensitive, so a fixed order keeps
-	// metrics output deterministic. Then assemble, on this goroutine.
+	// Hand every point its task's outcome and merge each task's registry in
+	// point order, once, at the point that leads it — counters and
+	// histogram buckets are sums, but gauge overwrites and float arithmetic
+	// are order-sensitive, so a fixed order keeps metrics output
+	// deterministic. Then assemble, on this goroutine.
 	sum.Obs = obs.NewRegistry()
 	for i, s := range specs {
 		r := &sum.Results[i]
@@ -198,7 +201,9 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 		for j, ti := range slots[i] {
 			t := &tasks[ti]
 			results[j] = t.res
-			sum.Obs.Merge(t.reg)
+			if t.spec == i && t.point == j {
+				sum.Obs.Merge(t.reg)
+			}
 			if t.err != nil && r.Err == nil {
 				r.Err = t.err
 			}
@@ -222,12 +227,18 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 	return sum
 }
 
-// RunAll runs every registered experiment.
-func RunAll(opts Options) *Summary { return Run(experiments.All(), opts) }
-
-// RunIDs runs the named experiments (sorted, deduplicated). An unknown id
-// returns an error that names every valid one.
+// RunIDs runs the named experiments (see Specs).
 func RunIDs(ids []string, opts Options) (*Summary, error) {
+	specs, err := Specs(ids)
+	if err != nil {
+		return nil, err
+	}
+	return Run(specs, opts), nil
+}
+
+// Specs resolves experiment ids to their specs, sorted and deduplicated.
+// An unknown id returns an error that names every valid one.
+func Specs(ids []string) ([]experiments.Spec, error) {
 	seen := map[string]bool{}
 	var specs []experiments.Spec
 	for _, id := range ids {
@@ -242,7 +253,7 @@ func RunIDs(ids []string, opts Options) (*Summary, error) {
 		specs = append(specs, s)
 	}
 	sort.Slice(specs, func(i, j int) bool { return specs[i].ID < specs[j].ID })
-	return Run(specs, opts), nil
+	return specs, nil
 }
 
 // runTask runs one point of s on a private registry, with panic isolation:

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -74,7 +75,7 @@ func TestSuiteMatchesGoldens(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("the full suite is slow; -short and race runs keep the determinism subset")
 	}
-	s := RunAll(Options{Parallel: 8})
+	s := Run(experiments.All(), Options{Parallel: 8})
 	t.Run("checks", func(t *testing.T) {
 		for _, r := range s.Results {
 			t.Run(r.ID, func(t *testing.T) {
@@ -117,6 +118,58 @@ func TestSuiteMatchesGoldens(t *testing.T) {
 		}
 		checkGolden(t, "suite_metrics.json", buf.String())
 	})
+}
+
+// fastIDs complete in well under a second each.
+var fastIDs = []string{"extrr", "fig07", "fig08", "fig09", "fig10", "fig20", "fig21"}
+
+// TestFastFigures runs each fast experiment alone through a serial runner,
+// in every mode: it must pass every shape check, render a complete
+// markdown report, and leave in its merged registry what its simulations
+// counted — VM exits, and an invariant audit that found nothing.
+func TestFastFigures(t *testing.T) {
+	for _, id := range fastIDs {
+		t.Run(id, func(t *testing.T) {
+			s, err := RunIDs([]string{id}, Options{Parallel: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := s.Results[0]
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			f := r.Figure
+			if f.ID != id {
+				t.Fatalf("figure id = %s", f.ID)
+			}
+			if len(f.Series) == 0 || len(f.Checks) == 0 {
+				t.Fatalf("%d series and %d shape checks, want at least one of each", len(f.Series), len(f.Checks))
+			}
+			for _, c := range f.FailedChecks() {
+				t.Errorf("shape check %s failed — %s", c.Name, c.Detail)
+			}
+			md := f.Markdown()
+			for _, want := range []string{"Paper reports:", "Measured:", "Shape checks:"} {
+				if !strings.Contains(md, want) {
+					t.Errorf("markdown missing %q", want)
+				}
+			}
+			if n := s.Obs.SumCounters("vmm.exits.", ""); n <= 0 {
+				t.Errorf("merged vmm.exits.* = %d, want > 0", n)
+			}
+			var snap struct{ Counters map[string]int64 }
+			var buf bytes.Buffer
+			if err := s.Obs.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := snap.Counters["chaos.invariant_violations"]; !ok || v != 0 {
+				t.Errorf("merged chaos.invariant_violations = %d (registered %v), want registered at 0", v, ok)
+			}
+		})
+	}
 }
 
 // determinismIDs is a fast subset of the suite, small enough for -short
@@ -244,7 +297,7 @@ func TestPanicIsolation(t *testing.T) {
 // TestSharedPointRunsOnce: a keyed point that two experiments list runs
 // once per Run, led by its first claimant in input order. Every claimant
 // gets the leader's result, the merged metrics count the leader's registry
-// once per claimant, and a panic in the shared point fails every claimant.
+// once, and a panic in the shared point fails every claimant.
 // The points are synthetic, so this runs under -short and -race.
 func TestSharedPointRunsOnce(t *testing.T) {
 	var runs atomic.Int32
@@ -280,8 +333,8 @@ func TestSharedPointRunsOnce(t *testing.T) {
 		t.Fatalf("tasks = %d (%d + %d), task-wall samples %d; want 2 (1 + 1), 2",
 			s.Tasks, s.Results[0].Tasks, s.Results[1].Tasks, s.TaskWall.N())
 	}
-	if n := s.Obs.Counter("test.cell_audits").Value(); n != 2 {
-		t.Fatalf("merged test.cell_audits = %d, want one per claimant (2)", n)
+	if n := s.Obs.Counter("test.cell_audits").Value(); n != 1 {
+		t.Fatalf("merged test.cell_audits = %d, want the one run's (1)", n)
 	}
 
 	boom := experiments.Point{Label: "cell", Key: "test/boom", Run: func(uint64, *obs.Registry, *sim.Arena) any { panic("kaboom") }}

@@ -212,9 +212,6 @@ func (e *Engine) Arena() *Arena { return e.arena }
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Seed reports the seed the engine was created with.
-func (e *Engine) Seed() uint64 { return e.seed }
-
 // RNG returns the engine's root deterministic random source. Components
 // should not draw from it directly — use Stream so each consumer has its
 // own named sub-stream and adding one consumer cannot perturb another's
@@ -435,9 +432,6 @@ func (t *Ticker) SetPeriod(p Duration) {
 		t.handle = t.eng.At(deadline, t.name, t.tick)
 	}
 }
-
-// Period reports the current period.
-func (t *Ticker) Period() Duration { return t.period }
 
 // Stop cancels the ticker.
 func (t *Ticker) Stop() {

@@ -18,10 +18,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{seed: seed, state: seed}
 }
 
-// Seed reports the seed the generator was created with. It identifies the
-// stream and does not change as values are drawn.
-func (r *RNG) Seed() uint64 { return r.seed }
-
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

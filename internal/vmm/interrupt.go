@@ -295,15 +295,6 @@ func (h *Hypervisor) GuestMMIOWrite(d *Domain, fn *pcie.Function, bar int, off u
 	fn.MMIOWrite(bar, off, val)
 }
 
-// GuestMMIORead performs a guest MMIO read from an assigned function; like
-// writes, only the MSI-X table page traps.
-func (h *Hypervisor) GuestMMIORead(d *Domain, fn *pcie.Function, bar int, off uint64) uint64 {
-	if msix, ok := pcie.MSIXCapAt(fn.Config()); ok && bar == msix.TableBIR() && d.Type == HVM {
-		h.ChargeXen(d, "vmexit", 2000)
-	}
-	return fn.MMIORead(bar, off)
-}
-
 // ---- Device model / IOVM ----
 
 // GuestConfigAccess models the guest touching a VF's configuration space:

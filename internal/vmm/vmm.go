@@ -146,7 +146,6 @@ type Domain struct {
 
 	lapic  *interrupts.LAPIC
 	events *interrupts.EventChannels
-	grants *mem.GrantTable
 
 	// vector → guest ISR (HVM/Native); port → upcall (PVM).
 	isrs    map[interrupts.Vector]func()
@@ -167,9 +166,6 @@ func (d *Domain) LAPIC() *interrupts.LAPIC { return d.lapic }
 
 // Events exposes the domain's event channels (PVM and dom0).
 func (d *Domain) Events() *interrupts.EventChannels { return d.events }
-
-// Grants exposes the domain's grant table.
-func (d *Domain) Grants() *mem.GrantTable { return d.grants }
 
 // Assigned reports the passthrough functions assigned to the domain.
 func (d *Domain) Assigned() []*pcie.Function { return d.assigned }
@@ -278,17 +274,8 @@ func (h *Hypervisor) Engine() *sim.Engine { return h.eng }
 // Meter returns the CPU meter.
 func (h *Hypervisor) Meter() *cpu.Meter { return h.meter }
 
-// Fabric returns the PCIe fabric.
-func (h *Hypervisor) Fabric() *pcie.Fabric { return h.fabric }
-
 // IOMMU returns the IOMMU.
 func (h *Hypervisor) IOMMU() *iommu.IOMMU { return h.mmu }
-
-// Options reports the active optimizations.
-func (h *Hypervisor) Options() Optimizations { return h.opts }
-
-// SetOptions changes the optimization switches (between runs).
-func (h *Hypervisor) SetOptions(o Optimizations) { h.opts = o }
 
 // Dom0 returns the service domain.
 func (h *Hypervisor) Dom0() *Domain { return h.dom0 }
@@ -316,7 +303,6 @@ func (h *Hypervisor) createDomain(name string, t DomainType, k KernelConfig, dm 
 		Memory:  dm,
 		isrs:    make(map[interrupts.Vector]func()),
 		upcalls: make(map[interrupts.EventChannelPort]func()),
-		grants:  mem.NewGrantTable(h.nextID, 4096),
 	}
 	switch t {
 	case HVM:

@@ -36,6 +36,7 @@ import (
 	"repro/internal/netstack"
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/runner"
 	"repro/internal/units"
 	"repro/internal/vmm"
 	"repro/internal/workload"
@@ -376,13 +377,15 @@ type (
 func Experiments() []Experiment { return experiments.All() }
 
 // RunExperiment reproduces one figure by id ("fig06" ... "fig31", "faults",
-// "ext10g", "extrr"; see Experiments).
+// "ext10g", "extrr"; see Experiments), running its points serially through
+// the same runner as sriovsim. A point that panics is returned as an error.
 func RunExperiment(id string) (*Figure, error) {
-	s, err := experiments.ByID(id)
+	sum, err := runner.RunIDs([]string{id}, runner.Options{Parallel: 1})
 	if err != nil {
 		return nil, fmt.Errorf("sriov: %w", err)
 	}
-	return s.Run(), nil
+	r := sum.Results[0]
+	return r.Figure, r.Err
 }
 
 // DatapathBackends lists the pluggable datapath backend kinds the NFV
