@@ -37,8 +37,8 @@ func benchFigure(b *testing.B, id string, metrics map[string]string) {
 	if !fig.AllChecksPass() {
 		b.Fatalf("%s shape checks failed: %v", id, fig.FailedChecks())
 	}
-	for series, unit := range metrics {
-		if s := fig.FindSeries(series); s != nil {
+	for _, s := range fig.Series {
+		if unit, ok := metrics[s.Name]; ok {
 			b.ReportMetric(s.Last(), unit)
 		}
 	}

@@ -309,7 +309,7 @@ ok  	repro	42.1s
 		t.Fatalf("parsed %d results, want 2: %+v", len(got), got)
 	}
 	b0 := got[0]
-	if b0.Name != "BenchmarkFig16Scale-8" || b0.N != 10 {
+	if b0.Name != "BenchmarkFig16Scale" || b0.N != 10 {
 		t.Fatalf("bad first result: %+v", b0)
 	}
 	want := map[string]float64{"ns/op": 123456789, "Mbps": 9414, "B/op": 1024, "allocs/op": 12}
@@ -320,6 +320,35 @@ ok  	repro	42.1s
 	}
 	if got[1].Metrics["ns/op"] != 612 {
 		t.Fatalf("bad second result: %+v", got[1])
+	}
+}
+
+// TestCompareGoBenchAcrossGOMAXPROCS compares a record taken at
+// GOMAXPROCS 2 (names suffixed -2) against one taken at GOMAXPROCS 1 (no
+// suffix): the same benchmarks match by name, and one that really is
+// absent still fails the gate.
+func TestCompareGoBenchAcrossGOMAXPROCS(t *testing.T) {
+	parse := func(out string) *File {
+		t.Helper()
+		g, err := ParseGoBench(strings.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &File{Schema: Schema, GoBench: g}
+	}
+	base := parse(`BenchmarkEngineStep   	 2000000	       612 ns/op	       0 B/op	       0 allocs/op
+BenchmarkTranslateDMA 	10000000	        67 ns/op	       0 B/op	       0 allocs/op
+`)
+	cur := parse(`BenchmarkEngineStep-2   	 2000000	       615 ns/op	       0 B/op	       0 allocs/op
+BenchmarkTranslateDMA-2 	10000000	        66 ns/op	       0 B/op	       0 allocs/op
+`)
+	if r := Compare(base, cur, CompareOptions{}); r.Failed() || len(r.Missing) != 0 {
+		t.Fatalf("gomaxprocs-2 record against a gomaxprocs-1 baseline: %s", r)
+	}
+	cur.GoBench = cur.GoBench[:1]
+	r := Compare(base, cur, CompareOptions{})
+	if !r.Failed() || len(r.Missing) != 1 || !strings.Contains(r.Missing[0], "BenchmarkTranslateDMA") {
+		t.Fatalf("a benchmark absent from the candidate must fail the gate: %s", r)
 	}
 }
 

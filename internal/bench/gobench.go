@@ -9,8 +9,10 @@ import (
 
 // GoBenchResult is one parsed `go test -bench` result line.
 type GoBenchResult struct {
-	// Name is the benchmark name including the -cpu suffix, e.g.
-	// "BenchmarkFig16Scale-8".
+	// Name is the benchmark name without the -<GOMAXPROCS> suffix go test
+	// appends when GOMAXPROCS > 1 ("BenchmarkFig16Scale-8" is recorded as
+	// "BenchmarkFig16Scale"), so records taken at different CPU counts
+	// compare by name. The file header records GOMAXPROCS.
 	Name string `json:"name"`
 	// N is the iteration count the framework settled on.
 	N int64 `json:"n"`
@@ -36,7 +38,7 @@ func ParseGoBench(r io.Reader) ([]GoBenchResult, error) {
 		if err != nil {
 			continue
 		}
-		res := GoBenchResult{Name: fields[0], N: n, Metrics: map[string]float64{}}
+		res := GoBenchResult{Name: trimProcs(fields[0]), N: n, Metrics: map[string]float64{}}
 		ok := true
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -51,4 +53,19 @@ func ParseGoBench(r io.Reader) ([]GoBenchResult, error) {
 		}
 	}
 	return out, sc.Err()
+}
+
+// trimProcs drops a trailing -<digits> GOMAXPROCS suffix from a benchmark
+// name.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }

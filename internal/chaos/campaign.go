@@ -115,26 +115,6 @@ func FLRDuringMailboxRetry(at units.Time, port int) []fault.Scenario {
 	}
 }
 
-// LinkFlapDuringMigration flaps a link mid-pre-copy, so migration chunks
-// are lost on the wire and must survive on the channel's retransmissions.
-func LinkFlapDuringMigration(migrationStart units.Time, port int) []fault.Scenario {
-	return []fault.Scenario{{
-		At: migrationStart.Add(500 * units.Millisecond), Kind: fault.LinkFlap,
-		Port: port, Duration: 200 * units.Millisecond,
-	}}
-}
-
-// SurpriseRemoveMidPrecopy yanks the destination-side VF while the source
-// is still pre-copying, so the hot add-on at the end finds it missing or
-// freshly returned in reset — the migration must complete (possibly
-// degraded to PV-only) either way.
-func SurpriseRemoveMidPrecopy(migrationStart units.Time, port, vf int, gone units.Duration) []fault.Scenario {
-	return []fault.Scenario{{
-		At: migrationStart.Add(300 * units.Millisecond), Kind: fault.SurpriseRemoveVF,
-		Port: port, VF: vf, Duration: gone,
-	}}
-}
-
 // drawOne fills one scenario's parameters for the kind. The draw sequence
 // is fixed per kind, so a plan is reproducible from the stream alone.
 func drawOne(rng *sim.RNG, cfg Config, at units.Time, kind fault.Kind) fault.Scenario {

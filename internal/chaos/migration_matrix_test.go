@@ -141,7 +141,7 @@ func TestFaultDuringMigrationMatrix(t *testing.T) {
 	// retransmissions), and the destination VF vanishing mid-pre-copy but
 	// returning in reset before the hot add-on.
 	t.Run("link-flap@pre-copy", func(t *testing.T) {
-		c, mig := matrixRun(t, chaos.LinkFlapDuringMigration(r.Start, 0))
+		c, mig := matrixRun(t, linkFlapDuringMigration(r.Start, 0))
 		if mig == nil || mig.Result == nil {
 			t.Fatal("migration neither completed nor aborted")
 		}
@@ -154,7 +154,7 @@ func TestFaultDuringMigrationMatrix(t *testing.T) {
 		}
 	})
 	t.Run("vf-remove@mid-pre-copy-returns", func(t *testing.T) {
-		c, mig := matrixRun(t, chaos.SurpriseRemoveMidPrecopy(r.Start, 1, 2, 500*units.Millisecond))
+		c, mig := matrixRun(t, surpriseRemoveMidPrecopy(r.Start, 1, 2, 500*units.Millisecond))
 		if mig == nil || mig.Result == nil {
 			t.Fatal("migration neither completed nor aborted")
 		}
@@ -191,4 +191,24 @@ func assertCleanTerminal(t *testing.T, c *cluster.Cluster, mig *cluster.Migratio
 func summary(r *migration.Result, degraded int64) string {
 	return fmt.Sprintf("completed: downtime=%v total=%v hot_add_failures=%d",
 		r.Downtime(), r.TotalDuration(), degraded)
+}
+
+// linkFlapDuringMigration flaps a link mid-pre-copy, so migration chunks
+// are lost on the wire and must survive on the channel's retransmissions.
+func linkFlapDuringMigration(migrationStart units.Time, port int) []fault.Scenario {
+	return []fault.Scenario{{
+		At: migrationStart.Add(500 * units.Millisecond), Kind: fault.LinkFlap,
+		Port: port, Duration: 200 * units.Millisecond,
+	}}
+}
+
+// surpriseRemoveMidPrecopy yanks the destination-side VF while the source
+// is still pre-copying, so the hot add-on at the end finds it missing or
+// freshly returned in reset — the migration must complete (possibly
+// degraded to PV-only) either way.
+func surpriseRemoveMidPrecopy(migrationStart units.Time, port, vf int, gone units.Duration) []fault.Scenario {
+	return []fault.Scenario{{
+		At: migrationStart.Add(300 * units.Millisecond), Kind: fault.SurpriseRemoveVF,
+		Port: port, VF: vf, Duration: gone,
+	}}
 }

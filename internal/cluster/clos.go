@@ -28,7 +28,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/model"
 	"repro/internal/nic"
@@ -79,20 +78,6 @@ func (t Topology) Validate() error {
 
 // Hosts reports the total host count.
 func (t Topology) Hosts() int { return t.Leafs * t.HostsPerLeaf }
-
-// Oversubscription reports the leaf uplink oversubscription ratio: edge
-// capacity into a leaf divided by its trunk capacity out. 1.0 is
-// non-blocking; 4.0 means a 4:1 fabric.
-func (t Topology) Oversubscription() float64 {
-	tf := t
-	tf.fill()
-	down := float64(tf.HostsPerLeaf) * float64(tf.HostLink.Rate)
-	up := float64(tf.Spines) * float64(tf.TrunkLink.Rate)
-	if up <= 0 {
-		return math.Inf(1)
-	}
-	return down / up
-}
 
 // OversubscribedTopology builds a topology whose trunks are sized for the
 // requested oversubscription ratio given default edge links.
@@ -745,9 +730,6 @@ func (f *ClosFlow) InFlight() int64  { return f.injectedPkts - f.deliveredPkts -
 
 // DeliveredBytes reports goodput bytes received so far.
 func (f *ClosFlow) DeliveredBytes() units.Size { return f.deliveredBytes }
-
-// Fluid reports whether the flow currently advances on the fast-path.
-func (f *ClosFlow) Fluid() bool { return f.fluid }
 
 // Done reports whether a finite transfer has fully emitted.
 func (f *ClosFlow) Done() bool { return f.done }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/model"
@@ -21,13 +22,26 @@ func newTestClos(t testing.TB, cfg ClosConfig) *Clos {
 	return c
 }
 
+// oversubscription is the leaf uplink oversubscription ratio: edge capacity
+// into a leaf divided by its trunk capacity out. 1.0 is non-blocking; 4.0
+// means a 4:1 fabric.
+func oversubscription(t Topology) float64 {
+	t.fill()
+	down := float64(t.HostsPerLeaf) * float64(t.HostLink.Rate)
+	up := float64(t.Spines) * float64(t.TrunkLink.Rate)
+	if up <= 0 {
+		return math.Inf(1)
+	}
+	return down / up
+}
+
 func TestClosTopologyDefaultsAndValidation(t *testing.T) {
 	var topo Topology
 	topo.fill()
 	if topo.Hosts() != 4 {
 		t.Fatalf("default topology hosts = %d, want 4", topo.Hosts())
 	}
-	if got := topo.Oversubscription(); got != 1.0 {
+	if got := oversubscription(topo); got != 1.0 {
 		t.Fatalf("default oversubscription = %v, want 1.0 (trunk rate matches edge)", got)
 	}
 	if err := (Topology{Leafs: -1}).Validate(); err == nil {
@@ -35,7 +49,7 @@ func TestClosTopologyDefaultsAndValidation(t *testing.T) {
 	}
 
 	over := OversubscribedTopology(4, 2, 8, 4.0)
-	if got := over.Oversubscription(); got < 3.99 || got > 4.01 {
+	if got := oversubscription(over); got < 3.99 || got > 4.01 {
 		t.Fatalf("OversubscribedTopology(.., 4.0) ratio = %v", got)
 	}
 }
@@ -257,7 +271,7 @@ func TestClosPromotionAfterQuiescence(t *testing.T) {
 	}
 	demoted := false
 	for _, f := range hot {
-		if !f.Fluid() {
+		if !f.fluid {
 			demoted = true
 		}
 	}
@@ -270,7 +284,7 @@ func TestClosPromotionAfterQuiescence(t *testing.T) {
 		f.Stop()
 	}
 	c.Run(200 * units.Millisecond)
-	if !bg.Fluid() {
+	if !bg.fluid {
 		t.Error("background flow should be (or return to) fluid after quiescence")
 	}
 	c.StopAll()

@@ -43,10 +43,10 @@ func TestCrossHostFlowDelivers(t *testing.T) {
 		t.Fatalf("cross-host goodput = %v, want ≈500Mbps", got)
 	}
 	// The switch learned both endpoints from real traffic/announcements.
-	if _, ok := c.Switch.FDBPort(src.MAC); !ok {
+	if _, ok := c.Switch.fdb[src.MAC]; !ok {
 		t.Fatal("source MAC not learned")
 	}
-	if _, ok := c.Switch.FDBPort(dst.MAC); !ok {
+	if _, ok := c.Switch.fdb[dst.MAC]; !ok {
 		t.Fatal("destination MAC not learned")
 	}
 	// Fabric instrumentation saw the traffic.
@@ -148,7 +148,7 @@ func TestInterHostDNISMigration(t *testing.T) {
 	if mig.Target == nil || mig.Target.Bond == nil || !mig.Target.Bond.ActiveVF() {
 		t.Fatal("target guest not restored onto a VF-active bond")
 	}
-	sp, ok := c.Switch.FDBPort(vm.MAC)
+	sp, ok := c.Switch.fdb[vm.MAC]
 	if !ok || sp != h1.swPort[0] {
 		t.Fatalf("service MAC learned on switch port %d (ok=%v), want %d", sp, ok, h1.swPort[0])
 	}

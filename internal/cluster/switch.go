@@ -41,18 +41,15 @@ type port struct {
 // destinations flood to every port but the ingress (in port order, so a
 // flood's event schedule is deterministic).
 //
-// Every FDB iteration surface is explicitly ordered: floods walk the port
-// slice, and FDBMACs/FlushPort walk MACs in first-learned order (fdbOrder),
-// never the map. Map iteration order is the one source of nondeterminism Go
-// hands out for free, and a Clos multiplies flood and flush fan-out enough
-// that a single map-ordered walk would break byte-identical replay.
+// The data path only looks the FDB up and never iterates it, so Go's
+// randomized map iteration order cannot reach the event schedule: floods
+// walk the port slice, and byte-identical replay depends on nothing else.
 type Switch struct {
-	eng      *sim.Engine
-	links    []*link // egress links, by port index
-	ports    []port
-	pool     flightPool
-	fdb      map[nic.MAC]int
-	fdbOrder []nic.MAC // first-learned order; the only iteration order used
+	eng   *sim.Engine
+	links []*link // egress links, by port index
+	ports []port
+	pool  flightPool
+	fdb   map[nic.MAC]int
 
 	learns *obs.Counter
 	floods *obs.Counter
@@ -125,9 +122,6 @@ func (s *Switch) land(r *flight, l *link) {
 func (s *Switch) ingress(from int, b nic.Batch) {
 	if b.Src != 0 && b.Src != nic.Broadcast {
 		if cur, ok := s.fdb[b.Src]; !ok || cur != from {
-			if !ok {
-				s.fdbOrder = append(s.fdbOrder, b.Src)
-			}
 			s.fdb[b.Src] = from
 			s.learns.Inc()
 		}
@@ -146,38 +140,4 @@ func (s *Switch) ingress(from int, b nic.Batch) {
 			s.send(i, b)
 		}
 	}
-}
-
-// FDBPort reports which switch port a MAC was learned on.
-func (s *Switch) FDBPort(mac nic.MAC) (int, bool) {
-	p, ok := s.fdb[mac]
-	return p, ok
-}
-
-// FDBMACs returns every learned MAC in first-learned order. The order is a
-// pinned part of the contract: any event schedule derived from walking the
-// FDB must be identical run to run.
-func (s *Switch) FDBMACs() []nic.MAC {
-	out := make([]nic.MAC, len(s.fdbOrder))
-	copy(out, s.fdbOrder)
-	return out
-}
-
-// FlushPort forgets every MAC learned on the given port — what a real ToR
-// does when a link goes down — walking first-learned order so any flood
-// or re-announce triggered downstream is deterministic. It reports how many
-// entries were flushed.
-func (s *Switch) FlushPort(port int) int {
-	kept := s.fdbOrder[:0]
-	flushed := 0
-	for _, mac := range s.fdbOrder {
-		if s.fdb[mac] == port {
-			delete(s.fdb, mac)
-			flushed++
-			continue
-		}
-		kept = append(kept, mac)
-	}
-	s.fdbOrder = kept
-	return flushed
 }

@@ -30,46 +30,31 @@ func batchFrom(src, dst nic.MAC) nic.Batch {
 	return nic.Batch{Src: src, Dst: dst, Count: 1, Bytes: 1514}
 }
 
-// TestSwitchFDBOrderingDeterministic pins the FDB iteration contract:
-// FDBMACs walks first-learned order, re-learning a MAC on a new port keeps
-// its position, and FlushPort preserves the survivors' relative order.
-// This ordering is load-bearing — any flood or re-announce schedule derived
-// from the FDB must be identical run to run.
+// TestSwitchFDBOrderingDeterministic pins that forwarding never depends on
+// the FDB's (map) iteration order: the data path only looks MACs up. Five
+// MACs are learned, one is re-learned on a new port, and unicasts to each
+// land on the port each MAC was last seen on, identically every trial.
 func TestSwitchFDBOrderingDeterministic(t *testing.T) {
-	_, s, _ := orderTestSwitch(4)
 	macs := []nic.MAC{0xa0, 0xb0, 0xc0, 0xd0, 0xe0}
 	ports := []int{2, 0, 3, 1, 2}
-	for i, m := range macs {
-		s.ingress(ports[i], batchFrom(m, nic.Broadcast))
-	}
-	if got := s.FDBMACs(); !reflect.DeepEqual(got, macs) {
-		t.Fatalf("FDBMACs = %v, want first-learned order %v", got, macs)
-	}
-
-	// Re-learn 0xa0 on a different port: position must not change.
-	s.ingress(1, batchFrom(0xa0, nic.Broadcast))
-	if got := s.FDBMACs(); !reflect.DeepEqual(got, macs) {
-		t.Fatalf("re-learn reordered FDB: %v, want %v", got, macs)
-	}
-	if p, _ := s.FDBPort(0xa0); p != 1 {
-		t.Fatalf("re-learn did not move 0xa0: port %d, want 1", p)
-	}
-
-	// Move 0xb0 onto port 2 as well, then flush port 2: 0xb0 and 0xe0 go,
-	// the survivors keep their relative order.
-	s.ingress(2, batchFrom(0xb0, nic.Broadcast))
-	if n := s.FlushPort(2); n != 2 {
-		t.Fatalf("FlushPort(2) flushed %d entries, want 2", n)
-	}
-	want := []nic.MAC{0xa0, 0xc0, 0xd0}
-	if got := s.FDBMACs(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after flush FDBMACs = %v, want %v", got, want)
-	}
-	if _, ok := s.FDBPort(0xe0); ok {
-		t.Fatal("flushed MAC still resolves")
-	}
-	if n := s.FlushPort(2); n != 0 {
-		t.Fatalf("second flush found %d entries, want 0", n)
+	for trial := 0; trial < 3; trial++ {
+		eng, s, log := orderTestSwitch(5)
+		for i, m := range macs {
+			s.ingress(ports[i], batchFrom(m, nic.Broadcast))
+		}
+		// Re-learn 0xa0 on a different port: later frames follow it.
+		s.ingress(1, batchFrom(0xa0, nic.Broadcast))
+		eng.RunUntil(units.Time(units.Millisecond))
+		*log = (*log)[:0]
+		for _, m := range macs {
+			s.ingress(4, batchFrom(0x11, m))
+		}
+		eng.RunUntil(units.Time(2 * units.Millisecond))
+		// Send order, except that 0xd0's frame queues behind 0xa0's on port 1.
+		want := []int{1, 0, 3, 2, 1}
+		if !reflect.DeepEqual(*log, want) {
+			t.Fatalf("trial %d: unicast delivery ports %v, want %v", trial, *log, want)
+		}
 	}
 }
 

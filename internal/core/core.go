@@ -391,10 +391,6 @@ func (tb *Testbed) AddSwPassGuest(name string, typ vmm.DomainType, k vmm.KernelC
 	return tb.addSoftwareGuest(tb.EnableSwPass(), name, typ, k, port)
 }
 
-// BackendKinds lists every datapath backend the testbed can build, in the
-// order the figures sweep them.
-var BackendKinds = []string{"vf", "pv", "vmdq", "vhost", "ovs", "swpass"}
-
 // AddBackendGuest creates a guest on the backend named by kind — the
 // dispatcher behind `sriovsim -backend` and the fig26/fig27 sweeps. vf and
 // policy apply to the "vf" kind only; "vmdq" requires VMDqThreads > 0.
@@ -608,6 +604,3 @@ func AggregateGoodput(results map[*Guest]workload.Result) units.BitRate {
 	}
 	return total
 }
-
-// Describe renders the PCIe topology (for the sriovtop tool).
-func (tb *Testbed) Describe() string { return tb.Fabric.Describe() }

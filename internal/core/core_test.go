@@ -213,7 +213,7 @@ func TestReattachVF(t *testing.T) {
 
 func TestDescribeTopology(t *testing.T) {
 	tb := NewTestbed(Config{Ports: 2})
-	out := tb.Describe()
+	out := tb.Fabric.Describe()
 	for _, want := range []string{"root complex", "eth0@", "eth1@", "vf0"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Describe missing %q", want)

@@ -12,7 +12,6 @@ package cpu
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -33,11 +32,6 @@ func (a Account) String() string { return a.Domain + "/" + a.Category }
 type System struct {
 	Threads int             // hardware threads (the paper's server has 16)
 	Freq    units.Frequency // clock (2.8 GHz in the paper)
-}
-
-// Capacity reports the total cycles the system can execute in d.
-func (s System) Capacity(d units.Duration) units.Cycles {
-	return units.Cycles(int64(s.Threads)) * s.Freq.CyclesIn(d)
 }
 
 // Meter accumulates cycles per account over a measurement window.
@@ -71,9 +65,6 @@ func (m *Meter) ResetWindow(now units.Time) {
 	m.cycles = make(map[Account]units.Cycles)
 	m.started = now
 }
-
-// WindowStart reports when the current window began.
-func (m *Meter) WindowStart() units.Time { return m.started }
 
 // Cycles reports the cycles charged to a since the window started.
 func (m *Meter) Cycles(a Account) units.Cycles { return m.cycles[a] }
@@ -110,11 +101,6 @@ func (m *Meter) TotalUtilization(now units.Time) float64 {
 	return m.utilization(m.TotalCycles(), now)
 }
 
-// CategoryUtilization reports utilization of one (domain, category) account.
-func (m *Meter) CategoryUtilization(a Account, now units.Time) float64 {
-	return m.utilization(m.cycles[a], now)
-}
-
 func (m *Meter) utilization(c units.Cycles, now units.Time) float64 {
 	elapsed := now.Sub(m.started)
 	if elapsed <= 0 {
@@ -139,31 +125,6 @@ func (m *Meter) Domains() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Accounts reports all charged accounts, sorted by domain then category.
-func (m *Meter) Accounts() []Account {
-	out := make([]Account, 0, len(m.cycles))
-	for a := range m.cycles {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Domain != out[j].Domain {
-			return out[i].Domain < out[j].Domain
-		}
-		return out[i].Category < out[j].Category
-	})
-	return out
-}
-
-// Breakdown renders a utilization report per domain, for diagnostics.
-func (m *Meter) Breakdown(now units.Time) string {
-	var b strings.Builder
-	for _, d := range m.Domains() {
-		fmt.Fprintf(&b, "%s=%.1f%% ", d, m.Utilization(d, now))
-	}
-	fmt.Fprintf(&b, "total=%.1f%%", m.TotalUtilization(now))
-	return b.String()
 }
 
 // Job is one unit of work submitted to a Worker.

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -45,9 +44,8 @@ func TestMeterBreakdownByDomain(t *testing.T) {
 	if len(d) != 2 || d[0] != "dom0" || d[1] != "xen" {
 		t.Fatalf("domains = %v", d)
 	}
-	accts := m.Accounts()
-	if len(accts) != 3 || accts[0] != (Account{"dom0", "a"}) {
-		t.Fatalf("accounts = %v", accts)
+	if len(m.cycles) != 3 || m.Cycles(Account{"dom0", "a"}) != 100 {
+		t.Fatalf("accounts = %v", m.cycles)
 	}
 }
 
@@ -58,7 +56,7 @@ func TestMeterResetWindow(t *testing.T) {
 	if m.TotalCycles() != 0 {
 		t.Fatal("reset should clear cycles")
 	}
-	if m.WindowStart() != units.Time(units.Second) {
+	if m.started != units.Time(units.Second) {
 		t.Fatal("window start not recorded")
 	}
 	// Utilization with zero elapsed is zero, not NaN.
@@ -75,14 +73,6 @@ func TestNegativeChargePanics(t *testing.T) {
 		}
 	}()
 	m.Charge(Account{"x", "y"}, -1)
-}
-
-func TestSystemCapacity(t *testing.T) {
-	got := testSys.Capacity(units.Second)
-	want := units.Cycles(16 * 2_800_000_000)
-	if got != want {
-		t.Fatalf("capacity = %d, want %d", got, want)
-	}
 }
 
 func TestWorkerServesFIFO(t *testing.T) {
@@ -214,12 +204,8 @@ func TestCategoryUtilizationAndBreakdown(t *testing.T) {
 	a := Account{"dom0", "netback"}
 	m.Charge(a, testSys.Freq.CyclesIn(250*units.Millisecond))
 	now := units.Time(units.Second)
-	if got := m.CategoryUtilization(a, now); got < 24.9 || got > 25.1 {
+	if got := m.utilization(m.Cycles(a), now); got < 24.9 || got > 25.1 {
 		t.Fatalf("category utilization = %v", got)
-	}
-	out := m.Breakdown(now)
-	if !strings.Contains(out, "dom0=") || !strings.Contains(out, "total=") {
-		t.Fatalf("breakdown = %q", out)
 	}
 	if a.String() != "dom0/netback" {
 		t.Fatalf("account string = %q", a.String())

@@ -53,14 +53,11 @@ type Policy interface {
 	Plan(s *FleetState) []Move
 }
 
-// Policies lists the selectable placement policy names: "binpack" packs the
-// fleet onto as few hosts as fit, "spread" balances VM count across hosts,
-// "static" never moves anything (heal-only control planes and frozen
+// ParsePolicy maps a policy name to its implementation: "binpack" packs the
+// fleet onto as few hosts as fit, "spread" balances VM count across hosts.
+// "static" (and "") return nil — a controller without a rebalancing policy,
+// which never moves anything (heal-only control planes and frozen
 // baselines).
-func Policies() []string { return []string{"binpack", "spread", "static"} }
-
-// ParsePolicy maps a policy name to its implementation. "static" (and "")
-// return nil — a controller without a rebalancing policy.
 func ParsePolicy(name string) (Policy, error) {
 	switch name {
 	case "binpack":

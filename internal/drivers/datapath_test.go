@@ -121,8 +121,8 @@ func TestOVSHitMissSplit(t *testing.T) {
 	sw.Inject(b)
 	r.eng.After(2*units.Millisecond, "tx", func() { sw.Inject(b) })
 	r.eng.RunUntil(units.Time(10 * units.Millisecond))
-	if sw.Cache().Misses != 1 || sw.Cache().Hits != 1 {
-		t.Fatalf("cache hits=%d misses=%d, want 1/1", sw.Cache().Hits, sw.Cache().Misses)
+	if sw.cache.Misses != 1 || sw.cache.Hits != 1 {
+		t.Fatalf("cache hits=%d misses=%d, want 1/1", sw.cache.Hits, sw.cache.Misses)
 	}
 	if got := r.hv.Obs.Counter("dp.ovs.cache_hits").Value(); got != 1 {
 		t.Fatalf("dp.ovs.cache_hits = %d, want 1", got)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/netstack"
 	"repro/internal/nic"
+	"repro/internal/obs"
 	"repro/internal/pcie"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -35,7 +36,7 @@ func newRig(t *testing.T, opts vmm.Optimizations) *rig {
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(512)
 	fabric.SetIOMMU(mmu)
-	hv := vmm.New(eng, meter, fabric, mmu, opts)
+	hv := vmm.NewFlavored(eng, meter, fabric, mmu, opts, vmm.Xen)
 	port := nic.New(eng, nic.Config{Name: "eth0", NumVFs: 7})
 	rp := fabric.AddRootPort("rp0")
 	fabric.Attach(rp, port.Device())
@@ -184,11 +185,14 @@ func TestVFMaskTrafficByKernel(t *testing.T) {
 
 func TestAICAdjustsITR(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
+	r.port.Obs = obs.NewRegistry()
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, netstack.DefaultAIC())
 	lifHz := float64(model.AICMinHz)
 	// Initialized assuming line rate: IF = pps·r/bufs ≈ 1480 Hz.
-	initHz := float64(units.Second) / float64(drv.Queue().ITR())
+	// obsITR mirrors the EITR value (µs) the driver last wrote.
+	itrHz := func() float64 { return 1e6 / drv.obsITR.Value() }
+	initHz := itrHz()
 	if initHz < 1400 || initHz > 1560 {
 		t.Fatalf("initial ITR = %.0f Hz, want ≈1480", initHz)
 	}
@@ -199,13 +203,13 @@ func TestAICAdjustsITR(t *testing.T) {
 	})
 	r.eng.RunUntil(units.Time(2500 * units.Millisecond))
 	tick.Stop()
-	gotHz := float64(units.Second) / float64(drv.Queue().ITR())
+	gotHz := itrHz()
 	if gotHz < 1300 || gotHz > 1700 {
 		t.Fatalf("AIC ITR after load = %.0f Hz, want ≈1480", gotHz)
 	}
 	// Load stops → next sample floors back to lif.
 	r.eng.RunUntil(units.Time(4 * units.Second))
-	gotHz = float64(units.Second) / float64(drv.Queue().ITR())
+	gotHz = itrHz()
 	if gotHz < lifHz-1 || gotHz > lifHz+1 {
 		t.Fatalf("idle AIC ITR = %.0f Hz, want lif", gotHz)
 	}
@@ -408,8 +412,8 @@ func TestVMDqQueueAssignment(t *testing.T) {
 		}
 		recvs = append(recvs, recv)
 	}
-	if br.QueuedGuests() != model.VMDqGuestQueues {
-		t.Fatalf("queued guests = %d, want %d", br.QueuedGuests(), model.VMDqGuestQueues)
+	if br.queuesUsed != model.VMDqGuestQueues {
+		t.Fatalf("queued guests = %d, want %d", br.queuesUsed, model.VMDqGuestQueues)
 	}
 	// Traffic to guest 0 (queued) and guest 8 (fallback).
 	br.FromNIC(nic.Batch{Dst: nic.MAC(0xc0), Count: 10, Bytes: 15140})
@@ -513,24 +517,28 @@ func TestPVGuestTransmit(t *testing.T) {
 
 func TestVFDriverUsesRegisters(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
+	r.port.Obs = obs.NewRegistry()
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, netstack.FixedITR(2000))
 	q := drv.Queue()
-	if !q.Registers() {
-		t.Fatal("driver should install the register file")
-	}
-	if q.Resets() != 1 {
-		t.Fatalf("init should reset the device once, got %d", q.Resets())
+	// Init resets the device through CTRL, which disables interrupts, and
+	// re-enables them once the queue is programmed.
+	if !q.IntrEnabled() {
+		t.Fatal("interrupts should be enabled after init")
 	}
 	// EITR was programmed through MMIO: 2 kHz = 500 µs.
-	if got := q.Function().MMIORead(0, nic.RegEITR0); got != 500 {
-		t.Fatalf("EITR = %d µs, want 500", got)
+	if got := drv.obsITR.Value(); got != 500 {
+		t.Fatalf("EITR = %v µs, want 500", got)
 	}
-	// Receiving traffic advances the tail pointer per ISR.
-	r.port.ReceiveFromWire(nic.Batch{Dst: nic.MAC(0xaa), Count: 10, Bytes: 15140})
+	// Under a steady stream the device throttles to that rate: at most one
+	// interrupt per 500 µs.
+	tick := sim.NewTicker(r.eng, 100*units.Microsecond, "gen", func(units.Time) {
+		r.port.ReceiveFromWire(nic.Batch{Dst: nic.MAC(0xaa), Count: 2, Bytes: 3028})
+	})
 	r.eng.RunUntil(units.Time(10 * units.Millisecond))
-	if q.RDTWrites() == 0 {
-		t.Fatal("ISR should return buffers via RDT")
+	tick.Stop()
+	if n := q.Stats.Interrupts; n < 10 || n > 21 {
+		t.Fatalf("interrupts in 10 ms = %d, want ≈20 (2 kHz throttle)", n)
 	}
 }
 
@@ -568,24 +576,20 @@ func TestPFDriverAdminMAC(t *testing.T) {
 	if r.pf.Port() != r.port {
 		t.Fatal("Port accessor")
 	}
-	if err := r.pf.SetVFMAC(0, nic.MAC(0x11)); err != nil {
-		t.Fatal(err)
+	// The VF driver's MAC request reaches the switch through the mailbox.
+	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
+	r.attachVF(t, d, 0, nic.MAC(0x11), recv, nil)
+	r.eng.RunUntil(units.Time(10 * units.Millisecond))
+	if mac := r.pf.vfMACs[0]; mac != nic.MAC(0x11) {
+		t.Fatalf("PF records VF0 MAC %v, want 0x11", mac)
 	}
-	if mac, ok := r.pf.VFMAC(0); !ok || mac != nic.MAC(0x11) {
-		t.Fatalf("VFMAC = %v %v", mac, ok)
+	if _, ok := r.port.ClassifyVLAN(nic.MAC(0x11), 0); !ok {
+		t.Fatal("VF MAC should program the switch")
 	}
-	if _, ok := r.port.Classify(nic.MAC(0x11)); !ok {
-		t.Fatal("admin MAC should program the switch")
-	}
-	// Re-assigning replaces the old filter.
-	if err := r.pf.SetVFMAC(0, nic.MAC(0x22)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.port.Classify(nic.MAC(0x11)); ok {
+	// Shutting the VF down administratively clears its filter.
+	r.pf.ShutdownVF(0)
+	if _, ok := r.port.ClassifyVLAN(nic.MAC(0x11), 0); ok {
 		t.Fatal("old MAC filter should be cleared")
-	}
-	if err := r.pf.SetVFMAC(99, nic.MAC(0x33)); err == nil {
-		t.Fatal("bad VF index should fail")
 	}
 }
 
@@ -607,21 +611,22 @@ func TestPFDriverLinkChangeBroadcast(t *testing.T) {
 
 func TestVFDriverSetPolicy(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
+	r.port.Obs = obs.NewRegistry()
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
-	drv := r.attachVF(t, d, 0, nic.MAC(1), recv, netstack.FixedITR(2000))
-	if drv.Policy().String() != "2kHz" {
+	drv := r.attachVF(t, d, 0, nic.MAC(1), recv, netstack.FixedITR(20000))
+	if drv.Policy().String() != "20kHz" {
 		t.Fatalf("policy = %v", drv.Policy())
 	}
-	drv.SetPolicy(netstack.FixedITR(20000))
-	if got := drv.Queue().ITR(); got != 50*units.Microsecond {
-		t.Fatalf("ITR after SetPolicy = %v", got)
+	// The configured policy's rate is what the driver programs into EITR.
+	if got := drv.obsITR.Value(); got != 50 {
+		t.Fatalf("EITR = %v µs, want 50", got)
 	}
 }
 
 func TestNetbackAccessors(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
 	nb := NewNetback(r.hv, 3)
-	if nb.Threads() != 3 {
+	if nb.pool.Size() != 3 {
 		t.Fatal("Threads")
 	}
 	if nb.Backlog() != 0 {
@@ -631,15 +636,6 @@ func TestNetbackAccessors(t *testing.T) {
 	v, _ := nb.CreateVif(d, nic.MAC(9), recv)
 	if v.MAC() != nic.MAC(9) || v.Domain() != d {
 		t.Fatal("vif accessors")
-	}
-	nb.DestroyVif(v)
-	nb.FromNIC(nic.Batch{Dst: nic.MAC(9), Count: 3, Bytes: 4542})
-	if nb.Dropped != 3 {
-		t.Fatal("destroyed vif should drop traffic")
-	}
-	// Port can be re-bound after destroy.
-	if _, err := nb.CreateVif(d, nic.MAC(9), recv); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -780,13 +776,10 @@ func TestMSIXTableProgramming(t *testing.T) {
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.KernelRHEL5)
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, nil)
 	q := drv.Queue()
-	// The driver programmed entry 0 with its allocated vector's message.
-	msg := q.MSIXEntryMessage(0)
-	if msg.Addr != 0xfee00000 {
-		t.Fatalf("MSI-X addr = %#x", msg.Addr)
-	}
-	if msg.Vector() < 32 {
-		t.Fatalf("MSI-X vector = %d", msg.Vector())
+	// The driver programmed entry 0's message address and data: three
+	// trapped writes to the table page.
+	if r := r.hv.Exits[vmm.ExitMSIMask]; r == nil || r.Count < 3 {
+		t.Fatalf("MSI-X programming exits = %+v, want ≥3", r)
 	}
 	// The table BAR is what the capability points at.
 	msix, ok := pcie.MSIXCapAt(q.Function().Config())
@@ -799,9 +792,6 @@ func TestMSIXTableProgramming(t *testing.T) {
 	r.eng.RunUntil(units.Time(5 * units.Millisecond))
 	if recv.Stats.AppPackets != 5 {
 		t.Fatalf("packets = %d", recv.Stats.AppPackets)
-	}
-	if got := q.MSIXMaskWrites(); got != 2 {
-		t.Fatalf("table mask writes = %d, want 2 (mask+unmask)", got)
 	}
 	if got := r.hv.Counters.Get("msi_mask_writes"); got != 2 {
 		t.Fatalf("trapped mask writes = %d, want 2", got)

@@ -145,9 +145,6 @@ func NewOVSSwitch(hv *vmm.Hypervisor) *OVSSwitch {
 	return sw
 }
 
-// Cache exposes the flow cache (tests and figures read hit/miss counts).
-func (sw *OVSSwitch) Cache() *FlowCache { return sw.cache }
-
 // Kind reports the backend name of the flow-cache switch path.
 func (sw *OVSSwitch) Kind() string { return "ovs" }
 

@@ -72,27 +72,6 @@ func (d *PFDriver) EnableVFs(n int) error {
 	return nil
 }
 
-// SetVFMAC administratively assigns a MAC to a VF and programs the L2
-// switch (the `ip link set vf mac` path).
-func (d *PFDriver) SetVFMAC(vf int, mac nic.MAC) error {
-	if vf < 0 || vf >= d.port.NumVFs() {
-		return fmt.Errorf("drivers: no VF %d on %s", vf, d.port.Name())
-	}
-	if old, ok := d.vfMACs[vf]; ok {
-		d.port.ClearMAC(old)
-	}
-	d.vfMACs[vf] = mac
-	d.port.SetMAC(mac, d.port.VFQueue(vf))
-	d.hv.ChargeDom0("pfdriver", 5000)
-	return nil
-}
-
-// VFMAC reports the MAC assigned to a VF.
-func (d *PFDriver) VFMAC(vf int) (nic.MAC, bool) {
-	m, ok := d.vfMACs[vf]
-	return m, ok
-}
-
 // SetDom0MAC routes a MAC to the PF's own queue (dom0/bridge traffic).
 func (d *PFDriver) SetDom0MAC(mac nic.MAC) {
 	d.port.SetMAC(mac, d.port.PFQueue())

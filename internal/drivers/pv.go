@@ -65,9 +65,6 @@ func NewNetback(hv *vmm.Hypervisor, threads int) *Netback {
 	return nb
 }
 
-// Threads reports the backend thread count.
-func (nb *Netback) Threads() int { return nb.pool.Size() }
-
 // AttachWire connects the backend to a NIC queue (normally the PF queue
 // with the guests' MACs routed to it): every batch the queue receives is
 // bridged into the backend.
@@ -134,14 +131,6 @@ func (nb *Netback) CreateVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceiv
 	}
 	nb.vifs[mac] = v
 	return v, nil
-}
-
-// DestroyVif removes a guest's vif.
-func (nb *Netback) DestroyVif(v *PVNic) {
-	delete(nb.vifs, v.mac)
-	if v.dom.Type == vmm.PVM || v.dom.Type == vmm.Dom0 {
-		nb.hv.UnbindEventChannel(v.dom, v.port)
-	}
 }
 
 // MAC reports the vif's MAC.

@@ -193,12 +193,6 @@ func (d *VFDriver) Attached() bool { return d.attached }
 // Policy reports the coalescing policy.
 func (d *VFDriver) Policy() netstack.ITRPolicy { return d.policy }
 
-// SetPolicy switches the coalescing policy at runtime.
-func (d *VFDriver) SetPolicy(p netstack.ITRPolicy) {
-	d.policy = p
-	d.applyRate(p.Rate(0))
-}
-
 // applyRate programs the EITR register (microsecond granularity, the
 // hardware's own unit) through MMIO.
 func (d *VFDriver) applyRate(hz float64) {

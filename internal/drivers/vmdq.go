@@ -90,9 +90,6 @@ func (br *VMDqBridge) CreateVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetRec
 	return nil
 }
 
-// QueuedGuests reports how many guests own a queue pair.
-func (br *VMDqBridge) QueuedGuests() int { return br.queuesUsed }
-
 // FromNIC routes a batch: queue-owning guests get the no-copy path (dom0
 // pays protection/translation only), the rest go through the copying
 // fallback.

@@ -44,9 +44,6 @@ type NetReceiver struct {
 	// accepted packet count — request/response workloads hook the
 	// server's reply here.
 	OnDeliver func(pkts int)
-
-	// sampling window for rate observation (AIC input).
-	samplePackets int64
 }
 
 // NewNetReceiver creates a receiver for the domain with default burst
@@ -99,25 +96,10 @@ func (r *NetReceiver) DeliverBatch(n int, bytes units.Size) int {
 	r.hv.ChargeGuest(r.dom, "stack", units.Cycles(accepted)*perPacketCost)
 	r.Stats.AppPackets += int64(accepted)
 	r.Stats.AppBytes += perPkt * units.Size(accepted)
-	r.samplePackets += int64(accepted)
 	if r.OnDeliver != nil {
 		r.OnDeliver(accepted)
 	}
 	return accepted
-}
-
-// TakeSample returns and resets the packet count since the last sample —
-// the pps observation AIC feeds into eq. (3).
-func (r *NetReceiver) TakeSample() int64 {
-	n := r.samplePackets
-	r.samplePackets = 0
-	return n
-}
-
-// GoodputSince reports the goodput between a previous stats snapshot and
-// now, over the window.
-func GoodputSince(prev, cur ReceiverStats, window units.Duration) units.BitRate {
-	return units.RateOf(cur.AppBytes-prev.AppBytes, window)
 }
 
 // SenderStats counts transmit-side work.

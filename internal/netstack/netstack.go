@@ -108,16 +108,6 @@ func (a AIC) Adaptive() bool { return true }
 
 func (a AIC) String() string { return "AIC" }
 
-// BatchAt reports the expected per-interrupt packet batch for a policy at
-// the given packet rate.
-func BatchAt(p ITRPolicy, pps float64) float64 {
-	r := p.Rate(pps)
-	if r <= 0 {
-		return pps
-	}
-	return pps / r
-}
-
 // TCPParams parameterize the steady-state model.
 type TCPParams struct {
 	Line      units.BitRate // path capacity (goodput at MTU framing)
@@ -175,20 +165,4 @@ func TCPSteadyState(p TCPParams, policy ITRPolicy) (units.BitRate, float64) {
 		rate = (rate + next) / 2
 	}
 	return units.BitRate(rate), ifHz
-}
-
-// UDPGoodput reports the loss-adjusted receive goodput of a CBR UDP stream:
-// packets beyond the socket burst capacity per interrupt interval are
-// dropped (§5.3's overflow behaviour).
-func UDPGoodput(offered units.BitRate, frame units.Size, policy ITRPolicy, burst int) (units.BitRate, float64) {
-	pps := model.PacketsPerSecond(offered, frame)
-	ifHz := policy.Rate(pps)
-	if ifHz <= 0 {
-		return 0, 0
-	}
-	batch := pps / ifHz
-	if batch <= float64(burst) {
-		return offered, ifHz
-	}
-	return units.BitRate(float64(offered) * float64(burst) / batch), ifHz
 }

@@ -65,7 +65,7 @@ func TestAICAvoidsOverflowProperty(t *testing.T) {
 	a := DefaultAIC()
 	prop := func(raw uint32) bool {
 		pps := float64(raw%1_000_000) + 1
-		batch := BatchAt(a, pps)
+		batch := batchAt(a, pps)
 		return batch <= float64(model.SocketBurstCapacity)+1e-9
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -136,12 +136,12 @@ func TestTCPMonotoneInIFProperty(t *testing.T) {
 
 func TestUDPGoodput(t *testing.T) {
 	// At 2 kHz a 957 Mbps stream (79 k pps, 39.5/interrupt) fits.
-	rate, ifHz := UDPGoodput(model.LineRateUDP, model.FrameSize, FixedITR(2000), model.SocketBurstCapacity)
+	rate, ifHz := udpGoodput(model.LineRateUDP, model.FrameSize, FixedITR(2000), model.SocketBurstCapacity)
 	if rate != model.LineRateUDP || ifHz != 2000 {
 		t.Fatalf("2 kHz UDP = %v @ %v", rate, ifHz)
 	}
 	// At 1 kHz the 79-packet batches exceed the 70-packet burst: loss.
-	rate, _ = UDPGoodput(model.LineRateUDP, model.FrameSize, FixedITR(1000), model.SocketBurstCapacity)
+	rate, _ = udpGoodput(model.LineRateUDP, model.FrameSize, FixedITR(1000), model.SocketBurstCapacity)
 	if rate >= model.LineRateUDP {
 		t.Fatal("1 kHz UDP should lose packets")
 	}
@@ -149,14 +149,40 @@ func TestUDPGoodput(t *testing.T) {
 		t.Fatalf("1 kHz UDP = %v, unreasonably low", rate)
 	}
 	// AIC never loses.
-	rate, _ = UDPGoodput(2800*units.Mbps, model.FrameSize, DefaultAIC(), model.SocketBurstCapacity)
+	rate, _ = udpGoodput(2800*units.Mbps, model.FrameSize, DefaultAIC(), model.SocketBurstCapacity)
 	if rate != 2800*units.Mbps {
 		t.Fatalf("AIC at 2.8 Gbps = %v, want lossless", rate)
 	}
 }
 
 func TestBatchAt(t *testing.T) {
-	if got := BatchAt(FixedITR(1000), 70000); got != 70 {
+	if got := batchAt(FixedITR(1000), 70000); got != 70 {
 		t.Fatalf("batch = %v", got)
 	}
+}
+
+// batchAt reports the expected per-interrupt packet batch for a policy at
+// the given packet rate.
+func batchAt(p ITRPolicy, pps float64) float64 {
+	r := p.Rate(pps)
+	if r <= 0 {
+		return pps
+	}
+	return pps / r
+}
+
+// udpGoodput is the analytic loss-adjusted receive goodput of a CBR UDP
+// stream: packets beyond the socket burst capacity per interrupt interval
+// are dropped (§5.3's overflow behaviour).
+func udpGoodput(offered units.BitRate, frame units.Size, policy ITRPolicy, burst int) (units.BitRate, float64) {
+	pps := model.PacketsPerSecond(offered, frame)
+	ifHz := policy.Rate(pps)
+	if ifHz <= 0 {
+		return 0, 0
+	}
+	batch := pps / ifHz
+	if batch <= float64(burst) {
+		return offered, ifHz
+	}
+	return units.BitRate(float64(offered) * float64(burst) / batch), ifHz
 }

@@ -157,13 +157,13 @@ func TestVFFLRResetsQueue(t *testing.T) {
 	// device-side hook must reset the queue's hardware state.
 	fn := q.Function()
 	cap, ok := pcie.PCIeCapAt(fn.Config())
-	if !ok || !cap.FLRCapable() {
+	if !ok || fn.Config().Read32(cap.Offset()+pcie.PCIeDevCapOff)&pcie.PCIeDevCapFLR == 0 {
 		t.Fatal("VF should advertise FLR")
 	}
 	fn.ConfigWrite16(cap.DevCtlOffset(), pcie.PCIeDevCtlFLR)
-	if q.Occupied() != 0 || q.IntrEnabled() || q.ITR() != 0 {
+	if q.Occupied() != 0 || q.IntrEnabled() || q.itrInterval != 0 {
 		t.Fatalf("post-FLR state: occ=%d intr=%v itr=%v",
-			q.Occupied(), q.IntrEnabled(), q.ITR())
+			q.Occupied(), q.IntrEnabled(), q.itrInterval)
 	}
 	if fn.Config().Read16(cap.DevCtlOffset())&pcie.PCIeDevCtlFLR != 0 {
 		t.Fatal("initiate-FLR bit should self-clear")

@@ -1,105 +1,26 @@
 package nic
 
-import "repro/internal/interrupts"
-
 // This file models the MSI-X vector table living in BAR3 of each VF, per
 // the 82576VF layout the paper's drivers program. The table is the one BAR
 // page the hypervisor traps on (§5.1's mask/unmask writes land here); every
 // other BAR is mapped straight into the guest.
 
-// MSI-X table geometry: entry i at offset i*16.
+// MSI-X table geometry: entry i at offset i*16, its vector-control dword at
+// +12. The driver also programs each entry's message address and data, but
+// the model delivers an interrupt through the queue's Sink, so only the
+// vector-control (mask) dword of entry 0, the queue's vector, has an effect.
 const (
 	MSIXTableBAR    = 3
-	msixEntrySize   = 16
-	msixOffAddrLo   = 0
-	msixOffAddrHi   = 4
-	msixOffData     = 8
 	msixOffVectCtrl = 12
 )
 
 // MSIXVectorCtlMask is bit 0 of the vector control dword.
 const MSIXVectorCtlMask = 1
 
-// msixEntry is one table entry.
-type msixEntry struct {
-	addrLo, addrHi uint32
-	data           uint32
-	ctrl           uint32
-}
-
-// msixTable is the BAR-resident vector table of one function.
-type msixTable struct {
-	entries []msixEntry
-	// MaskWrites counts vector-control writes (the §5.1 hot register).
-	MaskWrites int64
-}
-
-// installMSIXTable wires BAR3 accesses of the queue's function to the
-// table. Entry 0 is the queue's vector: its mask bit gates interrupts.
-func (q *Queue) installMSIXTable(entries int) {
-	q.msix = &msixTable{entries: make([]msixEntry, entries)}
-}
-
-// MSIXEntryMessage reports the programmed MSI message of entry i.
-func (q *Queue) MSIXEntryMessage(i int) interrupts.MSIMessage {
-	if q.msix == nil || i >= len(q.msix.entries) {
-		return interrupts.MSIMessage{}
-	}
-	e := q.msix.entries[i]
-	return interrupts.MSIMessage{
-		Addr: uint64(e.addrLo) | uint64(e.addrHi)<<32,
-		Data: e.data,
-	}
-}
-
-// MSIXMaskWrites reports how many vector-control writes the table has seen.
-func (q *Queue) MSIXMaskWrites() int64 {
-	if q.msix == nil {
-		return 0
-	}
-	return q.msix.MaskWrites
-}
-
-func (q *Queue) msixRead(off uint64) uint64 {
-	t := q.msix
-	i := int(off / msixEntrySize)
-	if t == nil || i >= len(t.entries) {
-		return 0
-	}
-	e := &t.entries[i]
-	switch off % msixEntrySize {
-	case msixOffAddrLo:
-		return uint64(e.addrLo)
-	case msixOffAddrHi:
-		return uint64(e.addrHi)
-	case msixOffData:
-		return uint64(e.data)
-	case msixOffVectCtrl:
-		return uint64(e.ctrl)
-	}
-	return 0
-}
-
+// msixWrite handles a write to a VF's MSI-X table page: entry 0's mask bit
+// gates the queue's interrupt. A PF has no table in BAR3.
 func (q *Queue) msixWrite(off uint64, val uint64) {
-	t := q.msix
-	i := int(off / msixEntrySize)
-	if t == nil || i >= len(t.entries) {
-		return
-	}
-	e := &t.entries[i]
-	switch off % msixEntrySize {
-	case msixOffAddrLo:
-		e.addrLo = uint32(val)
-	case msixOffAddrHi:
-		e.addrHi = uint32(val)
-	case msixOffData:
-		e.data = uint32(val)
-	case msixOffVectCtrl:
-		e.ctrl = uint32(val)
-		t.MaskWrites++
-		if i == 0 {
-			// Entry 0 gates the queue's interrupt.
-			q.SetMasked(val&MSIXVectorCtlMask != 0)
-		}
+	if q.fn.IsVF() && off == msixOffVectCtrl {
+		q.SetMasked(val&MSIXVectorCtlMask != 0)
 	}
 }

@@ -163,8 +163,6 @@ type Queue struct {
 
 	// regs is the BAR0 register file, installed by InstallRegisters.
 	regs *registerFile
-	// msix is the BAR3-resident MSI-X vector table.
-	msix *msixTable
 
 	// Interrupt state.
 	itrInterval    units.Duration // minimum gap between interrupts; 0 = immediate
@@ -253,9 +251,6 @@ func (q *Queue) SetITR(interval units.Duration) {
 	q.itrInterval = interval
 }
 
-// ITR reports the programmed throttle interval.
-func (q *Queue) ITR() units.Duration { return q.itrInterval }
-
 // SetIntrEnabled turns MSI generation on or off (driver init/teardown).
 func (q *Queue) SetIntrEnabled(on bool) {
 	q.intrEnabled = on
@@ -288,10 +283,10 @@ func (q *Queue) SetStalled(s bool) {
 func (q *Queue) Stalled() bool { return q.stalled }
 
 // ResetHW clears the queue's hardware state the way an FLR or global device
-// reset does: ring, interrupt/throttle state, BAR registers and the MSI-X
-// table. Host-side wiring (Sink, DMACheck, DirectDeliver) survives — those
-// model the IOMMU context and interrupt routing, which a function reset
-// does not touch.
+// reset does: ring, interrupt/throttle state (the MSI-X mask included) and
+// the BAR registers. Host-side wiring (Sink, DMACheck, DirectDeliver)
+// survives — those model the IOMMU context and interrupt routing, which a
+// function reset does not touch.
 func (q *Queue) ResetHW() {
 	q.wipeRing()
 	q.intrEnabled = false
@@ -300,12 +295,7 @@ func (q *Queue) ResetHW() {
 	q.throttledUntil = 0
 	q.timer.Cancel()
 	if q.regs != nil {
-		q.regs.resetHW()
-	}
-	if q.msix != nil {
-		for i := range q.msix.entries {
-			q.msix.entries[i] = msixEntry{}
-		}
+		q.regs.mbox = [8]uint32{}
 	}
 }
 
@@ -328,9 +318,6 @@ func (q *Queue) SetMasked(m bool) {
 		q.maybeInterrupt()
 	}
 }
-
-// Masked reports the mask state.
-func (q *Queue) Masked() bool { return q.masked }
 
 // deliver places a batch in the ring, dropping what does not fit, then
 // considers raising an interrupt.
@@ -806,9 +793,6 @@ func (p *Port) ClearMAC(mac MAC) { p.ClearMACVLAN(mac, 0) }
 func (p *Port) ClearMACVLAN(mac MAC, vlan uint16) {
 	delete(p.l2, l2Key{mac, vlan})
 }
-
-// Classify reports the queue for an untagged destination MAC.
-func (p *Port) Classify(mac MAC) (*Queue, bool) { return p.ClassifyVLAN(mac, 0) }
 
 // ClassifyVLAN reports the queue for a (MAC, VLAN) pair.
 func (p *Port) ClassifyVLAN(mac MAC, vlan uint16) (*Queue, bool) {

@@ -70,15 +70,15 @@ func TestClassification(t *testing.T) {
 	p := newTestPort(eng)
 	q0 := p.VFQueue(0)
 	p.SetMAC(MAC(0xaa), q0)
-	got, ok := p.Classify(MAC(0xaa))
+	got, ok := p.ClassifyVLAN(MAC(0xaa), 0)
 	if !ok || got != q0 {
 		t.Fatal("classify failed")
 	}
-	if _, ok := p.Classify(MAC(0xbb)); ok {
+	if _, ok := p.ClassifyVLAN(MAC(0xbb), 0); ok {
 		t.Fatal("unknown MAC should not classify")
 	}
 	p.ClearMAC(MAC(0xaa))
-	if _, ok := p.Classify(MAC(0xaa)); ok {
+	if _, ok := p.ClassifyVLAN(MAC(0xaa), 0); ok {
 		t.Fatal("cleared MAC should not classify")
 	}
 }
@@ -402,7 +402,7 @@ func TestPortAccessors(t *testing.T) {
 	if q.Name() != "eth0/vf0" || q.Port() != p {
 		t.Fatal("queue accessors")
 	}
-	if q.Masked() {
+	if q.masked {
 		t.Fatal("fresh queue should be unmasked")
 	}
 	if p.InternalBacklog() != 0 {

@@ -270,7 +270,7 @@ func TestWriteJSONShape(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	tr := NewTrace(16, 16)
-	tr.Emit(units.Time(5*units.Microsecond), "nic", "intr", "eth0/vf0")
+	tr.Emitf(units.Time(5*units.Microsecond), "nic", "intr", "eth0/vf0")
 	tr.Emitf(units.Time(9*units.Microsecond), "irq", "bind", "vector=%d", 34)
 	tr.AddSpan("eth0/vf0", "dma_to_intr", units.Time(2*units.Microsecond), 3*units.Microsecond)
 	tr.AddSpan("eth0/vf0", "intr_to_drain", units.Time(5*units.Microsecond), 0)

@@ -103,17 +103,9 @@ func (t *Trace) drops(category string) bool {
 	return t == nil || cap(t.events.buf) == 0 || (t.filter != nil && !t.filter[category])
 }
 
-// Emit records an event. Safe on a nil receiver.
-func (t *Trace) Emit(at units.Time, category, name, detail string) {
-	if t.drops(category) {
-		return
-	}
-	t.events.push(Event{At: at, Category: category, Name: name, Detail: detail})
-}
-
 // Emitf records an event with a formatted detail string. Safe on nil. The
 // filter is consulted before formatting, so a dropped Emitf never pays the
-// Sprintf — the same one-branch cost as Emit.
+// Sprintf: a filtered-out category costs one branch.
 func (t *Trace) Emitf(at units.Time, category, name, format string, args ...any) {
 	if t.drops(category) {
 		return

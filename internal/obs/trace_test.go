@@ -9,7 +9,7 @@ import (
 func TestEmitAndEvents(t *testing.T) {
 	tr := NewTrace(4, 0)
 	for i := 0; i < 3; i++ {
-		tr.Emit(units.Time(i), "cat", "name", "")
+		tr.Emitf(units.Time(i), "cat", "name", "")
 	}
 	ev := tr.Events()
 	if len(ev) != 3 {
@@ -24,7 +24,7 @@ func TestEmitAndEvents(t *testing.T) {
 
 func TestNilTraceSafe(t *testing.T) {
 	var tr *Trace
-	tr.Emit(0, "c", "n", "")
+	tr.Emitf(0, "c", "n", "")
 	tr.Emitf(0, "c", "n", "x=%d", 1)
 	tr.AddSpan("t", "n", 0, 1)
 	if tr.Events() != nil || tr.Spans() != nil {
@@ -38,7 +38,7 @@ func TestNilTraceSafe(t *testing.T) {
 // TestRingWraps covers both of a trace's rings: each keeps its most recent
 // capacity entries, oldest first, and a zero-capacity ring keeps nothing.
 func TestRingWraps(t *testing.T) {
-	emit := func(tr *Trace, i int) { tr.Emit(units.Time(i), "c", "n", "") }
+	emit := func(tr *Trace, i int) { tr.Emitf(units.Time(i), "c", "n", "") }
 	span := func(tr *Trace, i int) { tr.AddSpan("q", "hop", units.Time(i), units.Duration(i)) }
 	events := func(tr *Trace) []units.Time {
 		var at []units.Time
@@ -90,13 +90,13 @@ func TestRingWraps(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	tr := NewTrace(8, 0).Filter("keep")
-	tr.Emit(1, "keep", "a", "")
-	tr.Emit(2, "drop", "b", "")
+	tr.Emitf(1, "keep", "a", "")
+	tr.Emitf(2, "drop", "b", "")
 	if len(tr.Events()) != 1 || tr.Events()[0].Category != "keep" {
 		t.Fatalf("filter failed: %v", tr.Events())
 	}
 	tr.Filter() // clear
-	tr.Emit(3, "drop", "c", "")
+	tr.Emitf(3, "drop", "c", "")
 	if len(tr.Events()) != 2 {
 		t.Fatal("cleared filter should record everything")
 	}
@@ -105,7 +105,7 @@ func TestFilter(t *testing.T) {
 func TestEventString(t *testing.T) {
 	tr := NewTrace(8, 0)
 	tr.Emitf(units.Time(units.Second), "irq", "bind", "vector=%d", 34)
-	tr.Emit(units.Time(2*units.Second), "hotplug", "remove", "")
+	tr.Emitf(units.Time(2*units.Second), "hotplug", "remove", "")
 	ev := tr.Events()
 	if got := ev[0].String(); got != "[1.000s] irq: bind (vector=34)" {
 		t.Fatalf("with detail: %q", got)
@@ -133,14 +133,14 @@ func TestBadCapacityPanics(t *testing.T) {
 // until overwritten, and filtered-out events must not occupy the ring.
 func TestRingWrapWithFilter(t *testing.T) {
 	tr := NewTrace(4, 0)
-	tr.Emit(1, "early", "e1", "")
-	tr.Emit(2, "early", "e2", "")
+	tr.Emitf(1, "early", "e1", "")
+	tr.Emitf(2, "early", "e2", "")
 	tr.Filter("keep")
 	// Filtered-out categories neither occupy the ring nor count.
-	tr.Emit(3, "drop", "d1", "")
+	tr.Emitf(3, "drop", "d1", "")
 	tr.Emitf(4, "drop", "d2", "x=%d", 1)
-	tr.Emit(5, "keep", "k1", "")
-	tr.Emit(6, "keep", "k2", "")
+	tr.Emitf(5, "keep", "k1", "")
+	tr.Emitf(6, "keep", "k2", "")
 	ev := tr.Events()
 	if len(ev) != 4 {
 		t.Fatalf("len = %d, events %v", len(ev), ev)
@@ -153,7 +153,7 @@ func TestRingWrapWithFilter(t *testing.T) {
 	// One more recorded event wraps the ring: the oldest pre-filter event
 	// is overwritten, the remaining pre-filter event survives in order.
 	// Had the two filtered events counted, e2 would be gone too.
-	tr.Emit(7, "keep", "k3", "")
+	tr.Emitf(7, "keep", "k3", "")
 	ev = tr.Events()
 	if len(ev) != 4 || ev[0].Name != "e2" || ev[3].Name != "k3" {
 		t.Fatalf("after wrap: %v", ev)

@@ -52,36 +52,11 @@ func MSICapAt(cfg *ConfigSpace) (MSICap, bool) {
 // Offset reports the capability's config-space offset.
 func (m MSICap) Offset() int { return m.off }
 
-// Enabled reports whether MSI delivery is enabled.
-func (m MSICap) Enabled() bool { return m.cfg.Read16(m.off+2)&MSICtlEnable != 0 }
-
-// SetEnabled sets or clears the MSI enable bit.
-func (m MSICap) SetEnabled(on bool) {
-	ctl := m.cfg.Read16(m.off + 2)
-	if on {
-		ctl |= MSICtlEnable
-	} else {
-		ctl &^= MSICtlEnable
-	}
-	m.cfg.Write16(m.off+2, ctl)
-}
-
-// SetMessage programs the message address and data (the interrupt vector).
-func (m MSICap) SetMessage(addr uint64, data uint32) {
-	m.cfg.Write32(m.off+4, uint32(addr))
-	m.cfg.Write32(m.off+8, uint32(addr>>32))
-	m.cfg.Write32(m.off+12, data)
-}
-
 // Message reads back the programmed address and data.
 func (m MSICap) Message() (addr uint64, data uint32) {
 	addr = uint64(m.cfg.Read32(m.off+4)) | uint64(m.cfg.Read32(m.off+8))<<32
 	return addr, m.cfg.Read32(m.off + 12)
 }
-
-// MaskOffset reports the config-space offset of the mask register — the
-// register whose emulation cost §5.1 eliminates from the device model.
-func (m MSICap) MaskOffset() int { return m.off + 16 }
 
 // SetMasked masks or unmasks one vector.
 func (m MSICap) SetMasked(vector int, masked bool) {
@@ -92,11 +67,6 @@ func (m MSICap) SetMasked(vector int, masked bool) {
 		bits &^= 1 << uint(vector)
 	}
 	m.cfg.Write32(m.off+16, bits)
-}
-
-// Masked reports whether a vector is masked.
-func (m MSICap) Masked(vector int) bool {
-	return m.cfg.Read32(m.off+16)&(1<<uint(vector)) != 0
 }
 
 // ---- PCI Express capability (ID 0x10) ----
@@ -150,11 +120,6 @@ func PCIeCapAt(cfg *ConfigSpace) (PCIeCap, bool) {
 // Offset reports the capability's config-space offset.
 func (c PCIeCap) Offset() int { return c.off }
 
-// FLRCapable reports whether Device Capabilities advertises FLR.
-func (c PCIeCap) FLRCapable() bool {
-	return c.cfg.Read32(c.off+PCIeDevCapOff)&PCIeDevCapFLR != 0
-}
-
 // DevCtlOffset reports the config-space offset of Device Control — where
 // software writes Initiate FLR.
 func (c PCIeCap) DevCtlOffset() int { return c.off + PCIeDevCtlOff }
@@ -168,12 +133,6 @@ func (c PCIeCap) DevCtlOffset() int { return c.off + PCIeDevCtlOff }
 //   +8 PBA Offset / BIR
 
 const msixBodySize = 10
-
-// MSI-X control bits.
-const (
-	MSIXCtlEnable       = 1 << 15
-	MSIXCtlFunctionMask = 1 << 14
-)
 
 // MSIXCap is a typed view of an MSI-X capability.
 type MSIXCap struct {
@@ -205,28 +164,8 @@ func MSIXCapAt(cfg *ConfigSpace) (MSIXCap, bool) {
 // Offset reports the capability's config-space offset.
 func (m MSIXCap) Offset() int { return m.off }
 
-// TableSize reports the number of MSI-X table entries.
-func (m MSIXCap) TableSize() int { return int(m.cfg.Read16(m.off+2)&0x7ff) + 1 }
-
 // TableBIR reports which BAR holds the vector table.
 func (m MSIXCap) TableBIR() int { return int(m.cfg.Read32(m.off+4) & 0x7) }
-
-// TableOffset reports the table's offset within its BAR.
-func (m MSIXCap) TableOffset() uint32 { return m.cfg.Read32(m.off+4) &^ 0x7 }
-
-// Enabled reports whether MSI-X is enabled.
-func (m MSIXCap) Enabled() bool { return m.cfg.Read16(m.off+2)&MSIXCtlEnable != 0 }
-
-// SetEnabled sets or clears the enable bit.
-func (m MSIXCap) SetEnabled(on bool) {
-	ctl := m.cfg.Read16(m.off + 2)
-	if on {
-		ctl |= MSIXCtlEnable
-	} else {
-		ctl &^= MSIXCtlEnable
-	}
-	m.cfg.Write16(m.off+2, ctl)
-}
 
 // ---- SR-IOV extended capability (ID 0x0010) ----
 //
@@ -313,17 +252,6 @@ func (s SRIOVCap) VFDeviceID() uint16 { return s.cfg.Read16(s.off + 0x1a) }
 // VFEnabled reports whether VF Enable is set.
 func (s SRIOVCap) VFEnabled() bool { return s.cfg.Read16(s.off+0x08)&SRIOVCtlVFEnable != 0 }
 
-// SetVFEnable sets or clears VF Enable.
-func (s SRIOVCap) SetVFEnable(on bool) {
-	ctl := s.cfg.Read16(s.off + 0x08)
-	if on {
-		ctl |= SRIOVCtlVFEnable | SRIOVCtlVFMSE
-	} else {
-		ctl &^= SRIOVCtlVFEnable | SRIOVCtlVFMSE
-	}
-	s.cfg.Write16(s.off+0x08, ctl)
-}
-
 // VFRID reports the routing ID of VF index i for a PF with the given RID.
 func (s SRIOVCap) VFRID(pf RID, i int) RID {
 	return pf.Offset(s.FirstVFOffset() + i*s.VFStride())
@@ -356,15 +284,6 @@ func AddACSCap(cfg *ConfigSpace, off int) ACSCap {
 	caps := uint16(ACSSourceValidation | ACSP2PRequestRedirect | ACSUpstreamForwarding)
 	cfg.writeRaw16(off+4, caps)
 	return ACSCap{cfg: cfg, off: off}
-}
-
-// ACSCapAt returns a view of the ACS capability found in cfg.
-func ACSCapAt(cfg *ConfigSpace) (ACSCap, bool) {
-	off := cfg.FindExtCapability(ExtCapIDACS)
-	if off == 0 {
-		return ACSCap{}, false
-	}
-	return ACSCap{cfg: cfg, off: off}, true
 }
 
 // RedirectEnabled reports whether P2P request redirect is on.

@@ -7,17 +7,12 @@ const ConfigSpaceSize = 4096
 
 // Standard configuration header offsets (type 0).
 const (
-	RegVendorID   = 0x00 // 16-bit
-	RegDeviceID   = 0x02 // 16-bit
-	RegCommand    = 0x04 // 16-bit
-	RegStatus     = 0x06 // 16-bit
-	RegRevisionID = 0x08 // 8-bit
-	RegClassCode  = 0x09 // 24-bit
-	RegHeaderType = 0x0e // 8-bit
-	RegBAR0       = 0x10 // six 32-bit BARs through 0x24
-	RegCapPtr     = 0x34 // 8-bit, start of the legacy capability list
-	RegIntLine    = 0x3c // 8-bit
-	RegIntPin     = 0x3d // 8-bit
+	RegVendorID = 0x00 // 16-bit
+	RegDeviceID = 0x02 // 16-bit
+	RegCommand  = 0x04 // 16-bit
+	RegStatus   = 0x06 // 16-bit
+	RegBAR0     = 0x10 // six 32-bit BARs through 0x24
+	RegCapPtr   = 0x34 // 8-bit, start of the legacy capability list
 )
 
 // Command register bits.
@@ -35,7 +30,6 @@ const (
 	CapIDMSI    = 0x05
 	CapIDMSIX   = 0x11
 	CapIDPCIExp = 0x10
-	CapIDVendor = 0x09
 )
 
 // Extended capability IDs (offset 0x100+ space).
@@ -112,14 +106,6 @@ func (c *ConfigSpace) Read32(off int) uint32 {
 	}
 	return uint32(c.data[off]) | uint32(c.data[off+1])<<8 |
 		uint32(c.data[off+2])<<16 | uint32(c.data[off+3])<<24
-}
-
-// Write8 writes one byte. Writes to non-present functions are dropped.
-func (c *ConfigSpace) Write8(off int, v uint8) {
-	if !c.present || c.check(off, 1) != nil {
-		return
-	}
-	c.data[off] = v
 }
 
 // Write16 writes a little-endian 16-bit value.

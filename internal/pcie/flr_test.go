@@ -5,7 +5,7 @@ import "testing"
 func TestFLRHookAndSelfClear(t *testing.T) {
 	fn := NewFunction("dev", MakeRID(1, 0, 0), 0x8086, 0x10ca)
 	cap := AddPCIeCap(fn.Config(), 0x40)
-	if !cap.FLRCapable() {
+	if fn.Config().Read32(cap.Offset()+PCIeDevCapOff)&PCIeDevCapFLR == 0 {
 		t.Fatal("DevCap should advertise FLR")
 	}
 	var resets int

@@ -8,12 +8,11 @@ import "fmt"
 // performance-critical resources (§2) — here, that means its own RID, BAR
 // and MSI-X state, while configuration behaviour defers to the device.
 type Function struct {
-	rid    RID
-	cfg    *ConfigSpace
-	name   string
-	isVF   bool
-	parent *Function // PF, for VFs
-	vfIdx  int       // index among the PF's VFs
+	rid   RID
+	cfg   *ConfigSpace
+	name  string
+	isVF  bool
+	vfIdx int // index among the PF's VFs
 
 	port *Port // where the function's device is attached
 
@@ -23,10 +22,9 @@ type Function struct {
 	// OnConfigWrite fires after a config register write, letting the device
 	// model react (the SR-IOV control register is the important one).
 	OnConfigWrite func(off, size int, val uint32)
-	// OnMMIOWrite and OnMMIORead let the device model implement registers
-	// in BAR space (doorbells, interrupt throttle registers, ...).
+	// OnMMIOWrite lets the device model implement registers in BAR space
+	// (doorbells, interrupt throttle registers, ...).
 	OnMMIOWrite func(bar int, off uint64, val uint64)
-	OnMMIORead  func(bar int, off uint64) uint64
 	// OnFLR fires when a config write sets Initiate Function Level Reset
 	// in the PCI Express capability; the device model resets the
 	// function's hardware state. The bit is self-clearing.
@@ -53,9 +51,6 @@ func (f *Function) Config() *ConfigSpace { return f.cfg }
 
 // IsVF reports whether this is a virtual function.
 func (f *Function) IsVF() bool { return f.isVF }
-
-// Parent reports the PF of a VF (nil for a PF).
-func (f *Function) Parent() *Function { return f.parent }
 
 // VFIndex reports a VF's index among its PF's VFs (-1 for a PF).
 func (f *Function) VFIndex() int {
@@ -153,14 +148,6 @@ func (f *Function) MMIOWrite(bar int, off uint64, val uint64) {
 	}
 }
 
-// MMIORead dispatches a read from a BAR-relative register.
-func (f *Function) MMIORead(bar int, off uint64) uint64 {
-	if f.OnMMIORead != nil {
-		return f.OnMMIORead(bar, off)
-	}
-	return 0
-}
-
 // String renders the function as "name@bb:dd.f".
 func (f *Function) String() string { return fmt.Sprintf("%s@%s", f.name, f.rid) }
 
@@ -200,7 +187,6 @@ func (d *Device) AddVF(pf *Function, idx int) *Function {
 		cap.VFDeviceID(),
 	)
 	vf.isVF = true
-	vf.parent = pf
 	vf.vfIdx = idx
 	vf.port = pf.port
 	vf.cfg.SetPresent(false)

@@ -60,7 +60,7 @@ func TestConfigSpaceAccess(t *testing.T) {
 	if c.Read32(ConfigSpaceSize) != 0xffffffff {
 		t.Fatal("out-of-range read should be all-ones")
 	}
-	c.Write8(ConfigSpaceSize, 1) // no panic
+	c.Write32(ConfigSpaceSize, 1) // no panic
 }
 
 func TestConfigSpaceNonPresent(t *testing.T) {
@@ -135,43 +135,36 @@ func TestCapabilityWalkProperty(t *testing.T) {
 func TestMSICapMasking(t *testing.T) {
 	c := NewConfigSpace(0x8086, 0x10c9)
 	m := AddMSICap(c, 0x50, 2) // 4 vectors
-	if m.Enabled() {
+	if c.Read16(m.Offset()+2)&MSICtlEnable != 0 {
 		t.Fatal("MSI should start disabled")
 	}
-	m.SetEnabled(true)
-	if !m.Enabled() {
-		t.Fatal("enable failed")
-	}
-	m.SetMessage(0xfee00000, 0x4041)
+	// Message address (lo, hi) and data, as the guest driver programs them.
+	c.Write32(m.Offset()+4, 0xfee00000)
+	c.Write32(m.Offset()+8, 0)
+	c.Write32(m.Offset()+12, 0x4041)
 	addr, data := m.Message()
 	if addr != 0xfee00000 || data != 0x4041 {
 		t.Fatalf("message = %#x/%#x", addr, data)
 	}
+	// The mask register sits at +16 (0x60 here), one bit per vector.
 	m.SetMasked(1, true)
-	if !m.Masked(1) || m.Masked(0) {
-		t.Fatal("mask bit wrong")
+	if c.Read32(0x60) != 0b10 {
+		t.Fatalf("mask bits = %#b, want vector 1 only", c.Read32(0x60))
 	}
 	m.SetMasked(1, false)
-	if m.Masked(1) {
+	if c.Read32(0x60) != 0 {
 		t.Fatal("unmask failed")
-	}
-	if m.MaskOffset() != 0x60 {
-		t.Fatalf("mask offset = %#x", m.MaskOffset())
 	}
 }
 
 func TestMSIXCap(t *testing.T) {
 	c := NewConfigSpace(0x8086, 0x10c9)
 	m := AddMSIXCap(c, 0x70, 10, 3, 0x2000)
-	if m.TableSize() != 10 {
-		t.Fatalf("table size = %d", m.TableSize())
-	}
-	m.SetEnabled(true)
-	if !m.Enabled() {
-		t.Fatal("enable failed")
+	if size := c.Read16(m.Offset()+2)&0x7ff + 1; size != 10 {
+		t.Fatalf("table size = %d", size)
 	}
 	got, ok := MSIXCapAt(c)
-	if !ok || got.TableSize() != 10 {
+	if !ok || got.Offset() != 0x70 || got.TableBIR() != 3 {
 		t.Fatal("MSIXCapAt lookup failed")
 	}
 }
@@ -186,7 +179,7 @@ func TestSRIOVCap(t *testing.T) {
 		t.Fatal("VFs should start disabled")
 	}
 	s.SetNumVFs(7)
-	s.SetVFEnable(true)
+	c.Write16(s.Offset()+0x08, SRIOVCtlVFEnable|SRIOVCtlVFMSE) // as the PF driver does
 	if !s.VFEnabled() || s.NumVFs() != 7 {
 		t.Fatal("enable failed")
 	}
@@ -232,13 +225,9 @@ func TestFunctionHooks(t *testing.T) {
 	}
 	var mmioOff uint64
 	f.OnMMIOWrite = func(bar int, off, val uint64) { mmioOff = off }
-	f.OnMMIORead = func(bar int, off uint64) uint64 { return 77 }
 	f.MMIOWrite(0, 0x100, 1)
 	if mmioOff != 0x100 {
 		t.Fatal("MMIO write hook not fired")
-	}
-	if f.MMIORead(0, 0) != 77 {
-		t.Fatal("MMIO read hook not fired")
 	}
 }
 
@@ -267,7 +256,7 @@ func TestDeviceVFLifecycle(t *testing.T) {
 		if vf.Config().Present() {
 			t.Fatal("VF present before enable")
 		}
-		if !vf.IsVF() || vf.Parent() != pf {
+		if !vf.IsVF() {
 			t.Fatal("VF parentage wrong")
 		}
 	}
@@ -481,8 +470,8 @@ func TestMSIXTableLocation(t *testing.T) {
 	if m.TableBIR() != 3 {
 		t.Fatalf("BIR = %d", m.TableBIR())
 	}
-	if m.TableOffset() != 0x2000 {
-		t.Fatalf("offset = %#x", m.TableOffset())
+	if off := c.Read32(m.Offset()+4) &^ 0x7; off != 0x2000 {
+		t.Fatalf("offset = %#x", off)
 	}
 	if m.Offset() != 0x70 {
 		t.Fatalf("cap offset = %#x", m.Offset())
@@ -498,8 +487,8 @@ func TestCapabilitiesSurviveNonPresentConstruction(t *testing.T) {
 	AddMSICap(c, 0x50, 2)
 	c.SetPresent(true)
 	mx, ok := MSIXCapAt(c)
-	if !ok || mx.TableSize() != 3 || mx.TableBIR() != 3 {
-		t.Fatalf("MSI-X cap lost: ok=%v size=%d bir=%d", ok, mx.TableSize(), mx.TableBIR())
+	if size := c.Read16(mx.Offset()+2)&0x7ff + 1; !ok || size != 3 || mx.TableBIR() != 3 {
+		t.Fatalf("MSI-X cap lost: ok=%v size=%d bir=%d", ok, size, mx.TableBIR())
 	}
 	if _, ok := MSICapAt(c); !ok {
 		t.Fatal("MSI cap lost")
@@ -518,7 +507,7 @@ func TestSmallAccessors(t *testing.T) {
 		t.Fatal("ConfigWrite32")
 	}
 	sw := NewSwitch("sw", 2)
-	if sw.Name() != "sw" || sw.Upstream().Kind() != SwitchUpstream || sw.NumDownstream() != 2 {
+	if sw.Name() != "sw" || len(sw.downstream) != 2 {
 		t.Fatal("switch accessors")
 	}
 	if sw.Downstream(0).Name() == "" {
@@ -526,9 +515,6 @@ func TestSmallAccessors(t *testing.T) {
 	}
 	if _, ok := sw.Downstream(1).ACS(); !ok {
 		t.Fatal("downstream ports carry ACS")
-	}
-	if _, ok := sw.Upstream().ACS(); ok {
-		t.Fatal("upstream port has no ACS")
 	}
 	for _, k := range []PortKind{RootPort, SwitchUpstream, SwitchDownstream, PortKind(9)} {
 		if k.String() == "" {

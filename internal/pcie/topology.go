@@ -63,7 +63,6 @@ func (p *Port) ACS() (ACSCap, bool) { return p.acs, p.hasACS }
 // upstream through the root complex and IOMMU (§4.3).
 type Switch struct {
 	name       string
-	upstream   *Port
 	downstream []*Port
 	cfg        *ConfigSpace // switch's own config space, hosts ACS caps
 }
@@ -73,7 +72,6 @@ type Switch struct {
 // about).
 func NewSwitch(name string, n int) *Switch {
 	s := &Switch{name: name, cfg: NewConfigSpace(0x8086, 0x0101)}
-	s.upstream = &Port{kind: SwitchUpstream, name: name + "/up", sw: s}
 	capOff := ExtCapBase
 	for i := 0; i < n; i++ {
 		p := &Port{kind: SwitchDownstream, name: fmt.Sprintf("%s/down%d", name, i), sw: s}
@@ -88,14 +86,8 @@ func NewSwitch(name string, n int) *Switch {
 // Name reports the switch name.
 func (s *Switch) Name() string { return s.name }
 
-// Upstream reports the upstream port.
-func (s *Switch) Upstream() *Port { return s.upstream }
-
 // Downstream reports downstream port i.
 func (s *Switch) Downstream(i int) *Port { return s.downstream[i] }
-
-// NumDownstream reports the downstream port count.
-func (s *Switch) NumDownstream() int { return len(s.downstream) }
 
 // Translator maps a (requester ID, device-visible address) to a host
 // physical address, or fails the transaction. The IOMMU implements it.
@@ -186,8 +178,6 @@ func (f *Fabric) AddSwitch(root *Port, sw *Switch) {
 		panic("pcie: root port already has a device")
 	}
 	f.switches = append(f.switches, sw)
-	// Track attachment by pointing the upstream port's switch field at sw
-	// (already done) and remembering the parent via the port name.
 	root.sw = sw
 }
 
@@ -366,7 +356,7 @@ func (f *Fabric) routeUpstream(src *Function, p2pTarget *Function, addr uint64, 
 	return r
 }
 
-// Describe renders the topology tree, for the sriovtop tool and tests.
+// Describe renders the topology tree (examples/security prints it).
 func (f *Fabric) Describe() string {
 	var b strings.Builder
 	writeDev := func(indent string, dev *Device) {

@@ -85,16 +85,6 @@ func (f *Figure) AddLatencyPercentiles(prefix string) func(label string, p50, p9
 	}
 }
 
-// FindSeries returns the series with the given name, or nil.
-func (f *Figure) FindSeries(name string) *Series {
-	for _, s := range f.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // CheckRange records a bounds assertion.
 func (f *Figure) CheckRange(name string, got, lo, hi float64) {
 	f.Checks = append(f.Checks, Check{

@@ -16,9 +16,19 @@ func buildFigure() *Figure {
 	return f
 }
 
+// findSeries returns the figure's series with the given name, or nil.
+func findSeries(f *Figure, name string) *Series {
+	for _, s := range f.Series {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
+}
+
 func TestSeriesAccess(t *testing.T) {
 	f := buildFigure()
-	s := f.FindSeries("throughput")
+	s := findSeries(f, "throughput")
 	if s == nil {
 		t.Fatal("series missing")
 	}
@@ -31,7 +41,7 @@ func TestSeriesAccess(t *testing.T) {
 	if s.Last() != 956 {
 		t.Fatalf("Last = %v", s.Last())
 	}
-	if f.FindSeries("nope") != nil {
+	if findSeries(f, "nope") != nil {
 		t.Fatal("unknown series should be nil")
 	}
 	var empty Series
@@ -63,7 +73,7 @@ func TestTableRendering(t *testing.T) {
 		}
 	}
 	// Missing point renders as "-".
-	f.FindSeries("cpu").Points = f.FindSeries("cpu").Points[:1]
+	findSeries(f, "cpu").Points = findSeries(f, "cpu").Points[:1]
 	if !strings.Contains(f.Table(), "-") {
 		t.Fatal("missing point should render as dash")
 	}
@@ -111,7 +121,7 @@ func TestCSV(t *testing.T) {
 		t.Fatalf("row = %q", lines[1])
 	}
 	// Missing point → empty cell.
-	f.FindSeries("cpu").Points = f.FindSeries("cpu").Points[:1]
+	findSeries(f, "cpu").Points = findSeries(f, "cpu").Points[:1]
 	if !strings.Contains(f.CSV(), "20,956,\n") {
 		t.Fatalf("missing point not empty:\n%s", f.CSV())
 	}

@@ -72,9 +72,6 @@ func (w *TaskWall) observe(sec float64) {
 	w.max = max(w.max, sec)
 }
 
-// N reports the task count.
-func (w TaskWall) N() int64 { return w.n }
-
 // Mean reports the mean task wall time (0 if none ran).
 func (w TaskWall) Mean() float64 {
 	if w.n == 0 {

@@ -249,8 +249,8 @@ func TestResultsInInputOrderAndCounted(t *testing.T) {
 	if s.Events == 0 {
 		t.Fatal("no simulation events recorded")
 	}
-	if s.TaskWall.N() != int64(s.Tasks) {
-		t.Fatalf("task-wall samples %d != tasks %d", s.TaskWall.N(), s.Tasks)
+	if s.TaskWall.n != int64(s.Tasks) {
+		t.Fatalf("task-wall samples %d != tasks %d", s.TaskWall.n, s.Tasks)
 	}
 	for _, r := range s.Results {
 		if r.Wall <= 0 {
@@ -329,9 +329,9 @@ func TestSharedPointRunsOnce(t *testing.T) {
 	if got[0][0] != want || got[1][1] != want {
 		t.Fatalf("shared results = %v / %v, want the leader's %v", got[0][0], got[1][1], want)
 	}
-	if s.Tasks != 2 || s.Results[0].Tasks != 1 || s.Results[1].Tasks != 1 || s.TaskWall.N() != 2 {
+	if s.Tasks != 2 || s.Results[0].Tasks != 1 || s.Results[1].Tasks != 1 || s.TaskWall.n != 2 {
 		t.Fatalf("tasks = %d (%d + %d), task-wall samples %d; want 2 (1 + 1), 2",
-			s.Tasks, s.Results[0].Tasks, s.Results[1].Tasks, s.TaskWall.N())
+			s.Tasks, s.Results[0].Tasks, s.Results[1].Tasks, s.TaskWall.n)
 	}
 	if n := s.Obs.Counter("test.cell_audits").Value(); n != 1 {
 		t.Fatalf("merged test.cell_audits = %d, want the one run's (1)", n)

@@ -173,7 +173,8 @@ type Engine struct {
 	// flushed is the portion of processed already added to the global
 	// counter (see TotalProcessed).
 	flushed uint64
-	// limit bounds the number of executed events; 0 means unlimited.
+	// limit bounds the number of executed events, a guard tests set
+	// against runaway schedules; 0 means unlimited.
 	limit uint64
 	// arena recycles event objects; pooling gates whether recycled events
 	// are actually reused. It is always true outside package tests, which
@@ -256,10 +257,6 @@ func (e *Engine) flushProcessed() {
 
 // Processed reports how many events have been executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
-
-// SetEventLimit bounds the total number of events the engine will execute.
-// It is a guard against runaway schedules in tests; 0 disables the limit.
-func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
 // At schedules fn at absolute time t. Scheduling in the past (before Now)
 // panics: it is always a modeling bug.
@@ -363,8 +360,7 @@ func (e *Engine) Pending() int {
 }
 
 // Ticker fires fn at a fixed period until cancelled. It reschedules itself
-// after each firing, so fn may safely adjust the period for the next tick by
-// calling SetPeriod.
+// after each firing.
 type Ticker struct {
 	eng    *Engine
 	period Duration
@@ -372,11 +368,7 @@ type Ticker struct {
 	fn     func(Time)
 	tick   func() // created once; re-arming must not allocate a closure
 	handle Handle
-	// armedAt is when the pending tick's interval began (creation or the
-	// previous firing). SetPeriod measures the already-elapsed portion of
-	// the pending interval against it.
-	armedAt Time
-	done    bool
+	done   bool
 }
 
 // NewTicker creates and starts a ticker whose first firing is one period
@@ -400,37 +392,7 @@ func NewTicker(eng *Engine, period Duration, name string, fn func(Time)) *Ticker
 }
 
 func (t *Ticker) arm() {
-	t.armedAt = t.eng.Now()
 	t.handle = t.eng.After(t.period, t.name, t.tick)
-}
-
-// SetPeriod changes the period used for subsequent ticks. If called outside
-// the tick callback it retargets the pending tick, crediting the portion of
-// the interval already elapsed: the tick began at armedAt, so under the new
-// period it is due at armedAt+p. The deadline never moves later than
-// originally armed (so repeated retargeting — an ITR policy re-evaluating
-// every few samples — cannot push the next firing out indefinitely) and
-// never into the past (an overdue tick fires now).
-func (t *Ticker) SetPeriod(p Duration) {
-	if p <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	if t.period == p {
-		return
-	}
-	old := t.period
-	t.period = p
-	if t.handle.Pending() {
-		deadline := t.armedAt.Add(p)
-		if prev := t.armedAt.Add(old); prev < deadline {
-			deadline = prev
-		}
-		if now := t.eng.Now(); deadline < now {
-			deadline = now
-		}
-		t.handle.Cancel()
-		t.handle = t.eng.At(deadline, t.name, t.tick)
-	}
 }
 
 // Stop cancels the ticker.

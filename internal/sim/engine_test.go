@@ -145,7 +145,7 @@ func TestStop(t *testing.T) {
 
 func TestEventLimit(t *testing.T) {
 	e := NewEngine(1)
-	e.SetEventLimit(10)
+	e.limit = 10
 	var loop func()
 	loop = func() { e.After(1, "loop", loop) }
 	e.After(1, "loop", loop)
@@ -168,7 +168,7 @@ func TestEventLimit(t *testing.T) {
 func TestEventLimitPanicReportsNextAndRecycles(t *testing.T) {
 	arena := NewArena()
 	e := NewEngineArena(1, arena)
-	e.SetEventLimit(2)
+	e.limit = 2
 	for i := 5; i <= 7; i++ {
 		e.At(Time(i)*Time(units.Second), "ev", func() {})
 	}
@@ -222,82 +222,6 @@ func TestTicker(t *testing.T) {
 		if times[i] != want {
 			t.Fatalf("tick %d at %v, want %v", i, times[i], want)
 		}
-	}
-}
-
-func TestTickerSetPeriod(t *testing.T) {
-	e := NewEngine(1)
-	var times []Time
-	var tk *Ticker
-	tk = NewTicker(e, 10, "tick", func(now Time) {
-		times = append(times, now)
-		if now == 20 {
-			tk.SetPeriod(5)
-		}
-	})
-	e.RunUntil(31)
-	tk.Stop()
-	want := []Time{10, 20, 25, 30}
-	if len(times) != len(want) {
-		t.Fatalf("ticks %v, want %v", times, want)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("ticks %v, want %v", times, want)
-		}
-	}
-}
-
-func TestTickerSetPeriodOutsideCallback(t *testing.T) {
-	// The pending tick was armed at t=0 with period 100. Retargeting to 20
-	// at t=10 must credit the 10 units already elapsed: the next tick is
-	// due at min(0+100, 0+20) = 20, not at Now()+20 = 30.
-	e := NewEngine(1)
-	var times []Time
-	tk := NewTicker(e, 100, "tick", func(now Time) { times = append(times, now) })
-	e.RunUntil(10)
-	tk.SetPeriod(20)
-	e.RunUntil(55)
-	tk.Stop()
-	want := []Time{20, 40}
-	if len(times) != 2 || times[0] != want[0] || times[1] != want[1] {
-		t.Fatalf("ticks %v, want %v", times, want)
-	}
-}
-
-// TestTickerSetPeriodNoStarvation pins the satellite bug: before the fix,
-// SetPeriod outside the callback re-armed with the full new period from
-// Now(), so an ITR-style controller retargeting faster than the period
-// could postpone the tick forever. With elapsed-time credit the deadline
-// is anchored at armedAt and repeated same-period retargets are no-ops.
-func TestTickerSetPeriodNoStarvation(t *testing.T) {
-	e := NewEngine(1)
-	var times []Time
-	tk := NewTicker(e, 50, "itr", func(now Time) { times = append(times, now) })
-	for i := 1; i <= 9; i++ {
-		e.RunUntil(Time(i * 10))
-		tk.SetPeriod(50) // retarget mid-interval, same period
-	}
-	tk.Stop()
-	if len(times) != 1 || times[0] != 50 {
-		t.Fatalf("ticks %v, want a single tick at 50 (starved by retargeting?)", times)
-	}
-}
-
-// TestTickerSetPeriodShrinkToPast covers the clamp: shrinking the period so
-// the credited deadline lands before Now() must fire at Now(), not panic on
-// a past schedule.
-func TestTickerSetPeriodShrinkToPast(t *testing.T) {
-	e := NewEngine(1)
-	var times []Time
-	tk := NewTicker(e, 100, "tick", func(now Time) { times = append(times, now) })
-	e.RunUntil(30)
-	tk.SetPeriod(10) // credited deadline 0+10=10 is in the past → due now
-	e.RunUntil(45)
-	tk.Stop()
-	want := []Time{30, 40}
-	if len(times) != 2 || times[0] != want[0] || times[1] != want[1] {
-		t.Fatalf("ticks %v, want %v", times, want)
 	}
 }
 

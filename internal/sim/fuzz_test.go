@@ -27,7 +27,7 @@ func fuzzRun(t *testing.T, data []byte, pooling bool, q scheduler) (trace []fire
 	t.Helper()
 	e := newEngine(99, nil, q)
 	e.pooling = pooling
-	e.SetEventLimit(100000)
+	e.limit = 100000
 
 	nextID := 0
 	scheduledAt := map[int]Time{} // id -> when

@@ -50,9 +50,6 @@ func (d Duration) String() string {
 	}
 }
 
-// Seconds constructs a Duration from floating-point seconds.
-func Seconds(s float64) Duration { return Duration(s * float64(Second)) }
-
 // BitRate is a data rate in bits per second.
 type BitRate int64
 

@@ -20,12 +20,12 @@ func TestTimeArithmetic(t *testing.T) {
 }
 
 func TestSecondsRoundTrip(t *testing.T) {
-	d := Seconds(1.5)
-	if d != 1500*Millisecond {
-		t.Fatalf("Seconds(1.5) = %v, want 1.5s", d)
-	}
+	d := 1500 * Millisecond
 	if got := d.Seconds(); got != 1.5 {
 		t.Fatalf("round trip: got %v", got)
+	}
+	if back := Duration(d.Seconds() * float64(Second)); back != d {
+		t.Fatalf("back = %v, want %v", back, d)
 	}
 }
 

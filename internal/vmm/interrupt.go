@@ -28,25 +28,16 @@ type MSIBinding struct {
 // Vector reports the machine vector allocated to this binding.
 func (b *MSIBinding) Vector() interrupts.Vector { return b.vector }
 
-// BindGuestMSI allocates a machine vector for a device interrupt source
-// owned by dom and registers the guest's handler. The handler runs in guest
-// context whenever the (virtual) interrupt is delivered.
+// BindGuestMSIFromRID allocates a machine vector for a device interrupt
+// source owned by dom and registers the guest's handler. The handler runs in
+// guest context whenever the (virtual) interrupt is delivered. A non-zero
+// rid also programs interrupt remapping: the IOMMU lets only that requester
+// signal the allocated vector (the VT-d side of safe device assignment).
 //
 // HVM: physical MSI → VM-exit → inject into virtual LAPIC → handler.
 // PVM: physical MSI → VM-exit → event-channel notify → upcall handler.
 // Native: the LAPIC is real; the handler runs with no VMM cost.
-func (h *Hypervisor) BindGuestMSI(d *Domain, source string, handler func()) (*MSIBinding, error) {
-	return h.bindMSI(d, source, 0, handler)
-}
-
-// BindGuestMSIFromRID is BindGuestMSI with interrupt remapping: the IOMMU is
-// programmed so only the given requester may signal the allocated vector
-// (the VT-d side of safe device assignment).
 func (h *Hypervisor) BindGuestMSIFromRID(d *Domain, source string, rid uint16, handler func()) (*MSIBinding, error) {
-	return h.bindMSI(d, source, rid, handler)
-}
-
-func (h *Hypervisor) bindMSI(d *Domain, source string, rid uint16, handler func()) (*MSIBinding, error) {
 	v, err := h.vectors.Alloc(fmt.Sprintf("%s:%s", d.Name, source))
 	if err != nil {
 		return nil, err
@@ -148,15 +139,6 @@ func (h *Hypervisor) BindEventChannel(d *Domain, source string, handler func()) 
 	}
 	d.upcalls[port] = handler
 	return port, nil
-}
-
-// UnbindEventChannel releases a port.
-func (h *Hypervisor) UnbindEventChannel(d *Domain, port interrupts.EventChannelPort) {
-	if d.events == nil {
-		return
-	}
-	d.events.Unbind(port)
-	delete(d.upcalls, port)
 }
 
 // EOICost reports the current per-EOI hypervisor cost under the active

@@ -173,9 +173,6 @@ func (d *Domain) Assigned() []*pcie.Function { return d.assigned }
 // Paused reports whether the domain is paused (stop-and-copy phase).
 func (d *Domain) Paused() bool { return d.paused }
 
-// Corrupted reports whether EOI fast-path mis-emulation damaged the guest.
-func (d *Domain) Corrupted() bool { return d.corrupted }
-
 // Account returns the domain's CPU account for a category.
 func (d *Domain) Account(category string) cpu.Account {
 	return cpu.Account{Domain: d.Name, Category: category}
@@ -226,15 +223,10 @@ type Hypervisor struct {
 	exitCounters map[ExitReason]*obs.Counter
 }
 
-// New creates a Xen-flavoured hypervisor bound to the simulation engine,
-// meter, fabric and IOMMU, and creates dom0.
-func New(eng *sim.Engine, meter *cpu.Meter, fabric *pcie.Fabric, mmu *iommu.IOMMU, opts Optimizations) *Hypervisor {
-	return NewFlavored(eng, meter, fabric, mmu, opts, Xen)
-}
-
-// NewFlavored creates a hypervisor of the given flavor. The service domain
-// is "dom0" on Xen and "host" on KVM; driver code is identical either way
-// (the §4 portability claim).
+// NewFlavored creates a hypervisor of the given flavor bound to the
+// simulation engine, meter, fabric and IOMMU, and creates its service
+// domain: "dom0" on Xen and "host" on KVM. Driver code is identical either
+// way (the §4 portability claim).
 func NewFlavored(eng *sim.Engine, meter *cpu.Meter, fabric *pcie.Fabric, mmu *iommu.IOMMU, opts Optimizations, flavor Flavor) *Hypervisor {
 	r := obs.NewRegistry()
 	h := &Hypervisor{
@@ -327,14 +319,6 @@ func (h *Hypervisor) CreateDomain(name string, t DomainType, k KernelConfig, dm 
 		panic("vmm: KVM has no paravirtualized guests")
 	}
 	return h.createDomain(name, t, k, dm)
-}
-
-// DestroyDomain tears a domain down, detaching passthrough devices.
-func (h *Hypervisor) DestroyDomain(d *Domain) {
-	for _, fn := range append([]*pcie.Function(nil), d.assigned...) {
-		h.UnassignDevice(d, fn)
-	}
-	delete(h.domains, d.ID)
 }
 
 // SetPaused pauses/unpauses a domain (migration stop-and-copy). A paused
@@ -480,13 +464,4 @@ func exitShort(r ExitReason) string {
 // ResetExitTrace clears the Fig. 7 trace.
 func (h *Hypervisor) ResetExitTrace() {
 	h.Exits = make(map[ExitReason]*ExitRecord)
-}
-
-// TotalExitCycles sums hypervisor cycles across exit reasons.
-func (h *Hypervisor) TotalExitCycles() units.Cycles {
-	var t units.Cycles
-	for _, r := range h.Exits {
-		t += r.Cycles
-	}
-	return t
 }

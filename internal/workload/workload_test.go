@@ -45,12 +45,12 @@ func TestSourceSetRate(t *testing.T) {
 	s.Start()
 	eng.RunUntil(units.Time(500 * units.Millisecond))
 	half := bytes
-	s.SetRate(0)
+	s.rate = 0
 	eng.RunUntil(units.Time(units.Second))
 	if bytes != half {
 		t.Fatal("rate 0 should stop generation")
 	}
-	s.SetRate(units.Gbps)
+	s.rate = units.Gbps
 	eng.RunUntil(units.Time(1500 * units.Millisecond))
 	if bytes <= half {
 		t.Fatal("rate restore should resume generation")
@@ -125,7 +125,7 @@ func TestWindowMeasurement(t *testing.T) {
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(64)
 	fabric.SetIOMMU(mmu)
-	hv := vmm.New(eng, meter, fabric, mmu, vmm.AllOptimizations)
+	hv := vmm.NewFlavored(eng, meter, fabric, mmu, vmm.AllOptimizations, vmm.Xen)
 	d := hv.CreateDomain("g", vmm.HVM, vmm.Kernel2628, nil)
 	recv := guest.NewNetReceiver(hv, d)
 
