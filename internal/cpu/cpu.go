@@ -35,46 +35,72 @@ type System struct {
 }
 
 // Meter accumulates cycles per account over a measurement window.
+// Charging is a slice add: every account is bound once, at wiring time, to
+// a dense slot (Bind), and the hot path charges the slot. Only Bind and
+// the read side resolve an Account.
 type Meter struct {
-	sys     System
-	cycles  map[Account]units.Cycles
-	started units.Time
+	sys      System
+	cycles   []units.Cycles // by slot
+	accounts []Account      // by slot
+	slots    map[Account]Slot
+	started  units.Time
 }
+
+// Slot is an account's dense index in one Meter, returned by Bind.
+type Slot int32
 
 // NewMeter returns a meter for the given system with the window starting at
 // time zero.
 func NewMeter(sys System) *Meter {
-	return &Meter{sys: sys, cycles: make(map[Account]units.Cycles)}
+	return &Meter{sys: sys, slots: make(map[Account]Slot)}
 }
 
 // System reports the system this meter measures.
 func (m *Meter) System() System { return m.sys }
 
-// Charge adds cycles to an account. Negative charges panic: they are always
-// a modeling bug.
-func (m *Meter) Charge(a Account, c units.Cycles) {
-	if c < 0 {
-		panic(fmt.Sprintf("cpu: negative charge %d to %v", c, a))
+// Bind returns the slot charging a, allocating it on the account's first
+// bind; binding an account again returns the same slot.
+func (m *Meter) Bind(a Account) Slot {
+	if s, ok := m.slots[a]; ok {
+		return s
 	}
-	m.cycles[a] += c
+	s := Slot(len(m.accounts))
+	m.slots[a] = s
+	m.accounts = append(m.accounts, a)
+	m.cycles = append(m.cycles, 0)
+	return s
+}
+
+// Charge adds cycles to a bound account. Negative charges panic: they are
+// always a modeling bug.
+func (m *Meter) Charge(s Slot, c units.Cycles) {
+	if c < 0 {
+		panic(fmt.Sprintf("cpu: negative charge %d to %v", c, m.accounts[s]))
+	}
+	m.cycles[s] += c
 }
 
 // ResetWindow discards accumulated cycles and marks now as the start of a
-// new measurement window.
+// new measurement window. Bound slots stay bound.
 func (m *Meter) ResetWindow(now units.Time) {
-	m.cycles = make(map[Account]units.Cycles)
+	clear(m.cycles)
 	m.started = now
 }
 
 // Cycles reports the cycles charged to a since the window started.
-func (m *Meter) Cycles(a Account) units.Cycles { return m.cycles[a] }
+func (m *Meter) Cycles(a Account) units.Cycles {
+	if s, ok := m.slots[a]; ok {
+		return m.cycles[s]
+	}
+	return 0
+}
 
 // DomainCycles reports total cycles charged to a domain across categories.
 func (m *Meter) DomainCycles(domain string) units.Cycles {
 	var t units.Cycles
-	for a, c := range m.cycles {
+	for s, a := range m.accounts {
 		if a.Domain == domain {
-			t += c
+			t += m.cycles[s]
 		}
 	}
 	return t
@@ -113,10 +139,10 @@ func (m *Meter) utilization(c units.Cycles, now units.Time) float64 {
 	return float64(c) / float64(budget) * 100
 }
 
-// Domains reports all domains that were charged, sorted.
+// Domains reports every domain with a bound account, sorted.
 func (m *Meter) Domains() []string {
 	set := make(map[string]bool)
-	for a := range m.cycles {
+	for _, a := range m.accounts {
 		set[a.Domain] = true
 	}
 	out := make([]string, 0, len(set))
@@ -146,7 +172,7 @@ type Job struct {
 type Worker struct {
 	eng      *sim.Engine
 	meter    *Meter
-	account  Account
+	slot     Slot
 	queueCap int
 	queue    jobRing
 	cur      Job // the job in service; valid while busy
@@ -161,7 +187,7 @@ type Worker struct {
 // NewWorker creates a worker charging the given account. queueCap bounds the
 // number of queued (not yet started) jobs; 0 means unbounded.
 func NewWorker(eng *sim.Engine, meter *Meter, account Account, queueCap int) *Worker {
-	w := &Worker{eng: eng, meter: meter, account: account, queueCap: queueCap,
+	w := &Worker{eng: eng, meter: meter, slot: meter.Bind(account), queueCap: queueCap,
 		evName: "worker:" + account.String()}
 	w.done = w.complete
 	return w
@@ -202,7 +228,7 @@ func (w *Worker) startNext() {
 func (w *Worker) complete() {
 	j := w.cur
 	w.cur = Job{}
-	w.meter.Charge(w.account, j.Cost)
+	w.meter.Charge(w.slot, j.Cost)
 	w.Served++
 	if j.Run != nil {
 		j.Run()

@@ -15,7 +15,7 @@ func TestMeterUtilization(t *testing.T) {
 	m := NewMeter(testSys)
 	m.ResetWindow(0)
 	// Charge half a thread-second of cycles over one second.
-	m.Charge(Account{"dom0", "devicemodel"}, testSys.Freq.CyclesIn(500*units.Millisecond))
+	m.Charge(m.Bind(Account{"dom0", "devicemodel"}), testSys.Freq.CyclesIn(500*units.Millisecond))
 	now := units.Time(units.Second)
 	if got := m.Utilization("dom0", now); got < 49.9 || got > 50.1 {
 		t.Fatalf("utilization = %v, want 50", got)
@@ -31,9 +31,9 @@ func TestMeterUtilization(t *testing.T) {
 func TestMeterBreakdownByDomain(t *testing.T) {
 	m := NewMeter(testSys)
 	m.ResetWindow(0)
-	m.Charge(Account{"dom0", "a"}, 100)
-	m.Charge(Account{"dom0", "b"}, 200)
-	m.Charge(Account{"xen", "c"}, 50)
+	m.Charge(m.Bind(Account{"dom0", "a"}), 100)
+	m.Charge(m.Bind(Account{"dom0", "b"}), 200)
+	m.Charge(m.Bind(Account{"xen", "c"}), 50)
 	if m.DomainCycles("dom0") != 300 {
 		t.Fatalf("dom0 cycles = %d", m.DomainCycles("dom0"))
 	}
@@ -44,18 +44,30 @@ func TestMeterBreakdownByDomain(t *testing.T) {
 	if len(d) != 2 || d[0] != "dom0" || d[1] != "xen" {
 		t.Fatalf("domains = %v", d)
 	}
-	if len(m.cycles) != 3 || m.Cycles(Account{"dom0", "a"}) != 100 {
-		t.Fatalf("accounts = %v", m.cycles)
+	for _, c := range []struct {
+		a    Account
+		want units.Cycles
+	}{{Account{"dom0", "a"}, 100}, {Account{"dom0", "b"}, 200}, {Account{"xen", "c"}, 50}, {Account{"xen", "a"}, 0}} {
+		if got := m.Cycles(c.a); got != c.want {
+			t.Fatalf("cycles(%v) = %d, want %d", c.a, got, c.want)
+		}
 	}
 }
 
 func TestMeterResetWindow(t *testing.T) {
 	m := NewMeter(testSys)
-	m.Charge(Account{"dom0", "a"}, 100)
+	s := m.Bind(Account{"dom0", "a"})
+	m.Charge(s, 100)
 	m.ResetWindow(units.Time(units.Second))
-	if m.TotalCycles() != 0 {
+	if m.TotalCycles() != 0 || m.Cycles(Account{"dom0", "a"}) != 0 {
 		t.Fatal("reset should clear cycles")
 	}
+	// The slot stays bound across the reset and charges the new window.
+	m.Charge(s, 7)
+	if m.Cycles(Account{"dom0", "a"}) != 7 || m.DomainCycles("dom0") != 7 {
+		t.Fatalf("post-reset cycles = %d, want 7", m.Cycles(Account{"dom0", "a"}))
+	}
+	m.ResetWindow(units.Time(units.Second))
 	if m.started != units.Time(units.Second) {
 		t.Fatal("window start not recorded")
 	}
@@ -72,7 +84,7 @@ func TestNegativeChargePanics(t *testing.T) {
 			t.Error("negative charge should panic")
 		}
 	}()
-	m.Charge(Account{"x", "y"}, -1)
+	m.Charge(m.Bind(Account{"x", "y"}), -1)
 }
 
 func TestWorkerServesFIFO(t *testing.T) {
@@ -180,7 +192,7 @@ func TestUtilizationAdditiveProperty(t *testing.T) {
 		m.ResetWindow(0)
 		domains := []string{"dom0", "xen", "guest-1", "guest-2"}
 		for i, r := range raw {
-			m.Charge(Account{domains[i%len(domains)], "w"}, units.Cycles(r)*1000)
+			m.Charge(m.Bind(Account{domains[i%len(domains)], "w"}), units.Cycles(r)*1000)
 		}
 		now := units.Time(units.Second)
 		var sum float64
@@ -202,7 +214,7 @@ func TestCategoryUtilizationAndBreakdown(t *testing.T) {
 	m := NewMeter(testSys)
 	m.ResetWindow(0)
 	a := Account{"dom0", "netback"}
-	m.Charge(a, testSys.Freq.CyclesIn(250*units.Millisecond))
+	m.Charge(m.Bind(a), testSys.Freq.CyclesIn(250*units.Millisecond))
 	now := units.Time(units.Second)
 	if got := m.utilization(m.Cycles(a), now); got < 24.9 || got > 25.1 {
 		t.Fatalf("category utilization = %v", got)
@@ -342,5 +354,59 @@ func TestPoolDispatchOrder(t *testing.T) {
 		if got := m.Cycles(Account{"dom0", fmt.Sprintf("w.%d", i)}); got != c {
 			t.Errorf("worker %d charged %d cycles, want %d", i, got, c)
 		}
+	}
+}
+
+// TestMeterBind pins slot binding: an account binds to one slot however
+// often it is bound, distinct accounts get distinct slots, and a slot's
+// charges are what the read side reports for its account.
+func TestMeterBind(t *testing.T) {
+	m := NewMeter(testSys)
+	a := m.Bind(Account{"dom0", "a"})
+	b := m.Bind(Account{"guest-1", "a"})
+	if a == b {
+		t.Fatal("distinct accounts share a slot")
+	}
+	if again := m.Bind(Account{"dom0", "a"}); again != a {
+		t.Fatalf("rebinding gave slot %d, want %d", again, a)
+	}
+	m.Charge(a, 10)
+	m.Charge(m.Bind(Account{"dom0", "a"}), 5)
+	m.Charge(b, 3)
+	if m.Cycles(Account{"dom0", "a"}) != 15 || m.Cycles(Account{"guest-1", "a"}) != 3 {
+		t.Fatalf("cycles = %d, %d; want 15, 3", m.Cycles(Account{"dom0", "a"}), m.Cycles(Account{"guest-1", "a"}))
+	}
+	if m.Cycles(Account{"dom0", "unbound"}) != 0 {
+		t.Fatal("an unbound account reads nonzero")
+	}
+}
+
+// TestMeterChargeAllocationFree pins the bound charge — the per-event
+// accounting every modeled activity pays — at zero allocations.
+func TestMeterChargeAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	m := NewMeter(testSys)
+	s := m.Bind(Account{"guest-1", "isr"})
+	allocs := testing.AllocsPerRun(100, func() { m.Charge(s, 800) })
+	if allocs != 0 {
+		t.Fatalf("allocs per Charge = %.0f, want 0", allocs)
+	}
+	if got := m.Cycles(Account{"guest-1", "isr"}); got != 101*800 {
+		t.Fatalf("charged %d cycles, want %d", got, 101*800)
+	}
+}
+
+// BenchmarkMeterCharge measures one charge to a bound account.
+func BenchmarkMeterCharge(b *testing.B) {
+	m := NewMeter(testSys)
+	for _, d := range []string{"dom0", "xen", "guest-1", "guest-2"} {
+		m.Bind(Account{d, "isr"})
+	}
+	s := m.Bind(Account{"guest-1", "stack"})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.Charge(s, 800)
 	}
 }

@@ -5,7 +5,10 @@
 // optimizes.
 package interrupts
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Vector is an x86 interrupt vector (32-255 usable).
 type Vector uint8
@@ -82,10 +85,13 @@ func (a *Allocator) Free(v Vector) { delete(a.owner, v) }
 
 // LAPIC models a local APIC's interrupt state: the IRR (requested), ISR
 // (in service) and the EOI register. The HVM guest's virtual LAPIC is an
-// instance of this, emulated by the hypervisor.
+// instance of this, emulated by the hypervisor. IRR and ISR are the
+// architectural 256-bit registers, one bit per vector, so finding the
+// highest set vector is a leading-zero count per 64-bit word rather than a
+// scan of 256 flags.
 type LAPIC struct {
-	irr [256]bool
-	isr [256]bool
+	irr apicReg
+	isr apicReg
 	// EOICount counts EOI writes (each one is an APIC-access VM-exit when
 	// this LAPIC is virtual).
 	EOICount int64
@@ -93,13 +99,31 @@ type LAPIC struct {
 	SpuriousEOI int64
 }
 
+// apicReg is a 256-bit APIC register (IRR, ISR): bit v%64 of word v/64
+// stands for vector v.
+type apicReg [4]uint64
+
+func (r *apicReg) has(v Vector) bool { return r[v>>6]&(1<<(v&63)) != 0 }
+func (r *apicReg) set(v Vector)      { r[v>>6] |= 1 << (v & 63) }
+func (r *apicReg) clear(v Vector)    { r[v>>6] &^= 1 << (v & 63) }
+
+// highest returns the highest set vector, or -1 when the register is clear.
+func (r *apicReg) highest() int {
+	for w := len(r) - 1; w >= 0; w-- {
+		if r[w] != 0 {
+			return w<<6 + bits.Len64(r[w]) - 1
+		}
+	}
+	return -1
+}
+
 // Inject sets the vector pending in the IRR. It reports whether the vector
 // was newly pended (false if it was already pending — interrupt merging).
 func (l *LAPIC) Inject(v Vector) bool {
-	if l.irr[v] {
+	if l.irr.has(v) {
 		return false
 	}
-	l.irr[v] = true
+	l.irr.set(v)
 	return true
 }
 
@@ -109,11 +133,11 @@ func (l *LAPIC) Inject(v Vector) bool {
 // highest in-service vector — a pending vector in the *same* class must
 // wait for the EOI even if its number is higher.
 func (l *LAPIC) Pending() (Vector, bool) {
-	hp := l.highest(&l.irr)
+	hp := l.irr.highest()
 	if hp < 0 {
 		return 0, false
 	}
-	if hs := l.highest(&l.isr); hs >= 0 && hs>>4 >= hp>>4 {
+	if hs := l.isr.highest(); hs >= 0 && hs>>4 >= hp>>4 {
 		return 0, false
 	}
 	return Vector(hp), true
@@ -127,8 +151,8 @@ func (l *LAPIC) Ack() (Vector, bool) {
 	if !ok {
 		return 0, false
 	}
-	l.irr[v] = false
-	l.isr[v] = true
+	l.irr.clear(v)
+	l.isr.set(v)
 	return v, true
 }
 
@@ -138,22 +162,13 @@ func (l *LAPIC) Ack() (Vector, bool) {
 // interrupt", §5.2). It returns the next deliverable vector, if any.
 func (l *LAPIC) EOI() (next Vector, ok bool) {
 	l.EOICount++
-	hs := l.highest(&l.isr)
+	hs := l.isr.highest()
 	if hs < 0 {
 		l.SpuriousEOI++
 		return 0, false
 	}
-	l.isr[hs] = false
+	l.isr.clear(Vector(hs))
 	return l.Pending()
-}
-
-func (l *LAPIC) highest(set *[256]bool) int {
-	for v := 255; v >= 0; v-- {
-		if set[v] {
-			return v
-		}
-	}
-	return -1
 }
 
 // EventChannelPort identifies one Xen event channel.

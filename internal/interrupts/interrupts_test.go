@@ -73,16 +73,33 @@ func TestLAPICBasicFlow(t *testing.T) {
 	if !ok || v != 0x40 {
 		t.Fatalf("ack = %#x, %v", v, ok)
 	}
-	if !l.isr[0x40] || l.irr[0x40] {
-		t.Fatal("ack should move IRR→ISR")
+	// Ack moved 0x40 from IRR to ISR: nothing is left pending, and a
+	// re-injected 0x40 is newly pended but waits behind its own class.
+	if _, ok := l.Pending(); ok {
+		t.Fatal("ack should clear the IRR")
 	}
+	if !l.Inject(0x40) {
+		t.Fatal("re-inject after ack should pend anew")
+	}
+	if _, ok := l.Pending(); ok {
+		t.Fatal("in-service 0x40 should block its own class")
+	}
+	// The EOI finds 0x40 in service (not spurious), clears it, and offers
+	// the re-injected 0x40 next.
+	next, ok := l.EOI()
+	if !ok || next != 0x40 || l.SpuriousEOI != 0 {
+		t.Fatalf("EOI next = %#x, %v, spurious %d; want 0x40 from a set ISR", next, ok, l.SpuriousEOI)
+	}
+	l.Ack()
 	if _, ok := l.EOI(); ok {
 		t.Fatal("no next interrupt expected")
 	}
-	if l.isr[0x40] {
-		t.Fatal("EOI should clear ISR")
+	// With the ISR clear, a further EOI is spurious.
+	l.EOI()
+	if l.SpuriousEOI != 1 {
+		t.Fatal("EOI should have cleared the ISR")
 	}
-	if l.EOICount != 1 {
+	if l.EOICount != 3 {
 		t.Fatal("EOI count")
 	}
 }
@@ -331,5 +348,134 @@ func TestLAPICPriorityClasses(t *testing.T) {
 				t.Fatalf("after EOI: next = %d, %v", next, ok)
 			}
 		})
+	}
+}
+
+// refLAPIC is the flag-array LAPIC the bitmap registers replace: IRR and
+// ISR as [256]bool, the highest vector found by scanning from the top.
+type refLAPIC struct {
+	irr, isr       [256]bool
+	eois, spurious int64
+}
+
+func refHighest(set *[256]bool) int {
+	for v := 255; v >= 0; v-- {
+		if set[v] {
+			return v
+		}
+	}
+	return -1
+}
+
+func (l *refLAPIC) inject(v Vector) bool {
+	if l.irr[v] {
+		return false
+	}
+	l.irr[v] = true
+	return true
+}
+
+func (l *refLAPIC) pending() (Vector, bool) {
+	hp := refHighest(&l.irr)
+	if hp < 0 {
+		return 0, false
+	}
+	if hs := refHighest(&l.isr); hs >= 0 && hs>>4 >= hp>>4 {
+		return 0, false
+	}
+	return Vector(hp), true
+}
+
+func (l *refLAPIC) ack() (Vector, bool) {
+	v, ok := l.pending()
+	if ok {
+		l.irr[v], l.isr[v] = false, true
+	}
+	return v, ok
+}
+
+func (l *refLAPIC) eoi() (Vector, bool) {
+	l.eois++
+	hs := refHighest(&l.isr)
+	if hs < 0 {
+		l.spurious++
+		return 0, false
+	}
+	l.isr[hs] = false
+	return l.pending()
+}
+
+// TestLAPICMatchesFlagArrayReference drives random Inject/Ack/EOI/Pending
+// sequences through the 256-bit-register LAPIC and the [256]bool reference
+// and requires every return value and counter to agree. Vectors span all
+// 256, so every word boundary of the registers is crossed.
+func TestLAPICMatchesFlagArrayReference(t *testing.T) {
+	prop := func(ops []uint16) bool {
+		var got LAPIC
+		var want refLAPIC
+		for i, op := range ops {
+			v := Vector(op)
+			var gv, wv Vector
+			var gok, wok bool
+			switch (op >> 8) % 4 {
+			case 0:
+				gok, wok = got.Inject(v), want.inject(v)
+			case 1:
+				gv, gok = got.Ack()
+				wv, wok = want.ack()
+			case 2:
+				gv, gok = got.EOI()
+				wv, wok = want.eoi()
+			case 3:
+				gv, gok = got.Pending()
+				wv, wok = want.pending()
+			}
+			if gv != wv || gok != wok {
+				t.Logf("op %d (%#04x): got %#x/%v, reference %#x/%v", i, op, gv, gok, wv, wok)
+				return false
+			}
+			if got.EOICount != want.eois || got.SpuriousEOI != want.spurious {
+				t.Logf("op %d: EOI counters %d/%d, reference %d/%d", i, got.EOICount, got.SpuriousEOI, want.eois, want.spurious)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLAPICAllocationFree pins the virtual-LAPIC operations every
+// delivered interrupt runs at zero allocations.
+func TestLAPICAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	var l LAPIC
+	allocs := testing.AllocsPerRun(100, func() {
+		l.Inject(0x41)
+		l.Inject(0xb3)
+		l.Pending()
+		l.Ack()
+		l.Ack()
+		l.EOI()
+		l.EOI()
+	})
+	if allocs != 0 {
+		t.Fatalf("allocs per Inject/Pending/Ack/EOI round = %.0f, want 0", allocs)
+	}
+}
+
+// BenchmarkLAPICPending measures the deliverability check with one vector
+// in service and one pending in a higher word of the register.
+func BenchmarkLAPICPending(b *testing.B) {
+	var l LAPIC
+	l.Inject(0x41)
+	l.Ack()
+	l.Inject(0xb3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.Pending()
 	}
 }

@@ -9,7 +9,8 @@ import "fmt"
 // counterpart of the §4.3 P2P DMA hole. Xen programs one remap entry per
 // (vector, requester) when it binds a passthrough interrupt.
 
-// IRTE is one interrupt-remapping table entry.
+// IRTE is one interrupt-remapping table entry. The table has one per
+// vector; an entry is in force only while Present is set.
 type IRTE struct {
 	Vector  uint8
 	RID     uint16
@@ -19,23 +20,20 @@ type IRTE struct {
 // ProgramIRTE installs (or replaces) the remap entry allowing rid to signal
 // vector.
 func (u *IOMMU) ProgramIRTE(vector uint8, rid uint16) {
-	if u.irte == nil {
-		u.irte = make(map[uint8]IRTE)
-	}
 	u.irte[vector] = IRTE{Vector: vector, RID: rid, Present: true}
 	u.irteProgrammed.Inc()
 }
 
 // ClearIRTE removes the entry for vector.
 func (u *IOMMU) ClearIRTE(vector uint8) {
-	delete(u.irte, vector)
+	u.irte[vector] = IRTE{}
 	u.irteCleared.Inc()
 }
 
 // IRTEFor reports the entry for a vector.
 func (u *IOMMU) IRTEFor(vector uint8) (IRTE, bool) {
-	e, ok := u.irte[vector]
-	return e, ok
+	e := u.irte[vector]
+	return e, e.Present
 }
 
 // ValidateMSI checks an interrupt message against the remapping table:
@@ -43,8 +41,8 @@ func (u *IOMMU) IRTEFor(vector uint8) (IRTE, bool) {
 // entry exists at all the interrupt is rejected too — remapping is
 // all-or-nothing once enabled.
 func (u *IOMMU) ValidateMSI(rid uint16, vector uint8) error {
-	e, ok := u.irte[vector]
-	if !ok {
+	e := &u.irte[vector]
+	if !e.Present {
 		u.msiBlocked.Inc()
 		return fmt.Errorf("iommu: no interrupt-remap entry for vector %d", vector)
 	}

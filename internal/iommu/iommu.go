@@ -1,7 +1,8 @@
-// Package iommu models a VT-d style I/O memory management unit: a context
-// table mapping PCIe requester IDs to per-domain page tables, a multi-level
-// page-table walk that translates device-visible (guest-physical) addresses
-// to machine addresses, and an IOTLB that caches translations.
+// Package iommu models a VT-d style I/O memory management unit: a root
+// table of per-bus context tables mapping PCIe requester IDs to per-domain
+// page tables, a multi-level page-table walk that translates
+// device-visible (guest-physical) addresses to machine addresses, and an
+// IOTLB that caches translations.
 //
 // The IOMMU is what lets SR-IOV inherit Direct I/O's safety: the VF driver
 // programs guest-physical DMA addresses, and the hardware — not the VMM —
@@ -10,6 +11,7 @@ package iommu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -39,95 +41,107 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("iommu: %s fault: rid %#04x addr %#x: %s", rw, f.RID, f.Addr, f.Reason)
 }
 
-// pageTable is a software model of the multi-level structure. Nodes are
-// allocated lazily.
+// pageTable is one domain's VT-d second-level table, ptLevels deep: a root
+// directory and middle directories of ptFanout pointers each, and leaf
+// tables of ptFanout 64-bit PTEs. Each table is allocated on first map.
 type pageTable struct {
-	root *ptNode
+	root *ptRoot
 }
 
-type ptNode struct {
-	children [ptFanout]*ptNode // interior
-	leaves   [ptFanout]ptLeaf  // level-1 node entries
-	isLeaf   bool
+type (
+	ptRoot      [ptFanout]*ptMid
+	ptMid       [ptFanout]*ptLeafTable
+	ptLeafTable [ptFanout]pte
+)
+
+// pte is a VT-d second-level page-table entry: bit 0 grants read (the
+// entry is present), bit 1 grants write, and bits 12 and up hold the
+// machine frame.
+type pte uint64
+
+const (
+	pteRead  pte = 1 << 0
+	pteWrite pte = 1 << 1
+)
+
+func newPTE(mfn uint64, writable bool) pte {
+	e := pte(mfn<<mem.PageShift) | pteRead
+	if writable {
+		e |= pteWrite
+	}
+	return e
 }
 
-type ptLeaf struct {
-	mfn      uint64
-	present  bool
-	writable bool
+func (e pte) present() bool  { return e&pteRead != 0 }
+func (e pte) writable() bool { return e&pteWrite != 0 }
+func (e pte) mfn() uint64    { return uint64(e) >> mem.PageShift }
+
+// ptIndex is gfn's entry index in a table of the given level (0 = leaf).
+func ptIndex(gfn uint64, level int) uint64 {
+	return gfn >> (level * ptLevelBits) & (ptFanout - 1)
 }
 
 func (pt *pageTable) map4k(gfn, mfn uint64, writable bool) {
 	if pt.root == nil {
-		pt.root = &ptNode{}
+		pt.root = new(ptRoot)
 	}
-	n := pt.root
-	for lvl := ptLevels - 1; lvl >= 1; lvl-- {
-		idx := (gfn >> uint(lvl*ptLevelBits)) & (ptFanout - 1)
-		if lvl == 1 {
-			if n.children[idx] == nil {
-				n.children[idx] = &ptNode{isLeaf: true}
-			}
-			n = n.children[idx]
-			break
-		}
-		if n.children[idx] == nil {
-			n.children[idx] = &ptNode{}
-		}
-		n = n.children[idx]
+	mid := &pt.root[ptIndex(gfn, 2)]
+	if *mid == nil {
+		*mid = new(ptMid)
 	}
-	n.leaves[gfn&(ptFanout-1)] = ptLeaf{mfn: mfn, present: true, writable: writable}
+	leaves := &(*mid)[ptIndex(gfn, 1)]
+	if *leaves == nil {
+		*leaves = new(ptLeafTable)
+	}
+	(*leaves)[ptIndex(gfn, 0)] = newPTE(mfn, writable)
 }
 
-// walk returns the leaf for gfn and the number of memory accesses the walk
-// took (for cost accounting), or present=false.
-func (pt *pageTable) walk(gfn uint64) (ptLeaf, int) {
+// walk returns the PTE for gfn and the number of memory accesses the walk
+// took (for cost accounting); a walk that meets a missing table stops
+// there with a non-present entry.
+func (pt *pageTable) walk(gfn uint64) (pte, int) {
 	if pt.root == nil {
-		return ptLeaf{}, 1
+		return 0, 1
 	}
-	n := pt.root
-	hops := 0
-	for lvl := ptLevels - 1; lvl >= 1; lvl-- {
-		hops++
-		idx := (gfn >> uint(lvl*ptLevelBits)) & (ptFanout - 1)
-		next := n.children[idx]
-		if next == nil {
-			return ptLeaf{}, hops
-		}
-		n = next
-		if n.isLeaf {
-			break
-		}
+	mid := pt.root[ptIndex(gfn, 2)]
+	if mid == nil {
+		return 0, 1
 	}
-	hops++
-	return n.leaves[gfn&(ptFanout-1)], hops
+	leaves := mid[ptIndex(gfn, 1)]
+	if leaves == nil {
+		return 0, 2
+	}
+	return leaves[ptIndex(gfn, 0)], ptLevels
 }
 
-// iotlbEntry is one cached translation.
+// iotlbEntry is one cached translation: its full (rid, gfn) key, the
+// result, and its links in the LRU list (slot indices, -1 at either end).
 type iotlbEntry struct {
-	rid      uint16
-	gfn      uint64
-	mfn      uint64
-	writable bool
-	// LRU bookkeeping.
-	prev, next *iotlbEntry
+	gfn        uint64
+	mfn        uint64
+	rid        uint16
+	writable   bool
+	prev, next int32
 }
 
-type iotlbKey struct {
-	rid uint16
-	gfn uint64
-}
-
-// IOTLB is a set-associative-as-LRU translation cache with hit/miss
-// counters.
+// IOTLB is a fully associative translation cache with exact LRU
+// replacement and hit/miss counters. Entries live in a slot array that
+// grows to capacity and is then recycled. An open-addressed index (linear
+// probing over a power-of-two table kept at most half full) maps a
+// multiplicative hash of (rid, gfn) to a slot, and every slot holds its
+// full key, so a lookup is exact for any gfn. Each bucket also keeps the
+// top half of its key's hash, which names the key's home bucket: probing
+// past other keys and shifting them back on removal read only the index.
 type IOTLB struct {
 	capacity int
-	entries  map[iotlbKey]*iotlbEntry
-	head     *iotlbEntry // most recent
-	tail     *iotlbEntry // least recent
-	// free recycles evicted/invalidated entries so a full cache churning
-	// at miss rate stops allocating once it has seen capacity entries.
-	free   *iotlbEntry // singly linked through next
+	entries  []iotlbEntry
+	index    []iotlbBucket
+	tagShift uint  // 32 - log2(len(index)): a tag's home bucket is tag>>tagShift
+	n        int   // cached translations
+	head     int32 // most recent; -1 when empty
+	tail     int32 // least recent; -1 when empty
+	// free recycles invalidated slots, linked through next.
+	free   int32
 	Hits   int64
 	Misses int64
 }
@@ -137,116 +151,207 @@ func NewIOTLB(capacity int) *IOTLB {
 	if capacity <= 0 {
 		panic("iommu: IOTLB capacity must be positive")
 	}
-	return &IOTLB{capacity: capacity, entries: make(map[iotlbKey]*iotlbEntry)}
-}
-
-func (t *IOTLB) lookup(rid uint16, gfn uint64) (*iotlbEntry, bool) {
-	e, ok := t.entries[iotlbKey{rid, gfn}]
-	if !ok {
-		t.Misses++
-		return nil, false
-	}
-	t.Hits++
-	t.touch(e)
-	return e, true
-}
-
-func (t *IOTLB) insert(rid uint16, gfn, mfn uint64, writable bool) {
-	key := iotlbKey{rid, gfn}
-	if e, ok := t.entries[key]; ok {
-		e.mfn, e.writable = mfn, writable
-		t.touch(e)
-		return
-	}
-	if len(t.entries) >= t.capacity {
-		t.evict()
-	}
-	e := t.free
-	if e != nil {
-		t.free = e.next
-		e.next = nil
-	} else {
-		e = &iotlbEntry{}
-	}
-	e.rid, e.gfn, e.mfn, e.writable = rid, gfn, mfn, writable
-	t.entries[key] = e
-	t.pushFront(e)
-}
-
-// release recycles an unlinked entry into the free list.
-func (t *IOTLB) release(e *iotlbEntry) {
-	e.next = t.free
-	t.free = e
-}
-
-func (t *IOTLB) touch(e *iotlbEntry) {
-	t.unlink(e)
-	t.pushFront(e)
-}
-
-func (t *IOTLB) pushFront(e *iotlbEntry) {
-	e.prev = nil
-	e.next = t.head
-	if t.head != nil {
-		t.head.prev = e
-	}
-	t.head = e
-	if t.tail == nil {
-		t.tail = e
+	logSize := bits.Len(uint(2*capacity - 1))
+	return &IOTLB{
+		capacity: capacity,
+		index:    make([]iotlbBucket, 1<<logSize),
+		tagShift: uint(32 - logSize),
+		head:     -1,
+		tail:     -1,
+		free:     -1,
 	}
 }
 
-func (t *IOTLB) unlink(e *iotlbEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if t.head == e {
-		t.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if t.tail == e {
-		t.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+// iotlbBucket is one index bucket: the slot it points at (plus one; 0
+// marks an empty bucket) and the top 32 bits of that key's hash.
+type iotlbBucket struct {
+	slot int32
+	tag  uint32
 }
 
-func (t *IOTLB) evict() {
-	victim := t.tail
-	if victim == nil {
-		return
-	}
-	t.unlink(victim)
-	delete(t.entries, iotlbKey{victim.rid, victim.gfn})
-	t.release(victim)
+// tag is the top half of a multiplicative hash of (rid, gfn).
+func tag(rid uint16, gfn uint64) uint32 {
+	return uint32((gfn*0x9e3779b97f4a7c15 ^ uint64(rid)*0xc2b2ae3d27d4eb4f) >> 32)
 }
 
-// InvalidateRID drops all cached translations for a requester.
-func (t *IOTLB) InvalidateRID(rid uint16) {
-	for k, e := range t.entries {
-		if k.rid == rid {
-			t.unlink(e)
-			delete(t.entries, k)
-			t.release(e)
+// home is the bucket a key with hash tag h starts probing at.
+func (t *IOTLB) home(h uint32) int { return int(h >> t.tagShift) }
+
+// find returns the bucket holding (rid, gfn) and its slot, or the empty
+// bucket where it would go and slot -1.
+func (t *IOTLB) find(rid uint16, gfn uint64) (int, int32) {
+	h := tag(rid, gfn)
+	mask := len(t.index) - 1
+	for b := t.home(h); ; b = (b + 1) & mask {
+		x := t.index[b]
+		if x.slot == 0 {
+			return b, -1
+		}
+		if x.tag == h {
+			if e := &t.entries[x.slot-1]; e.gfn == gfn && e.rid == rid {
+				return b, x.slot - 1
+			}
 		}
 	}
 }
 
-// Len reports the number of cached translations.
-func (t *IOTLB) Len() int { return len(t.entries) }
+// lookup returns the cached translation for (rid, gfn), counting the hit
+// or miss and making a hit the most recently used entry.
+func (t *IOTLB) lookup(rid uint16, gfn uint64) (mfn uint64, writable, hit bool) {
+	_, s := t.find(rid, gfn)
+	if s < 0 {
+		t.Misses++
+		return 0, false, false
+	}
+	t.Hits++
+	t.touch(s)
+	e := &t.entries[s]
+	return e.mfn, e.writable, true
+}
 
-// context is one requester's remapping state.
-type context struct {
+func (t *IOTLB) insert(rid uint16, gfn, mfn uint64, writable bool) {
+	b, s := t.find(rid, gfn)
+	if s >= 0 {
+		e := &t.entries[s]
+		e.mfn, e.writable = mfn, writable
+		t.touch(s)
+		return
+	}
+	if t.n >= t.capacity {
+		t.remove(t.tail)
+		// Removal shifts index entries back; find the bucket again.
+		b, _ = t.find(rid, gfn)
+	}
+	if t.free >= 0 {
+		s = t.free
+		t.free = t.entries[s].next
+	} else {
+		s = int32(len(t.entries))
+		t.entries = append(t.entries, iotlbEntry{})
+	}
+	t.entries[s] = iotlbEntry{gfn: gfn, mfn: mfn, rid: rid, writable: writable}
+	t.index[b] = iotlbBucket{slot: s + 1, tag: tag(rid, gfn)}
+	t.n++
+	t.pushFront(s)
+}
+
+// remove drops slot s from the LRU list and the index and recycles it.
+func (t *IOTLB) remove(s int32) {
+	t.unlink(s)
+	t.unindex(s)
+	t.entries[s].next = t.free
+	t.free = s
+	t.n--
+}
+
+// unindex deletes slot s from the index by backward shift: every entry
+// after the hole in the same probe run moves back unless its home bucket
+// lies cyclically after the hole, so probing never needs tombstones.
+func (t *IOTLB) unindex(s int32) {
+	mask := len(t.index) - 1
+	e := &t.entries[s]
+	hole := t.home(tag(e.rid, e.gfn))
+	for t.index[hole].slot != s+1 {
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; t.index[j].slot != 0; j = (j + 1) & mask {
+		home := t.home(t.index[j].tag)
+		if hole <= j {
+			if hole < home && home <= j {
+				continue
+			}
+		} else if hole < home || home <= j {
+			continue
+		}
+		t.index[hole] = t.index[j]
+		hole = j
+	}
+	t.index[hole] = iotlbBucket{}
+}
+
+func (t *IOTLB) touch(s int32) {
+	if t.head == s {
+		return
+	}
+	t.unlink(s)
+	t.pushFront(s)
+}
+
+func (t *IOTLB) pushFront(s int32) {
+	e := &t.entries[s]
+	e.prev = -1
+	e.next = t.head
+	if t.head >= 0 {
+		t.entries[t.head].prev = s
+	}
+	t.head = s
+	if t.tail < 0 {
+		t.tail = s
+	}
+}
+
+func (t *IOTLB) unlink(s int32) {
+	e := &t.entries[s]
+	if e.prev >= 0 {
+		t.entries[e.prev].next = e.next
+	} else {
+		t.head = e.next
+	}
+	if e.next >= 0 {
+		t.entries[e.next].prev = e.prev
+	} else {
+		t.tail = e.prev
+	}
+	e.prev, e.next = -1, -1
+}
+
+// InvalidateRID drops all cached translations for a requester, walking the
+// LRU list.
+func (t *IOTLB) InvalidateRID(rid uint16) {
+	for s := t.head; s >= 0; {
+		next := t.entries[s].next
+		if t.entries[s].rid == rid {
+			t.remove(s)
+		}
+		s = next
+	}
+}
+
+// Len reports the number of cached translations.
+func (t *IOTLB) Len() int { return t.n }
+
+// contextEntry is one requester's VT-d context entry: present while the
+// RID is attached, naming its domain and that domain's page table.
+type contextEntry struct {
+	present  bool
 	domainID int
 	pt       *pageTable
 }
 
+// contextTable is one bus's VT-d context table, indexed by devfn (the low
+// byte of the RID).
+type contextTable [256]contextEntry
+
+// domainTable is one remapping domain's page table and the number of
+// context entries pointing at it; the domain's table is dropped with its
+// last context, as the contexts themselves were its only owners.
+type domainTable struct {
+	pt   *pageTable
+	refs int
+}
+
 // IOMMU is the remapping engine.
 type IOMMU struct {
-	contexts map[uint16]*context
-	tlb      *IOTLB
-	// irte is the interrupt-remapping table, vector → allowed requester
-	// (vectors are globally unique in this system, §4.1).
-	irte map[uint8]IRTE
+	// root is the VT-d root table, indexed by bus (the high byte of the
+	// RID); a bus's context table is allocated on its first attach.
+	root [256]*contextTable
+	// domains finds a domain's shared page table at attach time; the DMA
+	// path never reads it.
+	domains map[int]*domainTable
+	tlb     *IOTLB
+	// irte is the interrupt-remapping table, indexed by vector (vectors
+	// are globally unique in this system, §4.1).
+	irte [256]IRTE
 	// Faults records rejected transactions for inspection.
 	Faults []Fault
 
@@ -264,7 +369,7 @@ type IOMMU struct {
 func New(iotlbCapacity int) *IOMMU {
 	r := obs.NewRegistry()
 	return &IOMMU{
-		contexts:       make(map[uint16]*context),
+		domains:        make(map[int]*domainTable),
 		tlb:            NewIOTLB(iotlbCapacity),
 		Counters:       r,
 		dma:            r.Counter("dma"),
@@ -280,36 +385,66 @@ func New(iotlbCapacity int) *IOMMU {
 // TLB exposes the IOTLB for inspection.
 func (u *IOMMU) TLB() *IOTLB { return u.tlb }
 
+// context returns the RID's context entry, or nil when it has none.
+func (u *IOMMU) context(rid uint16) *contextEntry {
+	t := u.root[rid>>8]
+	if t == nil {
+		return nil
+	}
+	if c := &t[rid&0xff]; c.present {
+		return c
+	}
+	return nil
+}
+
 // AttachDomain binds a requester ID to a remapping domain. Subsequent Map
 // calls for the RID populate that domain's page table. Two RIDs attached to
 // the same domainID share a page table, as two queues of one VF would.
 func (u *IOMMU) AttachDomain(rid uint16, domainID int) {
-	for _, c := range u.contexts {
-		if c.domainID == domainID {
-			u.contexts[rid] = &context{domainID: domainID, pt: c.pt}
-			return
-		}
+	d := u.domains[domainID]
+	if d == nil {
+		d = &domainTable{pt: &pageTable{}}
+		u.domains[domainID] = d
 	}
-	u.contexts[rid] = &context{domainID: domainID, pt: &pageTable{}}
+	d.refs++
+	u.release(rid)
+	t := u.root[rid>>8]
+	if t == nil {
+		t = new(contextTable)
+		u.root[rid>>8] = t
+	}
+	t[rid&0xff] = contextEntry{present: true, domainID: domainID, pt: d.pt}
+}
+
+// release clears the RID's context entry, dropping its domain's page table
+// with the domain's last context.
+func (u *IOMMU) release(rid uint16) {
+	c := u.context(rid)
+	if c == nil {
+		return
+	}
+	d := u.domains[c.domainID]
+	d.refs--
+	if d.refs == 0 {
+		delete(u.domains, c.domainID)
+	}
+	*c = contextEntry{}
 }
 
 // DetachRID removes a requester's context and flushes its IOTLB entries —
 // what device hot-removal (DNIS) does before migration.
 func (u *IOMMU) DetachRID(rid uint16) {
-	delete(u.contexts, rid)
+	u.release(rid)
 	u.tlb.InvalidateRID(rid)
 }
 
 // Attached reports whether the RID has a context.
-func (u *IOMMU) Attached(rid uint16) bool {
-	_, ok := u.contexts[rid]
-	return ok
-}
+func (u *IOMMU) Attached(rid uint16) bool { return u.context(rid) != nil }
 
 // DomainOf reports the domain a RID is attached to.
 func (u *IOMMU) DomainOf(rid uint16) (int, bool) {
-	c, ok := u.contexts[rid]
-	if !ok {
+	c := u.context(rid)
+	if c == nil {
 		return 0, false
 	}
 	return c.domainID, true
@@ -317,9 +452,12 @@ func (u *IOMMU) DomainOf(rid uint16) (int, bool) {
 
 // Map installs a 4 KiB translation gfn→mfn for the RID's domain.
 func (u *IOMMU) Map(rid uint16, gfn, mfn uint64, writable bool) error {
-	c, ok := u.contexts[rid]
-	if !ok {
+	c := u.context(rid)
+	if c == nil {
 		return fmt.Errorf("iommu: rid %#04x has no context", rid)
+	}
+	if mfn >= 1<<(64-mem.PageShift) {
+		return fmt.Errorf("iommu: mfn %#x does not fit a page-table entry", mfn)
 	}
 	c.pt.map4k(gfn, mfn, writable)
 	return nil
@@ -346,28 +484,28 @@ func (u *IOMMU) MapDomainMemory(rid uint16, dm *mem.DomainMemory) error {
 // pcie.Translator. Faults are recorded and returned as *Fault errors.
 func (u *IOMMU) TranslateDMA(rid uint16, addr uint64, write bool) (uint64, error) {
 	u.dma.Inc()
-	c, ok := u.contexts[rid]
-	if !ok {
+	c := u.context(rid)
+	if c == nil {
 		return 0, u.fault(rid, addr, write, "no context for requester")
 	}
 	gfn := addr >> mem.PageShift
 	off := addr & (uint64(mem.PageSize) - 1)
-	if e, hit := u.tlb.lookup(rid, gfn); hit {
-		if write && !e.writable {
+	if mfn, writable, hit := u.tlb.lookup(rid, gfn); hit {
+		if write && !writable {
 			return 0, u.fault(rid, addr, write, "write to read-only mapping")
 		}
-		return e.mfn<<mem.PageShift | off, nil
+		return mfn<<mem.PageShift | off, nil
 	}
-	leaf, hops := c.pt.walk(gfn)
+	e, hops := c.pt.walk(gfn)
 	u.walks.Add(int64(hops))
-	if !leaf.present {
+	if !e.present() {
 		return 0, u.fault(rid, addr, write, "not mapped")
 	}
-	if write && !leaf.writable {
+	if write && !e.writable() {
 		return 0, u.fault(rid, addr, write, "write to read-only mapping")
 	}
-	u.tlb.insert(rid, gfn, leaf.mfn, leaf.writable)
-	return leaf.mfn<<mem.PageShift | off, nil
+	u.tlb.insert(rid, gfn, e.mfn(), e.writable())
+	return e.mfn()<<mem.PageShift | off, nil
 }
 
 func (u *IOMMU) fault(rid uint16, addr uint64, write bool, reason string) error {

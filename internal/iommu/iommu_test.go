@@ -50,6 +50,17 @@ func TestTranslateFaults(t *testing.T) {
 	if u.Counters.Get("faults") != 3 {
 		t.Fatal("fault counter")
 	}
+	// A frame wider than a PTE's 52 address bits is refused at map time,
+	// and the largest one that fits round-trips.
+	if err := u.Map(0x100, 2, 1<<52, true); err == nil {
+		t.Fatal("mapping a frame beyond 52 bits should fail")
+	}
+	if err := u.Map(0x100, 2, 1<<52-1, true); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := u.TranslateDMA(0x100, 2<<mem.PageShift|5, true); err != nil || got != (1<<52-1)<<mem.PageShift|5 {
+		t.Fatalf("widest frame translated to %#x, %v", got, err)
+	}
 }
 
 func TestFaultError(t *testing.T) {
@@ -336,6 +347,27 @@ func TestInterruptRemapping(t *testing.T) {
 	}
 }
 
+// TestValidateMSIAllocationFree pins the per-interrupt remapping check at
+// zero allocations on the accepting path every delivered MSI takes.
+func TestValidateMSIAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	u := New(16)
+	u.ProgramIRTE(65, 0x0108)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := u.ValidateMSI(0x0108, 65); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("allocs per ValidateMSI = %.0f, want 0", allocs)
+	}
+	if got := u.Counters.Get("msi_remapped"); got != 101 {
+		t.Fatalf("msi_remapped = %d, want 101", got)
+	}
+}
+
 // BenchmarkTranslateDMA measures one DMA translation on an IOTLB hit and on
 // a miss that walks the page table and evicts.
 func BenchmarkTranslateDMA(b *testing.B) {
@@ -354,6 +386,25 @@ func BenchmarkTranslateDMA(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			u.TranslateDMA(1, uint64(i%8)<<mem.PageShift, true)
+		}
+	})
+	// The testbed's shape: a 4,096-entry IOTLB shared by 60 VFs, each
+	// DMAing round robin into twice its share of pages, so every access
+	// misses, walks its own page table and evicts.
+	b.Run("miss-60vf", func(b *testing.B) {
+		const vfs, pages = 60, 2 * 4096 / 60
+		u := New(4096)
+		for vf := uint16(0); vf < vfs; vf++ {
+			u.AttachDomain(0x100+vf, int(vf)+1)
+			for gfn := uint64(0); gfn < pages; gfn++ {
+				u.Map(0x100+vf, gfn, uint64(vf)<<20|gfn, true)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			vf, gfn := uint16(i%vfs), uint64(i/vfs%pages)
+			u.TranslateDMA(0x100+vf, gfn<<mem.PageShift, true)
 		}
 	})
 }

@@ -52,13 +52,18 @@ func (m *Machine) AllocPages(n uint64) (uint64, error) {
 	return first, nil
 }
 
-// DomainMemory is one guest's physical address space: a p2m array mapping
-// guest frame numbers to machine frame numbers, plus a dirty bitmap used by
-// live migration.
+// DomainMemory is one guest's physical address space: the p2m mapping
+// guest frame numbers to machine frame numbers, plus the log-dirty bitmap
+// live migration reads.
 type DomainMemory struct {
-	size     units.Size
-	p2m      []uint64 // gfn -> mfn
-	dirty    []bool
+	size units.Size
+	// base is the machine frame of gfn 0: a domain's frames are one
+	// contiguous machine extent, so its p2m is base + gfn.
+	base  uint64
+	pages uint64
+	// dirty is the log-dirty bitmap, one bit per guest frame, allocated
+	// when tracking first starts.
+	dirty    []uint64
 	tracking bool
 	dirtyCnt uint64
 }
@@ -75,38 +80,31 @@ func NewDomainMemory(machine *Machine, size units.Size) (*DomainMemory, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &DomainMemory{
-		size:  size,
-		p2m:   make([]uint64, pages),
-		dirty: make([]bool, pages),
-	}
-	for i := range d.p2m {
-		d.p2m[i] = base + uint64(i)
-	}
-	return d, nil
+	return &DomainMemory{size: size, base: base, pages: pages}, nil
 }
 
 // Size reports the domain's memory size.
 func (d *DomainMemory) Size() units.Size { return d.size }
 
 // Pages reports the number of guest frames.
-func (d *DomainMemory) Pages() uint64 { return uint64(len(d.p2m)) }
+func (d *DomainMemory) Pages() uint64 { return d.pages }
 
 // MFN reports the machine frame backing guest frame gfn.
 func (d *DomainMemory) MFN(gfn uint64) (uint64, error) {
-	if gfn >= uint64(len(d.p2m)) {
+	if gfn >= d.pages {
 		return 0, fmt.Errorf("mem: gfn %d outside domain", gfn)
 	}
-	return d.p2m[gfn], nil
+	return d.base + gfn, nil
 }
 
 // StartDirtyTracking clears the dirty bitmap and begins recording writes
 // (log-dirty mode, switched on at the start of pre-copy).
 func (d *DomainMemory) StartDirtyTracking() {
 	d.tracking = true
-	for i := range d.dirty {
-		d.dirty[i] = false
+	if d.dirty == nil {
+		d.dirty = make([]uint64, (d.pages+63)/64)
 	}
+	clear(d.dirty)
 	d.dirtyCnt = 0
 }
 
@@ -122,8 +120,11 @@ func (d *DomainMemory) MarkDirty(a GPA) {
 		return
 	}
 	gfn := a.PageOf()
-	if gfn < uint64(len(d.dirty)) && !d.dirty[gfn] {
-		d.dirty[gfn] = true
+	if gfn >= d.pages {
+		return
+	}
+	if w, bit := &d.dirty[gfn>>6], uint64(1)<<(gfn&63); *w&bit == 0 {
+		*w |= bit
 		d.dirtyCnt++
 	}
 }
@@ -132,9 +133,7 @@ func (d *DomainMemory) MarkDirty(a GPA) {
 // one pre-copy round does.
 func (d *DomainMemory) HarvestDirty() uint64 {
 	n := d.dirtyCnt
-	for i := range d.dirty {
-		d.dirty[i] = false
-	}
+	clear(d.dirty)
 	d.dirtyCnt = 0
 	return n
 }

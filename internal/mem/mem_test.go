@@ -111,9 +111,22 @@ func TestDirtyTracking(t *testing.T) {
 	if d.dirtyCnt != 3 {
 		t.Fatalf("dirty after harvest = %d", d.dirtyCnt)
 	}
+	// Frames on either side of a bitmap word boundary and the last frame
+	// count once each; a write past the domain is ignored.
+	last := d.Pages() - 1
+	for _, gfn := range []uint64{63, 64, 63, last, last + 1} {
+		d.MarkDirty(GPA(gfn << PageShift))
+	}
+	if n := d.HarvestDirty(); n != 6 {
+		t.Fatalf("harvest = %d, want 6", n)
+	}
+	d.MarkDirty(GPA(64 << PageShift))
+	if d.dirtyCnt != 1 {
+		t.Fatalf("dirty after second harvest = %d, want 1", d.dirtyCnt)
+	}
 	d.StopDirtyTracking()
 	d.MarkDirty(GPA(0x9000))
-	if d.dirtyCnt != 3 {
+	if d.dirtyCnt != 1 {
 		t.Fatal("writes after stop should not be recorded")
 	}
 }

@@ -12,6 +12,7 @@ package nic
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -161,9 +162,6 @@ type Queue struct {
 	// lastDrainWait is the mean ring wait of the most recent Drain.
 	lastDrainWait units.Duration
 
-	// regs is the BAR0 register file, installed by InstallRegisters.
-	regs *registerFile
-
 	// Interrupt state.
 	itrInterval    units.Duration // minimum gap between interrupts; 0 = immediate
 	intrEnabled    bool
@@ -283,10 +281,10 @@ func (q *Queue) SetStalled(s bool) {
 func (q *Queue) Stalled() bool { return q.stalled }
 
 // ResetHW clears the queue's hardware state the way an FLR or global device
-// reset does: ring, interrupt/throttle state (the MSI-X mask included) and
-// the BAR registers. Host-side wiring (Sink, DMACheck, DirectDeliver)
-// survives — those model the IOMMU context and interrupt routing, which a
-// function reset does not touch.
+// reset does: ring and interrupt/throttle state, the MSI-X mask included.
+// Host-side wiring (Sink, DMACheck, DirectDeliver) survives — those model
+// the IOMMU context and interrupt routing, which a function reset does not
+// touch.
 func (q *Queue) ResetHW() {
 	q.wipeRing()
 	q.intrEnabled = false
@@ -294,9 +292,6 @@ func (q *Queue) ResetHW() {
 	q.itrInterval = 0
 	q.throttledUntil = 0
 	q.timer.Cancel()
-	if q.regs != nil {
-		q.regs.mbox = [8]uint32{}
-	}
 }
 
 // wipeRing empties the descriptor ring for a hardware reset (FLR, global
@@ -513,7 +508,8 @@ type Port struct {
 	pfQueue  *Queue
 	vfQueues []*Queue
 
-	l2 map[l2Key]*Queue
+	// l2 is the layer-2 switch's filter table (see l2Filter).
+	l2 []l2Filter
 
 	// Internal-switch DMA budget: VM-to-VM batches serialize over the
 	// PCIe link at internalCap.
@@ -651,7 +647,6 @@ func New(eng *sim.Engine, cfg Config) *Port {
 		name:       cfg.Name,
 		rate:       cfg.Rate,
 		linkUp:     true,
-		l2:         make(map[l2Key]*Queue),
 		wireEvName: "nic:wire:" + cfg.Name,
 		p2vEvName:  "nic:p2v:" + cfg.Name,
 		txEvName:   "nic:tx:" + cfg.Name,
@@ -768,12 +763,15 @@ func (p *Port) NumVFs() int { return len(p.vfQueues) }
 // Mailbox returns the PF↔VF mailbox.
 func (p *Port) Mailbox() *Mailbox { return p.mailbox }
 
-// l2Key is one layer-2 switch filter: destination MAC plus VLAN tag
-// ("The layer 2 switching classifies incoming packets, based on MAC and
-// VLAN addresses", §4.1).
-type l2Key struct {
+// l2Filter is one layer-2 switch filter: destination MAC plus VLAN tag,
+// and the queue it steers to ("The layer 2 switching classifies incoming
+// packets, based on MAC and VLAN addresses", §4.1). Like the 82576's
+// receive-address registers, the filters are a short table matched
+// exactly, entry by entry; a port holds one per function plus its VLANs.
+type l2Filter struct {
 	mac  MAC
 	vlan uint16
+	q    *Queue
 }
 
 // SetMAC programs the L2 switch: untagged frames to mac go to q. The PF
@@ -781,9 +779,13 @@ type l2Key struct {
 // configuring layer 2 switching").
 func (p *Port) SetMAC(mac MAC, q *Queue) { p.SetMACVLAN(mac, 0, q) }
 
-// SetMACVLAN programs a (MAC, VLAN) filter.
+// SetMACVLAN programs a (MAC, VLAN) filter, replacing any existing one.
 func (p *Port) SetMACVLAN(mac MAC, vlan uint16, q *Queue) {
-	p.l2[l2Key{mac, vlan}] = q
+	if i := p.filter(mac, vlan); i >= 0 {
+		p.l2[i].q = q
+		return
+	}
+	p.l2 = append(p.l2, l2Filter{mac: mac, vlan: vlan, q: q})
 }
 
 // ClearMAC removes the untagged filter for mac.
@@ -791,13 +793,27 @@ func (p *Port) ClearMAC(mac MAC) { p.ClearMACVLAN(mac, 0) }
 
 // ClearMACVLAN removes a (MAC, VLAN) filter.
 func (p *Port) ClearMACVLAN(mac MAC, vlan uint16) {
-	delete(p.l2, l2Key{mac, vlan})
+	if i := p.filter(mac, vlan); i >= 0 {
+		p.l2 = slices.Delete(p.l2, i, i+1)
+	}
+}
+
+// filter returns the index of the (MAC, VLAN) filter, or -1.
+func (p *Port) filter(mac MAC, vlan uint16) int {
+	for i := range p.l2 {
+		if f := &p.l2[i]; f.mac == mac && f.vlan == vlan {
+			return i
+		}
+	}
+	return -1
 }
 
 // ClassifyVLAN reports the queue for a (MAC, VLAN) pair.
 func (p *Port) ClassifyVLAN(mac MAC, vlan uint16) (*Queue, bool) {
-	q, ok := p.l2[l2Key{mac, vlan}]
-	return q, ok
+	if i := p.filter(mac, vlan); i >= 0 {
+		return p.l2[i].q, true
+	}
+	return nil, false
 }
 
 // ReceiveFromWire delivers a batch arriving on the physical line: the wire

@@ -517,3 +517,66 @@ func TestTransmitToWireOverdrive(t *testing.T) {
 	}
 	eng.Run()
 }
+
+// newFilteredPort builds a port with the filter table a loaded 82576 port
+// carries: the PF's MAC, one MAC per VF, and a VLAN filter per VF.
+func newFilteredPort() *Port {
+	p := New(sim.NewEngine(1), Config{Name: "eth0", NumVFs: 7})
+	p.SetMAC(MAC(0x0a00), p.PFQueue())
+	for i := 0; i < p.NumVFs(); i++ {
+		p.SetMAC(MAC(0x0a01+uint64(i)), p.VFQueue(i))
+		p.SetMACVLAN(MAC(0x0a01+uint64(i)), uint16(100+i), p.VFQueue(i))
+	}
+	return p
+}
+
+// TestClassifyVLANAllocationFree pins the per-batch L2 classification at
+// zero allocations, for a match and for a miss.
+func TestClassifyVLANAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	p := newFilteredPort()
+	want := p.VFQueue(6)
+	allocs := testing.AllocsPerRun(100, func() {
+		if q, ok := p.ClassifyVLAN(MAC(0x0a07), 106); !ok || q != want {
+			t.Fatal("VF6's VLAN filter did not match")
+		}
+		if _, ok := p.ClassifyVLAN(Broadcast, 0); ok {
+			t.Fatal("broadcast matched a filter")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("allocs per ClassifyVLAN pair = %.0f, want 0", allocs)
+	}
+}
+
+// TestFilterTableReplaceAndClear checks that reprogramming a (MAC, VLAN)
+// filter retargets it in place and clearing one leaves the rest intact.
+func TestFilterTableReplaceAndClear(t *testing.T) {
+	p := newFilteredPort()
+	p.SetMAC(MAC(0x0a01), p.VFQueue(3))
+	if q, _ := p.ClassifyVLAN(MAC(0x0a01), 0); q != p.VFQueue(3) {
+		t.Fatal("reprogrammed filter still steers to the old queue")
+	}
+	if n := len(p.l2); n != 15 {
+		t.Fatalf("table holds %d filters, want 15", n)
+	}
+	p.ClearMACVLAN(MAC(0x0a04), 103)
+	for i := 0; i < p.NumVFs(); i++ {
+		_, ok := p.ClassifyVLAN(MAC(0x0a01+uint64(i)), uint16(100+i))
+		if ok != (i != 3) {
+			t.Fatalf("VF%d VLAN filter present = %v after clearing VF3's", i, ok)
+		}
+	}
+}
+
+// BenchmarkClassifyVLAN measures one L2 classification of a frame for the
+// last-programmed VF's VLAN on a fully loaded port.
+func BenchmarkClassifyVLAN(b *testing.B) {
+	p := newFilteredPort()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.ClassifyVLAN(MAC(0x0a07), 106)
+	}
+}

@@ -91,29 +91,17 @@ func TestRegistersResetAccountsRing(t *testing.T) {
 	}
 }
 
-func TestRegistersMailboxDoorbell(t *testing.T) {
-	eng, p, q := newRegQueue(t)
-	var got []Message
-	p.Mailbox().PFHandler = func(m Message) { got = append(got, m) }
-	fn := q.Function()
-	// Write kind + arg to the message buffer, then ring the doorbell.
-	fn.MMIOWrite(0, RegVMBMem, uint64(MsgSetMAC))
-	fn.MMIOWrite(0, RegVMBMem+4, 0xaabb)
-	fn.MMIOWrite(0, RegVMBMem+8, 0)
-	fn.MMIOWrite(0, RegVMailbox, 1)
-	eng.Run()
-	if len(got) != 1 || got[0].Kind != MsgSetMAC || got[0].Arg != 0xaabb || got[0].VF != 0 {
-		t.Fatalf("mailbox got %v", got)
-	}
-}
-
 func TestInstallRegistersIdempotent(t *testing.T) {
 	_, _, q := newRegQueue(t)
-	q.Function().MMIOWrite(0, RegVMBMem+4, 100)
-	regs := q.regs
+	fn := q.Function()
+	fn.MMIOWrite(0, RegEITR0, 100)
 	q.InstallRegisters() // second install must not clear state
-	if q.regs != regs || q.regs.mbox[1] != 100 {
-		t.Fatal("reinstall clobbered register state")
+	if q.itrInterval != 100*units.Microsecond {
+		t.Fatalf("reinstall changed ITR to %v", q.itrInterval)
+	}
+	fn.MMIOWrite(0, RegRDLEN0, 64)
+	if q.RingCap() != 64 {
+		t.Fatalf("ring cap = %d after reinstall, want 64", q.RingCap())
 	}
 }
 

@@ -134,10 +134,14 @@ func (c PCIeCap) DevCtlOffset() int { return c.off + PCIeDevCtlOff }
 
 const msixBodySize = 10
 
-// MSIXCap is a typed view of an MSI-X capability.
+// MSIXCap is a typed view of an MSI-X capability. Its location and the
+// Table BIR field are read-only to software, so they are latched when the
+// capability is built: the hypervisor checks every guest MMIO write
+// against the table BAR without walking the capability chain.
 type MSIXCap struct {
 	cfg *ConfigSpace
 	off int
+	bir int
 }
 
 // AddMSIXCap installs an MSI-X capability at off with the given table size,
@@ -149,23 +153,25 @@ func AddMSIXCap(cfg *ConfigSpace, off, tableSize, bir int, tableOff uint32) MSIX
 	cfg.AddCapability(CapIDMSIX, off, msixBodySize)
 	cfg.writeRaw16(off+2, uint16(tableSize-1))
 	cfg.writeRaw32(off+4, tableOff&^0x7|uint32(bir&0x7))
-	return MSIXCap{cfg: cfg, off: off}
+	cfg.msix = MSIXCap{cfg: cfg, off: off, bir: bir & 0x7}
+	return cfg.msix
 }
 
-// MSIXCapAt returns a view of the MSI-X capability found in cfg.
+// MSIXCapAt returns the MSI-X capability AddMSIXCap built in cfg. Like a
+// capability walk, it finds none while the function does not respond on
+// the bus.
 func MSIXCapAt(cfg *ConfigSpace) (MSIXCap, bool) {
-	off := cfg.FindCapability(CapIDMSIX)
-	if off == 0 {
+	if !cfg.present || cfg.msix.off == 0 {
 		return MSIXCap{}, false
 	}
-	return MSIXCap{cfg: cfg, off: off}, true
+	return cfg.msix, true
 }
 
 // Offset reports the capability's config-space offset.
 func (m MSIXCap) Offset() int { return m.off }
 
 // TableBIR reports which BAR holds the vector table.
-func (m MSIXCap) TableBIR() int { return int(m.cfg.Read32(m.off+4) & 0x7) }
+func (m MSIXCap) TableBIR() int { return m.bir }
 
 // ---- SR-IOV extended capability (ID 0x0010) ----
 //

@@ -57,6 +57,8 @@ type ConfigSpace struct {
 	// present mirrors whether the function responds on the bus at all; a
 	// VF before VF Enable reads as all-ones.
 	present bool
+	// msix is the MSI-X capability as AddMSIXCap built it (zero: none).
+	msix MSIXCap
 }
 
 // NewConfigSpace returns a config space with the standard header populated.

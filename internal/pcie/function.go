@@ -8,11 +8,10 @@ import "fmt"
 // performance-critical resources (§2) — here, that means its own RID, BAR
 // and MSI-X state, while configuration behaviour defers to the device.
 type Function struct {
-	rid   RID
-	cfg   *ConfigSpace
-	name  string
-	isVF  bool
-	vfIdx int // index among the PF's VFs
+	rid  RID
+	cfg  *ConfigSpace
+	name string
+	isVF bool
 
 	port *Port // where the function's device is attached
 
@@ -51,14 +50,6 @@ func (f *Function) Config() *ConfigSpace { return f.cfg }
 
 // IsVF reports whether this is a virtual function.
 func (f *Function) IsVF() bool { return f.isVF }
-
-// VFIndex reports a VF's index among its PF's VFs (-1 for a PF).
-func (f *Function) VFIndex() int {
-	if !f.isVF {
-		return -1
-	}
-	return f.vfIdx
-}
 
 // Port reports the port the function's device hangs off (nil if detached).
 func (f *Function) Port() *Port { return f.port }
@@ -187,7 +178,6 @@ func (d *Device) AddVF(pf *Function, idx int) *Function {
 		cap.VFDeviceID(),
 	)
 	vf.isVF = true
-	vf.vfIdx = idx
 	vf.port = pf.port
 	vf.cfg.SetPresent(false)
 	d.vfs[pf] = append(d.vfs[pf], vf)

@@ -273,8 +273,8 @@ func TestDeviceVFLifecycle(t *testing.T) {
 	if vfs[0].Config().Read16(RegDeviceID) != 0x10ca {
 		t.Fatal("VF device id")
 	}
-	if vfs[2].VFIndex() != 2 || pf.VFIndex() != -1 {
-		t.Fatal("VF index")
+	if !vfs[2].IsVF() || pf.IsVF() || vfs[2].Name() != pf.Name()+"-vf2" {
+		t.Fatalf("VF 2 is %q (IsVF %v), PF IsVF %v", vfs[2].Name(), vfs[2].IsVF(), pf.IsVF())
 	}
 }
 

@@ -70,10 +70,10 @@ func (b *MSIBinding) Unbind() {
 	b.hv.vectors.Free(b.vector)
 	switch b.dom.Type {
 	case HVM, Native:
-		delete(b.dom.isrs, b.vector)
+		b.dom.isrs[b.vector] = nil
 	case PVM, Dom0:
 		b.dom.events.Unbind(b.port)
-		delete(b.dom.upcalls, b.port)
+		b.dom.upcalls[b.port] = nil
 	}
 }
 
@@ -99,14 +99,14 @@ func (b *MSIBinding) PhysicalMSI() {
 	case Native:
 		// Bare metal: no exit, just the hardware interrupt dispatch cost,
 		// charged to the native domain itself.
-		h.meter.Charge(d.Account("irq"), nativeIRQDispatchCycles)
+		h.meter.Charge(d.acct.slot(h.meter, "irq"), nativeIRQDispatchCycles)
 		if isr := d.isrs[b.vector]; isr != nil {
 			isr()
 		}
 		return
 	case HVM:
 		h.ChargeXen(d, "vmexit", model.ExtIntExitCycles)
-		h.recordExit(ExitExtInt, model.ExtIntExitCycles)
+		h.recordExit(exitExtInt, model.ExtIntExitCycles)
 		if d.lapic.Inject(b.vector) {
 			if _, deliverable := d.lapic.Pending(); deliverable {
 				d.lapic.Ack()
@@ -117,7 +117,7 @@ func (b *MSIBinding) PhysicalMSI() {
 		}
 	case PVM, Dom0:
 		h.ChargeXen(d, "vmexit", model.ExtIntExitCycles)
-		h.recordExit(ExitExtInt, model.ExtIntExitCycles)
+		h.recordExit(exitExtInt, model.ExtIntExitCycles)
 		h.NotifyEvent(d, b.port)
 	}
 }
@@ -185,7 +185,7 @@ func (h *Hypervisor) GuestMSIMaskWrite(d *Domain) {
 	if h.opts.MaskAccel {
 		// Emulated entirely in the hypervisor.
 		h.ChargeXen(d, "msi-mask", model.MaskInHypervisorCycles)
-		h.recordExit(ExitMSIMask, model.MaskInHypervisorCycles)
+		h.recordExit(exitMSIMask, model.MaskInHypervisorCycles)
 		return
 	}
 	// Forwarded to the user-level device model in dom0: domain context
@@ -193,7 +193,7 @@ func (h *Hypervisor) GuestMSIMaskWrite(d *Domain) {
 	h.ChargeGuest(d, "msi-mask", model.MaskExitGuestCycles)
 	h.ChargeXen(d, "msi-mask", model.MaskViaDeviceModelXenCycles)
 	h.ChargeDom0("devicemodel", model.MaskViaDeviceModelDom0Cycles)
-	h.recordExit(ExitMSIMask, model.MaskViaDeviceModelXenCycles)
+	h.recordExit(exitMSIMask, model.MaskViaDeviceModelXenCycles)
 }
 
 // GuestEOI models the guest's end-of-interrupt write. For HVM this is an
@@ -223,7 +223,7 @@ func (h *Hypervisor) GuestEOI(d *Domain) {
 			}
 		}
 		h.ChargeXen(d, "apic", cost)
-		h.recordExit(ExitAPICEOI, cost)
+		h.recordExit(exitAPICEOI, cost)
 		if next, ok := d.lapic.EOI(); ok {
 			d.lapic.Ack()
 			if isr := d.isrs[next]; isr != nil && !d.paused {
@@ -247,13 +247,13 @@ func (h *Hypervisor) GuestAPICAccess(d *Domain, n float64) {
 	}
 	c := units.Cycles(n * float64(model.OtherAPICAccessCycles))
 	h.ChargeXen(d, "apic", c)
-	h.recordExitN(ExitAPICOther, int64(n+0.5), c)
+	h.recordExitN(exitAPICOther, int64(n+0.5), c)
 }
 
 // GuestHypercall charges a PVM hypercall (grant ops, event ops).
 func (h *Hypervisor) GuestHypercall(d *Domain, c units.Cycles) {
 	h.ChargeXen(d, "hypercall", c)
-	h.recordExit(ExitHypercall, c)
+	h.recordExit(exitHypercall, c)
 }
 
 // GuestMMIOWrite performs a guest MMIO write to an assigned function. Only
@@ -271,7 +271,7 @@ func (h *Hypervisor) GuestMMIOWrite(d *Domain, fn *pcie.Function, bar int, off u
 			// Address/data programming: a plain trapped write, emulated in
 			// the hypervisor (rare, init only).
 			h.ChargeXen(d, "vmexit", 2000)
-			h.recordExit(ExitMSIMask, 2000)
+			h.recordExit(exitMSIMask, 2000)
 		}
 	}
 	fn.MMIOWrite(bar, off, val)
@@ -344,18 +344,18 @@ func (h *Hypervisor) ChargeTimerBaseline(d *Domain, window units.Duration) {
 	case HVM:
 		extCycles := units.Cycles(ticks * float64(model.ExtIntExitCycles))
 		h.ChargeXen(d, "timer", extCycles)
-		h.recordExitN(ExitExtInt, int64(ticks), extCycles)
+		h.recordExitN(exitExtInt, int64(ticks), extCycles)
 		eoi := h.EOICost()
 		eoiCycles := units.Cycles(ticks * float64(eoi))
 		h.ChargeXen(d, "apic", eoiCycles)
-		h.recordExitN(ExitAPICEOI, int64(ticks), eoiCycles)
+		h.recordExitN(exitAPICEOI, int64(ticks), eoiCycles)
 		h.GuestAPICAccess(d, ticks*model.OtherAPICPerTick)
 		h.ChargeGuest(d, "timer", units.Cycles(ticks*float64(model.TimerHandlerCycles)))
 	case PVM:
 		h.ChargeXen(d, "timer", units.Cycles(ticks*float64(model.EvtchnSendCycles)))
 		h.ChargeGuest(d, "timer", units.Cycles(ticks*float64(model.TimerHandlerCycles+model.EvtchnGuestCycles)))
 	case Native, Dom0:
-		h.meter.Charge(d.Account("timer"), units.Cycles(ticks*float64(model.TimerHandlerCycles)))
+		h.meter.Charge(d.acct.slot(h.meter, "timer"), units.Cycles(ticks*float64(model.TimerHandlerCycles)))
 	}
 }
 

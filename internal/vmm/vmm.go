@@ -126,8 +126,27 @@ const (
 	ExitAPICEOI   ExitReason = "apic-access-eoi"
 	ExitAPICOther ExitReason = "apic-access-other"
 	ExitMSIMask   ExitReason = "msi-mask-unmask"
-	ExitIO        ExitReason = "io-instruction"
 	ExitHypercall ExitReason = "hypercall"
+)
+
+// exitKind indexes the hypervisor's dense per-reason exit state, so
+// recording an exit never hashes its reason.
+type exitKind uint8
+
+const (
+	exitExtInt exitKind = iota
+	exitAPICEOI
+	exitAPICOther
+	exitMSIMask
+	exitHypercall
+	numExitKinds
+)
+
+// exitReasons names each kind in the Exits trace; exitMetrics is its
+// "vmm.exits.<name>" metric segment.
+var (
+	exitReasons = [numExitKinds]ExitReason{ExitExtInt, ExitAPICEOI, ExitAPICOther, ExitMSIMask, ExitHypercall}
+	exitMetrics = [numExitKinds]string{"extint", "eoi", "apic_other", "msi_mask", "hypercall"}
 )
 
 // ExitRecord accumulates count and hypervisor cycles per exit reason.
@@ -147,9 +166,13 @@ type Domain struct {
 	lapic  *interrupts.LAPIC
 	events *interrupts.EventChannels
 
-	// vector → guest ISR (HVM/Native); port → upcall (PVM).
-	isrs    map[interrupts.Vector]func()
-	upcalls map[interrupts.EventChannelPort]func()
+	// isrs holds the guest ISR per vector (HVM/Native); upcalls the
+	// handler per event-channel port (PVM/dom0).
+	isrs    *[256]func()
+	upcalls []func()
+
+	// acct binds the domain's cycle accounts to meter slots.
+	acct accountSlots
 
 	// HotplugHandler receives virtual ACPI hot-plug events (§4.4).
 	HotplugHandler func(ev HotplugEvent)
@@ -173,9 +196,31 @@ func (d *Domain) Assigned() []*pcie.Function { return d.assigned }
 // Paused reports whether the domain is paused (stop-and-copy phase).
 func (d *Domain) Paused() bool { return d.paused }
 
-// Account returns the domain's CPU account for a category.
-func (d *Domain) Account(category string) cpu.Account {
-	return cpu.Account{Domain: d.Name, Category: category}
+// accountSlots caches one domain's bound meter slots by category. A domain
+// charges a handful of categories, so scanning its category names finds a
+// slot without hashing; a category's first charge binds it.
+type accountSlots struct {
+	domain string
+	bound  []boundCategory
+}
+
+type boundCategory struct {
+	category string
+	slot     cpu.Slot
+}
+
+func (a *accountSlots) slot(m *cpu.Meter, category string) cpu.Slot {
+	for i := range a.bound {
+		if a.bound[i].category == category {
+			return a.bound[i].slot
+		}
+	}
+	if a.bound == nil {
+		a.bound = make([]boundCategory, 0, 8)
+	}
+	s := m.Bind(cpu.Account{Domain: a.domain, Category: category})
+	a.bound = append(a.bound, boundCategory{category, s})
+	return s
 }
 
 // HotplugEvent is a virtual ACPI hot-plug notification.
@@ -199,9 +244,13 @@ type Hypervisor struct {
 
 	dom0 *Domain
 	iovm *IOVM
+	// xen binds the hypervisor's own cycle accounts ("xen/<category>").
+	xen accountSlots
 
-	// Exits is the per-reason VM-exit trace backing Fig. 7.
-	Exits map[ExitReason]*ExitRecord
+	// Exits is the per-reason VM-exit trace backing Fig. 7. exitRecs holds
+	// the same records by kind for the recording path.
+	Exits    map[ExitReason]*ExitRecord
+	exitRecs [numExitKinds]*ExitRecord
 	// Counters is the hypervisor's own registry of miscellaneous event
 	// counts: "assign", "unassign", "msi_rejected", "msi_while_paused",
 	// "msi_mask_writes", "eoi_misemulation" and "config_accesses".
@@ -218,9 +267,9 @@ type Hypervisor struct {
 
 	// Obs, when set, mirrors per-reason exit counts into named counters
 	// ("vmm.exits.<reason>") so the metrics pipeline sees them without
-	// reaching into Exits. exitCounters caches the instrument per reason.
+	// reaching into Exits. exitCounters caches the instrument per kind.
 	Obs          *obs.Registry
-	exitCounters map[ExitReason]*obs.Counter
+	exitCounters [numExitKinds]*obs.Counter
 }
 
 // NewFlavored creates a hypervisor of the given flavor bound to the
@@ -237,6 +286,7 @@ func NewFlavored(eng *sim.Engine, meter *cpu.Meter, fabric *pcie.Fabric, mmu *io
 		vectors:          interrupts.NewAllocator(),
 		opts:             opts,
 		flavor:           flavor,
+		xen:              accountSlots{domain: "xen"},
 		domains:          make(map[int]*Domain),
 		Exits:            make(map[ExitReason]*ExitRecord),
 		Counters:         r,
@@ -288,21 +338,24 @@ func (h *Hypervisor) Domains() []*Domain {
 
 func (h *Hypervisor) createDomain(name string, t DomainType, k KernelConfig, dm *mem.DomainMemory) *Domain {
 	d := &Domain{
-		ID:      h.nextID,
-		Name:    name,
-		Type:    t,
-		Kernel:  k,
-		Memory:  dm,
-		isrs:    make(map[interrupts.Vector]func()),
-		upcalls: make(map[interrupts.EventChannelPort]func()),
+		ID:     h.nextID,
+		Name:   name,
+		Type:   t,
+		Kernel: k,
+		Memory: dm,
+		acct:   accountSlots{domain: name},
 	}
 	switch t {
 	case HVM:
 		d.lapic = &interrupts.LAPIC{}
+		d.isrs = new([256]func())
 	case PVM, Dom0:
-		d.events = interrupts.NewEventChannels(256)
+		const ports = 256
+		d.events = interrupts.NewEventChannels(ports)
+		d.upcalls = make([]func(), ports)
 	case Native:
 		d.lapic = &interrupts.LAPIC{} // a real LAPIC, not emulated
+		d.isrs = new([256]func())
 	}
 	h.nextID++
 	h.domains[d.ID] = d
@@ -400,7 +453,7 @@ func (h *Hypervisor) ChargeGuest(d *Domain, category string, c units.Cycles) {
 	if h.pollutionActive(d) {
 		c = units.Cycles(float64(c) * model.MaskPollutionFactor)
 	}
-	h.meter.Charge(d.Account(category), c)
+	h.meter.Charge(d.acct.slot(h.meter, category), c)
 }
 
 // ChargeXen charges hypervisor cycles (attributed to "xen" as the paper's
@@ -409,59 +462,39 @@ func (h *Hypervisor) ChargeXen(d *Domain, category string, c units.Cycles) {
 	if h.pollutionActive(d) {
 		c = units.Cycles(float64(c) * model.MaskPollutionFactor)
 	}
-	h.meter.Charge(cpu.Account{Domain: "xen", Category: category}, c)
+	h.meter.Charge(h.xen.slot(h.meter, category), c)
 }
 
 // ChargeDom0 charges service-domain cycles (dom0 on Xen, the host on KVM).
 func (h *Hypervisor) ChargeDom0(category string, c units.Cycles) {
-	h.meter.Charge(cpu.Account{Domain: h.dom0.Name, Category: category}, c)
+	h.meter.Charge(h.dom0.acct.slot(h.meter, category), c)
 }
 
-func (h *Hypervisor) recordExit(r ExitReason, c units.Cycles) {
-	h.recordExitN(r, 1, c)
+func (h *Hypervisor) recordExit(k exitKind, c units.Cycles) {
+	h.recordExitN(k, 1, c)
 }
 
-func (h *Hypervisor) recordExitN(r ExitReason, n int64, c units.Cycles) {
-	rec := h.Exits[r]
+func (h *Hypervisor) recordExitN(k exitKind, n int64, c units.Cycles) {
+	rec := h.exitRecs[k]
 	if rec == nil {
 		rec = &ExitRecord{}
-		h.Exits[r] = rec
+		h.exitRecs[k] = rec
+		h.Exits[exitReasons[k]] = rec
 	}
 	rec.Count += n
 	rec.Cycles += c
 	if h.Obs != nil {
-		ctr := h.exitCounters[r]
+		ctr := h.exitCounters[k]
 		if ctr == nil {
-			if h.exitCounters == nil {
-				h.exitCounters = make(map[ExitReason]*obs.Counter)
-			}
-			ctr = h.Obs.Counter("vmm.exits." + exitShort(r))
-			h.exitCounters[r] = ctr
+			ctr = h.Obs.Counter("vmm.exits." + exitMetrics[k])
+			h.exitCounters[k] = ctr
 		}
 		ctr.Add(n)
 	}
 }
 
-// exitShort maps an exit reason to its metric-name segment.
-func exitShort(r ExitReason) string {
-	switch r {
-	case ExitExtInt:
-		return "extint"
-	case ExitAPICEOI:
-		return "eoi"
-	case ExitAPICOther:
-		return "apic_other"
-	case ExitMSIMask:
-		return "msi_mask"
-	case ExitIO:
-		return "io"
-	case ExitHypercall:
-		return "hypercall"
-	}
-	return string(r)
-}
-
 // ResetExitTrace clears the Fig. 7 trace.
 func (h *Hypervisor) ResetExitTrace() {
 	h.Exits = make(map[ExitReason]*ExitRecord)
+	h.exitRecs = [numExitKinds]*ExitRecord{}
 }
