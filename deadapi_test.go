@@ -1,45 +1,54 @@
 package sriov
 
 import (
-	"fmt"
+	"bufio"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
+	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // The dead-API gate: production code is what production calls. Every
-// exported identifier declared under internal/ must be referenced by some
-// non-test Go file of this module or of benchmark/ (a subdirectory, so one
+// exported identifier declared under internal/ must be used by some
+// non-test Go file of this module or of benchmark/ (a nested module, so one
 // walk from the repository root covers both). An accessor only a test reads
 // belongs in that test's file, or nowhere.
 //
-// Counting a reference is syntactic:
-//   - a top-level identifier is referenced by any use other than its own
-//     declaration: an unqualified use in its own package, or pkg.Name in a
-//     file that imports the package;
-//   - a method is referenced by any selector with its name (x.M, T.M), since
-//     that is how an interface call reaches it too;
-//   - methods that satisfy a standard-library interface (stdlibMethods) are
-//     called by the standard library, not by name, and are exempt.
+// The scan type-checks every non-test file with go/types, so a use is the
+// object an identifier resolves to, not its spelling:
+//   - a top-level identifier or a method is live when some scanned file
+//     uses it (a use inside its own package counts); a method of a generic
+//     type is one method whatever its type arguments;
+//   - a method is also live when its type implements an interface whose
+//     method some scanned file calls;
+//   - a method the standard library calls through one of its own
+//     interfaces (stdlibInterfaces, and error) is live when its type
+//     implements that interface.
 //
 // deadAPIAllow lists the exceptions. Each entry carries its reason, and an
 // entry that has become referenced fails the gate, so the list only shrinks.
-var deadAPIAllow = map[string]string{}
+var deadAPIAllow = map[string]string{
+	"internal/sim.Engine.Pending": "core's long-run stability test bounds the event queue of a whole testbed, from outside package sim",
+}
 
-// stdlibMethods are method names the standard library calls through an
-// interface (fmt.Stringer, error, sort.Interface, heap.Interface,
-// json.Marshaler, http.Handler, flag.Value, io.Reader/Writer/Closer).
-var stdlibMethods = map[string]bool{
-	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-	"ServeHTTP": true, "Set": true, "Read": true, "Write": true, "Close": true,
+// stdlibInterfaces are the standard-library interfaces, by package path and
+// name, through which the standard library calls methods it was handed.
+var stdlibInterfaces = [][2]string{
+	{"fmt", "Stringer"}, {"fmt", "GoStringer"}, {"fmt", "Formatter"},
+	{"sort", "Interface"}, {"container/heap", "Interface"},
+	{"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
+	{"encoding", "TextMarshaler"}, {"encoding", "TextUnmarshaler"},
+	{"net/http", "Handler"}, {"flag", "Value"},
+	{"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
 }
 
 func TestNoDeadInternalAPI(t *testing.T) {
@@ -53,22 +62,26 @@ func TestNoDeadInternalAPI(t *testing.T) {
 }
 
 // TestDeadAPIGateFixture runs the gate's scan over a planted tree: an
-// exported func and a method that only a test calls are reported, live ones
-// and a String method are not, and a stale or reasonless allowlist entry
-// fails the check.
+// exported func and a method that only a test calls are reported, and so
+// are a method sharing its name with a live one, a method whose signature
+// misses the interface the tool calls through, and an exported method of
+// an unexported type. Live methods (a
+// direct call, an interface call, a generic type's method, a String) are
+// not, and a stale or reasonless allowlist entry fails the check.
 func TestDeadAPIGateFixture(t *testing.T) {
 	dead, err := deadAPI(filepath.Join("testdata", "deadapi"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/lib.T.Dead", "internal/lib.Unused"}
+	want := []string{"internal/lib.T.Dead", "internal/lib.U.Live", "internal/lib.U.Run", "internal/lib.Unused", "internal/lib.hidden.Poke"}
 	if strings.Join(dead, " ") != strings.Join(want, " ") {
 		t.Fatalf("dead = %v, want %v", dead, want)
 	}
-	if p := checkDeadAPI(dead, map[string]string{
-		"internal/lib.T.Dead": "fixture",
-		"internal/lib.Unused": "fixture",
-	}); len(p) != 0 {
+	allow := map[string]string{}
+	for _, id := range want {
+		allow[id] = "fixture"
+	}
+	if p := checkDeadAPI(dead, allow); len(p) != 0 {
 		t.Fatalf("fully allowlisted scan reported %v", p)
 	}
 	problems := checkDeadAPI(dead, map[string]string{
@@ -77,8 +90,11 @@ func TestDeadAPIGateFixture(t *testing.T) {
 	})
 	wantPrefixes := []string{
 		"internal/lib.T.Dead: exported, but no non-test file references it",
+		"internal/lib.U.Live: exported, but no non-test file references it",
+		"internal/lib.U.Run: exported, but no non-test file references it",
 		"internal/lib.Unused: allowlist entry has no reason",
 		"internal/lib.Used: allowlisted, but referenced or gone",
+		"internal/lib.hidden.Poke: exported, but no non-test file references it",
 	}
 	if len(problems) != len(wantPrefixes) {
 		t.Fatalf("problems = %q, want %d", problems, len(wantPrefixes))
@@ -114,28 +130,51 @@ func checkDeadAPI(dead []string, allow map[string]string) []string {
 	return problems
 }
 
-// scannedFile is what deadAPI keeps of one parsed file.
-type scannedFile struct {
-	dir     string             // slash path of the file's directory, relative to the root
-	imports map[string]string  // local import name -> scanned directory
-	uses    map[string]bool    // unqualified identifiers, declarations excluded
-	quals   map[[2]string]bool // x.Name selectors, keyed by {x, Name}
+// loader type-checks the scanned packages on demand, resolving imports of
+// scanned packages to themselves and every other import to the standard
+// library. All packages record into one Info.
+type loader struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path -> parsed non-test files
+	dirs  map[string]string      // import path -> slash directory under the root
+	done  map[string]*types.Package
+	std   types.Importer
+	info  *types.Info
 }
 
-// deadAPI parses every non-test .go file under root (skipping testdata and
-// hidden directories) and returns, sorted, every exported top-level
-// identifier ("internal/sim.NewEngine") or method
-// ("internal/nic.Queue.SetITR") declared under an internal/
-// directory that no scanned file references.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if p, ok := l.done[path]; ok {
+		return p, nil
+	}
+	files, ok := l.files[path]
+	if !ok {
+		return l.std.Import(path)
+	}
+	conf := types.Config{Importer: l}
+	p, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.done[path] = p
+	return p, nil
+}
+
+// deadAPI type-checks every non-test .go file under root (skipping testdata
+// and hidden directories; a go.mod names the module of the directories
+// below it) and returns, sorted, every exported top-level identifier
+// ("internal/sim.NewEngine") or method ("internal/nic.Queue.SetITR")
+// declared under an internal/ directory that is not live.
 func deadAPI(root string) ([]string, error) {
-	fset := token.NewFileSet()
-	type rawImport struct{ alias, path string }
-	var files []*scannedFile
-	raw := map[*scannedFile][]rawImport{}
-	pkgName := map[string]string{}    // dir -> package name
-	topLevel := map[string][]string{} // dir -> exported top-level names
-	methods := map[string]string{}    // "dir.Recv.Name" -> Name
-	selected := map[string]bool{}     // every selector name anywhere
+	l := &loader{
+		fset:  token.NewFileSet(),
+		files: map[string][]*ast.File{},
+		dirs:  map[string]string{},
+		done:  map[string]*types.Package{},
+		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}},
+	}
+	l.std = importer.Default()
+	modules := map[string]string{} // slash directory -> module path
+	var sources []string
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -147,130 +186,121 @@ func deadAPI(root string) ([]string, error) {
 			}
 			return nil
 		}
+		if name == "go.mod" {
+			mod, err := modulePath(p)
+			if err != nil {
+				return err
+			}
+			modules[slashRel(root, filepath.Dir(p))] = mod
+			return nil
+		}
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), name); err != nil || !ok {
 			return err
 		}
-		rel, err := filepath.Rel(root, filepath.Dir(p))
-		if err != nil {
-			return err
-		}
-		sf := &scannedFile{dir: filepath.ToSlash(rel), uses: map[string]bool{}, quals: map[[2]string]bool{}}
-		files = append(files, sf)
-		pkgName[sf.dir] = f.Name.Name
-		for _, is := range f.Imports {
-			ip, _ := strconv.Unquote(is.Path.Value)
-			ri := rawImport{path: ip}
-			if is.Name != nil {
-				ri.alias = is.Name.Name
-			}
-			raw[sf] = append(raw[sf], ri)
-		}
-		internal := strings.HasPrefix(sf.dir, "internal/") || strings.Contains(sf.dir, "/internal/")
-		declared := map[*ast.Ident]bool{}
-		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				declared[decl.Name] = true
-				if !internal || !decl.Name.IsExported() {
-					continue
-				}
-				if decl.Recv == nil {
-					topLevel[sf.dir] = append(topLevel[sf.dir], decl.Name.Name)
-				} else if !stdlibMethods[decl.Name.Name] {
-					methods[sf.dir+"."+recvName(decl.Recv.List[0].Type)+"."+decl.Name.Name] = decl.Name.Name
-				}
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					var names []*ast.Ident
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						names = []*ast.Ident{spec.Name}
-					case *ast.ValueSpec:
-						names = spec.Names
-					}
-					for _, n := range names {
-						declared[n] = true
-						if internal && n.IsExported() {
-							topLevel[sf.dir] = append(topLevel[sf.dir], n.Name)
-						}
-					}
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ImportSpec:
-				return false
-			case *ast.Field:
-				for _, id := range n.Names {
-					declared[id] = true
-				}
-			case *ast.SelectorExpr:
-				selected[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					sf.quals[[2]string{x.Name, n.Sel.Name}] = true
-				}
-				declared[n.Sel] = true // a field or method name, not a use of a top-level one
-			case *ast.Ident:
-				if !declared[n] {
-					sf.uses[n.Name] = true
-				}
-			}
-			return true
-		})
+		sources = append(sources, p)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	for _, p := range sources {
+		dir := slashRel(root, filepath.Dir(p))
+		ip, err := importPath(modules, dir)
+		if err != nil {
+			return nil, err
+		}
+		f, err := parser.ParseFile(l.fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		l.files[ip] = append(l.files[ip], f)
+		l.dirs[ip] = dir
+	}
+	paths := make([]string, 0, len(l.files))
+	for ip := range l.files {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		if _, err := l.Import(ip); err != nil {
+			return nil, err
+		}
+	}
 
-	// Resolve imports to scanned directories by path suffix, so the scan
-	// needs no module path.
-	for _, sf := range files {
-		sf.imports = map[string]string{}
-		for _, ri := range raw[sf] {
-			for dir, name := range pkgName {
-				if ri.path == dir || strings.HasSuffix(ri.path, "/"+dir) {
-					local := ri.alias
-					if local == "" {
-						local = name
-					}
-					sf.imports[local] = dir
+	// Every object some scanned file uses, generic instantiations folded
+	// into their origin, and the interface methods among them.
+	live := map[types.Object]bool{}
+	var ifaces []*types.Interface
+	seen := map[*types.Interface]bool{}
+	for _, obj := range l.info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+			if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+				if it, ok := recv.Type().Underlying().(*types.Interface); ok && !seen[it] {
+					seen[it] = true
+					ifaces = append(ifaces, it)
 				}
 			}
+		case *types.Var:
+			obj = o.Origin()
 		}
+		live[obj] = true
+	}
+	// The standard library's own interface calls.
+	std := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for _, si := range stdlibInterfaces {
+		p, err := l.std.Import(si[0])
+		if err != nil {
+			return nil, err
+		}
+		std = append(std, p.Scope().Lookup(si[1]).Type().Underlying().(*types.Interface))
 	}
 
 	var dead []string
-	for dir, names := range topLevel {
-		for _, name := range names {
-			if !referenced(files, dir, name) {
+	for _, ip := range paths {
+		dir := l.dirs[ip]
+		if !strings.HasPrefix(dir, "internal/") && !strings.Contains(dir, "/internal/") {
+			continue
+		}
+		scope := l.done[ip].Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() && !live[obj] {
 				dead = append(dead, dir+"."+name)
 			}
-		}
-	}
-	for id, name := range methods {
-		if !selected[name] {
-			dead = append(dead, id)
+			// An unexported type's exported methods count too: a value of
+			// it can still reach a caller, and only a use keeps them.
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if m.Exported() && !live[m] && !calledThrough(named, m.Name(), ifaces) && !calledThrough(named, m.Name(), std) {
+					dead = append(dead, dir+"."+name+"."+m.Name())
+				}
+			}
 		}
 	}
 	sort.Strings(dead)
 	return dead, nil
 }
 
-// referenced reports whether some scanned file uses dir's top-level name:
-// unqualified inside dir, or through an import of dir elsewhere.
-func referenced(files []*scannedFile, dir, name string) bool {
-	for _, sf := range files {
-		if sf.dir == dir && sf.uses[name] {
-			return true
-		}
-		for local, target := range sf.imports {
-			if target == dir && sf.quals[[2]string{local, name}] {
+// calledThrough reports whether T or *T implements one of the interfaces
+// that has a method named method. A generic type is never matched: whether
+// it implements an interface depends on its type arguments.
+func calledThrough(t *types.Named, method string, ifaces []*types.Interface) bool {
+	if t.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == method &&
+				(types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
 				return true
 			}
 		}
@@ -278,20 +308,43 @@ func referenced(files []*scannedFile, dir, name string) bool {
 	return false
 }
 
-// recvName is the receiver's base type name: T for T, *T, T[K] and *T[K].
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return fmt.Sprintf("%T", e)
+// importPath is dir's import path: the path of the module whose go.mod is
+// nearest above it, joined with dir's path inside that module.
+func importPath(modules map[string]string, dir string) (string, error) {
+	for d := dir; ; d = path.Dir(d) {
+		if mod, ok := modules[d]; ok {
+			if d == "." {
+				return path.Join(mod, dir), nil
+			}
+			return path.Join(mod, strings.TrimPrefix(dir, d)), nil
+		}
+		if d == "." {
+			return "", &os.PathError{Op: "scan", Path: dir, Err: os.ErrNotExist}
 		}
 	}
+}
+
+// modulePath reads the module path from a go.mod file.
+func modulePath(gomod string) (string, error) {
+	f, err := os.Open(gomod)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if mod, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "module "); ok {
+			return strings.Trim(strings.TrimSpace(mod), `"`), nil
+		}
+	}
+	return "", &os.PathError{Op: "read module path", Path: gomod, Err: os.ErrNotExist}
+}
+
+// slashRel is p relative to root, with forward slashes ("." for root).
+func slashRel(root, p string) string {
+	rel, err := filepath.Rel(root, p)
+	if err != nil {
+		return filepath.ToSlash(p)
+	}
+	return filepath.ToSlash(rel)
 }

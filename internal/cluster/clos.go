@@ -268,9 +268,6 @@ func (c *Clos) newLink(name string, tier int, cfg LinkConfig) *link {
 	return l
 }
 
-// Topology reports the fabric shape (filled with defaults).
-func (c *Clos) Topology() Topology { return c.topo }
-
 // Flows reports every flow ever started, in creation order.
 func (c *Clos) Flows() []*ClosFlow { return c.flows }
 
@@ -730,9 +727,6 @@ func (f *ClosFlow) InFlight() int64  { return f.injectedPkts - f.deliveredPkts -
 
 // DeliveredBytes reports goodput bytes received so far.
 func (f *ClosFlow) DeliveredBytes() units.Size { return f.deliveredBytes }
-
-// Done reports whether a finite transfer has fully emitted.
-func (f *ClosFlow) Done() bool { return f.done }
 
 // Completed reports whether every injected packet was delivered or dropped.
 func (f *ClosFlow) Completed() bool {

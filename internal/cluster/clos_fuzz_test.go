@@ -34,7 +34,7 @@ func FuzzClosTopology(f *testing.F) {
 			t.Fatalf("NewClos(%+v): %v", topo, err)
 		}
 		rng := c.Eng.Stream("fuzz")
-		hosts := c.Topology().Hosts()
+		hosts := c.topo.Hosts()
 		demand := units.BitRate(1+int(rateMbps%1000)) * units.Mbps
 		nFlows := 1 + int(nf%10)
 		flows := make([]*ClosFlow, 0, nFlows)

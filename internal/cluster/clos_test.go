@@ -125,7 +125,7 @@ func TestClosAutoDemotesUnderIncastAndConservesPackets(t *testing.T) {
 	// 7 senders on leaf 0 blast one receiver on leaf 1 at line rate: the
 	// receiver's edge link and the 4:1 trunks are both hopelessly
 	// oversubscribed, so auto mode must demote and the fabric must drop.
-	recv := c.Topology().HostsPerLeaf // first host on leaf 1
+	recv := c.topo.HostsPerLeaf // first host on leaf 1
 	var flows []*ClosFlow
 	for s := 0; s < 7; s++ {
 		flows = append(flows, c.StartTransfer(s, 0, recv, 0, model.LineRateUDP, 2*units.MiB))
@@ -158,7 +158,7 @@ func TestClosAutoDemotesUnderIncastAndConservesPackets(t *testing.T) {
 
 func allDone(flows []*ClosFlow) bool {
 	for _, f := range flows {
-		if !f.Done() {
+		if !f.done {
 			return false
 		}
 	}
@@ -171,7 +171,7 @@ func TestClosECMPStableAndRemapsMinimallyOnFlap(t *testing.T) {
 		Seed:     3,
 		Fastpath: FastpathOff,
 	})
-	hosts := c.Topology().Hosts()
+	hosts := c.topo.Hosts()
 	var flows []*ClosFlow
 	for h := 0; h < hosts; h++ {
 		for v := 0; v < 2; v++ {
@@ -193,7 +193,7 @@ func TestClosECMPStableAndRemapsMinimallyOnFlap(t *testing.T) {
 	c.Run(20 * units.Millisecond)
 
 	// Kill spine 0 everywhere: only flows that crossed it may move.
-	for l := 0; l < c.Topology().Leafs; l++ {
+	for l := 0; l < c.topo.Leafs; l++ {
 		c.SetTrunk(l, 0, false)
 	}
 	for f, sp := range before {
@@ -207,7 +207,7 @@ func TestClosECMPStableAndRemapsMinimallyOnFlap(t *testing.T) {
 	c.Run(20 * units.Millisecond)
 
 	// Restore: rendezvous hashing must put every flow back where it was.
-	for l := 0; l < c.Topology().Leafs; l++ {
+	for l := 0; l < c.topo.Leafs; l++ {
 		c.SetTrunk(l, 0, true)
 	}
 	for f, sp := range before {
@@ -258,7 +258,7 @@ func TestClosPromotionAfterQuiescence(t *testing.T) {
 		Fastpath: FastpathAuto,
 	})
 	// Phase 1: saturating incast forces demotion.
-	recv := c.Topology().HostsPerLeaf
+	recv := c.topo.HostsPerLeaf
 	var hot []*ClosFlow
 	for s := 0; s < 4; s++ {
 		hot = append(hot, c.StartFlow(s, 0, recv, 0, model.LineRateUDP))
@@ -307,7 +307,7 @@ func TestClosDeterministicAcrossRuns(t *testing.T) {
 			Obs:      reg,
 			Fastpath: FastpathAuto,
 		})
-		recv := c.Topology().HostsPerLeaf
+		recv := c.topo.HostsPerLeaf
 		for s := 0; s < 4; s++ {
 			c.StartTransfer(s, 0, recv, 0, model.LineRateUDP, units.MiB)
 		}

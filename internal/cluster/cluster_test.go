@@ -53,7 +53,7 @@ func TestCrossHostFlowDelivers(t *testing.T) {
 	if c.Obs.SumCounters("cluster.link.", ".tx_packets") == 0 {
 		t.Fatal("no link tx accounted")
 	}
-	if c.Obs.FindHistogram("cluster.h1.fabric_latency").Count() == 0 {
+	if c.Obs.FindHistogram("cluster.h1.fabric_latency").Mean() == 0 {
 		t.Fatal("fabric latency histogram empty")
 	}
 	// The sender paid guest-side CPU for the stream.

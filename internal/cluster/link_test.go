@@ -69,11 +69,11 @@ func TestToRForwardAllocationFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.ingress(0, fwd)
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	before := delivered
 	if avg := testing.AllocsPerRun(1000, func() {
 		s.ingress(0, fwd)
-		eng.Run()
+		eng.RunUntil(sim.Forever)
 	}); avg != 0 {
 		t.Fatalf("steady-state ToR forward allocates %.1f allocs/op, want 0", avg)
 	}

@@ -249,7 +249,7 @@ func (ch *FabricChannel) onRx(b nic.Batch) {
 	ch.rx += b.Bytes
 	ch.rxBytes.Add(int64(b.Bytes))
 	pages := uint64(b.Bytes >> mem.PageShift)
-	ch.dst.Bed.HV.ChargeDom0("migration", units.Cycles(pages*model.MigrationPerPageDom0Cycles))
+	ch.dst.Bed.HV.ChargeDom0(units.Cycles(pages * model.MigrationPerPageDom0Cycles))
 	if ch.done != nil && ch.rx >= ch.target {
 		ch.watchdog.Cancel()
 		ch.chunks.Inc()

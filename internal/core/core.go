@@ -577,13 +577,13 @@ func (tb *Testbed) EndMeasure(wins map[*Guest]workload.Window, window units.Dura
 	tb.HV.ChargeDom0Baseline(window)
 
 	u := Utilization{PerGuest: make(map[string]float64)}
-	u.Dom0 = tb.Meter.Utilization(tb.HV.Dom0().Name, end)
-	u.Xen = tb.Meter.Utilization("xen", end)
+	u.Dom0 = tb.Meter.Utilization(tb.HV.Dom0().Ledger(), end)
+	u.Xen = tb.Meter.Utilization(tb.HV.Xen(), end)
 	for _, d := range tb.HV.Domains() {
 		if d.Type == vmm.Dom0 {
 			continue
 		}
-		v := tb.Meter.Utilization(d.Name, end)
+		v := tb.Meter.Utilization(d.Ledger(), end)
 		u.PerGuest[d.Name] = v
 		u.Guests += v
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -242,8 +243,10 @@ func TestLongRunStability(t *testing.T) {
 		t.Skip("long-run stability skipped in -short mode")
 	}
 	// 20 guests at aggregate line rate for 8 simulated seconds: goodput
-	// per second must stay flat (no drift, no leak-driven slowdown) and
-	// the event queue must not grow without bound.
+	// per second must stay flat (no drift, no leak-driven slowdown), and so
+	// must the events executed per second (a leaking schedule grows them);
+	// the event queue must not grow without bound (timers armed and never
+	// cancelled add pending events without adding executed ones).
 	tb := NewTestbed(Config{Ports: 10, Opts: vmm.AllOptimizations})
 	for i := 0; i < 20; i++ {
 		g, err := tb.AddSRIOVGuest("g", vmm.HVM, vmm.Kernel2628, i%10, i/10, netstack.DefaultAIC())
@@ -252,8 +255,9 @@ func TestLongRunStability(t *testing.T) {
 		}
 		tb.StartUDP(g, units.BitRate(float64(model.LineRateUDP)/2))
 	}
-	var perSecond []float64
+	var perSecond, eventsPerSecond []float64
 	var lastBytes units.Size
+	var lastEvents uint64
 	for s := 1; s <= 8; s++ {
 		tb.Eng.RunUntil(units.Time(int64(s) * int64(units.Second)))
 		var total units.Size
@@ -262,6 +266,8 @@ func TestLongRunStability(t *testing.T) {
 		}
 		perSecond = append(perSecond, float64(total-lastBytes))
 		lastBytes = total
+		eventsPerSecond = append(eventsPerSecond, float64(tb.Eng.Processed()-lastEvents))
+		lastEvents = tb.Eng.Processed()
 	}
 	tb.StopAll()
 	// Seconds 2..8 (post-warmup) within 2% of each other.
@@ -271,7 +277,44 @@ func TestLongRunStability(t *testing.T) {
 			t.Fatalf("second %d drifted: %v vs base %v (all: %v)", i+2, v, base, perSecond)
 		}
 	}
+	base = eventsPerSecond[1]
+	for i, v := range eventsPerSecond[1:] {
+		if v < base*0.98 || v > base*1.02 {
+			t.Fatalf("second %d executed %v events vs base %v (all: %v)", i+2, v, base, eventsPerSecond)
+		}
+	}
 	if pending := tb.Eng.Pending(); pending > 2000 {
 		t.Fatalf("event queue grew to %d pending events", pending)
+	}
+}
+
+// TestServiceDomainLedgerAcrossFlavors: the service domain is "dom0" on
+// Xen and "host" on KVM, and the netback copy threads charge it either
+// way. One PV-on-HVM guest at a quarter of line rate reads the same Dom0
+// on both flavors, and on each the meter's total is exactly Dom0 + Xen +
+// Guests: no cycles land in a ledger the report does not read.
+func TestServiceDomainLedgerAcrossFlavors(t *testing.T) {
+	measure := func(f vmm.Flavor) Utilization {
+		tb := NewTestbed(Config{Seed: 1, Ports: 1, Opts: vmm.AllOptimizations, Flavor: f})
+		g, err := tb.AddPVGuest("guest-1", vmm.HVM, vmm.Kernel2628, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.StartUDP(g, model.LineRateUDP/4)
+		u, _ := tb.Measure(100*units.Millisecond, 200*units.Millisecond)
+		tb.StopAll()
+		return u
+	}
+	xen, kvm := measure(vmm.Xen), measure(vmm.KVM)
+	for _, c := range []struct {
+		flavor string
+		u      Utilization
+	}{{"xen", xen}, {"kvm", kvm}} {
+		if sum := c.u.Dom0 + c.u.Xen + c.u.Guests; math.Abs(sum-c.u.Total) > 1e-9 {
+			t.Errorf("%s: Dom0+Xen+Guests = %.4f%%, meter total = %.4f%%", c.flavor, sum, c.u.Total)
+		}
+	}
+	if xen.Dom0 != kvm.Dom0 {
+		t.Errorf("service domain: Xen dom0 %.4f%%, KVM host %.4f%%; want equal", xen.Dom0, kvm.Dom0)
 	}
 }

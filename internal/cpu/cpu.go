@@ -1,8 +1,9 @@
 // Package cpu models processor time. The simulator does not execute guest
 // instructions; instead, every modeled activity (interrupt handler, VM-exit,
-// packet copy, ...) charges a calibrated number of cycles to an Account.
-// Utilization is then reported the way the paper reports it: percent of one
-// hardware thread, so 499% means "about five threads busy".
+// packet copy, ...) charges a calibrated number of cycles to the ledger of
+// the domain that spent them. Utilization is then reported the way the
+// paper reports it: percent of one hardware thread per domain, so 499%
+// means "about five threads busy".
 //
 // For components whose throughput is limited by a serial CPU (the Xen
 // netback copy thread is the canonical example), Worker provides a saturable
@@ -11,22 +12,10 @@ package cpu
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/units"
 )
-
-// Account identifies who consumed CPU cycles and why. Domain is the
-// consumer as the paper's stacked bars show it ("dom0", "xen", "guest-3",
-// "native"); Category is the activity ("devicemodel", "isr", "vmexit",
-// "copy", "stack", ...).
-type Account struct {
-	Domain   string
-	Category string
-}
-
-func (a Account) String() string { return a.Domain + "/" + a.Category }
 
 // System describes the physical processor of a simulated machine.
 type System struct {
@@ -34,77 +23,61 @@ type System struct {
 	Freq    units.Frequency // clock (2.8 GHz in the paper)
 }
 
-// Meter accumulates cycles per account over a measurement window.
-// Charging is a slice add: every account is bound once, at wiring time, to
-// a dense slot (Bind), and the hot path charges the slot. Only Bind and
-// the read side resolve an Account.
+// Meter accumulates cycles per domain over a measurement window. Each
+// consumer the paper's stacked bars show ("dom0", "xen", "guest-3",
+// "native") owns one ledger, bound once when the consumer is created;
+// charging and reading index it, so the hot path is a slice add.
 type Meter struct {
-	sys      System
-	cycles   []units.Cycles // by slot
-	accounts []Account      // by slot
-	slots    map[Account]Slot
-	started  units.Time
+	sys     System
+	cycles  []units.Cycles // by ledger
+	names   []string       // by ledger
+	started units.Time
 }
 
-// Slot is an account's dense index in one Meter, returned by Bind.
-type Slot int32
+// Ledger is a domain's dense index in one Meter, returned by Meter.Ledger.
+type Ledger int32
 
 // NewMeter returns a meter for the given system with the window starting at
 // time zero.
 func NewMeter(sys System) *Meter {
-	return &Meter{sys: sys, slots: make(map[Account]Slot)}
+	return &Meter{sys: sys}
 }
 
 // System reports the system this meter measures.
 func (m *Meter) System() System { return m.sys }
 
-// Bind returns the slot charging a, allocating it on the account's first
-// bind; binding an account again returns the same slot.
-func (m *Meter) Bind(a Account) Slot {
-	if s, ok := m.slots[a]; ok {
-		return s
+// Ledger returns the ledger of the named domain, creating it on the name's
+// first use: two domains that share a name share a ledger.
+func (m *Meter) Ledger(name string) Ledger {
+	for l, n := range m.names {
+		if n == name {
+			return Ledger(l)
+		}
 	}
-	s := Slot(len(m.accounts))
-	m.slots[a] = s
-	m.accounts = append(m.accounts, a)
+	m.names = append(m.names, name)
 	m.cycles = append(m.cycles, 0)
-	return s
+	return Ledger(len(m.names) - 1)
 }
 
-// Charge adds cycles to a bound account. Negative charges panic: they are
-// always a modeling bug.
-func (m *Meter) Charge(s Slot, c units.Cycles) {
+// Charge adds cycles to a ledger. Negative charges panic: they are always
+// a modeling bug.
+func (m *Meter) Charge(l Ledger, c units.Cycles) {
 	if c < 0 {
-		panic(fmt.Sprintf("cpu: negative charge %d to %v", c, m.accounts[s]))
+		panic(fmt.Sprintf("cpu: negative charge %d to %s", c, m.names[l]))
 	}
-	m.cycles[s] += c
+	m.cycles[l] += c
 }
 
 // ResetWindow discards accumulated cycles and marks now as the start of a
-// new measurement window. Bound slots stay bound.
+// new measurement window. Ledgers stay bound.
 func (m *Meter) ResetWindow(now units.Time) {
 	clear(m.cycles)
 	m.started = now
 }
 
-// Cycles reports the cycles charged to a since the window started.
-func (m *Meter) Cycles(a Account) units.Cycles {
-	if s, ok := m.slots[a]; ok {
-		return m.cycles[s]
-	}
-	return 0
-}
-
-// DomainCycles reports total cycles charged to a domain across categories.
-func (m *Meter) DomainCycles(domain string) units.Cycles {
-	var t units.Cycles
-	for s, a := range m.accounts {
-		if a.Domain == domain {
-			t += m.cycles[s]
-		}
-	}
-	return t
-}
+// DomainCycles reports the cycles charged to a ledger since the window
+// started.
+func (m *Meter) DomainCycles(l Ledger) units.Cycles { return m.cycles[l] }
 
 // TotalCycles reports all cycles charged in the window.
 func (m *Meter) TotalCycles() units.Cycles {
@@ -115,14 +88,14 @@ func (m *Meter) TotalCycles() units.Cycles {
 	return t
 }
 
-// Utilization reports the percent-of-one-thread utilization of a domain over
-// the window ending at now. 100 means one thread fully busy.
-func (m *Meter) Utilization(domain string, now units.Time) float64 {
-	return m.utilization(m.DomainCycles(domain), now)
+// Utilization reports the percent-of-one-thread utilization of a ledger
+// over the window ending at now. 100 means one thread fully busy.
+func (m *Meter) Utilization(l Ledger, now units.Time) float64 {
+	return m.utilization(m.DomainCycles(l), now)
 }
 
 // TotalUtilization reports percent-of-one-thread utilization summed over all
-// domains.
+// ledgers.
 func (m *Meter) TotalUtilization(now units.Time) float64 {
 	return m.utilization(m.TotalCycles(), now)
 }
@@ -139,20 +112,6 @@ func (m *Meter) utilization(c units.Cycles, now units.Time) float64 {
 	return float64(c) / float64(budget) * 100
 }
 
-// Domains reports every domain with a bound account, sorted.
-func (m *Meter) Domains() []string {
-	set := make(map[string]bool)
-	for _, a := range m.accounts {
-		set[a.Domain] = true
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Job is one unit of work submitted to a Worker.
 type Job struct {
 	Cost units.Cycles // service demand
@@ -163,7 +122,7 @@ type Job struct {
 // one netback copy thread. Service time is Cost cycles at the system clock.
 // When the queue is full new jobs are rejected (the caller decides whether
 // that means a dropped packet or backpressure). All service time is charged
-// to the worker's account.
+// to the worker's ledger.
 //
 // The steady-state submit→serve→complete cycle allocates nothing: waiting
 // jobs live in a growable ring, the job in service in a field, and its
@@ -172,7 +131,7 @@ type Job struct {
 type Worker struct {
 	eng      *sim.Engine
 	meter    *Meter
-	slot     Slot
+	ledger   Ledger
 	queueCap int
 	queue    jobRing
 	cur      Job // the job in service; valid while busy
@@ -184,11 +143,11 @@ type Worker struct {
 	Served   int64
 }
 
-// NewWorker creates a worker charging the given account. queueCap bounds the
+// NewWorker creates a worker charging the given ledger. queueCap bounds the
 // number of queued (not yet started) jobs; 0 means unbounded.
-func NewWorker(eng *sim.Engine, meter *Meter, account Account, queueCap int) *Worker {
-	w := &Worker{eng: eng, meter: meter, slot: meter.Bind(account), queueCap: queueCap,
-		evName: "worker:" + account.String()}
+func NewWorker(eng *sim.Engine, meter *Meter, l Ledger, queueCap int) *Worker {
+	w := &Worker{eng: eng, meter: meter, ledger: l, queueCap: queueCap,
+		evName: "worker:" + meter.names[l]}
 	w.done = w.complete
 	return w
 }
@@ -223,12 +182,12 @@ func (w *Worker) startNext() {
 	w.eng.After(w.meter.sys.Freq.DurationOf(w.cur.Cost), w.evName, w.done)
 }
 
-// complete finishes the job in service and starts the next one. The slot
+// complete finishes the job in service and starts the next one. The field
 // is cleared before Run so the worker never pins a finished job's func.
 func (w *Worker) complete() {
 	j := w.cur
 	w.cur = Job{}
-	w.meter.Charge(w.slot, j.Cost)
+	w.meter.Charge(w.ledger, j.Cost)
 	w.Served++
 	if j.Run != nil {
 		j.Run()
@@ -272,22 +231,17 @@ type Pool struct {
 	next    int
 }
 
-// NewPool creates n workers charging accounts derived from base by suffixing
-// the worker index to the category.
-func NewPool(eng *sim.Engine, meter *Meter, base Account, n, queueCap int) *Pool {
+// NewPool creates n workers charging one ledger.
+func NewPool(eng *sim.Engine, meter *Meter, l Ledger, n, queueCap int) *Pool {
 	if n <= 0 {
 		panic("cpu: pool needs at least one worker")
 	}
 	p := &Pool{}
 	for i := 0; i < n; i++ {
-		acct := Account{Domain: base.Domain, Category: fmt.Sprintf("%s.%d", base.Category, i)}
-		p.workers = append(p.workers, NewWorker(eng, meter, acct, queueCap))
+		p.workers = append(p.workers, NewWorker(eng, meter, l, queueCap))
 	}
 	return p
 }
-
-// Size reports the number of workers.
-func (p *Pool) Size() int { return len(p.workers) }
 
 // Submit dispatches a job to the least-loaded worker (ties broken round
 // robin), reporting false if that worker's queue is full.
@@ -319,22 +273,4 @@ func (p *Pool) QueuedJobs() int {
 		}
 	}
 	return n
-}
-
-// Rejected reports total rejected jobs across workers.
-func (p *Pool) Rejected() int64 {
-	var t int64
-	for _, w := range p.workers {
-		t += w.Rejected
-	}
-	return t
-}
-
-// Served reports total served jobs across workers.
-func (p *Pool) Served() int64 {
-	var t int64
-	for _, w := range p.workers {
-		t += w.Served
-	}
-	return t
 }

@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -11,61 +10,60 @@ import (
 
 var testSys = System{Threads: 16, Freq: 2800 * units.MHz}
 
+// newWorker returns a worker charging dom0 on a fresh meter.
+func newWorker(eng *sim.Engine, queueCap int) *Worker {
+	m := NewMeter(testSys)
+	return NewWorker(eng, m, m.Ledger("dom0"), queueCap)
+}
+
 func TestMeterUtilization(t *testing.T) {
 	m := NewMeter(testSys)
 	m.ResetWindow(0)
 	// Charge half a thread-second of cycles over one second.
-	m.Charge(m.Bind(Account{"dom0", "devicemodel"}), testSys.Freq.CyclesIn(500*units.Millisecond))
+	dom0 := m.Ledger("dom0")
+	m.Charge(dom0, testSys.Freq.CyclesIn(500*units.Millisecond))
 	now := units.Time(units.Second)
-	if got := m.Utilization("dom0", now); got < 49.9 || got > 50.1 {
+	if got := m.Utilization(dom0, now); got < 49.9 || got > 50.1 {
 		t.Fatalf("utilization = %v, want 50", got)
 	}
 	if got := m.TotalUtilization(now); got < 49.9 || got > 50.1 {
 		t.Fatalf("total = %v", got)
 	}
-	if got := m.Utilization("guest-0", now); got != 0 {
-		t.Fatalf("unknown domain = %v, want 0", got)
+	if got := m.Utilization(m.Ledger("guest-0"), now); got != 0 {
+		t.Fatalf("uncharged domain = %v, want 0", got)
 	}
 }
 
 func TestMeterBreakdownByDomain(t *testing.T) {
 	m := NewMeter(testSys)
 	m.ResetWindow(0)
-	m.Charge(m.Bind(Account{"dom0", "a"}), 100)
-	m.Charge(m.Bind(Account{"dom0", "b"}), 200)
-	m.Charge(m.Bind(Account{"xen", "c"}), 50)
-	if m.DomainCycles("dom0") != 300 {
-		t.Fatalf("dom0 cycles = %d", m.DomainCycles("dom0"))
+	dom0, xen := m.Ledger("dom0"), m.Ledger("xen")
+	m.Charge(dom0, 100)
+	m.Charge(dom0, 200)
+	m.Charge(xen, 50)
+	if m.DomainCycles(dom0) != 300 || m.DomainCycles(xen) != 50 {
+		t.Fatalf("dom0, xen cycles = %d, %d; want 300, 50", m.DomainCycles(dom0), m.DomainCycles(xen))
 	}
 	if m.TotalCycles() != 350 {
 		t.Fatalf("total = %d", m.TotalCycles())
 	}
-	d := m.Domains()
-	if len(d) != 2 || d[0] != "dom0" || d[1] != "xen" {
-		t.Fatalf("domains = %v", d)
-	}
-	for _, c := range []struct {
-		a    Account
-		want units.Cycles
-	}{{Account{"dom0", "a"}, 100}, {Account{"dom0", "b"}, 200}, {Account{"xen", "c"}, 50}, {Account{"xen", "a"}, 0}} {
-		if got := m.Cycles(c.a); got != c.want {
-			t.Fatalf("cycles(%v) = %d, want %d", c.a, got, c.want)
-		}
+	if len(m.names) != 2 || m.names[dom0] != "dom0" || m.names[xen] != "xen" {
+		t.Fatalf("ledgers = %v", m.names)
 	}
 }
 
 func TestMeterResetWindow(t *testing.T) {
 	m := NewMeter(testSys)
-	s := m.Bind(Account{"dom0", "a"})
-	m.Charge(s, 100)
+	l := m.Ledger("dom0")
+	m.Charge(l, 100)
 	m.ResetWindow(units.Time(units.Second))
-	if m.TotalCycles() != 0 || m.Cycles(Account{"dom0", "a"}) != 0 {
+	if m.TotalCycles() != 0 || m.DomainCycles(l) != 0 {
 		t.Fatal("reset should clear cycles")
 	}
-	// The slot stays bound across the reset and charges the new window.
-	m.Charge(s, 7)
-	if m.Cycles(Account{"dom0", "a"}) != 7 || m.DomainCycles("dom0") != 7 {
-		t.Fatalf("post-reset cycles = %d, want 7", m.Cycles(Account{"dom0", "a"}))
+	// The ledger stays bound across the reset and charges the new window.
+	m.Charge(l, 7)
+	if m.DomainCycles(l) != 7 || m.TotalCycles() != 7 {
+		t.Fatalf("post-reset cycles = %d, want 7", m.DomainCycles(l))
 	}
 	m.ResetWindow(units.Time(units.Second))
 	if m.started != units.Time(units.Second) {
@@ -84,19 +82,20 @@ func TestNegativeChargePanics(t *testing.T) {
 			t.Error("negative charge should panic")
 		}
 	}()
-	m.Charge(m.Bind(Account{"x", "y"}), -1)
+	m.Charge(m.Ledger("x"), -1)
 }
 
 func TestWorkerServesFIFO(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := NewMeter(testSys)
-	w := NewWorker(eng, m, Account{"dom0", "netback"}, 0)
+	dom0 := m.Ledger("dom0")
+	w := NewWorker(eng, m, dom0, 0)
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
 		w.Submit(Job{Cost: 2800, Run: func() { order = append(order, i) }}) // 1 µs each
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if len(order) != 3 || order[0] != 0 || order[2] != 2 {
 		t.Fatalf("order = %v", order)
 	}
@@ -104,7 +103,7 @@ func TestWorkerServesFIFO(t *testing.T) {
 	if eng.Now() != units.Time(3*units.Microsecond) {
 		t.Fatalf("finished at %v, want 3µs", eng.Now())
 	}
-	if m.Cycles(Account{"dom0", "netback"}) != 3*2800 {
+	if m.DomainCycles(dom0) != 3*2800 {
 		t.Fatal("cycles not charged")
 	}
 	if w.Served != 3 {
@@ -114,8 +113,7 @@ func TestWorkerServesFIFO(t *testing.T) {
 
 func TestWorkerQueueCap(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewMeter(testSys)
-	w := NewWorker(eng, m, Account{"dom0", "netback"}, 2)
+	w := newWorker(eng, 2)
 	ok := 0
 	for i := 0; i < 5; i++ {
 		if w.Submit(Job{Cost: 2800}) {
@@ -129,7 +127,7 @@ func TestWorkerQueueCap(t *testing.T) {
 	if w.Rejected != 2 {
 		t.Fatalf("rejected = %d, want 2", w.Rejected)
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if w.Served != 3 {
 		t.Fatalf("served = %d, want 3", w.Served)
 	}
@@ -140,14 +138,15 @@ func TestWorkerSaturation(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := NewMeter(testSys)
 	m.ResetWindow(0)
-	w := NewWorker(eng, m, Account{"dom0", "copy"}, 0)
+	dom0 := m.Ledger("dom0")
+	w := NewWorker(eng, m, dom0, 0)
 	// Submit 2 thread-seconds of work.
 	perJob := testSys.Freq.CyclesIn(units.Millisecond)
 	for i := 0; i < 2000; i++ {
 		w.Submit(Job{Cost: perJob})
 	}
 	end := eng.RunUntil(units.Time(units.Second))
-	util := m.Utilization("dom0", end)
+	util := m.Utilization(dom0, end)
 	if util < 99 || util > 101 {
 		t.Fatalf("saturated worker utilization = %v, want ~100", util)
 	}
@@ -157,22 +156,25 @@ func TestPoolSpreadsLoad(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := NewMeter(testSys)
 	m.ResetWindow(0)
-	p := NewPool(eng, m, Account{"dom0", "netback"}, 4, 0)
+	dom0 := m.Ledger("dom0")
+	p := NewPool(eng, m, dom0, 4, 0)
 	perJob := testSys.Freq.CyclesIn(units.Millisecond)
 	// 3 thread-seconds of work across 4 workers in 1 second: ~75% each.
 	for i := 0; i < 3000; i++ {
 		p.Submit(Job{Cost: perJob})
 	}
 	end := eng.RunUntil(units.Time(units.Second))
-	util := m.Utilization("dom0", end)
+	util := m.Utilization(dom0, end)
 	if util < 295 || util > 305 {
 		t.Fatalf("pool utilization = %v, want ~300", util)
 	}
-	if p.Served() != 3000 {
-		t.Fatalf("served = %d", p.Served())
+	var served, rejected int64
+	for _, w := range p.workers {
+		served += w.Served
+		rejected += w.Rejected
 	}
-	if p.Rejected() != 0 {
-		t.Fatalf("rejected = %d", p.Rejected())
+	if served != 3000 || rejected != 0 {
+		t.Fatalf("served %d, rejected %d; want 3000, 0", served, rejected)
 	}
 }
 
@@ -182,7 +184,8 @@ func TestPoolBadSizePanics(t *testing.T) {
 			t.Error("zero-size pool should panic")
 		}
 	}()
-	NewPool(sim.NewEngine(1), NewMeter(testSys), Account{"a", "b"}, 0, 0)
+	m := NewMeter(testSys)
+	NewPool(sim.NewEngine(1), m, m.Ledger("dom0"), 0, 0)
 }
 
 func TestUtilizationAdditiveProperty(t *testing.T) {
@@ -192,12 +195,12 @@ func TestUtilizationAdditiveProperty(t *testing.T) {
 		m.ResetWindow(0)
 		domains := []string{"dom0", "xen", "guest-1", "guest-2"}
 		for i, r := range raw {
-			m.Charge(m.Bind(Account{domains[i%len(domains)], "w"}), units.Cycles(r)*1000)
+			m.Charge(m.Ledger(domains[i%len(domains)]), units.Cycles(r)*1000)
 		}
 		now := units.Time(units.Second)
 		var sum float64
-		for _, d := range m.Domains() {
-			sum += m.Utilization(d, now)
+		for _, d := range domains {
+			sum += m.Utilization(m.Ledger(d), now)
 		}
 		diff := sum - m.TotalUtilization(now)
 		if diff < 0 {
@@ -210,24 +213,10 @@ func TestUtilizationAdditiveProperty(t *testing.T) {
 	}
 }
 
-func TestCategoryUtilizationAndBreakdown(t *testing.T) {
-	m := NewMeter(testSys)
-	m.ResetWindow(0)
-	a := Account{"dom0", "netback"}
-	m.Charge(m.Bind(a), testSys.Freq.CyclesIn(250*units.Millisecond))
-	now := units.Time(units.Second)
-	if got := m.utilization(m.Cycles(a), now); got < 24.9 || got > 25.1 {
-		t.Fatalf("category utilization = %v", got)
-	}
-	if a.String() != "dom0/netback" {
-		t.Fatalf("account string = %q", a.String())
-	}
-}
-
 func TestPoolQueuedJobs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := NewMeter(testSys)
-	p := NewPool(eng, m, Account{"dom0", "w"}, 2, 0)
+	p := NewPool(eng, m, m.Ledger("dom0"), 2, 0)
 	if p.QueuedJobs() != 0 {
 		t.Fatal("fresh pool should be empty")
 	}
@@ -237,7 +226,7 @@ func TestPoolQueuedJobs(t *testing.T) {
 	if got := p.QueuedJobs(); got != 5 {
 		t.Fatalf("queued = %d, want 5 (2 busy + 3 waiting)", got)
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if p.QueuedJobs() != 0 {
 		t.Fatal("pool should drain")
 	}
@@ -250,7 +239,7 @@ func TestWorkerRing(t *testing.T) {
 	const cost = 2800 // 1 µs at testSys
 	t.Run("fifo-across-wrap", func(t *testing.T) {
 		eng := sim.NewEngine(1)
-		w := NewWorker(eng, NewMeter(testSys), Account{"dom0", "w"}, 0)
+		w := newWorker(eng, 0)
 		var order []int
 		next := 0
 		submit := func(n int) {
@@ -267,7 +256,7 @@ func TestWorkerRing(t *testing.T) {
 			t.Fatalf("ring did not wrap: head %d, n %d, cap %d", w.queue.head, w.queue.n, len(w.queue.buf))
 		}
 		submit(20) // grows while wrapped
-		eng.Run()
+		eng.RunUntil(sim.Forever)
 		if len(order) != next {
 			t.Fatalf("served %d of %d jobs", len(order), next)
 		}
@@ -290,7 +279,7 @@ func TestWorkerRing(t *testing.T) {
 	})
 	t.Run("cap-rejects-after-wrap", func(t *testing.T) {
 		eng := sim.NewEngine(1)
-		w := NewWorker(eng, NewMeter(testSys), Account{"dom0", "w"}, 3)
+		w := newWorker(eng, 3)
 		for round := 0; round < 10; round++ {
 			accepted := 0
 			for i := 0; i < 6; i++ {
@@ -302,7 +291,7 @@ func TestWorkerRing(t *testing.T) {
 			if accepted != 4 || w.QueueLen() != 3 {
 				t.Fatalf("round %d: accepted %d, queued %d; want 4, 3", round, accepted, w.QueueLen())
 			}
-			eng.Run()
+			eng.RunUntil(sim.Forever)
 		}
 		if w.Rejected != 20 || w.Served != 40 {
 			t.Fatalf("rejected %d, served %d; want 20, 40", w.Rejected, w.Served)
@@ -310,7 +299,7 @@ func TestWorkerRing(t *testing.T) {
 	})
 	t.Run("unbounded-at-cap-0", func(t *testing.T) {
 		eng := sim.NewEngine(1)
-		w := NewWorker(eng, NewMeter(testSys), Account{"dom0", "w"}, 0)
+		w := newWorker(eng, 0)
 		for i := 0; i < 1000; i++ {
 			if !w.Submit(Job{Cost: cost}) {
 				t.Fatalf("job %d rejected with queueCap 0", i)
@@ -319,7 +308,7 @@ func TestWorkerRing(t *testing.T) {
 		if w.QueueLen() != 999 || w.Rejected != 0 {
 			t.Fatalf("queued %d, rejected %d; want 999, 0", w.QueueLen(), w.Rejected)
 		}
-		eng.Run()
+		eng.RunUntil(sim.Forever)
 		if w.Served != 1000 {
 			t.Fatalf("served %d, want 1000", w.Served)
 		}
@@ -327,12 +316,17 @@ func TestWorkerRing(t *testing.T) {
 }
 
 // TestPoolDispatchOrder pins least-loaded dispatch with round-robin tie
-// breaks: each job's distinct cost identifies, in the per-worker charges,
-// which worker served it.
+// breaks: each job's distinct cost identifies, in per-worker charges,
+// which worker served it. The pool charges one ledger, so the test points
+// each worker at a ledger of its own.
 func TestPoolDispatchOrder(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := NewMeter(testSys)
-	p := NewPool(eng, m, Account{"dom0", "w"}, 3, 0)
+	p := NewPool(eng, m, m.Ledger("dom0"), 3, 0)
+	ledgers := []Ledger{m.Ledger("w0"), m.Ledger("w1"), m.Ledger("w2")}
+	for i, w := range p.workers {
+		w.ledger = ledgers[i]
+	}
 	us := func(n int64) units.Cycles { return units.Cycles(n * 2800) }
 	// A(3µs)→w0, B(1µs)→w1, C(2µs)→w2: all idle, round robin.
 	p.Submit(Job{Cost: us(3) + 1})
@@ -344,69 +338,70 @@ func TestPoolDispatchOrder(t *testing.T) {
 	p.Submit(Job{Cost: us(1) + 16}) // E: all tied at 1, scan starts at w2
 	p.Submit(Job{Cost: us(1) + 32}) // F: w0 and w1 tied at 1, w0 first
 	p.Submit(Job{Cost: us(1) + 64}) // G: w1 (1) beats w0, w2 (2)
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	want := []units.Cycles{
 		us(3) + 1 + us(1) + 32,
 		us(1) + 2 + us(1) + 8 + us(1) + 64,
 		us(2) + 4 + us(1) + 16,
 	}
 	for i, c := range want {
-		if got := m.Cycles(Account{"dom0", fmt.Sprintf("w.%d", i)}); got != c {
+		if got := m.DomainCycles(ledgers[i]); got != c {
 			t.Errorf("worker %d charged %d cycles, want %d", i, got, c)
 		}
 	}
 }
 
-// TestMeterBind pins slot binding: an account binds to one slot however
-// often it is bound, distinct accounts get distinct slots, and a slot's
-// charges are what the read side reports for its account.
+// TestMeterBind pins ledger binding: a name binds to one ledger however
+// often it is bound, so two domains sharing a name share their cycles;
+// distinct names get distinct ledgers, and a ledger's charges are what the
+// read side reports for it.
 func TestMeterBind(t *testing.T) {
 	m := NewMeter(testSys)
-	a := m.Bind(Account{"dom0", "a"})
-	b := m.Bind(Account{"guest-1", "a"})
+	a := m.Ledger("dom0")
+	b := m.Ledger("guest-1")
 	if a == b {
-		t.Fatal("distinct accounts share a slot")
+		t.Fatal("distinct domains share a ledger")
 	}
-	if again := m.Bind(Account{"dom0", "a"}); again != a {
-		t.Fatalf("rebinding gave slot %d, want %d", again, a)
+	if again := m.Ledger("dom0"); again != a {
+		t.Fatalf("rebinding gave ledger %d, want %d", again, a)
 	}
 	m.Charge(a, 10)
-	m.Charge(m.Bind(Account{"dom0", "a"}), 5)
+	m.Charge(m.Ledger("dom0"), 5)
 	m.Charge(b, 3)
-	if m.Cycles(Account{"dom0", "a"}) != 15 || m.Cycles(Account{"guest-1", "a"}) != 3 {
-		t.Fatalf("cycles = %d, %d; want 15, 3", m.Cycles(Account{"dom0", "a"}), m.Cycles(Account{"guest-1", "a"}))
+	if m.DomainCycles(a) != 15 || m.DomainCycles(b) != 3 {
+		t.Fatalf("cycles = %d, %d; want 15, 3", m.DomainCycles(a), m.DomainCycles(b))
 	}
-	if m.Cycles(Account{"dom0", "unbound"}) != 0 {
-		t.Fatal("an unbound account reads nonzero")
+	if m.DomainCycles(m.Ledger("unbound")) != 0 {
+		t.Fatal("a fresh ledger reads nonzero")
 	}
 }
 
-// TestMeterChargeAllocationFree pins the bound charge — the per-event
-// accounting every modeled activity pays — at zero allocations.
+// TestMeterChargeAllocationFree pins the charge — the per-event accounting
+// every modeled activity pays — at zero allocations.
 func TestMeterChargeAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	m := NewMeter(testSys)
-	s := m.Bind(Account{"guest-1", "isr"})
-	allocs := testing.AllocsPerRun(100, func() { m.Charge(s, 800) })
+	l := m.Ledger("guest-1")
+	allocs := testing.AllocsPerRun(100, func() { m.Charge(l, 800) })
 	if allocs != 0 {
 		t.Fatalf("allocs per Charge = %.0f, want 0", allocs)
 	}
-	if got := m.Cycles(Account{"guest-1", "isr"}); got != 101*800 {
+	if got := m.DomainCycles(l); got != 101*800 {
 		t.Fatalf("charged %d cycles, want %d", got, 101*800)
 	}
 }
 
-// BenchmarkMeterCharge measures one charge to a bound account.
+// BenchmarkMeterCharge measures one charge to a domain's ledger.
 func BenchmarkMeterCharge(b *testing.B) {
 	m := NewMeter(testSys)
 	for _, d := range []string{"dom0", "xen", "guest-1", "guest-2"} {
-		m.Bind(Account{d, "isr"})
+		m.Ledger(d)
 	}
-	s := m.Bind(Account{"guest-1", "stack"})
+	l := m.Ledger("guest-1")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Charge(s, 800)
+		m.Charge(l, 800)
 	}
 }

@@ -212,9 +212,6 @@ func (c *Controller) VMs() []*VM { return c.vms }
 // cluster-level termination audit.
 func (c *Controller) Migrations() []*cluster.Migration { return c.migs }
 
-// InFlight reports migrations currently running.
-func (c *Controller) InFlight() int { return c.inFlight }
-
 // AddVM creates a managed DNIS guest on host (VF active, PV standby on the
 // next port when the host has more than one, miimon running), connects it
 // to the fabric, and registers it with the controller. Legal mid-run: the

@@ -44,8 +44,8 @@ func TestNetbackAllocationFree(t *testing.T) {
 	settle := func() { r.eng.RunUntil(r.eng.Now().Add(units.Millisecond)) }
 	assertAllocFree(t, "wire", recv, func() { nb.FromNIC(b); settle() })
 	assertAllocFree(t, "local", recv, func() { nb.LocalTransfer(b); settle() })
-	if nb.InFlight() != 0 || nb.Dropped != 0 {
-		t.Fatalf("inflight = %d, dropped = %d after settling", nb.InFlight(), nb.Dropped)
+	if nb.inflight != 0 || nb.Dropped != 0 {
+		t.Fatalf("inflight = %d, dropped = %d after settling", nb.inflight, nb.Dropped)
 	}
 }
 

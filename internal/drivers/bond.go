@@ -59,9 +59,6 @@ func (b *Bond) ActiveVF() bool { return b.activeVF && b.vf != nil && b.vf.Attach
 // VF reports the VF slave (nil after hot removal).
 func (b *Bond) VF() *VFDriver { return b.vf }
 
-// PV reports the PV slave.
-func (b *Bond) PV() *PVNic { return b.pv }
-
 // Ingress is the wire-side entry: the client's traffic toward the bonded
 // interface. During an interface switch the packets are lost; otherwise
 // they follow the active slave.
@@ -107,7 +104,7 @@ func (b *Bond) StopMonitor() {
 func (b *Bond) Monitoring() bool { return b.monitor != nil }
 
 func (b *Bond) poll(now units.Time) {
-	b.hv.ChargeGuest(b.dom, "bonding", 1500) // health poll
+	b.hv.ChargeGuest(b.dom, 1500) // health poll
 	healthy := b.vf != nil && b.vf.Healthy()
 	switch {
 	case b.activeVF && !healthy:
@@ -147,7 +144,7 @@ func (b *Bond) FailoverToPV(outage units.Duration) {
 	b.activeVF = false
 	b.Failovers++
 	b.outageUntil = b.hv.Engine().Now().Add(outage)
-	b.hv.ChargeGuest(b.dom, "bonding", 40000) // slave switch, gratuitous ARP
+	b.hv.ChargeGuest(b.dom, 40000) // slave switch, gratuitous ARP
 }
 
 // DetachVF finishes the hot removal: the guest shuts the VF driver down
@@ -167,5 +164,5 @@ func (b *Bond) ActivateVF(vf *VFDriver) {
 	b.vf = vf
 	b.activeVF = true
 	b.Failovers++
-	b.hv.ChargeGuest(b.dom, "bonding", 40000)
+	b.hv.ChargeGuest(b.dom, 40000)
 }

@@ -70,8 +70,8 @@ func interruptDeliver(hv *vmm.Hypervisor, dom *vmm.Domain, recv *guest.NetReceiv
 	if dom.Paused() {
 		return
 	}
-	hv.ChargeXen(dom, "vmexit", model.ExtIntExitCycles)
-	hv.ChargeXen(dom, "apic", hv.EOICost())
+	hv.ChargeXen(dom, model.ExtIntExitCycles)
+	hv.ChargeXen(dom, hv.EOICost())
 	recv.OnInterrupt()
 	recv.DeliverBatch(n, bytes)
 }

@@ -184,8 +184,8 @@ func TestFlowCacheLRUAndExpiry(t *testing.T) {
 	}
 	// k(1) is now most recent; inserting k(3) evicts k(2).
 	fc.Insert(k(3), us(5))
-	if fc.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (capacity)", fc.Len())
+	if fc.lru.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 (capacity)", fc.lru.Len())
 	}
 	if fc.Lookup(k(2), us(5)) {
 		t.Fatal("LRU flow should have been evicted")
@@ -198,8 +198,8 @@ func TestFlowCacheLRUAndExpiry(t *testing.T) {
 	if fc.Lookup(k(1), us(25)) {
 		t.Fatal("flow idle 11 µs should have expired")
 	}
-	if fc.Len() != 1 {
-		t.Fatalf("Len = %d after expiry, want 1", fc.Len())
+	if fc.lru.Len() != 1 {
+		t.Fatalf("Len = %d after expiry, want 1", fc.lru.Len())
 	}
 	if fc.Evictions != 1 {
 		t.Fatalf("Evictions = %d, want 1", fc.Evictions)

@@ -53,6 +53,11 @@ func newRig(t *testing.T, opts vmm.Optimizations) *rig {
 	return r
 }
 
+// cycles reads the named domain's ledger.
+func (r *rig) cycles(domain string) units.Cycles {
+	return r.meter.DomainCycles(r.meter.Ledger(domain))
+}
+
 func (r *rig) addGuest(t *testing.T, name string, typ vmm.DomainType, k vmm.KernelConfig) (*vmm.Domain, *guest.NetReceiver) {
 	t.Helper()
 	dm, err := mem.NewDomainMemory(r.machine, 64*units.MiB)
@@ -108,6 +113,7 @@ func TestVFEndToEndReceive(t *testing.T) {
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, netstack.FixedITR(2000))
 	r.meter.ResetWindow(r.eng.Now())
+	dom0Before := r.cycles("dom0")
 	// 10 ms of 957 Mbps: ~790 packets in batches of 10 every ~126 µs.
 	for i := 0; i < 79; i++ {
 		dly := units.Duration(i) * 126 * units.Microsecond
@@ -128,14 +134,14 @@ func TestVFEndToEndReceive(t *testing.T) {
 	}
 	// Guest and xen both consumed cycles; dom0 essentially idle (no mask
 	// traffic on 2.6.28 + accel).
-	if r.meter.Utilization("g1", end) <= 0 {
+	if r.meter.Utilization(r.meter.Ledger("g1"), end) <= 0 {
 		t.Fatal("guest cycles missing")
 	}
-	if r.meter.DomainCycles("xen") <= 0 {
+	if r.cycles("xen") <= 0 {
 		t.Fatal("xen cycles missing")
 	}
-	if got := r.meter.Cycles(cpu.Account{Domain: "dom0", Category: "devicemodel"}); got > 300000 {
-		t.Fatalf("dom0 devicemodel busy on optimized path: %d", got)
+	if got := r.cycles("dom0") - dom0Before; got > 300000 {
+		t.Fatalf("dom0 busy on optimized path: %d", got)
 	}
 	if drv.Queue().Stats.Interrupts != recv.Stats.Interrupts {
 		t.Fatal("queue/receiver interrupt mismatch")
@@ -151,6 +157,7 @@ func TestVFMaskTrafficByKernel(t *testing.T) {
 		r := newRig(t, opts)
 		d, recv := r.addGuest(t, "g1", vmm.HVM, k)
 		r.attachVF(t, d, 0, nic.MAC(0xaa), recv, netstack.FixedITR(8000))
+		before := r.cycles("dom0")
 		for i := 0; i < 40; i++ {
 			dly := units.Duration(i) * 250 * units.Microsecond
 			r.eng.After(dly, "gen", func() {
@@ -158,7 +165,7 @@ func TestVFMaskTrafficByKernel(t *testing.T) {
 			})
 		}
 		r.eng.RunUntil(units.Time(15 * units.Millisecond))
-		return r.hv.Counters.Get("msi_mask_writes"), r.meter.Cycles(cpu.Account{Domain: "dom0", Category: "devicemodel"})
+		return r.hv.Counters.Get("msi_mask_writes"), r.cycles("dom0") - before
 	}
 	// 2.6.18 unoptimized: two mask writes per interrupt, dom0 pays.
 	writes, dom0 := run(vmm.KernelRHEL5, vmm.Optimizations{})
@@ -252,7 +259,7 @@ func TestVFTransmitInterVM(t *testing.T) {
 	if sender.Stats.Messages != 100 {
 		t.Fatalf("messages = %d", sender.Stats.Messages)
 	}
-	if r.meter.DomainCycles("g1") == 0 || r.meter.DomainCycles("g2") == 0 {
+	if r.cycles("g1") == 0 || r.cycles("g2") == 0 {
 		t.Fatal("both sides should consume CPU")
 	}
 }
@@ -324,33 +331,49 @@ func TestNetbackPVMEndToEnd(t *testing.T) {
 		t.Fatalf("netback delivered = %d", nb.Delivered)
 	}
 	// dom0 pays the copy: netback category busy.
-	dom0 := r.meter.Utilization("dom0", end)
+	dom0 := r.meter.Utilization(r.meter.Ledger("dom0"), end)
 	if dom0 <= 0 {
 		t.Fatal("dom0 should pay for PV copies")
 	}
 	// No APIC exits for a PVM guest.
-	if r.hv.Exits[vmm.ExitAPICEOI] != nil {
+	if r.hv.Exits()[vmm.ExitAPICEOI] != (vmm.ExitRecord{}) {
 		t.Fatal("PVM path should not produce APIC exits")
 	}
 }
 
 func TestNetbackHVMPaysConversion(t *testing.T) {
-	r := newRig(t, vmm.AllOptimizations)
-	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
-	nb := NewNetback(r.hv, 4)
-	nb.AttachWire(r.port.PFQueue())
-	nb.CreateVif(d, nic.MAC(0xbb), recv)
-	r.pf.SetDom0MAC(nic.MAC(0xbb))
-	r.port.ReceiveFromWire(nic.Batch{Dst: nic.MAC(0xbb), Count: 32, Bytes: 32 * 1514})
-	r.eng.RunUntil(units.Time(50 * units.Millisecond))
-	if recv.Stats.AppPackets != 32 {
-		t.Fatalf("app packets = %d", recv.Stats.AppPackets)
+	// The same batch through netback to a PV-on-HVM guest and to a PVM
+	// guest: on top of the same copy, the HVM guest's dom0 pays the
+	// event-to-interrupt conversion per kick, and xen the emulated LAPIC
+	// interrupt (exit plus EOI) among its other work.
+	run := func(typ vmm.DomainType) (dom0, xen units.Cycles, kicks int64, eoi units.Cycles) {
+		r := newRig(t, vmm.AllOptimizations)
+		d, recv := r.addGuest(t, "g1", typ, vmm.Kernel2628)
+		nb := NewNetback(r.hv, 4)
+		nb.AttachWire(r.port.PFQueue())
+		v, err := nb.CreateVif(d, nic.MAC(0xbb), recv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.pf.SetDom0MAC(nic.MAC(0xbb))
+		dom0, xen = r.cycles("dom0"), r.cycles("xen")
+		r.port.ReceiveFromWire(nic.Batch{Dst: nic.MAC(0xbb), Count: 32, Bytes: 32 * 1514})
+		r.eng.RunUntil(units.Time(50 * units.Millisecond))
+		if recv.Stats.AppPackets != 32 {
+			t.Fatalf("%v: app packets = %d", typ, recv.Stats.AppPackets)
+		}
+		return r.cycles("dom0") - dom0, r.cycles("xen") - xen, v.Events, r.hv.EOICost()
 	}
-	if r.meter.Cycles(cpu.Account{Domain: "dom0", Category: "evtchn-conv"}) == 0 {
-		t.Fatal("PV-on-HVM should pay the interrupt-conversion cost")
+	hvmDom0, hvmXen, kicks, eoi := run(vmm.HVM)
+	pvmDom0, _, _, _ := run(vmm.PVM)
+	if kicks == 0 {
+		t.Fatal("no backend kicks")
 	}
-	if r.meter.Cycles(cpu.Account{Domain: "xen", Category: "apic"}) == 0 {
-		t.Fatal("PV-on-HVM events land as LAPIC interrupts")
+	if got, want := hvmDom0-pvmDom0, units.Cycles(kicks)*model.PVNicHVMInterruptExtra; got != want {
+		t.Fatalf("PV-on-HVM dom0 conversion cost = %d, want %d", got, want)
+	}
+	if want := units.Cycles(kicks) * (model.ExtIntExitCycles + eoi); hvmXen < want {
+		t.Fatalf("PV-on-HVM xen cycles = %d, want at least %d (LAPIC interrupts)", hvmXen, want)
 	}
 }
 
@@ -394,7 +417,7 @@ func TestNetbackSingleThreadSaturates(t *testing.T) {
 	if nb.Dropped == 0 {
 		t.Fatal("overload should drop")
 	}
-	util := r.meter.Cycles(cpu.Account{Domain: "dom0", Category: "netback.0"})
+	util := r.cycles("dom0") // the window opened after CreateVif: all copy-thread cycles
 	sat := float64(util) / float64(r.meter.System().Freq.CyclesIn(end.Sub(0))) * 100
 	if sat < 90 || sat > 110 {
 		t.Fatalf("single netback thread utilization = %v, want ≈100%%", sat)
@@ -416,9 +439,14 @@ func TestVMDqQueueAssignment(t *testing.T) {
 		t.Fatalf("queued guests = %d, want %d", br.queuesUsed, model.VMDqGuestQueues)
 	}
 	// Traffic to guest 0 (queued) and guest 8 (fallback).
+	before := r.cycles("dom0")
 	br.FromNIC(nic.Batch{Dst: nic.MAC(0xc0), Count: 10, Bytes: 15140})
+	r.eng.RunUntil(units.Time(25 * units.Millisecond))
+	qCost := r.cycles("dom0") - before
+	before = r.cycles("dom0")
 	br.FromNIC(nic.Batch{Dst: nic.MAC(0xc8), Count: 10, Bytes: 15140})
 	r.eng.RunUntil(units.Time(50 * units.Millisecond))
+	fbCost := r.cycles("dom0") - before
 	if recvs[0].Stats.AppPackets != 10 || recvs[8].Stats.AppPackets != 10 {
 		t.Fatalf("delivery: q=%d fb=%d", recvs[0].Stats.AppPackets, recvs[8].Stats.AppPackets)
 	}
@@ -426,9 +454,11 @@ func TestVMDqQueueAssignment(t *testing.T) {
 		t.Fatalf("paths: q=%d fb=%d", br.DeliveredQueued, br.DeliveredFallback)
 	}
 	// The queued path must be cheaper for dom0 than the copying path.
-	qCost := r.meter.Cycles(cpu.Account{Domain: "dom0", Category: "vmdq.0"})
 	if qCost == 0 {
 		t.Fatal("vmdq path cost missing")
+	}
+	if qCost >= fbCost {
+		t.Fatalf("dom0 cost: queued %d, fallback %d; want queued cheaper", qCost, fbCost)
 	}
 }
 
@@ -573,7 +603,7 @@ func TestVFDriverJoinVLAN(t *testing.T) {
 
 func TestPFDriverAdminMAC(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
-	if r.pf.Port() != r.port {
+	if r.pf.port != r.port {
 		t.Fatal("Port accessor")
 	}
 	// The VF driver's MAC request reaches the switch through the mailbox.
@@ -614,8 +644,8 @@ func TestVFDriverSetPolicy(t *testing.T) {
 	r.port.Obs = obs.NewRegistry()
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
 	drv := r.attachVF(t, d, 0, nic.MAC(1), recv, netstack.FixedITR(20000))
-	if drv.Policy().String() != "20kHz" {
-		t.Fatalf("policy = %v", drv.Policy())
+	if drv.policy.String() != "20kHz" {
+		t.Fatalf("policy = %v", drv.policy)
 	}
 	// The configured policy's rate is what the driver programs into EITR.
 	if got := drv.obsITR.Value(); got != 50 {
@@ -626,15 +656,12 @@ func TestVFDriverSetPolicy(t *testing.T) {
 func TestNetbackAccessors(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
 	nb := NewNetback(r.hv, 3)
-	if nb.pool.Size() != 3 {
-		t.Fatal("Threads")
-	}
 	if nb.Backlog() != 0 {
 		t.Fatal("Backlog should start empty")
 	}
 	d, recv := r.addGuest(t, "g1", vmm.PVM, vmm.Kernel2628)
 	v, _ := nb.CreateVif(d, nic.MAC(9), recv)
-	if v.MAC() != nic.MAC(9) || v.Domain() != d {
+	if v.MAC() != nic.MAC(9) || v.dom != d {
 		t.Fatal("vif accessors")
 	}
 }
@@ -671,7 +698,7 @@ func TestBondAccessors(t *testing.T) {
 	nb := NewNetback(r.hv, 1)
 	pv, _ := nb.CreateVif(d, nic.MAC(2), recv)
 	bond := NewBond(r.hv, d, vf, pv, r.port)
-	if bond.VF() != vf || bond.PV() != pv {
+	if bond.VF() != vf || bond.pv != pv {
 		t.Fatal("bond accessors")
 	}
 	// Double failover is a no-op.
@@ -734,8 +761,8 @@ func TestDriversPortableToKVM(t *testing.T) {
 	// mailbox, interrupt path, traffic — "ported from Xen to KVM, without
 	// code modification to the PF and VF drivers" (§4).
 	r := newKVMRig(t)
-	if r.hv.Flavor() != vmm.KVM {
-		t.Fatal("flavor")
+	if r.hv.Dom0().Name != "host" {
+		t.Fatalf("service domain = %q, want host", r.hv.Dom0().Name)
 	}
 	d, recv := r.addGuest(t, "guest-1", vmm.HVM, vmm.Kernel2628)
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, netstack.FixedITR(2000))
@@ -753,10 +780,10 @@ func TestDriversPortableToKVM(t *testing.T) {
 		t.Fatal("mailbox flow should work identically")
 	}
 	// The service domain is the host kernel, not dom0.
-	if r.meter.DomainCycles("dom0") != 0 {
+	if r.cycles("dom0") != 0 {
 		t.Fatal("KVM run charged a dom0")
 	}
-	if r.meter.DomainCycles("host") == 0 {
+	if r.cycles("host") == 0 {
 		t.Fatal("host cycles missing (PF driver, QEMU)")
 	}
 }
@@ -778,7 +805,7 @@ func TestMSIXTableProgramming(t *testing.T) {
 	q := drv.Queue()
 	// The driver programmed entry 0's message address and data: three
 	// trapped writes to the table page.
-	if r := r.hv.Exits[vmm.ExitMSIMask]; r == nil || r.Count < 3 {
+	if r := r.hv.Exits()[vmm.ExitMSIMask]; r.Count < 3 {
 		t.Fatalf("MSI-X programming exits = %+v, want ≥3", r)
 	}
 	// The table BAR is what the capability points at.
@@ -806,13 +833,13 @@ func TestBAR0WritesAreNotTrapped(t *testing.T) {
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, nil)
 	r.eng.RunUntil(units.Time(5 * units.Millisecond))
 	r.meter.ResetWindow(r.eng.Now())
-	xenBefore := r.meter.DomainCycles("xen")
+	xenBefore := r.cycles("xen")
 	r.hv.GuestMMIOWrite(d, drv.Queue().Function(), 0, nic.RegRDT0, 64)
-	if r.meter.DomainCycles("xen") != xenBefore {
+	if r.cycles("xen") != xenBefore {
 		t.Fatal("BAR0 write should not trap")
 	}
 	r.hv.GuestMMIOWrite(d, drv.Queue().Function(), nic.MSIXTableBAR, 8, 0x41)
-	if r.meter.DomainCycles("xen") == xenBefore {
+	if r.cycles("xen") == xenBefore {
 		t.Fatal("MSI-X table write should trap")
 	}
 }
@@ -834,7 +861,7 @@ func TestVFTransmitExternal(t *testing.T) {
 	if clientBytes != 150000 {
 		t.Fatalf("client received %d bytes", clientBytes)
 	}
-	if r.meter.DomainCycles("g1") == 0 {
+	if r.cycles("g1") == 0 {
 		t.Fatal("sender cycles missing")
 	}
 	drv.Detach()

@@ -6,6 +6,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/netstack"
 	"repro/internal/nic"
+	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -24,7 +25,7 @@ func TestMailboxRetryThenSuccess(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, netstack.FixedITR(2000))
-	r.eng.Run()
+	r.eng.RunUntil(sim.Forever)
 	if !drv.MACConfirmed {
 		t.Fatal("MAC not confirmed")
 	}
@@ -42,7 +43,7 @@ func TestMailboxRetryThenSuccess(t *testing.T) {
 	if err := drv.JoinVLAN(100); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.eng.RunUntil(sim.Forever)
 	if drv.MboxRetries != 2 || drv.MboxTimeouts != 2 {
 		t.Fatalf("retries=%d timeouts=%d, want 2/2", drv.MboxRetries, drv.MboxTimeouts)
 	}
@@ -64,7 +65,7 @@ func TestMailboxRetryExhaustion(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, netstack.FixedITR(2000))
-	r.eng.Run()
+	r.eng.RunUntil(sim.Forever)
 
 	// Lose every VLAN request: the driver must give up after
 	// MailboxMaxAttempts and declare the channel dead.
@@ -78,7 +79,7 @@ func TestMailboxRetryExhaustion(t *testing.T) {
 	if err := drv.JoinVLAN(100); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.eng.RunUntil(sim.Forever)
 	if drv.MboxFailures != 1 {
 		t.Fatalf("failures = %d, want 1", drv.MboxFailures)
 	}
@@ -98,7 +99,7 @@ func TestMailboxRetryExhaustion(t *testing.T) {
 	// The watchdog path recovers it: FLR, reprogram, re-request the MAC
 	// (which the fault does not drop), channel alive again.
 	drv.TryRecover()
-	r.eng.Run()
+	r.eng.RunUntil(sim.Forever)
 	if drv.Reinits != 1 {
 		t.Fatalf("reinits = %d, want 1", drv.Reinits)
 	}
@@ -111,7 +112,7 @@ func TestGlobalResetReinitsVF(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, netstack.FixedITR(2000))
-	r.eng.Run()
+	r.eng.RunUntil(sim.Forever)
 	if !drv.MACConfirmed || !drv.Queue().IntrEnabled() {
 		t.Fatal("attach incomplete")
 	}
@@ -122,7 +123,7 @@ func TestGlobalResetReinitsVF(t *testing.T) {
 	if drv.Healthy() {
 		t.Fatal("VF should be unhealthy during the reset window")
 	}
-	r.eng.Run()
+	r.eng.RunUntil(sim.Forever)
 	if r.pf.GlobalResets != 1 {
 		t.Fatalf("global resets = %d", r.pf.GlobalResets)
 	}
@@ -142,7 +143,7 @@ func TestWatchdogBackoff(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, netstack.FixedITR(2000))
-	r.eng.Run()
+	r.eng.RunUntil(sim.Forever)
 
 	// Disable interrupts behind the driver's back so the device looks dead,
 	// then hammer the watchdog: only the first call may reset.
@@ -151,7 +152,7 @@ func TestWatchdogBackoff(t *testing.T) {
 	if drv.Reinits != 1 {
 		t.Fatalf("reinits = %d, want 1", drv.Reinits)
 	}
-	r.eng.Run() // reinit completes, device healthy again
+	r.eng.RunUntil(sim.Forever) // reinit completes, device healthy again
 	drv.Queue().SetIntrEnabled(false)
 	drv.TryRecover() // inside the backoff window → no reset
 	if drv.Reinits != 1 {
@@ -183,7 +184,7 @@ func TestWatchdogBackoffAtTimeZero(t *testing.T) {
 		t.Fatalf("t=0 watchdog did not reset: reinits = %d", drv.Reinits)
 	}
 
-	r.eng.Run() // reinit completes well inside the backoff window
+	r.eng.RunUntil(sim.Forever) // reinit completes well inside the backoff window
 	if now := r.eng.Now(); now.Sub(0) >= model.WatchdogResetBackoff {
 		t.Fatalf("setup drifted past the backoff window: now = %v", now)
 	}

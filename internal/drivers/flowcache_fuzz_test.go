@@ -96,11 +96,11 @@ func FuzzFlowCacheLookup(f *testing.F) {
 			case 2:
 				now += units.Time(units.Duration(ops[i+1]) * units.Microsecond)
 			}
-			if fc.Len() > capacity {
-				t.Fatalf("op %d: Len %d exceeds capacity %d", i, fc.Len(), capacity)
+			if fc.lru.Len() > capacity {
+				t.Fatalf("op %d: Len %d exceeds capacity %d", i, fc.lru.Len(), capacity)
 			}
-			if fc.Len() != len(oracle.keys) {
-				t.Fatalf("op %d: Len %d, oracle holds %d", i, fc.Len(), len(oracle.keys))
+			if fc.lru.Len() != len(oracle.keys) {
+				t.Fatalf("op %d: Len %d, oracle holds %d", i, fc.lru.Len(), len(oracle.keys))
 			}
 		}
 		// Closing property: an insert is immediately visible.

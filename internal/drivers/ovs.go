@@ -56,9 +56,6 @@ func NewFlowCache(cap int, idle units.Duration) *FlowCache {
 	}
 }
 
-// Len reports the number of installed flows.
-func (fc *FlowCache) Len() int { return fc.lru.Len() }
-
 // Lookup reports whether the flow is installed and fresh at time now. A hit
 // refreshes the flow's idle timer and recency; an expired entry is removed
 // and reported as a miss.
@@ -135,9 +132,8 @@ type ovsVif struct {
 // and an empty flow cache.
 func NewOVSSwitch(hv *vmm.Hypervisor) *OVSSwitch {
 	sw := &OVSSwitch{
-		hv: hv,
-		pool: cpu.NewPool(hv.Engine(), hv.Meter(),
-			cpu.Account{Domain: "dom0", Category: "ovs"}, model.OVSThreads, netbackQueueCap),
+		hv:    hv,
+		pool:  cpu.NewPool(hv.Engine(), hv.Meter(), hv.Dom0().Ledger(), model.OVSThreads, netbackQueueCap),
 		cache: NewFlowCache(model.OVSFlowCacheCapacity, model.OVSFlowIdleTimeout),
 		vifs:  make(map[nic.MAC]*ovsVif),
 	}
@@ -154,14 +150,11 @@ func (sw *OVSSwitch) Stats() DatapathStats {
 		Dropped: sw.Dropped, InFlight: sw.inflight}
 }
 
-// InFlight reports packets queued in the datapath or waiting out an upcall.
-func (sw *OVSSwitch) InFlight() int64 { return sw.inflight }
-
 // AttachWire taps a NIC queue: dom0 pays the native receive path, then the
 // batch enters classification.
 func (sw *OVSSwitch) AttachWire(q *nic.Queue) {
 	q.DirectDeliver = func(b nic.Batch) {
-		sw.hv.ChargeDom0("bridge", units.Cycles(b.Count)*dom0BridgePerPacketCycles)
+		sw.hv.ChargeDom0(units.Cycles(b.Count) * dom0BridgePerPacketCycles)
 		sw.classify(b)
 	}
 }
@@ -198,7 +191,7 @@ func (sw *OVSSwitch) classify(b nic.Batch) {
 	// install complete each upcall again, which is exactly the churn
 	// collapse the figure measures.
 	sw.hv.Obs.Counter("dp.ovs.cache_misses").Inc()
-	sw.hv.ChargeDom0("ovs-upcall", model.OVSUpcallCycles)
+	sw.hv.ChargeDom0(model.OVSUpcallCycles)
 	sw.inflight += int64(b.Count)
 	sw.hv.Engine().After(model.OVSUpcallLatency, "ovs:upcall", func() {
 		sw.inflight -= int64(b.Count)

@@ -48,9 +48,6 @@ func NewPFDriver(hv *vmm.Hypervisor, port *nic.Port) *PFDriver {
 	return d
 }
 
-// Port reports the managed port.
-func (d *PFDriver) Port() *nic.Port { return d.port }
-
 // EnableVFs programs NumVFs and VF Enable in the PF's SR-IOV capability —
 // after this, the VFs respond to targeted config access and can be hot-added
 // to the host and assigned to guests.
@@ -68,7 +65,7 @@ func (d *PFDriver) EnableVFs(n int) error {
 		ctl = pcie.SRIOVCtlVFEnable | pcie.SRIOVCtlVFMSE
 	}
 	d.port.PF().ConfigWrite16(cap.Offset()+0x08, ctl)
-	d.hv.ChargeDom0("pfdriver", 50000) // sysfs sriov_numvfs path
+	d.hv.ChargeDom0(50000) // sysfs sriov_numvfs path
 	return nil
 }
 
@@ -81,7 +78,7 @@ func (d *PFDriver) SetDom0MAC(mac nic.MAC) {
 // policy.
 func (d *PFDriver) handleMailbox(msg nic.Message) {
 	d.MailboxHandled++
-	d.hv.ChargeDom0("pfdriver", mailboxHandleCycles)
+	d.hv.ChargeDom0(mailboxHandleCycles)
 	// Ack/Nack echo the request kind in Arg so a retrying VF driver can
 	// match the response to its pending request.
 	nack := nic.Message{Kind: nic.MsgNack, VF: msg.VF, Arg: uint64(msg.Kind)}
@@ -142,14 +139,14 @@ func (d *PFDriver) ShutdownVF(vf int) {
 	q := d.port.VFQueue(vf)
 	q.SetIntrEnabled(false)
 	d.port.Mailbox().SendToVF(nic.Message{Kind: nic.MsgDriverRemove, VF: vf})
-	d.hv.ChargeDom0("pfdriver", 20000)
+	d.hv.ChargeDom0(20000)
 }
 
 // NotifyLinkChange broadcasts a link-status event to all VF drivers (§4.2's
 // PF→VF event forwarding).
 func (d *PFDriver) NotifyLinkChange() {
 	d.port.Mailbox().Broadcast(nic.MsgLinkChange)
-	d.hv.ChargeDom0("pfdriver", 5000)
+	d.hv.ChargeDom0(5000)
 }
 
 // SetLink drives the port's physical link state and forwards the event to
@@ -168,7 +165,7 @@ func (d *PFDriver) SetLink(up bool) {
 func (d *PFDriver) GlobalReset() {
 	d.GlobalResets++
 	d.port.Mailbox().Broadcast(nic.MsgDeviceReset)
-	d.hv.ChargeDom0("pfdriver", 80000) // igb reset path
+	d.hv.ChargeDom0(80000) // igb reset path
 	d.hv.Engine().After(model.DeviceResetNotice, "pf:global-reset", func() {
 		d.port.ResetDevice()
 	})

@@ -39,10 +39,6 @@ type Netback struct {
 	inflight  int64
 }
 
-// InFlight reports packets inside the backend pipeline: accumulated for a
-// poll round or queued behind a copy thread. Zero once the engine quiesces.
-func (nb *Netback) InFlight() int64 { return nb.inflight }
-
 // netbackPollInterval is the backend service granularity.
 const netbackPollInterval = 250 * units.Microsecond
 
@@ -58,7 +54,7 @@ const dom0BridgePerPacketCycles units.Cycles = 900
 func NewNetback(hv *vmm.Hypervisor, threads int) *Netback {
 	nb := &Netback{
 		hv:   hv,
-		pool: cpu.NewPool(hv.Engine(), hv.Meter(), cpu.Account{Domain: "dom0", Category: "netback"}, threads, netbackQueueCap),
+		pool: cpu.NewPool(hv.Engine(), hv.Meter(), hv.Dom0().Ledger(), threads, netbackQueueCap),
 		vifs: make(map[nic.MAC]*PVNic),
 	}
 	nb.jobs.land = nb.copied
@@ -71,7 +67,7 @@ func NewNetback(hv *vmm.Hypervisor, threads int) *Netback {
 func (nb *Netback) AttachWire(q *nic.Queue) {
 	q.DirectDeliver = func(b nic.Batch) {
 		// dom0's native receive path for the batch.
-		nb.hv.ChargeDom0("bridge", units.Cycles(b.Count)*dom0BridgePerPacketCycles)
+		nb.hv.ChargeDom0(units.Cycles(b.Count) * dom0BridgePerPacketCycles)
 		nb.FromNIC(b)
 	}
 }
@@ -135,9 +131,6 @@ func (nb *Netback) CreateVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceiv
 
 // MAC reports the vif's MAC.
 func (v *PVNic) MAC() nic.MAC { return v.mac }
-
-// Domain reports the owning guest.
-func (v *PVNic) Domain() *vmm.Domain { return v.dom }
 
 // FromNIC accepts one arriving batch. Packets accumulate per vif and are
 // served by a backend thread once per poll interval — so the fixed
@@ -208,12 +201,12 @@ func (v *PVNic) deliver(b nic.Batch) {
 		// PV-on-HVM: the event channel is layered on a LAPIC vector
 		// (§6.5): dom0 pays the conversion, the guest takes an emulated
 		// interrupt with an EOI.
-		v.hv.ChargeDom0("evtchn-conv", model.PVNicHVMInterruptExtra)
+		v.hv.ChargeDom0(model.PVNicHVMInterruptExtra)
 		if v.dom.Paused() {
 			return
 		}
-		v.hv.ChargeXen(v.dom, "vmexit", model.ExtIntExitCycles)
-		v.hv.ChargeXen(v.dom, "apic", v.hv.EOICost())
+		v.hv.ChargeXen(v.dom, model.ExtIntExitCycles)
+		v.hv.ChargeXen(v.dom, v.hv.EOICost())
 		v.pending = b
 		v.frontendInterrupt()
 	default:

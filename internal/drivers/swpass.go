@@ -69,9 +69,6 @@ func (sp *SoftPassthrough) Stats() DatapathStats {
 		Dropped: sp.Dropped, InFlight: sp.inflight}
 }
 
-// InFlight reports packets ringed but not yet delivered.
-func (sp *SoftPassthrough) InFlight() int64 { return sp.inflight }
-
 // AttachWire taps a NIC queue: batches land directly on the guest-mapped
 // ring — no dom0 receive path, the NIC DMAs into guest buffers.
 func (sp *SoftPassthrough) AttachWire(q *nic.Queue) {
@@ -85,7 +82,7 @@ func (sp *SoftPassthrough) AddVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetR
 	if _, dup := sp.vifs[mac]; dup {
 		return fmt.Errorf("drivers: MAC %v already has a passthrough vif", mac)
 	}
-	sp.hv.ChargeDom0("swpass-setup", model.SwPassVifSetupCycles)
+	sp.hv.ChargeDom0(model.SwPassVifSetupCycles)
 	v := &swpassVif{sp: sp, dom: dom, mac: mac, recv: recv}
 	v.fire = v.interrupt
 	sp.vifs[mac] = v
@@ -134,7 +131,6 @@ func (v *swpassVif) interrupt() {
 	v.ring = nic.Batch{}
 	v.sp.Delivered += int64(b.Count)
 	v.sp.inflight -= int64(b.Count)
-	v.sp.hv.ChargeXen(v.dom, "swpass-audit",
-		units.Cycles(b.Count)*model.DatapathCostTable(v.sp.Kind()).PerPacket)
+	v.sp.hv.ChargeXen(v.dom, units.Cycles(b.Count)*model.DatapathCostTable(v.sp.Kind()).PerPacket)
 	interruptDeliver(v.sp.hv, v.dom, v.recv, b.Count, b.Bytes)
 }

@@ -159,7 +159,7 @@ func AttachVFDriver(hv *vmm.Hypervisor, dom *vmm.Domain, port *nic.Port, vf int,
 			pps := float64(d.samplePkts) / model.AICSamplePeriod.Seconds()
 			d.samplePkts = 0
 			d.applyRate(d.policy.Rate(pps))
-			hv.ChargeGuest(dom, "isr", 800) // sampling work
+			hv.ChargeGuest(dom, 800) // sampling work
 		})
 	}
 	return d, nil
@@ -189,9 +189,6 @@ func (d *VFDriver) MAC() nic.MAC { return d.mac }
 
 // Attached reports whether the driver instance is live.
 func (d *VFDriver) Attached() bool { return d.attached }
-
-// Policy reports the coalescing policy.
-func (d *VFDriver) Policy() netstack.ITRPolicy { return d.policy }
 
 // applyRate programs the EITR register (microsecond granularity, the
 // hardware's own unit) through MMIO.
@@ -284,7 +281,7 @@ func (d *VFDriver) onMboxTimeout() {
 	}
 	d.MboxRetries++
 	d.obsRetries.Inc()
-	d.hv.ChargeGuest(d.dom, "isr", 2000) // retransmit path
+	d.hv.ChargeGuest(d.dom, 2000) // retransmit path
 	d.sendPending()
 }
 
@@ -318,7 +315,7 @@ func (d *VFDriver) abortMbox() {
 }
 
 func (d *VFDriver) onMailbox(msg nic.Message) {
-	d.hv.ChargeGuest(d.dom, "isr", 3000) // mailbox doorbell handling
+	d.hv.ChargeGuest(d.dom, 3000) // mailbox doorbell handling
 	switch msg.Kind {
 	case nic.MsgAck, nic.MsgNack:
 		req := nic.MsgKind(msg.Arg)
@@ -354,7 +351,7 @@ func (d *VFDriver) Reinit() {
 	if off := d.vconfig.FindCapability(pcie.CapIDPCIExp); off != 0 {
 		d.vconfig.Write16(off+pcie.PCIeDevCtlOff, pcie.PCIeDevCtlFLR)
 	}
-	d.hv.ChargeGuest(d.dom, "isr", 50000) // igbvf reset path
+	d.hv.ChargeGuest(d.dom, 50000) // igbvf reset path
 	d.hv.Engine().After(model.FLRLatency, "vf:reinit", func() {
 		d.reinitInFlight = false
 		if !d.attached {

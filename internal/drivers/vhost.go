@@ -25,8 +25,7 @@ import (
 // fraction of rounds that found no work — the price of the pegged core made
 // visible.
 type Vhost struct {
-	hv     *vmm.Hypervisor
-	ticker *sim.Ticker
+	hv *vmm.Hypervisor
 
 	vifs  map[nic.MAC]*vhostVif
 	order []*vhostVif // creation order: deterministic drain sequence
@@ -53,15 +52,13 @@ type vhostVif struct {
 }
 
 // NewVhost creates the backend and starts its poll-mode thread. The thread
-// runs (and burns its core) until Stop — poll mode has no idle state.
+// runs (and burns its core) for the rest of the run: poll mode has no idle
+// state.
 func NewVhost(hv *vmm.Hypervisor) *Vhost {
 	vh := &Vhost{hv: hv, vifs: make(map[nic.MAC]*vhostVif)}
-	vh.ticker = sim.NewTicker(hv.Engine(), model.VhostPollInterval, "vhost:poll", vh.poll)
+	sim.NewTicker(hv.Engine(), model.VhostPollInterval, "vhost:poll", vh.poll)
 	return vh
 }
-
-// Stop halts the poll thread (and with it the dom0 core burn).
-func (vh *Vhost) Stop() { vh.ticker.Stop() }
 
 // Kind reports the backend name of the vhost poll-mode path.
 func (vh *Vhost) Kind() string { return "vhost" }
@@ -71,9 +68,6 @@ func (vh *Vhost) Stats() DatapathStats {
 	return DatapathStats{Received: vh.Received, Delivered: vh.Delivered,
 		Dropped: vh.Dropped, InFlight: vh.inflight}
 }
-
-// InFlight reports packets still waiting on vif rings.
-func (vh *Vhost) InFlight() int64 { return vh.inflight }
 
 // AttachWire taps a NIC queue: arriving batches land on the destination
 // vif's ring and wait for the next poll round. There is no separate receive
@@ -127,7 +121,7 @@ func (vh *Vhost) enqueue(b nic.Batch) {
 func (vh *Vhost) poll(sim.Time) {
 	vh.polls++
 	budget := model.ServerFreq.CyclesIn(model.VhostPollInterval)
-	vh.hv.ChargeDom0("vhost", budget)
+	vh.hv.ChargeDom0(budget)
 	costs := model.DatapathCostTable(vh.Kind())
 	remaining := budget
 	worked := false

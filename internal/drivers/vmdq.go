@@ -40,9 +40,6 @@ type VMDqBridge struct {
 	inflight          int64
 }
 
-// InFlight reports packets queued behind a dom0 translation thread.
-func (br *VMDqBridge) InFlight() int64 { return br.inflight }
-
 type vmdqVif struct {
 	dom      *vmm.Domain
 	recv     *guest.NetReceiver
@@ -55,7 +52,7 @@ type vmdqVif struct {
 func NewVMDqBridge(hv *vmm.Hypervisor, threads int) *VMDqBridge {
 	br := &VMDqBridge{
 		hv:       hv,
-		pool:     cpu.NewPool(hv.Engine(), hv.Meter(), cpu.Account{Domain: "dom0", Category: "vmdq"}, threads, netbackQueueCap),
+		pool:     cpu.NewPool(hv.Engine(), hv.Meter(), hv.Dom0().Ledger(), threads, netbackQueueCap),
 		fallback: NewNetback(hv, threads),
 		vifs:     make(map[nic.MAC]*vmdqVif),
 	}
@@ -66,7 +63,7 @@ func NewVMDqBridge(hv *vmm.Hypervisor, threads int) *VMDqBridge {
 // AttachWire connects the bridge to the NIC queue carrying guest traffic.
 func (br *VMDqBridge) AttachWire(q *nic.Queue) {
 	q.DirectDeliver = func(b nic.Batch) {
-		br.hv.ChargeDom0("bridge", units.Cycles(b.Count)*300) // queue demux is cheap
+		br.hv.ChargeDom0(units.Cycles(b.Count) * 300) // queue demux is cheap
 		br.FromNIC(b)
 	}
 }

@@ -186,7 +186,7 @@ func fig10Point(policyIdx int, seed uint64, reg *obs.Registry, arena *sim.Arena)
 	// dom0's sender: periodic batches through the internal switch.
 	pfq := tb.Ports[0].PFQueue()
 	src := workload.NewSource(tb.Eng, fig10Offered, model.FrameSize, func(n int, b units.Size) {
-		tb.HV.ChargeDom0("send", units.Cycles(n)*2500)
+		tb.HV.ChargeDom0(units.Cycles(n) * 2500)
 		tb.Ports[0].SendInternal(pfq, nic.Batch{Dst: g.MAC, Count: n, Bytes: b})
 	})
 	src.Start()

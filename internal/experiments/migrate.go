@@ -79,7 +79,7 @@ func runMigrationTimeline(dnis bool, cfg core.Config) migrationRun {
 	tb.Eng.RunUntil(units.Time(4400 * units.Millisecond))
 	preWindow := 3400 * units.Millisecond
 	tb.HV.ChargeDom0Baseline(preWindow)
-	run.dom0Before = tb.Meter.Utilization("dom0", tb.Eng.Now())
+	run.dom0Before = tb.Meter.Utilization(tb.HV.Dom0().Ledger(), tb.Eng.Now())
 
 	// Launch the migration at 4.5 s.
 	mgr := migration.NewManager(tb.HV, migration.DefaultConfig())

@@ -118,7 +118,7 @@ type hopQuantiles struct {
 // fig07Measure is one tracing run: the per-exit-reason breakdown, total
 // cycles/second, and the VF queue's per-hop latency percentiles.
 type fig07Measure struct {
-	perReason map[vmm.ExitReason]vmm.ExitRecord
+	perReason vmm.ExitTrace
 	total     float64
 	hops      map[string]hopQuantiles
 }
@@ -145,10 +145,9 @@ func fig07Run(seed uint64, reg *obs.Registry, arena *sim.Arena, opts vmm.Optimiz
 	// analytically elsewhere; reflect it in the trace for parity).
 	tb.HV.ChargeTimerBaseline(g.Dom, window)
 	secs := end.Sub(start).Seconds()
-	out := make(map[vmm.ExitReason]vmm.ExitRecord)
+	trace := tb.HV.Exits()
 	var tot float64
-	for r, rec := range tb.HV.Exits {
-		out[r] = *rec
+	for _, rec := range trace {
 		tot += float64(rec.Cycles)
 	}
 	hops := make(map[string]hopQuantiles, len(fig07Hops))
@@ -158,7 +157,7 @@ func fig07Run(seed uint64, reg *obs.Registry, arena *sim.Arena, opts vmm.Optimiz
 			p50: quantMicros(h, 0.50), p95: quantMicros(h, 0.95), p99: quantMicros(h, 0.99),
 		}
 	}
-	return fig07Measure{perReason: out, total: tot / secs, hops: hops}
+	return fig07Measure{perReason: trace, total: tot / secs, hops: hops}
 }
 
 func fig07Points() []Point {
@@ -196,8 +195,8 @@ func buildFig07(results []any) *report.Figure {
 	sBefore := f.AddSeries("cycles/s-unopt", "Mcycles")
 	sAfter := f.AddSeries("cycles/s-eoi-accel", "Mcycles")
 	for _, reason := range []vmm.ExitReason{vmm.ExitExtInt, vmm.ExitAPICEOI, vmm.ExitAPICOther, vmm.ExitMSIMask} {
-		sBefore.Add(string(reason), float64(unopt[reason].Cycles)/1e6)
-		sAfter.Add(string(reason), float64(opt[reason].Cycles)/1e6)
+		sBefore.Add(reason.String(), float64(unopt[reason].Cycles)/1e6)
+		sAfter.Add(reason.String(), float64(opt[reason].Cycles)/1e6)
 	}
 
 	// Shape checks against the paper's decomposition.

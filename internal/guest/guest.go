@@ -64,14 +64,11 @@ func (r *NetReceiver) ObserveLatency(wait units.Duration) {
 	r.Latency.Observe(wait)
 }
 
-// Domain reports the owning domain.
-func (r *NetReceiver) Domain() *vmm.Domain { return r.dom }
-
 // OnInterrupt charges the fixed per-interrupt guest cost (ISR entry, NAPI
 // scheduling, softirq dispatch).
 func (r *NetReceiver) OnInterrupt() {
 	r.Stats.Interrupts++
-	r.hv.ChargeGuest(r.dom, "isr", model.GuestPerInterruptCycles)
+	r.hv.ChargeGuest(r.dom, model.GuestPerInterruptCycles)
 }
 
 // DeliverBatch processes one drained batch through the stack to the
@@ -93,7 +90,7 @@ func (r *NetReceiver) DeliverBatch(n int, bytes units.Size) int {
 		// through the hypervisor to switch page tables.
 		perPacketCost += model.PVMSyscallExtraCyclesPerPacket
 	}
-	r.hv.ChargeGuest(r.dom, "stack", units.Cycles(accepted)*perPacketCost)
+	r.hv.ChargeGuest(r.dom, units.Cycles(accepted)*perPacketCost)
 	r.Stats.AppPackets += int64(accepted)
 	r.Stats.AppBytes += perPkt * units.Size(accepted)
 	if r.OnDeliver != nil {
@@ -139,7 +136,7 @@ func (s *NetSender) SendMessage(msgSize, frame units.Size) int {
 	if s.dom.Type == vmm.PVM {
 		cost += model.PVMSyscallExtraCyclesPerPacket
 	}
-	s.hv.ChargeGuest(s.dom, "send", cost)
+	s.hv.ChargeGuest(s.dom, cost)
 	s.Stats.Messages++
 	s.Stats.Packets += int64(pkts)
 	s.Stats.Bytes += msgSize

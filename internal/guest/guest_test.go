@@ -36,6 +36,7 @@ func TestDeliverBatchCounts(t *testing.T) {
 	hv, meter, machine := newHV()
 	d := mkGuest(t, hv, machine, vmm.HVM)
 	r := NewNetReceiver(hv, d)
+	before := meter.DomainCycles(d.Ledger())
 	got := r.DeliverBatch(10, 15140)
 	if got != 10 {
 		t.Fatalf("accepted = %d", got)
@@ -44,7 +45,7 @@ func TestDeliverBatchCounts(t *testing.T) {
 		t.Fatalf("stats = %+v", r.Stats)
 	}
 	want := units.Cycles(10) * model.GuestPerPacketCycles
-	if c := meter.Cycles(cpu.Account{Domain: "g", Category: "stack"}); c != want {
+	if c := meter.DomainCycles(d.Ledger()) - before; c != want {
 		t.Fatalf("stack cycles = %d, want %d", c, want)
 	}
 }
@@ -78,7 +79,7 @@ func TestPVMPaysSyscallExtra(t *testing.T) {
 	p := mkGuest(t, hvP, machP, vmm.PVM)
 	NewNetReceiver(hvH, h).DeliverBatch(10, 15140)
 	NewNetReceiver(hvP, p).DeliverBatch(10, 15140)
-	if meterP.DomainCycles("g") <= meterH.DomainCycles("g") {
+	if meterP.DomainCycles(p.Ledger()) <= meterH.DomainCycles(h.Ledger()) {
 		t.Fatal("PVM receive should cost more per packet than HVM (page-table switch)")
 	}
 }
@@ -88,9 +89,10 @@ func TestPerPacketExtra(t *testing.T) {
 	d := mkGuest(t, hv, machine, vmm.HVM)
 	r := NewNetReceiver(hv, d)
 	r.PerPacketExtra = model.NetfrontPerPacketCycles
+	before := meter.DomainCycles(d.Ledger())
 	r.DeliverBatch(10, 15140)
 	want := units.Cycles(10) * (model.GuestPerPacketCycles + model.NetfrontPerPacketCycles)
-	if c := meter.Cycles(cpu.Account{Domain: "g", Category: "stack"}); c != want {
+	if c := meter.DomainCycles(d.Ledger()) - before; c != want {
 		t.Fatalf("cycles = %d, want %d", c, want)
 	}
 }
@@ -99,12 +101,13 @@ func TestOnInterruptCharges(t *testing.T) {
 	hv, meter, machine := newHV()
 	d := mkGuest(t, hv, machine, vmm.HVM)
 	r := NewNetReceiver(hv, d)
+	before := meter.DomainCycles(d.Ledger())
 	r.OnInterrupt()
 	r.OnInterrupt()
 	if r.Stats.Interrupts != 2 {
 		t.Fatal("interrupt count")
 	}
-	if c := meter.Cycles(cpu.Account{Domain: "g", Category: "isr"}); c != 2*model.GuestPerInterruptCycles {
+	if c := meter.DomainCycles(d.Ledger()) - before; c != 2*model.GuestPerInterruptCycles {
 		t.Fatalf("isr cycles = %d", c)
 	}
 }
@@ -120,7 +123,7 @@ func TestSenderMessageSplitting(t *testing.T) {
 	if s.Stats.Messages != 1 || s.Stats.Packets != 3 || s.Stats.Bytes != 4000 {
 		t.Fatalf("stats = %+v", s.Stats)
 	}
-	if meter.DomainCycles("g") == 0 {
+	if meter.DomainCycles(d.Ledger()) == 0 {
 		t.Fatal("sender cycles not charged")
 	}
 	if s.SendMessage(0, 1500) != 0 || s.SendMessage(100, 0) != 0 {
@@ -140,7 +143,7 @@ func TestSenderSyscallAmortization(t *testing.T) {
 			s.SendMessage(msg, 1500)
 			sent += msg
 		}
-		return float64(meter.DomainCycles("g")) / float64(sent)
+		return float64(meter.DomainCycles(d.Ledger())) / float64(sent)
 	}
 	if cost(4000) >= cost(1500) {
 		t.Fatal("larger messages should cost fewer cycles per byte")

@@ -30,9 +30,6 @@ func NewMSIMessage(v Vector) MSIMessage {
 	return MSIMessage{Addr: MSIAddressBase, Data: uint32(v)}
 }
 
-// Vector decodes the target vector from the message data.
-func (m MSIMessage) Vector() Vector { return Vector(m.Data & 0xff) }
-
 // Allocator hands out machine vectors globally, never sharing one between
 // two sources, so the hypervisor can identify the owning guest from the
 // vector alone (§4.1: "which is globally allocated to avoid interrupt

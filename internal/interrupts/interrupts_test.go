@@ -7,8 +7,8 @@ import (
 
 func TestMSIMessageRoundTrip(t *testing.T) {
 	m := NewMSIMessage(0x41)
-	if m.Vector() != 0x41 {
-		t.Fatalf("vector = %#x", m.Vector())
+	if v := Vector(m.Data & 0xff); v != 0x41 {
+		t.Fatalf("vector = %#x", v)
 	}
 	if m.Addr != MSIAddressBase {
 		t.Fatalf("addr = %#x", m.Addr)

@@ -317,9 +317,6 @@ func (t *IOTLB) InvalidateRID(rid uint16) {
 	}
 }
 
-// Len reports the number of cached translations.
-func (t *IOTLB) Len() int { return t.n }
-
 // contextEntry is one requester's VT-d context entry: present while the
 // RID is attached, naming its domain and that domain's page table.
 type contextEntry struct {

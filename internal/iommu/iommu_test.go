@@ -101,7 +101,7 @@ func TestDetachRID(t *testing.T) {
 	if _, err := u.TranslateDMA(0x100, 1<<mem.PageShift, false); err == nil {
 		t.Fatal("detached RID should fault")
 	}
-	if u.TLB().Len() != 0 {
+	if u.TLB().n != 0 {
 		t.Fatal("IOTLB entries should be flushed on detach")
 	}
 }
@@ -148,8 +148,8 @@ func TestIOTLBEviction(t *testing.T) {
 		u.Map(0x100, g, 100+g, true)
 		u.TranslateDMA(0x100, g<<mem.PageShift, false)
 	}
-	if u.TLB().Len() != 2 {
-		t.Fatalf("tlb len = %d, want 2 (capacity)", u.TLB().Len())
+	if u.TLB().n != 2 {
+		t.Fatalf("tlb len = %d, want 2 (capacity)", u.TLB().n)
 	}
 	// gfn 0 is least recent → evicted; re-translating misses.
 	misses := u.TLB().Misses

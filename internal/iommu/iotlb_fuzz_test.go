@@ -106,9 +106,9 @@ func fuzzGFN(b byte) uint64 { return uint64(b&31) | uint64(b>>5)<<45 }
 // checks that the index finds each live slot.
 func checkIOTLB(t *testing.T, op int, got *IOTLB, want *refTLB) {
 	t.Helper()
-	if got.Hits != want.hits || got.Misses != want.misses || got.Len() != want.lru.Len() {
+	if got.Hits != want.hits || got.Misses != want.misses || got.n != want.lru.Len() {
 		t.Fatalf("op %d: hits/misses/len %d/%d/%d, reference %d/%d/%d",
-			op, got.Hits, got.Misses, got.Len(), want.hits, want.misses, want.lru.Len())
+			op, got.Hits, got.Misses, got.n, want.hits, want.misses, want.lru.Len())
 	}
 	el := want.lru.Front()
 	for s := got.head; s >= 0; s = got.entries[s].next {
@@ -135,8 +135,8 @@ func checkIOTLB(t *testing.T, op int, got *IOTLB, want *refTLB) {
 			}
 		}
 	}
-	if used != got.Len() {
-		t.Fatalf("op %d: %d index buckets in use for %d entries", op, used, got.Len())
+	if used != got.n {
+		t.Fatalf("op %d: %d index buckets in use for %d entries", op, used, got.n)
 	}
 }
 

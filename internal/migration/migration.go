@@ -60,9 +60,6 @@ func (r *Result) VFHotAddLatency() units.Duration {
 	return r.HotAddDone.Sub(r.DowntimeEnd)
 }
 
-// Failed reports whether the migration aborted.
-func (r *Result) Failed() bool { return r.Err != nil }
-
 // Config parameterizes a migration.
 type Config struct {
 	LinkRate       units.BitRate // migration channel bandwidth
@@ -198,7 +195,7 @@ func (m *Manager) aborter(d *vmm.Domain, dirt *dirtier, res *Result, onDone func
 // target-host domain restore for the inter-host path.
 func (m *Manager) precopy(d *vmm.Domain, dirt *dirtier, ch Channel, pages uint64, round int, res *Result, restore func(), abort func(error)) {
 	start := m.hv.Engine().Now()
-	m.hv.ChargeDom0("migration", units.Cycles(pages*model.MigrationPerPageDom0Cycles))
+	m.hv.ChargeDom0(units.Cycles(pages * model.MigrationPerPageDom0Cycles))
 	res.PagesSent += pages
 	m.send(ch, pages, func(err error) {
 		res.PrecopyRounds = append(res.PrecopyRounds, Round{Pages: pages, Duration: m.hv.Engine().Now().Sub(start)})
@@ -221,7 +218,7 @@ func (m *Manager) stopAndCopy(d *vmm.Domain, dirt *dirtier, ch Channel, pages ui
 	m.hv.SetPaused(d, true)
 	dirt.tick.Stop()
 	d.Memory.StopDirtyTracking()
-	m.hv.ChargeDom0("migration", units.Cycles(pages*model.MigrationPerPageDom0Cycles))
+	m.hv.ChargeDom0(units.Cycles(pages * model.MigrationPerPageDom0Cycles))
 	res.PagesSent += pages
 	m.send(ch, pages, func(err error) {
 		if err != nil {

@@ -79,6 +79,8 @@ func TestMigratePVConvergesWithPaperShape(t *testing.T) {
 	r := newRig(t)
 	d, _ := r.guestWithMemory(t, "g1", vmm.PVM)
 	m := NewManager(r.hv, DefaultConfig())
+	dom0 := r.meter.Ledger("dom0")
+	dom0Before := r.meter.DomainCycles(dom0)
 	var res *Result
 	if err := m.MigratePV(d, func(rr *Result) { res = rr }); err != nil {
 		t.Fatal(err)
@@ -110,9 +112,10 @@ func TestMigratePVConvergesWithPaperShape(t *testing.T) {
 	if d.Paused() {
 		t.Fatal("guest still paused")
 	}
-	// dom0 paid for the page processing.
-	if r.meter.Cycles(cpu.Account{Domain: "dom0", Category: "migration"}) == 0 {
-		t.Fatal("migration cost missing")
+	// dom0 paid for the page processing, and for nothing else: the rig
+	// carries no traffic.
+	if got, want := r.meter.DomainCycles(dom0)-dom0Before, units.Cycles(res.PagesSent*model.MigrationPerPageDom0Cycles); got != want {
+		t.Fatalf("dom0 charged %d cycles during migration, want %d (%d pages)", got, want, res.PagesSent)
 	}
 }
 
@@ -212,7 +215,7 @@ func TestMigrateDNISHotAddLatencySeparateFromOutage(t *testing.T) {
 	if res == nil {
 		t.Fatal("migration never completed")
 	}
-	if res.Failed() {
+	if res.Err != nil {
 		t.Fatalf("unexpected failure: %v", res.Err)
 	}
 	// The hot add-on lands strictly after the resume...

@@ -50,7 +50,7 @@ func TestMailboxOnSendDrop(t *testing.T) {
 	if err := mb.SendToPF(Message{Kind: MsgSetMAC, VF: 3}); err != nil {
 		t.Fatal("slot should be free after a dropped send")
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if got != 1 {
 		t.Fatalf("delivered %d, want 1 (first send lost)", got)
 	}
@@ -69,7 +69,7 @@ func TestMailboxOnSendDelay(t *testing.T) {
 	if err := mb.SendToPF(Message{Kind: MsgSetMAC, VF: 0}); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if want := units.Time(model.MailboxLatency + extra); at != want {
 		t.Fatalf("delivered at %v, want %v", at, want)
 	}
@@ -100,14 +100,14 @@ func TestLinkDownDropsWireTraffic(t *testing.T) {
 	p.SetMAC(MAC(0xaa), p.VFQueue(0))
 	p.SetLink(false)
 	p.ReceiveFromWire(Batch{Dst: MAC(0xaa), Count: 10, Bytes: 15140})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if p.WireRxDropped != 10 || p.VFQueue(0).Stats.RxPackets != 0 {
 		t.Fatalf("rx dropped = %d, queued = %d; want all dropped at the PHY",
 			p.WireRxDropped, p.VFQueue(0).Stats.RxPackets)
 	}
 	p.SetLink(true)
 	p.ReceiveFromWire(Batch{Dst: MAC(0xaa), Count: 10, Bytes: 15140})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if p.VFQueue(0).Stats.RxPackets != 10 {
 		t.Fatalf("link restored but rx = %d", p.VFQueue(0).Stats.RxPackets)
 	}
@@ -124,14 +124,14 @@ func TestQueueStallDropsAndRecovers(t *testing.T) {
 
 	q.SetStalled(true)
 	p.ReceiveFromWire(Batch{Dst: MAC(0xaa), Count: 5, Bytes: 7570})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if q.Stats.StallDropped != 5 || q.Occupied() != 0 || fired != 0 {
 		t.Fatalf("stalled queue: dropped=%d occ=%d intr=%d",
 			q.Stats.StallDropped, q.Occupied(), fired)
 	}
 	q.SetStalled(false)
 	p.ReceiveFromWire(Batch{Dst: MAC(0xaa), Count: 5, Bytes: 7570})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if q.Occupied() != 5 || fired == 0 {
 		t.Fatalf("unstalled queue: occ=%d intr=%d", q.Occupied(), fired)
 	}
@@ -148,7 +148,7 @@ func TestVFFLRResetsQueue(t *testing.T) {
 	q.SetITR(100 * units.Microsecond)
 	p.SetMAC(MAC(0xcc), q)
 	p.ReceiveFromWire(Batch{Dst: MAC(0xcc), Count: 3, Bytes: 4542})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if q.Occupied() != 3 {
 		t.Fatalf("occupied = %d", q.Occupied())
 	}
@@ -157,7 +157,8 @@ func TestVFFLRResetsQueue(t *testing.T) {
 	// device-side hook must reset the queue's hardware state.
 	fn := q.Function()
 	cap, ok := pcie.PCIeCapAt(fn.Config())
-	if !ok || fn.Config().Read32(cap.Offset()+pcie.PCIeDevCapOff)&pcie.PCIeDevCapFLR == 0 {
+	devCap := cap.DevCtlOffset() - pcie.PCIeDevCtlOff + pcie.PCIeDevCapOff
+	if !ok || fn.Config().Read32(devCap)&pcie.PCIeDevCapFLR == 0 {
 		t.Fatal("VF should advertise FLR")
 	}
 	fn.ConfigWrite16(cap.DevCtlOffset(), pcie.PCIeDevCtlFLR)
@@ -196,7 +197,7 @@ func TestDeviceResetClearsAllQueues(t *testing.T) {
 	if err := p.Mailbox().SendToPF(Message{Kind: MsgSetMAC, VF: 5}); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if got != 1 {
 		t.Fatalf("delivered %d, want only the post-reset message", got)
 	}

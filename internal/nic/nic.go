@@ -222,12 +222,6 @@ func (q *Queue) Name() string { return q.name }
 // Function reports the owning PCIe function.
 func (q *Queue) Function() *pcie.Function { return q.fn }
 
-// Port reports the owning port.
-func (q *Queue) Port() *Port { return q.port }
-
-// RingCap reports the descriptor-ring capacity.
-func (q *Queue) RingCap() int { return q.ringCap }
-
 // SetRingCap resizes the descriptor ring (driver configuration).
 func (q *Queue) SetRingCap(n int) {
 	if n <= 0 {
@@ -705,9 +699,6 @@ func (p *Port) enabledVFs() int {
 
 // Name reports the port name.
 func (p *Port) Name() string { return p.name }
-
-// Rate reports the line rate.
-func (p *Port) Rate() units.BitRate { return p.rate }
 
 // SetLink forces the physical link state (cable pull / injected flap).
 // While down, wire traffic in both directions is lost; the STATUS register

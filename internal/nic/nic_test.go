@@ -19,8 +19,8 @@ func TestPortConstruction(t *testing.T) {
 	if p.NumVFs() != 7 {
 		t.Fatalf("VFs = %d", p.NumVFs())
 	}
-	if p.Rate() != units.Gbps {
-		t.Fatalf("rate = %v", p.Rate())
+	if p.rate != units.Gbps {
+		t.Fatalf("rate = %v", p.rate)
 	}
 	cap, ok := pcie.SRIOVCapAt(p.PF().Config())
 	if !ok {
@@ -92,7 +92,7 @@ func TestWireDeliveryAndInterrupt(t *testing.T) {
 	q.Sink = func(*Queue) { fired++ }
 	q.SetIntrEnabled(true)
 	p.ReceiveFromWire(Batch{Dst: MAC(1), Count: 10, Bytes: 15140})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if q.Stats.RxPackets != 10 {
 		t.Fatalf("rx packets = %d", q.Stats.RxPackets)
 	}
@@ -119,7 +119,7 @@ func TestUnknownMACDropped(t *testing.T) {
 	eng := sim.NewEngine(1)
 	p := newTestPort(eng)
 	p.ReceiveFromWire(Batch{Dst: MAC(99), Count: 5, Bytes: 7570})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if p.WireRxPackets != 5 {
 		t.Fatal("wire counter should still count")
 	}
@@ -136,7 +136,7 @@ func TestRingOverflowDrops(t *testing.T) {
 	q := p.VFQueue(0)
 	p.SetMAC(MAC(1), q)
 	p.ReceiveFromWire(Batch{Dst: MAC(1), Count: 20, Bytes: 20 * 1514})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if q.Stats.RxPackets != 8 {
 		t.Fatalf("accepted = %d, want 8", q.Stats.RxPackets)
 	}
@@ -165,7 +165,7 @@ func TestITRThrottling(t *testing.T) {
 			q.deliver(Batch{Dst: MAC(1), Count: 1, Bytes: 1514})
 		})
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	// Events at 0..900 µs. Fires at 0, 500, 1000 → 3 interrupts.
 	if fired != 3 {
 		t.Fatalf("interrupts = %d, want 3", fired)
@@ -184,7 +184,7 @@ func TestMaskDefersInterrupt(t *testing.T) {
 	q.SetIntrEnabled(true)
 	q.SetMasked(true)
 	q.deliver(Batch{Dst: MAC(1), Count: 1, Bytes: 1514})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if fired != 0 {
 		t.Fatal("masked queue must not interrupt")
 	}
@@ -201,7 +201,7 @@ func TestIntrDisabledNoFire(t *testing.T) {
 	fired := 0
 	q.Sink = func(*Queue) { fired++ }
 	q.deliver(Batch{Dst: MAC(1), Count: 1, Bytes: 1514})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if fired != 0 {
 		t.Fatal("disabled queue must not interrupt")
 	}
@@ -247,7 +247,7 @@ func TestInternalSwitchBandwidthCap(t *testing.T) {
 			t.Fatal("send failed")
 		}
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	rate := units.RateOf(total, done.Sub(0))
 	if rate.Gbps() < 2.7 || rate.Gbps() > 2.9 {
 		t.Fatalf("internal rate = %v, want ~2.8 Gbps", rate)
@@ -285,7 +285,7 @@ func TestMailboxRoundTrip(t *testing.T) {
 	if err := mb.SendToPF(Message{Kind: MsgSetMAC, VF: 2, Arg: 0xaabb}); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if len(pfGot) != 1 || pfGot[0].Kind != MsgSetMAC || pfGot[0].Arg != 0xaabb {
 		t.Fatalf("pf got %v", pfGot)
 	}
@@ -311,7 +311,7 @@ func TestMailboxBusy(t *testing.T) {
 	if err := mb.SendToPF(Message{Kind: MsgSetVLAN, VF: 1}); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	// After delivery the slot frees up.
 	if err := mb.SendToPF(Message{Kind: MsgSetVLAN, VF: 0}); err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestMailboxBroadcast(t *testing.T) {
 		mb.SetVFHandler(i, func(m Message) { got[i] = m.Kind })
 	}
 	mb.Broadcast(MsgLinkChange)
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if len(got) != 3 {
 		t.Fatalf("broadcast reached %d VFs", len(got))
 	}
@@ -380,7 +380,7 @@ func TestWireOverdriveDrops(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.ReceiveFromWire(Batch{Dst: MAC(1), Count: 10, Bytes: 15140})
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if p.WireRxDropped == 0 {
 		t.Fatal("overdriven wire should drop")
 	}
@@ -399,7 +399,7 @@ func TestPortAccessors(t *testing.T) {
 		t.Fatal("Device/PFQueue")
 	}
 	q := p.VFQueue(0)
-	if q.Name() != "eth0/vf0" || q.Port() != p {
+	if q.Name() != "eth0/vf0" || q.port != p {
 		t.Fatal("queue accessors")
 	}
 	if q.masked {
@@ -440,7 +440,7 @@ func TestDrainLatencyAccounting(t *testing.T) {
 			t.Errorf("wait = %v, want 300µs", got)
 		}
 	})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 }
 
 func TestDrainLatencyFIFOBlend(t *testing.T) {
@@ -458,7 +458,7 @@ func TestDrainLatencyFIFOBlend(t *testing.T) {
 			t.Errorf("wait = %v, want 150µs", got)
 		}
 	})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 }
 
 func TestTransmitToWire(t *testing.T) {
@@ -474,7 +474,7 @@ func TestTransmitToWire(t *testing.T) {
 	if !p.TransmitToWire(q, Batch{Dst: MAC(0xff), Count: 10, Bytes: 15140}) {
 		t.Fatal("transmit rejected")
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if gotPkts != 10 || gotBytes != 15140 {
 		t.Fatalf("egress got %d pkts %d bytes", gotPkts, gotBytes)
 	}
@@ -491,7 +491,7 @@ func TestTransmitToWireNoEgressDrops(t *testing.T) {
 	eng := sim.NewEngine(1)
 	p := newTestPort(eng)
 	p.TransmitToWire(p.VFQueue(0), Batch{Count: 5, Bytes: 7570})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if p.WireTxDropped != 5 {
 		t.Fatalf("dropped = %d", p.WireTxDropped)
 	}
@@ -515,7 +515,7 @@ func TestTransmitToWireOverdrive(t *testing.T) {
 	if sent == 0 {
 		t.Fatal("some sends must make it")
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 }
 
 // newFilteredPort builds a port with the filter table a loaded 82576 port

@@ -33,8 +33,8 @@ func TestRegistersRingLengthAndHead(t *testing.T) {
 	_, _, q := newRegQueue(t)
 	fn := q.Function()
 	fn.MMIOWrite(0, RegRDLEN0, 256)
-	if q.RingCap() != 256 {
-		t.Fatalf("ring cap = %d", q.RingCap())
+	if q.ringCap != 256 {
+		t.Fatalf("ring cap = %d", q.ringCap)
 	}
 	q.deliver(Batch{Dst: MAC(1), Count: 5, Bytes: 7570})
 	if q.Occupied() != 5 {
@@ -42,8 +42,8 @@ func TestRegistersRingLengthAndHead(t *testing.T) {
 	}
 	// Returning buffers through RDT leaves the ring model untouched.
 	fn.MMIOWrite(0, RegRDT0, 5)
-	if q.Occupied() != 5 || q.RingCap() != 256 {
-		t.Fatalf("after RDT: occupancy %d, cap %d", q.Occupied(), q.RingCap())
+	if q.Occupied() != 5 || q.ringCap != 256 {
+		t.Fatalf("after RDT: occupancy %d, cap %d", q.Occupied(), q.ringCap)
 	}
 }
 
@@ -100,8 +100,8 @@ func TestInstallRegistersIdempotent(t *testing.T) {
 		t.Fatalf("reinstall changed ITR to %v", q.itrInterval)
 	}
 	fn.MMIOWrite(0, RegRDLEN0, 64)
-	if q.RingCap() != 64 {
-		t.Fatalf("ring cap = %d after reinstall, want 64", q.RingCap())
+	if q.ringCap != 64 {
+		t.Fatalf("ring cap = %d after reinstall, want 64", q.ringCap)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestVLANClassification(t *testing.T) {
 	p.ReceiveFromWire(Batch{Dst: MAC(0xaa), VLAN: 100, Count: 3, Bytes: 4542})
 	// Unknown VLAN: dropped.
 	p.ReceiveFromWire(Batch{Dst: MAC(0xaa), VLAN: 999, Count: 4, Bytes: 6056})
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if q0.Stats.RxPackets != 2 {
 		t.Fatalf("untagged packets = %d", q0.Stats.RxPackets)
 	}
@@ -144,7 +144,7 @@ func TestVLANInternalSwitch(t *testing.T) {
 	if _, ok := p.SendInternal(p.VFQueue(0), Batch{Dst: MAC(0xbb), VLAN: 42, Count: 1, Bytes: 1514}); !ok {
 		t.Fatal("tagged batch should match")
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if dst.Stats.RxPackets != 1 {
 		t.Fatalf("delivered = %d", dst.Stats.RxPackets)
 	}

@@ -9,6 +9,22 @@ import (
 	"repro/internal/units"
 )
 
+// Count reports the number of observations; a nil histogram has none.
+func (h *Hist) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.total
+}
+
+// Max reports the largest observation.
+func (h *Hist) Max() units.Duration {
+	if h == nil {
+		return 0
+	}
+	return h.max
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")

@@ -144,28 +144,12 @@ func (h *Hist) ObserveN(d units.Duration, n int64) {
 	}
 }
 
-// Count reports the number of observations (0 on nil).
-func (h *Hist) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.total
-}
-
 // Mean reports the mean observation (0 on nil or empty).
 func (h *Hist) Mean() units.Duration {
 	if h == nil || h.total == 0 {
 		return 0
 	}
 	return h.sum / units.Duration(h.total)
-}
-
-// Max reports the largest observation.
-func (h *Hist) Max() units.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.max
 }
 
 // Quantile reports an upper bound for the q-quantile (0<=q<=1) using the

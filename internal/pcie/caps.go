@@ -52,23 +52,6 @@ func MSICapAt(cfg *ConfigSpace) (MSICap, bool) {
 // Offset reports the capability's config-space offset.
 func (m MSICap) Offset() int { return m.off }
 
-// Message reads back the programmed address and data.
-func (m MSICap) Message() (addr uint64, data uint32) {
-	addr = uint64(m.cfg.Read32(m.off+4)) | uint64(m.cfg.Read32(m.off+8))<<32
-	return addr, m.cfg.Read32(m.off + 12)
-}
-
-// SetMasked masks or unmasks one vector.
-func (m MSICap) SetMasked(vector int, masked bool) {
-	bits := m.cfg.Read32(m.off + 16)
-	if masked {
-		bits |= 1 << uint(vector)
-	} else {
-		bits &^= 1 << uint(vector)
-	}
-	m.cfg.Write32(m.off+16, bits)
-}
-
 // ---- PCI Express capability (ID 0x10) ----
 //
 // Layout (subset the model uses):
@@ -117,9 +100,6 @@ func PCIeCapAt(cfg *ConfigSpace) (PCIeCap, bool) {
 	return PCIeCap{cfg: cfg, off: off}, true
 }
 
-// Offset reports the capability's config-space offset.
-func (c PCIeCap) Offset() int { return c.off }
-
 // DevCtlOffset reports the config-space offset of Device Control — where
 // software writes Initiate FLR.
 func (c PCIeCap) DevCtlOffset() int { return c.off + PCIeDevCtlOff }
@@ -166,9 +146,6 @@ func MSIXCapAt(cfg *ConfigSpace) (MSIXCap, bool) {
 	}
 	return cfg.msix, true
 }
-
-// Offset reports the capability's config-space offset.
-func (m MSIXCap) Offset() int { return m.off }
 
 // TableBIR reports which BAR holds the vector table.
 func (m MSIXCap) TableBIR() int { return m.bir }

@@ -5,7 +5,7 @@ import "testing"
 func TestFLRHookAndSelfClear(t *testing.T) {
 	fn := NewFunction("dev", MakeRID(1, 0, 0), 0x8086, 0x10ca)
 	cap := AddPCIeCap(fn.Config(), 0x40)
-	if fn.Config().Read32(cap.Offset()+PCIeDevCapOff)&PCIeDevCapFLR == 0 {
+	if fn.Config().Read32(cap.off+PCIeDevCapOff)&PCIeDevCapFLR == 0 {
 		t.Fatal("DevCap should advertise FLR")
 	}
 	var resets int
@@ -20,14 +20,14 @@ func TestFLRHookAndSelfClear(t *testing.T) {
 	}
 
 	// A 32-bit write covering Device Control triggers too.
-	fn.ConfigWrite32(cap.Offset()+PCIeDevCtlOff, uint32(PCIeDevCtlFLR))
+	fn.ConfigWrite32(cap.off+PCIeDevCtlOff, uint32(PCIeDevCtlFLR))
 	if resets != 2 {
 		t.Fatalf("resets = %d, want 2", resets)
 	}
 
 	// Writes without the bit do not.
 	fn.ConfigWrite16(cap.DevCtlOffset(), 0)
-	fn.ConfigWrite16(cap.Offset()+2, 0xffff)
+	fn.ConfigWrite16(cap.off+2, 0xffff)
 	if resets != 2 {
 		t.Fatalf("resets = %d after non-FLR writes, want 2", resets)
 	}

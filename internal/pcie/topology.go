@@ -44,12 +44,6 @@ type Port struct {
 // Kind reports the port's role.
 func (p *Port) Kind() PortKind { return p.kind }
 
-// Name reports the port name.
-func (p *Port) Name() string { return p.name }
-
-// Device reports the attached device (nil if empty).
-func (p *Port) Device() *Device { return p.device }
-
 // Switch reports the owning switch for switch ports (nil for root ports).
 func (p *Port) Switch() *Switch { return p.sw }
 
@@ -82,9 +76,6 @@ func NewSwitch(name string, n int) *Switch {
 	}
 	return s
 }
-
-// Name reports the switch name.
-func (s *Switch) Name() string { return s.name }
 
 // Downstream reports downstream port i.
 func (s *Switch) Downstream(i int) *Port { return s.downstream[i] }

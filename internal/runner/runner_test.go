@@ -216,10 +216,10 @@ func TestSteadyStateRoundTripAllocationFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		eng.After(1, "runner:warm", tick)
 	}
-	eng.Run()
+	eng.RunUntil(sim.Forever)
 	if avg := testing.AllocsPerRun(1000, func() {
 		eng.After(1, "runner:steady", tick)
-		eng.Run()
+		eng.RunUntil(sim.Forever)
 	}); avg != 0 {
 		t.Fatalf("steady-state schedule→fire→recycle allocates %.1f allocs/op, want 0", avg)
 	}

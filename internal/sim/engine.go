@@ -150,7 +150,7 @@ func (h *eventHeap) Pop() any {
 	// Clear the vacated tail slot. With pooling this matters beyond GC
 	// hygiene: the popped event is about to be recycled into the Arena, and
 	// a dangling heap-slice reference to it would otherwise be the one path
-	// by which a stale entry could resurface after Stop-during-Run.
+	// by which a stale entry could resurface in a resumed run.
 	old[n-1] = nil
 	*h = old[:n-1]
 	return e
@@ -167,7 +167,6 @@ type Engine struct {
 	seed    uint64
 	rng     *RNG
 	streams map[string]*RNG
-	stopped bool
 	// processed counts events executed, for diagnostics and runaway guards.
 	processed uint64
 	// flushed is the portion of processed already added to the global
@@ -212,12 +211,6 @@ func (e *Engine) Arena() *Arena { return e.arena }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// RNG returns the engine's root deterministic random source. Components
-// should not draw from it directly — use Stream so each consumer has its
-// own named sub-stream and adding one consumer cannot perturb another's
-// draws.
-func (e *Engine) RNG() *RNG { return e.rng }
 
 // Stream returns the engine's named random sub-stream, creating it on first
 // use. The stream's sequence depends only on the engine seed and the name:
@@ -300,19 +293,15 @@ func (e *Engine) recycle(ev *event) {
 	}
 }
 
-// Stop makes the current Run call return once the executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty, Stop is called, or the
-// event limit is hit. It returns the final simulated time.
-func (e *Engine) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
+// Forever is the deadline that runs the engine until its queue drains:
+// RunUntil(Forever) leaves the clock at the last event it executed.
+const Forever = Time(1<<62 - 1)
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline (if it is later than the last event) and returns it.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
 	defer e.flushProcessed()
-	for !e.stopped {
+	for {
 		next := e.sched.peek()
 		if next == nil || next.when > deadline {
 			break
@@ -342,7 +331,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		e.recycle(next)
 		fn()
 	}
-	if !e.stopped && e.now < deadline && deadline < Time(1<<62-1) {
+	if e.now < deadline && deadline < Forever {
 		e.now = deadline
 	}
 	return e.now

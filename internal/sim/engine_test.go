@@ -9,6 +9,16 @@ import (
 	"repro/internal/units"
 )
 
+// Test-only engine API: running to quiescence and drawing from the root
+// stream, which production code never asks for.
+
+// Run executes events until the queue is empty or the event limit is hit.
+// It returns the final simulated time.
+func (e *Engine) Run() Time { return e.RunUntil(Forever) }
+
+// RNG returns the engine's root random source.
+func (e *Engine) RNG() *RNG { return e.rng }
+
 func TestEventOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
@@ -123,20 +133,19 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.Run()
 }
 
+// TestStop: a run stops at its deadline, with the clock there and every
+// later event still queued.
 func TestStop(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i), "n", func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
+		e.At(Time(i), "n", func() { count++ })
 	}
-	e.Run()
+	if now := e.RunUntil(3); now != 3 {
+		t.Fatalf("RunUntil(3) = %v", now)
+	}
 	if count != 3 {
-		t.Fatalf("count = %d, want 3 after Stop", count)
+		t.Fatalf("count = %d, want 3 at the deadline", count)
 	}
 	if e.Pending() != 7 {
 		t.Fatalf("pending = %d, want 7", e.Pending())

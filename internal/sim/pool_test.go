@@ -64,11 +64,11 @@ func TestCancelledHandleAfterRecycleIsStale(t *testing.T) {
 	}
 }
 
-// TestStopDuringRunPoolConsistency audits the Stop/pooling interaction: a
-// stopped run must leave every unfired event in the heap with a live handle
-// and exactly the popped events in the free list, and a resumed run must
-// fire the remainder exactly once. This is the guard against stale heap
-// entries resurfacing after pool recycle (see eventHeap.Pop).
+// TestStopDuringRunPoolConsistency audits a run that stops at its deadline
+// against pooling: it must leave every unfired event in the scheduler with
+// a live handle and exactly the popped events in the free list, and a
+// resumed run must fire the remainder exactly once. This is the guard
+// against stale entries resurfacing after pool recycle (see eventHeap.Pop).
 func TestStopDuringRunPoolConsistency(t *testing.T) {
 	arena := NewArena()
 	e := NewEngineArena(1, arena)
@@ -76,22 +76,17 @@ func TestStopDuringRunPoolConsistency(t *testing.T) {
 	handles := make([]Handle, 0, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		handles = append(handles, e.At(Time(i+1), "n", func() {
-			fired = append(fired, i)
-			if len(fired) == 3 {
-				e.Stop()
-			}
-		}))
+		handles = append(handles, e.At(Time(i+1), "n", func() { fired = append(fired, i) }))
 	}
-	e.Run()
+	e.RunUntil(3)
 	if len(fired) != 3 {
-		t.Fatalf("fired %d events before Stop, want 3", len(fired))
+		t.Fatalf("fired %d events by the deadline, want 3", len(fired))
 	}
 	if got := len(arena.free); got != 3 {
-		t.Fatalf("free list holds %d events after Stop, want the 3 fired", got)
+		t.Fatalf("free list holds %d events at the deadline, want the 3 fired", got)
 	}
 	if e.Pending() != 7 {
-		t.Fatalf("pending = %d after Stop, want 7", e.Pending())
+		t.Fatalf("pending = %d at the deadline, want 7", e.Pending())
 	}
 	for i, h := range handles {
 		if want := i >= 3; h.Pending() != want {

@@ -53,7 +53,6 @@ func BenchmarkAblationScheduler(b *testing.B) {
 				fn = func() {
 					remaining--
 					if remaining <= 0 {
-						e.Stop()
 						return
 					}
 					e.After(gap, "storm", fn)

@@ -32,9 +32,3 @@ func (t *Trigger) Fire() bool {
 	t.handle = t.eng.At(t.eng.Now(), t.name, t.fire)
 	return true
 }
-
-// Pending reports whether a firing is currently scheduled.
-func (t *Trigger) Pending() bool { return t.handle.Pending() }
-
-// Cancel retracts a pending firing. It reports whether one was pending.
-func (t *Trigger) Cancel() bool { return t.handle.Cancel() }

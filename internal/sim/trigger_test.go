@@ -6,6 +6,12 @@ import (
 	"repro/internal/units"
 )
 
+// Pending reports whether a firing is currently scheduled.
+func (t *Trigger) Pending() bool { return t.handle.Pending() }
+
+// Cancel retracts a pending firing. It reports whether one was pending.
+func (t *Trigger) Cancel() bool { return t.handle.Cancel() }
+
 func TestTriggerCoalescesSameInstantFires(t *testing.T) {
 	eng := NewEngine(1)
 	runs := 0

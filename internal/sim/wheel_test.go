@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/units"
@@ -113,11 +114,13 @@ func TestWheelCancelThenReuseAcrossCascade(t *testing.T) {
 	}
 }
 
-// TestWheelStopMidBucketDrainPoolConsistency mirrors pool_test.go's Stop
-// audit for the wheel's same-tick batch drain: Stop in the middle of a
-// same-instant bucket must leave the undrained suffix live (handles
-// pending, no recycled event still referenced) and a resumed run must fire
-// the remainder in FIFO order.
+// TestWheelStopMidBucketDrainPoolConsistency mirrors pool_test.go's
+// deadline audit for the wheel's same-tick batch drain. A deadline cannot
+// split a same-instant bucket, but the event limit can: a run that trips it
+// in the middle of the bucket must leave the undrained suffix live
+// (handles pending, no recycled event still referenced), and a resumed run
+// must fire the remainder in FIFO order. The event that tripped the limit
+// is recycled unfired.
 func TestWheelStopMidBucketDrainPoolConsistency(t *testing.T) {
 	arena := NewArena()
 	e := NewEngineArena(1, arena)
@@ -125,25 +128,28 @@ func TestWheelStopMidBucketDrainPoolConsistency(t *testing.T) {
 	handles := make([]Handle, 0, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		handles = append(handles, e.At(5, "burst", func() {
-			fired = append(fired, i)
-			if len(fired) == 3 {
-				e.Stop()
+		handles = append(handles, e.At(5, "burst", func() { fired = append(fired, i) }))
+	}
+	e.limit = 3
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("event limit should panic")
 			}
-		}))
-	}
-	e.Run()
+		}()
+		e.Run()
+	}()
 	if len(fired) != 3 {
-		t.Fatalf("fired %d events before Stop, want 3", len(fired))
+		t.Fatalf("fired %d events before the limit, want 3", len(fired))
 	}
-	if got := len(arena.free); got != 3 {
-		t.Fatalf("free list holds %d events after Stop, want the 3 fired", got)
+	if got := len(arena.free); got != 4 {
+		t.Fatalf("free list holds %d events after the limit, want the 3 fired and the 1 that tripped it", got)
 	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d after Stop, want 7", e.Pending())
+	if e.Pending() != 6 {
+		t.Fatalf("pending = %d after the limit, want 6", e.Pending())
 	}
 	for i, h := range handles {
-		if want := i >= 3; h.Pending() != want {
+		if want := i >= 4; h.Pending() != want {
 			t.Fatalf("handle %d pending = %v, want %v", i, h.Pending(), want)
 		}
 	}
@@ -154,14 +160,10 @@ func TestWheelStopMidBucketDrainPoolConsistency(t *testing.T) {
 			t.Fatal("recycled event still referenced by the wheel")
 		}
 	}
+	e.limit = 0
 	e.Run()
-	if len(fired) != 10 {
-		t.Fatalf("resumed run fired %d total, want 10", len(fired))
-	}
-	for i, v := range fired {
-		if v != i {
-			t.Fatalf("same-tick bucket fired out of FIFO order: %v", fired)
-		}
+	if want := []int{0, 1, 2, 4, 5, 6, 7, 8, 9}; fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("same-tick bucket fired %v, want %v in FIFO order", fired, want)
 	}
 	if got := len(arena.free); got != 10 {
 		t.Fatalf("free list holds %d events after drain, want 10", got)

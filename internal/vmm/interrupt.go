@@ -99,14 +99,14 @@ func (b *MSIBinding) PhysicalMSI() {
 	case Native:
 		// Bare metal: no exit, just the hardware interrupt dispatch cost,
 		// charged to the native domain itself.
-		h.meter.Charge(d.acct.slot(h.meter, "irq"), nativeIRQDispatchCycles)
+		h.meter.Charge(d.ledger, nativeIRQDispatchCycles)
 		if isr := d.isrs[b.vector]; isr != nil {
 			isr()
 		}
 		return
 	case HVM:
-		h.ChargeXen(d, "vmexit", model.ExtIntExitCycles)
-		h.recordExit(exitExtInt, model.ExtIntExitCycles)
+		h.ChargeXen(d, model.ExtIntExitCycles)
+		h.recordExit(ExitExtInt, model.ExtIntExitCycles)
 		if d.lapic.Inject(b.vector) {
 			if _, deliverable := d.lapic.Pending(); deliverable {
 				d.lapic.Ack()
@@ -116,8 +116,8 @@ func (b *MSIBinding) PhysicalMSI() {
 			}
 		}
 	case PVM, Dom0:
-		h.ChargeXen(d, "vmexit", model.ExtIntExitCycles)
-		h.recordExit(exitExtInt, model.ExtIntExitCycles)
+		h.ChargeXen(d, model.ExtIntExitCycles)
+		h.recordExit(ExitExtInt, model.ExtIntExitCycles)
 		h.NotifyEvent(d, b.port)
 	}
 }
@@ -161,9 +161,9 @@ func (h *Hypervisor) NotifyEvent(d *Domain, port interrupts.EventChannelPort) {
 	if d.events == nil {
 		return
 	}
-	h.ChargeXen(d, "evtchn", model.EvtchnSendCycles)
+	h.ChargeXen(d, model.EvtchnSendCycles)
 	if d.events.Notify(port) && !d.paused {
-		h.ChargeGuest(d, "upcall", model.EvtchnGuestCycles)
+		h.ChargeGuest(d, model.EvtchnGuestCycles)
 		d.events.Consume(port)
 		if up := d.upcalls[port]; up != nil {
 			up()
@@ -184,16 +184,16 @@ func (h *Hypervisor) GuestMSIMaskWrite(d *Domain) {
 	h.msiMaskWrites.Inc()
 	if h.opts.MaskAccel {
 		// Emulated entirely in the hypervisor.
-		h.ChargeXen(d, "msi-mask", model.MaskInHypervisorCycles)
-		h.recordExit(exitMSIMask, model.MaskInHypervisorCycles)
+		h.ChargeXen(d, model.MaskInHypervisorCycles)
+		h.recordExit(ExitMSIMask, model.MaskInHypervisorCycles)
 		return
 	}
 	// Forwarded to the user-level device model in dom0: domain context
 	// switch plus task switches within dom0 (§5.1).
-	h.ChargeGuest(d, "msi-mask", model.MaskExitGuestCycles)
-	h.ChargeXen(d, "msi-mask", model.MaskViaDeviceModelXenCycles)
-	h.ChargeDom0("devicemodel", model.MaskViaDeviceModelDom0Cycles)
-	h.recordExit(exitMSIMask, model.MaskViaDeviceModelXenCycles)
+	h.ChargeGuest(d, model.MaskExitGuestCycles)
+	h.ChargeXen(d, model.MaskViaDeviceModelXenCycles)
+	h.ChargeDom0(model.MaskViaDeviceModelDom0Cycles)
+	h.recordExit(ExitMSIMask, model.MaskViaDeviceModelXenCycles)
 }
 
 // GuestEOI models the guest's end-of-interrupt write. For HVM this is an
@@ -222,8 +222,8 @@ func (h *Hypervisor) GuestEOI(d *Domain) {
 				h.eoiMisemulations.Inc()
 			}
 		}
-		h.ChargeXen(d, "apic", cost)
-		h.recordExit(exitAPICEOI, cost)
+		h.ChargeXen(d, cost)
+		h.recordExit(ExitAPICEOI, cost)
 		if next, ok := d.lapic.EOI(); ok {
 			d.lapic.Ack()
 			if isr := d.isrs[next]; isr != nil && !d.paused {
@@ -246,14 +246,14 @@ func (h *Hypervisor) GuestAPICAccess(d *Domain, n float64) {
 		return
 	}
 	c := units.Cycles(n * float64(model.OtherAPICAccessCycles))
-	h.ChargeXen(d, "apic", c)
-	h.recordExitN(exitAPICOther, int64(n+0.5), c)
+	h.ChargeXen(d, c)
+	h.recordExitN(ExitAPICOther, int64(n+0.5), c)
 }
 
 // GuestHypercall charges a PVM hypercall (grant ops, event ops).
 func (h *Hypervisor) GuestHypercall(d *Domain, c units.Cycles) {
-	h.ChargeXen(d, "hypercall", c)
-	h.recordExit(exitHypercall, c)
+	h.ChargeXen(d, c)
+	h.recordExit(ExitHypercall, c)
 }
 
 // GuestMMIOWrite performs a guest MMIO write to an assigned function. Only
@@ -270,8 +270,8 @@ func (h *Hypervisor) GuestMMIOWrite(d *Domain, fn *pcie.Function, bar int, off u
 		} else if d.Type == HVM {
 			// Address/data programming: a plain trapped write, emulated in
 			// the hypervisor (rare, init only).
-			h.ChargeXen(d, "vmexit", 2000)
-			h.recordExit(exitMSIMask, 2000)
+			h.ChargeXen(d, 2000)
+			h.recordExit(ExitMSIMask, 2000)
 		}
 	}
 	fn.MMIOWrite(bar, off, val)
@@ -288,10 +288,10 @@ func (h *Hypervisor) GuestConfigAccess(d *Domain, writes int) {
 	const perAccessPVM = 3000   // pciback in-kernel
 	switch d.Type {
 	case HVM:
-		h.ChargeDom0("devicemodel", units.Cycles(writes)*perAccessDom0)
-		h.ChargeXen(d, "vmexit", units.Cycles(writes)*2000)
+		h.ChargeDom0(units.Cycles(writes) * perAccessDom0)
+		h.ChargeXen(d, units.Cycles(writes)*2000)
 	case PVM:
-		h.ChargeDom0("pciback", units.Cycles(writes)*perAccessPVM)
+		h.ChargeDom0(units.Cycles(writes) * perAccessPVM)
 	}
 	h.configAccesses.Add(int64(writes))
 }
@@ -305,7 +305,7 @@ func (h *Hypervisor) GuestConfigAccess(d *Domain, writes int) {
 func (h *Hypervisor) HotplugRemove(d *Domain, fn interface{ Name() string }, done func()) {
 	h.Tracer.Emitf(h.eng.Now(), "hotplug", "remove-signalled", "dom=%s", d.Name)
 	h.eng.After(model.HotplugEventLatency, "vmm:hotremove", func() {
-		h.ChargeDom0("devicemodel", 20000) // ACPI GPE emulation
+		h.ChargeDom0(20000) // ACPI GPE emulation
 		if d.HotplugHandler != nil {
 			d.HotplugHandler(HotplugEvent{Remove: true})
 		}
@@ -319,7 +319,7 @@ func (h *Hypervisor) HotplugRemove(d *Domain, fn interface{ Name() string }, don
 func (h *Hypervisor) HotplugAdd(d *Domain, done func()) {
 	h.Tracer.Emitf(h.eng.Now(), "hotplug", "add-signalled", "dom=%s", d.Name)
 	h.eng.After(model.HotplugEventLatency, "vmm:hotadd", func() {
-		h.ChargeDom0("devicemodel", 20000)
+		h.ChargeDom0(20000)
 		if d.HotplugHandler != nil {
 			d.HotplugHandler(HotplugEvent{Remove: false})
 		}
@@ -343,19 +343,19 @@ func (h *Hypervisor) ChargeTimerBaseline(d *Domain, window units.Duration) {
 	switch d.Type {
 	case HVM:
 		extCycles := units.Cycles(ticks * float64(model.ExtIntExitCycles))
-		h.ChargeXen(d, "timer", extCycles)
-		h.recordExitN(exitExtInt, int64(ticks), extCycles)
+		h.ChargeXen(d, extCycles)
+		h.recordExitN(ExitExtInt, int64(ticks), extCycles)
 		eoi := h.EOICost()
 		eoiCycles := units.Cycles(ticks * float64(eoi))
-		h.ChargeXen(d, "apic", eoiCycles)
-		h.recordExitN(exitAPICEOI, int64(ticks), eoiCycles)
+		h.ChargeXen(d, eoiCycles)
+		h.recordExitN(ExitAPICEOI, int64(ticks), eoiCycles)
 		h.GuestAPICAccess(d, ticks*model.OtherAPICPerTick)
-		h.ChargeGuest(d, "timer", units.Cycles(ticks*float64(model.TimerHandlerCycles)))
+		h.ChargeGuest(d, units.Cycles(ticks*float64(model.TimerHandlerCycles)))
 	case PVM:
-		h.ChargeXen(d, "timer", units.Cycles(ticks*float64(model.EvtchnSendCycles)))
-		h.ChargeGuest(d, "timer", units.Cycles(ticks*float64(model.TimerHandlerCycles+model.EvtchnGuestCycles)))
+		h.ChargeXen(d, units.Cycles(ticks*float64(model.EvtchnSendCycles)))
+		h.ChargeGuest(d, units.Cycles(ticks*float64(model.TimerHandlerCycles+model.EvtchnGuestCycles)))
 	case Native, Dom0:
-		h.meter.Charge(d.acct.slot(h.meter, "timer"), units.Cycles(ticks*float64(model.TimerHandlerCycles)))
+		h.meter.Charge(d.ledger, units.Cycles(ticks*float64(model.TimerHandlerCycles)))
 	}
 }
 
@@ -364,7 +364,7 @@ func (h *Hypervisor) ChargeTimerBaseline(d *Domain, window units.Duration) {
 func (h *Hypervisor) ChargeDom0Baseline(window units.Duration) {
 	freq := h.meter.System().Freq
 	base := model.Dom0BaselinePct / 100 * float64(freq.CyclesIn(window))
-	h.ChargeDom0("housekeeping", units.Cycles(base))
+	h.ChargeDom0(units.Cycles(base))
 	for _, d := range h.Domains() {
 		var pct float64
 		switch d.Type {
@@ -375,6 +375,6 @@ func (h *Hypervisor) ChargeDom0Baseline(window units.Duration) {
 		default:
 			continue
 		}
-		h.ChargeDom0("perguest", units.Cycles(pct/100*float64(freq.CyclesIn(window))))
+		h.ChargeDom0(units.Cycles(pct / 100 * float64(freq.CyclesIn(window))))
 	}
 }

@@ -86,13 +86,6 @@ func (vc *VirtualConfig) Read16(off int) uint16 {
 	return vc.fn.Config().Read16(off)
 }
 
-// Read32 performs a mediated 32-bit config read.
-func (vc *VirtualConfig) Read32(off int) uint32 {
-	vc.access()
-	vc.Reads++
-	return vc.fn.Config().Read32(off)
-}
-
 // Write16 performs a mediated 16-bit config write, enforcing the filter.
 func (vc *VirtualConfig) Write16(off int, v uint16) {
 	vc.access()

@@ -40,7 +40,7 @@ func TestIOVMReadThrough(t *testing.T) {
 		t.Fatalf("MSI cap at %#x", off)
 	}
 	// Each mediated access charges dom0 (HVM device-model path).
-	if b.meter.DomainCycles("dom0") == 0 {
+	if b.cycles("dom0") == 0 {
 		t.Fatal("mediated reads should cost dom0 cycles")
 	}
 	if vc.Reads == 0 {

@@ -117,43 +117,37 @@ type Optimizations struct {
 // AllOptimizations enables everything.
 var AllOptimizations = Optimizations{MaskAccel: true, EOIAccel: true}
 
-// ExitReason labels VM-exit classes for the Fig. 7 breakdown.
-type ExitReason string
+// ExitReason labels VM-exit classes for the Fig. 7 breakdown. It indexes
+// the dense ExitTrace, so recording an exit never hashes its reason.
+type ExitReason uint8
 
 // Exit reasons.
 const (
-	ExitExtInt    ExitReason = "external-interrupt"
-	ExitAPICEOI   ExitReason = "apic-access-eoi"
-	ExitAPICOther ExitReason = "apic-access-other"
-	ExitMSIMask   ExitReason = "msi-mask-unmask"
-	ExitHypercall ExitReason = "hypercall"
+	ExitExtInt ExitReason = iota
+	ExitAPICEOI
+	ExitAPICOther
+	ExitMSIMask
+	ExitHypercall
+	numExitReasons
 )
 
-// exitKind indexes the hypervisor's dense per-reason exit state, so
-// recording an exit never hashes its reason.
-type exitKind uint8
-
-const (
-	exitExtInt exitKind = iota
-	exitAPICEOI
-	exitAPICOther
-	exitMSIMask
-	exitHypercall
-	numExitKinds
-)
-
-// exitReasons names each kind in the Exits trace; exitMetrics is its
-// "vmm.exits.<name>" metric segment.
+// exitNames is each reason's label; exitMetrics is its "vmm.exits.<name>"
+// metric segment.
 var (
-	exitReasons = [numExitKinds]ExitReason{ExitExtInt, ExitAPICEOI, ExitAPICOther, ExitMSIMask, ExitHypercall}
-	exitMetrics = [numExitKinds]string{"extint", "eoi", "apic_other", "msi_mask", "hypercall"}
+	exitNames   = [numExitReasons]string{"external-interrupt", "apic-access-eoi", "apic-access-other", "msi-mask-unmask", "hypercall"}
+	exitMetrics = [numExitReasons]string{"extint", "eoi", "apic_other", "msi_mask", "hypercall"}
 )
+
+func (r ExitReason) String() string { return exitNames[r] }
 
 // ExitRecord accumulates count and hypervisor cycles per exit reason.
 type ExitRecord struct {
 	Count  int64
 	Cycles units.Cycles
 }
+
+// ExitTrace is the per-reason VM-exit trace, indexed by ExitReason.
+type ExitTrace [numExitReasons]ExitRecord
 
 // Domain is one VM (or dom0, or the native pseudo-domain).
 type Domain struct {
@@ -171,8 +165,8 @@ type Domain struct {
 	isrs    *[256]func()
 	upcalls []func()
 
-	// acct binds the domain's cycle accounts to meter slots.
-	acct accountSlots
+	// ledger is the domain's CPU ledger in the hypervisor's meter.
+	ledger cpu.Ledger
 
 	// HotplugHandler receives virtual ACPI hot-plug events (§4.4).
 	HotplugHandler func(ev HotplugEvent)
@@ -184,44 +178,14 @@ type Domain struct {
 	corrupted bool
 }
 
-// LAPIC exposes the domain's virtual LAPIC (HVM only; nil otherwise).
-func (d *Domain) LAPIC() *interrupts.LAPIC { return d.lapic }
-
-// Events exposes the domain's event channels (PVM and dom0).
-func (d *Domain) Events() *interrupts.EventChannels { return d.events }
+// Ledger reports the domain's CPU ledger in the hypervisor's meter.
+func (d *Domain) Ledger() cpu.Ledger { return d.ledger }
 
 // Assigned reports the passthrough functions assigned to the domain.
 func (d *Domain) Assigned() []*pcie.Function { return d.assigned }
 
 // Paused reports whether the domain is paused (stop-and-copy phase).
 func (d *Domain) Paused() bool { return d.paused }
-
-// accountSlots caches one domain's bound meter slots by category. A domain
-// charges a handful of categories, so scanning its category names finds a
-// slot without hashing; a category's first charge binds it.
-type accountSlots struct {
-	domain string
-	bound  []boundCategory
-}
-
-type boundCategory struct {
-	category string
-	slot     cpu.Slot
-}
-
-func (a *accountSlots) slot(m *cpu.Meter, category string) cpu.Slot {
-	for i := range a.bound {
-		if a.bound[i].category == category {
-			return a.bound[i].slot
-		}
-	}
-	if a.bound == nil {
-		a.bound = make([]boundCategory, 0, 8)
-	}
-	s := m.Bind(cpu.Account{Domain: a.domain, Category: category})
-	a.bound = append(a.bound, boundCategory{category, s})
-	return s
-}
 
 // HotplugEvent is a virtual ACPI hot-plug notification.
 type HotplugEvent struct {
@@ -244,13 +208,11 @@ type Hypervisor struct {
 
 	dom0 *Domain
 	iovm *IOVM
-	// xen binds the hypervisor's own cycle accounts ("xen/<category>").
-	xen accountSlots
+	// xen is the hypervisor's own CPU ledger.
+	xen cpu.Ledger
 
-	// Exits is the per-reason VM-exit trace backing Fig. 7. exitRecs holds
-	// the same records by kind for the recording path.
-	Exits    map[ExitReason]*ExitRecord
-	exitRecs [numExitKinds]*ExitRecord
+	// exits is the VM-exit trace backing Fig. 7.
+	exits ExitTrace
 	// Counters is the hypervisor's own registry of miscellaneous event
 	// counts: "assign", "unassign", "msi_rejected", "msi_while_paused",
 	// "msi_mask_writes", "eoi_misemulation" and "config_accesses".
@@ -266,10 +228,10 @@ type Hypervisor struct {
 	Tracer *obs.Trace
 
 	// Obs, when set, mirrors per-reason exit counts into named counters
-	// ("vmm.exits.<reason>") so the metrics pipeline sees them without
-	// reaching into Exits. exitCounters caches the instrument per kind.
+	// ("vmm.exits.<reason>"), each registered on its reason's first
+	// record. exitCounters caches the instrument per reason.
 	Obs          *obs.Registry
-	exitCounters [numExitKinds]*obs.Counter
+	exitCounters [numExitReasons]*obs.Counter
 }
 
 // NewFlavored creates a hypervisor of the given flavor bound to the
@@ -286,9 +248,8 @@ func NewFlavored(eng *sim.Engine, meter *cpu.Meter, fabric *pcie.Fabric, mmu *io
 		vectors:          interrupts.NewAllocator(),
 		opts:             opts,
 		flavor:           flavor,
-		xen:              accountSlots{domain: "xen"},
+		xen:              meter.Ledger("xen"),
 		domains:          make(map[int]*Domain),
-		Exits:            make(map[ExitReason]*ExitRecord),
 		Counters:         r,
 		assigns:          r.Counter("assign"),
 		unassigns:        r.Counter("unassign"),
@@ -307,9 +268,6 @@ func NewFlavored(eng *sim.Engine, meter *cpu.Meter, fabric *pcie.Fabric, mmu *io
 	return h
 }
 
-// Flavor reports the VMM flavor.
-func (h *Hypervisor) Flavor() Flavor { return h.flavor }
-
 // Engine returns the simulation engine.
 func (h *Hypervisor) Engine() *sim.Engine { return h.eng }
 
@@ -318,6 +276,12 @@ func (h *Hypervisor) Meter() *cpu.Meter { return h.meter }
 
 // IOMMU returns the IOMMU.
 func (h *Hypervisor) IOMMU() *iommu.IOMMU { return h.mmu }
+
+// Xen returns the hypervisor's own CPU ledger.
+func (h *Hypervisor) Xen() cpu.Ledger { return h.xen }
+
+// Exits returns the VM-exit trace since the last ResetExitTrace.
+func (h *Hypervisor) Exits() ExitTrace { return h.exits }
 
 // Dom0 returns the service domain.
 func (h *Hypervisor) Dom0() *Domain { return h.dom0 }
@@ -343,7 +307,7 @@ func (h *Hypervisor) createDomain(name string, t DomainType, k KernelConfig, dm 
 		Type:   t,
 		Kernel: k,
 		Memory: dm,
-		acct:   accountSlots{domain: name},
+		ledger: h.meter.Ledger(name),
 	}
 	switch t {
 	case HVM:
@@ -447,54 +411,45 @@ func (h *Hypervisor) pollutionActive(d *Domain) bool {
 	return d.Type == HVM && d.Kernel.MasksMSIAtRuntime && !h.opts.MaskAccel
 }
 
-// ChargeGuest charges guest-context cycles, applying the pollution factor
-// when the unoptimized mask path is thrashing caches.
-func (h *Hypervisor) ChargeGuest(d *Domain, category string, c units.Cycles) {
+// ChargeGuest charges guest-context cycles to the guest's ledger, applying
+// the pollution factor when the unoptimized mask path is thrashing caches.
+func (h *Hypervisor) ChargeGuest(d *Domain, c units.Cycles) {
 	if h.pollutionActive(d) {
 		c = units.Cycles(float64(c) * model.MaskPollutionFactor)
 	}
-	h.meter.Charge(d.acct.slot(h.meter, category), c)
+	h.meter.Charge(d.ledger, c)
 }
 
-// ChargeXen charges hypervisor cycles (attributed to "xen" as the paper's
-// stacked bars do), with the same pollution rule.
-func (h *Hypervisor) ChargeXen(d *Domain, category string, c units.Cycles) {
+// ChargeXen charges hypervisor cycles spent on d's behalf to the "xen"
+// ledger (as the paper's stacked bars do), with the same pollution rule.
+func (h *Hypervisor) ChargeXen(d *Domain, c units.Cycles) {
 	if h.pollutionActive(d) {
 		c = units.Cycles(float64(c) * model.MaskPollutionFactor)
 	}
-	h.meter.Charge(h.xen.slot(h.meter, category), c)
+	h.meter.Charge(h.xen, c)
 }
 
 // ChargeDom0 charges service-domain cycles (dom0 on Xen, the host on KVM).
-func (h *Hypervisor) ChargeDom0(category string, c units.Cycles) {
-	h.meter.Charge(h.dom0.acct.slot(h.meter, category), c)
+func (h *Hypervisor) ChargeDom0(c units.Cycles) {
+	h.meter.Charge(h.dom0.ledger, c)
 }
 
-func (h *Hypervisor) recordExit(k exitKind, c units.Cycles) {
-	h.recordExitN(k, 1, c)
+func (h *Hypervisor) recordExit(r ExitReason, c units.Cycles) {
+	h.recordExitN(r, 1, c)
 }
 
-func (h *Hypervisor) recordExitN(k exitKind, n int64, c units.Cycles) {
-	rec := h.exitRecs[k]
-	if rec == nil {
-		rec = &ExitRecord{}
-		h.exitRecs[k] = rec
-		h.Exits[exitReasons[k]] = rec
-	}
-	rec.Count += n
-	rec.Cycles += c
+func (h *Hypervisor) recordExitN(r ExitReason, n int64, c units.Cycles) {
+	h.exits[r].Count += n
+	h.exits[r].Cycles += c
 	if h.Obs != nil {
-		ctr := h.exitCounters[k]
+		ctr := h.exitCounters[r]
 		if ctr == nil {
-			ctr = h.Obs.Counter("vmm.exits." + exitMetrics[k])
-			h.exitCounters[k] = ctr
+			ctr = h.Obs.Counter("vmm.exits." + exitMetrics[r])
+			h.exitCounters[r] = ctr
 		}
 		ctr.Add(n)
 	}
 }
 
 // ResetExitTrace clears the Fig. 7 trace.
-func (h *Hypervisor) ResetExitTrace() {
-	h.Exits = make(map[ExitReason]*ExitRecord)
-	h.exitRecs = [numExitKinds]*ExitRecord{}
-}
+func (h *Hypervisor) ResetExitTrace() { h.exits = ExitTrace{} }

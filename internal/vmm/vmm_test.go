@@ -36,6 +36,11 @@ func newBed(opts Optimizations) *bed {
 	}
 }
 
+// cycles reads the named domain's ledger.
+func (b *bed) cycles(domain string) units.Cycles {
+	return b.meter.DomainCycles(b.meter.Ledger(domain))
+}
+
 func (b *bed) guest(t *testing.T, name string, typ DomainType, k KernelConfig) *Domain {
 	t.Helper()
 	dm, err := mem.NewDomainMemory(b.machine, 64*units.MiB)
@@ -51,11 +56,11 @@ func TestDomainCreation(t *testing.T) {
 		t.Fatal("dom0 missing")
 	}
 	g := b.guest(t, "guest-1", HVM, KernelRHEL5)
-	if g.LAPIC() == nil {
+	if g.lapic == nil {
 		t.Fatal("HVM guest needs a virtual LAPIC")
 	}
 	p := b.guest(t, "guest-2", PVM, Kernel2628)
-	if p.Events() == nil {
+	if p.events == nil {
 		t.Fatal("PVM guest needs event channels")
 	}
 	if len(b.hv.Domains()) != 3 {
@@ -86,20 +91,20 @@ func TestHVMInterruptDelivery(t *testing.T) {
 		t.Fatal("ISR did not run")
 	}
 	// Xen paid the external-interrupt exit.
-	if b.hv.Exits[ExitExtInt] == nil || b.hv.Exits[ExitExtInt].Count != 1 {
+	if b.hv.Exits()[ExitExtInt].Count != 1 {
 		t.Fatal("ext-int exit not recorded")
 	}
-	if b.meter.DomainCycles("xen") != model.ExtIntExitCycles {
-		t.Fatalf("xen cycles = %d", b.meter.DomainCycles("xen"))
+	if b.cycles("xen") != model.ExtIntExitCycles {
+		t.Fatalf("xen cycles = %d", b.cycles("xen"))
 	}
 	// The vector is in service until EOI: the first EOI retires it, so a
 	// second finds nothing in service.
 	b.hv.GuestEOI(g)
-	if g.LAPIC().SpuriousEOI != 0 {
+	if g.lapic.SpuriousEOI != 0 {
 		t.Fatal("vector should be in service")
 	}
 	b.hv.GuestEOI(g)
-	if g.LAPIC().SpuriousEOI != 1 {
+	if g.lapic.SpuriousEOI != 1 {
 		t.Fatal("EOI should clear service")
 	}
 }
@@ -118,13 +123,13 @@ func TestPVMInterruptDelivery(t *testing.T) {
 	}
 	// PVM pays ext-int exit + evtchn send + guest upcall; no APIC exits.
 	wantXen := model.ExtIntExitCycles + model.EvtchnSendCycles
-	if b.meter.DomainCycles("xen") != wantXen {
-		t.Fatalf("xen cycles = %d, want %d", b.meter.DomainCycles("xen"), wantXen)
+	if b.cycles("xen") != wantXen {
+		t.Fatalf("xen cycles = %d, want %d", b.cycles("xen"), wantXen)
 	}
-	if b.meter.DomainCycles("guest-1") != model.EvtchnGuestCycles {
-		t.Fatalf("guest cycles = %d", b.meter.DomainCycles("guest-1"))
+	if b.cycles("guest-1") != model.EvtchnGuestCycles {
+		t.Fatalf("guest cycles = %d", b.cycles("guest-1"))
 	}
-	if b.hv.Exits[ExitAPICEOI] != nil {
+	if b.hv.Exits()[ExitAPICEOI] != (ExitRecord{}) {
 		t.Fatal("PVM should have no APIC exits")
 	}
 }
@@ -138,7 +143,7 @@ func TestNativeInterruptDelivery(t *testing.T) {
 	if ran != 1 {
 		t.Fatal("native ISR did not run")
 	}
-	if b.meter.DomainCycles("xen") != 0 {
+	if b.cycles("xen") != 0 {
 		t.Fatal("native delivery must not charge xen")
 	}
 }
@@ -175,24 +180,25 @@ func TestMaskWriteCostRouting(t *testing.T) {
 	// small cost and dom0 nothing.
 	b := newBed(Optimizations{})
 	g := b.guest(t, "guest-1", HVM, KernelRHEL5)
+	before := b.cycles("dom0")
 	b.hv.GuestMSIMaskWrite(g)
-	if got := b.meter.Cycles(cpu.Account{Domain: "dom0", Category: "devicemodel"}); got != model.MaskViaDeviceModelDom0Cycles {
-		t.Fatalf("dom0 devicemodel cycles = %d", got)
+	if got := b.cycles("dom0") - before; got != model.MaskViaDeviceModelDom0Cycles {
+		t.Fatalf("dom0 device-model cycles = %d", got)
 	}
 
 	b2 := newBed(Optimizations{MaskAccel: true})
 	g2 := b2.guest(t, "guest-1", HVM, KernelRHEL5)
 	b2.hv.GuestMSIMaskWrite(g2)
-	if got := b2.meter.DomainCycles("dom0"); got != 0 {
+	if got := b2.cycles("dom0"); got != 0 {
 		t.Fatalf("accelerated mask should not touch dom0, got %d", got)
 	}
-	if got := b2.meter.DomainCycles("xen"); got != model.MaskInHypervisorCycles {
+	if got := b2.cycles("xen"); got != model.MaskInHypervisorCycles {
 		t.Fatalf("xen cycles = %d", got)
 	}
 	// PVM guests never pay.
 	g3 := b2.guest(t, "guest-2", PVM, KernelRHEL5)
 	b2.hv.GuestMSIMaskWrite(g3)
-	if b2.meter.DomainCycles("guest-2") != 0 {
+	if b2.cycles("guest-2") != 0 {
 		t.Fatal("PVM mask write should be free")
 	}
 }
@@ -210,10 +216,10 @@ func TestEOICostVariants(t *testing.T) {
 		b := newBed(c.opts)
 		g := b.guest(t, "guest-1", HVM, Kernel2628)
 		b.hv.GuestEOI(g)
-		if got := b.meter.DomainCycles("xen"); got != c.want {
+		if got := b.cycles("xen"); got != c.want {
 			t.Fatalf("opts %+v: xen cycles = %d, want %d", c.opts, got, c.want)
 		}
-		if b.hv.Exits[ExitAPICEOI].Count != 1 {
+		if b.hv.Exits()[ExitAPICEOI].Count != 1 {
 			t.Fatal("EOI exit not recorded")
 		}
 	}
@@ -251,13 +257,13 @@ func TestPollutionFactor(t *testing.T) {
 	// path is active.
 	b := newBed(Optimizations{})
 	g := b.guest(t, "guest-1", HVM, KernelRHEL5) // masks at runtime, no accel
-	b.hv.ChargeGuest(g, "stack", 10000)
-	dirty := b.meter.DomainCycles("guest-1")
+	b.hv.ChargeGuest(g, 10000)
+	dirty := b.cycles("guest-1")
 
 	b2 := newBed(Optimizations{MaskAccel: true})
 	g2 := b2.guest(t, "guest-1", HVM, KernelRHEL5)
-	b2.hv.ChargeGuest(g2, "stack", 10000)
-	clean := b2.meter.DomainCycles("guest-1")
+	b2.hv.ChargeGuest(g2, 10000)
+	clean := b2.cycles("guest-1")
 	if dirty <= clean {
 		t.Fatalf("pollution factor missing: dirty=%d clean=%d", dirty, clean)
 	}
@@ -308,9 +314,9 @@ func TestHotplugEvents(t *testing.T) {
 	g.HotplugHandler = func(ev HotplugEvent) { events = append(events, ev) }
 	doneRemove, doneAdd := false, false
 	b.hv.HotplugRemove(g, nil, func() { doneRemove = true })
-	b.eng.Run()
+	b.eng.RunUntil(sim.Forever)
 	b.hv.HotplugAdd(g, func() { doneAdd = true })
-	b.eng.Run()
+	b.eng.RunUntil(sim.Forever)
 	if len(events) != 2 || !events[0].Remove || events[1].Remove {
 		t.Fatalf("events = %v", events)
 	}
@@ -327,14 +333,14 @@ func TestTimerBaselineFlavours(t *testing.T) {
 	b.hv.ChargeTimerBaseline(hvm, units.Second)
 	b.hv.ChargeTimerBaseline(pvm, units.Second)
 	now := units.Time(units.Second)
-	hvmCost := b.meter.Utilization("hvm", now)
-	pvmCost := b.meter.Utilization("pvm", now)
+	hvmCost := b.meter.Utilization(b.meter.Ledger("hvm"), now)
+	pvmCost := b.meter.Utilization(b.meter.Ledger("pvm"), now)
 	if hvmCost <= 0 || pvmCost <= 0 {
 		t.Fatal("timer baseline should charge both")
 	}
 	// HVM timer ticks also burn xen cycles on APIC emulation; the xen side
 	// must dominate the PVM equivalent.
-	if b.meter.DomainCycles("xen") <= 0 {
+	if b.cycles("xen") <= 0 {
 		t.Fatal("xen timer cost missing")
 	}
 }
@@ -345,7 +351,7 @@ func TestDom0Baseline(t *testing.T) {
 	b.guest(t, "g2", PVM, Kernel2628)
 	b.meter.ResetWindow(0)
 	b.hv.ChargeDom0Baseline(units.Second)
-	util := b.meter.Utilization("dom0", units.Time(units.Second))
+	util := b.meter.Utilization(b.meter.Ledger("dom0"), units.Time(units.Second))
 	if util < model.Dom0BaselinePct || util > model.Dom0BaselinePct+1 {
 		t.Fatalf("dom0 baseline = %v", util)
 	}
@@ -355,10 +361,12 @@ func TestGuestConfigAccessCosts(t *testing.T) {
 	b := newBed(Optimizations{})
 	hvm := b.guest(t, "hvm", HVM, Kernel2628)
 	pvm := b.guest(t, "pvm", PVM, Kernel2628)
+	before := b.cycles("dom0")
 	b.hv.GuestConfigAccess(hvm, 10)
-	hvmDom0 := b.meter.Cycles(cpu.Account{Domain: "dom0", Category: "devicemodel"})
+	hvmDom0 := b.cycles("dom0") - before
+	before = b.cycles("dom0")
 	b.hv.GuestConfigAccess(pvm, 10)
-	pvmDom0 := b.meter.Cycles(cpu.Account{Domain: "dom0", Category: "pciback"})
+	pvmDom0 := b.cycles("dom0") - before
 	if hvmDom0 <= pvmDom0 {
 		t.Fatal("device-model path should cost more than pciback")
 	}
@@ -368,11 +376,11 @@ func TestExitTraceReset(t *testing.T) {
 	b := newBed(Optimizations{})
 	g := b.guest(t, "g", HVM, Kernel2628)
 	b.hv.GuestEOI(g)
-	if r := b.hv.Exits[ExitAPICEOI]; r == nil || r.Cycles == 0 {
+	if b.hv.Exits()[ExitAPICEOI].Cycles == 0 {
 		t.Fatal("exit cycles missing")
 	}
 	b.hv.ResetExitTrace()
-	if len(b.hv.Exits) != 0 {
+	if b.hv.Exits() != (ExitTrace{}) {
 		t.Fatal("reset did not clear")
 	}
 }
@@ -400,7 +408,7 @@ func TestComplexEOIWriterRisk(t *testing.T) {
 		t.Fatal("checked fast path must stay correct")
 	}
 	want := model.EOICheckCycles + model.EOIEmulateCycles
-	if got := b2.meter.DomainCycles("xen"); got != want {
+	if got := b2.cycles("xen"); got != want {
 		t.Fatalf("checked complex EOI cost = %d, want %d", got, want)
 	}
 

@@ -9,5 +9,7 @@ import (
 func main() {
 	var t mylib.T
 	t.Live()
-	fmt.Println(mylib.Used(), t)
+	var r mylib.Runner = t
+	r.Run()
+	fmt.Println(mylib.Used(), t, mylib.Box[int]{}.Get(), mylib.New().Peek())
 }

@@ -1,12 +1,30 @@
 // Package lib is a fixture for the dead-API gate: every exported
-// identifier here is either referenced by cmd/tool or planted dead.
+// identifier here is either used by cmd/tool or planted dead.
 package lib
 
-// T carries one live method, one dead one and an exempt String.
+// T carries live methods (a direct call, an interface call, an exempt
+// String) and one dead one.
 type T struct{}
+
+// U is planted dead twice over: its methods share their names with live
+// methods of T, which only a gate that matches by name would count.
+type U struct{}
+
+// Runner is the interface cmd/tool calls Run through.
+type Runner interface{ Run() }
+
+// hidden is unexported, but New hands one out, so its exported methods are
+// API all the same.
+type hidden struct{}
+
+// Box is generic: cmd/tool calls Get on an instantiation.
+type Box[V any] struct{ v V }
 
 // Used is called by cmd/tool.
 func Used() int { return limit }
+
+// New is called by cmd/tool.
+func New() hidden { return hidden{} }
 
 // Unused is referenced only by lib_test.go, which the gate ignores.
 func Unused() {}
@@ -22,5 +40,23 @@ func (T) Live() {}
 // Dead is called only by lib_test.go.
 func (T) Dead() {}
 
+// Run is live: cmd/tool calls it through Runner.
+func (T) Run() {}
+
 // String is exempt: fmt calls it through fmt.Stringer.
 func (T) String() string { return "T" }
+
+// Live is dead: cmd/tool's t.Live() resolves to T.Live.
+func (U) Live() {}
+
+// Run is dead: its signature does not implement Runner.
+func (U) Run(int) {}
+
+// Get is live through Box[int].
+func (b Box[V]) Get() V { return b.v }
+
+// Peek is live: cmd/tool calls it on New's result.
+func (hidden) Peek() int { return 1 }
+
+// Poke is dead: only lib_test.go calls it.
+func (hidden) Poke() {}
