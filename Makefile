@@ -21,7 +21,7 @@ vet:
 # BENCH.json (wall clock per experiment, simulated events/sec, packets/sec,
 # allocations, headline figure metrics).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/iommu ./internal/interrupts ./internal/cpu ./internal/nic | tee gobench.txt
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/iommu ./internal/interrupts ./internal/cpu ./internal/nic ./internal/sim | tee gobench.txt
 	$(GO) run ./cmd/sriovsim -all -parallel 0 -q -gobench gobench.txt -bench-out BENCH.json > /dev/null
 	@echo "wrote BENCH.json"
 

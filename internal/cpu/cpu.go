@@ -138,9 +138,6 @@ type Worker struct {
 	busy     bool
 	evName   string
 	done     func()
-	// Overload tracks rejected jobs for diagnostics.
-	Rejected int64
-	Served   int64
 }
 
 // NewWorker creates a worker charging the given ledger. queueCap bounds the
@@ -162,7 +159,6 @@ func (w *Worker) Busy() bool { return w.busy }
 // Submit enqueues a job, reporting false if the queue is full.
 func (w *Worker) Submit(j Job) bool {
 	if w.queueCap > 0 && w.queue.n >= w.queueCap {
-		w.Rejected++
 		return false
 	}
 	w.queue.push(j)
@@ -188,7 +184,6 @@ func (w *Worker) complete() {
 	j := w.cur
 	w.cur = Job{}
 	w.meter.Charge(w.ledger, j.Cost)
-	w.Served++
 	if j.Run != nil {
 		j.Run()
 	}

@@ -106,30 +106,24 @@ func TestWorkerServesFIFO(t *testing.T) {
 	if m.DomainCycles(dom0) != 3*2800 {
 		t.Fatal("cycles not charged")
 	}
-	if w.Served != 3 {
-		t.Fatalf("served = %d", w.Served)
-	}
 }
 
 func TestWorkerQueueCap(t *testing.T) {
 	eng := sim.NewEngine(1)
 	w := newWorker(eng, 2)
-	ok := 0
+	ok, served := 0, 0
 	for i := 0; i < 5; i++ {
-		if w.Submit(Job{Cost: 2800}) {
+		if w.Submit(Job{Cost: 2800, Run: func() { served++ }}) {
 			ok++
 		}
 	}
 	// First starts service immediately, two queue, rest rejected.
-	if ok != 3 {
-		t.Fatalf("accepted = %d, want 3", ok)
-	}
-	if w.Rejected != 2 {
-		t.Fatalf("rejected = %d, want 2", w.Rejected)
+	if ok != 3 || !w.Busy() || w.QueueLen() != 2 {
+		t.Fatalf("accepted %d, busy %v, queued %d; want 3, true, 2", ok, w.Busy(), w.QueueLen())
 	}
 	eng.RunUntil(sim.Forever)
-	if w.Served != 3 {
-		t.Fatalf("served = %d, want 3", w.Served)
+	if served != 3 {
+		t.Fatalf("served = %d, want 3", served)
 	}
 }
 
@@ -160,18 +154,16 @@ func TestPoolSpreadsLoad(t *testing.T) {
 	p := NewPool(eng, m, dom0, 4, 0)
 	perJob := testSys.Freq.CyclesIn(units.Millisecond)
 	// 3 thread-seconds of work across 4 workers in 1 second: ~75% each.
+	served, rejected := 0, 0
 	for i := 0; i < 3000; i++ {
-		p.Submit(Job{Cost: perJob})
+		if !p.Submit(Job{Cost: perJob, Run: func() { served++ }}) {
+			rejected++
+		}
 	}
 	end := eng.RunUntil(units.Time(units.Second))
 	util := m.Utilization(dom0, end)
 	if util < 295 || util > 305 {
 		t.Fatalf("pool utilization = %v, want ~300", util)
-	}
-	var served, rejected int64
-	for _, w := range p.workers {
-		served += w.Served
-		rejected += w.Rejected
 	}
 	if served != 3000 || rejected != 0 {
 		t.Fatalf("served %d, rejected %d; want 3000, 0", served, rejected)
@@ -265,8 +257,8 @@ func TestWorkerRing(t *testing.T) {
 				t.Fatalf("order[%d] = %d, want FIFO order %v", i, got, order)
 			}
 		}
-		if w.Served != int64(next) || w.Busy() || w.QueueLen() != 0 {
-			t.Fatalf("served %d, busy %v, queued %d after drain", w.Served, w.Busy(), w.QueueLen())
+		if w.Busy() || w.QueueLen() != 0 {
+			t.Fatalf("busy %v, queued %d after drain", w.Busy(), w.QueueLen())
 		}
 		if w.cur.Run != nil {
 			t.Fatal("finished job still pinned in service slot")
@@ -280,11 +272,14 @@ func TestWorkerRing(t *testing.T) {
 	t.Run("cap-rejects-after-wrap", func(t *testing.T) {
 		eng := sim.NewEngine(1)
 		w := newWorker(eng, 3)
+		rejected, served := 0, 0
 		for round := 0; round < 10; round++ {
 			accepted := 0
 			for i := 0; i < 6; i++ {
-				if w.Submit(Job{Cost: cost}) {
+				if w.Submit(Job{Cost: cost, Run: func() { served++ }}) {
 					accepted++
+				} else {
+					rejected++
 				}
 			}
 			// An idle worker takes one into service and queues three.
@@ -293,24 +288,25 @@ func TestWorkerRing(t *testing.T) {
 			}
 			eng.RunUntil(sim.Forever)
 		}
-		if w.Rejected != 20 || w.Served != 40 {
-			t.Fatalf("rejected %d, served %d; want 20, 40", w.Rejected, w.Served)
+		if rejected != 20 || served != 40 {
+			t.Fatalf("rejected %d, served %d; want 20, 40", rejected, served)
 		}
 	})
 	t.Run("unbounded-at-cap-0", func(t *testing.T) {
 		eng := sim.NewEngine(1)
 		w := newWorker(eng, 0)
+		served := 0
 		for i := 0; i < 1000; i++ {
-			if !w.Submit(Job{Cost: cost}) {
+			if !w.Submit(Job{Cost: cost, Run: func() { served++ }}) {
 				t.Fatalf("job %d rejected with queueCap 0", i)
 			}
 		}
-		if w.QueueLen() != 999 || w.Rejected != 0 {
-			t.Fatalf("queued %d, rejected %d; want 999, 0", w.QueueLen(), w.Rejected)
+		if w.QueueLen() != 999 {
+			t.Fatalf("queued %d, want 999", w.QueueLen())
 		}
 		eng.RunUntil(sim.Forever)
-		if w.Served != 1000 {
-			t.Fatalf("served %d, want 1000", w.Served)
+		if served != 1000 || eng.Now() != units.Time(1000*units.Microsecond) {
+			t.Fatalf("served %d by %v, want 1000 by 1ms", served, eng.Now())
 		}
 	})
 }

@@ -94,9 +94,8 @@ type Summary struct {
 	Tasks int
 	// TaskWall summarizes the per-task wall times.
 	TaskWall TaskWall
-	// Events is the number of simulation events executed during the run
-	// (from the engine's process-wide counter; runs sharing a process with
-	// other simulation work will overcount).
+	// Events is the number of simulation events the run's points executed,
+	// summed over the workers' event arenas.
 	Events uint64
 	// Obs is the run's merged metrics registry: every task runs with its
 	// own private registry, and they are merged in point order after the
@@ -159,7 +158,6 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 	sum.Tasks = len(tasks)
 
 	start := time.Now()
-	eventsBefore := sim.TotalProcessed()
 
 	// mu guards the per-experiment accumulators (Wall, Tasks, Allocs), the
 	// task-wall distribution, and Progress.
@@ -167,14 +165,16 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 	ch := make(chan *task)
 	var wg sync.WaitGroup
 	trackAllocs := workers == 1
-	for w := 0; w < workers; w++ {
+	// One event arena per worker goroutine: consecutive points on this
+	// worker reuse each other's event storage, and the arena counts the
+	// events they execute. Arenas are never shared across goroutines.
+	arenas := make([]*sim.Arena, workers)
+	for w := range arenas {
+		arena := sim.NewArena()
+		arenas[w] = arena
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One event arena per worker goroutine: consecutive points on
-			// this worker reuse each other's event storage. Arenas are never
-			// shared across goroutines.
-			arena := sim.NewArena()
 			for t := range ch {
 				t.res, t.reg, t.err = runTask(specs[t.spec], t.point, &sum.Results[t.spec], sum, &mu, opts.Progress, arena, trackAllocs)
 			}
@@ -220,7 +220,9 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 	}
 
 	sum.Wall = time.Since(start)
-	sum.Events = sim.TotalProcessed() - eventsBefore
+	for _, a := range arenas {
+		sum.Events += a.Executed()
+	}
 	return sum
 }
 

@@ -259,6 +259,36 @@ func TestResultsInInputOrderAndCounted(t *testing.T) {
 	}
 }
 
+// TestEventsCountsEveryPointOnce checks Summary.Events is the sum of the
+// events the points' engines executed on their workers' arenas: exact, and
+// the same at any parallelism. A point that leaves events pending, or
+// builds an engine on a private arena, contributes only what ran on the
+// worker's arena.
+func TestEventsCountsEveryPointOnce(t *testing.T) {
+	point := func(n int) experiments.Point {
+		return experiments.Point{Label: fmt.Sprint(n), Run: func(seed uint64, _ *obs.Registry, arena *sim.Arena) any {
+			e := sim.NewEngineArena(seed, arena)
+			for i := 0; i < n; i++ {
+				e.After(sim.Duration(i)*1000, "tick", func() {})
+			}
+			e.RunUntil(sim.Time(n/2) * 1000) // half of them stay pending
+			private := sim.NewEngine(seed)
+			private.After(1, "elsewhere", func() {})
+			private.RunUntil(sim.Forever)
+			return nil
+		}}
+	}
+	spec := experiments.Spec{ID: "count", Title: "count",
+		Points: []experiments.Point{point(10), point(21), point(4), point(1)},
+		Build:  func([]any) *report.Figure { return &report.Figure{ID: "count"} }}
+	const want = 6 + 11 + 3 + 1 // events at or before each point's deadline
+	for _, workers := range []int{1, 3} {
+		if got := Run([]experiments.Spec{spec}, Options{Parallel: workers}).Events; got != want {
+			t.Fatalf("parallel %d: Events = %d, want %d", workers, got, want)
+		}
+	}
+}
+
 // TestPanicIsolation: a panicking point fails its own experiment and leaves
 // the rest of the pool running.
 func TestPanicIsolation(t *testing.T) {

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/units"
+)
 
 // TestArenaDoublePutDetected exercises the pool-integrity tripwire: a
 // second put of the same event must be counted and refused (the free list
@@ -64,5 +68,33 @@ func TestEngineArenaAccessor(t *testing.T) {
 	e2.Run()
 	if got := e2.Arena().Corruptions(); got != 0 {
 		t.Fatalf("healthy run: corruptions = %d, want 0", got)
+	}
+}
+
+// TestArenaCountsExecutedEvents checks the arena counts the events every
+// engine drawing on it executes — and only those: cancelled events are
+// reaped, not executed, and an engine on another arena counts elsewhere.
+func TestArenaCountsExecutedEvents(t *testing.T) {
+	shared := NewArena()
+	a, b := NewEngineArena(1, shared), NewEngineArena(2, shared)
+	other := NewEngine(3)
+	for i := 0; i < 10; i++ {
+		a.After(Duration(i), "a", func() {})
+		b.After(Duration(i)*units.Microsecond, "b", func() {})
+		other.After(Duration(i), "other", func() {})
+	}
+	b.After(5, "cancelled", func() {}).Cancel()
+	a.Run()
+	b.RunUntil(Time(4 * units.Microsecond))
+	if got, want := shared.Executed(), a.Processed()+b.Processed(); got != want || got != 15 {
+		t.Fatalf("shared arena executed = %d, want %d = 15", got, want)
+	}
+	b.Run()
+	other.Run()
+	if got := shared.Executed(); got != 20 {
+		t.Fatalf("shared arena executed = %d after both drained, want 20", got)
+	}
+	if got := other.Arena().Executed(); got != 10 {
+		t.Fatalf("private arena executed = %d, want 10", got)
 	}
 }

@@ -10,7 +10,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/units"
 )
@@ -51,10 +50,12 @@ func (h Handle) Pending() bool {
 }
 
 type event struct {
-	when      Time
-	seq       uint64 // schedule order, breaks ties deterministically
-	name      string
+	when Time
+	seq  uint64 // schedule order, breaks ties deterministically
+	// next links the event into its timer-wheel slot list.
+	next      *event
 	fn        func()
+	name      string
 	cancelled bool
 	index     int // heap index
 	// gen is bumped every time the event is recycled into the free list.
@@ -84,6 +85,9 @@ type Arena struct {
 	// pooled. Zero on every healthy run; the chaos invariant checker gates
 	// on it (pool-integrity invariant).
 	corruptions int64
+	// executed counts the events every engine drawing on this arena has
+	// executed.
+	executed uint64
 }
 
 // NewArena returns an empty event free list.
@@ -92,6 +96,10 @@ func NewArena() *Arena { return &Arena{} }
 // Corruptions reports how many pool-integrity failures (double-recycles,
 // free-list entries not marked pooled) the arena has detected.
 func (a *Arena) Corruptions() int64 { return a.corruptions }
+
+// Executed reports how many events the engines drawing on this arena have
+// executed.
+func (a *Arena) Executed() uint64 { return a.executed }
 
 // get pops a recycled event, or allocates when the free list is dry.
 func (a *Arena) get() *event {
@@ -169,9 +177,6 @@ type Engine struct {
 	streams map[string]*RNG
 	// processed counts events executed, for diagnostics and runaway guards.
 	processed uint64
-	// flushed is the portion of processed already added to the global
-	// counter (see TotalProcessed).
-	flushed uint64
 	// limit bounds the number of executed events, a guard tests set
 	// against runaway schedules; 0 means unlimited.
 	limit uint64
@@ -229,25 +234,6 @@ func (e *Engine) Stream(name string) *RNG {
 	return r
 }
 
-// totalProcessed accumulates events executed across every engine in the
-// process (atomically — parallel runners drive one engine per goroutine).
-// It feeds the benchmark harness's events/sec figure.
-var totalProcessed atomic.Uint64
-
-// TotalProcessed reports the process-wide number of simulation events
-// executed across all engines.
-func TotalProcessed() uint64 { return totalProcessed.Load() }
-
-// flushProcessed publishes this engine's not-yet-counted events to the
-// process-wide counter. Called at the end of RunUntil so the atomic is
-// touched once per run, not once per event.
-func (e *Engine) flushProcessed() {
-	if d := e.processed - e.flushed; d > 0 {
-		totalProcessed.Add(d)
-		e.flushed = e.processed
-	}
-}
-
 // Processed reports how many events have been executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
@@ -300,7 +286,6 @@ const Forever = Time(1<<62 - 1)
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline (if it is later than the last event) and returns it.
 func (e *Engine) RunUntil(deadline Time) Time {
-	defer e.flushProcessed()
 	for {
 		next := e.sched.peek()
 		if next == nil || next.when > deadline {
@@ -322,6 +307,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		}
 		e.now = next.when
 		e.processed++
+		e.arena.executed++
 		// Recycle before calling fn: a self-rescheduling callback (tickers,
 		// interrupt throttles) then reuses its own event, keeping the free
 		// list at steady state. fn is saved to a local first because recycle

@@ -12,6 +12,10 @@ type fireRec struct {
 	when Time
 }
 
+// fuzzMaxShift is the largest δ scale the op encoding can pick: any
+// nonzero δ shifted by it reaches the wheel span, 2^fuzzMaxShift ns.
+const fuzzMaxShift = tickShift + wheelBits*wheelLevels
+
 // fuzzRun decodes data as a little op language and drives one engine with
 // it, checking the engine-local invariants as it goes:
 //
@@ -19,9 +23,13 @@ type fireRec struct {
 //   - a successfully cancelled event never fires
 //   - no event fires twice
 //
-// Ops (two bytes each): schedule at now+δ, schedule a chaining event whose
+// Ops are two bytes each, an op byte and an argument. The op byte's low two
+// bits pick the op: schedule at now+δ, schedule a chaining event whose
 // callback schedules another, cancel a random outstanding handle, or run to
-// now+δ. It returns the full trace so the caller can compare pooled vs
+// now+δ. Its upper bits pick a shift that scales every δ the op uses, up to
+// past the wheel span (see fuzzMaxShift), so one input can mix sub-tick
+// offsets with deltas that reach every wheel level and the overflow heap.
+// It returns the full trace so the caller can compare pooled vs
 // pool-disabled engines for equivalence.
 func fuzzRun(t *testing.T, data []byte, pooling bool, q scheduler) (trace []fireRec, cancels []bool) {
 	t.Helper()
@@ -60,12 +68,14 @@ func fuzzRun(t *testing.T, data []byte, pooling bool, q scheduler) (trace []fire
 
 	for i := 0; i+1 < len(data); i += 2 {
 		op, arg := data[i], data[i+1]
+		shift := uint(op>>2) % (fuzzMaxShift + 1)
+		scaled := func(mod byte) Time { return Time(arg%mod) << shift }
 		switch op % 4 {
 		case 0: // schedule a plain event
-			schedule(e.Now()+Time(arg%32), onFire)
+			schedule(e.Now()+scaled(32), onFire)
 		case 1: // schedule a chaining event: its callback schedules another
-			delta := Time(arg % 8)
-			schedule(e.Now()+Time(arg%16), func(id int) {
+			delta := scaled(8)
+			schedule(e.Now()+scaled(16), func(id int) {
 				onFire(id)
 				schedule(e.Now()+1+delta, onFire)
 			})
@@ -87,7 +97,7 @@ func fuzzRun(t *testing.T, data []byte, pooling bool, q scheduler) (trace []fire
 				}
 			}
 		case 3: // run forward
-			e.RunUntil(e.Now() + Time(arg%64))
+			e.RunUntil(e.Now() + scaled(64))
 		}
 	}
 	e.Run()
@@ -126,6 +136,9 @@ func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{0, 9, 2, 0, 3, 40})      // schedule, cancel it, run
 	f.Add([]byte{1, 7, 3, 20, 1, 3, 2, 1, 3, 63})
 	f.Add([]byte{0, 31, 1, 15, 2, 2, 3, 5, 0, 0, 2, 0, 3, 63, 1, 1, 3, 63})
+	f.Add(seedLevels)
+	f.Add(seedOverflow)
+	f.Add(seedParkedTick)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type variant struct {
 			label   string
@@ -154,3 +167,40 @@ func FuzzEngineSchedule(f *testing.F) {
 		}
 	})
 }
+
+// fuzzOp encodes one op of the fuzzRun language: kind is the op (0..3),
+// shift the scale of its deltas.
+func fuzzOp(kind, shift, arg byte) []byte { return []byte{shift<<2 | kind, arg} }
+
+func fuzzOps(ops ...[]byte) []byte {
+	var b []byte
+	for _, op := range ops {
+		b = append(b, op...)
+	}
+	return b
+}
+
+// Seed inputs for the multi-level geometry (also committed under
+// testdata/fuzz/FuzzEngineSchedule):
+var (
+	// seedLevels files one event into every wheel level, cancels one in
+	// level 2, then runs in steps that park the cursor mid-level.
+	seedLevels = fuzzOps(
+		fuzzOp(0, 0, 31), fuzzOp(0, tickShift, 31), fuzzOp(0, tickShift+wheelBits, 9),
+		fuzzOp(1, tickShift+2*wheelBits, 15), fuzzOp(0, tickShift+3*wheelBits-1, 31),
+		fuzzOp(2, 0, 3), fuzzOp(3, tickShift+wheelBits, 40), fuzzOp(0, 0, 5),
+		fuzzOp(3, tickShift+2*wheelBits, 63), fuzzOp(1, tickShift, 7), fuzzOp(3, fuzzMaxShift, 1))
+	// seedOverflow parks events past the wheel span beside near ones, and
+	// jumps the cursor in one run to just short of them.
+	seedOverflow = fuzzOps(
+		fuzzOp(0, fuzzMaxShift, 31), fuzzOp(0, fuzzMaxShift, 2), fuzzOp(1, fuzzMaxShift-1, 15),
+		fuzzOp(0, 3, 17), fuzzOp(3, fuzzMaxShift, 1), fuzzOp(0, tickShift, 1),
+		fuzzOp(2, 0, 1), fuzzOp(3, fuzzMaxShift-1, 63))
+	// seedParkedTick parks the cursor inside a tick holding several
+	// instants, then schedules before, between and after them and into the
+	// parked instant itself, with chains firing inside the tick.
+	seedParkedTick = fuzzOps(
+		fuzzOp(0, 4, 9), fuzzOp(0, 4, 21), fuzzOp(1, 4, 3), fuzzOp(3, 0, 63),
+		fuzzOp(0, 0, 10), fuzzOp(0, 4, 0), fuzzOp(0, 4, 12), fuzzOp(1, 0, 31),
+		fuzzOp(3, 4, 11), fuzzOp(0, 0, 0), fuzzOp(3, 4, 63))
+)

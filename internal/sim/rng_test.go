@@ -73,15 +73,3 @@ func TestStableSeedSeparator(t *testing.T) {
 		t.Fatal("StableSeed not deterministic")
 	}
 }
-
-func TestTotalProcessedAccumulates(t *testing.T) {
-	before := TotalProcessed()
-	e := NewEngine(1)
-	for i := 0; i < 10; i++ {
-		e.After(Duration(i), "tick", func() {})
-	}
-	e.Run()
-	if got := TotalProcessed() - before; got < 10 {
-		t.Fatalf("global event counter advanced by %d, want >= 10", got)
-	}
-}

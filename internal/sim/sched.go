@@ -1,19 +1,19 @@
 // The engine's event queue.
 //
 // The engine schedules through the small scheduler interface, backed in
-// production by a hierarchical timer wheel: amortized O(1) schedule/pop for
-// the dominant short-horizon events — NIC inter-packet gaps, ITR timers,
-// vhost poll rounds — with same-tick batching. The original binary heap
-// (O(log n) push/pop) survives only as the package tests' reference
-// implementation: events fire in (when, seq) order under either queue, and
-// FuzzEngineSchedule gates that wheel≡heap equivalence per interleaving.
+// production by a hierarchical timer wheel on coarse ticks: amortized O(1)
+// schedule/pop for the dominant short-horizon events — NIC inter-packet
+// gaps, ITR timers, netback completions — with per-tick batching. The
+// original binary heap (O(log n) push/pop) survives only as the package
+// tests' reference implementation: events fire in (when, seq) order under
+// either queue, and FuzzEngineSchedule gates that wheel≡heap equivalence per
+// interleaving.
 
 package sim
 
 import (
 	"container/heap"
 	"math/bits"
-	"slices"
 )
 
 // scheduler is the engine's event queue. The contract mirrors how RunUntil
@@ -29,89 +29,147 @@ type scheduler interface {
 	forEach(fn func(*event))
 }
 
-// Timer-wheel geometry. Level i has 64 slots of width 64^i ticks (ticks are
-// simulated nanoseconds), so the five levels together span 64^5 ≈ 1.07 s of
-// horizon — sized so the dominant short-horizon events (µs-scale inter-packet
-// gaps and ITR timers) live in levels 0–2 and cascade at most a couple of
-// times, while whole measurement windows still fit inside the wheel. Events
-// past the span (watchdogs, migration deadlines, Run's sentinel horizon) wait
-// in a small overflow heap and rejoin the wheel as the cursor approaches.
+// Timer-wheel geometry. A tick is 2^tickShift simulated nanoseconds
+// (1.024 µs). Level i has 64 slots of width 64^i ticks, so level 0 spans
+// 65.5 µs, level 1 4.2 ms, level 2 268 ms and level 3 17.2 s. The µs-scale
+// gaps and timers that dominate the simulator's schedules are filed straight
+// into level 0 or 1 and cascade at most once; the few events past the
+// four-level span (watchdogs, long migration deadlines, Run's sentinel
+// horizon) wait in a small overflow heap and rejoin the wheel as the cursor
+// approaches. tickShift and wheelLevels were chosen by the wheel's placement
+// counter (timerWheel.placed per fired event) on the simulator's workloads.
 const (
+	tickShift     = 10
 	wheelBits     = 6
 	wheelSlots    = 1 << wheelBits
 	wheelMask     = wheelSlots - 1
-	wheelLevels   = 5
+	wheelLevels   = 4
 	wheelTopShift = wheelBits * (wheelLevels - 1)
 )
 
-type wheelBucket []*event
+// list is an intrusive FIFO of events linked through event.next, so filing
+// an event is a pointer splice and a slot never allocates.
+type list struct{ head, tail *event }
 
-// timerWheel is a hierarchical timer wheel (calendar queue).
+func (l *list) push(ev *event) {
+	ev.next = nil
+	if l.tail == nil {
+		l.head = ev
+	} else {
+		l.tail.next = ev
+	}
+	l.tail = ev
+}
+
+// slot is one wheel slot. aged holds the events re-filed into it by a
+// cascade or from the overflow heap, fresh those filed by a schedule. Since
+// base only advances, the later an event of a given tick is scheduled the
+// lower the level it is first filed at, so each of that tick's aged events
+// was scheduled before each of its fresh ones, and in the order cascades
+// deliver them. Walking aged then fresh therefore visits every tick's
+// events in seq order, and the sort on activation only has to fix the
+// order of instants within the tick.
+type slot struct{ aged, fresh list }
+
+// timerWheel is a hierarchical timer wheel (calendar queue) over ticks.
+// base and filled are tick numbers (a time shifted right by tickShift).
 //
 // Invariants the ordering proof leans on:
 //
-//   - base never exceeds the earliest wheel-resident event's time, and only
-//     advances (events scheduled below base — possible after a
-//     deadline-bounded run left the cursor parked on a future event — go to
-//     the early heap instead, which always drains first).
-//   - an event is placed at the lowest level where it is within 64 slots of
+//   - base never exceeds the earliest wheel-resident event's tick, and only
+//     advances. Events whose tick is below base — possible only for
+//     schedules made outside callbacks after a deadline-bounded run left the
+//     cursor parked on a future tick — go to the early heap instead, which
+//     always drains first.
+//   - an event is filed at the lowest level where it is within 64 slots of
 //     base, so for i ≥ 1 it lands strictly ahead of the cursor's slot, and
-//     every slot is cascaded exactly when base enters its window. Hence
-//     level-0 buckets are same-instant: slot width is one tick and base
-//     trails all pending events, so one slot holds exactly one timestamp.
-//   - a level-0 bucket is sorted by seq on activation (cascaded arrivals may
-//     interleave out of order with direct schedules); events appended while
-//     the bucket drains carry the highest seq yet, so the tail append keeps
-//     it sorted. Draining a burst of same-instant completions is therefore
-//     one bucket activation plus index bumps instead of N heap pops.
+//     every slot is cascaded exactly when base enters its window. Hence a
+//     level-0 slot holds exactly one tick, though possibly several instants.
+//   - activating a tick moves its slot into run, sorted by (when, seq); the
+//     slot yields the tick's events in seq order (see slot), so a stable
+//     sort by time suffices. A schedule made while the tick drains that
+//     lands in the same tick is binary-inserted into the undrained run
+//     after every entry with an earlier-or-equal time; it carries the
+//     largest seq yet, so the run stays sorted and same-instant events stay
+//     FIFO.
 type timerWheel struct {
 	base Time
 	// filled is the base value of the last refill. When base moves into a
 	// new 64-tick window — by jump, or one tick at a time past a drained
-	// bucket — the higher-level slots containing the new base must cascade
+	// tick — the higher-level slots containing the new base must cascade
 	// before the level-0 bitmap can be trusted; advance compares windows
 	// (base>>wheelBits) against filled to notice every such crossing.
 	filled Time
 
-	levels [wheelLevels][wheelSlots]wheelBucket
+	levels [wheelLevels][wheelSlots]slot
 	// occ[i] has bit s set iff levels[i][s] is non-empty.
 	occ [wheelLevels]uint64
 
-	// Active same-tick drain: cur points at the level-0 slot being drained
-	// (a pointer, so same-instant schedules appended during the drain are
-	// seen), curHead is the next index to pop, curWhen the bucket's instant.
-	cur     *wheelBucket
-	curHead int
-	curWhen Time
+	// run is the active tick's events in (when, seq) order; run[head:] is
+	// still to fire. active is set from activation until the next peek
+	// finds the run drained — schedules into tick base made by the last
+	// callback must still join it.
+	run    []*event
+	head   int
+	active bool
 
 	// overflow holds events beyond the wheel span, earliest first.
 	overflow eventHeap
-	// early holds events scheduled below base, earliest first. Only
-	// schedules made outside callbacks after a deadline-bounded run can
-	// land here (the cursor may then sit past Now, parked on the next
-	// event), so it is cold; all early events precede all wheel events.
+	// early holds events whose tick is below base, earliest first. It is
+	// cold, and all early events precede all wheel events.
 	early eventHeap
+
+	// placed counts slot filings: one per schedule that enters the wheel,
+	// plus one per cascade or overflow re-file. Divided by fired events it
+	// is the re-file rate the geometry was tuned on.
+	placed uint64
 }
 
 func newTimerWheel() *timerWheel { return &timerWheel{} }
 
 func (w *timerWheel) schedule(ev *event) {
-	if ev.when < w.base {
+	switch t := ev.when >> tickShift; {
+	case t < w.base:
 		heap.Push(&w.early, ev)
-		return
+	case t == w.base && w.active:
+		w.insert(ev)
+	default:
+		w.place(ev, t, false)
 	}
-	w.place(ev)
 }
 
-// place files a wheel-resident event (when ≥ base) at the lowest level that
-// can reach it, or into the overflow heap past the wheel span.
-func (w *timerWheel) place(ev *event) {
+// insert adds ev to the active tick's undrained run after every entry that
+// fires no later than it. ev has the largest seq yet, so that position is
+// its (when, seq) rank.
+func (w *timerWheel) insert(ev *event) {
+	lo, hi := w.head, len(w.run)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if w.run[m].when <= ev.when {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	w.run = append(w.run, nil)
+	copy(w.run[lo+1:], w.run[lo:])
+	w.run[lo] = ev
+}
+
+// place files an event of tick t ≥ base at the lowest level that can reach
+// it, or into the overflow heap past the wheel span. aged marks a re-file.
+func (w *timerWheel) place(ev *event, t Time, aged bool) {
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		shift := uint(wheelBits * lvl)
-		if (ev.when>>shift)-(w.base>>shift) < wheelSlots {
-			s := uint(ev.when>>shift) & wheelMask
-			w.levels[lvl][s] = append(w.levels[lvl][s], ev)
+		if (t>>shift)-(w.base>>shift) < wheelSlots {
+			s := uint(t>>shift) & wheelMask
+			if aged {
+				w.levels[lvl][s].aged.push(ev)
+			} else {
+				w.levels[lvl][s].fresh.push(ev)
+			}
 			w.occ[lvl] |= 1 << s
+			w.placed++
 			return
 		}
 	}
@@ -125,18 +183,17 @@ func (w *timerWheel) peek() *event {
 		return w.early[0]
 	}
 	for {
-		if w.cur != nil {
-			if w.curHead < len(*w.cur) {
-				return (*w.cur)[w.curHead]
-			}
-			// Bucket drained; no same-instant schedule can arrive once the
-			// engine has asked for the next event, so retire the slot (its
+		if w.head < len(w.run) {
+			return w.run[w.head]
+		}
+		if w.active {
+			// Run drained; no schedule into this tick can join it once the
+			// engine has asked for the next event, so retire it (its
 			// entries were nilled as they popped) and move past the tick.
-			*w.cur = (*w.cur)[:0]
-			w.occ[0] &^= 1 << (uint(w.curWhen) & wheelMask)
-			w.cur = nil
-			w.curHead = 0
-			w.base = w.curWhen + 1
+			w.run = w.run[:0]
+			w.head = 0
+			w.active = false
+			w.base++
 		}
 		if !w.advance() {
 			return nil
@@ -148,21 +205,24 @@ func (w *timerWheel) pop() *event {
 	if len(w.early) > 0 {
 		return heap.Pop(&w.early).(*event)
 	}
-	ev := (*w.cur)[w.curHead]
-	(*w.cur)[w.curHead] = nil
-	w.curHead++
+	ev := w.run[w.head]
+	w.run[w.head] = nil
+	w.head++
 	return ev
 }
 
 func (w *timerWheel) forEach(fn func(*event)) {
 	for lvl := range w.levels {
 		for s := range w.levels[lvl] {
-			for _, ev := range w.levels[lvl][s] {
-				if ev != nil { // drained prefix of the active bucket
+			for _, l := range [2]*list{&w.levels[lvl][s].aged, &w.levels[lvl][s].fresh} {
+				for ev := l.head; ev != nil; ev = ev.next {
 					fn(ev)
 				}
 			}
 		}
+	}
+	for _, ev := range w.run[w.head:] {
+		fn(ev)
 	}
 	for _, ev := range w.overflow {
 		fn(ev)
@@ -174,10 +234,9 @@ func (w *timerWheel) forEach(fn func(*event)) {
 
 // advance moves base forward to the next occupied level-0 tick — cascading
 // every higher-level slot whose window the cursor enters — and activates
-// that bucket. It reports false when the wheel and overflow are empty.
-// Skips over empty regions are O(1) per level via the occupancy bitmaps, so
-// a sparse schedule (one packet every few µs of ns-resolution time) never
-// walks ticks one by one.
+// that tick. It reports false when the wheel and overflow are empty. Skips
+// over empty regions are O(1) per level via the occupancy bitmaps, so a
+// sparse schedule never walks ticks one by one.
 func (w *timerWheel) advance() bool {
 	for {
 		// If base entered a new 64-tick window since the last refill, the
@@ -196,7 +255,7 @@ func (w *timerWheel) advance() bool {
 		// occupied region — wrapped level-0 slots belong to the next window;
 		// a higher-level slot is reached at its window start (a lower bound
 		// on its earliest event, which is all a jump target needs); overflow
-		// events are reached at their own time — then jump base there and
+		// events are reached at their own tick — then jump base there and
 		// cascade whatever the cursor landed in.
 		var next Time
 		have := false
@@ -229,7 +288,7 @@ func (w *timerWheel) advance() bool {
 			}
 		}
 		if len(w.overflow) > 0 {
-			cand(w.overflow[0].when)
+			cand(w.overflow[0].when >> tickShift)
 		}
 		if !have {
 			return false
@@ -239,26 +298,30 @@ func (w *timerWheel) advance() bool {
 	}
 }
 
-// activate begins the same-tick FIFO drain of the level-0 bucket at tick.
+// activate empties the level-0 slot of tick into run, sorted by (when,
+// seq), and begins draining it. The slot yields the tick's events in seq
+// order, so the insertion sort compares times alone: a stable sort by time
+// of a seq-ordered sequence is the (when, seq) order.
 func (w *timerWheel) activate(tick Time) {
 	w.base = tick
-	b := &w.levels[0][uint(tick)&wheelMask]
-	if len(*b) > 1 {
-		// All entries share the instant; order them by schedule seq so
-		// cascaded arrivals interleave with direct schedules in FIFO order.
-		slices.SortFunc(*b, func(a, c *event) int {
-			switch {
-			case a.seq < c.seq:
-				return -1
-			case a.seq > c.seq:
-				return 1
+	s := uint(tick) & wheelMask
+	sl := &w.levels[0][s]
+	w.occ[0] &^= 1 << s
+	run := w.run[:0]
+	for _, l := range [2]*list{&sl.aged, &sl.fresh} {
+		for ev := l.head; ev != nil; ev = ev.next {
+			i := len(run)
+			run = append(run, ev)
+			for ; i > 0 && run[i-1].when > ev.when; i-- {
+				run[i] = run[i-1]
 			}
-			return 0
-		})
+			run[i] = ev
+		}
 	}
-	w.cur = b
-	w.curHead = 0
-	w.curWhen = tick
+	*sl = slot{}
+	w.run = run
+	w.head = 0
+	w.active = true
 }
 
 // refill runs after base jumps: overflow events now within the wheel span
@@ -267,27 +330,32 @@ func (w *timerWheel) activate(tick Time) {
 func (w *timerWheel) refill() {
 	w.filled = w.base
 	for len(w.overflow) > 0 &&
-		(w.overflow[0].when>>wheelTopShift)-(w.base>>wheelTopShift) < wheelSlots {
-		w.place(heap.Pop(&w.overflow).(*event))
+		(w.overflow[0].when>>(tickShift+wheelTopShift))-(w.base>>wheelTopShift) < wheelSlots {
+		ev := heap.Pop(&w.overflow).(*event)
+		w.place(ev, ev.when>>tickShift, true)
 	}
 	for lvl := wheelLevels - 1; lvl >= 1; lvl-- {
 		shift := uint(wheelBits * lvl)
 		s := uint(w.base>>shift) & wheelMask
 		if w.occ[lvl]&(1<<s) != 0 {
-			w.cascade(lvl, int(s))
+			w.cascade(lvl, s)
 		}
 	}
 }
 
-// cascade re-files every event of the given slot one or more levels down.
-// Events land strictly below lvl (base is inside this slot's window, so a
-// lower level can always reach them), never back into the same bucket.
-func (w *timerWheel) cascade(lvl, s int) {
-	b := w.levels[lvl][s]
-	w.levels[lvl][s] = b[:0]
-	w.occ[lvl] &^= 1 << uint(s)
-	for i, ev := range b {
-		b[i] = nil
-		w.place(ev)
+// cascade re-files every event of the given slot one or more levels down,
+// aged ones first. Events land strictly below lvl (base is inside this
+// slot's window, so a lower level can always reach them), never back into
+// the same slot.
+func (w *timerWheel) cascade(lvl int, s uint) {
+	sl := w.levels[lvl][s]
+	w.levels[lvl][s] = slot{}
+	w.occ[lvl] &^= 1 << s
+	for _, ev := range [2]*event{sl.aged.head, sl.fresh.head} {
+		for ev != nil {
+			next := ev.next
+			w.place(ev, ev.when>>tickShift, true)
+			ev = next
+		}
 	}
 }

@@ -32,18 +32,31 @@ func (s *heapSched) forEach(fn func(*event)) {
 }
 
 // BenchmarkAblationScheduler compares the timer wheel with the reference
-// heap on a pure engine storm shaped like the simulator's hot path: 64
-// concurrent self-rescheduling timers at 1–16 µs cadences (inter-packet
-// gaps, EITR timers), with the duplicate cadences colliding into
-// same-instant bursts. ns/op is the per-event cost of
-// schedule→pop→fire→recycle.
+// heap on pure engine storms shaped like the simulator's hot path. The
+// short storm runs 64 concurrent self-rescheduling timers at 1–16 µs
+// cadences (inter-packet gaps, EITR timers), with the duplicate cadences
+// colliding into same-instant bursts. The mixed storm adds 64 timers at
+// 100 µs–1 ms periods (ITR timers, netback completions, source ticks), the
+// long delays that cascade through the wheel's upper levels. ns/op is the
+// per-event cost of schedule→pop→fire→recycle.
 func BenchmarkAblationScheduler(b *testing.B) {
+	var short, mixed []units.Duration
+	for s := 0; s < 64; s++ {
+		short = append(short, units.Duration(1+s%16)*units.Microsecond)
+	}
+	mixed = append(mixed, short...)
+	for s := 0; s < 64; s++ {
+		mixed = append(mixed, 100*units.Microsecond+units.Duration(s)*14379*units.Nanosecond)
+	}
 	for _, bc := range []struct {
 		name string
 		mk   func() *Engine
+		gaps []units.Duration
 	}{
-		{"wheel", func() *Engine { return NewEngine(1) }},
-		{"heap", func() *Engine { return newEngine(1, nil, &heapSched{}) }},
+		{"wheel", func() *Engine { return NewEngine(1) }, short},
+		{"heap", func() *Engine { return newEngine(1, nil, &heapSched{}) }, short},
+		{"wheel-mixed", func() *Engine { return NewEngine(1) }, mixed},
+		{"heap-mixed", func() *Engine { return newEngine(1, nil, &heapSched{}) }, mixed},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			e := bc.mk()
@@ -59,8 +72,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 				}
 				return fn
 			}
-			for s := 0; s < 64; s++ {
-				gap := units.Duration(1+s%16) * units.Microsecond
+			for s, gap := range bc.gaps {
 				e.At(units.Time(s), "storm", mk(gap))
 			}
 			b.ResetTimer()

@@ -38,9 +38,7 @@ type VirtualConfig struct {
 	// is controlled by the host.
 	shadowCommand uint16
 
-	// Stats.
-	Reads         int64
-	Writes        int64
+	// BlockedWrites counts guest writes the filter refused.
 	BlockedWrites int64
 }
 
@@ -79,7 +77,6 @@ func (vc *VirtualConfig) access() {
 // Read16 performs a mediated 16-bit config read.
 func (vc *VirtualConfig) Read16(off int) uint16 {
 	vc.access()
-	vc.Reads++
 	if off == pcie.RegCommand {
 		return vc.shadowCommand
 	}
@@ -89,7 +86,6 @@ func (vc *VirtualConfig) Read16(off int) uint16 {
 // Write16 performs a mediated 16-bit config write, enforcing the filter.
 func (vc *VirtualConfig) Write16(off int, v uint16) {
 	vc.access()
-	vc.Writes++
 	if !vc.writeAllowed(off) {
 		vc.BlockedWrites++
 		return
@@ -106,7 +102,6 @@ func (vc *VirtualConfig) Write16(off int, v uint16) {
 // Write32 performs a mediated 32-bit config write, enforcing the filter.
 func (vc *VirtualConfig) Write32(off int, v uint32) {
 	vc.access()
-	vc.Writes++
 	if !vc.writeAllowed(off) {
 		vc.BlockedWrites++
 		return
@@ -136,6 +131,5 @@ func (vc *VirtualConfig) writeAllowed(off int) bool {
 // FindCapability walks the capability chain through the mediated view.
 func (vc *VirtualConfig) FindCapability(id uint8) int {
 	vc.access()
-	vc.Reads += 2 // chain walk costs a couple of reads
 	return vc.fn.Config().FindCapability(id)
 }
