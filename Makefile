@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchcmp baseline vet clean
+.PHONY: build test race bench vet clean
 
 build:
 	$(GO) build ./...
@@ -17,23 +17,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench: micro-benchmarks + the full experiment suite, merged into one
-# BENCH.json (wall clock per experiment, simulated events/sec, packets/sec,
-# allocations, headline figure metrics).
+# bench: the micro-benchmarks at the default benchtime, six samples each,
+# printed to stdout for benchstat (`make bench > new.txt`). End-to-end
+# workloads live in benchmark/ (see benchmark/README.md).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/iommu ./internal/interrupts ./internal/cpu ./internal/nic ./internal/sim | tee gobench.txt
-	$(GO) run ./cmd/sriovsim -all -parallel 0 -q -gobench gobench.txt -bench-out BENCH.json > /dev/null
-	@echo "wrote BENCH.json"
-
-# benchcmp: gate the BENCH.json from `make bench` against the committed
-# baseline (exit 1 on regression).
-benchcmp:
-	$(GO) run ./cmd/benchdiff BENCH_baseline.json BENCH.json
-
-# baseline: re-record the committed baseline from the current tree.
-baseline: bench
-	cp BENCH.json BENCH_baseline.json
-	@echo "updated BENCH_baseline.json"
+	$(GO) test -run '^$$' -bench . -benchmem -count 6 . ./internal/iommu ./internal/interrupts ./internal/cpu ./internal/nic ./internal/sim
 
 clean:
-	rm -f gobench.txt BENCH.json *.cpu.pprof *.heap.pprof
+	rm -f *.cpu.pprof *.heap.pprof

@@ -1,14 +1,12 @@
 package sriov
 
-// The benchmark harness: one benchmark per paper table/figure, each
-// regenerating the figure and reporting its headline metrics, plus
-// ablation benchmarks for the design choices DESIGN.md calls out.
+// Micro-benchmarks of the simulator: ablation benchmarks for the design
+// choices DESIGN.md calls out, the raw event rate of a line-rate guest,
+// and the guest transmit path. Figure values are pinned by
+// internal/runner's TestSuiteMatchesGoldens; end-to-end cost is measured
+// by the benchmark/ module.
 //
-// Run with: go test -bench=. -benchmem
-//
-// Absolute numbers come from the calibrated simulation (see
-// internal/model); the shape checks embedded in each figure are also
-// enforced here, so a benchmark run doubles as a reproduction audit.
+// Run with: go test -run '^$' -bench . -benchmem
 
 import (
 	"testing"
@@ -21,98 +19,6 @@ import (
 	"repro/internal/vmm"
 	"repro/internal/workload"
 )
-
-// benchFigure runs one registered experiment per iteration, asserts its
-// shape checks, and reports the requested series' headline values.
-func benchFigure(b *testing.B, id string, metrics map[string]string) {
-	b.Helper()
-	var fig *Figure
-	for i := 0; i < b.N; i++ {
-		var err error
-		fig, err = RunExperiment(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if !fig.AllChecksPass() {
-		b.Fatalf("%s shape checks failed: %v", id, fig.FailedChecks())
-	}
-	for _, s := range fig.Series {
-		if unit, ok := metrics[s.Name]; ok {
-			b.ReportMetric(s.Last(), unit)
-		}
-	}
-}
-
-func BenchmarkFig06MaskAccel(b *testing.B) {
-	benchFigure(b, "fig06", map[string]string{"dom0-unopt": "dom0-unopt-%", "dom0-opt": "dom0-opt-%"})
-}
-
-func BenchmarkFig07EOIAccel(b *testing.B) {
-	benchFigure(b, "fig07", map[string]string{"total": "Mcycles/s"})
-}
-
-func BenchmarkFig08AICUDP(b *testing.B) {
-	// Series' last point is the 1 kHz row of the policy sweep.
-	benchFigure(b, "fig08", map[string]string{"guest+xen-cpu": "cpu-%@1kHz", "throughput": "Mbps@1kHz"})
-}
-
-func BenchmarkFig09AICTCP(b *testing.B) {
-	benchFigure(b, "fig09", map[string]string{"throughput": "Mbps@1kHz"})
-}
-
-func BenchmarkFig10AICInterVM(b *testing.B) {
-	benchFigure(b, "fig10", map[string]string{"rx-bw": "Gbps@1kHz"})
-}
-
-func BenchmarkFig12Optimizations(b *testing.B) {
-	// Series' last point is the native baseline.
-	benchFigure(b, "fig12", map[string]string{"total-cpu": "cpu-%@native", "throughput": "Gbps"})
-}
-
-func BenchmarkFig13InterVMSRIOV(b *testing.B) {
-	benchFigure(b, "fig13", map[string]string{"throughput": "Gbps@4000B"})
-}
-
-func BenchmarkFig14InterVMPV(b *testing.B) {
-	benchFigure(b, "fig14", map[string]string{"throughput": "Gbps@4000B"})
-}
-
-func BenchmarkFig15ScalabilityHVM(b *testing.B) {
-	benchFigure(b, "fig15", map[string]string{"total-cpu": "cpu-%@60VM", "throughput": "Gbps"})
-}
-
-func BenchmarkFig16ScalabilityPVM(b *testing.B) {
-	benchFigure(b, "fig16", map[string]string{"total-cpu": "cpu-%@60VM", "throughput": "Gbps"})
-}
-
-func BenchmarkFig17PVScalabilityHVM(b *testing.B) {
-	benchFigure(b, "fig17", map[string]string{"dom0": "dom0-%@60VM", "throughput": "Gbps@60VM"})
-}
-
-func BenchmarkFig18PVScalabilityPVM(b *testing.B) {
-	benchFigure(b, "fig18", map[string]string{"dom0": "dom0-%@60VM", "throughput": "Gbps@60VM"})
-}
-
-func BenchmarkFig19VMDqScalability(b *testing.B) {
-	benchFigure(b, "fig19", map[string]string{"throughput": "Gbps@60VM"})
-}
-
-func BenchmarkFig20MigrationPV(b *testing.B) {
-	benchFigure(b, "fig20", nil)
-}
-
-func BenchmarkFig21MigrationDNIS(b *testing.B) {
-	benchFigure(b, "fig21", nil)
-}
-
-func BenchmarkFig26NFVPacketSweep(b *testing.B) {
-	benchFigure(b, "fig26", map[string]string{"vhost": "Mbps@1514B", "swpass-loss": "%@1514B"})
-}
-
-func BenchmarkFig27NFVServiceChains(b *testing.B) {
-	benchFigure(b, "fig27", map[string]string{"chain3-p99": "µs@swpass"})
-}
 
 // ---- Ablation benchmarks (DESIGN.md "design choices") ----
 
@@ -257,16 +163,4 @@ func BenchmarkSenderPath(b *testing.B) {
 		tx.SendMessage(4000, 1500)
 	}
 	_ = workload.Result{}
-}
-
-// BenchmarkExtension10GbE runs the beyond-the-paper single-port 10 GbE
-// experiment (see internal/experiments/extension.go).
-func BenchmarkExtension10GbE(b *testing.B) {
-	benchFigure(b, "ext10g", map[string]string{"total-cpu": "cpu-%@7VM", "throughput": "Gbps"})
-}
-
-// BenchmarkExtensionRequestResponse runs the TCP_RR-style latency extension
-// (see internal/experiments/extension.go).
-func BenchmarkExtensionRequestResponse(b *testing.B) {
-	benchFigure(b, "extrr", map[string]string{"transactions": "txn/s@1kHz", "round-trip": "µs@1kHz"})
 }

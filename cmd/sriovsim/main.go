@@ -6,7 +6,6 @@
 //	sriovsim -fig 24,25,28,29        # several: the chaos + control-plane batch
 //	sriovsim -all                    # reproduce everything (EXPERIMENTS.md content)
 //	sriovsim -all -parallel 8        # shard experiments across 8 workers
-//	sriovsim -all -bench-out BENCH.json  # also emit the benchmark record
 //	sriovsim -all -profile out       # write out.cpu.pprof / out.heap.pprof
 //	sriovsim -fig 7 -trace-out trace.json    # Perfetto/chrome://tracing export
 //	sriovsim -fig 7 -metrics-out metrics.json  # dump the merged metrics registry
@@ -17,7 +16,6 @@
 //	sriovsim -backend all            # NFV datapath head-to-head (fig26/fig27)
 //	sriovsim -backend vhost,ovs      # ...restricted to the named backends
 //	sriovsim -list                   # list available experiments
-//	sriovsim -alloc-table BENCH.json # per-experiment alloc columns as markdown
 //	sriovsim -serve :8080            # control-plane REST/JSON scenario API
 //
 // Output is byte-identical at any -parallel value: experiments shard into
@@ -36,10 +34,8 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/workload"
 
 	sriov "repro"
 )
@@ -50,8 +46,6 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	csv := flag.Bool("csv", false, "emit the measured series as CSV instead of the report")
 	parallel := flag.Int("parallel", 0, "worker count for sharding experiments (0 = GOMAXPROCS)")
-	benchOut := flag.String("bench-out", "", "write a BENCH.json benchmark record to this file")
-	goBench := flag.String("gobench", "", "merge `go test -bench` output from this file into -bench-out")
 	profile := flag.String("profile", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles")
 	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace-event JSON of a representative run to this file")
 	metricsOut := flag.String("metrics-out", "", "write the run's merged metrics registry as JSON to this file")
@@ -61,7 +55,6 @@ func main() {
 	clos := flag.String("clos", "", "run a leaf–spine Clos ring over `hosts[:vmsPerHost]` (e.g. 256 or 256:10)")
 	fastpath := flag.String("fastpath", "auto", "Clos flow fast-path mode for -clos: auto, on, or off")
 	links := flag.String("links", "", "fabric link shape for -hosts as `rateMbps:latencyUs:queueKiB` (0 or empty fields keep defaults)")
-	allocTable := flag.String("alloc-table", "", "print per-experiment allocation columns of this BENCH.json as markdown rows and exit")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "base seed for -soak iterations")
 	soak := flag.Int("soak", 0, "run this many chaos-soak iterations (seeds chaos-seed..chaos-seed+N-1); exit nonzero on any invariant violation")
 	serve := flag.String("serve", "", "serve the control-plane REST/JSON scenario API on this address (e.g. :8080)")
@@ -70,11 +63,6 @@ func main() {
 	switch {
 	case *serve != "":
 		if err := runServe(*serve); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	case *allocTable != "":
-		if err := printAllocTable(*allocTable); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -94,7 +82,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		os.Exit(runSuite(specs, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
+		os.Exit(runSuite(specs, *parallel, *csv, *quiet, *profile, *traceOut, *metricsOut))
 	case *clos != "":
 		closHosts, vms, err := parseClos(*clos)
 		if err != nil {
@@ -107,7 +95,7 @@ func main() {
 			os.Exit(2)
 		}
 		spec := sriov.ClosRingExperiment(closHosts, vms, mode)
-		os.Exit(runSuite([]sriov.Experiment{spec}, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
+		os.Exit(runSuite([]sriov.Experiment{spec}, *parallel, *csv, *quiet, *profile, *traceOut, *metricsOut))
 	case *hosts > 0:
 		link, err := parseLinks(*links)
 		if err != nil {
@@ -115,9 +103,9 @@ func main() {
 			os.Exit(2)
 		}
 		spec := sriov.ClusterScaleExperiment(*hosts, link)
-		os.Exit(runSuite([]sriov.Experiment{spec}, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
+		os.Exit(runSuite([]sriov.Experiment{spec}, *parallel, *csv, *quiet, *profile, *traceOut, *metricsOut))
 	case *all:
-		os.Exit(runSuite(sriov.Experiments(), *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
+		os.Exit(runSuite(sriov.Experiments(), *parallel, *csv, *quiet, *profile, *traceOut, *metricsOut))
 	case *fig != "":
 		ids := strings.Split(*fig, ",")
 		for i, id := range ids {
@@ -130,7 +118,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		os.Exit(runSuite(specs, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
+		os.Exit(runSuite(specs, *parallel, *csv, *quiet, *profile, *traceOut, *metricsOut))
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -139,9 +127,9 @@ func main() {
 
 // runSuite runs the given experiments (registered ones, or ad-hoc specs
 // such as a -hosts cluster sweep) through the worker-pool runner, prints
-// each figure, and optionally emits profiles, a BENCH.json record, a
-// Perfetto trace, and a metrics dump. Returns the process exit code.
-func runSuite(specs []sriov.Experiment, parallel int, csv, quiet bool, benchOut, goBenchPath, profilePrefix, traceOut, metricsOut string) int {
+// each figure, and optionally emits profiles, a Perfetto trace, and a
+// metrics dump. Returns the process exit code.
+func runSuite(specs []sriov.Experiment, parallel int, csv, quiet bool, profilePrefix, traceOut, metricsOut string) int {
 	stopCPU, err := startCPUProfile(profilePrefix)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -153,16 +141,7 @@ func runSuite(specs []sriov.Experiment, parallel int, csv, quiet bool, benchOut,
 		opts.Progress = func(line string) { fmt.Fprintf(os.Stderr, "running %s\n", line) }
 	}
 
-	// Deltas around the run feed the BENCH totals.
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	packetsBefore := workload.TotalPackets()
-
 	sum := runner.Run(specs, opts)
-
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-	packets := workload.TotalPackets() - packetsBefore
 
 	stopCPU()
 	if err := writeHeapProfile(profilePrefix); err != nil {
@@ -180,23 +159,6 @@ func runSuite(specs []sriov.Experiment, parallel int, csv, quiet bool, benchOut,
 		} else {
 			fmt.Println(r.Figure.Markdown())
 		}
-	}
-
-	if benchOut != "" {
-		f := bench.Collect(sum, packets, msAfter.TotalAlloc-msBefore.TotalAlloc, msAfter.Mallocs-msBefore.Mallocs)
-		if goBenchPath != "" {
-			gb, err := mergeGoBench(goBenchPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-			f.GoBench = gb
-		}
-		if err := bench.Write(benchOut, f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "bench: %s\nbench: wrote %s\n", f.Summary(), benchOut)
 	}
 
 	if metricsOut != "" {
@@ -229,29 +191,6 @@ func runSuite(specs []sriov.Experiment, parallel int, csv, quiet bool, benchOut,
 		return 1
 	}
 	return 0
-}
-
-// printAllocTable emits one "| id | allocs | bytes |" markdown row per
-// experiment in the given BENCH.json that carries allocation columns — the
-// CI job-summary backing. Parallel runs record none (attribution needs one
-// worker); the table then says so instead of rendering empty.
-func printAllocTable(path string) error {
-	f, err := bench.Read(path)
-	if err != nil {
-		return err
-	}
-	n := 0
-	for _, e := range f.Experiments {
-		if e.Allocs == 0 && e.AllocBytes == 0 {
-			continue
-		}
-		n++
-		fmt.Printf("| %s | %d | %d |\n", e.ID, e.Allocs, e.AllocBytes)
-	}
-	if n == 0 {
-		fmt.Printf("| _none recorded (parallel run; use -parallel 1)_ | | |\n")
-	}
-	return nil
 }
 
 // writeMetrics dumps the suite's merged metrics registry as JSON.
@@ -334,15 +273,6 @@ func parseLinks(s string) (sriov.LinkConfig, error) {
 	lc.Latency = sriov.Duration(vals[1]) * (sriov.Millisecond / 1000)
 	lc.QueueCap = sriov.Size(vals[2]) * 1024
 	return lc, nil
-}
-
-func mergeGoBench(path string) ([]bench.GoBenchResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return bench.ParseGoBench(f)
 }
 
 // startCPUProfile begins CPU profiling when prefix is non-empty; the returned

@@ -265,8 +265,8 @@ func runMigrationUnderLoad(seed uint64, reg *obs.Registry, arena *sim.Arena, loa
 	chaos.Record(reg, chaos.AuditCluster(c, []*cluster.Migration{mig}))
 
 	if cell.res != nil && cell.res.Err == nil {
-		// Feed the suite totals: downtime is a headline BENCH metric and
-		// must merge deterministically across runner parallelism.
+		// Feed the suite's merged registry: downtime reaches -metrics-out
+		// and must merge deterministically across runner parallelism.
 		reg.Counter("cluster.migration.downtime_us").Add(int64(cell.res.Downtime() / units.Microsecond))
 	}
 	cell.drops = c.FabricDrops()

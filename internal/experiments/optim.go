@@ -219,8 +219,8 @@ func buildFig07(results []any) *report.Figure {
 	tot.Add("unopt", totalUnopt/1e6)
 	tot.Add("eoi-accel", totalOpt/1e6)
 
-	// Per-hop packet-path latency percentiles for the VF queue — headline
-	// metrics (each series' last point) that the bench comparator gates.
+	// Per-hop packet-path latency percentiles for the VF queue, pinned with
+	// the other series by the figure's CSV golden.
 	for _, hop := range fig07Hops {
 		add := f.AddLatencyPercentiles("lat-" + hop)
 		for i, label := range []string{"unopt", "eoi-accel"} {

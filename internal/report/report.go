@@ -37,14 +37,6 @@ func (s *Series) Y(x string) (float64, bool) {
 	return 0, false
 }
 
-// Last reports the final point's value.
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].Y
-}
-
 // Check is one qualitative assertion about a figure's shape.
 type Check struct {
 	Name   string
@@ -116,27 +108,6 @@ func (f *Figure) FailedChecks() []Check {
 		if !c.Pass {
 			out = append(out, c)
 		}
-	}
-	return out
-}
-
-// Metric is one headline value of a figure: a series' final point, the
-// number the benchmark harness records for the perf trajectory (mirroring
-// what bench_test.go reports per figure).
-type Metric struct {
-	Series string  `json:"series"`
-	Unit   string  `json:"unit"`
-	Value  float64 `json:"value"`
-}
-
-// Headline returns each non-empty series' final value, in series order.
-func (f *Figure) Headline() []Metric {
-	out := make([]Metric, 0, len(f.Series))
-	for _, s := range f.Series {
-		if len(s.Points) == 0 {
-			continue
-		}
-		out = append(out, Metric{Series: s.Name, Unit: s.Unit, Value: s.Last()})
 	}
 	return out
 }

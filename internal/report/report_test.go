@@ -38,15 +38,8 @@ func TestSeriesAccess(t *testing.T) {
 	if _, ok := s.Y("99"); ok {
 		t.Fatal("absent label should miss")
 	}
-	if s.Last() != 956 {
-		t.Fatalf("Last = %v", s.Last())
-	}
 	if findSeries(f, "nope") != nil {
 		t.Fatal("unknown series should be nil")
-	}
-	var empty Series
-	if empty.Last() != 0 {
-		t.Fatal("empty Last should be 0")
 	}
 }
 

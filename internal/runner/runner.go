@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -41,59 +40,14 @@ type Result struct {
 	ID     string
 	Title  string
 	Figure *report.Figure
-	// Wall is the serial-equivalent cost: the summed wall time of the
-	// experiment's tasks (not first-start-to-last-end, which depends on
-	// what else shared the pool).
-	Wall time.Duration
-	// Tasks is how many tasks the experiment ran: its points, less those
-	// that reused another experiment's result for the same Key.
-	Tasks int
-	// Allocs and AllocBytes are the heap allocations the experiment's tasks
-	// performed (runtime.MemStats deltas summed over tasks). They are only
-	// recorded on serial runs (Parallel == 1), where per-task attribution
-	// is exact — Go has no per-goroutine allocation counters — and stay
-	// zero otherwise.
-	Allocs     uint64
-	AllocBytes uint64
 	// Err is set if any of the experiment's points (including one it shared
 	// with another experiment) or its assembly panicked; Figure is then nil.
 	Err error
 }
 
-// TaskWall is the count, mean and max of per-task wall times, in seconds.
-type TaskWall struct {
-	n        int64
-	sum, max float64
-}
-
-func (w *TaskWall) observe(sec float64) {
-	w.n++
-	w.sum += sec
-	w.max = max(w.max, sec)
-}
-
-// Mean reports the mean task wall time (0 if none ran).
-func (w TaskWall) Mean() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.sum / float64(w.n)
-}
-
-// Max reports the longest task wall time.
-func (w TaskWall) Max() float64 { return w.max }
-
 // Summary aggregates one run of a set of experiments.
 type Summary struct {
 	Results []Result
-	// Parallel is the worker count actually used.
-	Parallel int
-	// Wall is the harness wall-clock for the whole run.
-	Wall time.Duration
-	// Tasks is the total task count.
-	Tasks int
-	// TaskWall summarizes the per-task wall times.
-	TaskWall TaskWall
 	// Events is the number of simulation events the run's points executed,
 	// summed over the workers' event arenas.
 	Events uint64
@@ -136,7 +90,7 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 
 	// Plan: every point maps to the task that computes it. A keyed point
 	// whose key an earlier point already claimed reuses that task.
-	sum := &Summary{Results: make([]Result, len(specs)), Parallel: workers}
+	sum := &Summary{Results: make([]Result, len(specs))}
 	var tasks []task
 	slots := make([][]int, len(specs)) // slots[spec][point] = task index
 	leaders := map[string]int{}
@@ -155,16 +109,11 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 			slots[i][j] = t
 		}
 	}
-	sum.Tasks = len(tasks)
 
-	start := time.Now()
-
-	// mu guards the per-experiment accumulators (Wall, Tasks, Allocs), the
-	// task-wall distribution, and Progress.
+	// mu serializes Progress.
 	var mu sync.Mutex
 	ch := make(chan *task)
 	var wg sync.WaitGroup
-	trackAllocs := workers == 1
 	// One event arena per worker goroutine: consecutive points on this
 	// worker reuse each other's event storage, and the arena counts the
 	// events they execute. Arenas are never shared across goroutines.
@@ -176,7 +125,7 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 		go func() {
 			defer wg.Done()
 			for t := range ch {
-				t.res, t.reg, t.err = runTask(specs[t.spec], t.point, &sum.Results[t.spec], sum, &mu, opts.Progress, arena, trackAllocs)
+				t.res, t.reg, t.err = runTask(specs[t.spec], t.point, &mu, opts.Progress, arena)
 			}
 		}()
 	}
@@ -219,7 +168,6 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 		}()
 	}
 
-	sum.Wall = time.Since(start)
 	for _, a := range arenas {
 		sum.Events += a.Executed()
 	}
@@ -257,9 +205,8 @@ func Specs(ids []string) ([]experiments.Spec, error) {
 
 // runTask runs one point of s on a private registry, with panic isolation:
 // a panicking point fails the experiments that use it but never takes down
-// the pool or the others. Its wall time and allocations are charged to r,
-// the result of s.
-func runTask(s experiments.Spec, point int, r *Result, sum *Summary, mu *sync.Mutex, progress func(string), arena *sim.Arena, trackAllocs bool) (res any, reg *obs.Registry, err error) {
+// the pool or the others.
+func runTask(s experiments.Spec, point int, mu *sync.Mutex, progress func(string), arena *sim.Arena) (res any, reg *obs.Registry, err error) {
 	p := s.Points[point]
 	label := fmt.Sprintf("%s [%s]", s.ID, p.Label)
 	if progress != nil {
@@ -267,29 +214,10 @@ func runTask(s experiments.Spec, point int, r *Result, sum *Summary, mu *sync.Mu
 		progress(label)
 		mu.Unlock()
 	}
-	var m0 runtime.MemStats
-	if trackAllocs {
-		runtime.ReadMemStats(&m0)
-	}
-	start := time.Now()
 	defer func() {
-		wall := time.Since(start)
 		if v := recover(); v != nil {
 			err = fmt.Errorf("%s: panic: %v", label, v)
 		}
-		var allocs, allocBytes uint64
-		if trackAllocs {
-			var m1 runtime.MemStats
-			runtime.ReadMemStats(&m1)
-			allocs, allocBytes = m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
-		}
-		mu.Lock()
-		r.Wall += wall
-		r.Tasks++
-		r.Allocs += allocs
-		r.AllocBytes += allocBytes
-		sum.TaskWall.observe(wall.Seconds())
-		mu.Unlock()
 	}()
 	reg = obs.NewRegistry()
 	return p.Run(experiments.PointSeed(s.ID, p.Label), reg, arena), reg, nil

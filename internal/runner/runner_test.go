@@ -17,7 +17,7 @@ import (
 	"repro/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite the goldens: every figure CSV, suite.md and suite_metrics.json")
+var update = flag.Bool("update", false, "rewrite the goldens: every figure CSV, suite.md, suite_metrics.json and sim_events.txt")
 
 // checkGolden compares an artifact with testdata/golden/<name>, the
 // byte-for-byte output of a serial run that the suite is pinned to;
@@ -68,9 +68,10 @@ func firstDiffLine(want, got string) string {
 // experiment runs once, at -parallel 8. Under checks/<id> each must
 // produce at least one series and one shape check, pass every check, and
 // render a complete markdown report; under csv/<id> its CSV, and then the
-// suite markdown and the merged metrics registry, must match byte for byte
-// the goldens recorded at -parallel 1. The goldens being serial is what
-// makes this pass the full-suite serial ≡ parallel gate as well.
+// suite markdown, the merged metrics registry and the number of simulation
+// events the suite executed, must match byte for byte the goldens recorded
+// at -parallel 1. The goldens being serial is what makes this pass the
+// full-suite serial ≡ parallel gate as well.
 func TestSuiteMatchesGoldens(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("the full suite is slow; -short and race runs keep the determinism subset")
@@ -117,6 +118,9 @@ func TestSuiteMatchesGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkGolden(t, "suite_metrics.json", buf.String())
+	})
+	t.Run("sim_events.txt", func(t *testing.T) {
+		checkGolden(t, "sim_events.txt", fmt.Sprintf("%d\n", s.Events))
 	})
 }
 
@@ -178,8 +182,8 @@ var determinismIDs = []string{"fig07", "fig08", "fig09", "fig10", "fig20", "fig2
 
 // TestDeterminismAcrossParallelism runs the determinism subset at
 // -parallel 1 and -parallel 8 in every mode: the two legs share nothing,
-// yet must render byte-identical markdown from the same task count, and
-// both legs' CSVs must match the serial goldens.
+// yet must render byte-identical markdown, and both legs' CSVs must match
+// the serial goldens.
 func TestDeterminismAcrossParallelism(t *testing.T) {
 	s1, err := RunIDs(determinismIDs, Options{Parallel: 1})
 	if err != nil {
@@ -191,9 +195,6 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 	if md1, md8 := suiteMarkdown(t, s1), suiteMarkdown(t, s8); md1 != md8 {
 		t.Fatalf("output differs between -parallel 1 (want) and -parallel 8 (got):\n%s", firstDiffLine(md1, md8))
-	}
-	if s1.Tasks != s8.Tasks {
-		t.Fatalf("task counts differ: %d vs %d", s1.Tasks, s8.Tasks)
 	}
 	for _, s := range []*Summary{s1, s8} {
 		for _, r := range s.Results {
@@ -225,37 +226,45 @@ func TestSteadyStateRoundTripAllocationFree(t *testing.T) {
 	}
 }
 
-// TestResultsInInputOrderAndCounted checks ordering, task accounting, and
-// the wall/events bookkeeping on a small mixed run (the six-point fig08 and
-// the single-point fig20).
+// TestResultsInInputOrderAndCounted checks ordering and the run's
+// bookkeeping on a small mixed run (the six-point fig08 and the
+// single-point fig20): results come back in sorted id order, every point
+// runs exactly once, and the run counts its simulation events.
 func TestResultsInInputOrderAndCounted(t *testing.T) {
-	s, err := RunIDs([]string{"fig20", "fig08"}, Options{Parallel: 4})
+	specs, err := Specs([]string{"fig20", "fig08"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs := make([]atomic.Int32, len(specs))
+	for i := range specs {
+		points := make([]experiments.Point, len(specs[i].Points))
+		for j, p := range specs[i].Points {
+			run := p.Run
+			p.Run = func(seed uint64, reg *obs.Registry, arena *sim.Arena) any {
+				runs[i].Add(1)
+				return run(seed, reg, arena)
+			}
+			points[j] = p
+		}
+		specs[i].Points = points
+	}
+	s := Run(specs, Options{Parallel: 4})
 	if len(s.Results) != 2 || s.Results[0].ID != "fig08" || s.Results[1].ID != "fig20" {
 		t.Fatalf("unexpected result order: %+v", s.Results)
 	}
-	fig08, err := experiments.ByID("fig08")
-	if err != nil || len(fig08.Points) < 2 {
+	if len(specs[0].Points) < 2 {
 		t.Fatal("fig08 should be decomposed")
 	}
-	if got := s.Results[0].Tasks; got != len(fig08.Points) {
-		t.Fatalf("fig08 ran as %d tasks, want %d", got, len(fig08.Points))
-	}
-	if s.Results[1].Tasks != 1 {
-		t.Fatalf("fig20 ran as %d tasks, want 1", s.Results[1].Tasks)
+	for i, r := range s.Results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
+		}
+		if got, want := int(runs[i].Load()), len(specs[i].Points); got != want {
+			t.Fatalf("%s ran %d points, want %d", r.ID, got, want)
+		}
 	}
 	if s.Events == 0 {
 		t.Fatal("no simulation events recorded")
-	}
-	if s.TaskWall.n != int64(s.Tasks) {
-		t.Fatalf("task-wall samples %d != tasks %d", s.TaskWall.n, s.Tasks)
-	}
-	for _, r := range s.Results {
-		if r.Wall <= 0 {
-			t.Fatalf("%s has no wall time", r.ID)
-		}
 	}
 }
 
@@ -330,13 +339,16 @@ func TestPanicIsolation(t *testing.T) {
 // once, and a panic in the shared point fails every claimant.
 // The points are synthetic, so this runs under -short and -race.
 func TestSharedPointRunsOnce(t *testing.T) {
-	var runs atomic.Int32
+	var runs, ownRuns atomic.Int32
 	shared := experiments.Point{Label: "cell", Key: "test/cell", Run: func(seed uint64, reg *obs.Registry, _ *sim.Arena) any {
 		runs.Add(1)
 		reg.Counter("test.cell_audits").Inc()
 		return seed
 	}}
-	own := experiments.Point{Label: "own", Run: func(uint64, *obs.Registry, *sim.Arena) any { return uint64(0) }}
+	own := experiments.Point{Label: "own", Run: func(uint64, *obs.Registry, *sim.Arena) any {
+		ownRuns.Add(1)
+		return uint64(0)
+	}}
 	got := make([][]any, 2)
 	spec := func(i int, points ...experiments.Point) experiments.Spec {
 		id := fmt.Sprintf("s%d", i)
@@ -351,17 +363,13 @@ func TestSharedPointRunsOnce(t *testing.T) {
 			t.Fatalf("%s failed: %v", r.ID, r.Err)
 		}
 	}
-	if n := runs.Load(); n != 1 {
-		t.Fatalf("shared point ran %d times, want 1", n)
+	if n, m := runs.Load(), ownRuns.Load(); n != 1 || m != 1 {
+		t.Fatalf("shared point ran %d times and unshared point %d, want 1 each", n, m)
 	}
 	// The leader is s0's point, so both claimants see s0's seed.
 	want := experiments.PointSeed("s0", "cell")
 	if got[0][0] != want || got[1][1] != want {
 		t.Fatalf("shared results = %v / %v, want the leader's %v", got[0][0], got[1][1], want)
-	}
-	if s.Tasks != 2 || s.Results[0].Tasks != 1 || s.Results[1].Tasks != 1 || s.TaskWall.n != 2 {
-		t.Fatalf("tasks = %d (%d + %d), task-wall samples %d; want 2 (1 + 1), 2",
-			s.Tasks, s.Results[0].Tasks, s.Results[1].Tasks, s.TaskWall.n)
 	}
 	if n := s.Obs.Counter("test.cell_audits").Value(); n != 1 {
 		t.Fatalf("merged test.cell_audits = %d, want the one run's (1)", n)

@@ -8,7 +8,8 @@ import (
 )
 
 // These tests exercise the public API surface end to end; the per-figure
-// shape assertions live in internal/runner's suite pass and bench_test.go.
+// shape assertions and values live in internal/runner's suite pass,
+// TestSuiteMatchesGoldens.
 
 func TestQuickstartFlow(t *testing.T) {
 	tb := NewTestbed(Config{Ports: 1, Opts: AllOptimizations})
