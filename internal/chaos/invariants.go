@@ -46,7 +46,7 @@ const RecoveryBound = model.MiimonPeriod + model.WatchdogResetBackoff + 2*model.
 
 // Record counts violations into the registry: the headline
 // chaos.invariant_violations total (always registered, so a clean run
-// reports an explicit zero that reaches the BENCH totals) plus one
+// reports an explicit zero that reaches suite_metrics.json) plus one
 // chaos.violations.<invariant> counter per failed invariant.
 func Record(reg *obs.Registry, vs []Violation) {
 	reg.Counter("chaos.invariant_violations").Add(int64(len(vs)))

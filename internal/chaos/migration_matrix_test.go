@@ -146,7 +146,7 @@ func TestFaultDuringMigrationMatrix(t *testing.T) {
 			t.Fatal("migration neither completed nor aborted")
 		}
 		assertCleanTerminal(t, c, mig)
-		if mig.Result.Err == nil && c.MigrationRetries() == 0 {
+		if mig.Result.Err == nil && c.Obs.Get("cluster.migration.retries") == 0 {
 			t.Error("a flap on the migration uplink should cost at least one chunk retransmission")
 		}
 		if vs := chaos.AuditCluster(c, []*cluster.Migration{mig}); len(vs) != 0 {

@@ -511,8 +511,7 @@ type ClosFlow struct {
 	c  *Clos
 	ID int
 
-	SrcHost, SrcVM int
-	DstHost, DstVM int
+	SrcHost, DstHost int
 
 	key        uint64
 	demand     units.BitRate
@@ -577,8 +576,7 @@ func (c *Clos) startFlow(srcHost, srcVM, dstHost, dstVM int, rate units.BitRate,
 		c:  c,
 		ID: c.nextID,
 
-		SrcHost: srcHost, SrcVM: srcVM,
-		DstHost: dstHost, DstVM: dstVM,
+		SrcHost: srcHost, DstHost: dstHost,
 
 		key:        c.flowKey(srcHost, srcVM, dstHost, dstVM),
 		demand:     rate,

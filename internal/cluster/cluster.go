@@ -218,13 +218,8 @@ func (h *Host) swPortOf(p *nic.Port) int {
 // descriptors, wire serialization, switch queueing, downlink delivery,
 // receive-side interrupt and stack costs on the other host.
 type Flow struct {
-	Src, Dst *core.Guest
-
 	source *workload.Source
 	sender *guest.NetSender
-	// Skipped counts generator ticks dropped while the source VF was
-	// detached (mid-migration).
-	Skipped int64
 }
 
 // StartFlow starts a cross-host stream from src (on host `from`, which
@@ -237,11 +232,12 @@ func (c *Cluster) StartFlow(from *Host, src *core.Guest, to *Host, dst *core.Gue
 	if _, ok := to.sinks[dst.MAC]; !ok {
 		return nil, fmt.Errorf("cluster: destination %s not connected on %s", dst.Dom.Name, to.Name)
 	}
-	f := &Flow{Src: src, Dst: dst, sender: guest.NewNetSender(from.Bed.HV, src.Dom)}
+	f := &Flow{sender: guest.NewNetSender(from.Bed.HV, src.Dom)}
 	dstMAC := dst.MAC
 	f.source = workload.NewSource(c.Eng, rate, model.FrameSize, func(n int, bytes units.Size) {
+		// A generator tick is lost while the source VF is detached
+		// (mid-migration).
 		if !src.VF.Attached() {
-			f.Skipped++
 			return
 		}
 		src.VF.TransmitExternal(f.sender, dstMAC, bytes, model.FrameSize)

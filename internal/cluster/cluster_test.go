@@ -195,7 +195,7 @@ func TestMigrationRetriesThroughLinkFlap(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("a 200ms flap must be survivable, got: %v", res.Err)
 	}
-	if c.MigrationRetries() == 0 {
+	if c.Obs.Get("cluster.migration.retries") == 0 {
 		t.Fatal("flap during pre-copy should force chunk retransmissions")
 	}
 }

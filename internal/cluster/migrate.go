@@ -210,8 +210,7 @@ func (ch *FabricChannel) nextChunk() {
 func (ch *FabricChannel) transmit() {
 	ch.attempts++
 	frames := int((ch.cur + model.FrameSize - 1) / model.FrameSize)
-	ch.srcPort.TransmitToWire(ch.srcPort.PFQueue(),
-		nic.Batch{Src: ch.srcCtl, Dst: ch.dstCtl, Count: frames, Bytes: ch.cur})
+	ch.srcPort.TransmitToWire(nic.Batch{Src: ch.srcCtl, Dst: ch.dstCtl, Count: frames, Bytes: ch.cur})
 	ch.txBytes.Add(int64(ch.cur))
 	backoff := ch.attempts - 1
 	if backoff > 4 {
@@ -267,9 +266,4 @@ func (ch *FabricChannel) close() {
 	ch.closed = true
 	ch.watchdog.Cancel()
 	delete(ch.dst.sinks, ch.dstCtl)
-}
-
-// MigrationRetries reports total retransmissions on this cluster's migrations.
-func (c *Cluster) MigrationRetries() int64 {
-	return c.Obs.Counter("cluster.migration.retries").Value()
 }

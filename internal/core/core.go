@@ -152,7 +152,7 @@ func NewTestbed(cfg Config) *Testbed {
 	if eng == nil {
 		eng = sim.NewEngineArena(cfg.Seed, cfg.Arena)
 	}
-	meter := cpu.NewMeter(cpu.System{Threads: model.ServerThreads, Freq: model.ServerFreq})
+	meter := cpu.NewMeter(cpu.System{Freq: model.ServerFreq})
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(4096)
 	fabric.SetIOMMU(mmu)

@@ -19,8 +19,7 @@ import (
 
 // System describes the physical processor of a simulated machine.
 type System struct {
-	Threads int             // hardware threads (the paper's server has 16)
-	Freq    units.Frequency // clock (2.8 GHz in the paper)
+	Freq units.Frequency // clock (2.8 GHz in the paper)
 }
 
 // Meter accumulates cycles per domain over a measurement window. Each

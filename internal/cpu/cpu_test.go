@@ -8,7 +8,7 @@ import (
 	"repro/internal/units"
 )
 
-var testSys = System{Threads: 16, Freq: 2800 * units.MHz}
+var testSys = System{Freq: 2800 * units.MHz}
 
 // newWorker returns a worker charging dom0 on a fresh meter.
 func newWorker(eng *sim.Engine, queueCap int) *Worker {

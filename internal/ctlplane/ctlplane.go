@@ -325,7 +325,7 @@ func (c *Controller) snapshot() *FleetState {
 		g := vm.Guest
 		movable := !vm.migrating && g.Bond != nil && g.Bond.VF() != nil && g.Bond.VF().Attached()
 		s.VMs = append(s.VMs, VMState{
-			Name: vm.Name, Host: vm.Host, Group: vm.Group, Rate: vm.Rate, Movable: movable,
+			Host: vm.Host, Group: vm.Group, Rate: vm.Rate, Movable: movable,
 		})
 	}
 	return s
@@ -470,7 +470,8 @@ func (c *Controller) move(vm *VM, to int) {
 }
 
 // RecordHeadline folds the controller's downtime distribution into the
-// headline counter the BENCH totals read (ctl.p99_downtime_us).
+// headline counter ctl.p99_downtime_us, which the suite's merged metrics
+// (suite_metrics.json) carry.
 func (c *Controller) RecordHeadline() {
 	c.cfg.Obs.Counter("ctl.p99_downtime_us").Add(int64(c.downtime.Quantile(0.99) / units.Microsecond))
 }

@@ -29,7 +29,6 @@ type HostState struct {
 
 // VMState is one managed VM's placement summary.
 type VMState struct {
-	Name  string
 	Host  int
 	Group string // failure-domain / anti-affinity group ("" = none)
 	Rate  units.BitRate

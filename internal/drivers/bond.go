@@ -33,19 +33,11 @@ type Bond struct {
 	monitor  *sim.Ticker
 	upStreak int
 
-	// DroppedInOutage counts packets lost during interface switches.
-	DroppedInOutage int64
-	// Failovers counts slave switches.
-	Failovers int64
-	// FaultFailovers counts failovers the health monitor initiated (a
-	// subset of Failovers; the rest are planned migration switches).
+	// FaultFailovers counts failovers the health monitor initiated (the
+	// rest are planned migration switches).
 	FaultFailovers int64
 	// Failbacks counts monitor-initiated switches back to the VF slave.
 	Failbacks int64
-	// LastFailoverAt and LastFailbackAt time-stamp the most recent
-	// monitor-driven switches, for recovery-latency accounting.
-	LastFailoverAt units.Time
-	LastFailbackAt units.Time
 }
 
 // NewBond aggregates the two slaves, VF active.
@@ -63,9 +55,7 @@ func (b *Bond) VF() *VFDriver { return b.vf }
 // interface. During an interface switch the packets are lost; otherwise
 // they follow the active slave.
 func (b *Bond) Ingress(count int, bytes units.Size) {
-	now := b.hv.Engine().Now()
-	if now < b.outageUntil {
-		b.DroppedInOutage += int64(count)
+	if b.hv.Engine().Now() < b.outageUntil {
 		return
 	}
 	// Route by the configured active slave, not by its health: until the
@@ -110,7 +100,6 @@ func (b *Bond) poll(now units.Time) {
 	case b.activeVF && !healthy:
 		b.upStreak = 0
 		b.FaultFailovers++
-		b.LastFailoverAt = now
 		b.hv.Tracer.Emitf(now, "bond", "failover",
 			"VF slave unhealthy, switching to PV (outage %v)", model.FaultFailoverOutage)
 		b.FailoverToPV(model.FaultFailoverOutage)
@@ -127,7 +116,6 @@ func (b *Bond) poll(now units.Time) {
 		if b.upStreak >= model.MiimonFailbackTicks {
 			b.upStreak = 0
 			b.Failbacks++
-			b.LastFailbackAt = now
 			b.hv.Tracer.Emitf(now, "bond", "failback", "VF slave healthy again")
 			b.ActivateVF(b.vf)
 		}
@@ -142,7 +130,6 @@ func (b *Bond) FailoverToPV(outage units.Duration) {
 		return
 	}
 	b.activeVF = false
-	b.Failovers++
 	b.outageUntil = b.hv.Engine().Now().Add(outage)
 	b.hv.ChargeGuest(b.dom, 40000) // slave switch, gratuitous ARP
 }
@@ -163,6 +150,5 @@ func (b *Bond) DetachVF() {
 func (b *Bond) ActivateVF(vf *VFDriver) {
 	b.vf = vf
 	b.activeVF = true
-	b.Failovers++
 	b.hv.ChargeGuest(b.dom, 40000)
 }

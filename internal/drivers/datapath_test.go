@@ -121,9 +121,6 @@ func TestOVSHitMissSplit(t *testing.T) {
 	sw.Inject(b)
 	r.eng.After(2*units.Millisecond, "tx", func() { sw.Inject(b) })
 	r.eng.RunUntil(units.Time(10 * units.Millisecond))
-	if sw.cache.Misses != 1 || sw.cache.Hits != 1 {
-		t.Fatalf("cache hits=%d misses=%d, want 1/1", sw.cache.Hits, sw.cache.Misses)
-	}
 	if got := r.hv.Obs.Counter("dp.ovs.cache_hits").Value(); got != 1 {
 		t.Fatalf("dp.ovs.cache_hits = %d, want 1", got)
 	}
@@ -200,8 +197,5 @@ func TestFlowCacheLRUAndExpiry(t *testing.T) {
 	}
 	if fc.lru.Len() != 1 {
 		t.Fatalf("Len = %d after expiry, want 1", fc.lru.Len())
-	}
-	if fc.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", fc.Evictions)
 	}
 }

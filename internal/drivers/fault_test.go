@@ -6,10 +6,24 @@ import (
 	"repro/internal/model"
 	"repro/internal/netstack"
 	"repro/internal/nic"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
+
+// vfNotices records the PF→VF messages the mailbox carries from now on,
+// letting every one through.
+func vfNotices(mb *nic.Mailbox) *[]nic.Message {
+	var got []nic.Message
+	mb.OnSend = func(dir nic.Direction, m nic.Message) nic.SendVerdict {
+		if dir == nic.ToVF {
+			got = append(got, m)
+		}
+		return nic.SendVerdict{}
+	}
+	return &got
+}
 
 // vlanApplied reports whether the PF driver holds a (vf, vlan) filter.
 func vlanApplied(pf *PFDriver, vf int, vlan uint16) bool {
@@ -23,6 +37,7 @@ func vlanApplied(pf *PFDriver, vf int, vlan uint16) bool {
 
 func TestMailboxRetryThenSuccess(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
+	r.port.Obs = obs.NewRegistry()
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, netstack.FixedITR(2000))
 	r.eng.RunUntil(sim.Forever)
@@ -40,18 +55,20 @@ func TestMailboxRetryThenSuccess(t *testing.T) {
 		}
 		return nic.SendVerdict{}
 	}
+	timeouts := r.port.Obs.Get("mailbox.timeouts")
 	if err := drv.JoinVLAN(100); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.RunUntil(sim.Forever)
-	if drv.MboxRetries != 2 || drv.MboxTimeouts != 2 {
-		t.Fatalf("retries=%d timeouts=%d, want 2/2", drv.MboxRetries, drv.MboxTimeouts)
+	timeouts = r.port.Obs.Get("mailbox.timeouts") - timeouts
+	if drv.MboxRetries != 2 || timeouts != 2 {
+		t.Fatalf("retries=%d timeouts=%d, want 2/2", drv.MboxRetries, timeouts)
 	}
 	if drv.MboxFailures != 0 {
 		t.Fatalf("failures = %d", drv.MboxFailures)
 	}
-	if mb.Dropped != 2 {
-		t.Fatalf("mailbox dropped = %d, want 2", mb.Dropped)
+	if drops != 2 {
+		t.Fatalf("mailbox dropped = %d, want 2", drops)
 	}
 	if !vlanApplied(r.pf, 0, 100) {
 		t.Fatal("VLAN join lost despite retries")
@@ -63,6 +80,7 @@ func TestMailboxRetryThenSuccess(t *testing.T) {
 
 func TestMailboxRetryExhaustion(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
+	r.port.Obs = obs.NewRegistry()
 	d, recv := r.addGuest(t, "g1", vmm.HVM, vmm.Kernel2628)
 	drv := r.attachVF(t, d, 0, nic.MAC(0xaa), recv, netstack.FixedITR(2000))
 	r.eng.RunUntil(sim.Forever)
@@ -76,18 +94,20 @@ func TestMailboxRetryExhaustion(t *testing.T) {
 		}
 		return nic.SendVerdict{}
 	}
+	timeouts := r.port.Obs.Get("mailbox.timeouts")
 	if err := drv.JoinVLAN(100); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.RunUntil(sim.Forever)
+	timeouts = r.port.Obs.Get("mailbox.timeouts") - timeouts
 	if drv.MboxFailures != 1 {
 		t.Fatalf("failures = %d, want 1", drv.MboxFailures)
 	}
 	if want := int64(model.MailboxMaxAttempts - 1); drv.MboxRetries != want {
 		t.Fatalf("retries = %d, want %d", drv.MboxRetries, want)
 	}
-	if want := int64(model.MailboxMaxAttempts); drv.MboxTimeouts != want {
-		t.Fatalf("timeouts = %d, want %d", drv.MboxTimeouts, want)
+	if want := int64(model.MailboxMaxAttempts); timeouts != want {
+		t.Fatalf("timeouts = %d, want %d", timeouts, want)
 	}
 	if vlanApplied(r.pf, 0, 100) {
 		t.Fatal("abandoned request must not apply")
@@ -117,6 +137,7 @@ func TestGlobalResetReinitsVF(t *testing.T) {
 		t.Fatal("attach incomplete")
 	}
 
+	notices := vfNotices(r.port.Mailbox())
 	r.pf.GlobalReset()
 	// Immediately after the broadcast lands the VF is mid-reset.
 	r.eng.RunUntil(r.eng.Now().Add(model.DeviceResetNotice + 10*units.Microsecond))
@@ -124,14 +145,11 @@ func TestGlobalResetReinitsVF(t *testing.T) {
 		t.Fatal("VF should be unhealthy during the reset window")
 	}
 	r.eng.RunUntil(sim.Forever)
-	if r.pf.GlobalResets != 1 {
-		t.Fatalf("global resets = %d", r.pf.GlobalResets)
-	}
 	if drv.Reinits != 1 {
 		t.Fatalf("reinits = %d, want 1", drv.Reinits)
 	}
-	if drv.PFEvents == 0 {
-		t.Fatal("device-reset notification not received")
+	if n := *notices; len(n) == 0 || n[0] != (nic.Message{Kind: nic.MsgDeviceReset, VF: 0}) {
+		t.Fatalf("PF→VF messages %v, want the device-reset notification first", n)
 	}
 	if !drv.MACConfirmed || !drv.Queue().IntrEnabled() || !drv.Healthy() {
 		t.Fatalf("post-reset: macOK=%v intr=%v healthy=%v",

@@ -29,12 +29,6 @@ type FlowCache struct {
 	idle    units.Duration
 	entries map[FlowKey]*list.Element
 	lru     *list.List // front = most recently used
-
-	// Hits / Misses / Evictions count lookup outcomes and capacity
-	// evictions since creation.
-	Hits      int64
-	Misses    int64
-	Evictions int64
 }
 
 type flowEntry struct {
@@ -62,7 +56,6 @@ func NewFlowCache(cap int, idle units.Duration) *FlowCache {
 func (fc *FlowCache) Lookup(k FlowKey, now units.Time) bool {
 	el, ok := fc.entries[k]
 	if !ok {
-		fc.Misses++
 		return false
 	}
 	e := el.Value.(*flowEntry)
@@ -70,12 +63,10 @@ func (fc *FlowCache) Lookup(k FlowKey, now units.Time) bool {
 		// Idle age-out: the datapath would have reaped this flow already.
 		fc.lru.Remove(el)
 		delete(fc.entries, k)
-		fc.Misses++
 		return false
 	}
 	e.last = now
 	fc.lru.MoveToFront(el)
-	fc.Hits++
 	return true
 }
 
@@ -91,7 +82,6 @@ func (fc *FlowCache) Insert(k FlowKey, now units.Time) {
 		back := fc.lru.Back()
 		fc.lru.Remove(back)
 		delete(fc.entries, back.Value.(*flowEntry).key)
-		fc.Evictions++
 	}
 	fc.entries[k] = fc.lru.PushFront(&flowEntry{key: k, last: now})
 }
@@ -124,7 +114,6 @@ type OVSSwitch struct {
 
 type ovsVif struct {
 	dom  *vmm.Domain
-	mac  nic.MAC
 	recv *guest.NetReceiver
 }
 
@@ -164,7 +153,7 @@ func (sw *OVSSwitch) AddVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceive
 	if _, dup := sw.vifs[mac]; dup {
 		return fmt.Errorf("drivers: MAC %v already has an OVS port", mac)
 	}
-	sw.vifs[mac] = &ovsVif{dom: dom, mac: mac, recv: recv}
+	sw.vifs[mac] = &ovsVif{dom: dom, recv: recv}
 	return nil
 }
 

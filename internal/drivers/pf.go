@@ -31,10 +31,8 @@ type PFDriver struct {
 	// anything unusual." Returning false nacks the request.
 	InspectRequest func(msg nic.Message) bool
 
-	// Counters.
-	MailboxHandled int64
-	Nacked         int64
-	GlobalResets   int64
+	// Nacked counts the requests the policy refused.
+	Nacked int64
 }
 
 // mailboxHandleCycles is dom0's cost to service one VF mailbox request.
@@ -77,7 +75,6 @@ func (d *PFDriver) SetDom0MAC(mac nic.MAC) {
 // handleMailbox services VF→PF requests, charging dom0 and enforcing
 // policy.
 func (d *PFDriver) handleMailbox(msg nic.Message) {
-	d.MailboxHandled++
 	d.hv.ChargeDom0(mailboxHandleCycles)
 	// Ack/Nack echo the request kind in Arg so a retrying VF driver can
 	// match the response to its pending request.
@@ -163,7 +160,6 @@ func (d *PFDriver) SetLink(up bool) {
 // drivers are expected to quiesce on the notification and re-initialize
 // through FLR afterwards.
 func (d *PFDriver) GlobalReset() {
-	d.GlobalResets++
 	d.port.Mailbox().Broadcast(nic.MsgDeviceReset)
 	d.hv.ChargeDom0(80000) // igb reset path
 	d.hv.Engine().After(model.DeviceResetNotice, "pf:global-reset", func() {

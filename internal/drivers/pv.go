@@ -96,9 +96,6 @@ type PVNic struct {
 	acc        nic.Batch
 	accPending bool
 	accPoll    func()
-
-	// Events counts backend→frontend kicks.
-	Events int64
 }
 
 // CreateVif creates the frontend/backend pair for a guest. The receiver's
@@ -192,7 +189,6 @@ func (nb *Netback) copied(v *PVNic, b nic.Batch) {
 
 // deliver kicks the frontend with a completed batch.
 func (v *PVNic) deliver(b nic.Batch) {
-	v.Events++
 	switch v.dom.Type {
 	case vmm.PVM:
 		v.pending = b

@@ -41,7 +41,6 @@ type SoftPassthrough struct {
 type swpassVif struct {
 	sp   *SoftPassthrough
 	dom  *vmm.Domain
-	mac  nic.MAC
 	recv *guest.NetReceiver
 
 	// ring accumulates packets between coalesced interrupts; armed tracks
@@ -83,7 +82,7 @@ func (sp *SoftPassthrough) AddVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetR
 		return fmt.Errorf("drivers: MAC %v already has a passthrough vif", mac)
 	}
 	sp.hv.ChargeDom0(model.SwPassVifSetupCycles)
-	v := &swpassVif{sp: sp, dom: dom, mac: mac, recv: recv}
+	v := &swpassVif{sp: sp, dom: dom, recv: recv}
 	v.fire = v.interrupt
 	sp.vifs[mac] = v
 	return nil

@@ -60,12 +60,8 @@ type VFDriver struct {
 
 	// MACConfirmed reflects mailbox acknowledgment from the PF driver.
 	MACConfirmed bool
-	// PFEvents counts PF→VF notifications received.
-	PFEvents int64
 	// MboxRetries counts request retransmissions after a timeout.
 	MboxRetries int64
-	// MboxTimeouts counts response timeouts (including the final one).
-	MboxTimeouts int64
 	// MboxFailures counts requests abandoned after retry exhaustion.
 	MboxFailures int64
 	// Reinits counts FLR-based driver re-initializations.
@@ -264,7 +260,6 @@ func (d *VFDriver) onMboxTimeout() {
 	if !d.attached || d.mboxPending == nil {
 		return
 	}
-	d.MboxTimeouts++
 	d.obsTimeouts.Inc()
 	if d.mboxAttempts >= model.MailboxMaxAttempts {
 		// Retry exhaustion: the driver gives up and reports the channel
@@ -324,12 +319,9 @@ func (d *VFDriver) onMailbox(msg nic.Message) {
 		}
 		d.completeRequest(req)
 	case nic.MsgDeviceReset:
-		d.PFEvents++
 		// §4.2: "impending global device reset" — quiesce and schedule a
 		// full re-initialization through FLR.
 		d.Reinit()
-	case nic.MsgLinkChange, nic.MsgDriverRemove:
-		d.PFEvents++
 	}
 }
 
@@ -444,7 +436,7 @@ func (d *VFDriver) TransmitExternal(sender *guest.NetSender, dst nic.MAC, msgSiz
 	if pkts == 0 {
 		return 0, 0
 	}
-	if !d.port.TransmitToWire(d.queue, nic.Batch{Dst: dst, Src: d.mac, Count: pkts, Bytes: msgSize}) {
+	if !d.port.TransmitToWire(nic.Batch{Dst: dst, Src: d.mac, Count: pkts, Bytes: msgSize}) {
 		return 0, d.port.TxBacklog()
 	}
 	return pkts, d.port.TxBacklog()

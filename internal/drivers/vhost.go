@@ -43,7 +43,6 @@ type Vhost struct {
 
 type vhostVif struct {
 	dom  *vmm.Domain
-	mac  nic.MAC
 	recv *guest.NetReceiver
 
 	// ring accumulates packets between poll rounds (the shared ring the
@@ -81,7 +80,7 @@ func (vh *Vhost) AddVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceiver) e
 	if _, dup := vh.vifs[mac]; dup {
 		return fmt.Errorf("drivers: MAC %v already has a vhost vif", mac)
 	}
-	v := &vhostVif{dom: dom, mac: mac, recv: recv}
+	v := &vhostVif{dom: dom, recv: recv}
 	vh.vifs[mac] = v
 	vh.order = append(vh.order, v)
 	return nil

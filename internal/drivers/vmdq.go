@@ -41,8 +41,6 @@ type VMDqBridge struct {
 }
 
 type vmdqVif struct {
-	dom      *vmm.Domain
-	recv     *guest.NetReceiver
 	pv       *PVNic // event-channel plumbing; also the fallback vif
 	hasQueue bool
 }
@@ -78,7 +76,7 @@ func (br *VMDqBridge) CreateVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetRec
 	if err != nil {
 		return err
 	}
-	v := &vmdqVif{dom: dom, recv: recv, pv: pv}
+	v := &vmdqVif{pv: pv}
 	if br.queuesUsed < model.VMDqGuestQueues {
 		v.hasQueue = true
 		br.queuesUsed++

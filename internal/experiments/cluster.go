@@ -55,7 +55,6 @@ type clusterCell struct {
 	hosts, vms int
 	goodput    units.BitRate // aggregate across all hosts
 	dom0       float64       // mean per-host dom0 CPU %
-	guests     float64       // mean per-host guest CPU %
 	drops      int64         // fabric tail drops
 }
 
@@ -114,7 +113,6 @@ func runClusterScale(seed uint64, reg *obs.Registry, arena *sim.Arena, hosts, vm
 	for _, m := range ms {
 		cell.goodput += core.AggregateGoodput(m.Results)
 		cell.dom0 += m.Util.Dom0 / float64(hosts)
-		cell.guests += m.Util.Guests / float64(hosts)
 	}
 	return cell
 }
@@ -187,7 +185,6 @@ type migrationLoadCell struct {
 	load    int
 	res     *migration.Result
 	drops   int64
-	retries int64
 	rxBytes int64
 	memory  int64 // bytes of guest memory migrated at least once
 }
@@ -270,7 +267,6 @@ func runMigrationUnderLoad(seed uint64, reg *obs.Registry, arena *sim.Arena, loa
 		reg.Counter("cluster.migration.downtime_us").Add(int64(cell.res.Downtime() / units.Microsecond))
 	}
 	cell.drops = c.FabricDrops()
-	cell.retries = c.MigrationRetries()
 	cell.rxBytes = reg.Counter("cluster.migration.rx_bytes").Value()
 	return cell
 }

@@ -84,9 +84,10 @@ func nfvWarm(kind string) units.Duration {
 }
 
 type nfvMeasure struct {
-	tput float64 // Mbps of goodput
-	dom0 float64 // % of one thread
-	loss float64 // % of offered load not reaching the application
+	tput       float64 // Mbps of goodput
+	dom0       float64 // % of one thread
+	loss       float64 // % of offered load not reaching the application
+	violations int64   // chaos audit failures (must stay 0)
 }
 
 func fig26Label(kind string, frame units.Size) string {
@@ -110,13 +111,14 @@ func fig26Points(kinds []string) []Point {
 				tb.StartUDPFramed(g, offered, frame)
 				u, res := tb.Measure(nfvWarm(kind), window)
 				tb.StopAll()
-				chaos.Record(reg, chaos.AuditTestbed(tb))
+				vs := chaos.AuditTestbed(tb)
+				chaos.Record(reg, vs)
 				tput := res[g].Goodput.Mbps()
 				loss := (1 - tput/offered.Mbps()) * 100
 				if loss < 0 {
 					loss = 0
 				}
-				return nfvMeasure{tput: tput, dom0: u.Dom0, loss: loss}
+				return nfvMeasure{tput: tput, dom0: u.Dom0, loss: loss, violations: int64(len(vs))}
 			}})
 		}
 	}
@@ -209,6 +211,12 @@ func buildFig26From(kinds []string, results []any) *report.Figure {
 		f.CheckTrue("netback pays dom0 for the copy at small frames",
 			get("pv", min).dom0 > 50, fmt.Sprintf("pv dom0=%.1f%%", get("pv", min).dom0))
 	}
+	var violations int64
+	for _, r := range results {
+		violations += r.(nfvMeasure).violations
+	}
+	f.CheckTrue("zero invariant violations across the sweep", violations == 0,
+		fmt.Sprintf("violations=%d", violations))
 	return f
 }
 
@@ -237,8 +245,9 @@ const (
 )
 
 type chainMeasure struct {
-	p50, p99 float64 // µs end-to-end
-	loss     float64 // % of issued requests never completing
+	p50, p99   float64 // µs end-to-end
+	loss       float64 // % of issued requests never completing
+	violations int64   // chaos audit failures (must stay 0)
 }
 
 // fig27Points: one point per (backend, scenario).
@@ -341,7 +350,8 @@ func runChain(seed uint64, reg *obs.Registry, arena *sim.Arena, kind string, gue
 	ticker.Stop()
 	tb.Eng.RunUntil(tb.Eng.Now().Add(nfvDrain))
 	tb.StopAll()
-	chaos.Record(reg, chaos.AuditTestbed(tb))
+	vs := chaos.AuditTestbed(tb)
+	chaos.Record(reg, vs)
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	q := func(p float64) float64 {
@@ -357,7 +367,7 @@ func runChain(seed uint64, reg *obs.Registry, arena *sim.Arena, kind string, gue
 	if loss < 0 {
 		loss = 0
 	}
-	return chainMeasure{p50: q(0.50), p99: q(0.99), loss: loss}
+	return chainMeasure{p50: q(0.50), p99: q(0.99), loss: loss, violations: int64(len(vs))}
 }
 
 // buildFig27 assembles the service-chain figure: per scenario, p50/p99
@@ -453,5 +463,11 @@ func buildFig27From(kinds []string, results []any) *report.Figure {
 		f.CheckRange("swpass round trip is two coalescing windows",
 			get("swpass", "pingpong").p50, 400, 600)
 	}
+	var violations int64
+	for _, r := range results {
+		violations += r.(chainMeasure).violations
+	}
+	f.CheckTrue("zero invariant violations across the sweep", violations == 0,
+		fmt.Sprintf("violations=%d", violations))
 	return f
 }

@@ -99,13 +99,6 @@ func (r *NetReceiver) DeliverBatch(n int, bytes units.Size) int {
 	return accepted
 }
 
-// SenderStats counts transmit-side work.
-type SenderStats struct {
-	Messages int64
-	Packets  int64
-	Bytes    units.Size
-}
-
 // NetSender models the transmit side of a guest running netperf: syscall
 // per message plus per-packet stack cost. The actual movement of bytes is
 // done by whatever driver the caller wires up.
@@ -115,8 +108,6 @@ type NetSender struct {
 
 	// PerPacketExtra adds flavour-specific per-packet cost.
 	PerPacketExtra units.Cycles
-
-	Stats SenderStats
 }
 
 // NewNetSender creates a sender for the domain.
@@ -137,8 +128,5 @@ func (s *NetSender) SendMessage(msgSize, frame units.Size) int {
 		cost += model.PVMSyscallExtraCyclesPerPacket
 	}
 	s.hv.ChargeGuest(s.dom, cost)
-	s.Stats.Messages++
-	s.Stats.Packets += int64(pkts)
-	s.Stats.Bytes += msgSize
 	return pkts
 }

@@ -16,7 +16,7 @@ import (
 
 func newHV() (*vmm.Hypervisor, *cpu.Meter, *mem.Machine) {
 	eng := sim.NewEngine(1)
-	meter := cpu.NewMeter(cpu.System{Threads: model.ServerThreads, Freq: model.ServerFreq})
+	meter := cpu.NewMeter(cpu.System{Freq: model.ServerFreq})
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(64)
 	fabric.SetIOMMU(mmu)
@@ -120,11 +120,10 @@ func TestSenderMessageSplitting(t *testing.T) {
 	if pkts != 3 {
 		t.Fatalf("packets = %d, want 3", pkts)
 	}
-	if s.Stats.Messages != 1 || s.Stats.Packets != 3 || s.Stats.Bytes != 4000 {
-		t.Fatalf("stats = %+v", s.Stats)
-	}
-	if meter.DomainCycles(d.Ledger()) == 0 {
-		t.Fatal("sender cycles not charged")
+	// One syscall, three packets' half of the stack cost.
+	want := model.SyscallPerMessageCycles + 3*(model.GuestPerPacketCycles/2)
+	if c := meter.DomainCycles(d.Ledger()); c != want {
+		t.Fatalf("sender cycles = %d, want %d", c, want)
 	}
 	if s.SendMessage(0, 1500) != 0 || s.SendMessage(100, 0) != 0 {
 		t.Fatal("degenerate messages")

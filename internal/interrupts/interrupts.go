@@ -89,11 +89,6 @@ func (a *Allocator) Free(v Vector) { delete(a.owner, v) }
 type LAPIC struct {
 	irr apicReg
 	isr apicReg
-	// EOICount counts EOI writes (each one is an APIC-access VM-exit when
-	// this LAPIC is virtual).
-	EOICount int64
-	// SpuriousEOI counts EOIs with no interrupt in service.
-	SpuriousEOI int64
 }
 
 // apicReg is a 256-bit APIC register (IRR, ISR): bit v%64 of word v/64
@@ -156,12 +151,11 @@ func (l *LAPIC) Ack() (Vector, bool) {
 // EOI clears the highest-priority in-service vector ("Upon receiving a
 // virtual EOI, the APIC device model clears the highest priority virtual
 // interrupt in servicing, and dispatches the next highest priority
-// interrupt", §5.2). It returns the next deliverable vector, if any.
+// interrupt", §5.2). It returns the next deliverable vector, if any. An EOI
+// with nothing in service is spurious and changes nothing.
 func (l *LAPIC) EOI() (next Vector, ok bool) {
-	l.EOICount++
 	hs := l.isr.highest()
 	if hs < 0 {
-		l.SpuriousEOI++
 		return 0, false
 	}
 	l.isr.clear(Vector(hs))
@@ -177,8 +171,6 @@ type EventChannelPort int
 type EventChannels struct {
 	pending []bool
 	bound   []string
-	// Sent counts deliveries (new pendings).
-	Sent int64
 }
 
 // NewEventChannels creates a controller with n ports.
@@ -217,7 +209,6 @@ func (e *EventChannels) Notify(p EventChannelPort) bool {
 		return false // already pending: merged
 	}
 	e.pending[p] = true
-	e.Sent++
 	return true
 }
 

@@ -12,7 +12,6 @@ import "fmt"
 // IRTE is one interrupt-remapping table entry. The table has one per
 // vector; an entry is in force only while Present is set.
 type IRTE struct {
-	Vector  uint8
 	RID     uint16
 	Present bool
 }
@@ -20,7 +19,7 @@ type IRTE struct {
 // ProgramIRTE installs (or replaces) the remap entry allowing rid to signal
 // vector.
 func (u *IOMMU) ProgramIRTE(vector uint8, rid uint16) {
-	u.irte[vector] = IRTE{Vector: vector, RID: rid, Present: true}
+	u.irte[vector] = IRTE{RID: rid, Present: true}
 	u.irteProgrammed.Inc()
 }
 

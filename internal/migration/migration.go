@@ -15,16 +15,11 @@ import (
 	"repro/internal/vmm"
 )
 
-// Round records one pre-copy iteration.
-type Round struct {
-	Pages    uint64
-	Duration units.Duration
-}
-
 // Result describes a completed migration.
 type Result struct {
-	Start         units.Time
-	PrecopyRounds []Round
+	Start units.Time
+	// PrecopyRounds holds the pages each pre-copy round sent, in order.
+	PrecopyRounds []uint64
 	// DowntimeStart/DowntimeEnd bound the stop-and-copy service outage.
 	DowntimeStart units.Time
 	DowntimeEnd   units.Time
@@ -194,11 +189,10 @@ func (m *Manager) aborter(d *vmm.Domain, dirt *dirtier, res *Result, onDone func
 // caller-supplied restore hook — unpause-in-place for the analytic path, a
 // target-host domain restore for the inter-host path.
 func (m *Manager) precopy(d *vmm.Domain, dirt *dirtier, ch Channel, pages uint64, round int, res *Result, restore func(), abort func(error)) {
-	start := m.hv.Engine().Now()
 	m.hv.ChargeDom0(units.Cycles(pages * model.MigrationPerPageDom0Cycles))
 	res.PagesSent += pages
 	m.send(ch, pages, func(err error) {
-		res.PrecopyRounds = append(res.PrecopyRounds, Round{Pages: pages, Duration: m.hv.Engine().Now().Sub(start)})
+		res.PrecopyRounds = append(res.PrecopyRounds, pages)
 		if err != nil {
 			abort(err)
 			return

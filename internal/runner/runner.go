@@ -38,7 +38,6 @@ type Options struct {
 // Result is one experiment's outcome.
 type Result struct {
 	ID     string
-	Title  string
 	Figure *report.Figure
 	// Err is set if any of the experiment's points (including one it shared
 	// with another experiment) or its assembly panicked; Figure is then nil.
@@ -95,7 +94,7 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 	slots := make([][]int, len(specs)) // slots[spec][point] = task index
 	leaders := map[string]int{}
 	for i, s := range specs {
-		sum.Results[i] = Result{ID: s.ID, Title: s.Title}
+		sum.Results[i] = Result{ID: s.ID}
 		slots[i] = make([]int, len(s.Points))
 		for j, p := range s.Points {
 			t, ok := leaders[p.Key]

@@ -57,16 +57,16 @@ type event struct {
 	fn        func()
 	name      string
 	cancelled bool
-	index     int // heap index
+	// pooled is true while the event sits on an Arena free list. It is the
+	// double-recycle tripwire: putting an already-pooled event (or getting
+	// one that thinks it is live) means two owners held the same event,
+	// which is exactly the aliasing bug pooling can introduce. It shares
+	// cancelled's word, so an event fills one 64-byte cache line.
+	pooled bool
 	// gen is bumped every time the event is recycled into the free list.
 	// Handles capture the gen at schedule time; a mismatch means the handle
 	// outlived its schedule (the event fired, or was cancelled and reaped).
 	gen uint64
-	// pooled is true while the event sits on an Arena free list. It is the
-	// double-recycle tripwire: putting an already-pooled event (or getting
-	// one that thinks it is live) means two owners held the same event,
-	// which is exactly the aliasing bug pooling can introduce.
-	pooled bool
 }
 
 // Arena is a free list of event objects. Engines that run sequentially on
@@ -141,16 +141,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -172,7 +164,6 @@ type Engine struct {
 	// sched is the event queue: the timer wheel (package tests substitute
 	// the reference binary heap).
 	sched   scheduler
-	seed    uint64
 	rng     *RNG
 	streams map[string]*RNG
 	// processed counts events executed, for diagnostics and runaway guards.
@@ -207,7 +198,7 @@ func newEngine(seed uint64, arena *Arena, s scheduler) *Engine {
 	if arena == nil {
 		arena = NewArena()
 	}
-	return &Engine{seed: seed, rng: NewRNG(seed), arena: arena, pooling: true, sched: s}
+	return &Engine{rng: NewRNG(seed), arena: arena, pooling: true, sched: s}
 }
 
 // Arena exposes the engine's event pool, so integrity checkers can read

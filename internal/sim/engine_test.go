@@ -5,9 +5,21 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/units"
 )
+
+// TestEventFillsOneCacheLine pins the event layout: every schedule touches
+// one event, and on a 64-bit platform it fits one 64-byte cache line.
+func TestEventFillsOneCacheLine(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 64", n)
+	}
+}
 
 // Test-only engine API: running to quiescence and drawing from the root
 // stream, which production code never asks for.

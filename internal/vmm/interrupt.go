@@ -19,7 +19,6 @@ type MSIBinding struct {
 	dom    *Domain
 	vector interrupts.Vector
 	port   interrupts.EventChannelPort // PVM path
-	source string
 	// rid, when non-zero, is the requester the IOMMU's interrupt-remap
 	// entry was programmed for; deliveries are validated against it.
 	rid uint16
@@ -43,7 +42,7 @@ func (h *Hypervisor) BindGuestMSIFromRID(d *Domain, source string, rid uint16, h
 		return nil, err
 	}
 	h.Tracer.Emitf(h.eng.Now(), "irq", "bind", "%s vector=%d dom=%s", source, v, d.Name)
-	b := &MSIBinding{hv: h, dom: d, vector: v, source: source, rid: rid}
+	b := &MSIBinding{hv: h, dom: d, vector: v, rid: rid}
 	if rid != 0 {
 		h.mmu.ProgramIRTE(uint8(v), rid)
 	}
@@ -217,8 +216,9 @@ func (h *Hypervisor) GuestEOI(d *Domain) {
 			case d.Kernel.ComplexEOIWriter:
 				// §5.2's risk realized: the bypass "may not be able to
 				// correctly emulate the additional state transition
-				// leading to guest failure". Contained within the guest.
-				d.corrupted = true
+				// leading to guest failure". Contained within the guest:
+				// the mis-emulation is counted, and no other domain is
+				// touched.
 				h.eoiMisemulations.Inc()
 			}
 		}

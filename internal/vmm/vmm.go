@@ -173,9 +173,6 @@ type Domain struct {
 
 	assigned []*pcie.Function
 	paused   bool
-	// corrupted marks a guest whose state was mis-emulated (§5.2's risk —
-	// "the risk is contained within the guest").
-	corrupted bool
 }
 
 // Ledger reports the domain's CPU ledger in the hypervisor's meter.
@@ -189,8 +186,7 @@ func (d *Domain) Paused() bool { return d.paused }
 
 // HotplugEvent is a virtual ACPI hot-plug notification.
 type HotplugEvent struct {
-	Remove   bool // true = removal, false = add
-	Function *pcie.Function
+	Remove bool // true = removal, false = add
 }
 
 // Hypervisor is the machine-wide VMM state.

@@ -29,9 +29,6 @@ func TestSourceRateAccuracy(t *testing.T) {
 	if got.Mbps() < 955 || got.Mbps() > 959 {
 		t.Fatalf("generated rate = %v, want ≈957 Mbps", got)
 	}
-	if pkts != s.Sent {
-		t.Fatal("Sent counter mismatch")
-	}
 	// Packet arithmetic: 957 Mbps at 1514 B ≈ 79 kpps.
 	if pkts < 78000 || pkts > 80000 {
 		t.Fatalf("pps = %d", pkts)
@@ -121,7 +118,7 @@ func TestMessageSourceBackpressure(t *testing.T) {
 
 func TestWindowMeasurement(t *testing.T) {
 	eng := sim.NewEngine(1)
-	meter := cpu.NewMeter(cpu.System{Threads: 16, Freq: model.ServerFreq})
+	meter := cpu.NewMeter(cpu.System{Freq: model.ServerFreq})
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(64)
 	fabric.SetIOMMU(mmu)
@@ -141,8 +138,5 @@ func TestWindowMeasurement(t *testing.T) {
 	}
 	if res.Packets != 100 || res.Interrupts != 1 || res.SockDropped != 0 {
 		t.Fatalf("result = %+v", res)
-	}
-	if res.Duration != units.Second {
-		t.Fatalf("duration = %v", res.Duration)
 	}
 }

@@ -12,4 +12,8 @@ func main() {
 	var r mylib.Runner = t
 	r.Run()
 	fmt.Println(mylib.Used(), t, mylib.Box[int]{}.Get(), mylib.New().Peek())
+	var s mylib.Stats
+	s.Record(true)
+	fmt.Println(s.Total)
+	mylib.NewPair()
 }

@@ -1,5 +1,6 @@
 // Package lib is a fixture for the dead-API gate: every exported
-// identifier here is either used by cmd/tool or planted dead.
+// identifier and every struct field here is either used by cmd/tool or
+// planted dead.
 package lib
 
 // T carries live methods (a direct call, an interface call, an exempt
@@ -20,8 +21,39 @@ type hidden struct{}
 // Box is generic: cmd/tool calls Get on an instantiation.
 type Box[V any] struct{ v V }
 
+// Stats plants the field rule: Hits is only written, Misses only a test
+// reads, cmd/tool reads Total, and encoding/json would read the tagged
+// Label.
+type Stats struct {
+	Hits   int
+	Misses int
+	Total  int
+	Label  string `json:"label"`
+}
+
+// Pair is only ever built positionally: its V is set but never read.
+type Pair struct{ V int }
+
+// Key is a map key, so hashing reads its ID although no file names it.
+type Key struct{ ID int }
+
+var index = map[Key]int{}
+
 // Used is called by cmd/tool.
-func Used() int { return limit }
+func Used() int { return limit + index[Key{limit}] }
+
+// Record counts one lookup.
+func (s *Stats) Record(hit bool) {
+	s.Total++
+	if hit {
+		s.Hits++
+	} else {
+		s.Misses += 1
+	}
+}
+
+// NewPair is called by cmd/tool.
+func NewPair() Pair { return Pair{7} }
 
 // New is called by cmd/tool.
 func New() hidden { return hidden{} }

@@ -8,4 +8,9 @@ func TestDeadCallers(t *testing.T) {
 	U{}.Live()
 	U{}.Run(1)
 	New().Poke()
+	var s Stats
+	s.Record(false)
+	if s.Misses != 1 {
+		t.Fatal("miss not counted")
+	}
 }
