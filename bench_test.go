@@ -87,7 +87,7 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 		netstack.FixedITR(20000),
 		netstack.FixedITR(8000),
 		netstack.FixedITR(2000),
-		netstack.DefaultDynamicITR(),
+		netstack.DynamicITR{},
 		netstack.DefaultAIC(),
 	}
 	for _, p := range policies {

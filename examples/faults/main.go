@@ -21,7 +21,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	g.Bond.StartMonitor(0) // miimon, model default 100 ms
+	g.Bond.StartMonitor() // miimon, 100 ms
 	tb.StartUDP(g, sriov.LineRateUDP)
 
 	tr := sriov.NewTrace(4096).Filter("fault", "bond", "vf", "nic", "mailbox")

@@ -22,7 +22,7 @@ func main() {
 	}
 	tb.StartUDP(g, sriov.LineRateUDP)
 
-	mgr := sriov.NewMigrationManager(tb, sriov.DefaultMigrationConfig())
+	mgr := sriov.NewMigrationManager(tb)
 	var res *sriov.MigrationResult
 	tb.Eng.At(sriov.Time(4500*sriov.Millisecond), "example:migrate", func() {
 		fmt.Printf("[%7v] migration manager: signalling virtual hot-removal of the VF\n", tb.Eng.Now())

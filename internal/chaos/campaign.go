@@ -21,10 +21,9 @@ type Config struct {
 	// the injector's Watch order).
 	Ports, VFsPerPort int
 	// StormRate is the mean fault arrival rate in faults per simulated
-	// second (Poisson arrivals); 0 plans no storm.
+	// second (Poisson arrivals), each of a kind drawn uniformly from every
+	// injectable kind; 0 plans no storm.
 	StormRate float64
-	// StormKinds are the kinds drawn from; nil means DefaultStormKinds.
-	StormKinds []fault.Kind
 	// CascadeProb is the chance each planned fault spawns a follow-up
 	// fault CascadeDelay after its window clears, on the same port — the
 	// fault-during-recovery cascade.
@@ -32,12 +31,10 @@ type Config struct {
 	CascadeDelay units.Duration
 }
 
-// DefaultStormKinds is every injectable kind.
-func DefaultStormKinds() []fault.Kind {
-	return []fault.Kind{
-		fault.LinkFlap, fault.MailboxDrop, fault.MailboxDelay,
-		fault.QueueStall, fault.DeviceReset, fault.SurpriseRemoveVF,
-	}
+// stormKinds is every injectable kind, in draw order.
+var stormKinds = [...]fault.Kind{
+	fault.LinkFlap, fault.MailboxDrop, fault.MailboxDelay,
+	fault.QueueStall, fault.DeviceReset, fault.SurpriseRemoveVF,
 }
 
 // Plan draws a full campaign schedule: Poisson fault arrivals over
@@ -46,10 +43,6 @@ func DefaultStormKinds() []fault.Kind {
 // engines yields identical plans.
 func Plan(eng *sim.Engine, cfg Config) []fault.Scenario {
 	rng := eng.Stream("chaos:" + cfg.Name)
-	kinds := cfg.StormKinds
-	if len(kinds) == 0 {
-		kinds = DefaultStormKinds()
-	}
 	var plan []fault.Scenario
 	if cfg.StormRate > 0 {
 		for t := cfg.Start; ; {
@@ -57,7 +50,7 @@ func Plan(eng *sim.Engine, cfg Config) []fault.Scenario {
 			if t >= cfg.End {
 				break
 			}
-			plan = append(plan, drawOne(rng, cfg, t, kinds[rng.Intn(len(kinds))]))
+			plan = append(plan, drawOne(rng, cfg, t, stormKinds[rng.Intn(len(stormKinds))]))
 		}
 	}
 	// Cascades draw after the storm, so the storm schedule is identical
@@ -68,7 +61,7 @@ func Plan(eng *sim.Engine, cfg Config) []fault.Scenario {
 				continue
 			}
 			at := base.At.Add(base.Duration).Add(cfg.CascadeDelay)
-			c := drawOne(rng, cfg, at, kinds[rng.Intn(len(kinds))])
+			c := drawOne(rng, cfg, at, stormKinds[rng.Intn(len(stormKinds))])
 			c.Port = base.Port // the cascade hits the component still recovering
 			if at < cfg.End {
 				plan = append(plan, c)

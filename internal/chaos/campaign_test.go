@@ -32,7 +32,7 @@ func chaosRig(t *testing.T, seed uint64) (*core.Testbed, *core.Guest, *fault.Inj
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Bond.StartMonitor(0)
+	g.Bond.StartMonitor()
 	tb.StartUDP(g, model.LineRateUDP)
 	inj := fault.NewInjector(tb.Eng, nil)
 	inj.Watch(tb.Ports[0], tb.PFs[0])

@@ -169,6 +169,40 @@ func TestInterHostDNISMigration(t *testing.T) {
 	}
 }
 
+// TestMigrationRejectsBadTarget checks a target port or VF the destination
+// host does not have is refused before the hot removal: the source guest
+// keeps its VF and keeps running.
+func TestMigrationRejectsBadTarget(t *testing.T) {
+	for _, badVF := range []bool{true, false} {
+		name := "bad-port"
+		if badVF {
+			name = "bad-vf"
+		}
+		t.Run(name, func(t *testing.T) {
+			c, vm := migrationRig(t, 21)
+			dst := c.Host(1)
+			port, vf := len(dst.Bed.Ports), 1
+			if badVF {
+				port, vf = 0, dst.Bed.Ports[0].NumVFs()
+			}
+			c.Eng.RunUntil(units.Time(units.Second))
+			_, err := c.MigrateDNIS(MigrationSpec{
+				Src: c.Host(0), Guest: vm, Dst: dst, DstPort: port, DstVF: vf, Policy: policy(),
+			}, nil)
+			if err == nil {
+				t.Fatal("want an error")
+			}
+			c.Eng.RunUntil(units.Time(2 * units.Second))
+			if vf := vm.Bond.VF(); vf == nil || !vf.Attached() || !vm.Bond.ActiveVF() {
+				t.Error("source guest lost its VF")
+			}
+			if vm.Dom.Paused() {
+				t.Error("source guest paused")
+			}
+		})
+	}
+}
+
 func TestMigrationRetriesThroughLinkFlap(t *testing.T) {
 	c, vm := migrationRig(t, 22)
 	h0, h1 := c.Host(0), c.Host(1)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/units"
-	"repro/internal/vmm"
 )
 
 // MigrationSpec describes one inter-host DNIS migration.
@@ -25,13 +24,9 @@ type MigrationSpec struct {
 	// its coalescing policy (nil = driver default).
 	DstPort, DstVF int
 	Policy         netstack.ITRPolicy
-	// TargetName names the restored domain on the target host.
+	// TargetName names the restored domain on the target host, which
+	// keeps the source domain's type and kernel.
 	TargetName string
-	Type       vmm.DomainType
-	Kernel     vmm.KernelConfig
-	// Config tunes pre-copy (LinkRate is ignored — the fabric paces the
-	// transfer). Zero value means migration.DefaultConfig().
-	Config migration.Config
 }
 
 // Migration tracks one in-flight (or finished) inter-host migration.
@@ -62,25 +57,22 @@ func (c *Cluster) MigrateDNIS(spec MigrationSpec, onDone func(*migration.Result)
 	if spec.Guest.Bond == nil {
 		return nil, fmt.Errorf("cluster: inter-host DNIS needs a bonded guest")
 	}
+	// A target VF that does not exist would only fail after the source
+	// has paused; refuse it before the hot removal starts.
+	if err := spec.Dst.Bed.CheckVF(spec.DstPort, spec.DstVF); err != nil {
+		return nil, fmt.Errorf("cluster: migration target %s: %w", spec.Dst.Name, err)
+	}
 	if spec.TargetName == "" {
 		spec.TargetName = spec.Guest.Dom.Name + "-dst"
 	}
-	if spec.Type == 0 {
-		spec.Type = spec.Guest.Dom.Type
-	}
-	if spec.Kernel == (vmm.KernelConfig{}) {
-		spec.Kernel = spec.Guest.Dom.Kernel
-	}
-	if spec.Config == (migration.Config{}) {
-		spec.Config = migration.DefaultConfig()
-	}
+	typ, kernel := spec.Guest.Dom.Type, spec.Guest.Dom.Kernel
 
 	mig := &Migration{Channel: c.newFabricChannel(spec.Src, spec.Dst)}
-	mgr := migration.NewManager(spec.Src.Bed.HV, spec.Config)
+	mgr := migration.NewManager(spec.Src.Bed.HV)
 	serviceMAC := spec.Guest.MAC
 	tgt := migration.TargetHooks{
 		Restore: func() {
-			gT, err := spec.Dst.Bed.AddPVGuest(spec.TargetName, spec.Type, spec.Kernel, spec.DstPort)
+			gT, err := spec.Dst.Bed.AddPVGuest(spec.TargetName, typ, kernel, spec.DstPort)
 			if err != nil {
 				panic(fmt.Sprintf("cluster: target restore: %v", err))
 			}

@@ -152,7 +152,7 @@ func NewTestbed(cfg Config) *Testbed {
 	if eng == nil {
 		eng = sim.NewEngineArena(cfg.Seed, cfg.Arena)
 	}
-	meter := cpu.NewMeter(cpu.System{Freq: model.ServerFreq})
+	meter := cpu.NewMeter()
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(4096)
 	fabric.SetIOMMU(mmu)
@@ -270,15 +270,30 @@ func (tb *Testbed) newDomain(name string, typ vmm.DomainType, k vmm.KernelConfig
 	return tb.HV.CreateDomain(name, typ, k, dm), nil
 }
 
+// CheckVF reports an error unless VF vf of port exists on this testbed.
+func (tb *Testbed) CheckVF(port, vf int) error {
+	if err := tb.checkPort(port); err != nil {
+		return err
+	}
+	if n := tb.Ports[port].NumVFs(); vf < 0 || vf >= n {
+		return fmt.Errorf("core: no VF %d on port %d (%d VFs)", vf, port, n)
+	}
+	return nil
+}
+
+func (tb *Testbed) checkPort(port int) error {
+	if port < 0 || port >= len(tb.Ports) {
+		return fmt.Errorf("core: no port %d", port)
+	}
+	return nil
+}
+
 // AddSRIOVGuest creates a guest with a dedicated VF: the §6.1 configuration.
 // port and vf choose the function; policy nil means the VF driver default
 // (fixed 2 kHz).
 func (tb *Testbed) AddSRIOVGuest(name string, typ vmm.DomainType, k vmm.KernelConfig, port, vf int, policy netstack.ITRPolicy) (*Guest, error) {
-	if port < 0 || port >= len(tb.Ports) {
-		return nil, fmt.Errorf("core: no port %d", port)
-	}
-	if n := tb.Ports[port].NumVFs(); vf < 0 || vf >= n {
-		return nil, fmt.Errorf("core: no VF %d on port %d (%d VFs)", vf, port, n)
+	if err := tb.CheckVF(port, vf); err != nil {
+		return nil, err
 	}
 	d, err := tb.newDomain(name, typ, k)
 	if err != nil {
@@ -294,6 +309,9 @@ func (tb *Testbed) AddSRIOVGuest(name string, typ vmm.DomainType, k vmm.KernelCo
 
 // attachVFTo hot-adds, assigns and drives VF (port, vf) for guest g.
 func (tb *Testbed) attachVFTo(g *Guest, port, vf int, policy netstack.ITRPolicy) error {
+	if err := tb.CheckVF(port, vf); err != nil {
+		return err
+	}
 	p := tb.Ports[port]
 	fn := p.VFQueue(vf).Function()
 	if _, err := tb.Fabric.HotAdd(fn.RID()); err != nil {
@@ -314,24 +332,7 @@ func (tb *Testbed) attachVFTo(g *Guest, port, vf int, policy netstack.ITRPolicy)
 // AddPVGuest creates a guest served by the PV split driver (§6.5 baseline):
 // its MAC is routed to the dom0 bridge on the given port.
 func (tb *Testbed) AddPVGuest(name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
-	if port < 0 || port >= len(tb.Ports) {
-		return nil, fmt.Errorf("core: no port %d", port)
-	}
-	d, err := tb.newDomain(name, typ, k)
-	if err != nil {
-		return nil, err
-	}
-	g := &Guest{Dom: d, Recv: guest.NewNetReceiver(tb.HV, d), MAC: tb.allocMAC(), Port: tb.Ports[port]}
-	pv, err := tb.Netback.CreateVif(d, g.MAC, g.Recv)
-	if err != nil {
-		return nil, err
-	}
-	g.PV = pv
-	g.Backend = tb.Netback
-	tb.Netback.AttachWire(tb.Ports[port].PFQueue())
-	tb.PFs[port].SetDom0MAC(g.MAC)
-	tb.guests = append(tb.guests, g)
-	return g, nil
+	return tb.addSoftwareGuest(func() drivers.SoftwareDatapath { return tb.Netback }, name, typ, k, port)
 }
 
 // AddVMDqGuest creates a guest behind the VMDq bridge (§6.6). The testbed
@@ -340,33 +341,30 @@ func (tb *Testbed) AddVMDqGuest(name string, typ vmm.DomainType, k vmm.KernelCon
 	if tb.VMDq == nil {
 		return nil, fmt.Errorf("core: testbed built without VMDq")
 	}
-	d, err := tb.newDomain(name, typ, k)
-	if err != nil {
-		return nil, err
-	}
-	g := &Guest{Dom: d, Recv: guest.NewNetReceiver(tb.HV, d), MAC: tb.allocMAC(), Port: tb.Ports[port]}
-	if err := tb.VMDq.CreateVif(d, g.MAC, g.Recv); err != nil {
-		return nil, err
-	}
-	g.Backend = tb.VMDq
-	tb.VMDq.AttachWire(tb.Ports[port].PFQueue())
-	tb.PFs[port].SetDom0MAC(g.MAC)
-	tb.guests = append(tb.guests, g)
-	return g, nil
+	return tb.addSoftwareGuest(func() drivers.SoftwareDatapath { return tb.VMDq }, name, typ, k, port)
 }
 
-// addSoftwareGuest creates a guest served by the given software backend,
-// routing its MAC to the dom0 PF queue on port.
-func (tb *Testbed) addSoftwareGuest(dp drivers.SoftwareDatapath, name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
-	if port < 0 || port >= len(tb.Ports) {
-		return nil, fmt.Errorf("core: no port %d", port)
+// addSoftwareGuest creates a guest served by a dom0 software backend,
+// routing its MAC to the dom0 PF queue on port. backend returns the
+// datapath, building it on first use; like the domain's memory, it is only
+// asked for once the port is known to exist, so a bad port changes nothing.
+// A PV guest keeps its *PVNic, which a bond or a migration fails over to.
+func (tb *Testbed) addSoftwareGuest(backend func() drivers.SoftwareDatapath, name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
+	if err := tb.checkPort(port); err != nil {
+		return nil, err
 	}
+	dp := backend()
 	d, err := tb.newDomain(name, typ, k)
 	if err != nil {
 		return nil, err
 	}
 	g := &Guest{Dom: d, Recv: guest.NewNetReceiver(tb.HV, d), MAC: tb.allocMAC(), Port: tb.Ports[port]}
-	if err := dp.AddVif(d, g.MAC, g.Recv); err != nil {
+	if nb, ok := dp.(*drivers.Netback); ok {
+		g.PV, err = nb.CreateVif(d, g.MAC, g.Recv)
+	} else {
+		err = dp.AddVif(d, g.MAC, g.Recv)
+	}
+	if err != nil {
 		return nil, err
 	}
 	g.Backend = dp
@@ -378,17 +376,17 @@ func (tb *Testbed) addSoftwareGuest(dp drivers.SoftwareDatapath, name string, ty
 
 // AddVhostGuest creates a guest on the vhost poll-mode backend.
 func (tb *Testbed) AddVhostGuest(name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
-	return tb.addSoftwareGuest(tb.EnableVhost(), name, typ, k, port)
+	return tb.addSoftwareGuest(func() drivers.SoftwareDatapath { return tb.EnableVhost() }, name, typ, k, port)
 }
 
 // AddOVSGuest creates a guest on the flow-cache switch backend.
 func (tb *Testbed) AddOVSGuest(name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
-	return tb.addSoftwareGuest(tb.EnableOVS(), name, typ, k, port)
+	return tb.addSoftwareGuest(func() drivers.SoftwareDatapath { return tb.EnableOVS() }, name, typ, k, port)
 }
 
 // AddSwPassGuest creates a guest on the software-passthrough backend.
 func (tb *Testbed) AddSwPassGuest(name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
-	return tb.addSoftwareGuest(tb.EnableSwPass(), name, typ, k, port)
+	return tb.addSoftwareGuest(func() drivers.SoftwareDatapath { return tb.EnableSwPass() }, name, typ, k, port)
 }
 
 // AddBackendGuest creates a guest on the backend named by kind — the
@@ -423,8 +421,8 @@ func (tb *Testbed) AddBondedGuest(name string, typ vmm.DomainType, k vmm.KernelC
 // separately chosen port — the survivable configuration for port-level
 // faults (a link flap on the VF's port must not also kill the standby).
 func (tb *Testbed) AddBondedGuestOn(name string, typ vmm.DomainType, k vmm.KernelConfig, vfPort, vf, pvPort int, policy netstack.ITRPolicy) (*Guest, error) {
-	if pvPort < 0 || pvPort >= len(tb.Ports) {
-		return nil, fmt.Errorf("core: no port %d", pvPort)
+	if err := tb.checkPort(pvPort); err != nil {
+		return nil, err
 	}
 	g, err := tb.AddSRIOVGuest(name, typ, k, vfPort, vf, policy)
 	if err != nil {
@@ -500,8 +498,7 @@ func (tb *Testbed) StartUDPFramed(g *Guest, rate units.BitRate, frame units.Size
 // StartTCP attaches a TCP_STREAM at the steady-state equilibrium for the
 // given coalescing policy, returning the equilibrium rate.
 func (tb *Testbed) StartTCP(g *Guest, policy netstack.ITRPolicy) units.BitRate {
-	params := netstack.DefaultTCPParams()
-	rate := workload.TCPRate(params, policy)
+	rate := netstack.TCPSteadyState(policy)
 	g.Source = workload.NewSource(tb.Eng, rate, model.FrameSize, tb.ingress(g))
 	g.Source.Start()
 	return rate

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -126,6 +127,85 @@ func TestBadVFRejected(t *testing.T) {
 	}
 	if got := len(tb.HV.Domains()); got != doms {
 		t.Fatalf("rejected guests left %d domains behind", got-doms)
+	}
+}
+
+// TestBadIndicesChangeNothing checks every guest adder and ReattachVF turn
+// an out-of-range port or VF into an error, not a panic, before any guest
+// is recorded or any domain memory is allocated.
+func TestBadIndicesChangeNothing(t *testing.T) {
+	tb := NewTestbed(Config{Ports: 2, VMDqThreads: 1})
+	existing, err := tb.AddPVGuest("existing", vmm.HVM, vmm.Kernel2628, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badVF := tb.Ports[0].NumVFs()
+	type call struct {
+		name string
+		do   func() error
+	}
+	var calls []call
+	for _, kind := range []string{"vf", "pv", "vmdq", "vhost", "ovs", "swpass"} {
+		for _, port := range []int{-1, len(tb.Ports)} {
+			kind, port := kind, port
+			calls = append(calls, call{fmt.Sprintf("%s/port%d", kind, port), func() error {
+				_, err := tb.AddBackendGuest(kind, "g", vmm.HVM, vmm.Kernel2628, port, 0, nil)
+				return err
+			}})
+		}
+	}
+	calls = append(calls,
+		call{"vf/vf-bad", func() error {
+			_, err := tb.AddBackendGuest("vf", "g", vmm.HVM, vmm.Kernel2628, 0, badVF, nil)
+			return err
+		}},
+		call{"bonded/vf-port-bad", func() error {
+			_, err := tb.AddBondedGuestOn("g", vmm.HVM, vmm.Kernel2628, len(tb.Ports), 0, 0, nil)
+			return err
+		}},
+		call{"bonded/pv-port-bad", func() error {
+			_, err := tb.AddBondedGuestOn("g", vmm.HVM, vmm.Kernel2628, 0, 0, -1, nil)
+			return err
+		}},
+		call{"bonded/vf-bad", func() error {
+			_, err := tb.AddBondedGuestOn("g", vmm.HVM, vmm.Kernel2628, 0, -1, 1, nil)
+			return err
+		}},
+		call{"reattach/port-bad", func() error {
+			_, err := tb.ReattachVF(existing, len(tb.Ports), 0, nil)
+			return err
+		}},
+		call{"reattach/vf-bad", func() error {
+			_, err := tb.ReattachVF(existing, 1, badVF, nil)
+			return err
+		}},
+	)
+	for _, c := range calls {
+		t.Run(c.name, func(t *testing.T) {
+			guests, free := len(tb.Guests()), tb.Machine.FreePages()
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				if err := c.do(); err == nil {
+					t.Fatal("want an error")
+				}
+			}()
+			if got := len(tb.Guests()); got != guests {
+				t.Errorf("guests %d → %d", guests, got)
+			}
+			if got := tb.Machine.FreePages(); got != free {
+				t.Errorf("free pages %d → %d", free, got)
+			}
+		})
+	}
+	if existing.VF != nil {
+		t.Error("a failed reattach left a VF on the guest")
+	}
+	if tb.Vhost != nil || tb.OVS != nil || tb.SwPass != nil {
+		t.Error("a bad port built a software backend")
 	}
 }
 

@@ -13,21 +13,16 @@ package cpu
 import (
 	"fmt"
 
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
-
-// System describes the physical processor of a simulated machine.
-type System struct {
-	Freq units.Frequency // clock (2.8 GHz in the paper)
-}
 
 // Meter accumulates cycles per domain over a measurement window. Each
 // consumer the paper's stacked bars show ("dom0", "xen", "guest-3",
 // "native") owns one ledger, bound once when the consumer is created;
 // charging and reading index it, so the hot path is a slice add.
 type Meter struct {
-	sys     System
 	cycles  []units.Cycles // by ledger
 	names   []string       // by ledger
 	started units.Time
@@ -36,14 +31,11 @@ type Meter struct {
 // Ledger is a domain's dense index in one Meter, returned by Meter.Ledger.
 type Ledger int32
 
-// NewMeter returns a meter for the given system with the window starting at
-// time zero.
-func NewMeter(sys System) *Meter {
-	return &Meter{sys: sys}
+// NewMeter returns a meter for the paper's server (model.ServerFreq) with
+// the window starting at time zero.
+func NewMeter() *Meter {
+	return &Meter{}
 }
-
-// System reports the system this meter measures.
-func (m *Meter) System() System { return m.sys }
 
 // Ledger returns the ledger of the named domain, creating it on the name's
 // first use: two domains that share a name share a ledger.
@@ -104,7 +96,7 @@ func (m *Meter) utilization(c units.Cycles, now units.Time) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	budget := m.sys.Freq.CyclesIn(elapsed)
+	budget := model.ServerFreq.CyclesIn(elapsed)
 	if budget <= 0 {
 		return 0
 	}
@@ -174,7 +166,7 @@ func (w *Worker) startNext() {
 	}
 	w.cur = w.queue.pop()
 	w.busy = true
-	w.eng.After(w.meter.sys.Freq.DurationOf(w.cur.Cost), w.evName, w.done)
+	w.eng.After(model.ServerFreq.DurationOf(w.cur.Cost), w.evName, w.done)
 }
 
 // complete finishes the job in service and starts the next one. The field

@@ -4,24 +4,23 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
 
-var testSys = System{Freq: 2800 * units.MHz}
-
 // newWorker returns a worker charging dom0 on a fresh meter.
 func newWorker(eng *sim.Engine, queueCap int) *Worker {
-	m := NewMeter(testSys)
+	m := NewMeter()
 	return NewWorker(eng, m, m.Ledger("dom0"), queueCap)
 }
 
 func TestMeterUtilization(t *testing.T) {
-	m := NewMeter(testSys)
+	m := NewMeter()
 	m.ResetWindow(0)
 	// Charge half a thread-second of cycles over one second.
 	dom0 := m.Ledger("dom0")
-	m.Charge(dom0, testSys.Freq.CyclesIn(500*units.Millisecond))
+	m.Charge(dom0, model.ServerFreq.CyclesIn(500*units.Millisecond))
 	now := units.Time(units.Second)
 	if got := m.Utilization(dom0, now); got < 49.9 || got > 50.1 {
 		t.Fatalf("utilization = %v, want 50", got)
@@ -35,7 +34,7 @@ func TestMeterUtilization(t *testing.T) {
 }
 
 func TestMeterBreakdownByDomain(t *testing.T) {
-	m := NewMeter(testSys)
+	m := NewMeter()
 	m.ResetWindow(0)
 	dom0, xen := m.Ledger("dom0"), m.Ledger("xen")
 	m.Charge(dom0, 100)
@@ -53,7 +52,7 @@ func TestMeterBreakdownByDomain(t *testing.T) {
 }
 
 func TestMeterResetWindow(t *testing.T) {
-	m := NewMeter(testSys)
+	m := NewMeter()
 	l := m.Ledger("dom0")
 	m.Charge(l, 100)
 	m.ResetWindow(units.Time(units.Second))
@@ -76,7 +75,7 @@ func TestMeterResetWindow(t *testing.T) {
 }
 
 func TestNegativeChargePanics(t *testing.T) {
-	m := NewMeter(testSys)
+	m := NewMeter()
 	defer func() {
 		if recover() == nil {
 			t.Error("negative charge should panic")
@@ -87,7 +86,7 @@ func TestNegativeChargePanics(t *testing.T) {
 
 func TestWorkerServesFIFO(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewMeter(testSys)
+	m := NewMeter()
 	dom0 := m.Ledger("dom0")
 	w := NewWorker(eng, m, dom0, 0)
 	var order []int
@@ -130,12 +129,12 @@ func TestWorkerQueueCap(t *testing.T) {
 func TestWorkerSaturation(t *testing.T) {
 	// A worker offered more than 1 thread of work stays ~100% utilized.
 	eng := sim.NewEngine(1)
-	m := NewMeter(testSys)
+	m := NewMeter()
 	m.ResetWindow(0)
 	dom0 := m.Ledger("dom0")
 	w := NewWorker(eng, m, dom0, 0)
 	// Submit 2 thread-seconds of work.
-	perJob := testSys.Freq.CyclesIn(units.Millisecond)
+	perJob := model.ServerFreq.CyclesIn(units.Millisecond)
 	for i := 0; i < 2000; i++ {
 		w.Submit(Job{Cost: perJob})
 	}
@@ -148,11 +147,11 @@ func TestWorkerSaturation(t *testing.T) {
 
 func TestPoolSpreadsLoad(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewMeter(testSys)
+	m := NewMeter()
 	m.ResetWindow(0)
 	dom0 := m.Ledger("dom0")
 	p := NewPool(eng, m, dom0, 4, 0)
-	perJob := testSys.Freq.CyclesIn(units.Millisecond)
+	perJob := model.ServerFreq.CyclesIn(units.Millisecond)
 	// 3 thread-seconds of work across 4 workers in 1 second: ~75% each.
 	served, rejected := 0, 0
 	for i := 0; i < 3000; i++ {
@@ -176,14 +175,14 @@ func TestPoolBadSizePanics(t *testing.T) {
 			t.Error("zero-size pool should panic")
 		}
 	}()
-	m := NewMeter(testSys)
+	m := NewMeter()
 	NewPool(sim.NewEngine(1), m, m.Ledger("dom0"), 0, 0)
 }
 
 func TestUtilizationAdditiveProperty(t *testing.T) {
 	// Utilization of the total equals the sum of per-domain utilizations.
 	prop := func(raw []uint16) bool {
-		m := NewMeter(testSys)
+		m := NewMeter()
 		m.ResetWindow(0)
 		domains := []string{"dom0", "xen", "guest-1", "guest-2"}
 		for i, r := range raw {
@@ -207,13 +206,13 @@ func TestUtilizationAdditiveProperty(t *testing.T) {
 
 func TestPoolQueuedJobs(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewMeter(testSys)
+	m := NewMeter()
 	p := NewPool(eng, m, m.Ledger("dom0"), 2, 0)
 	if p.QueuedJobs() != 0 {
 		t.Fatal("fresh pool should be empty")
 	}
 	for i := 0; i < 5; i++ {
-		p.Submit(Job{Cost: testSys.Freq.CyclesIn(units.Millisecond)})
+		p.Submit(Job{Cost: model.ServerFreq.CyclesIn(units.Millisecond)})
 	}
 	if got := p.QueuedJobs(); got != 5 {
 		t.Fatalf("queued = %d, want 5 (2 busy + 3 waiting)", got)
@@ -228,7 +227,7 @@ func TestPoolQueuedJobs(t *testing.T) {
 // while wrapped, the queueCap rejection rule and unbounded growth, and
 // checks that served and popped jobs release their Run funcs.
 func TestWorkerRing(t *testing.T) {
-	const cost = 2800 // 1 µs at testSys
+	const cost = 2800 // 1 µs at model.ServerFreq
 	t.Run("fifo-across-wrap", func(t *testing.T) {
 		eng := sim.NewEngine(1)
 		w := newWorker(eng, 0)
@@ -317,7 +316,7 @@ func TestWorkerRing(t *testing.T) {
 // each worker at a ledger of its own.
 func TestPoolDispatchOrder(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewMeter(testSys)
+	m := NewMeter()
 	p := NewPool(eng, m, m.Ledger("dom0"), 3, 0)
 	ledgers := []Ledger{m.Ledger("w0"), m.Ledger("w1"), m.Ledger("w2")}
 	for i, w := range p.workers {
@@ -352,7 +351,7 @@ func TestPoolDispatchOrder(t *testing.T) {
 // distinct names get distinct ledgers, and a ledger's charges are what the
 // read side reports for it.
 func TestMeterBind(t *testing.T) {
-	m := NewMeter(testSys)
+	m := NewMeter()
 	a := m.Ledger("dom0")
 	b := m.Ledger("guest-1")
 	if a == b {
@@ -378,7 +377,7 @@ func TestMeterChargeAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	m := NewMeter(testSys)
+	m := NewMeter()
 	l := m.Ledger("guest-1")
 	allocs := testing.AllocsPerRun(100, func() { m.Charge(l, 800) })
 	if allocs != 0 {
@@ -391,7 +390,7 @@ func TestMeterChargeAllocationFree(t *testing.T) {
 
 // BenchmarkMeterCharge measures one charge to a domain's ledger.
 func BenchmarkMeterCharge(b *testing.B) {
-	m := NewMeter(testSys)
+	m := NewMeter()
 	for _, d := range []string{"dom0", "xen", "guest-1", "guest-2"} {
 		m.Ledger(d)
 	}

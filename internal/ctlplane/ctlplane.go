@@ -236,7 +236,7 @@ func (c *Controller) AddVM(name string, host int, rate units.BitRate, group stri
 		c.slots[host].release(port, vf)
 		return nil, err
 	}
-	g.Bond.StartMonitor(0)
+	g.Bond.StartMonitor()
 	h.Connect(g)
 	vm := &VM{Name: name, Guest: g, Host: host, Group: group, Rate: rate,
 		mac: g.MAC, port: port, vf: vf, pvPort: pvPort}
@@ -396,7 +396,7 @@ func (c *Controller) heal(vm *VM) {
 		g.Bond.ActivateVF(nvf)
 	}
 	if !g.Bond.Monitoring() {
-		g.Bond.StartMonitor(0)
+		g.Bond.StartMonitor()
 	}
 	vm.port, vm.vf = port, vf
 	c.heals.Inc()
@@ -452,7 +452,7 @@ func (c *Controller) move(vm *VM, to int) {
 		c.churn.Inc()
 		c.downtime.Observe(r.Downtime())
 		if b := mig.Target.Bond; b != nil {
-			b.StartMonitor(0)
+			b.StartMonitor()
 		}
 		// A degraded completion (hot-add failed, Bond nil) is the heal
 		// loop's problem now; the claimed slot stands until it succeeds.

@@ -60,7 +60,7 @@ func TestDom0PoolSubmittersAllocationFree(t *testing.T) {
 	d1, recv1 := r.addGuest(t, "g1", vmm.PVM, vmm.Kernel2628)
 	d2, recv2 := r.addGuest(t, "g2", vmm.HVM, vmm.Kernel2628)
 	br := NewVMDqBridge(r.hv, 2)
-	if err := br.CreateVif(d1, nic.MAC(0xb1), recv1); err != nil {
+	if err := br.AddVif(d1, nic.MAC(0xb1), recv1); err != nil {
 		t.Fatal(err)
 	}
 	sw := NewOVSSwitch(r.hv)

@@ -70,16 +70,13 @@ func (b *Bond) Ingress(count int, bytes units.Size) {
 }
 
 // StartMonitor begins miimon-style link/health supervision of the slaves
-// (Linux bonding's miimon): every period the active VF's health is polled;
-// a sick VF triggers failover to the PV standby, and MiimonFailbackTicks
-// consecutive healthy polls on the standby trigger failback. period <= 0
-// selects the model default (100 ms).
-func (b *Bond) StartMonitor(period units.Duration) {
-	if period <= 0 {
-		period = model.MiimonPeriod
-	}
+// (Linux bonding's miimon): every model.MiimonPeriod (100 ms) the active
+// VF's health is polled; a sick VF triggers failover to the PV standby, and
+// MiimonFailbackTicks consecutive healthy polls on the standby trigger
+// failback.
+func (b *Bond) StartMonitor() {
 	b.StopMonitor()
-	b.monitor = sim.NewTicker(b.hv.Engine(), period, "bond:miimon", b.poll)
+	b.monitor = sim.NewTicker(b.hv.Engine(), model.MiimonPeriod, "bond:miimon", b.poll)
 }
 
 // StopMonitor halts health supervision.

@@ -142,11 +142,6 @@ func (br *VMDqBridge) Stats() DatapathStats {
 		Dropped:   br.Dropped, InFlight: br.inflight}
 }
 
-// AddVif registers a guest with the bridge.
-func (br *VMDqBridge) AddVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceiver) error {
-	return br.CreateVif(dom, mac, recv)
-}
-
 // Inject enqueues a host-local batch through the bridge's classify path.
 func (br *VMDqBridge) Inject(b nic.Batch) { br.FromNIC(b) }
 

@@ -32,7 +32,7 @@ type rig struct {
 func newRig(t *testing.T, opts vmm.Optimizations) *rig {
 	t.Helper()
 	eng := sim.NewEngine(7)
-	meter := cpu.NewMeter(cpu.System{Freq: model.ServerFreq})
+	meter := cpu.NewMeter()
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(512)
 	fabric.SetIOMMU(mmu)
@@ -417,7 +417,7 @@ func TestNetbackSingleThreadSaturates(t *testing.T) {
 		t.Fatal("overload should drop")
 	}
 	util := r.cycles("dom0") // the window opened after CreateVif: all copy-thread cycles
-	sat := float64(util) / float64(r.meter.System().Freq.CyclesIn(end.Sub(0))) * 100
+	sat := float64(util) / float64(model.ServerFreq.CyclesIn(end.Sub(0))) * 100
 	if sat < 90 || sat > 110 {
 		t.Fatalf("single netback thread utilization = %v, want ≈100%%", sat)
 	}
@@ -429,7 +429,7 @@ func TestVMDqQueueAssignment(t *testing.T) {
 	var recvs []*guest.NetReceiver
 	for i := 0; i < 9; i++ {
 		d, recv := r.addGuest(t, names(i), vmm.PVM, vmm.Kernel2628)
-		if err := br.CreateVif(d, nic.MAC(0xc0+uint64(i)), recv); err != nil {
+		if err := br.AddVif(d, nic.MAC(0xc0+uint64(i)), recv); err != nil {
 			t.Fatal(err)
 		}
 		recvs = append(recvs, recv)
@@ -467,8 +467,8 @@ func TestVMDqDuplicateVif(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
 	br := NewVMDqBridge(r.hv, 2)
 	d, recv := r.addGuest(t, "g1", vmm.PVM, vmm.Kernel2628)
-	br.CreateVif(d, nic.MAC(1), recv)
-	if err := br.CreateVif(d, nic.MAC(1), recv); err == nil {
+	br.AddVif(d, nic.MAC(1), recv)
+	if err := br.AddVif(d, nic.MAC(1), recv); err == nil {
 		t.Fatal("duplicate MAC should fail")
 	}
 }
@@ -675,7 +675,7 @@ func TestVMDqAttachWire(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
 	br := NewVMDqBridge(r.hv, 2)
 	d, recv := r.addGuest(t, "g1", vmm.PVM, vmm.Kernel2628)
-	if err := br.CreateVif(d, nic.MAC(0xcc), recv); err != nil {
+	if err := br.AddVif(d, nic.MAC(0xcc), recv); err != nil {
 		t.Fatal(err)
 	}
 	br.AttachWire(r.port.PFQueue())
@@ -734,7 +734,7 @@ func TestReceiverLatencyTracksITR(t *testing.T) {
 func newKVMRig(t *testing.T) *rig {
 	t.Helper()
 	eng := sim.NewEngine(7)
-	meter := cpu.NewMeter(cpu.System{Freq: model.ServerFreq})
+	meter := cpu.NewMeter()
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(512)
 	fabric.SetIOMMU(mmu)

@@ -66,9 +66,9 @@ func (br *VMDqBridge) AttachWire(q *nic.Queue) {
 	}
 }
 
-// CreateVif adds a guest. The first model.VMDqGuestQueues guests get a
+// AddVif adds a guest. The first model.VMDqGuestQueues guests get a
 // dedicated queue pair; later guests ride the fallback PV path.
-func (br *VMDqBridge) CreateVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceiver) error {
+func (br *VMDqBridge) AddVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceiver) error {
 	if _, dup := br.vifs[mac]; dup {
 		return fmt.Errorf("drivers: MAC %v already registered", mac)
 	}

@@ -89,7 +89,7 @@ func runRecovery(seed uint64, reg *obs.Registry, arena *sim.Arena, name string, 
 	if err != nil {
 		panic(err)
 	}
-	g.Bond.StartMonitor(0)
+	g.Bond.StartMonitor()
 	tb.StartUDP(g, model.LineRateUDP)
 
 	inj := fault.NewInjector(tb.Eng, nil)
@@ -211,7 +211,7 @@ func runStorm(seed uint64, reg *obs.Registry, arena *sim.Arena, rate float64) st
 			if err != nil {
 				panic(err)
 			}
-			g.Bond.StartMonitor(0)
+			g.Bond.StartMonitor()
 			c.Host(i).Connect(g)
 			guests[i] = append(guests[i], g)
 		}
@@ -347,7 +347,7 @@ func ChaosSoak(seed uint64) SoakResult {
 	if err != nil {
 		panic(err)
 	}
-	g.Bond.StartMonitor(0)
+	g.Bond.StartMonitor()
 	tb.StartUDP(g, model.LineRateUDP)
 
 	inj := fault.NewInjector(tb.Eng, nil)

@@ -190,7 +190,7 @@ func perPortRate(nGuests, nPorts int) units.BitRate {
 }
 
 // dynamicPolicy returns the era driver's dynamic moderation.
-func dynamicPolicy() netstack.ITRPolicy { return netstack.DefaultDynamicITR() }
+func dynamicPolicy() netstack.ITRPolicy { return netstack.DynamicITR{} }
 
 // aicPolicy returns the paper's adaptive coalescing.
 func aicPolicy() netstack.ITRPolicy { return netstack.DefaultAIC() }

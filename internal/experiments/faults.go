@@ -88,7 +88,7 @@ func runFaultCase(c faultCase, cfg core.Config) faultResult {
 	if err != nil {
 		panic(err)
 	}
-	g.Bond.StartMonitor(0) // model default: miimon 100 ms
+	g.Bond.StartMonitor() // miimon, 100 ms
 	tb.StartUDP(g, model.LineRateUDP)
 
 	series := newSeries(faultBucket)

@@ -82,7 +82,7 @@ func runMigrationTimeline(dnis bool, cfg core.Config) migrationRun {
 	run.dom0Before = tb.Meter.Utilization(tb.HV.Dom0().Ledger(), tb.Eng.Now())
 
 	// Launch the migration at 4.5 s.
-	mgr := migration.NewManager(tb.HV, migration.DefaultConfig())
+	mgr := migration.NewManager(tb.HV)
 	tb.Eng.At(units.Time(model.MigrationStart), "experiment:migrate", func() {
 		if dnis {
 			err := mgr.MigrateDNIS(g.Dom, g.Bond, func() *drivers.VFDriver {

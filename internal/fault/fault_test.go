@@ -23,7 +23,7 @@ func bondRig(t *testing.T) (*core.Testbed, *core.Guest, *fault.Injector) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Bond.StartMonitor(0)
+	g.Bond.StartMonitor()
 	tb.StartUDP(g, model.LineRateUDP)
 	inj := fault.NewInjector(tb.Eng, nil)
 	inj.Watch(tb.Ports[0], tb.PFs[0])

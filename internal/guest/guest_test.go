@@ -16,7 +16,7 @@ import (
 
 func newHV() (*vmm.Hypervisor, *cpu.Meter, *mem.Machine) {
 	eng := sim.NewEngine(1)
-	meter := cpu.NewMeter(cpu.System{Freq: model.ServerFreq})
+	meter := cpu.NewMeter()
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(64)
 	fabric.SetIOMMU(mmu)

@@ -55,30 +55,10 @@ func (r *Result) VFHotAddLatency() units.Duration {
 	return r.HotAddDone.Sub(r.DowntimeEnd)
 }
 
-// Config parameterizes a migration.
-type Config struct {
-	LinkRate       units.BitRate // migration channel bandwidth
-	MaxRounds      int           // pre-copy iteration cap
-	StopThreshold  uint64        // remaining pages allowing stop-and-copy
-	DirtyPerSecond int           // guest dirtying rate while running
-	WorkingSet     uint64        // distinct pages being re-dirtied
-}
-
-// DefaultConfig returns the paper-calibrated parameters.
-func DefaultConfig() Config {
-	return Config{
-		LinkRate:       model.MigrationLinkRate,
-		MaxRounds:      model.PrecopyRounds,
-		StopThreshold:  model.PrecopyStopThresholdPages,
-		DirtyPerSecond: model.DirtyPagesPerSecond,
-		WorkingSet:     model.WorkingSetPages,
-	}
-}
-
 // Channel moves migration state to the target host. The analytic default
-// (nil channel) models a dedicated management link at Config.LinkRate; the
-// cluster fabric provides a real channel whose chunks contend with
-// foreground traffic on the shared links.
+// (nil channel) models a dedicated management link at
+// model.MigrationLinkRate; the cluster fabric provides a real channel whose
+// chunks contend with foreground traffic on the shared links.
 type Channel interface {
 	// Send moves size bytes toward the target, calling done exactly once:
 	// nil on delivery, non-nil when the channel gave up (the migration
@@ -88,13 +68,13 @@ type Channel interface {
 
 // Manager runs migrations on one hypervisor.
 type Manager struct {
-	hv  *vmm.Hypervisor
-	cfg Config
+	hv *vmm.Hypervisor
 }
 
-// NewManager creates a migration manager.
-func NewManager(hv *vmm.Hypervisor, cfg Config) *Manager {
-	return &Manager{hv: hv, cfg: cfg}
+// NewManager creates a migration manager with the paper's pre-copy
+// parameters (model.PrecopyRounds, model.PrecopyStopThresholdPages, ...).
+func NewManager(hv *vmm.Hypervisor) *Manager {
+	return &Manager{hv: hv}
 }
 
 // dirtier models the running guest touching its working set: a ticker marks
@@ -112,8 +92,8 @@ func (m *Manager) startDirtier(d *vmm.Domain) *dirtier {
 	dm := d.Memory
 	dm.StartDirtyTracking()
 	period := 10 * units.Millisecond
-	perTick := int(float64(m.cfg.DirtyPerSecond) * period.Seconds())
-	ws := m.cfg.WorkingSet
+	perTick := int(float64(model.DirtyPagesPerSecond) * period.Seconds())
+	ws := uint64(model.WorkingSetPages)
 	if ws > dm.Pages() {
 		ws = dm.Pages()
 	}
@@ -162,7 +142,7 @@ func (m *Manager) send(ch Channel, pages uint64, done func(err error)) {
 		ch.Send(size, done)
 		return
 	}
-	dur := units.TransferTime(size, m.cfg.LinkRate)
+	dur := units.TransferTime(size, model.MigrationLinkRate)
 	m.hv.Engine().After(dur, "migration:xfer", func() { done(nil) })
 }
 
@@ -198,7 +178,7 @@ func (m *Manager) precopy(d *vmm.Domain, dirt *dirtier, ch Channel, pages uint64
 			return
 		}
 		dirty := d.Memory.HarvestDirty()
-		if dirty <= m.cfg.StopThreshold || round+1 >= m.cfg.MaxRounds {
+		if dirty <= model.PrecopyStopThresholdPages || round+1 >= model.PrecopyRounds {
 			m.stopAndCopy(d, dirt, ch, dirty, res, restore, abort)
 			return
 		}
@@ -232,49 +212,18 @@ func (m *Manager) stopAndCopy(d *vmm.Domain, dirt *dirtier, ch Channel, pages ui
 // add-on re-attaches a VF at the target (the attachVF callback builds the
 // new driver instance — the target's VF "may or may not be identical").
 func (m *Manager) MigrateDNIS(d *vmm.Domain, bond *drivers.Bond, attachVF func() *drivers.VFDriver, onDone func(*Result)) error {
-	if d.Memory == nil {
-		return fmt.Errorf("migration: domain %s has no memory", d.Name)
-	}
-	vf := bond.VF()
-	if vf == nil || !vf.Attached() {
-		return fmt.Errorf("migration: bond has no active VF; use MigratePV")
-	}
-	fn := vf.Queue().Function()
-	start := m.hv.Engine().Now()
-	// Step 1: virtual hot removal → bond failover → driver shutdown →
-	// unassign from the IOMMU. Only then is the guest hardware-neutral.
-	d.HotplugHandler = func(ev vmm.HotplugEvent) {
-		if !ev.Remove {
-			return
-		}
-		bond.FailoverToPV(model.DNISSwitchOutage)
-		bond.DetachVF()
-	}
-	m.hv.HotplugRemove(d, fn, func() {
-		m.hv.UnassignDevice(d, fn)
-		// Step 2: the "real" migration, "as if the guest was never
-		// equipped with the VF hardware".
-		res := &Result{Start: start, SwitchOutage: model.DNISSwitchOutage}
-		dirt := m.startDirtier(d)
-		m.precopy(d, dirt, nil, d.Memory.Pages(), 0, res, func() {
-			m.hv.SetPaused(d, false)
-			res.DowntimeEnd = m.hv.Engine().Now()
-			// Step 3: hot add-on at the target for post-migration
-			// performance.
-			m.hv.HotplugAdd(d, func() {
-				if attachVF != nil {
-					if newVF := attachVF(); newVF != nil {
-						bond.ActivateVF(newVF)
-					}
+	restore := func() { m.hv.SetPaused(d, false) }
+	hotAdd := func(done func()) {
+		m.hv.HotplugAdd(d, func() {
+			if attachVF != nil {
+				if newVF := attachVF(); newVF != nil {
+					bond.ActivateVF(newVF)
 				}
-				res.HotAddDone = m.hv.Engine().Now()
-				if onDone != nil {
-					onDone(res)
-				}
-			})
-		}, m.aborter(d, dirt, res, onDone))
-	})
-	return nil
+			}
+			done()
+		})
+	}
+	return m.migrateDNIS(d, bond, nil, restore, hotAdd, onDone)
 }
 
 // TargetHooks are the target-host side of an inter-host DNIS migration.
@@ -287,7 +236,7 @@ type TargetHooks struct {
 	Restore func()
 	// HotAdd performs the DNIS hot add-on at the target — virtual
 	// hot-plug signalling plus VF driver attach — calling done when the
-	// new VF carries traffic.
+	// new VF carries traffic. nil skips the hot add-on.
 	HotAdd func(done func())
 }
 
@@ -298,14 +247,29 @@ type TargetHooks struct {
 // channel failure the migration aborts cleanly: the source guest keeps
 // running on its PV path and the result carries Err.
 func (m *Manager) MigrateDNISRemote(d *vmm.Domain, bond *drivers.Bond, ch Channel, tgt TargetHooks, onDone func(*Result)) error {
-	if d.Memory == nil {
-		return fmt.Errorf("migration: domain %s has no memory", d.Name)
-	}
 	if ch == nil {
 		return fmt.Errorf("migration: inter-host migration needs a channel")
 	}
 	if tgt.Restore == nil {
 		return fmt.Errorf("migration: inter-host migration needs a target restore hook")
+	}
+	hotAdd := tgt.HotAdd
+	if hotAdd == nil {
+		hotAdd = func(done func()) { done() }
+	}
+	// The source stays paused — the guest now runs at the target.
+	return m.migrateDNIS(d, bond, ch, tgt.Restore, hotAdd, onDone)
+}
+
+// migrateDNIS is the DNIS sequence both entry points share. Step 1: virtual
+// hot removal → bond failover → driver shutdown → unassign from the IOMMU;
+// only then is the guest hardware-neutral. Step 2: the "real" migration, "as
+// if the guest was never equipped with the VF hardware", over ch (nil means
+// the analytic link). Step 3: restore ends the downtime, and hotAdd brings a
+// VF back for post-migration performance, calling done when it is active.
+func (m *Manager) migrateDNIS(d *vmm.Domain, bond *drivers.Bond, ch Channel, restore func(), hotAdd func(done func()), onDone func(*Result)) error {
+	if d.Memory == nil {
+		return fmt.Errorf("migration: domain %s has no memory", d.Name)
 	}
 	vf := bond.VF()
 	if vf == nil || !vf.Attached() {
@@ -325,13 +289,8 @@ func (m *Manager) MigrateDNISRemote(d *vmm.Domain, bond *drivers.Bond, ch Channe
 		res := &Result{Start: start, SwitchOutage: model.DNISSwitchOutage}
 		dirt := m.startDirtier(d)
 		m.precopy(d, dirt, ch, d.Memory.Pages(), 0, res, func() {
-			// The source stays paused — the guest now runs at the target.
-			tgt.Restore()
+			restore()
 			res.DowntimeEnd = m.hv.Engine().Now()
-			hotAdd := tgt.HotAdd
-			if hotAdd == nil {
-				hotAdd = func(done func()) { done() }
-			}
 			hotAdd(func() {
 				res.HotAddDone = m.hv.Engine().Now()
 				if onDone != nil {

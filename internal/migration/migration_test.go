@@ -31,7 +31,7 @@ type rig struct {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	eng := sim.NewEngine(11)
-	meter := cpu.NewMeter(cpu.System{Freq: model.ServerFreq})
+	meter := cpu.NewMeter()
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(512)
 	fabric.SetIOMMU(mmu)
@@ -78,7 +78,7 @@ func (r *rig) attachVF(t *testing.T, d *vmm.Domain, idx int, mac nic.MAC, recv *
 func TestMigratePVConvergesWithPaperShape(t *testing.T) {
 	r := newRig(t)
 	d, _ := r.guestWithMemory(t, "g1", vmm.PVM)
-	m := NewManager(r.hv, DefaultConfig())
+	m := NewManager(r.hv)
 	dom0 := r.meter.Ledger("dom0")
 	dom0Before := r.meter.DomainCycles(dom0)
 	var res *Result
@@ -123,7 +123,7 @@ func TestMigratePVRefusesPassthrough(t *testing.T) {
 	r := newRig(t)
 	d, recv := r.guestWithMemory(t, "g1", vmm.HVM)
 	r.attachVF(t, d, 0, nic.MAC(0xaa), recv)
-	m := NewManager(r.hv, DefaultConfig())
+	m := NewManager(r.hv)
 	if err := m.MigratePV(d, nil); err == nil {
 		t.Fatal("migration with assigned hardware must be refused (hardware stickiness)")
 	}
@@ -132,7 +132,7 @@ func TestMigratePVRefusesPassthrough(t *testing.T) {
 func TestMigratePVNeedsMemory(t *testing.T) {
 	r := newRig(t)
 	d := r.hv.CreateDomain("g", vmm.PVM, vmm.Kernel2628, nil)
-	m := NewManager(r.hv, DefaultConfig())
+	m := NewManager(r.hv)
 	if err := m.MigratePV(d, nil); err == nil {
 		t.Fatal("memoryless domain should be rejected")
 	}
@@ -151,7 +151,7 @@ func TestMigrateDNISFullCycle(t *testing.T) {
 	r.pf.SetDom0MAC(nic.MAC(0xab))
 	bond := drivers.NewBond(r.hv, d, vf, pv, r.port)
 
-	m := NewManager(r.hv, DefaultConfig())
+	m := NewManager(r.hv)
 	var res *Result
 	reattached := false
 	err = m.MigrateDNIS(d, bond, func() *drivers.VFDriver {
@@ -203,7 +203,7 @@ func TestMigrateDNISHotAddLatencySeparateFromOutage(t *testing.T) {
 	r.pf.SetDom0MAC(nic.MAC(0xab))
 	bond := drivers.NewBond(r.hv, d, vf, pv, r.port)
 
-	m := NewManager(r.hv, DefaultConfig())
+	m := NewManager(r.hv)
 	var res *Result
 	err = m.MigrateDNIS(d, bond, func() *drivers.VFDriver {
 		return r.attachVF(t, d, 1, nic.MAC(0xaa), recv)
@@ -243,7 +243,7 @@ func TestMigrateDNISRequiresActiveVF(t *testing.T) {
 	nb := drivers.NewNetback(r.hv, 2)
 	pv, _ := nb.CreateVif(d, nic.MAC(0xab), recv)
 	bond := drivers.NewBond(r.hv, d, nil, pv, r.port)
-	m := NewManager(r.hv, DefaultConfig())
+	m := NewManager(r.hv)
 	if err := m.MigrateDNIS(d, bond, nil, nil); err == nil {
 		t.Fatal("DNIS without a VF should be refused")
 	}
@@ -265,7 +265,7 @@ func TestDNISMaintainsConnectivityDuringPrecopy(t *testing.T) {
 	tick := sim.NewTicker(r.eng, units.Millisecond, "gen", func(units.Time) {
 		bond.Ingress(10, 15140)
 	})
-	m := NewManager(r.hv, DefaultConfig())
+	m := NewManager(r.hv)
 	var res *Result
 	m.MigrateDNIS(d, bond, func() *drivers.VFDriver {
 		return r.attachVF(t, d, 1, nic.MAC(0xaa), recv)

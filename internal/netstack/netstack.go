@@ -38,41 +38,27 @@ func (f FixedITR) String() string {
 	return fmt.Sprintf("%gHz", float64(f))
 }
 
-// DynamicITR is the IGB-style moderation: aim for a target batch size,
-// clamped to a frequency band.
-type DynamicITR struct {
-	TargetPackets float64
-	MinHz, MaxHz  float64
-}
-
-// DefaultDynamicITR returns the model's dynamic profile.
-func DefaultDynamicITR() DynamicITR {
-	return DynamicITR{
-		TargetPackets: model.DynamicITRTargetPackets,
-		MinHz:         model.DynamicITRMinHz,
-		MaxHz:         model.DynamicITRMaxHz,
-	}
-}
+// DynamicITR is the IGB-style moderation: aim for a batch of
+// model.DynamicITRTargetPackets per interrupt, clamped to the
+// [model.DynamicITRMinHz, model.DynamicITRMaxHz] band.
+type DynamicITR struct{}
 
 // Rate implements ITRPolicy.
-func (d DynamicITR) Rate(pps float64) float64 {
-	if d.TargetPackets <= 0 {
-		return d.MaxHz
+func (DynamicITR) Rate(pps float64) float64 {
+	r := pps / model.DynamicITRTargetPackets
+	if r < model.DynamicITRMinHz {
+		r = model.DynamicITRMinHz
 	}
-	r := pps / d.TargetPackets
-	if r < d.MinHz {
-		r = d.MinHz
-	}
-	if r > d.MaxHz {
-		r = d.MaxHz
+	if r > model.DynamicITRMaxHz {
+		r = model.DynamicITRMaxHz
 	}
 	return r
 }
 
 // Adaptive implements ITRPolicy.
-func (d DynamicITR) Adaptive() bool { return true }
+func (DynamicITR) Adaptive() bool { return true }
 
-func (d DynamicITR) String() string { return "dynamic" }
+func (DynamicITR) String() string { return "dynamic" }
 
 // AIC is the paper's adaptive interrupt coalescing (§5.3): overflow
 // avoidance with a redundancy factor and a latency floor.
@@ -108,49 +94,27 @@ func (a AIC) Adaptive() bool { return true }
 
 func (a AIC) String() string { return "AIC" }
 
-// TCPParams parameterize the steady-state model.
-type TCPParams struct {
-	Line      units.BitRate // path capacity (goodput at MTU framing)
-	Frame     units.Size    // wire bytes per segment
-	Window    units.Size    // effective window
-	BaseRTT   units.Duration
-	RTTFactor float64 // added RTT per unit interrupt interval
-	Burst     int     // loss-free packets per interrupt (socket burst)
-}
-
-// DefaultTCPParams returns the calibrated parameters for a 1 GbE stream.
-func DefaultTCPParams() TCPParams {
-	return TCPParams{
-		Line:      model.LineRateTCP,
-		Frame:     model.FrameSize,
-		Window:    model.TCPWindow,
-		BaseRTT:   model.TCPBaseRTT,
-		RTTFactor: model.TCPCoalesceRTTFactor,
-		Burst:     model.SocketBurstCapacity,
-	}
-}
-
 // TCPSteadyState solves the fixed point of rate ↔ interrupt frequency for a
-// coalescing policy: throughput is capped by the line, by window/RTT (RTT
+// 1 GbE TCP stream under a coalescing policy: throughput is capped by the
+// line (model.LineRateTCP), by window/RTT (model.TCPWindow over an RTT that
 // grows as interrupts coalesce), and by the receive-buffer overflow
-// equilibrium (TCP backs off until the per-interrupt batch fits the socket
-// burst capacity).
-func TCPSteadyState(p TCPParams, policy ITRPolicy) (units.BitRate, float64) {
-	rate := float64(p.Line)
-	frameBits := float64(p.Frame.Bits())
-	var ifHz float64
+// equilibrium (TCP backs off until the per-interrupt batch fits
+// model.SocketBurstCapacity).
+func TCPSteadyState(policy ITRPolicy) units.BitRate {
+	rate := float64(model.LineRateTCP)
+	frameBits := float64(model.FrameSize.Bits())
 	for i := 0; i < 20; i++ {
 		pps := rate / frameBits
-		ifHz = policy.Rate(pps)
+		ifHz := policy.Rate(pps)
 		if ifHz <= 0 {
 			ifHz = 1
 		}
 		// Window / RTT cap.
-		rtt := p.BaseRTT.Seconds() + p.RTTFactor/ifHz
-		capWindow := float64(p.Window.Bits()) / rtt
+		rtt := model.TCPBaseRTT.Seconds() + model.TCPCoalesceRTTFactor/ifHz
+		capWindow := float64(model.TCPWindow.Bits()) / rtt
 		// Overflow equilibrium cap.
-		capOverflow := float64(p.Burst) * ifHz * frameBits
-		next := float64(p.Line)
+		capOverflow := float64(model.SocketBurstCapacity) * ifHz * frameBits
+		next := float64(model.LineRateTCP)
 		if capWindow < next {
 			next = capWindow
 		}
@@ -164,5 +128,5 @@ func TCPSteadyState(p TCPParams, policy ITRPolicy) (units.BitRate, float64) {
 		// Damped update for stability.
 		rate = (rate + next) / 2
 	}
-	return units.BitRate(rate), ifHz
+	return units.BitRate(rate)
 }

@@ -25,7 +25,7 @@ func TestFixedITR(t *testing.T) {
 }
 
 func TestDynamicITRClamps(t *testing.T) {
-	d := DefaultDynamicITR()
+	d := DynamicITR{}
 	// Low pps clamps to min.
 	if got := d.Rate(1000); got != model.DynamicITRMinHz {
 		t.Fatalf("low-load rate = %v", got)
@@ -90,16 +90,15 @@ func TestAICMonotoneProperty(t *testing.T) {
 }
 
 func TestTCPSteadyStateMatchesPaper(t *testing.T) {
-	p := DefaultTCPParams()
 	// 20 kHz, 2 kHz and AIC hold the 940 Mbps line rate (Fig. 9).
 	for _, pol := range []ITRPolicy{FixedITR(20000), FixedITR(2000), DefaultAIC()} {
-		rate, _ := TCPSteadyState(p, pol)
+		rate := TCPSteadyState(pol)
 		if rate.Mbps() < 930 {
 			t.Fatalf("%v: TCP rate = %v, want ≥930 Mbps", pol, rate)
 		}
 	}
 	// 1 kHz drops ~9.6%.
-	rate, _ := TCPSteadyState(p, FixedITR(1000))
+	rate := TCPSteadyState(FixedITR(1000))
 	drop := (940 - rate.Mbps()) / 940
 	if drop < 0.05 || drop > 0.15 {
 		t.Fatalf("1 kHz TCP = %v Mbps (drop %.1f%%), want ≈9.6%% drop", rate.Mbps(), drop*100)
@@ -107,9 +106,8 @@ func TestTCPSteadyStateMatchesPaper(t *testing.T) {
 }
 
 func TestTCPWindowLimitAtVeryLowIF(t *testing.T) {
-	p := DefaultTCPParams()
-	r100, _ := TCPSteadyState(p, FixedITR(100))
-	r1000, _ := TCPSteadyState(p, FixedITR(1000))
+	r100 := TCPSteadyState(FixedITR(100))
+	r1000 := TCPSteadyState(FixedITR(1000))
 	if r100 >= r1000 {
 		t.Fatalf("lower IF should hurt more: 100Hz=%v 1kHz=%v", r100, r1000)
 	}
@@ -118,15 +116,14 @@ func TestTCPWindowLimitAtVeryLowIF(t *testing.T) {
 func TestTCPMonotoneInIFProperty(t *testing.T) {
 	// Steady-state TCP throughput is non-decreasing in interrupt
 	// frequency (more interrupts = less latency and smaller batches).
-	p := DefaultTCPParams()
 	prop := func(a, b uint16) bool {
 		f1 := float64(a%20000) + 200
 		f2 := float64(b%20000) + 200
 		if f1 > f2 {
 			f1, f2 = f2, f1
 		}
-		r1, _ := TCPSteadyState(p, FixedITR(f1))
-		r2, _ := TCPSteadyState(p, FixedITR(f2))
+		r1 := TCPSteadyState(FixedITR(f1))
+		r2 := TCPSteadyState(FixedITR(f2))
 		return r1 <= r2+units.BitRate(1000) // tolerance for solver wobble
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {

@@ -125,8 +125,8 @@ type QueueStats struct {
 
 // newQueue constructs a queue with its throttle-timer name and callback
 // created once, so the steady-state interrupt path never allocates.
-func newQueue(p *Port, fn *pcie.Function, name string, ringCap int) *Queue {
-	q := &Queue{port: p, fn: fn, name: name, ringCap: ringCap}
+func newQueue(p *Port, fn *pcie.Function, name string) *Queue {
+	q := &Queue{port: p, fn: fn, name: name, ringCap: model.RxRingEntries}
 	q.itrEvName = "nic:itr:" + name
 	q.itrFire = func() {
 		if q.intrEnabled && !q.masked && q.occupied > 0 && q.Sink != nil {
@@ -493,8 +493,7 @@ type Port struct {
 	l2 []l2Filter
 
 	// Internal-switch DMA budget: VM-to-VM batches serialize over the
-	// PCIe link at internalCap.
-	internalCap       units.BitRate
+	// PCIe link at model.InternalSwitchRate.
 	internalBusyUntil units.Time
 
 	// Wire receive budget (the physical line itself).
@@ -579,11 +578,9 @@ func (c *completion) fire() {
 
 // Config describes one port's construction parameters.
 type Config struct {
-	Name     string
-	NumVFs   int // VFs to register (TotalVFs); 7 on the 82576
-	Rate     units.BitRate
-	RingCap  int
-	Internal units.BitRate // internal switch DMA bandwidth
+	Name   string
+	NumVFs int // VFs to register (TotalVFs); 7 on the 82576
+	Rate   units.BitRate
 }
 
 // New creates a port with its PCIe device: one PF with an SR-IOV capability
@@ -592,12 +589,6 @@ type Config struct {
 func New(eng *sim.Engine, cfg Config) *Port {
 	if cfg.Rate == 0 {
 		cfg.Rate = model.PortRate
-	}
-	if cfg.RingCap == 0 {
-		cfg.RingCap = model.RxRingEntries
-	}
-	if cfg.Internal == 0 {
-		cfg.Internal = model.InternalSwitchRate
 	}
 	if cfg.NumVFs < 0 || cfg.NumVFs > 8 {
 		panic("nic: 82576 supports at most 8 VFs per port")
@@ -624,7 +615,7 @@ func New(eng *sim.Engine, cfg Config) *Port {
 	p.pf = pf
 	p.dev = pcie.NewDevice()
 	p.dev.AddPF(pf)
-	p.pfQueue = newQueue(p, pf, cfg.Name+"/pf", cfg.RingCap)
+	p.pfQueue = newQueue(p, pf, cfg.Name+"/pf")
 
 	for i := 0; i < cfg.NumVFs; i++ {
 		vf := p.dev.AddVF(pf, i)
@@ -633,7 +624,7 @@ func New(eng *sim.Engine, cfg Config) *Port {
 		pcie.AddMSIXCap(vf.Config(), 0x70, 3, MSIXTableBAR, 0)
 		pcie.AddMSICap(vf.Config(), 0x50, 0)
 		pcie.AddPCIeCap(vf.Config(), 0xa0)
-		q := newQueue(p, vf, fmt.Sprintf("%s/vf%d", cfg.Name, i), cfg.RingCap)
+		q := newQueue(p, vf, fmt.Sprintf("%s/vf%d", cfg.Name, i))
 		p.vfQueues = append(p.vfQueues, q)
 		idx := i
 		vf.OnFLR = func() { p.flrVF(idx) }
@@ -646,7 +637,6 @@ func New(eng *sim.Engine, cfg Config) *Port {
 	pf.OnConfigWrite = func(off, size int, val uint32) {
 		p.dev.SetVFsPresent(pf, p.enabledVFs())
 	}
-	p.internalCap = cfg.Internal
 	return p
 }
 
@@ -843,7 +833,7 @@ func (p *Port) SendInternal(src *Queue, b Batch) (units.Time, bool) {
 	// Each transfer pays a descriptor/doorbell setup round trip on top of
 	// the data movement — why small inter-VM messages fall short of the
 	// DMA ceiling (Fig. 13).
-	ttime := units.TransferTime(b.Bytes, p.internalCap) + model.InternalDMASetup
+	ttime := units.TransferTime(b.Bytes, model.InternalSwitchRate) + model.InternalDMASetup
 	p.internalBusyUntil = start.Add(ttime)
 	done := p.internalBusyUntil
 	p.inflight += int64(b.Count)

@@ -136,8 +136,9 @@ func TestUnknownMACDropped(t *testing.T) {
 
 func TestRingOverflowDrops(t *testing.T) {
 	eng := sim.NewEngine(1)
-	p := New(eng, Config{Name: "eth0", NumVFs: 1, RingCap: 8})
+	p := New(eng, Config{Name: "eth0", NumVFs: 1})
 	q := p.VFQueue(0)
+	q.SetRingCap(8)
 	p.SetMAC(MAC(1), q)
 	p.ReceiveFromWire(Batch{Dst: MAC(1), Count: 20, Bytes: 20 * 1514})
 	eng.RunUntil(sim.Forever)
@@ -343,8 +344,9 @@ func TestDrainConservesPacketsProperty(t *testing.T) {
 	// loses what does not fit in the ring's free slots.
 	prop := func(raw []uint8) bool {
 		eng := sim.NewEngine(1)
-		p := New(eng, Config{Name: "e", NumVFs: 1, RingCap: 64})
+		p := New(eng, Config{Name: "e", NumVFs: 1})
 		q := p.VFQueue(0)
+		q.SetRingCap(64)
 		var delivered, drained, dropped int64
 		for _, r := range raw {
 			n := int(r%32) + 1

@@ -362,8 +362,7 @@ func (h *Hypervisor) ChargeTimerBaseline(d *Domain, window units.Duration) {
 // ChargeDom0Baseline charges dom0's housekeeping for a window: a fixed
 // share plus a per-guest residual that depends on guest flavour.
 func (h *Hypervisor) ChargeDom0Baseline(window units.Duration) {
-	freq := h.meter.System().Freq
-	base := model.Dom0BaselinePct / 100 * float64(freq.CyclesIn(window))
+	base := model.Dom0BaselinePct / 100 * float64(model.ServerFreq.CyclesIn(window))
 	h.ChargeDom0(units.Cycles(base))
 	for _, d := range h.Domains() {
 		var pct float64
@@ -375,6 +374,6 @@ func (h *Hypervisor) ChargeDom0Baseline(window units.Duration) {
 		default:
 			continue
 		}
-		h.ChargeDom0(units.Cycles(pct / 100 * float64(freq.CyclesIn(window))))
+		h.ChargeDom0(units.Cycles(pct / 100 * float64(model.ServerFreq.CyclesIn(window))))
 	}
 }

@@ -80,7 +80,6 @@ func (t DomainType) String() string {
 
 // KernelConfig captures the guest-kernel behaviours the paper contrasts.
 type KernelConfig struct {
-	Name string
 	// MasksMSIAtRuntime: RHEL5U1 (2.6.18) "masks the interrupt at the very
 	// beginning of each MSI interrupt handling and unmasks the interrupt
 	// after it completes" (§5.1); 2.6.28 does not.
@@ -95,10 +94,10 @@ type KernelConfig struct {
 	ComplexEOIWriter bool
 }
 
-// Kernel presets.
+// Kernel presets: linux-2.6.18 (RHEL5U1) and linux-2.6.28.
 var (
-	KernelRHEL5 = KernelConfig{Name: "linux-2.6.18 (RHEL5U1)", MasksMSIAtRuntime: true}
-	Kernel2628  = KernelConfig{Name: "linux-2.6.28", MasksMSIAtRuntime: false}
+	KernelRHEL5 = KernelConfig{MasksMSIAtRuntime: true}
+	Kernel2628  = KernelConfig{MasksMSIAtRuntime: false}
 )
 
 // Optimizations are the three §5 switches (AIC lives in the VF driver).

@@ -25,7 +25,7 @@ type bed struct {
 
 func newBed(opts Optimizations) *bed {
 	eng := sim.NewEngine(1)
-	meter := cpu.NewMeter(cpu.System{Freq: model.ServerFreq})
+	meter := cpu.NewMeter()
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(256)
 	fabric.SetIOMMU(mmu)
@@ -386,7 +386,7 @@ func TestExitTraceReset(t *testing.T) {
 }
 
 func TestComplexEOIWriterRisk(t *testing.T) {
-	weird := KernelConfig{Name: "movs-eoi", ComplexEOIWriter: true}
+	weird := KernelConfig{ComplexEOIWriter: true} // a movs/stos EOI writer
 
 	// Fast path without the instruction check: mis-emulation corrupts the
 	// guest (contained within it).

@@ -85,11 +85,11 @@ func TestSourceLowRateCarry(t *testing.T) {
 }
 
 func TestTCPRateUsesPolicy(t *testing.T) {
-	p := netstack.DefaultTCPParams()
-	if r := TCPRate(p, netstack.FixedITR(2000)); r.Mbps() < 930 {
+	// The equilibrium core.StartTCP drives a Source at.
+	if r := netstack.TCPSteadyState(netstack.FixedITR(2000)); r.Mbps() < 930 {
 		t.Fatalf("2 kHz TCP rate = %v", r)
 	}
-	if r := TCPRate(p, netstack.FixedITR(1000)); r.Mbps() > 900 {
+	if r := netstack.TCPSteadyState(netstack.FixedITR(1000)); r.Mbps() > 900 {
 		t.Fatalf("1 kHz TCP rate = %v, want degraded", r)
 	}
 }
@@ -118,7 +118,7 @@ func TestMessageSourceBackpressure(t *testing.T) {
 
 func TestWindowMeasurement(t *testing.T) {
 	eng := sim.NewEngine(1)
-	meter := cpu.NewMeter(cpu.System{Freq: model.ServerFreq})
+	meter := cpu.NewMeter()
 	fabric := pcie.NewFabric()
 	mmu := iommu.New(64)
 	fabric.SetIOMMU(mmu)

@@ -16,6 +16,11 @@
 //	util, results := tb.Measure(sriov.Warmup, sriov.Window)
 //	fmt.Printf("goodput %v at %.1f%% CPU\n", results[g].Goodput, util.Total)
 //
+// The testbed's calibrated values — the 2.8 GHz clock, the 1 GbE
+// migration link and its pre-copy parameters, the TCP window and RTT, the
+// dynamic moderation band — are model constants, not settings: hence
+// NewMigrationManager(tb) and DynamicITR{} take none.
+//
 // Every table and figure of the paper's evaluation can be regenerated
 // through RunExperiment / Experiments; see EXPERIMENTS.md for the measured
 // vs. reported comparison.
@@ -107,7 +112,7 @@ var AllOptimizations = vmm.AllOptimizations
 // Interrupt-coalescing policies (§5.3).
 type ITRPolicy = netstack.ITRPolicy
 
-// FixedITR interrupts at a constant rate; DynamicITR is IGB-style
+// FixedITR interrupts at a constant rate; DynamicITR{} is IGB-style
 // moderation; AIC is the paper's adaptive overflow-avoidance policy.
 type (
 	FixedITR   = netstack.FixedITR
@@ -117,9 +122,6 @@ type (
 
 // DefaultAIC returns AIC with the paper's parameters (bufs=64, r=1.2).
 func DefaultAIC() AIC { return netstack.DefaultAIC() }
-
-// DefaultDynamicITR returns the IGB-style dynamic moderation profile.
-func DefaultDynamicITR() DynamicITR { return netstack.DefaultDynamicITR() }
 
 // Units.
 type (
@@ -153,8 +155,6 @@ const (
 
 // Migration.
 type (
-	// MigrationConfig parameterizes live migration.
-	MigrationConfig = migration.Config
 	// MigrationManager runs migrations on a testbed's hypervisor.
 	MigrationManager = migration.Manager
 	// MigrationResult describes a completed migration.
@@ -165,13 +165,11 @@ type (
 	Bond = drivers.Bond
 )
 
-// NewMigrationManager creates a migration manager on the testbed.
-func NewMigrationManager(tb *Testbed, cfg MigrationConfig) *MigrationManager {
-	return migration.NewManager(tb.HV, cfg)
+// NewMigrationManager creates a migration manager on the testbed, with the
+// paper's pre-copy parameters over its 1 GbE migration link (§6.7).
+func NewMigrationManager(tb *Testbed) *MigrationManager {
+	return migration.NewManager(tb.HV)
 }
-
-// DefaultMigrationConfig returns the paper-calibrated migration parameters.
-func DefaultMigrationConfig() MigrationConfig { return migration.DefaultConfig() }
 
 // Cluster fabric: N testbeds behind a simulated top-of-rack switch, with
 // cross-host flows and inter-host DNIS live migration.

@@ -82,7 +82,7 @@ func TestMigrationThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.StartUDP(g, LineRateUDP)
-	mgr := NewMigrationManager(tb, DefaultMigrationConfig())
+	mgr := NewMigrationManager(tb)
 	var res *MigrationResult
 	err = mgr.MigrateDNIS(g.Dom, g.Bond, func() *VFDriver {
 		vf, err := tb.ReattachVF(g, 0, 1, DefaultAIC())
