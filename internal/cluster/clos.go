@@ -182,7 +182,11 @@ type Clos struct {
 
 	tiers [tierCount]tierStats
 
-	flows  []*ClosFlow
+	flows []*ClosFlow // every flow ever started, in creation order
+	// live holds, in creation order, the flows the fluid model can still
+	// act on: recompute compacts it to the flows neither stopped nor done,
+	// plus finished flows still marked fluid (queuePressure demotes those).
+	live   []*ClosFlow
 	nextID int
 
 	fm *fluidModel
@@ -333,7 +337,8 @@ func (c *Clos) pickSpine(key uint64, srcLeaf, dstLeaf int) int {
 
 // route computes (or recomputes) the flow's path. Batches already in flight
 // keep the path slice they captured at injection, so a reroute can never
-// teleport a queued batch.
+// teleport a queued batch: a new spine gets a new slice, and an unchanged
+// one keeps the old.
 func (c *Clos) route(f *ClosFlow) {
 	if f.SrcHost == f.DstHost {
 		f.path = nil
@@ -343,6 +348,9 @@ func (c *Clos) route(f *ClosFlow) {
 		f.spine = -1
 	} else {
 		sp := c.pickSpine(f.key, sl, dl)
+		if f.path != nil && sp == f.spine {
+			return
+		}
 		f.path = []*link{c.hostUp[f.SrcHost], c.trunkUp[sl][sp], c.trunkDn[sp][dl], c.hostDn[f.DstHost]}
 		f.spine = sp
 	}
@@ -373,7 +381,7 @@ func (c *Clos) SetTrunk(leaf, spine int, up bool) {
 	}
 	c.trunkUp[leaf][spine].up = up
 	c.trunkDn[spine][leaf].up = up
-	for _, f := range c.flows {
+	for _, f := range c.live {
 		if f.stopped || f.done || f.spine < 0 {
 			continue
 		}
@@ -490,17 +498,22 @@ func (f *ClosFlow) resolve(seq int64, count int, bytes units.Size, delivered boo
 	f.parked[i] = p
 }
 
-// flushParked releases every parked batch whose seq gap has closed.
+// flushParked releases every parked batch whose seq gap has closed, and
+// shifts the rest down in place so the buffer keeps its capacity.
 func (f *ClosFlow) flushParked(now units.Time) {
-	for len(f.parked) > 0 && f.parked[0].seq <= f.resolvedSeq+1 {
-		p := f.parked[0]
-		f.parked = f.parked[1:]
+	n := 0
+	for n < len(f.parked) && f.parked[n].seq <= f.resolvedSeq+1 {
+		p := f.parked[n]
+		n++
 		if p.seq > f.resolvedSeq {
 			f.resolvedSeq = p.seq
 		}
 		if p.delivered {
 			f.credit(p.count, p.bytes, now)
 		}
+	}
+	if n > 0 {
+		f.parked = f.parked[:copy(f.parked, f.parked[n:])]
 	}
 }
 
@@ -525,10 +538,11 @@ type ClosFlow struct {
 	pathIdx []int // link indices, for the max-min allocator
 	spine   int
 
-	fluid   bool
-	alloc   float64 // bps granted by the fluid model
-	stopped bool
-	done    bool // finite flow fully emitted
+	fluid    bool
+	alloc    float64 // bps granted by the fluid model
+	stopped  bool
+	done     bool // finite flow fully emitted
+	inPacket bool // on fluidModel.packet
 
 	nextEmit units.Time
 	emitH    sim.Handle
@@ -596,6 +610,7 @@ func (c *Clos) startFlow(srcHost, srcVM, dstHost, dstVM int, rate units.BitRate,
 	c.nextID++
 	c.route(f)
 	c.flows = append(c.flows, f)
+	c.live = append(c.live, f)
 	c.fm.admit(f)
 	return f
 }
@@ -696,9 +711,9 @@ func (f *ClosFlow) finish() {
 	f.c.fm.dirty()
 }
 
-// Stop halts the source. Fluid progress is settled first so the ledger
-// stays exact; in-flight packet batches still deliver (drain the fabric to
-// collect them).
+// Stop halts the source. Fluid progress is settled first, including any
+// settle recompute deferred, so the ledger stays exact; in-flight packet
+// batches still deliver (drain the fabric to collect them).
 func (f *ClosFlow) Stop() {
 	if f.stopped {
 		return

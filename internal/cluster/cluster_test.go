@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -200,6 +201,32 @@ func TestMigrationRejectsBadTarget(t *testing.T) {
 				t.Error("source guest paused")
 			}
 		})
+	}
+}
+
+// TestMigrationRejectsFullTarget checks a target host with no machine
+// memory left for the restored domain is refused before the hot removal:
+// the source guest keeps its VF and keeps running.
+func TestMigrationRejectsFullTarget(t *testing.T) {
+	c, vm := migrationRig(t, 24)
+	dst := c.Host(1)
+	for i := 0; dst.Bed.CheckGuestMemory() == nil; i++ {
+		if _, err := dst.Bed.AddPVGuest(fmt.Sprintf("fill-%d", i), vmm.HVM, vmm.Kernel2628, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Eng.RunUntil(units.Time(units.Second))
+	if _, err := c.MigrateDNIS(MigrationSpec{
+		Src: c.Host(0), Guest: vm, Dst: dst, DstPort: 0, DstVF: 1, Policy: policy(),
+	}, nil); err == nil {
+		t.Fatal("want an error")
+	}
+	c.Eng.RunUntil(units.Time(2 * units.Second))
+	if vf := vm.Bond.VF(); vf == nil || !vf.Attached() || !vm.Bond.ActiveVF() {
+		t.Error("source guest lost its VF")
+	}
+	if vm.Dom.Paused() {
+		t.Error("source guest paused")
 	}
 }
 

@@ -28,6 +28,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -59,11 +60,17 @@ type fluidModel struct {
 	promotions *obs.Counter
 	recomputes *obs.Counter
 
+	// packet holds every flow running at packet level, each once (see
+	// ClosFlow.inPacket), plus flows that stopped, finished or promoted
+	// since the last armPoll compacted it.
+	packet []*ClosFlow
+
 	// scratch reused across recomputes
 	idx     []*ClosFlow
 	demands []float64
 	paths   [][]int
 	caps    []float64
+	mm      maxMin
 }
 
 func newFluidModel(c *Clos, mode FastpathMode) *fluidModel {
@@ -92,8 +99,18 @@ func (m *fluidModel) admit(f *ClosFlow) {
 		f.alloc = float64(f.demand)
 	} else {
 		f.emitH = m.c.Eng.At(f.nextEmit, "clos:emit", f.emitFn)
+		m.markPacket(f)
 	}
 	m.dirty()
+}
+
+// markPacket files a flow that just went to packet level on the packet
+// list, once.
+func (m *fluidModel) markPacket(f *ClosFlow) {
+	if !f.inPacket {
+		f.inPacket = true
+		m.packet = append(m.packet, f)
+	}
 }
 
 // fluidPeriod mirrors units.TransferTime for a float rate, so a fluid flow
@@ -122,15 +139,12 @@ func (m *fluidModel) fluidDelay(f *ClosFlow, bytes units.Size) units.Duration {
 // lossless) in closed form. Emission instants are nextEmit + k·period with
 // the identical integer arithmetic the packet emitter uses.
 func (m *fluidModel) settle(f *ClosFlow, now units.Time) {
-	if !f.fluid || f.stopped || f.alloc <= 0 {
+	if !f.fluid || f.stopped || f.alloc <= 0 || f.nextEmit > now {
 		return
 	}
 	pe := fluidPeriod(f.batchBytes, f.alloc)
 	if pe <= 0 {
 		pe = 1
-	}
-	if f.nextEmit > now {
-		return
 	}
 	due := int64(now.Sub(f.nextEmit))/int64(pe) + 1
 
@@ -195,6 +209,7 @@ func (m *fluidModel) demote(f *ClosFlow, now units.Time) {
 	if !f.emitH.Pending() {
 		f.emitH = m.c.Eng.At(f.nextEmit, "clos:emit", f.emitFn)
 	}
+	m.markPacket(f)
 }
 
 // promote lifts a flow back to the fluid path from its next emission on.
@@ -207,11 +222,12 @@ func (m *fluidModel) promote(f *ClosFlow) {
 
 // queuePressure fires from the packet path when a queue with fluid
 // occupants crosses the congestion threshold: every fluid flow crossing the
-// link demotes, and the freed reservations recompute.
+// link demotes, and the freed reservations recompute. A finished flow still
+// marked fluid demotes too, which is why Clos.live keeps such flows.
 func (m *fluidModel) queuePressure(l *link) {
 	now := m.c.Eng.Now()
 	changed := false
-	for _, f := range m.c.flows {
+	for _, f := range m.c.live {
 		if !f.fluid || f.stopped {
 			continue
 		}
@@ -260,15 +276,15 @@ func (m *fluidModel) scheduleCompletion(f *ClosFlow, now units.Time) {
 	f.doneH = m.c.Eng.At(at, "clos:fdone", f.doneFn)
 }
 
-// congested reports whether any link on the flow's path has offered demand
-// at or past the demotion threshold.
-func (m *fluidModel) congested(f *ClosFlow) bool {
+// holds reports whether a fluid flow may stay fluid in auto mode: every link
+// on its path is up, with offered demand below the demotion threshold.
+func (m *fluidModel) holds(f *ClosFlow) bool {
 	for _, l := range f.path {
-		if l.demandBps >= demoteUtil*float64(l.cfg.Rate) {
-			return true
+		if !l.up || l.demandBps >= demoteUtil*float64(l.cfg.Rate) {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // calm reports whether the flow's path has drained queues and headroom —
@@ -283,23 +299,51 @@ func (m *fluidModel) calm(f *ClosFlow) bool {
 	return true
 }
 
-// recompute is the coalesced water-filling pass: settle all fluid progress
-// at the outgoing allocations, re-solve max-min fairness over the active
-// flows, apply mode transitions, and install the new allocations.
+// deferrable reports whether recompute may skip settling f. Settle is
+// closed-form on the fixed grid nextEmit + k·period, so settling an
+// unbounded flow at t1 and again at t2 credits exactly what one settle at t2
+// does, as long as its allocation, mode and batch size hold in between and
+// no packet batch of its own can resolve meanwhile. recompute therefore
+// settles such a flow only when its allocation changes or it demotes, and
+// Stop and queuePressure settle it before they touch it. Finite flows never
+// defer: their settle can finish them, which takes them out of the solve. A
+// flow with packet batches in flight or parked, as one promoted from packet
+// level has, never defers either: its settle moves the resequencer past
+// them, which decides how they are credited when they land.
+func (m *fluidModel) deferrable(f *ClosFlow) bool {
+	return f.fluid && f.totalBytes == 0 && f.InFlight() == 0 && len(f.parked) == 0
+}
+
+// recompute is the coalesced water-filling pass: settle the fluid progress
+// that cannot wait at the outgoing allocations, re-solve max-min fairness
+// over the active flows, apply mode transitions, and install the new
+// allocations. It also compacts Clos.live.
 func (m *fluidModel) recompute() {
 	c := m.c
 	now := c.Eng.Now()
 	m.recomputes.Inc()
 
-	for _, f := range c.flows {
-		m.settle(f, now)
-	}
 	m.idx = m.idx[:0]
-	for _, f := range c.flows {
-		if !f.stopped && !f.done {
-			m.idx = append(m.idx, f)
+	live := c.live[:0]
+	for _, f := range c.live {
+		if f.stopped {
+			continue
 		}
+		if !m.deferrable(f) {
+			m.settle(f, now)
+		}
+		if f.done {
+			if f.fluid {
+				live = append(live, f)
+			}
+			continue
+		}
+		live = append(live, f)
+		m.idx = append(m.idx, f)
 	}
+	clear(c.live[len(live):])
+	c.live = live
+
 	if cap(m.caps) < len(c.links) {
 		m.caps = make([]float64, 0, len(c.links))
 	}
@@ -317,7 +361,7 @@ func (m *fluidModel) recompute() {
 			l.demandBps += float64(f.demand)
 		}
 	}
-	alloc := MaxMinAllocate(m.demands, m.paths, m.caps)
+	alloc := m.mm.solve(m.demands, m.paths, m.caps)
 
 	for i, f := range m.idx {
 		wasFluid := f.fluid
@@ -328,7 +372,13 @@ func (m *fluidModel) recompute() {
 		case FastpathAuto:
 			// Promotion of a demoted flow goes through the quiescence poll;
 			// here fluid flows only hold on or demote.
-			wantFluid = wasFluid && f.pathUp() && !m.congested(f)
+			wantFluid = wasFluid && m.holds(f)
+		}
+		if wasFluid && (!wantFluid || alloc[i] != f.alloc) {
+			// The deferred settle, at the outgoing allocation. For a flow
+			// settled above it is a no-op. A flow promoted below was not
+			// fluid at this instant's settle, so it is not settled here.
+			m.settle(f, now)
 		}
 		if wasFluid && !wantFluid {
 			m.demote(f, now)
@@ -354,7 +404,7 @@ func (m *fluidModel) recompute() {
 func (m *fluidModel) poll() {
 	now := m.c.Eng.Now()
 	changed := false
-	for _, f := range m.c.flows {
+	for _, f := range m.packet {
 		if f.stopped || f.done || f.fluid {
 			continue
 		}
@@ -377,62 +427,121 @@ func (m *fluidModel) poll() {
 	m.armPoll(now)
 }
 
-// armPoll keeps the promotion scan alive while any demoted flow exists (in
-// auto mode only; forced modes never poll).
+// armPoll compacts the packet list, in every mode, and keeps the promotion
+// scan alive while any demoted flow exists (in auto mode only; forced modes
+// never poll).
 func (m *fluidModel) armPoll(now units.Time) {
-	if m.mode != FastpathAuto || m.pollH.Pending() {
-		return
-	}
-	for _, f := range m.c.flows {
-		if !f.stopped && !f.done && !f.fluid {
-			m.pollH = m.c.Eng.At(now.Add(pollEvery), "clos:promote-poll", m.pollFn)
-			return
-		}
-	}
-}
-
-// MaxMinAllocate solves demand-bounded max-min fairness by progressive
-// filling (water-filling): every unfrozen flow's allocation rises at the
-// same rate; a flow freezes when it reaches its demand (snapped exactly, so
-// an uncongested flow's allocation is bit-identical to its demand) or when
-// a traversed link saturates. paths[i] lists the link indices flow i
-// crosses; caps[l] is link l's capacity. Flows with empty paths are bounded
-// only by demand. The result is deterministic in the input order.
-func MaxMinAllocate(demands []float64, paths [][]int, caps []float64) []float64 {
-	n := len(demands)
-	alloc := make([]float64, n)
-	frozen := make([]bool, n)
-	active := make([]int, len(caps))
-	usedFrozen := make([]float64, len(caps))
-	remaining := 0
-	for i, d := range demands {
-		if d <= 0 {
-			frozen[i] = true
+	pk := m.packet[:0]
+	for _, f := range m.packet {
+		if f.stopped || f.done || f.fluid {
+			f.inPacket = false
 			continue
 		}
-		remaining++
+		pk = append(pk, f)
+	}
+	clear(m.packet[len(pk):])
+	m.packet = pk
+	if m.mode != FastpathAuto || m.pollH.Pending() || len(m.packet) == 0 {
+		return
+	}
+	m.pollH = m.c.Eng.At(now.Add(pollEvery), "clos:promote-poll", m.pollFn)
+}
+
+// maxMin solves demand-bounded max-min fairness by progressive filling
+// (water-filling): every unfrozen flow's allocation rises at the same rate;
+// a flow freezes when it reaches its demand (snapped exactly, so an
+// uncongested flow's allocation is bit-identical to its demand) or when a
+// traversed link saturates. paths[i] lists the link indices flow i crosses;
+// caps[l] is link l's capacity. Flows with empty paths are bounded only by
+// demand.
+//
+// Each round finds the smallest increment to the next freezing event, then
+// freezes the demand-limited flows in input order, then, link by link in
+// index order, every unfrozen flow on a link whose share re-derives to at
+// most that increment, in input order. That freeze order fixes every float
+// the solve produces, so the result is deterministic in the input order. The
+// buffers are reused across solves: a round touches only the unfrozen flows,
+// the links some of them cross, and the members of the links that saturate.
+type maxMin struct {
+	alloc      []float64
+	frozen     []bool
+	active     []int     // [link] unfrozen flows crossing it, with multiplicity
+	usedFrozen []float64 // [link] sum of the frozen allocations crossing it
+	unfrozen   []int32   // flows not yet frozen, in input order
+	links      []int32   // links with active > 0, ascending
+	start      []int32   // [link] its members are members[start[l]:start[l+1]]
+	members    []int32   // each link's positive-demand flows, in input order
+}
+
+// zeroed returns s resized to n and cleared, reusing its array when it is
+// large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// solve returns the allocation of each flow. The slice is the solver's own
+// and stays valid until the next solve.
+func (s *maxMin) solve(demands []float64, paths [][]int, caps []float64) []float64 {
+	n, nl := len(demands), len(caps)
+	s.alloc = zeroed(s.alloc, n)
+	s.frozen = zeroed(s.frozen, n)
+	s.active = zeroed(s.active, nl)
+	s.usedFrozen = zeroed(s.usedFrozen, nl)
+	s.unfrozen = s.unfrozen[:0]
+	for i, d := range demands {
+		if d <= 0 {
+			s.frozen[i] = true
+			continue
+		}
+		s.unfrozen = append(s.unfrozen, int32(i))
 		for _, l := range paths[i] {
-			active[l]++
+			s.active[l]++
 		}
 	}
+
+	// Per-link member lists: start[l] first holds the end of link l's
+	// range, and filling back to front leaves it at the range's start with
+	// each list in input order.
+	s.start = zeroed(s.start, nl+1)
+	s.links = s.links[:0]
+	end := int32(0)
+	for l, a := range s.active {
+		end += int32(a)
+		s.start[l] = end
+		if a > 0 {
+			s.links = append(s.links, int32(l))
+		}
+	}
+	s.start[nl] = end
+	s.members = zeroed(s.members, int(end))
+	for k := len(s.unfrozen) - 1; k >= 0; k-- {
+		i := s.unfrozen[k]
+		p := paths[i]
+		for h := len(p) - 1; h >= 0; h-- {
+			s.start[p[h]]--
+			s.members[s.start[p[h]]] = i
+		}
+	}
+
 	level := 0.0
-	for remaining > 0 {
+	for len(s.unfrozen) > 0 {
 		// Smallest increment to the next freezing event. The freeze pass
 		// below re-derives each candidate with the identical expression, so
 		// "<= inc" finds exactly the argmin set — no epsilon needed.
 		inc := math.Inf(1)
-		for i := range demands {
-			if !frozen[i] {
-				if d := demands[i] - level; d < inc {
-					inc = d
-				}
+		for _, i := range s.unfrozen {
+			if d := demands[i] - level; d < inc {
+				inc = d
 			}
 		}
-		for l := range caps {
-			if active[l] > 0 {
-				if r := (caps[l]-usedFrozen[l])/float64(active[l]) - level; r < inc {
-					inc = r
-				}
+		for _, l := range s.links {
+			if r := (caps[l]-s.usedFrozen[l])/float64(s.active[l]) - level; r < inc {
+				inc = r
 			}
 		}
 		if math.IsInf(inc, 1) {
@@ -441,37 +550,22 @@ func MaxMinAllocate(demands []float64, paths [][]int, caps []float64) []float64 
 		if inc < 0 {
 			inc = 0
 		}
-		freezeAt := func(i int, a float64) {
-			frozen[i] = true
-			alloc[i] = a
-			remaining--
-			for _, l := range paths[i] {
-				active[l]--
-				usedFrozen[l] += a
-			}
-		}
 		froze := false
-		for i := range demands {
-			if !frozen[i] && demands[i]-level <= inc {
-				freezeAt(i, demands[i]) // demand-limited: snap exact
+		for _, i := range s.unfrozen {
+			if demands[i]-level <= inc {
+				s.freeze(i, demands[i], paths[i]) // demand-limited: snap exact
 				froze = true
 			}
 		}
-		for l := range caps {
-			if active[l] == 0 {
+		for _, l := range s.links {
+			if s.active[l] == 0 {
 				continue
 			}
-			if (caps[l]-usedFrozen[l])/float64(active[l])-level <= inc {
-				for i := range demands {
-					if frozen[i] {
-						continue
-					}
-					for _, pl := range paths[i] {
-						if pl == l {
-							freezeAt(i, level+inc)
-							froze = true
-							break
-						}
+			if (caps[l]-s.usedFrozen[l])/float64(s.active[l])-level <= inc {
+				for _, i := range s.members[s.start[l]:s.start[l+1]] {
+					if !s.frozen[i] {
+						s.freeze(i, level+inc, paths[i])
+						froze = true
 					}
 				}
 			}
@@ -479,12 +573,21 @@ func MaxMinAllocate(demands []float64, paths [][]int, caps []float64) []float64 
 		level += inc
 		if !froze {
 			// Numerical backstop: freeze everything at the current level.
-			for i := range demands {
-				if !frozen[i] {
-					freezeAt(i, level)
-				}
+			for _, i := range s.unfrozen {
+				s.freeze(i, level, paths[i])
 			}
 		}
+		s.unfrozen = slices.DeleteFunc(s.unfrozen, func(i int32) bool { return s.frozen[i] })
+		s.links = slices.DeleteFunc(s.links, func(l int32) bool { return s.active[l] == 0 })
 	}
-	return alloc
+	return s.alloc
+}
+
+func (s *maxMin) freeze(i int32, a float64, path []int) {
+	s.frozen[i] = true
+	s.alloc[i] = a
+	for _, l := range path {
+		s.active[l]--
+		s.usedFrozen[l] += a
+	}
 }

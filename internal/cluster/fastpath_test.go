@@ -12,7 +12,7 @@ import (
 
 // referenceWaterFill is an independent, brute-force max-min reference: raise
 // the water level by tiny exact steps until every flow is demand- or
-// link-limited. It shares no code with MaxMinAllocate — the property test's
+// link-limited. It shares no code with the solver — the property test's
 // point is two implementations agreeing.
 func referenceWaterFill(demands []float64, paths [][]int, caps []float64) []float64 {
 	n := len(demands)
@@ -106,6 +106,7 @@ func referenceWaterFill(demands []float64, paths [][]int, caps []float64) []floa
 // brute-force reference, relative tolerance 1e-9.
 func TestMaxMinMatchesWaterFillingReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12345))
+	var mm maxMin
 	for trial := 0; trial < 200; trial++ {
 		nLinks := 1 + rng.Intn(6)
 		caps := make([]float64, nLinks)
@@ -124,7 +125,7 @@ func TestMaxMinMatchesWaterFillingReference(t *testing.T) {
 			}
 			paths[i] = perm[:hops]
 		}
-		got := MaxMinAllocate(demands, paths, caps)
+		got := mm.solve(demands, paths, caps)
 		want := referenceWaterFill(demands, paths, caps)
 		for i := range got {
 			diff := math.Abs(got[i] - want[i])
@@ -139,6 +140,7 @@ func TestMaxMinMatchesWaterFillingReference(t *testing.T) {
 
 func TestMaxMinProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(999))
+	var mm maxMin
 	for trial := 0; trial < 100; trial++ {
 		nLinks := 1 + rng.Intn(5)
 		caps := make([]float64, nLinks)
@@ -153,7 +155,7 @@ func TestMaxMinProperties(t *testing.T) {
 			perm := rng.Perm(nLinks)
 			paths[i] = perm[:1+rng.Intn(nLinks)]
 		}
-		alloc := MaxMinAllocate(demands, paths, caps)
+		alloc := mm.solve(demands, paths, caps)
 		// No allocation exceeds demand; no link is over capacity.
 		for i, a := range alloc {
 			if a < 0 || a > demands[i]+1e-6 {
@@ -213,7 +215,8 @@ func TestSnapToDemandExactness(t *testing.T) {
 	demands := []float64{float64(model.LineRateUDP), float64(units.Gbps) / 3, 123456789}
 	paths := [][]int{{0}, {0}, {1}}
 	caps := []float64{1e12, 1e12} // effectively unconstrained
-	alloc := MaxMinAllocate(demands, paths, caps)
+	var mm maxMin
+	alloc := mm.solve(demands, paths, caps)
 	for i := range demands {
 		if alloc[i] != demands[i] {
 			t.Fatalf("flow %d: alloc %v not bit-identical to demand %v", i, alloc[i], demands[i])
@@ -283,5 +286,123 @@ func TestClosTierRollupsCount(t *testing.T) {
 	c.Drain(100 * units.Millisecond)
 	if reg.SumCounters("cluster.clos.tier.", ".tx_pkts") == 0 {
 		t.Error("tier rollups missing")
+	}
+}
+
+// TestSettleSplitsExactly pins what recompute's deferred settle relies on:
+// for an unbounded fluid flow at a fixed allocation, settling at t1 and then
+// at t2 leaves exactly the state one settle at t2 leaves.
+func TestSettleSplitsExactly(t *testing.T) {
+	type state struct {
+		seq, resolvedSeq, parked         int64
+		injected, delivered, dropped     int64
+		emitted, deliveredBytes          units.Size
+		nextEmit, lastArrival, lastDeliv units.Time
+		fluidBytes                       [tierCount]int64
+	}
+	snap := func(c *Clos, f *ClosFlow) state {
+		s := state{
+			seq: f.seq, resolvedSeq: f.resolvedSeq, parked: int64(len(f.parked)),
+			injected: f.injectedPkts, delivered: f.deliveredPkts, dropped: f.droppedPkts,
+			emitted: f.emittedBytes, deliveredBytes: f.deliveredBytes,
+			nextEmit: f.nextEmit, lastArrival: f.lastArrival, lastDeliv: f.lastDeliveryAt,
+		}
+		for i := range c.tiers {
+			s.fluidBytes[i] = c.tiers[i].fluidBytes.Value()
+		}
+		return s
+	}
+	rig := func(alloc float64) (*Clos, *ClosFlow) {
+		c := newTestClos(t, ClosConfig{Topo: Topology{Leafs: 2, Spines: 2, HostsPerLeaf: 2}, Seed: 5, Fastpath: FastpathOn})
+		f := c.StartFlow(0, 0, 2, 0, model.ClusterLinkRate/4)
+		c.Run(units.Millisecond)
+		if !f.fluid {
+			t.Fatal("flow is not fluid")
+		}
+		f.alloc = alloc
+		return c, f
+	}
+	allocs := []float64{float64(model.ClusterLinkRate / 4), float64(model.LineRateUDP), float64(units.Gbps) / 3, 123456789, 1e3}
+	splits := [][]units.Duration{
+		{0},
+		{1},
+		{7 * units.Microsecond, 8 * units.Microsecond},
+		{333 * units.Microsecond, units.Millisecond, 2*units.Millisecond + 1},
+	}
+	end := 5 * units.Millisecond
+	for _, alloc := range allocs {
+		for _, split := range splits {
+			a, fa := rig(alloc)
+			b, fb := rig(alloc)
+			now := a.Eng.Now()
+			for _, d := range split {
+				a.fm.settle(fa, now.Add(d))
+			}
+			a.fm.settle(fa, now.Add(end))
+			b.fm.settle(fb, now.Add(end))
+			if got, want := snap(a, fa), snap(b, fb); got != want {
+				t.Errorf("alloc %v, settles at +%v then +%v:\n split %+v\nsingle %+v", alloc, split, end, got, want)
+			}
+			if fb.deliveredPkts == 0 {
+				t.Errorf("alloc %v: a %v settle credited nothing", alloc, end)
+			}
+		}
+	}
+}
+
+// TestRecomputeAllocationFree checks a warmed fabric's recompute — settles,
+// solve, mode checks, installs, list compaction — allocates nothing.
+func TestRecomputeAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	c := newTestClos(t, ClosConfig{Topo: OversubscribedTopology(4, 2, 8, 4), Seed: 3, Fastpath: FastpathAuto})
+	c.StartRing(4, model.ClusterLinkRate/8)
+	// An incast into host 8 demotes its senders, so the packet list and
+	// the finite flows are in play too.
+	for s := 0; s < 6; s++ {
+		c.StartTransfer(16+s, 9, 8, 9, model.ClusterLinkRate, 64*units.MiB)
+	}
+	c.Run(30 * units.Millisecond)
+	if c.Demotions() == 0 {
+		t.Fatal("the incast demoted nothing")
+	}
+	if n := testing.AllocsPerRun(20, c.fm.recompute); n != 0 {
+		t.Fatalf("recompute allocates %v times per call", n)
+	}
+}
+
+// TestFastpathOnFlapKeepsPacketListBounded flaps the only trunk under a
+// forced fast path: each down demotes the cross-leaf flows, each up promotes
+// them back, and the packet list must empty again every time rather than
+// grow with the flaps.
+func TestFastpathOnFlapKeepsPacketListBounded(t *testing.T) {
+	c := newTestClos(t, ClosConfig{Topo: Topology{Leafs: 2, Spines: 1, HostsPerLeaf: 2}, Seed: 9, Fastpath: FastpathOn})
+	cross := []*ClosFlow{
+		c.StartFlow(0, 0, 2, 0, model.ClusterLinkRate/4),
+		c.StartFlow(1, 0, 3, 0, model.ClusterLinkRate/4),
+	}
+	c.StartFlow(0, 1, 1, 1, model.ClusterLinkRate/4) // intra-leaf: never demotes
+	c.Run(5 * units.Millisecond)
+	const flaps = 40
+	for i := 0; i < flaps; i++ {
+		c.SetTrunk(0, 0, false)
+		c.Run(2 * units.Millisecond)
+		for _, f := range cross {
+			if f.fluid {
+				t.Fatalf("flap %d: flow %d stayed fluid over a dead trunk", i, f.ID)
+			}
+		}
+		if n := len(c.fm.packet); n != len(cross) {
+			t.Fatalf("flap %d: packet list holds %d flows, want %d", i, n, len(cross))
+		}
+		c.SetTrunk(0, 0, true)
+		c.Run(2 * units.Millisecond)
+		if n := len(c.fm.packet); n != 0 {
+			t.Fatalf("flap %d: packet list holds %d flows with every path up", i, n)
+		}
+	}
+	if got, want := c.Promotions(), int64(flaps*len(cross)); got != want {
+		t.Errorf("promotions %d, want %d", got, want)
 	}
 }

@@ -57,9 +57,13 @@ func (c *Cluster) MigrateDNIS(spec MigrationSpec, onDone func(*migration.Result)
 	if spec.Guest.Bond == nil {
 		return nil, fmt.Errorf("cluster: inter-host DNIS needs a bonded guest")
 	}
-	// A target VF that does not exist would only fail after the source
-	// has paused; refuse it before the hot removal starts.
+	// A target VF that does not exist, or a target without the memory to
+	// restore the domain into, would only fail after the source has paused;
+	// refuse both before the hot removal starts.
 	if err := spec.Dst.Bed.CheckVF(spec.DstPort, spec.DstVF); err != nil {
+		return nil, fmt.Errorf("cluster: migration target %s: %w", spec.Dst.Name, err)
+	}
+	if err := spec.Dst.Bed.CheckGuestMemory(); err != nil {
 		return nil, fmt.Errorf("cluster: migration target %s: %w", spec.Dst.Name, err)
 	}
 	if spec.TargetName == "" {

@@ -281,6 +281,17 @@ func (tb *Testbed) CheckVF(port, vf int) error {
 	return nil
 }
 
+// CheckGuestMemory reports an error unless the machine has free frames for
+// one more guest of the testbed's guest size.
+func (tb *Testbed) CheckGuestMemory() error {
+	need := uint64(tb.cfg.GuestMemory / mem.PageSize)
+	if free := tb.Machine.FreePages(); free < need {
+		return fmt.Errorf("core: no machine memory for a %v guest (%d pages free, %d needed)",
+			tb.cfg.GuestMemory, free, need)
+	}
+	return nil
+}
+
 func (tb *Testbed) checkPort(port int) error {
 	if port < 0 || port >= len(tb.Ports) {
 		return fmt.Errorf("core: no port %d", port)

@@ -209,6 +209,28 @@ func TestBadIndicesChangeNothing(t *testing.T) {
 	}
 }
 
+// TestSecondAssignRefused checks a VF another guest holds cannot be
+// assigned again: the second guest is refused, and the first keeps the VF's
+// IOMMU context.
+func TestSecondAssignRefused(t *testing.T) {
+	tb := NewTestbed(Config{Ports: 1})
+	first, err := tb.AddSRIOVGuest("first", vmm.HVM, vmm.Kernel2628, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rid := uint16(tb.Ports[0].VFQueue(0).Function().RID())
+	guests := append([]*Guest(nil), tb.Guests()...)
+	if _, err := tb.AddSRIOVGuest("second", vmm.HVM, vmm.Kernel2628, 0, 0, nil); err == nil {
+		t.Fatal("a second guest on port 0 VF 0 was accepted")
+	}
+	if dom, ok := tb.IOMMU.DomainOf(rid); !ok || dom != first.Dom.ID {
+		t.Errorf("VF 0 context: domain %d (attached %v), want the first guest's %d", dom, ok, first.Dom.ID)
+	}
+	if got := tb.Guests(); len(got) != len(guests) || got[0] != guests[0] {
+		t.Errorf("guests changed: %d → %d", len(guests), len(got))
+	}
+}
+
 func TestSixtyGuestsFitMemory(t *testing.T) {
 	tb := NewTestbed(Config{Ports: 10, Opts: vmm.AllOptimizations})
 	for i := 0; i < 60; i++ {

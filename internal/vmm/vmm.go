@@ -345,12 +345,16 @@ func (h *Hypervisor) SetPaused(d *Domain, p bool) {
 // AssignDevice gives a guest direct access to a function: the IOMMU context
 // is bound to the guest's address space so the function's DMA is remapped
 // through the guest's p2m (§2), and a DMA check is available for the NIC
-// model via DMACheckFor.
+// model via DMACheckFor. A function whose RID another domain already holds
+// is refused; one VF serves one guest.
 func (h *Hypervisor) AssignDevice(d *Domain, fn *pcie.Function) error {
 	if d.Memory == nil {
 		return fmt.Errorf("vmm: domain %s has no memory to map", d.Name)
 	}
 	rid := uint16(fn.RID())
+	if owner, ok := h.mmu.DomainOf(rid); ok && owner != d.ID {
+		return fmt.Errorf("vmm: %s is already assigned to domain %d", fn, owner)
+	}
 	h.mmu.AttachDomain(rid, d.ID)
 	if err := h.mmu.MapDomainMemory(rid, d.Memory); err != nil {
 		return err
