@@ -31,7 +31,9 @@ import (
 //     uses it (a use inside its own package counts); a method of a generic
 //     type is one method whatever its type arguments;
 //   - a method is also live when its type implements an interface whose
-//     method some scanned file calls;
+//     method some scanned file calls, or when it is promoted (through
+//     embedded fields, a generic type's instantiations included) into a
+//     type that does;
 //   - a method the standard library calls through one of its own
 //     interfaces (stdlibInterfaces, and error) is live when its type
 //     implements that interface;
@@ -79,9 +81,11 @@ func TestNoDeadInternalAPI(t *testing.T) {
 // exported func and a method that only a test calls are reported, and so
 // are a method sharing its name with a live one, a method whose signature
 // misses the interface the tool calls through, an exported method of an
-// unexported type, and three fields: one only written, one only a test
+// unexported type, a method promoted only into a type that implements no
+// called interface, and three fields: one only written, one only a test
 // reads, one only set positionally. Live methods (a direct call, an
-// interface call, a generic type's method, a String) are not, nor are a
+// interface call, a generic type's method, a String, a method promoted
+// into a type an interface call reaches) are not, nor are a
 // field the tool reads, a tagged field and a map key's field; and a stale
 // or reasonless allowlist entry fails the check.
 func TestDeadAPIGateFixture(t *testing.T) {
@@ -90,7 +94,7 @@ func TestDeadAPIGateFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"internal/lib.Pair.V", "internal/lib.Stats.Hits", "internal/lib.Stats.Misses",
+		"internal/lib.Ajar.Open", "internal/lib.Pair.V", "internal/lib.Stats.Hits", "internal/lib.Stats.Misses",
 		"internal/lib.T.Dead", "internal/lib.U.Live", "internal/lib.U.Run", "internal/lib.Unused", "internal/lib.hidden.Poke",
 	}
 	if strings.Join(dead, " ") != strings.Join(want, " ") {
@@ -108,6 +112,7 @@ func TestDeadAPIGateFixture(t *testing.T) {
 		"internal/lib.Used":   "fixture", // stale: cmd/tool references it
 	})
 	wantPrefixes := []string{
+		"internal/lib.Ajar.Open: no non-test file uses it",
 		"internal/lib.Pair.V: no non-test file uses it",
 		"internal/lib.Stats.Hits: no non-test file uses it",
 		"internal/lib.Stats.Misses: no non-test file uses it",
@@ -292,6 +297,27 @@ func deadAPI(root string) ([]string, error) {
 		std = append(std, p.Scope().Lookup(si[1]).Type().Underlying().(*types.Interface))
 	}
 
+	// The non-generic struct types that embed a field: the types a method
+	// can be promoted into.
+	var embedding []*types.Named
+	for _, ip := range paths {
+		scope := l.done[ip].Scope()
+		for _, name := range scope.Names() {
+			named, ok := scope.Lookup(name).Type().(*types.Named)
+			if _, isType := scope.Lookup(name).(*types.TypeName); !isType || !ok || named.TypeParams().Len() > 0 {
+				continue
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if st.Field(i).Embedded() {
+						embedding = append(embedding, named)
+						break
+					}
+				}
+			}
+		}
+	}
+
 	var dead []string
 	for _, ip := range paths {
 		dir := l.dirs[ip]
@@ -322,7 +348,8 @@ func deadAPI(root string) ([]string, error) {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if m.Exported() && !live[m] && !calledThrough(named, m.Name(), ifaces) && !calledThrough(named, m.Name(), std) {
+				if m.Exported() && !live[m] && !calledThrough(named, m.Name(), ifaces) && !calledThrough(named, m.Name(), std) &&
+					!promotedThrough(m, embedding, ifaces) && !promotedThrough(m, embedding, std) {
 					dead = append(dead, dir+"."+name+"."+m.Name())
 				}
 			}
@@ -434,6 +461,20 @@ func calledThrough(t *types.Named, method string, ifaces []*types.Interface) boo
 				(types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
 				return true
 			}
+		}
+	}
+	return false
+}
+
+// promotedThrough reports whether method m is promoted into one of the
+// embedding types that implements one of the interfaces with a method of
+// m's name, so that an interface call reaches m. A type that declares its
+// own method of that name shadows m and does not count.
+func promotedThrough(m *types.Func, embedding []*types.Named, ifaces []*types.Interface) bool {
+	for _, t := range embedding {
+		obj, index, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, m.Pkg(), m.Name())
+		if f, ok := obj.(*types.Func); ok && len(index) > 1 && f.Origin() == m && calledThrough(t, m.Name(), ifaces) {
+			return true
 		}
 	}
 	return false

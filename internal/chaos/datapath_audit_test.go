@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/drivers"
 	"repro/internal/model"
 	"repro/internal/units"
 	"repro/internal/vmm"
@@ -52,10 +53,11 @@ func TestAllBackendsAuditClean(t *testing.T) {
 // the new backends, not just netback and VMDq.
 func TestTamperedDatapathDetected(t *testing.T) {
 	tb := core.NewTestbed(core.Config{Seed: 7, Ports: 1, Opts: vmm.AllOptimizations})
-	if _, err := tb.AddVhostGuest("g", vmm.HVM, vmm.Kernel2628, 0); err != nil {
+	g, err := tb.AddBackendGuest("vhost", "g", vmm.HVM, vmm.Kernel2628, 0, 0, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Vhost.Received += 3
+	g.Backend.(*drivers.Vhost).Received += 3
 	vs := chaos.CheckTestbed(tb)
 	if !hasViolation(vs, "backend-conservation") {
 		t.Fatalf("tampered vhost counters not detected: %v", violationNames(vs))

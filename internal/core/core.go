@@ -110,15 +110,11 @@ type Testbed struct {
 
 	Netback *drivers.Netback
 	VMDq    *drivers.VMDqBridge
-	// Vhost / OVS / SwPass are the lazily built software backends (see
-	// EnableVhost and friends); nil until a guest asks for them.
-	Vhost  *drivers.Vhost
-	OVS    *drivers.OVSSwitch
-	SwPass *drivers.SoftPassthrough
 
 	// datapaths lists every software backend in creation order — the
-	// deterministic sequence audits and figures walk.
-	datapaths []drivers.SoftwareDatapath
+	// deterministic sequence audits and figures walk. vhost, ovs and swpass
+	// join it when the first guest asks for them.
+	datapaths []drivers.Datapath
 
 	guests  []*Guest
 	nextMAC uint64
@@ -137,7 +133,7 @@ type Guest struct {
 	// Backend is the software datapath serving this guest (nil for pure
 	// SR-IOV guests, whose path is the VF hardware). Service chains and
 	// inter-VM senders Inject host-local batches here.
-	Backend drivers.SoftwareDatapath
+	Backend drivers.Datapath
 
 	// Port the guest's traffic arrives on.
 	Port *nic.Port
@@ -219,34 +215,31 @@ func NewTestbed(cfg Config) *Testbed {
 // Datapaths reports every software backend in creation order — the stable
 // sequence the invariant audit walks. Hardware (VF) paths are audited
 // through their receive rings instead.
-func (tb *Testbed) Datapaths() []drivers.SoftwareDatapath { return tb.datapaths }
+func (tb *Testbed) Datapaths() []drivers.Datapath { return tb.datapaths }
 
-// EnableVhost builds the vhost poll-mode backend (and starts its pegged
-// poll thread) on first use.
-func (tb *Testbed) EnableVhost() *drivers.Vhost {
-	if tb.Vhost == nil {
-		tb.Vhost = drivers.NewVhost(tb.HV)
-		tb.datapaths = append(tb.datapaths, tb.Vhost)
+// backend returns the first software backend of the given kind, building a
+// vhost, ovs or swpass backend on first use.
+func (tb *Testbed) backend(kind string) (drivers.Datapath, error) {
+	for _, dp := range tb.datapaths {
+		if dp.Kind() == kind {
+			return dp, nil
+		}
 	}
-	return tb.Vhost
-}
-
-// EnableOVS builds the flow-cache switch backend on first use.
-func (tb *Testbed) EnableOVS() *drivers.OVSSwitch {
-	if tb.OVS == nil {
-		tb.OVS = drivers.NewOVSSwitch(tb.HV)
-		tb.datapaths = append(tb.datapaths, tb.OVS)
+	var dp drivers.Datapath
+	switch kind {
+	case "vhost":
+		dp = drivers.NewVhost(tb.HV)
+	case "ovs":
+		dp = drivers.NewOVSSwitch(tb.HV)
+	case "swpass":
+		dp = drivers.NewSoftPassthrough(tb.HV)
+	case "vmdq":
+		return nil, fmt.Errorf("core: testbed built without VMDq")
+	default:
+		return nil, fmt.Errorf("core: unknown backend kind %q", kind)
 	}
-	return tb.OVS
-}
-
-// EnableSwPass builds the software-passthrough backend on first use.
-func (tb *Testbed) EnableSwPass() *drivers.SoftPassthrough {
-	if tb.SwPass == nil {
-		tb.SwPass = drivers.NewSoftPassthrough(tb.HV)
-		tb.datapaths = append(tb.datapaths, tb.SwPass)
-	}
-	return tb.SwPass
+	tb.datapaths = append(tb.datapaths, dp)
+	return dp, nil
 }
 
 // Config reports the testbed configuration.
@@ -301,33 +294,44 @@ func (tb *Testbed) checkPort(port int) error {
 
 // AddSRIOVGuest creates a guest with a dedicated VF: the §6.1 configuration.
 // port and vf choose the function; policy nil means the VF driver default
-// (fixed 2 kHz).
+// (fixed 2 kHz). A VF that does not exist, does not respond or is held by
+// another guest is refused before the guest's domain is created.
 func (tb *Testbed) AddSRIOVGuest(name string, typ vmm.DomainType, k vmm.KernelConfig, port, vf int, policy netstack.ITRPolicy) (*Guest, error) {
-	if err := tb.CheckVF(port, vf); err != nil {
+	fn, err := tb.hotAddVF(port, vf)
+	if err != nil {
 		return nil, err
+	}
+	if owner, held := tb.IOMMU.DomainOf(uint16(fn.RID())); held {
+		return nil, fmt.Errorf("core: %s is already assigned to domain %d", fn, owner)
 	}
 	d, err := tb.newDomain(name, typ, k)
 	if err != nil {
 		return nil, err
 	}
 	g := &Guest{Dom: d, Recv: guest.NewNetReceiver(tb.HV, d), MAC: tb.allocMAC(), Port: tb.Ports[port]}
-	if err := tb.attachVFTo(g, port, vf, policy); err != nil {
+	if err := tb.attachVFTo(g, fn, port, vf, policy); err != nil {
 		return nil, err
 	}
 	tb.guests = append(tb.guests, g)
 	return g, nil
 }
 
-// attachVFTo hot-adds, assigns and drives VF (port, vf) for guest g.
-func (tb *Testbed) attachVFTo(g *Guest, port, vf int, policy netstack.ITRPolicy) error {
+// hotAddVF hot-adds VF (port, vf), refusing one that does not exist or
+// does not respond.
+func (tb *Testbed) hotAddVF(port, vf int) (*pcie.Function, error) {
 	if err := tb.CheckVF(port, vf); err != nil {
-		return err
+		return nil, err
 	}
-	p := tb.Ports[port]
-	fn := p.VFQueue(vf).Function()
+	fn := tb.Ports[port].VFQueue(vf).Function()
 	if _, err := tb.Fabric.HotAdd(fn.RID()); err != nil {
-		return err
+		return nil, err
 	}
+	return fn, nil
+}
+
+// attachVFTo assigns and drives hot-added VF fn, (port, vf), for guest g.
+func (tb *Testbed) attachVFTo(g *Guest, fn *pcie.Function, port, vf int, policy netstack.ITRPolicy) error {
+	p := tb.Ports[port]
 	if err := tb.HV.AssignDevice(g.Dom, fn); err != nil {
 		return err
 	}
@@ -343,28 +347,30 @@ func (tb *Testbed) attachVFTo(g *Guest, port, vf int, policy netstack.ITRPolicy)
 // AddPVGuest creates a guest served by the PV split driver (§6.5 baseline):
 // its MAC is routed to the dom0 bridge on the given port.
 func (tb *Testbed) AddPVGuest(name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
-	return tb.addSoftwareGuest(func() drivers.SoftwareDatapath { return tb.Netback }, name, typ, k, port)
+	return tb.AddBackendGuest("pv", name, typ, k, port, 0, nil)
 }
 
-// AddVMDqGuest creates a guest behind the VMDq bridge (§6.6). The testbed
-// must have been built with VMDqThreads > 0.
-func (tb *Testbed) AddVMDqGuest(name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
-	if tb.VMDq == nil {
-		return nil, fmt.Errorf("core: testbed built without VMDq")
+// AddBackendGuest creates a guest on the backend named by kind — the
+// dispatcher behind `sriovsim -backend` and the fig19/fig26/fig27 sweeps.
+// vf and policy apply to the "vf" kind only; "vmdq" requires
+// VMDqThreads > 0.
+//
+// Every other kind is a dom0 software backend: the guest's MAC is routed to
+// the dom0 PF queue on port. The backend is only looked up (and built on
+// first use) once the port is known to exist and, like the domain's memory,
+// a bad port changes nothing. A PV guest keeps its *PVNic, which a bond or
+// a migration fails over to.
+func (tb *Testbed) AddBackendGuest(kind, name string, typ vmm.DomainType, k vmm.KernelConfig, port, vf int, policy netstack.ITRPolicy) (*Guest, error) {
+	if kind == "vf" {
+		return tb.AddSRIOVGuest(name, typ, k, port, vf, policy)
 	}
-	return tb.addSoftwareGuest(func() drivers.SoftwareDatapath { return tb.VMDq }, name, typ, k, port)
-}
-
-// addSoftwareGuest creates a guest served by a dom0 software backend,
-// routing its MAC to the dom0 PF queue on port. backend returns the
-// datapath, building it on first use; like the domain's memory, it is only
-// asked for once the port is known to exist, so a bad port changes nothing.
-// A PV guest keeps its *PVNic, which a bond or a migration fails over to.
-func (tb *Testbed) addSoftwareGuest(backend func() drivers.SoftwareDatapath, name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
 	if err := tb.checkPort(port); err != nil {
 		return nil, err
 	}
-	dp := backend()
+	dp, err := tb.backend(kind)
+	if err != nil {
+		return nil, err
+	}
 	d, err := tb.newDomain(name, typ, k)
 	if err != nil {
 		return nil, err
@@ -383,43 +389,6 @@ func (tb *Testbed) addSoftwareGuest(backend func() drivers.SoftwareDatapath, nam
 	tb.PFs[port].SetDom0MAC(g.MAC)
 	tb.guests = append(tb.guests, g)
 	return g, nil
-}
-
-// AddVhostGuest creates a guest on the vhost poll-mode backend.
-func (tb *Testbed) AddVhostGuest(name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
-	return tb.addSoftwareGuest(func() drivers.SoftwareDatapath { return tb.EnableVhost() }, name, typ, k, port)
-}
-
-// AddOVSGuest creates a guest on the flow-cache switch backend.
-func (tb *Testbed) AddOVSGuest(name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
-	return tb.addSoftwareGuest(func() drivers.SoftwareDatapath { return tb.EnableOVS() }, name, typ, k, port)
-}
-
-// AddSwPassGuest creates a guest on the software-passthrough backend.
-func (tb *Testbed) AddSwPassGuest(name string, typ vmm.DomainType, k vmm.KernelConfig, port int) (*Guest, error) {
-	return tb.addSoftwareGuest(func() drivers.SoftwareDatapath { return tb.EnableSwPass() }, name, typ, k, port)
-}
-
-// AddBackendGuest creates a guest on the backend named by kind — the
-// dispatcher behind `sriovsim -backend` and the fig26/fig27 sweeps. vf and
-// policy apply to the "vf" kind only; "vmdq" requires VMDqThreads > 0.
-func (tb *Testbed) AddBackendGuest(kind, name string, typ vmm.DomainType, k vmm.KernelConfig, port, vf int, policy netstack.ITRPolicy) (*Guest, error) {
-	switch kind {
-	case "vf":
-		return tb.AddSRIOVGuest(name, typ, k, port, vf, policy)
-	case "pv":
-		return tb.AddPVGuest(name, typ, k, port)
-	case "vmdq":
-		return tb.AddVMDqGuest(name, typ, k, port)
-	case "vhost":
-		return tb.AddVhostGuest(name, typ, k, port)
-	case "ovs":
-		return tb.AddOVSGuest(name, typ, k, port)
-	case "swpass":
-		return tb.AddSwPassGuest(name, typ, k, port)
-	default:
-		return nil, fmt.Errorf("core: unknown backend kind %q", kind)
-	}
 }
 
 // AddBondedGuest creates a DNIS guest: a VF (active) bonded with a PV NIC
@@ -464,7 +433,11 @@ func (tb *Testbed) SetTracer(t *obs.Trace) {
 // ReattachVF builds a fresh VF driver instance on (port, vf) for an
 // existing guest — the DNIS hot add-on at the migration target.
 func (tb *Testbed) ReattachVF(g *Guest, port, vf int, policy netstack.ITRPolicy) (*drivers.VFDriver, error) {
-	if err := tb.attachVFTo(g, port, vf, policy); err != nil {
+	fn, err := tb.hotAddVF(port, vf)
+	if err != nil {
+		return nil, err
+	}
+	if err := tb.attachVFTo(g, fn, port, vf, policy); err != nil {
 		return nil, err
 	}
 	return g.VF, nil

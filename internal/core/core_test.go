@@ -76,11 +76,11 @@ func TestAddPVGuestEndToEnd(t *testing.T) {
 
 func TestAddVMDqGuestRequiresBridge(t *testing.T) {
 	tb := NewTestbed(Config{Ports: 1})
-	if _, err := tb.AddVMDqGuest("g", vmm.PVM, vmm.Kernel2628, 0); err == nil {
+	if _, err := tb.AddBackendGuest("vmdq", "g", vmm.PVM, vmm.Kernel2628, 0, 0, nil); err == nil {
 		t.Fatal("VMDq guest without bridge should fail")
 	}
 	tb2 := NewTestbed(Config{Ports: 1, VMDqThreads: 4, PortRate: model.VMDqRate})
-	if _, err := tb2.AddVMDqGuest("g", vmm.PVM, vmm.Kernel2628, 0); err != nil {
+	if _, err := tb2.AddBackendGuest("vmdq", "g", vmm.PVM, vmm.Kernel2628, 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -139,6 +139,7 @@ func TestBadIndicesChangeNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	backends := len(tb.Datapaths())
 	badVF := tb.Ports[0].NumVFs()
 	type call struct {
 		name string
@@ -204,13 +205,14 @@ func TestBadIndicesChangeNothing(t *testing.T) {
 	if existing.VF != nil {
 		t.Error("a failed reattach left a VF on the guest")
 	}
-	if tb.Vhost != nil || tb.OVS != nil || tb.SwPass != nil {
-		t.Error("a bad port built a software backend")
+	if got := len(tb.Datapaths()); got != backends {
+		t.Errorf("bad indices built %d software backends", got-backends)
 	}
 }
 
 // TestSecondAssignRefused checks a VF another guest holds cannot be
-// assigned again: the second guest is refused, and the first keeps the VF's
+// assigned again: the second guest is refused before its domain exists (no
+// stray domain, no machine memory taken), and the first keeps the VF's
 // IOMMU context.
 func TestSecondAssignRefused(t *testing.T) {
 	tb := NewTestbed(Config{Ports: 1})
@@ -220,6 +222,7 @@ func TestSecondAssignRefused(t *testing.T) {
 	}
 	rid := uint16(tb.Ports[0].VFQueue(0).Function().RID())
 	guests := append([]*Guest(nil), tb.Guests()...)
+	doms, free := len(tb.HV.Domains()), tb.Machine.FreePages()
 	if _, err := tb.AddSRIOVGuest("second", vmm.HVM, vmm.Kernel2628, 0, 0, nil); err == nil {
 		t.Fatal("a second guest on port 0 VF 0 was accepted")
 	}
@@ -228,6 +231,12 @@ func TestSecondAssignRefused(t *testing.T) {
 	}
 	if got := tb.Guests(); len(got) != len(guests) || got[0] != guests[0] {
 		t.Errorf("guests changed: %d → %d", len(guests), len(got))
+	}
+	if got := len(tb.HV.Domains()); got != doms {
+		t.Errorf("domains %d → %d", doms, got)
+	}
+	if got := tb.Machine.FreePages(); got != free {
+		t.Errorf("free pages %d → %d", free, got)
 	}
 }
 

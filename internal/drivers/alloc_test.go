@@ -44,14 +44,15 @@ func TestNetbackAllocationFree(t *testing.T) {
 	settle := func() { r.eng.RunUntil(r.eng.Now().Add(units.Millisecond)) }
 	assertAllocFree(t, "wire", recv, func() { nb.FromNIC(b); settle() })
 	assertAllocFree(t, "local", recv, func() { nb.LocalTransfer(b); settle() })
-	if nb.inflight != 0 || nb.Dropped != 0 {
-		t.Fatalf("inflight = %d, dropped = %d after settling", nb.inflight, nb.Dropped)
+	if nb.InFlight != 0 || nb.Dropped != 0 {
+		t.Fatalf("inflight = %d, dropped = %d after settling", nb.InFlight, nb.Dropped)
 	}
 }
 
-// TestDom0PoolSubmittersAllocationFree extends the pin to the other two
-// cpu.Pool submitters: a VMDq queue-owning guest's translate-and-kick and
-// an OVS flow-cache hit through a kernel datapath thread.
+// TestDom0PoolSubmittersAllocationFree extends the pin to the other dom0
+// paths: a VMDq queue-owning guest's translate-and-kick, an OVS flow-cache
+// hit through a kernel datapath thread, a vhost poll round draining its
+// shared ring, and a software-passthrough coalesced interrupt.
 func TestDom0PoolSubmittersAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is meaningless under the race detector's shadow allocations")
@@ -59,6 +60,8 @@ func TestDom0PoolSubmittersAllocationFree(t *testing.T) {
 	r := newRig(t, vmm.AllOptimizations)
 	d1, recv1 := r.addGuest(t, "g1", vmm.PVM, vmm.Kernel2628)
 	d2, recv2 := r.addGuest(t, "g2", vmm.HVM, vmm.Kernel2628)
+	d3, recv3 := r.addGuest(t, "g3", vmm.HVM, vmm.Kernel2628)
+	d4, recv4 := r.addGuest(t, "g4", vmm.HVM, vmm.Kernel2628)
 	br := NewVMDqBridge(r.hv, 2)
 	if err := br.AddVif(d1, nic.MAC(0xb1), recv1); err != nil {
 		t.Fatal(err)
@@ -67,12 +70,24 @@ func TestDom0PoolSubmittersAllocationFree(t *testing.T) {
 	if err := sw.AddVif(d2, nic.MAC(0xb2), recv2); err != nil {
 		t.Fatal(err)
 	}
+	vh := NewVhost(r.hv)
+	if err := vh.AddVif(d3, nic.MAC(0xb3), recv3); err != nil {
+		t.Fatal(err)
+	}
+	sp := NewSoftPassthrough(r.hv)
+	if err := sp.AddVif(d4, nic.MAC(0xb4), recv4); err != nil {
+		t.Fatal(err)
+	}
 	settle := func() { r.eng.RunUntil(r.eng.Now().Add(units.Millisecond)) }
-	toVMDq := nic.Batch{Dst: nic.MAC(0xb1), Count: 8, Bytes: 8 * 1514}
-	toOVS := nic.Batch{Dst: nic.MAC(0xb2), Count: 8, Bytes: 8 * 1514}
+	batch := func(mac uint64) nic.Batch { return nic.Batch{Dst: nic.MAC(mac), Count: 8, Bytes: 8 * 1514} }
+	toVMDq, toOVS, toVhost, toSwPass := batch(0xb1), batch(0xb2), batch(0xb3), batch(0xb4)
 	assertAllocFree(t, "vmdq", recv1, func() { br.FromNIC(toVMDq); settle() })
 	assertAllocFree(t, "ovs", recv2, func() { sw.Inject(toOVS); settle() })
-	if br.Dropped != 0 || sw.Dropped != 0 {
-		t.Fatalf("dropped: vmdq %d, ovs %d", br.Dropped, sw.Dropped)
+	assertAllocFree(t, "vhost", recv3, func() { vh.Inject(toVhost); settle() })
+	assertAllocFree(t, "swpass", recv4, func() { sp.Inject(toSwPass); settle() })
+	for _, dp := range []Datapath{br, sw, vh, sp} {
+		if s := dp.Stats(); s.Dropped != 0 || s.InFlight != 0 {
+			t.Fatalf("%s: dropped %d, in flight %d after settling", dp.Kind(), s.Dropped, s.InFlight)
+		}
 	}
 }

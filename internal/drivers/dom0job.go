@@ -16,26 +16,28 @@ type dom0Job[V any] struct {
 	run func()
 }
 
-// dom0Jobs is one backend's free list of dom0Job records. land is the
-// backend's completion body. Ownership rule: run returns the record to the
-// free list before calling land (it copies the fields to locals first), so
-// a record is never live across a callback.
+// dom0Jobs is one backend's dom0 thread pool and its free list of dom0Job
+// records. A batch it serves is in flight in books; when it lands it
+// counts as delivered, and land, the backend's completion body, runs.
+// Ownership rule: run returns the record to the free list before calling
+// land (it copies the fields to locals first), so a record is never live
+// across a callback.
 type dom0Jobs[V any] struct {
-	free []*dom0Job[V]
-	land func(v V, b nic.Batch)
+	pool  *cpu.Pool
+	books *Ledger
+	free  []*dom0Job[V]
+	land  func(v V, b nic.Batch)
 }
 
-// submit hands batch b for vif v to a thread of pool at the given cost,
-// reporting false, with the record already back in the free list, if the
-// chosen thread's queue is full.
-func (p *dom0Jobs[V]) submit(pool *cpu.Pool, cost units.Cycles, v V, b nic.Batch) bool {
+// submit hands in-flight batch b for vif v to a thread of the pool at the
+// given cost, dropping it if the chosen thread's queue is full.
+func (p *dom0Jobs[V]) submit(cost units.Cycles, v V, b nic.Batch) {
 	j := p.get()
 	j.v, j.b = v, b
-	if !pool.Submit(cpu.Job{Cost: cost, Run: j.run}) {
+	if !p.pool.Submit(cpu.Job{Cost: cost, Run: j.run}) {
 		p.put(j)
-		return false
+		p.books.lost(b.Count)
 	}
-	return true
 }
 
 func (p *dom0Jobs[V]) get() *dom0Job[V] {
@@ -48,6 +50,7 @@ func (p *dom0Jobs[V]) get() *dom0Job[V] {
 	j.run = func() {
 		v, b := j.v, j.b
 		p.put(j)
+		p.books.delivered(b.Count)
 		p.land(v, b)
 	}
 	return j

@@ -2,7 +2,6 @@ package drivers
 
 import (
 	"container/list"
-	"fmt"
 
 	"repro/internal/cpu"
 	"repro/internal/guest"
@@ -96,20 +95,10 @@ func (fc *FlowCache) Insert(k FlowKey, now units.Time) {
 // defining shape: steady flows run near vhost speed, flow churn collapses
 // to upcall throughput.
 type OVSSwitch struct {
+	backend[*ovsVif]
 	hv    *vmm.Hypervisor
-	pool  *cpu.Pool // kernel datapath threads
+	jobs  dom0Jobs[*ovsVif] // kernel datapath threads
 	cache *FlowCache
-
-	vifs map[nic.MAC]*ovsVif
-	jobs dom0Jobs[*ovsVif]
-
-	// Conservation counters (audited): Received == Delivered + Dropped +
-	// InFlight, InFlight being batches queued on a datapath thread or
-	// waiting out an upcall.
-	Received  int64
-	Delivered int64
-	Dropped   int64
-	inflight  int64
 }
 
 type ovsVif struct {
@@ -120,58 +109,43 @@ type ovsVif struct {
 // NewOVSSwitch creates the switch with model.OVSThreads datapath threads
 // and an empty flow cache.
 func NewOVSSwitch(hv *vmm.Hypervisor) *OVSSwitch {
-	sw := &OVSSwitch{
-		hv:    hv,
-		pool:  cpu.NewPool(hv.Engine(), hv.Meter(), hv.Dom0().Ledger(), model.OVSThreads, netbackQueueCap),
-		cache: NewFlowCache(model.OVSFlowCacheCapacity, model.OVSFlowIdleTimeout),
-		vifs:  make(map[nic.MAC]*ovsVif),
+	sw := &OVSSwitch{backend: newBackend[*ovsVif]("ovs"), hv: hv}
+	sw.jobs = dom0Jobs[*ovsVif]{
+		pool:  cpu.NewPool(hv.Engine(), hv.Meter(), hv.Dom0().Ledger(), model.OVSThreads, model.NetbackQueueCap),
+		books: &sw.Ledger,
+		land:  sw.switched,
 	}
-	sw.jobs.land = sw.switched
+	sw.cache = NewFlowCache(model.OVSFlowCacheCapacity, model.OVSFlowIdleTimeout)
 	return sw
-}
-
-// Kind reports the backend name of the flow-cache switch path.
-func (sw *OVSSwitch) Kind() string { return "ovs" }
-
-// Stats snapshots the conservation counters.
-func (sw *OVSSwitch) Stats() DatapathStats {
-	return DatapathStats{Received: sw.Received, Delivered: sw.Delivered,
-		Dropped: sw.Dropped, InFlight: sw.inflight}
 }
 
 // AttachWire taps a NIC queue: dom0 pays the native receive path, then the
 // batch enters classification.
 func (sw *OVSSwitch) AttachWire(q *nic.Queue) {
 	q.DirectDeliver = func(b nic.Batch) {
-		sw.hv.ChargeDom0(units.Cycles(b.Count) * dom0BridgePerPacketCycles)
-		sw.classify(b)
+		sw.hv.ChargeDom0(units.Cycles(b.Count) * model.Dom0BridgePerPacketCycles)
+		sw.Inject(b)
 	}
 }
 
 // AddVif registers a guest port on the switch.
 func (sw *OVSSwitch) AddVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceiver) error {
-	if _, dup := sw.vifs[mac]; dup {
-		return fmt.Errorf("drivers: MAC %v already has an OVS port", mac)
-	}
-	sw.vifs[mac] = &ovsVif{dom: dom, recv: recv}
-	return nil
+	_, err := sw.add(mac, func() (*ovsVif, error) { return &ovsVif{dom: dom, recv: recv}, nil })
+	return err
 }
 
-// Inject enqueues a host-local batch into classification (service-chain
-// hops churn or hit the cache exactly like wire traffic).
-func (sw *OVSSwitch) Inject(b nic.Batch) { sw.classify(b) }
-
-func (sw *OVSSwitch) classify(b nic.Batch) {
-	sw.Received += int64(b.Count)
-	if _, ok := sw.vifs[b.Dst]; !ok {
-		sw.Dropped += int64(b.Count)
+// Inject classifies a batch against the flow cache (service-chain hops
+// churn or hit the cache exactly like wire traffic).
+func (sw *OVSSwitch) Inject(b nic.Batch) {
+	v, ok := sw.admit(b)
+	if !ok {
 		return
 	}
 	key := FlowKey{Src: b.Src, Dst: b.Dst, VLAN: b.VLAN}
 	now := sw.hv.Engine().Now()
 	if sw.cache.Lookup(key, now) {
 		sw.hv.Obs.Counter("dp.ovs.cache_hits").Inc()
-		sw.fastPath(b)
+		sw.fastPath(v, b)
 		return
 	}
 	// Miss: queue to userspace. ovs-vswitchd classifies, installs the
@@ -181,36 +155,22 @@ func (sw *OVSSwitch) classify(b nic.Batch) {
 	// collapse the figure measures.
 	sw.hv.Obs.Counter("dp.ovs.cache_misses").Inc()
 	sw.hv.ChargeDom0(model.OVSUpcallCycles)
-	sw.inflight += int64(b.Count)
 	sw.hv.Engine().After(model.OVSUpcallLatency, "ovs:upcall", func() {
-		sw.inflight -= int64(b.Count)
 		sw.cache.Insert(key, sw.hv.Engine().Now())
-		sw.fastPath(b)
+		sw.fastPath(v, b)
 	})
 }
 
-// fastPath runs one batch through a kernel datapath thread and interrupts
-// the destination guest.
-func (sw *OVSSwitch) fastPath(b nic.Batch) {
-	v, ok := sw.vifs[b.Dst]
-	if !ok {
-		sw.Dropped += int64(b.Count)
-		return
-	}
-	costs := model.DatapathCostTable(sw.Kind())
-	cost := costs.PerBatch +
-		units.Cycles(b.Count)*costs.PerPacket +
-		units.Cycles(float64(b.Bytes)*costs.PerByte)
-	sw.inflight += int64(b.Count)
-	if !sw.jobs.submit(sw.pool, cost, v, b) {
-		sw.Dropped += int64(b.Count)
-		sw.inflight -= int64(b.Count)
-	}
+// fastPath runs one batch through a kernel datapath thread, which then
+// interrupts the destination guest.
+func (sw *OVSSwitch) fastPath(v *ovsVif, b nic.Batch) {
+	cost := model.OVSPerBatchCycles +
+		units.Cycles(b.Count)*model.OVSHitPerPacketCycles +
+		units.Cycles(float64(b.Bytes)*model.OVSCopyCyclesPerByte)
+	sw.jobs.submit(cost, v, b)
 }
 
 // switched completes a batch a kernel datapath thread has forwarded.
 func (sw *OVSSwitch) switched(v *ovsVif, b nic.Batch) {
-	sw.Delivered += int64(b.Count)
-	sw.inflight -= int64(b.Count)
 	interruptDeliver(sw.hv, v.dom, v.recv, b.Count, b.Bytes)
 }

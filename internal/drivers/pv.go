@@ -22,42 +22,20 @@ import (
 // easily saturate at 100% CPU"); §6.5 enhances it with a thread pool, which
 // Threads > 1 models.
 type Netback struct {
-	hv   *vmm.Hypervisor
-	pool *cpu.Pool
-
-	vifs map[nic.MAC]*PVNic
-	// jobs recycles the copy-thread records serve and LocalTransfer submit.
+	backend[*PVNic]
+	hv *vmm.Hypervisor
+	// jobs are the copy threads serve and LocalTransfer submit to.
 	jobs dom0Jobs[*PVNic]
-
-	// Received / Delivered / Dropped count packets through the backend.
-	// Conservation identity, audited by the invariant checker: Received ==
-	// Delivered + Dropped + InFlight (packets still accumulating for a poll
-	// round or queued on a backend thread).
-	Received  int64
-	Delivered int64
-	Dropped   int64
-	inflight  int64
 }
-
-// netbackPollInterval is the backend service granularity.
-const netbackPollInterval = 250 * units.Microsecond
-
-// netbackQueueCap bounds batches queued per backend thread; beyond it the
-// bridge drops (the PV throughput collapse under overload).
-const netbackQueueCap = 64
-
-// dom0BridgePerPacketCycles is dom0's native-driver + bridge cost per
-// packet before netback (NAPI receive on the PF, bridge lookup).
-const dom0BridgePerPacketCycles units.Cycles = 900
 
 // NewNetback creates a backend with the given number of copy threads.
 func NewNetback(hv *vmm.Hypervisor, threads int) *Netback {
-	nb := &Netback{
-		hv:   hv,
-		pool: cpu.NewPool(hv.Engine(), hv.Meter(), hv.Dom0().Ledger(), threads, netbackQueueCap),
-		vifs: make(map[nic.MAC]*PVNic),
+	nb := &Netback{backend: newBackend[*PVNic]("pv"), hv: hv}
+	nb.jobs = dom0Jobs[*PVNic]{
+		pool:  cpu.NewPool(hv.Engine(), hv.Meter(), hv.Dom0().Ledger(), threads, model.NetbackQueueCap),
+		books: &nb.Ledger,
+		land:  nb.copied,
 	}
-	nb.jobs.land = nb.copied
 	return nb
 }
 
@@ -67,7 +45,7 @@ func NewNetback(hv *vmm.Hypervisor, threads int) *Netback {
 func (nb *Netback) AttachWire(q *nic.Queue) {
 	q.DirectDeliver = func(b nic.Batch) {
 		// dom0's native receive path for the batch.
-		nb.hv.ChargeDom0(units.Cycles(b.Count) * dom0BridgePerPacketCycles)
+		nb.hv.ChargeDom0(units.Cycles(b.Count) * model.Dom0BridgePerPacketCycles)
 		nb.FromNIC(b)
 	}
 }
@@ -87,44 +65,42 @@ type PVNic struct {
 	// because the backend kicks once per batch).
 	pending nic.Batch
 
-	// acc aggregates arriving packets between backend poll rounds, as the
+	// rx aggregates arriving packets between backend poll rounds, as the
 	// real backend's ring does: the thread serves whatever accumulated, so
 	// the per-round fixed cost is paid per poll, not per wire delivery.
-	// accPoll is the poll callback, created once at CreateVif so the
-	// steady-state FromNIC path schedules without allocating; serve re-looks
-	// the MAC up at poll time, preserving destroy/recreate semantics.
-	acc        nic.Batch
-	accPending bool
-	accPoll    func()
+	// poll is its timer callback, created once at CreateVif so the
+	// steady-state FromNIC path schedules without allocating.
+	rx   ring
+	poll func()
 }
 
 // CreateVif creates the frontend/backend pair for a guest. The receiver's
 // per-packet extra is set to the netfront ring cost.
 func (nb *Netback) CreateVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceiver) (*PVNic, error) {
-	if _, dup := nb.vifs[mac]; dup {
-		return nil, fmt.Errorf("drivers: MAC %v already has a vif", mac)
-	}
-	v := &PVNic{nb: nb, hv: nb.hv, dom: dom, mac: mac, recv: recv}
-	v.accPoll = func() {
-		if !v.accPending {
-			return
+	return nb.add(mac, func() (*PVNic, error) {
+		v := &PVNic{nb: nb, hv: nb.hv, dom: dom, mac: mac, recv: recv}
+		v.poll = func() { nb.serve(v, v.rx.take()) }
+		recv.PerPacketExtra = model.NetfrontPerPacketCycles
+		if dom.Type == vmm.PVM || dom.Type == vmm.Dom0 {
+			port, err := nb.hv.BindEventChannel(dom, fmt.Sprintf("vif-%v", mac), v.frontendInterrupt)
+			if err != nil {
+				return nil, err
+			}
+			v.port = port
 		}
-		v.accPending = false
-		b := v.acc
-		v.acc = nic.Batch{}
-		nb.serve(b)
-	}
-	recv.PerPacketExtra = model.NetfrontPerPacketCycles
-	if dom.Type == vmm.PVM || dom.Type == vmm.Dom0 {
-		port, err := nb.hv.BindEventChannel(dom, fmt.Sprintf("vif-%v", mac), v.frontendInterrupt)
-		if err != nil {
-			return nil, err
-		}
-		v.port = port
-	}
-	nb.vifs[mac] = v
-	return v, nil
+		return v, nil
+	})
 }
+
+// AddVif registers a guest (the Datapath-generic form of CreateVif; callers
+// needing the *PVNic — bonds, migration — use CreateVif directly).
+func (nb *Netback) AddVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceiver) error {
+	_, err := nb.CreateVif(dom, mac, recv)
+	return err
+}
+
+// Inject enqueues a host-local batch through the cache-warm local copy path.
+func (nb *Netback) Inject(b nic.Batch) { nb.LocalTransfer(b) }
 
 // MAC reports the vif's MAC.
 func (v *PVNic) MAC() nic.MAC { return v.mac }
@@ -133,57 +109,30 @@ func (v *PVNic) MAC() nic.MAC { return v.mac }
 // served by a backend thread once per poll interval — so the fixed
 // per-round cost is paid at the backend's own granularity.
 func (nb *Netback) FromNIC(b nic.Batch) {
-	nb.Received += int64(b.Count)
-	v, ok := nb.vifs[b.Dst]
+	v, ok := nb.admit(b)
 	if !ok {
-		nb.Dropped += int64(b.Count)
 		return
 	}
-	nb.inflight += int64(b.Count)
-	if v.accPending {
-		v.acc.Count += b.Count
-		v.acc.Bytes += b.Bytes
-		return
-	}
-	v.accPending = true
-	v.acc = b
-	nb.hv.Engine().After(netbackPollInterval, "netback:poll", v.accPoll)
+	v.rx.push(&nb.Ledger, b)
+	v.rx.arm(nb.hv.Engine(), model.NetbackPollInterval, "netback:poll", v.poll)
 }
 
-// serve moves one aggregated batch through a backend thread: the copy work
-// is charged to dom0 and, once complete, the frontend is kicked. The cost
-// inflates with the number of active vifs
+// serve moves one aggregated batch for vif v through a backend thread: the
+// copy work is charged to dom0 and, once complete, the frontend is kicked.
+// The cost inflates with the number of active vifs
 // (model.PVMultiThreadContention), driving the Fig. 17/18 decline.
-func (nb *Netback) serve(b nic.Batch) {
-	v, ok := nb.vifs[b.Dst]
-	if !ok {
-		// The vif was destroyed while the batch accumulated.
-		nb.Dropped += int64(b.Count)
-		nb.inflight -= int64(b.Count)
-		return
-	}
+func (nb *Netback) serve(v *PVNic, b nic.Batch) {
 	contention := 1 + model.PVMultiThreadContention*float64(len(nb.vifs)-1)
 	cost := units.Cycles(contention * (float64(model.NetbackPerBatchCycles) +
 		float64(b.Count)*float64(model.NetbackPerPacketCycles) +
 		float64(b.Bytes)*model.NetbackCopyCyclesPerByte))
-	nb.submit(cost, v, b)
-}
-
-// submit queues batch b for vif v on a backend thread, dropping it if the
-// thread's queue is full.
-func (nb *Netback) submit(cost units.Cycles, v *PVNic, b nic.Batch) {
-	if !nb.jobs.submit(nb.pool, cost, v, b) {
-		nb.Dropped += int64(b.Count)
-		nb.inflight -= int64(b.Count)
-	}
+	nb.jobs.submit(cost, v, b)
 }
 
 // copied completes a batch a backend thread has copied: grant map/copy
 // hypercalls for the batch, then the frontend kick.
 func (nb *Netback) copied(v *PVNic, b nic.Batch) {
-	nb.hv.GuestHypercall(v.dom, 1500)
-	nb.Delivered += int64(b.Count)
-	nb.inflight -= int64(b.Count)
+	nb.hv.GuestHypercall(v.dom, model.NetbackGrantHypercallCycles)
 	v.deliver(b)
 }
 
@@ -233,7 +182,7 @@ func (v *PVNic) GuestTransmit(sender *guest.NetSender, dst nic.MAC, msgSize, fra
 		return 0
 	}
 	// Grant the buffers to dom0.
-	v.hv.GuestHypercall(v.dom, 1200)
+	v.hv.GuestHypercall(v.dom, model.NetfrontGrantHypercallCycles)
 	v.nb.LocalTransfer(nic.Batch{Dst: dst, Count: pkts, Bytes: msgSize})
 	return pkts
 }
@@ -241,21 +190,18 @@ func (v *PVNic) GuestTransmit(sender *guest.NetSender, dst nic.MAC, msgSize, fra
 // LocalTransfer moves an inter-VM batch through a backend thread with the
 // local (cache-warm) copy costs.
 func (nb *Netback) LocalTransfer(b nic.Batch) {
-	nb.Received += int64(b.Count)
-	v, ok := nb.vifs[b.Dst]
+	v, ok := nb.admit(b)
 	if !ok {
-		nb.Dropped += int64(b.Count)
 		return
 	}
-	nb.inflight += int64(b.Count)
 	cost := units.Cycles(float64(model.PVLocalPerBatchCycles) +
 		float64(b.Count)*float64(model.PVLocalPerPacketCycles) +
 		float64(b.Bytes)*model.PVLocalCopyCyclesPerByte)
-	nb.submit(cost, v, b)
+	nb.jobs.submit(cost, v, b)
 }
 
 // Backlog reports how many batches are queued in the backend pool — the
 // backpressure an inter-VM PV sender sees.
 func (nb *Netback) Backlog() int {
-	return nb.pool.QueuedJobs()
+	return nb.jobs.pool.QueuedJobs()
 }

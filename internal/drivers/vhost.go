@@ -1,8 +1,6 @@
 package drivers
 
 import (
-	"fmt"
-
 	"repro/internal/guest"
 	"repro/internal/model"
 	"repro/internal/nic"
@@ -25,17 +23,9 @@ import (
 // fraction of rounds that found no work — the price of the pegged core made
 // visible.
 type Vhost struct {
-	hv *vmm.Hypervisor
-
-	vifs  map[nic.MAC]*vhostVif
+	backend[*vhostVif]
+	hv    *vmm.Hypervisor
 	order []*vhostVif // creation order: deterministic drain sequence
-
-	// Conservation counters (audited): Received == Delivered + Dropped +
-	// InFlight, with InFlight the packets still sitting on vif rings.
-	Received  int64
-	Delivered int64
-	Dropped   int64
-	inflight  int64
 
 	polls     int64
 	idlePolls int64
@@ -44,73 +34,43 @@ type Vhost struct {
 type vhostVif struct {
 	dom  *vmm.Domain
 	recv *guest.NetReceiver
-
-	// ring accumulates packets between poll rounds (the shared ring the
-	// poll thread drains). Count is bounded by model.VhostRingCap.
-	ring nic.Batch
+	// rx is the shared ring the poll thread drains, bounded by
+	// model.VhostRingCap.
+	rx ring
 }
 
 // NewVhost creates the backend and starts its poll-mode thread. The thread
 // runs (and burns its core) for the rest of the run: poll mode has no idle
 // state.
 func NewVhost(hv *vmm.Hypervisor) *Vhost {
-	vh := &Vhost{hv: hv, vifs: make(map[nic.MAC]*vhostVif)}
+	vh := &Vhost{backend: newBackend[*vhostVif]("vhost"), hv: hv}
 	sim.NewTicker(hv.Engine(), model.VhostPollInterval, "vhost:poll", vh.poll)
 	return vh
-}
-
-// Kind reports the backend name of the vhost poll-mode path.
-func (vh *Vhost) Kind() string { return "vhost" }
-
-// Stats snapshots the conservation counters.
-func (vh *Vhost) Stats() DatapathStats {
-	return DatapathStats{Received: vh.Received, Delivered: vh.Delivered,
-		Dropped: vh.Dropped, InFlight: vh.inflight}
 }
 
 // AttachWire taps a NIC queue: arriving batches land on the destination
 // vif's ring and wait for the next poll round. There is no separate receive
 // charge — the pegged poll core is the entire dom0 data-path cost.
-func (vh *Vhost) AttachWire(q *nic.Queue) {
-	q.DirectDeliver = func(b nic.Batch) { vh.enqueue(b) }
-}
+func (vh *Vhost) AttachWire(q *nic.Queue) { q.DirectDeliver = vh.Inject }
 
 // AddVif registers a guest ring with the poll thread.
 func (vh *Vhost) AddVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceiver) error {
-	if _, dup := vh.vifs[mac]; dup {
-		return fmt.Errorf("drivers: MAC %v already has a vhost vif", mac)
+	v, err := vh.add(mac, func() (*vhostVif, error) {
+		return &vhostVif{dom: dom, recv: recv, rx: ring{cap: model.VhostRingCap}}, nil
+	})
+	if err == nil {
+		vh.order = append(vh.order, v)
 	}
-	v := &vhostVif{dom: dom, recv: recv}
-	vh.vifs[mac] = v
-	vh.order = append(vh.order, v)
-	return nil
+	return err
 }
 
-// Inject enqueues a host-local batch. Local and wire traffic cost the same
-// here: either way the poll thread does the ring work and the copy.
-func (vh *Vhost) Inject(b nic.Batch) { vh.enqueue(b) }
-
-func (vh *Vhost) enqueue(b nic.Batch) {
-	vh.Received += int64(b.Count)
-	v, ok := vh.vifs[b.Dst]
-	if !ok {
-		vh.Dropped += int64(b.Count)
-		return
+// Inject enqueues a batch on its vif's ring; arrivals past the ring's
+// capacity drop. Local and wire traffic cost the same here: either way the
+// poll thread does the ring work and the copy.
+func (vh *Vhost) Inject(b nic.Batch) {
+	if v, ok := vh.admit(b); ok {
+		v.rx.push(&vh.Ledger, b)
 	}
-	n, bytes := b.Count, b.Bytes
-	if room := model.VhostRingCap - v.ring.Count; n > room {
-		// Ring overflow: the tail of the batch has no descriptors.
-		drop := n - room
-		vh.Dropped += int64(drop)
-		bytes = bytes / units.Size(n) * units.Size(room)
-		n = room
-	}
-	if n <= 0 {
-		return
-	}
-	vh.inflight += int64(n)
-	v.ring.Count += n
-	v.ring.Bytes += bytes
 }
 
 // poll is one round of the poll-mode thread: charge the full interval to
@@ -121,33 +81,32 @@ func (vh *Vhost) poll(sim.Time) {
 	vh.polls++
 	budget := model.ServerFreq.CyclesIn(model.VhostPollInterval)
 	vh.hv.ChargeDom0(budget)
-	costs := model.DatapathCostTable(vh.Kind())
 	remaining := budget
 	worked := false
 	for _, v := range vh.order {
-		if v.ring.Count == 0 || remaining <= costs.PerBatch {
+		r := &v.rx
+		if r.count == 0 || remaining <= model.VhostPerRoundCycles {
 			continue
 		}
-		perPktBytes := v.ring.Bytes / units.Size(v.ring.Count)
-		perPkt := costs.PerPacket +
-			units.Cycles(float64(perPktBytes)*costs.PerByte)
-		n := int((remaining - costs.PerBatch) / perPkt)
+		perPktBytes := r.bytes / units.Size(r.count)
+		perPkt := model.VhostPerPacketCycles +
+			units.Cycles(float64(perPktBytes)*model.VhostCopyCyclesPerByte)
+		n := int((remaining - model.VhostPerRoundCycles) / perPkt)
 		if n <= 0 {
 			continue
 		}
-		if n > v.ring.Count {
-			n = v.ring.Count
+		if n > r.count {
+			n = r.count
 		}
 		bytes := perPktBytes * units.Size(n)
-		if n == v.ring.Count {
-			bytes = v.ring.Bytes
+		if n == r.count {
+			bytes = r.bytes
 		}
-		v.ring.Count -= n
-		v.ring.Bytes -= bytes
-		remaining -= costs.PerBatch + units.Cycles(n)*perPkt
+		r.count -= n
+		r.bytes -= bytes
+		remaining -= model.VhostPerRoundCycles + units.Cycles(n)*perPkt
 		worked = true
-		vh.Delivered += int64(n)
-		vh.inflight -= int64(n)
+		vh.delivered(n)
 		v.deliver(n, bytes)
 	}
 	if !worked {

@@ -1,8 +1,6 @@
 package drivers
 
 import (
-	"fmt"
-
 	"repro/internal/cpu"
 	"repro/internal/guest"
 	"repro/internal/model"
@@ -22,22 +20,12 @@ import (
 // the VMs share the network with domain 0, as the conventional PV NIC
 // driver does").
 type VMDqBridge struct {
-	hv       *vmm.Hypervisor
-	pool     *cpu.Pool // dom0 threads doing protection/translation
-	fallback *Netback
-
-	vifs       map[nic.MAC]*vmdqVif
-	queuesUsed int
+	backend[*vmdqVif]
+	hv *vmm.Hypervisor
+	// jobs are the dom0 threads doing protection/translation.
 	jobs       dom0Jobs[*vmdqVif]
-
-	// Received counts every packet entering the bridge; DeliveredQueued /
-	// DeliveredFallback split traffic by path. Conservation identity:
-	// Received == DeliveredQueued + DeliveredFallback + Dropped + InFlight.
-	Received          int64
-	DeliveredQueued   int64
-	DeliveredFallback int64
-	Dropped           int64
-	inflight          int64
+	fallback   *Netback
+	queuesUsed int
 }
 
 type vmdqVif struct {
@@ -48,20 +36,20 @@ type vmdqVif struct {
 // NewVMDqBridge creates the bridge with dom0 service threads and a fallback
 // netback sharing the thread count.
 func NewVMDqBridge(hv *vmm.Hypervisor, threads int) *VMDqBridge {
-	br := &VMDqBridge{
-		hv:       hv,
-		pool:     cpu.NewPool(hv.Engine(), hv.Meter(), hv.Dom0().Ledger(), threads, netbackQueueCap),
-		fallback: NewNetback(hv, threads),
-		vifs:     make(map[nic.MAC]*vmdqVif),
+	br := &VMDqBridge{backend: newBackend[*vmdqVif]("vmdq"), hv: hv}
+	br.jobs = dom0Jobs[*vmdqVif]{
+		pool:  cpu.NewPool(hv.Engine(), hv.Meter(), hv.Dom0().Ledger(), threads, model.NetbackQueueCap),
+		books: &br.Ledger,
+		land:  br.translated,
 	}
-	br.jobs.land = br.translated
+	br.fallback = NewNetback(hv, threads)
 	return br
 }
 
 // AttachWire connects the bridge to the NIC queue carrying guest traffic.
 func (br *VMDqBridge) AttachWire(q *nic.Queue) {
 	q.DirectDeliver = func(b nic.Batch) {
-		br.hv.ChargeDom0(units.Cycles(b.Count) * 300) // queue demux is cheap
+		br.hv.ChargeDom0(units.Cycles(b.Count) * model.VMDqDemuxPerPacketCycles)
 		br.FromNIC(b)
 	}
 }
@@ -69,49 +57,45 @@ func (br *VMDqBridge) AttachWire(q *nic.Queue) {
 // AddVif adds a guest. The first model.VMDqGuestQueues guests get a
 // dedicated queue pair; later guests ride the fallback PV path.
 func (br *VMDqBridge) AddVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetReceiver) error {
-	if _, dup := br.vifs[mac]; dup {
-		return fmt.Errorf("drivers: MAC %v already registered", mac)
-	}
-	pv, err := br.fallback.CreateVif(dom, mac, recv)
-	if err != nil {
-		return err
-	}
-	v := &vmdqVif{pv: pv}
-	if br.queuesUsed < model.VMDqGuestQueues {
-		v.hasQueue = true
-		br.queuesUsed++
-	}
-	br.vifs[mac] = v
-	return nil
+	_, err := br.add(mac, func() (*vmdqVif, error) {
+		pv, err := br.fallback.CreateVif(dom, mac, recv)
+		if err != nil {
+			return nil, err
+		}
+		v := &vmdqVif{pv: pv}
+		if br.queuesUsed < model.VMDqGuestQueues {
+			v.hasQueue = true
+			br.queuesUsed++
+		}
+		return v, nil
+	})
+	return err
 }
+
+// Inject enqueues a host-local batch through the bridge's classify path.
+func (br *VMDqBridge) Inject(b nic.Batch) { br.FromNIC(b) }
+
+// Fallback exposes the bridge's copying fallback backend (audited alongside
+// the bridge itself).
+func (br *VMDqBridge) Fallback() *Netback { return br.fallback }
 
 // FromNIC routes a batch: queue-owning guests get the no-copy path (dom0
 // pays protection/translation only), the rest go through the copying
-// fallback.
+// fallback. A batch handed to the fallback counts as delivered here; the
+// fallback Netback keeps its own ledger from that point on.
 func (br *VMDqBridge) FromNIC(b nic.Batch) {
-	br.Received += int64(b.Count)
-	v, ok := br.vifs[b.Dst]
+	v, ok := br.admit(b)
 	if !ok {
-		br.Dropped += int64(b.Count)
 		return
 	}
 	if !v.hasQueue {
-		br.DeliveredFallback += int64(b.Count)
+		br.delivered(b.Count)
 		br.fallback.FromNIC(b)
 		return
 	}
-	br.inflight += int64(b.Count)
-	cost := units.Cycles(b.Count) * model.VMDqPerPacketDom0Cycles
-	if !br.jobs.submit(br.pool, cost, v, b) {
-		br.Dropped += int64(b.Count)
-		br.inflight -= int64(b.Count)
-	}
+	br.jobs.submit(units.Cycles(b.Count)*model.VMDqPerPacketDom0Cycles, v, b)
 }
 
 // translated completes a queued batch once dom0 has done its protection
 // and translation work: the guest is kicked, with no copy.
-func (br *VMDqBridge) translated(v *vmdqVif, b nic.Batch) {
-	br.DeliveredQueued += int64(b.Count)
-	br.inflight -= int64(b.Count)
-	v.pv.deliver(b)
-}
+func (br *VMDqBridge) translated(v *vmdqVif, b nic.Batch) { v.pv.deliver(b) }

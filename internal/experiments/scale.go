@@ -233,7 +233,7 @@ func fig19Points() []Point {
 			})
 			perVM := units.BitRate(float64(model.VMDqRate) / float64(n))
 			for i := 0; i < n; i++ {
-				g, err := tb.AddVMDqGuest(fmt.Sprintf("guest-%d", i+1), vmm.PVM, vmm.Kernel2628, 0)
+				g, err := tb.AddBackendGuest("vmdq", fmt.Sprintf("guest-%d", i+1), vmm.PVM, vmm.Kernel2628, 0, 0, nil)
 				if err != nil {
 					panic(err)
 				}

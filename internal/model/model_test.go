@@ -121,24 +121,3 @@ func TestMigrationConverges(t *testing.T) {
 		t.Fatalf("working set re-dirties (%.0f pages) before it transfers (%d)", redirty, WorkingSetPages)
 	}
 }
-
-func TestDatapathCostTable(t *testing.T) {
-	// Every software backend has a non-zero per-packet cost; the hardware
-	// path (vf) and unknown kinds report zero tables — the NIC moves the
-	// packets there.
-	for _, kind := range []string{"pv", "vmdq", "vhost", "ovs", "swpass"} {
-		if c := DatapathCostTable(kind); c.PerPacket == 0 {
-			t.Errorf("%s: zero per-packet cost", kind)
-		}
-	}
-	for _, kind := range []string{"vf", "nonesuch"} {
-		if c := DatapathCostTable(kind); c != (DatapathCosts{}) {
-			t.Errorf("%s: want zero table, got %+v", kind, c)
-		}
-	}
-	// The copy paths (pv, vhost, ovs) pay per byte; the audit-only and
-	// queue-steering paths (swpass, vmdq) are zero-copy.
-	if DatapathCostTable("vhost").PerByte == 0 || DatapathCostTable("swpass").PerByte != 0 {
-		t.Error("copy cost split wrong between vhost and swpass")
-	}
-}

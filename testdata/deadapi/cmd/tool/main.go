@@ -16,4 +16,8 @@ func main() {
 	s.Record(true)
 	fmt.Println(s.Total)
 	mylib.NewPair()
+	var p mylib.Pipe = mylib.Full{}
+	p.Open()
+	p.Close()
+	fmt.Println(mylib.Door{})
 }

@@ -14,6 +14,24 @@ type U struct{}
 // Runner is the interface cmd/tool calls Run through.
 type Runner interface{ Run() }
 
+// Pipe is the interface cmd/tool calls Open and Close through.
+type Pipe interface {
+	Open()
+	Close()
+}
+
+// Half is no Pipe, but its Open is live: it is promoted into Full, which is.
+type Half[V any] struct{}
+
+// Full embeds an instantiation of Half and completes it into a Pipe.
+type Full struct{ Half[int] }
+
+// Ajar is planted dead: its Open is promoted into Door, which is no Pipe.
+type Ajar struct{}
+
+// Door embeds Ajar; cmd/tool builds one.
+type Door struct{ Ajar }
+
 // hidden is unexported, but New hands one out, so its exported methods are
 // API all the same.
 type hidden struct{}
@@ -92,3 +110,12 @@ func (hidden) Peek() int { return 1 }
 
 // Poke is dead: only lib_test.go calls it.
 func (hidden) Poke() {}
+
+// Open is live through Full.
+func (Half[V]) Open() {}
+
+// Close is live: cmd/tool calls it through Pipe.
+func (Full) Close() {}
+
+// Open is dead: Door, the only type it is promoted into, is no Pipe.
+func (Ajar) Open() {}
