@@ -115,6 +115,9 @@ type Testbed struct {
 	// deterministic sequence audits and figures walk. vhost, ovs and swpass
 	// join it when the first guest asks for them.
 	datapaths []drivers.Datapath
+	// wires holds, per port, the software backend tapping its PF queue, or
+	// nil. The queue has one DirectDeliver, so one backend serves a port.
+	wires []drivers.Datapath
 
 	guests  []*Guest
 	nextMAC uint64
@@ -201,6 +204,7 @@ func NewTestbed(cfg Config) *Testbed {
 		}
 		tb.PFs = append(tb.PFs, pf)
 	}
+	tb.wires = make([]drivers.Datapath, len(tb.Ports))
 	tb.Netback = drivers.NewNetback(hv, cfg.NetbackThreads)
 	tb.datapaths = append(tb.datapaths, tb.Netback)
 	if cfg.VMDqThreads > 0 {
@@ -292,6 +296,28 @@ func (tb *Testbed) checkPort(port int) error {
 	return nil
 }
 
+// checkWire refuses a software backend of the given kind on a port whose
+// wire a backend of another kind already taps: attaching it would take
+// all of the port's traffic from the first backend's guests.
+func (tb *Testbed) checkWire(port int, kind string) error {
+	if err := tb.checkPort(port); err != nil {
+		return err
+	}
+	if owner := tb.wires[port]; owner != nil && owner.Kind() != kind {
+		return fmt.Errorf("core: port %d's wire is served by the %s backend, not %s", port, owner.Kind(), kind)
+	}
+	return nil
+}
+
+// attachWire has dp tap port's PF queue, once, and routes mac to it.
+func (tb *Testbed) attachWire(port int, dp drivers.Datapath, mac nic.MAC) {
+	if tb.wires[port] == nil {
+		dp.AttachWire(tb.Ports[port].PFQueue())
+		tb.wires[port] = dp
+	}
+	tb.PFs[port].SetDom0MAC(mac)
+}
+
 // AddSRIOVGuest creates a guest with a dedicated VF: the §6.1 configuration.
 // port and vf choose the function; policy nil means the VF driver default
 // (fixed 2 kHz). A VF that does not exist, does not respond or is held by
@@ -356,15 +382,16 @@ func (tb *Testbed) AddPVGuest(name string, typ vmm.DomainType, k vmm.KernelConfi
 // VMDqThreads > 0.
 //
 // Every other kind is a dom0 software backend: the guest's MAC is routed to
-// the dom0 PF queue on port. The backend is only looked up (and built on
-// first use) once the port is known to exist and, like the domain's memory,
-// a bad port changes nothing. A PV guest keeps its *PVNic, which a bond or
-// a migration fails over to.
+// the dom0 PF queue on port, which one backend kind serves. The backend is
+// only looked up (and built on first use) once the port is known to exist
+// and free of other backends and, like the domain's memory, a refused port
+// changes nothing. A PV guest keeps its *PVNic, which a bond or a migration
+// fails over to.
 func (tb *Testbed) AddBackendGuest(kind, name string, typ vmm.DomainType, k vmm.KernelConfig, port, vf int, policy netstack.ITRPolicy) (*Guest, error) {
 	if kind == "vf" {
 		return tb.AddSRIOVGuest(name, typ, k, port, vf, policy)
 	}
-	if err := tb.checkPort(port); err != nil {
+	if err := tb.checkWire(port, kind); err != nil {
 		return nil, err
 	}
 	dp, err := tb.backend(kind)
@@ -385,8 +412,7 @@ func (tb *Testbed) AddBackendGuest(kind, name string, typ vmm.DomainType, k vmm.
 		return nil, err
 	}
 	g.Backend = dp
-	dp.AttachWire(tb.Ports[port].PFQueue())
-	tb.PFs[port].SetDom0MAC(g.MAC)
+	tb.attachWire(port, dp, g.MAC)
 	tb.guests = append(tb.guests, g)
 	return g, nil
 }
@@ -399,9 +425,10 @@ func (tb *Testbed) AddBondedGuest(name string, typ vmm.DomainType, k vmm.KernelC
 
 // AddBondedGuestOn is AddBondedGuest with the PV standby routed through a
 // separately chosen port — the survivable configuration for port-level
-// faults (a link flap on the VF's port must not also kill the standby).
+// faults (a link flap on the VF's port must not also kill the standby). A
+// PV port whose wire another backend kind serves is refused.
 func (tb *Testbed) AddBondedGuestOn(name string, typ vmm.DomainType, k vmm.KernelConfig, vfPort, vf, pvPort int, policy netstack.ITRPolicy) (*Guest, error) {
-	if err := tb.checkPort(pvPort); err != nil {
+	if err := tb.checkWire(pvPort, tb.Netback.Kind()); err != nil {
 		return nil, err
 	}
 	g, err := tb.AddSRIOVGuest(name, typ, k, vfPort, vf, policy)
@@ -413,8 +440,7 @@ func (tb *Testbed) AddBondedGuestOn(name string, typ vmm.DomainType, k vmm.Kerne
 	if err != nil {
 		return nil, err
 	}
-	tb.Netback.AttachWire(tb.Ports[pvPort].PFQueue())
-	tb.PFs[pvPort].SetDom0MAC(pvMAC)
+	tb.attachWire(pvPort, tb.Netback, pvMAC)
 	g.PV = pv
 	g.Bond = drivers.NewBond(tb.HV, g.Dom, g.VF, pv, tb.Ports[pvPort])
 	return g, nil

@@ -240,6 +240,53 @@ func TestSecondAssignRefused(t *testing.T) {
 	}
 }
 
+// TestSecondBackendOnPortRefused checks a port's wire carries one software
+// backend kind: a PV guest, or a bonded guest's PV standby, on a port a
+// vhost guest uses is refused before its domain exists, and the vhost
+// guest keeps its traffic. Guests of one backend still share a port.
+func TestSecondBackendOnPortRefused(t *testing.T) {
+	tb := NewTestbed(Config{Ports: 2, Opts: vmm.AllOptimizations})
+	vh, err := tb.AddBackendGuest("vhost", "vhost", vmm.HVM, vmm.Kernel2628, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		add  func() (*Guest, error)
+	}{
+		{"pv", func() (*Guest, error) { return tb.AddPVGuest("pv", vmm.PVM, vmm.Kernel2628, 0) }},
+		{"bonded", func() (*Guest, error) {
+			return tb.AddBondedGuestOn("bonded", vmm.HVM, vmm.Kernel2628, 1, 0, 0, nil)
+		}},
+	} {
+		guests, free := len(tb.Guests()), tb.Machine.FreePages()
+		if _, err := c.add(); err == nil {
+			t.Errorf("%s: a second backend on port 0 was accepted", c.name)
+		}
+		if got := len(tb.Guests()); got != guests {
+			t.Errorf("%s: guests %d → %d", c.name, guests, got)
+		}
+		if got := tb.Machine.FreePages(); got != free {
+			t.Errorf("%s: free pages %d → %d", c.name, free, got)
+		}
+	}
+	if tb.IOMMU.Attached(uint16(tb.Ports[1].VFQueue(0).Function().RID())) {
+		t.Error("the refused bonded guest holds its VF")
+	}
+	tb.StartUDP(vh, 500*units.Mbps)
+	_, res := tb.Measure(50*units.Millisecond, 200*units.Millisecond)
+	tb.StopAll()
+	if res[vh].Goodput.Mbps() < 400 {
+		t.Errorf("vhost goodput after the refusals = %v", res[vh].Goodput)
+	}
+
+	for _, name := range []string{"pv-a", "pv-b"} {
+		if _, err := tb.AddPVGuest(name, vmm.PVM, vmm.Kernel2628, 1); err != nil {
+			t.Fatalf("%s on port 1: %v", name, err)
+		}
+	}
+}
+
 func TestSixtyGuestsFitMemory(t *testing.T) {
 	tb := NewTestbed(Config{Ports: 10, Opts: vmm.AllOptimizations})
 	for i := 0; i < 60; i++ {

@@ -18,11 +18,11 @@ import (
 )
 
 // levels and bits of the modeled page table (3-level, 9 bits per level,
-// 4 KiB pages: 39-bit device address space, plenty for the testbed).
+// 4 KiB pages: a 39-bit device address space of ptReach frames).
 const (
 	ptLevels    = 3
 	ptLevelBits = 9
-	ptFanout    = 1 << ptLevelBits
+	ptReach     = 1 << (ptLevels * ptLevelBits)
 )
 
 // Fault is a DMA remapping fault: the transaction was rejected.
@@ -41,18 +41,19 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("iommu: %s fault: rid %#04x addr %#x: %s", rw, f.RID, f.Addr, f.Reason)
 }
 
-// pageTable is one domain's VT-d second-level table, ptLevels deep: a root
-// directory and middle directories of ptFanout pointers each, and leaf
-// tables of ptFanout 64-bit PTEs. Each table is allocated on first map.
+// pageTable is one domain's VT-d second-level table, held as the extents
+// Map installed, oldest first. A walk returns what a ptLevels-deep table
+// of 512-entry tables, each allocated on first map, would: the newest
+// extent covering the gfn supplies the leaf.
 type pageTable struct {
-	root *ptRoot
+	extents []extent
 }
 
-type (
-	ptRoot      [ptFanout]*ptMid
-	ptMid       [ptFanout]*ptLeafTable
-	ptLeafTable [ptFanout]pte
-)
+// extent maps n guest frames from gfn (below ptReach) to n from mfn.
+type extent struct {
+	gfn, mfn, n uint64
+	writable    bool
+}
 
 // pte is a VT-d second-level page-table entry: bit 0 grants read (the
 // entry is present), bit 1 grants write, and bits 12 and up hold the
@@ -76,42 +77,32 @@ func (e pte) present() bool  { return e&pteRead != 0 }
 func (e pte) writable() bool { return e&pteWrite != 0 }
 func (e pte) mfn() uint64    { return uint64(e) >> mem.PageShift }
 
-// ptIndex is gfn's entry index in a table of the given level (0 = leaf).
-func ptIndex(gfn uint64, level int) uint64 {
-	return gfn >> (level * ptLevelBits) & (ptFanout - 1)
-}
-
-func (pt *pageTable) map4k(gfn, mfn uint64, writable bool) {
-	if pt.root == nil {
-		pt.root = new(ptRoot)
-	}
-	mid := &pt.root[ptIndex(gfn, 2)]
-	if *mid == nil {
-		*mid = new(ptMid)
-	}
-	leaves := &(*mid)[ptIndex(gfn, 1)]
-	if *leaves == nil {
-		*leaves = new(ptLeafTable)
-	}
-	(*leaves)[ptIndex(gfn, 0)] = newPTE(mfn, writable)
-}
-
 // walk returns the PTE for gfn and the number of memory accesses the walk
-// took (for cost accounting); a walk that meets a missing table stops
-// there with a non-present entry.
+// took (for cost accounting), which stops at the first missing table.
 func (pt *pageTable) walk(gfn uint64) (pte, int) {
-	if pt.root == nil {
-		return 0, 1
+	gfn %= ptReach
+	hops := 1
+	for i := len(pt.extents) - 1; i >= 0; i-- {
+		x := &pt.extents[i]
+		if gfn-x.gfn < x.n {
+			return newPTE(x.mfn+gfn-x.gfn, x.writable), ptLevels
+		}
+		hops = max(hops, x.depth(gfn))
 	}
-	mid := pt.root[ptIndex(gfn, 2)]
-	if mid == nil {
-		return 0, 1
+	return 0, hops
+}
+
+// depth is how many tables a walk for gfn reads when x is the only
+// mapping: 3 when x spans a frame of gfn's 512-frame leaf block, 2 when
+// it spans one of gfn's 2^18-frame directory block, else 1 (the root).
+func (x *extent) depth(gfn uint64) int {
+	last := x.gfn + x.n - 1
+	for level := 1; level < ptLevels; level++ {
+		if s := level * ptLevelBits; x.gfn>>s <= gfn>>s && gfn>>s <= last>>s {
+			return ptLevels - level + 1
+		}
 	}
-	leaves := mid[ptIndex(gfn, 1)]
-	if leaves == nil {
-		return 0, 2
-	}
-	return leaves[ptIndex(gfn, 0)], ptLevels
+	return 1
 }
 
 // iotlbEntry is one cached translation: its full (rid, gfn) key, the
@@ -125,13 +116,14 @@ type iotlbEntry struct {
 }
 
 // IOTLB is a fully associative translation cache with exact LRU
-// replacement and hit/miss counters. Entries live in a slot array that
-// grows to capacity and is then recycled. An open-addressed index (linear
+// replacement and hit/miss counters. Entries live in a slot array of
+// capacity slots, recycled once full. An open-addressed index (linear
 // probing over a power-of-two table kept at most half full) maps a
 // multiplicative hash of (rid, gfn) to a slot, and every slot holds its
 // full key, so a lookup is exact for any gfn. Each bucket also keeps the
 // top half of its key's hash, which names the key's home bucket: probing
 // past other keys and shifting them back on removal read only the index.
+// The first insert allocates the slot array and the index.
 type IOTLB struct {
 	capacity int
 	entries  []iotlbEntry
@@ -151,11 +143,9 @@ func NewIOTLB(capacity int) *IOTLB {
 	if capacity <= 0 {
 		panic("iommu: IOTLB capacity must be positive")
 	}
-	logSize := bits.Len(uint(2*capacity - 1))
 	return &IOTLB{
 		capacity: capacity,
-		index:    make([]iotlbBucket, 1<<logSize),
-		tagShift: uint(32 - logSize),
+		tagShift: uint(32 - bits.Len(uint(2*capacity-1))),
 		head:     -1,
 		tail:     -1,
 		free:     -1,
@@ -198,7 +188,10 @@ func (t *IOTLB) find(rid uint16, gfn uint64) (int, int32) {
 // lookup returns the cached translation for (rid, gfn), counting the hit
 // or miss and making a hit the most recently used entry.
 func (t *IOTLB) lookup(rid uint16, gfn uint64) (mfn uint64, writable, hit bool) {
-	_, s := t.find(rid, gfn)
+	s := int32(-1)
+	if t.n > 0 {
+		_, s = t.find(rid, gfn)
+	}
 	if s < 0 {
 		t.Misses++
 		return 0, false, false
@@ -210,6 +203,10 @@ func (t *IOTLB) lookup(rid uint16, gfn uint64) (mfn uint64, writable, hit bool) 
 }
 
 func (t *IOTLB) insert(rid uint16, gfn, mfn uint64, writable bool) {
+	if t.index == nil {
+		t.entries = make([]iotlbEntry, 0, t.capacity)
+		t.index = make([]iotlbBucket, 1<<(32-t.tagShift))
+	}
 	b, s := t.find(rid, gfn)
 	if s >= 0 {
 		e := &t.entries[s]
@@ -447,34 +444,37 @@ func (u *IOMMU) DomainOf(rid uint16) (int, bool) {
 	return c.domainID, true
 }
 
-// Map installs a 4 KiB translation gfn→mfn for the RID's domain.
-func (u *IOMMU) Map(rid uint16, gfn, mfn uint64, writable bool) error {
+// Map installs n translations gfn+i→mfn+i in the RID's domain, replacing
+// earlier ones. It refuses, installing nothing, an extent crossing the
+// 39-bit reach (a gfn's low 27 bits) or framing past a PTE's 52 bits.
+func (u *IOMMU) Map(rid uint16, gfn, mfn, n uint64, writable bool) error {
 	c := u.context(rid)
 	if c == nil {
 		return fmt.Errorf("iommu: rid %#04x has no context", rid)
 	}
-	if mfn >= 1<<(64-mem.PageShift) {
-		return fmt.Errorf("iommu: mfn %#x does not fit a page-table entry", mfn)
+	gfn %= ptReach
+	switch {
+	case n == 0:
+		return fmt.Errorf("iommu: empty mapping at gfn %#x", gfn)
+	case n > ptReach-gfn:
+		return fmt.Errorf("iommu: %d pages at gfn %#x cross the 39-bit table reach", n, gfn)
+	case mfn >= 1<<(64-mem.PageShift) || n-1 >= 1<<(64-mem.PageShift)-mfn:
+		return fmt.Errorf("iommu: %d frames at mfn %#x do not fit a page-table entry", n, mfn)
 	}
-	c.pt.map4k(gfn, mfn, writable)
+	c.pt.extents = append(c.pt.extents, extent{gfn: gfn, mfn: mfn, n: n, writable: writable})
 	return nil
 }
 
 // MapDomainMemory installs translations for a whole guest address space —
 // what assigning a device to a VM does (the VMM maps the guest's p2m into
 // the IOMMU so the guest can DMA anywhere in its own memory, and nowhere
-// else).
+// else). A domain's frames are one machine extent, so this is one mapping.
 func (u *IOMMU) MapDomainMemory(rid uint16, dm *mem.DomainMemory) error {
-	for gfn := uint64(0); gfn < dm.Pages(); gfn++ {
-		mfn, err := dm.MFN(gfn)
-		if err != nil {
-			return err
-		}
-		if err := u.Map(rid, gfn, mfn, true); err != nil {
-			return err
-		}
+	base, err := dm.MFN(0)
+	if err != nil {
+		return err
 	}
-	return nil
+	return u.Map(rid, 0, base, dm.Pages(), true)
 }
 
 // TranslateDMA validates and translates one transaction. It satisfies

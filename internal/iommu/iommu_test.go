@@ -11,7 +11,7 @@ import (
 func TestTranslateBasic(t *testing.T) {
 	u := New(64)
 	u.AttachDomain(0x100, 1)
-	if err := u.Map(0x100, 5, 105, true); err != nil {
+	if err := u.Map(0x100, 5, 105, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := u.TranslateDMA(0x100, 5<<mem.PageShift|0x123, true)
@@ -36,7 +36,7 @@ func TestTranslateFaults(t *testing.T) {
 		t.Fatal("unmapped address should fault")
 	}
 	// Read-only mapping.
-	u.Map(0x100, 1, 11, false)
+	u.Map(0x100, 1, 11, 1, false)
 	if _, err := u.TranslateDMA(0x100, 1<<mem.PageShift, true); err == nil {
 		t.Fatal("write to read-only should fault")
 	}
@@ -52,10 +52,10 @@ func TestTranslateFaults(t *testing.T) {
 	}
 	// A frame wider than a PTE's 52 address bits is refused at map time,
 	// and the largest one that fits round-trips.
-	if err := u.Map(0x100, 2, 1<<52, true); err == nil {
+	if err := u.Map(0x100, 2, 1<<52, 1, true); err == nil {
 		t.Fatal("mapping a frame beyond 52 bits should fail")
 	}
-	if err := u.Map(0x100, 2, 1<<52-1, true); err != nil {
+	if err := u.Map(0x100, 2, 1<<52-1, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := u.TranslateDMA(0x100, 2<<mem.PageShift|5, true); err != nil || got != (1<<52-1)<<mem.PageShift|5 {
@@ -75,7 +75,7 @@ func TestRIDsShareDomainPageTable(t *testing.T) {
 	u := New(64)
 	u.AttachDomain(0x100, 7)
 	u.AttachDomain(0x101, 7) // same domain
-	u.Map(0x100, 3, 33, true)
+	u.Map(0x100, 3, 33, 1, true)
 	// The mapping installed through RID 0x100 is visible through 0x101.
 	got, err := u.TranslateDMA(0x101, 3<<mem.PageShift, false)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestRIDsShareDomainPageTable(t *testing.T) {
 func TestDetachRID(t *testing.T) {
 	u := New(64)
 	u.AttachDomain(0x100, 1)
-	u.Map(0x100, 1, 11, true)
+	u.Map(0x100, 1, 11, 1, true)
 	u.TranslateDMA(0x100, 1<<mem.PageShift, false) // warm the IOTLB
 	u.DetachRID(0x100)
 	if u.Attached(0x100) {
@@ -113,7 +113,7 @@ func TestDetachRID(t *testing.T) {
 func TestUnmapInvalidates(t *testing.T) {
 	u := New(64)
 	u.AttachDomain(0x100, 1)
-	u.Map(0x100, 1, 11, true)
+	u.Map(0x100, 1, 11, 1, true)
 	if _, err := u.TranslateDMA(0x100, 1<<mem.PageShift, false); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestUnmapInvalidates(t *testing.T) {
 	if _, err := u.TranslateDMA(0x100, 1<<mem.PageShift, false); err == nil {
 		t.Fatal("unmapped page should fault even after IOTLB hit history")
 	}
-	u.Map(0x100, 1, 22, true)
+	u.Map(0x100, 1, 22, 1, true)
 	got, err := u.TranslateDMA(0x100, 1<<mem.PageShift, false)
 	if err != nil || got != 22<<mem.PageShift {
 		t.Fatalf("re-attached translation = %#x, %v; want frame 22", got, err)
@@ -132,7 +132,7 @@ func TestUnmapInvalidates(t *testing.T) {
 func TestIOTLBHitMiss(t *testing.T) {
 	u := New(64)
 	u.AttachDomain(0x100, 1)
-	u.Map(0x100, 1, 11, true)
+	u.Map(0x100, 1, 11, 1, true)
 	u.TranslateDMA(0x100, 1<<mem.PageShift, false)
 	u.TranslateDMA(0x100, 1<<mem.PageShift, false)
 	u.TranslateDMA(0x100, 1<<mem.PageShift, false)
@@ -145,7 +145,7 @@ func TestIOTLBEviction(t *testing.T) {
 	u := New(2)
 	u.AttachDomain(0x100, 1)
 	for g := uint64(0); g < 3; g++ {
-		u.Map(0x100, g, 100+g, true)
+		u.Map(0x100, g, 100+g, 1, true)
 		u.TranslateDMA(0x100, g<<mem.PageShift, false)
 	}
 	if u.TLB().n != 2 {
@@ -168,13 +168,13 @@ func TestIOTLBEviction(t *testing.T) {
 func TestIOTLBLRUTouchOnHit(t *testing.T) {
 	u := New(2)
 	u.AttachDomain(0x100, 1)
-	u.Map(0x100, 0, 10, true)
-	u.Map(0x100, 1, 11, true)
+	u.Map(0x100, 0, 10, 1, true)
+	u.Map(0x100, 1, 11, 1, true)
 	u.TranslateDMA(0x100, 0, false)
 	u.TranslateDMA(0x100, 1<<mem.PageShift, false)
 	// Touch gfn 0 so gfn 1 becomes LRU.
 	u.TranslateDMA(0x100, 0, false)
-	u.Map(0x100, 2, 12, true)
+	u.Map(0x100, 2, 12, 1, true)
 	u.TranslateDMA(0x100, 2<<mem.PageShift, false) // evicts gfn 1
 	hits := u.TLB().Hits
 	u.TranslateDMA(0x100, 0, false)
@@ -248,7 +248,7 @@ func TestPageTableSparseAddresses(t *testing.T) {
 	u.AttachDomain(1, 1)
 	gfns := []uint64{0, 511, 512, 1 << 18, 1<<27 - 1}
 	for i, g := range gfns {
-		u.Map(1, g, uint64(1000+i), true)
+		u.Map(1, g, uint64(1000+i), 1, true)
 	}
 	for i, g := range gfns {
 		hpa, err := u.TranslateDMA(1, g<<mem.PageShift, false)
@@ -264,7 +264,7 @@ func TestPageTableSparseAddresses(t *testing.T) {
 func TestCountersTrackWalks(t *testing.T) {
 	u := New(16)
 	u.AttachDomain(1, 1)
-	u.Map(1, 0, 1, true)
+	u.Map(1, 0, 1, 1, true)
 	u.TranslateDMA(1, 0, false) // miss → walk
 	u.TranslateDMA(1, 0, false) // hit → no walk
 	if u.Counters.Get("dma") != 2 {
@@ -285,7 +285,7 @@ func TestTranslateDMAAllocationFree(t *testing.T) {
 	u := New(4)
 	u.AttachDomain(1, 1)
 	for gfn := uint64(0); gfn < 8; gfn++ {
-		u.Map(1, gfn, 100+gfn, true)
+		u.Map(1, gfn, 100+gfn, 1, true)
 	}
 	const runs = 100
 	hit := testing.AllocsPerRun(runs, func() {
@@ -374,7 +374,7 @@ func BenchmarkTranslateDMA(b *testing.B) {
 	u := New(4)
 	u.AttachDomain(1, 1)
 	for gfn := uint64(0); gfn < 8; gfn++ {
-		u.Map(1, gfn, 100+gfn, true)
+		u.Map(1, gfn, 100+gfn, 1, true)
 	}
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
@@ -396,9 +396,7 @@ func BenchmarkTranslateDMA(b *testing.B) {
 		u := New(4096)
 		for vf := uint16(0); vf < vfs; vf++ {
 			u.AttachDomain(0x100+vf, int(vf)+1)
-			for gfn := uint64(0); gfn < pages; gfn++ {
-				u.Map(0x100+vf, gfn, uint64(vf)<<20|gfn, true)
-			}
+			u.Map(0x100+vf, 0, uint64(vf)<<20, pages, true)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

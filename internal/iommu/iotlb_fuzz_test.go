@@ -160,7 +160,7 @@ func FuzzIOTLB(f *testing.F) {
 			u.AttachDomain(rid, d)
 			for gfn := uint64(0); gfn < 32; gfn++ {
 				if mfn, w, ok := fuzzMapped(d, gfn); ok {
-					u.Map(rid, gfn, mfn, w)
+					u.Map(rid, gfn, mfn, 1, w)
 				}
 			}
 		}

@@ -381,8 +381,11 @@ func (h *Hypervisor) UnassignDevice(d *Domain, fn *pcie.Function) {
 
 // DMACheckFor returns a closure validating one DMA delivery into the
 // domain's receive buffer through the fabric and IOMMU — installed as the
-// NIC queue's DMACheck. The buffer GPA cycles through the guest's pages so
-// the IOTLB sees realistic reuse.
+// NIC queue's DMACheck. The buffer GPA sweeps linearly through the guest's
+// memory and wraps, so a page is revisited only after the whole guest has
+// been swept: with many guests sharing the IOTLB nearly every DMA misses
+// and walks (vf-scale reads 0 hits). A recycled RX ring would reuse pages;
+// ROADMAP item 4 tracks that change.
 func (h *Hypervisor) DMACheckFor(d *Domain, fn *pcie.Function) func(units.Size) error {
 	var nextGPA uint64 = 0x10000
 	return func(bytes units.Size) error {
