@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	sriov "repro"
 )
@@ -17,7 +17,7 @@ import (
 // reconcile termination) layered on top — and finally a Clos fabric soak: a
 // random leaf–spine shape and flow mix in auto fast-path mode with trunk
 // flaps, audited for packet conservation across promote/demote transitions.
-func runSoak(base uint64, n int, quiet bool) int {
+func runSoak(base uint64, n int, quiet bool, stdout, stderr io.Writer) int {
 	bad := 0
 	for i := 0; i < n; i++ {
 		seed := base + uint64(i)
@@ -31,11 +31,11 @@ func runSoak(base uint64, n int, quiet bool) int {
 			if !ok {
 				status = "FAIL"
 			}
-			fmt.Printf("soak seed=%-6d planned=%-3d injected=%-3d recovered=%-3d unrecovered=%d avail=%.3f violations=%d  %s\n",
+			fmt.Fprintf(stdout, "soak seed=%-6d planned=%-3d injected=%-3d recovered=%-3d unrecovered=%d avail=%.3f violations=%d  %s\n",
 				r.Seed, r.Planned, r.Injected, r.Recoveries, r.Unrecovered, r.Availability, len(r.Violations), status)
 		}
 		for _, v := range r.Violations {
-			fmt.Fprintf(os.Stderr, "  seed %d: %s\n", r.Seed, v)
+			fmt.Fprintf(stderr, "  seed %d: %s\n", r.Seed, v)
 		}
 
 		c := sriov.CtlSoak(seed)
@@ -48,11 +48,11 @@ func runSoak(base uint64, n int, quiet bool) int {
 			if !cok {
 				status = "FAIL"
 			}
-			fmt.Printf("ctl  seed=%-6d churn=%-3d heals=%-3d unrecovered=%d avail=%.3f violations=%d  %s\n",
+			fmt.Fprintf(stdout, "ctl  seed=%-6d churn=%-3d heals=%-3d unrecovered=%d avail=%.3f violations=%d  %s\n",
 				c.Seed, c.Churn, c.Heals, c.Unrecovered, c.Availability, len(c.Violations), status)
 		}
 		for _, v := range c.Violations {
-			fmt.Fprintf(os.Stderr, "  ctl seed %d: %s\n", c.Seed, v)
+			fmt.Fprintf(stderr, "  ctl seed %d: %s\n", c.Seed, v)
 		}
 
 		f := sriov.ClosSoak(seed)
@@ -65,17 +65,17 @@ func runSoak(base uint64, n int, quiet bool) int {
 			if !fok {
 				status = "FAIL"
 			}
-			fmt.Printf("clos seed=%-6d hosts=%-4d flows=%-3d flaps=%-2d demote=%-4d promote=%-4d drops=%-6d violations=%d  %s\n",
+			fmt.Fprintf(stdout, "clos seed=%-6d hosts=%-4d flows=%-3d flaps=%-2d demote=%-4d promote=%-4d drops=%-6d violations=%d  %s\n",
 				f.Seed, f.Hosts, f.Flows, f.Flaps, f.Demotions, f.Promotions, f.Drops, len(f.Violations), status)
 		}
 		for _, v := range f.Violations {
-			fmt.Fprintf(os.Stderr, "  clos seed %d: %s\n", f.Seed, v)
+			fmt.Fprintf(stderr, "  clos seed %d: %s\n", f.Seed, v)
 		}
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "soak: %d/%d iterations failed\n", bad, 3*n)
+		fmt.Fprintf(stderr, "soak: %d/%d iterations failed\n", bad, 3*n)
 		return 1
 	}
-	fmt.Printf("soak: %d iterations clean (seeds %d..%d, chaos + ctlplane + clos)\n", n, base, base+uint64(n)-1)
+	fmt.Fprintf(stdout, "soak: %d iterations clean (seeds %d..%d, chaos + ctlplane + clos)\n", n, base, base+uint64(n)-1)
 	return 0
 }

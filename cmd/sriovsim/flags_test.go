@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -74,4 +75,33 @@ func experimentIDs() []string {
 		ids = append(ids, e.ID)
 	}
 	return ids
+}
+
+// TestConflictingModesExit2: every ordered pair of mode flags is refused
+// with exit 2 and an error naming both, before anything runs.
+func TestConflictingModesExit2(t *testing.T) {
+	modes := [][]string{
+		{"-list"}, {"-soak", "1"}, {"-backend", "all"}, {"-clos", "4"},
+		{"-hosts", "2"}, {"-all"}, {"-fig", "7"}, {"-scenario", "scenario.json"},
+	}
+	for _, a := range modes {
+		for _, b := range modes {
+			if a[0] == b[0] {
+				continue
+			}
+			args := append(append([]string{}, a...), b...)
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Errorf("%v: exit %d, want 2", args, code)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("%v: stdout %q, want empty", args, stdout.String())
+			}
+			for _, mode := range []string{a[0], b[0]} {
+				if !strings.Contains(stderr.String(), mode) {
+					t.Errorf("%v: error %q does not name %s", args, stderr.String(), mode)
+				}
+			}
+		}
+	}
 }

@@ -63,7 +63,7 @@ var stdlibInterfaces = [][2]string{
 	{"sort", "Interface"}, {"container/heap", "Interface"},
 	{"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
 	{"encoding", "TextMarshaler"}, {"encoding", "TextUnmarshaler"},
-	{"net/http", "Handler"}, {"flag", "Value"},
+	{"flag", "Value"},
 	{"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
 }
 

@@ -9,8 +9,8 @@
 // reconcile terminates).
 //
 // The same scenario and seed reproduce this report byte for byte — in
-// process here, or over HTTP via `sriovsim -serve` + `sriovctl play
-// scenario.json` (see README.md).
+// process here, or as JSON from `sriovsim -scenario scenario.json` (see
+// README.md).
 package main
 
 import (

@@ -9,11 +9,10 @@ import (
 
 // TestExampleGoldenReport keeps the committed example honest: running
 // examples/ctlplane/scenario.json in process must reproduce
-// examples/ctlplane/report_golden.json byte for byte — the same file the
-// CI serve-smoke job diffs against the REST path. Regenerate with:
+// examples/ctlplane/report_golden.json byte for byte — the same file that
+// `sriovsim -scenario` is held to. Regenerate with:
 //
-//	sriovsim -serve :8080 &
-//	sriovctl play examples/ctlplane/scenario.json > examples/ctlplane/report_golden.json
+//	sriovsim -scenario examples/ctlplane/scenario.json > examples/ctlplane/report_golden.json
 func TestExampleGoldenReport(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "ctlplane")
 	scenario, err := os.ReadFile(filepath.Join(dir, "scenario.json"))

@@ -3,6 +3,7 @@ package ctlplane
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/units"
 )
@@ -66,8 +67,11 @@ func ParsePolicy(name string) (Policy, error) {
 	case "static", "":
 		return nil, nil
 	}
-	return nil, fmt.Errorf("ctlplane: unknown policy %q (valid: binpack, spread, static)", name)
+	return nil, fmt.Errorf("ctlplane: unknown policy %q (valid: %s)", name, strings.Join(policyNames, ", "))
 }
+
+// policyNames are the policy names ParsePolicy accepts besides "".
+var policyNames = []string{"binpack", "spread", "static"}
 
 // groupConflict reports whether placing vm on host would co-locate two VMs
 // of the same anti-affinity group.

@@ -15,7 +15,7 @@ import (
 	"repro/internal/vmm"
 )
 
-// Report is the committed run summary the scenario server returns and the
+// Report is the run summary that `sriovsim -scenario` prints and the
 // deterministic-replay tests byte-compare. Every field is a pure function
 // of (scenario, seed).
 type Report struct {
@@ -63,8 +63,9 @@ func (r *Report) Encode() ([]byte, error) {
 
 // Run is one scenario brought to life: a cluster, a controller over it,
 // the scenario's VMs with their client flows, fault injectors armed per
-// host, and an SLO probe on the fleet's aggregate delivery. The scenario
-// server steps it; RunScenario drives it to the horizon in one call.
+// host, and an SLO probe on the fleet's aggregate delivery. Step advances
+// it in slices of simulated time; RunScenario drives it to the horizon in
+// one call.
 type Run struct {
 	Scenario *Scenario // filled copy
 	Seed     uint64
@@ -138,10 +139,8 @@ func NewRun(sc *Scenario, seed uint64, reg *obs.Registry, arena *sim.Arena) (*Ru
 			return nil, err
 		}
 	}
-	for i, f := range filled.Faults {
-		if err := r.scheduleFault(f); err != nil {
-			return nil, fmt.Errorf("ctlplane: faults[%d]: %w", i, err)
-		}
+	for _, f := range filled.Faults {
+		r.scheduleFault(f)
 	}
 	// The SLO probes the whole fleet's delivery; a healthy bucket needs the
 	// scenario's healthy fraction of the initial nominal rate.
@@ -188,52 +187,12 @@ func (r *Run) addVM(spec VMSpec) error {
 	return nil
 }
 
-// AddVM registers a VM (plus client and flow) into a running fleet — the
-// scenario API's mid-run mutation. Call between steps.
-func (r *Run) AddVM(spec VMSpec) error {
-	if r.report != nil {
-		return fmt.Errorf("ctlplane: run already finished")
-	}
-	if spec.Name == "" || spec.RateMbps <= 0 {
-		return fmt.Errorf("ctlplane: vm needs a name and a positive rate_mbps")
-	}
-	if spec.Host < 0 || spec.Host >= len(r.cl.Hosts()) {
-		return fmt.Errorf("ctlplane: no host %d", spec.Host)
-	}
-	if spec.ClientHost != nil && (*spec.ClientHost < 0 || *spec.ClientHost >= len(r.cl.Hosts())) {
-		return fmt.Errorf("ctlplane: no host %d", *spec.ClientHost)
-	}
-	return r.addVM(spec)
-}
-
-// scheduleFault arms one fault. The spec is resolved at fire time, so a
-// VM-targeted fault chases the VM to wherever the controller moved it.
-func (r *Run) scheduleFault(f FaultSpec) error {
-	kind, err := ParseFaultKind(f.Kind)
-	if err != nil {
-		return err
-	}
-	if f.Host < 0 || f.Host >= len(r.injs) {
-		return fmt.Errorf("ctlplane: no host %d", f.Host)
-	}
-	at := units.Time(ms(f.AtMs))
-	if now := r.cl.Eng.Now(); at < now {
-		at = now // mid-run injections land on the next instant
-	}
-	r.cl.Eng.At(at, "ctl:fault", func() { r.applyFault(kind, f) })
-	return nil
-}
-
-// InjectFault arms a fault against a running fleet — the scenario API's
-// mid-run mutation. Times in the past fire immediately on the next step.
-func (r *Run) InjectFault(f FaultSpec) error {
-	if r.report != nil {
-		return fmt.Errorf("ctlplane: run already finished")
-	}
-	if f.VM != "" && r.findVM(f.VM) == nil {
-		return fmt.Errorf("ctlplane: unknown vm %q", f.VM)
-	}
-	return r.scheduleFault(f)
+// scheduleFault arms one fault that Validate accepted. The spec is
+// resolved at fire time, so a VM-targeted fault chases the VM to wherever
+// the controller moved it.
+func (r *Run) scheduleFault(f FaultSpec) {
+	kind, _ := ParseFaultKind(f.Kind) // Validate refused an unknown name
+	r.cl.Eng.At(units.Time(ms(f.AtMs)), "ctl:fault", func() { r.applyFault(kind, f) })
 }
 
 func (r *Run) findVM(name string) *VM {
@@ -277,9 +236,6 @@ func (r *Run) Step(d units.Duration) {
 	}
 	r.cl.Eng.RunUntil(r.cl.Eng.Now().Add(d))
 }
-
-// Now reports the simulated clock.
-func (r *Run) Now() units.Duration { return units.Duration(r.cl.Eng.Now()) }
 
 // Done reports whether the clock has reached the scenario horizon.
 func (r *Run) Done() bool { return r.cl.Eng.Now() >= r.horizon || r.report != nil }

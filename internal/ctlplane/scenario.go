@@ -6,11 +6,9 @@
 // pluggable placement policy evaluated on a periodic tick of the simulated
 // clock.
 //
-// It is exposed two ways: in-process as the Go API the fig28/fig29
-// experiment family consumes (Controller, RunScenario), and out-of-process
-// as a REST/JSON scenario server (Server, mounted by `sriovsim -serve` and
-// driven by `sriovctl`) that accepts the versioned Scenario document below,
-// steps or runs fleets, and reports deterministic SLO summaries.
+// It runs in process. The fig28/fig29 experiments call RunScenario, and
+// `sriovsim -scenario FILE` runs one versioned Scenario document (below)
+// and prints its deterministic SLO report.
 //
 // Determinism: a scenario run is a pure function of (scenario, seed). The
 // controller only acts on reconcile ticks of the simulation clock, walks
@@ -21,12 +19,21 @@ package ctlplane
 
 import (
 	"bytes"
+	_ "embed"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/units"
 )
+
+// SchemaJSON is the committed JSON Schema of the Scenario document. The
+// schema drift test holds its property names and enums to the types and
+// parsers below.
+//
+//go:embed schema.json
+var SchemaJSON []byte
 
 // SchemaVersion is the scenario document format version. Decode rejects
 // any other value, so committed scenarios never silently reinterpret.
@@ -89,10 +96,9 @@ type VMSpec struct {
 	// Group is an optional failure-domain / anti-affinity group: policies
 	// never co-locate two VMs of one group.
 	Group string `json:"group,omitempty"`
-	// ClientHost places the VM's traffic client; -1 (the default when the
-	// field is omitted... encoded as 0 with ClientHostSet) — clients
-	// default to (Host+1) mod Hosts. Explicit same-host clients are legal:
-	// the NIC's internal switch hairpins their frames.
+	// ClientHost places the VM's traffic client. Omitted (nil), the client
+	// sits on (Host+1) mod Hosts. An explicit same-host client is legal:
+	// the NIC's internal switch hairpins its frames.
 	ClientHost *int `json:"client_host,omitempty"`
 }
 
@@ -150,18 +156,22 @@ func (sc *Scenario) fill() {
 	}
 }
 
+// faultKinds are the fault kinds a scenario may name, in schema order.
+var faultKinds = []fault.Kind{fault.LinkFlap, fault.MailboxDrop, fault.MailboxDelay,
+	fault.QueueStall, fault.DeviceReset, fault.SurpriseRemoveVF}
+
 // ParseFaultKind maps a scenario fault-kind name to the injector's Kind.
 func ParseFaultKind(name string) (fault.Kind, error) {
-	kinds := []fault.Kind{fault.LinkFlap, fault.MailboxDrop, fault.MailboxDelay,
-		fault.QueueStall, fault.DeviceReset, fault.SurpriseRemoveVF}
-	for _, k := range kinds {
+	for _, k := range faultKinds {
 		if k.String() == name {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("ctlplane: unknown fault kind %q (valid: %s, %s, %s, %s, %s, %s)",
-		name, fault.LinkFlap, fault.MailboxDrop, fault.MailboxDelay,
-		fault.QueueStall, fault.DeviceReset, fault.SurpriseRemoveVF)
+	names := make([]string, len(faultKinds))
+	for i, k := range faultKinds {
+		names[i] = k.String()
+	}
+	return 0, fmt.Errorf("ctlplane: unknown fault kind %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // Validate checks the scenario for structural errors a run would otherwise

@@ -2,10 +2,12 @@ package ctlplane
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -147,9 +149,70 @@ func TestParseFaultKindRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSchemaMatchesTypes holds the committed schema.json to the code that
+// decodes scenarios: each object's property names are the json tags of
+// its Go type, each object forbids other properties as the strict decoder
+// does, and the kind and policy enums are the names the parsers accept.
+func TestSchemaMatchesTypes(t *testing.T) {
+	type node struct {
+		AdditionalProperties *bool            `json:"additionalProperties"`
+		Properties           map[string]*node `json:"properties"`
+		Items                *node            `json:"items"`
+		Enum                 []string         `json:"enum"`
+	}
+	var top node
+	if err := json.Unmarshal(SchemaJSON, &top); err != nil {
+		t.Fatalf("schema.json: %v", err)
+	}
+	vms, faults := top.Properties["vms"].Items, top.Properties["faults"].Items
+	for _, tc := range []struct {
+		path string
+		obj  *node
+		typ  reflect.Type
+	}{
+		{"top level", &top, reflect.TypeOf(Scenario{})},
+		{"vms.items", vms, reflect.TypeOf(VMSpec{})},
+		{"faults.items", faults, reflect.TypeOf(FaultSpec{})},
+	} {
+		var props, tags []string
+		for name := range tc.obj.Properties {
+			props = append(props, name)
+		}
+		for i := 0; i < tc.typ.NumField(); i++ {
+			tag, _, _ := strings.Cut(tc.typ.Field(i).Tag.Get("json"), ",")
+			tags = append(tags, tag)
+		}
+		slices.Sort(props)
+		slices.Sort(tags)
+		if !slices.Equal(props, tags) {
+			t.Errorf("%s: schema properties %v, %s json tags %v", tc.path, props, tc.typ.Name(), tags)
+		}
+		if ap := tc.obj.AdditionalProperties; ap == nil || *ap {
+			t.Errorf("%s: schema must set additionalProperties: false", tc.path)
+		}
+	}
+
+	var kinds []string
+	for _, k := range faultKinds {
+		kinds = append(kinds, k.String())
+	}
+	if got := faults.Properties["kind"].Enum; !slices.Equal(got, kinds) {
+		t.Errorf("schema kind enum %v, ParseFaultKind accepts %v", got, kinds)
+	}
+	policies := append(slices.Clone(policyNames), "")
+	if got := top.Properties["policy"].Enum; !slices.Equal(got, policies) {
+		t.Errorf("schema policy enum %v, ParsePolicy accepts %v", got, policies)
+	}
+	for _, name := range policies {
+		if _, err := ParsePolicy(name); err != nil {
+			t.Errorf("ParsePolicy(%q): %v", name, err)
+		}
+	}
+}
+
 // FuzzScenarioDecode hammers the strict parser: any input that decodes
 // must be valid, re-encodable, and stable under a decode∘encode cycle —
-// the property the deterministic replay and the REST API lean on.
+// the property deterministic replay leans on.
 func FuzzScenarioDecode(f *testing.F) {
 	seed, err := EncodeScenario(goldenScenario())
 	if err != nil {

@@ -48,8 +48,14 @@ const ExtCapBase = 0x100
 // belongs to the function that owns it. Reads of unimplemented space return
 // zeros, and reads from a "non-present" function return all-ones, matching
 // the bus behaviour enumeration code depends on.
+//
+// Only the 256-byte header and legacy capability area is held inline. The
+// extended region (ExtCapBase and up) is allocated by the first nonzero
+// write there: a PF's SR-IOV capability or a switch port's ACS. A VF never
+// writes it, and until then it reads as zeros.
 type ConfigSpace struct {
-	data [ConfigSpaceSize]byte
+	legacy [ExtCapBase]byte
+	ext    *[ConfigSpaceSize - ExtCapBase]byte
 	// lastCap/lastExtCap track the tail of each capability chain so new
 	// capabilities can be appended.
 	lastCapPtr    int
@@ -85,12 +91,39 @@ func (c *ConfigSpace) check(off, n int) error {
 	return nil
 }
 
+// at returns the byte at an in-range offset.
+func (c *ConfigSpace) at(off int) byte {
+	if off < ExtCapBase {
+		return c.legacy[off]
+	}
+	if c.ext == nil {
+		return 0
+	}
+	return c.ext[off-ExtCapBase]
+}
+
+// set stores the byte at an in-range offset, allocating the extended
+// region for the first nonzero byte written there.
+func (c *ConfigSpace) set(off int, v byte) {
+	if off < ExtCapBase {
+		c.legacy[off] = v
+		return
+	}
+	if c.ext == nil {
+		if v == 0 {
+			return
+		}
+		c.ext = new([ConfigSpaceSize - ExtCapBase]byte)
+	}
+	c.ext[off-ExtCapBase] = v
+}
+
 // Read8 reads one byte. Out-of-range or non-present reads return all-ones.
 func (c *ConfigSpace) Read8(off int) uint8 {
 	if !c.present || c.check(off, 1) != nil {
 		return 0xff
 	}
-	return c.data[off]
+	return c.at(off)
 }
 
 // Read16 reads a little-endian 16-bit value.
@@ -98,7 +131,7 @@ func (c *ConfigSpace) Read16(off int) uint16 {
 	if !c.present || c.check(off, 2) != nil {
 		return 0xffff
 	}
-	return uint16(c.data[off]) | uint16(c.data[off+1])<<8
+	return uint16(c.at(off)) | uint16(c.at(off+1))<<8
 }
 
 // Read32 reads a little-endian 32-bit value.
@@ -106,8 +139,13 @@ func (c *ConfigSpace) Read32(off int) uint32 {
 	if !c.present || c.check(off, 4) != nil {
 		return 0xffffffff
 	}
-	return uint32(c.data[off]) | uint32(c.data[off+1])<<8 |
-		uint32(c.data[off+2])<<16 | uint32(c.data[off+3])<<24
+	return c.read32Raw(off)
+}
+
+// read32Raw reads a 32-bit value regardless of presence.
+func (c *ConfigSpace) read32Raw(off int) uint32 {
+	return uint32(c.at(off)) | uint32(c.at(off+1))<<8 |
+		uint32(c.at(off+2))<<16 | uint32(c.at(off+3))<<24
 }
 
 // Write16 writes a little-endian 16-bit value.
@@ -115,8 +153,7 @@ func (c *ConfigSpace) Write16(off int, v uint16) {
 	if !c.present || c.check(off, 2) != nil {
 		return
 	}
-	c.data[off] = byte(v)
-	c.data[off+1] = byte(v >> 8)
+	c.writeRaw16(off, v)
 }
 
 // Write32 writes a little-endian 32-bit value.
@@ -124,26 +161,23 @@ func (c *ConfigSpace) Write32(off int, v uint32) {
 	if !c.present || c.check(off, 4) != nil {
 		return
 	}
-	c.data[off] = byte(v)
-	c.data[off+1] = byte(v >> 8)
-	c.data[off+2] = byte(v >> 16)
-	c.data[off+3] = byte(v >> 24)
+	c.writeRaw32(off, v)
 }
 
 // writeRaw16 stores a value regardless of presence — used by capability
 // builders, which model the hardware initializing its own configuration
 // space (a VF's capabilities exist before VF Enable makes them readable).
 func (c *ConfigSpace) writeRaw16(off int, v uint16) {
-	c.data[off] = byte(v)
-	c.data[off+1] = byte(v >> 8)
+	c.set(off, byte(v))
+	c.set(off+1, byte(v>>8))
 }
 
 // writeRaw32 stores a 32-bit value regardless of presence.
 func (c *ConfigSpace) writeRaw32(off int, v uint32) {
-	c.data[off] = byte(v)
-	c.data[off+1] = byte(v >> 8)
-	c.data[off+2] = byte(v >> 16)
-	c.data[off+3] = byte(v >> 24)
+	c.set(off, byte(v))
+	c.set(off+1, byte(v>>8))
+	c.set(off+2, byte(v>>16))
+	c.set(off+3, byte(v>>24))
 }
 
 // AddCapability appends a legacy capability of the given id and body size
@@ -156,12 +190,12 @@ func (c *ConfigSpace) AddCapability(id uint8, off, bodySize int) int {
 	if off >= ExtCapBase {
 		panic("pcie: legacy capability must live below 0x100")
 	}
-	c.data[off] = id
-	c.data[off+1] = 0 // next pointer, fixed up below
+	c.set(off, id)
+	c.set(off+1, 0) // next pointer, fixed up below
 	if c.lastCapPtr == 0 {
-		c.data[RegCapPtr] = byte(off)
+		c.set(RegCapPtr, byte(off))
 	} else {
-		c.data[c.lastCapPtr+1] = byte(off)
+		c.set(c.lastCapPtr+1, byte(off))
 	}
 	c.lastCapPtr = off
 	return off
@@ -184,8 +218,7 @@ func (c *ConfigSpace) AddExtCapability(id uint16, version uint8, off, bodySize i
 			c.writeRaw32(ExtCapBase, uint32(0xffff)|uint32(off)<<20)
 		}
 	} else {
-		prev := uint32(c.data[c.lastExtCapPtr]) | uint32(c.data[c.lastExtCapPtr+1])<<8 |
-			uint32(c.data[c.lastExtCapPtr+2])<<16 | uint32(c.data[c.lastExtCapPtr+3])<<24
+		prev := c.read32Raw(c.lastExtCapPtr)
 		prev = (prev & 0x000fffff) | uint32(off)<<20
 		c.writeRaw32(c.lastExtCapPtr, prev)
 	}

@@ -318,7 +318,7 @@ func ChaosSoak(seed uint64) ChaosSoakResult { return experiments.ChaosSoak(seed)
 // faults via rebond/re-slot/DNIS migration, and reports placements with an
 // audited book of record. Scenarios are a committed JSON schema
 // (CtlSchemaJSON); the same scenario+seed pair replays byte-identically,
-// in process or over the REST server.
+// in process or through `sriovsim -scenario`.
 type (
 	// CtlScenario is a declarative control-plane scenario (fleet shape,
 	// policy, VMs, fault schedule).
@@ -329,10 +329,6 @@ type (
 	CtlFaultSpec = ctlplane.FaultSpec
 	// CtlReport is a finished run's canonical JSON report.
 	CtlReport = ctlplane.Report
-	// CtlRun is a stepwise control-plane run accepting mid-run mutation.
-	CtlRun = ctlplane.Run
-	// CtlServer is the REST/JSON scenario server (`sriovsim -serve`).
-	CtlServer = ctlplane.Server
 	// CtlSoakResult summarizes one controller-soak iteration.
 	CtlSoakResult = experiments.CtlSoakResult
 )
@@ -348,13 +344,10 @@ func EncodeCtlScenario(sc *CtlScenario) ([]byte, error) { return ctlplane.Encode
 
 // RunCtlScenario drives a scenario to its horizon and returns the report.
 // Deterministic per (scenario, seed): the report's Encode() bytes are
-// identical across runs, runner parallelism, and the REST server.
+// identical across runs, runner parallelism, and `sriovsim -scenario`.
 func RunCtlScenario(sc *CtlScenario, seed uint64) (*CtlReport, error) {
 	return ctlplane.RunScenario(sc, seed, nil, nil)
 }
-
-// NewCtlServer creates the REST/JSON scenario server; mount Handler().
-func NewCtlServer() *CtlServer { return ctlplane.NewServer() }
 
 // CtlSoak runs one controller chaos iteration (the control-plane leg of
 // `sriovsim -soak`): a healing spread fleet under a mixed fault schedule,
